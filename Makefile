@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover bench-smoke bench bench-scale bench-epoch bench-churn bench-resolve bench-explain bench-replica bench-load tables
+.PHONY: all build vet test race check cover bench-module bench-smoke bench bench-scale bench-epoch bench-churn bench-resolve bench-explain bench-replica bench-load tables
 
 all: check
 
@@ -13,14 +13,23 @@ vet:
 test:
 	$(GO) test ./...
 
+# The -cpu matrix covers the write path's shared machinery: the names
+# package (Apply in apply.go, the batched publisher) and the principal
+# registry's Apply, among the other policy packages.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/...
 
 # check is the full local gate: build, vet, the complete test suite
-# under the race detector, and a benchmark smoke run so the harness
-# itself cannot bit-rot unnoticed.
-check: build vet race bench-smoke
+# under the race detector, the nested bench module (which compiles
+# against this module's API, so an API change that breaks it must fail
+# here), and a benchmark smoke run so the harness itself cannot bit-rot
+# unnoticed.
+check: build vet race bench-module bench-smoke
+
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test .
 
 # cover runs the monitor, telemetry, names, lattice, and principal
 # packages' tests with coverage and enforces per-tree floors: the policy
@@ -37,6 +46,10 @@ PRINCIPAL_COVER_FLOOR := 85.0
 # The write-combining publisher is new write-path machinery; its file
 # keeps its own floor so the package average cannot hide it.
 BATCH_COVER_FLOOR := 85.0
+# Apply is the name server's one mutation entry point; its file keeps
+# its own floor so the package average cannot hide an untested edit
+# kind or failure branch.
+APPLY_COVER_FLOOR := 85.0
 # Compiled epochs are new read-path machinery: the freeze-time index
 # and the ACL-summary bitsets each keep a per-file floor for the same
 # reason.
@@ -74,6 +87,10 @@ cover:
 	echo "internal/names/batch.go coverage: $$batch% (floor $(BATCH_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$batch >= $(BATCH_COVER_FLOOR))}" || \
 		{ echo "batched-publisher coverage below floor"; exit 1; }
+	@apply=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/apply\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
+	echo "internal/names/apply.go coverage: $$apply% (floor $(APPLY_COVER_FLOOR)%)"; \
+	awk "BEGIN {exit !($$apply >= $(APPLY_COVER_FLOOR))}" || \
+		{ echo "Apply coverage below floor"; exit 1; }
 	@compiled=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/compiled\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
 	echo "internal/names/compiled.go coverage: $$compiled% (floor $(COMPILED_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$compiled >= $(COMPILED_COVER_FLOOR))}" || \

@@ -15,6 +15,9 @@ import (
 	"time"
 
 	"secext"
+	"secext/internal/lattice"
+	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/remote"
 	"secext/internal/replica"
 )
@@ -262,16 +265,16 @@ func TestAttackShadowService(t *testing.T) {
 	bot, _ := w.Sys.Lattice().Bottom()
 	// Overwrite an existing name: structural ErrExists even before
 	// access is considered (and access would deny anyway).
-	if _, err := w.Sys.Bind(mallory, "/svc/fs", secext.BindSpec{
+	if _, err := w.Sys.Apply(mallory, names.Bind("/svc/fs", secext.BindSpec{
 		Name: "read", Kind: secext.KindMethod, Class: bot,
-	}); err == nil {
+	})); err == nil {
 		t.Fatal("service name shadowed")
 	}
 	// Create a new name in the service domain: /svc allows nobody
 	// write.
-	if _, err := w.Sys.Bind(mallory, "/svc", secext.BindSpec{
+	if _, err := w.Sys.Apply(mallory, names.Bind("/svc", secext.BindSpec{
 		Name: "fs2", Kind: secext.KindInterface, Class: bot,
-	}); !secext.IsDenied(err) {
+	})); !secext.IsDenied(err) {
 		t.Fatalf("look-alike interface created: %v", err)
 	}
 }
@@ -303,10 +306,10 @@ func TestAttackAuditTampering(t *testing.T) {
 func TestAttackCachedGrantOutlivesRevocation(t *testing.T) {
 	w := attackWorld(t)
 	reg := w.Sys.Registry()
-	if err := reg.AddGroup("project"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("project")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("project", "insider"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("project", "insider")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Sys.CreateNode(secext.NodeSpec{
@@ -326,7 +329,7 @@ func TestAttackCachedGrantOutlivesRevocation(t *testing.T) {
 	}
 
 	// Revocation #1: insider is dropped from the project group.
-	if err := reg.RemoveMember("project", "insider"); err != nil {
+	if _, err := reg.Apply(principal.RemoveMember("project", "insider")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Sys.CheckData(insider, "/fs/plans", secext.Read); !secext.IsDenied(err) {
@@ -450,10 +453,10 @@ func TestAttackStaleGrantUnderConcurrentRevocation(t *testing.T) {
 func TestAttackStaleGrantUnderConcurrentGroupRevocation(t *testing.T) {
 	w := attackWorld(t)
 	reg := w.Sys.Registry()
-	if err := reg.AddGroup("project"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("project")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("project", "insider"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("project", "insider")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Sys.CreateNode(secext.NodeSpec{
@@ -504,7 +507,7 @@ func TestAttackStaleGrantUnderConcurrentGroupRevocation(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			runtime.Gosched()
 		}
-		if err := reg.RemoveMember("project", "insider"); err != nil {
+		if _, err := reg.Apply(principal.RemoveMember("project", "insider")); err != nil {
 			t.Errorf("revoke membership: %v", err)
 			return
 		}
@@ -528,13 +531,13 @@ func TestAttackBatchedRevocationNotDelayed(t *testing.T) {
 	w := attackWorld(t)
 	reg := w.Sys.Registry()
 	ns := w.Sys.Names()
-	if err := reg.AddGroup("project"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("project")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddGroup("noise"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("noise")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("project", "insider"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("project", "insider")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Sys.CreateNode(secext.NodeSpec{
@@ -574,8 +577,8 @@ func TestAttackBatchedRevocationNotDelayed(t *testing.T) {
 				default:
 				}
 				if m == 0 {
-					reg.AddMember("noise", "mallory")
-					reg.RemoveMember("noise", "mallory")
+					reg.Apply(principal.AddMember("noise", "mallory"))
+					reg.Apply(principal.RemoveMember("noise", "mallory"))
 				} else {
 					ns.SetACLUnchecked("/fs/churn",
 						secext.NewACL(secext.Allow("victim", secext.Read)))
@@ -657,11 +660,11 @@ func TestAttackStaleCompiledSummary(t *testing.T) {
 	reg := w.Sys.Registry()
 	ns := w.Sys.Names()
 	for _, g := range []string{"project", "noise"} {
-		if err := reg.AddGroup(g); err != nil {
+		if _, err := reg.Apply(principal.AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := reg.AddMember("project", "insider"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("project", "insider")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Sys.CreateNode(secext.NodeSpec{
@@ -703,8 +706,8 @@ func TestAttackStaleCompiledSummary(t *testing.T) {
 				default:
 				}
 				if m == 0 {
-					reg.AddMember("noise", "mallory")
-					reg.RemoveMember("noise", "mallory")
+					reg.Apply(principal.AddMember("noise", "mallory"))
+					reg.Apply(principal.RemoveMember("noise", "mallory"))
 				} else {
 					ns.SetACLUnchecked("/fs/churn",
 						secext.NewACL(secext.Allow("victim", secext.Read)))
@@ -880,7 +883,7 @@ func TestAttackFleetRevocationBarrier(t *testing.T) {
 	}
 
 	// The revocation: publish, then raise the fleet-wide barrier.
-	v, err := w.Sys.Names().SetACLUncheckedAt("/fs/plans", secext.NewACL())
+	v, err := w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/plans", secext.NewACL()))
 	if err != nil {
 		t.Fatal(err)
 	}

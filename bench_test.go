@@ -25,6 +25,7 @@ import (
 	"secext/internal/lattice"
 	"secext/internal/load"
 	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/remote"
 	"secext/internal/replica"
 	"secext/internal/subject"
@@ -588,15 +589,15 @@ func BenchmarkE8Groups(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < depth; i++ {
-			if err := reg.AddGroup("g" + strconv.Itoa(i)); err != nil {
+			if _, err := reg.Apply(principal.AddGroup("g" + strconv.Itoa(i))); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := reg.AddMember("g0", "alice"); err != nil {
+		if _, err := reg.Apply(principal.AddMember("g0", "alice")); err != nil {
 			b.Fatal(err)
 		}
 		for i := 1; i < depth; i++ {
-			if err := reg.AddMember("g"+strconv.Itoa(i), "g"+strconv.Itoa(i-1)); err != nil {
+			if _, err := reg.Apply(principal.AddMember("g"+strconv.Itoa(i), "g"+strconv.Itoa(i-1))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -654,7 +655,7 @@ func e16World(b testing.TB) (*secext.World, *secext.Context, []string) {
 		b.Fatal(err)
 	}
 	reg := w.Sys.Registry()
-	if err := reg.AddGroup("churn"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("churn")); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := w.Sys.AddPrincipal("alice", "organization:{dept-1}"); err != nil {
@@ -668,7 +669,7 @@ func e16World(b testing.TB) (*secext.World, *secext.Context, []string) {
 		}
 		members[i] = name
 	}
-	if err := reg.AddMember("churn", "alice"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("churn", "alice")); err != nil {
 		b.Fatal(err)
 	}
 	ctx, err := w.Sys.NewContext("alice")
@@ -692,10 +693,10 @@ func BenchmarkE16Churn(b *testing.B) {
 		reg.SetIncrementalFreeze(false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := reg.AddMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.AddMember("churn", "p0")); err != nil {
 				b.Fatal(err)
 			}
-			if err := reg.RemoveMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.RemoveMember("churn", "p0")); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -705,10 +706,10 @@ func BenchmarkE16Churn(b *testing.B) {
 		reg := w.Sys.Registry()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := reg.AddMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.AddMember("churn", "p0")); err != nil {
 				b.Fatal(err)
 			}
-			if err := reg.RemoveMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.RemoveMember("churn", "p0")); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -719,12 +720,12 @@ func BenchmarkE16Churn(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, m := range members {
-				if err := reg.AddMember("churn", m); err != nil {
+				if _, err := reg.Apply(principal.AddMember("churn", m)); err != nil {
 					b.Fatal(err)
 				}
 			}
 			for _, m := range members {
-				if err := reg.RemoveMember("churn", m); err != nil {
+				if _, err := reg.Apply(principal.RemoveMember("churn", m)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -733,12 +734,18 @@ func BenchmarkE16Churn(b *testing.B) {
 	b.Run("bulk64-batched", func(b *testing.B) {
 		w, _, members := e16World(b)
 		reg := w.Sys.Registry()
+		grant := make([]principal.Edit, len(members))
+		revoke := make([]principal.Edit, len(members))
+		for i, m := range members {
+			grant[i] = principal.AddMember("churn", m)
+			revoke[i] = principal.RemoveMember("churn", m)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := reg.AddMembers("churn", members...); err != nil {
+			if _, err := reg.Apply(grant...); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := reg.RemoveMembers("churn", members...); err != nil {
+			if _, err := reg.Apply(revoke...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -772,10 +779,10 @@ func BenchmarkE16ChurnUnderReaders(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := reg.AddMember("churn", members[0]); err != nil {
+		if _, err := reg.Apply(principal.AddMember("churn", members[0])); err != nil {
 			b.Fatal(err)
 		}
-		if err := reg.RemoveMember("churn", members[0]); err != nil {
+		if _, err := reg.Apply(principal.RemoveMember("churn", members[0])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1093,7 +1100,7 @@ func BenchmarkE19RevocationBarrier(b *testing.B) {
 				if i%2 == 0 {
 					next = closed
 				}
-				v, err := w.Sys.Names().SetACLUncheckedAt("/fs/f", next)
+				v, err := w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", next))
 				if err != nil {
 					b.Fatal(err)
 				}

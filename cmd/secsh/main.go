@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"secext"
+	"secext/internal/names"
 )
 
 type shell struct {
@@ -248,7 +249,7 @@ func (s *shell) exec(line string) {
 			return
 		}
 		if ctx := s.need(); ctx != nil {
-			if err := s.w.Sys.SetACL(ctx, args[0], a); err != nil {
+			if _, err := s.w.Sys.Apply(ctx, names.SetACL(args[0], a)); err != nil {
 				s.fail(err)
 				return
 			}
@@ -260,7 +261,12 @@ func (s *shell) exec(line string) {
 			return
 		}
 		if ctx := s.need(); ctx != nil {
-			if err := s.w.Sys.SetClass(ctx, args[0], args[1]); err != nil {
+			class, err := s.w.Sys.ParseClass(args[1])
+			if err != nil {
+				s.fail(err)
+				return
+			}
+			if _, err := s.w.Sys.Apply(ctx, names.SetClass(args[0], class)); err != nil {
 				s.fail(err)
 				return
 			}

@@ -135,7 +135,7 @@ func (a *Admitter) Admit(origin string, m extension.Manifest) (*extension.Loaded
 				a.mu.Unlock()
 				return nil, err
 			}
-			if _, err := a.host.Registry().AddPrincipal(m.Principal, class); err != nil {
+			if _, err := a.host.Registry().Apply(principal.AddPrincipal(m.Principal, class)); err != nil {
 				a.mu.Unlock()
 				return nil, err
 			}

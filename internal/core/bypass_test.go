@@ -10,6 +10,7 @@ import (
 
 	"secext/internal/acl"
 	"secext/internal/audit"
+	"secext/internal/lattice"
 	"secext/internal/names"
 )
 
@@ -28,7 +29,7 @@ func TestUncheckedOpsAreAuditedAsBypasses(t *testing.T) {
 		ACL: acl.New()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Names().UnbindUnchecked("/svc/tmp"); err != nil {
+	if _, err := s.Names().Apply(nil, lattice.Class{}, names.Unbind("/svc/tmp")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -175,21 +175,6 @@ func (s *System) Resolve(ctx *subject.Context, path string) (*names.Node, error)
 	return n, err
 }
 
-// Bind creates a new node under parentPath on behalf of ctx (checked:
-// write on the parent, no-write-down on the new class).
-func (s *System) Bind(ctx *subject.Context, parentPath string, spec names.BindSpec) (*names.Node, error) {
-	n, err := s.ns.Bind(ctx, ctx.Class(), parentPath, spec)
-	s.record(audit.KindName, ctx, names.Join(parentPath, spec.Name), "bind", err)
-	return n, err
-}
-
-// Unbind removes the node at path on behalf of ctx.
-func (s *System) Unbind(ctx *subject.Context, path string) error {
-	err := s.ns.Unbind(ctx, ctx.Class(), path)
-	s.record(audit.KindName, ctx, path, "unbind", err)
-	return err
-}
-
 // GetACL reads the protection state of path.
 func (s *System) GetACL(ctx *subject.Context, path string) (*acl.ACL, error) {
 	a, err := s.ns.GetACL(ctx, ctx.Class(), path)
@@ -197,48 +182,42 @@ func (s *System) GetACL(ctx *subject.Context, path string) (*acl.ACL, error) {
 	return a, err
 }
 
-// SetACL replaces the protection state of path (administrate mode).
-func (s *System) SetACL(ctx *subject.Context, path string, newACL *acl.ACL) error {
-	_, err := s.SetACLAt(ctx, path, newACL)
-	return err
-}
-
-// SetACLAt is SetACL, additionally returning the policy-epoch version
-// the change was published in: every check that observes an epoch at or
-// past that version sees the new ACL. With write combining the version
-// may cover other concurrent mutations batched into the same epoch.
-func (s *System) SetACLAt(ctx *subject.Context, path string, newACL *acl.ACL) (uint64, error) {
-	v, err := s.ns.SetACLAt(ctx, ctx.Class(), path, newACL)
-	s.recordAt(audit.KindAdmin, ctx, path, "set-acl", landingEpoch(s, v), err)
-	return v, err
-}
-
-// landingEpoch picks the audit epoch for a mutation: the version the
-// change landed in when the mutation succeeded, the current version
-// otherwise (a failed mutation published nothing).
-func landingEpoch(s *System, v uint64) uint64 {
-	if v != 0 {
-		return v
-	}
-	return s.ns.Version()
-}
-
-// SetClass relabels path (administrate mode plus relabel flow rules).
-func (s *System) SetClass(ctx *subject.Context, path string, label string) error {
-	_, err := s.SetClassAt(ctx, path, label)
-	return err
-}
-
-// SetClassAt is SetClass, additionally returning the policy-epoch
-// version the relabel was published in (see SetACLAt).
-func (s *System) SetClassAt(ctx *subject.Context, path string, label string) (uint64, error) {
-	class, err := s.lat.ParseClass(label)
+// Apply runs name-space edits on behalf of ctx as one atomic, checked
+// transition (see names.Server.Apply) and audits it: on success one
+// event per edit, stamped with the landing epoch version; on failure
+// only the failing edit, with its error, stamped with the current
+// version (a failed Apply publishes nothing).
+func (s *System) Apply(ctx *subject.Context, edits ...names.Edit) (uint64, error) {
+	v, err := s.ns.Apply(ctx, ctx.Class(), edits...)
 	if err != nil {
+		var ee *names.EditError
+		if errors.As(err, &ee) {
+			s.recordEdit(ctx, ee.Edit, s.ns.Version(), err)
+		}
 		return 0, err
 	}
-	v, err := s.ns.SetClassAt(ctx, ctx.Class(), path, class)
-	s.recordAt(audit.KindAdmin, ctx, path, "set-class "+label, landingEpoch(s, v), err)
-	return v, err
+	for _, e := range edits {
+		s.recordEdit(ctx, e, v, nil)
+	}
+	return v, nil
+}
+
+// recordEdit audits one name-space edit: binds, unbinds and renames as
+// name events, protection changes as administrative ones.
+func (s *System) recordEdit(ctx *subject.Context, e names.Edit, epoch uint64, err error) {
+	kind, op := audit.KindAdmin, e.Op()
+	switch op {
+	case "bind", "unbind", "rename":
+		kind = audit.KindName
+	case "set-class":
+		op += " " + e.Class().String()
+	}
+	s.recordAt(kind, ctx, e.Path(), op, epoch, err)
+}
+
+// SetACLAt is a single-edit Apply; bench/ compiles against it.
+func (s *System) SetACLAt(ctx *subject.Context, path string, newACL *acl.ACL) (uint64, error) {
+	return s.Apply(ctx, names.SetACL(path, newACL))
 }
 
 // IsDenied reports whether err represents an access-control denial (as

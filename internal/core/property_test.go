@@ -10,6 +10,7 @@ import (
 	"secext/internal/dispatch"
 	"secext/internal/lattice"
 	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/subject"
 )
 
@@ -47,7 +48,7 @@ func buildPropWorld(t *testing.T, r *rand.Rand) *propWorld {
 	// Groups.
 	groups := []string{"g0", "g1"}
 	for _, g := range groups {
-		if err := sys.Registry().AddGroup(g); err != nil {
+		if _, err := sys.Registry().Apply(principal.AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,12 +56,12 @@ func buildPropWorld(t *testing.T, r *rand.Rand) *propWorld {
 	w := &propWorld{sys: sys}
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("p%d", i)
-		if _, err := sys.Registry().AddPrincipal(name, randClass()); err != nil {
+		if _, err := sys.Registry().Apply(principal.AddPrincipal(name, randClass())); err != nil {
 			t.Fatal(err)
 		}
 		for _, g := range groups {
 			if r.Intn(2) == 0 {
-				if err := sys.Registry().AddMember(g, name); err != nil {
+				if _, err := sys.Registry().Apply(principal.AddMember(g, name)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -174,7 +175,7 @@ func TestPropNoAmplification(t *testing.T) {
 			return sys.Lattice().MustClass(levels[r.Intn(len(levels))], chosen...)
 		}
 		caller := randClass()
-		if _, err := sys.Registry().AddPrincipal("p", caller); err != nil {
+		if _, err := sys.Registry().Apply(principal.AddPrincipal("p", caller)); err != nil {
 			return false
 		}
 		ctx, err := sys.NewContext("p")

@@ -329,24 +329,33 @@ func (s *System) Authenticate(token string) (*principal.Principal, error) {
 	return s.reg.Authenticate(token)
 }
 
-// AddPrincipal registers a principal at the class given by label.
+// AddPrincipal is AddPrincipals for one name; kept for bench/.
 func (s *System) AddPrincipal(name, classLabel string) (*principal.Principal, error) {
-	class, err := s.lat.ParseClass(classLabel)
-	if err != nil {
+	if _, err := s.AddPrincipals(classLabel, name); err != nil {
 		return nil, err
 	}
-	return s.reg.AddPrincipal(name, class)
+	return s.reg.Principal(name)
 }
 
-// AddPrincipals registers several principals at the class given by
-// label as one published registry version — one freeze and one policy
-// epoch carry the whole batch (see principal.Registry.AddPrincipals).
+// AddPrincipals is Registry.Apply(AddPrincipal...) at the class given by
+// label, returning the new principals; kept for bench/.
 func (s *System) AddPrincipals(classLabel string, names ...string) ([]*principal.Principal, error) {
 	class, err := s.lat.ParseClass(classLabel)
 	if err != nil {
 		return nil, err
 	}
-	return s.reg.AddPrincipals(class, names...)
+	edits := make([]principal.Edit, len(names))
+	for i, n := range names {
+		edits[i] = principal.AddPrincipal(n, class)
+	}
+	if _, err := s.reg.Apply(edits...); err != nil {
+		return nil, err
+	}
+	out := make([]*principal.Principal, len(names))
+	for i, n := range names {
+		out[i], _ = s.reg.Principal(n)
+	}
+	return out, nil
 }
 
 // NewContext creates a root thread of control for a registered
@@ -464,7 +473,7 @@ func (s *System) RegisterService(spec ServiceSpec) error {
 		return err
 	}
 	if err := s.disp.Register(spec.Path, spec.Base); err != nil {
-		_ = s.ns.UnbindUnchecked(node.Path())
+		_, _ = s.ns.Apply(nil, lattice.Class{}, names.Unbind(node.Path()))
 		return err
 	}
 	return nil

@@ -272,9 +272,9 @@ func TestNameOpsMediated(t *testing.T) {
 		acl.New(acl.AllowEveryone(acl.List), acl.Allow("alice", acl.Write))); err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Bind(alice, "/svc/fs", names.BindSpec{
+	_, err = s.Apply(alice, names.Bind("/svc/fs", names.BindSpec{
 		Name: "write", Kind: names.KindMethod, Class: s.Lattice().MustClass("others"),
-	})
+	}))
 	if !IsDenied(err) {
 		t.Fatalf("high subject bind into low dir: got %v", err)
 	}
@@ -283,19 +283,19 @@ func TestNameOpsMediated(t *testing.T) {
 		acl.New(acl.AllowEveryone(acl.List), acl.Allow("eve", acl.Write))); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.Bind(eve, "/svc/fs", names.BindSpec{
+	if _, err := s.Apply(eve, names.Bind("/svc/fs", names.BindSpec{
 		Name: "write", Kind: names.KindMethod, Class: s.Lattice().MustClass("others"),
 		ACL: acl.New(acl.Allow("eve", acl.Delete)),
-	})
-	if err != nil {
+	})); err != nil {
 		t.Fatalf("eve bind: %v", err)
 	}
+	n, _ := s.Names().ResolveUnchecked("/svc/fs/write")
 	if n.Path() != "/svc/fs/write" {
 		t.Errorf("bound path = %s", n.Path())
 	}
 
 	// Unbind needs delete on node + write on parent.
-	if err := s.Unbind(eve, "/svc/fs/write"); err != nil {
+	if _, err := s.Apply(eve, names.Unbind("/svc/fs/write")); err != nil {
 		t.Fatalf("unbind: %v", err)
 	}
 	st := s.Audit().Stats()
@@ -309,7 +309,7 @@ func TestACLAdministration(t *testing.T) {
 	alice := ctxFor(t, s, "alice")
 	eve := ctxFor(t, s, "eve")
 	// Nobody has administrate yet.
-	if err := s.SetACL(eve, "/svc/fs/read", acl.New()); !IsDenied(err) {
+	if _, err := s.Apply(eve, names.SetACL("/svc/fs/read", acl.New())); !IsDenied(err) {
 		t.Fatalf("unauthorized SetACL: got %v", err)
 	}
 	if err := s.Names().SetACLUnchecked("/svc/fs/read",
@@ -321,7 +321,7 @@ func TestACLAdministration(t *testing.T) {
 		acl.AllowEveryone(acl.Execute),
 		acl.Allow("eve", acl.Administrate|acl.Read),
 	)
-	if err := s.SetACL(eve, "/svc/fs/read", newACL); err != nil {
+	if _, err := s.Apply(eve, names.SetACL("/svc/fs/read", newACL)); err != nil {
 		t.Fatalf("SetACL: %v", err)
 	}
 	got, err := s.GetACL(eve, "/svc/fs/read")
@@ -336,14 +336,14 @@ func TestACLAdministration(t *testing.T) {
 		t.Errorf("GetACL unauthorized: got %v", err)
 	}
 	// SetClass via label.
-	if err := s.SetClass(eve, "/svc/fs/read", "organization:{dept-1}"); err != nil {
+	if _, err := s.Apply(eve, names.SetClass("/svc/fs/read", s.Lattice().MustClass("organization", "dept-1"))); err != nil {
 		t.Fatalf("SetClass: %v", err)
 	}
 	n, _ := s.Names().ResolveUnchecked("/svc/fs/read")
 	if n.Class().String() != "organization:{dept-1}" {
 		t.Errorf("class = %s", n.Class())
 	}
-	if err := s.SetClass(eve, "/svc/fs/read", "no-such"); err == nil {
+	if _, err := s.ParseClass("no-such"); err == nil {
 		t.Error("bad label must fail")
 	}
 	st := s.Audit().Stats()

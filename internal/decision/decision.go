@@ -19,7 +19,7 @@
 // server's policy-epoch version, and because the epoch bundles the name
 // tree, the frozen lattice, the frozen registry, and the guard stack
 // behind one pointer, that single number covers all of them. Every
-// mutation anywhere in the protection state — Bind/Unbind/Rename, an
+// mutation anywhere in the protection state — a bind, unbind or rename, an
 // ACL edit, a group membership change, a lattice definition, a relabel,
 // a guard install — publishes a new epoch and so advances the version,
 // and a single comparison against the caller's pinned version proves a

@@ -10,8 +10,10 @@ import (
 
 	"secext/internal/acl"
 	"secext/internal/core"
+	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/subject"
 )
 
@@ -68,16 +70,16 @@ func TestRevocationDeniesOnNextCheck(t *testing.T) {
 		{
 			name: "group-membership-removed",
 			grant: func(t *testing.T, s *core.System) {
-				if err := s.Registry().AddGroup("staff"); err != nil {
+				if _, err := s.Registry().Apply(principal.AddGroup("staff")); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Registry().AddMember("staff", "worker"); err != nil {
+				if _, err := s.Registry().Apply(principal.AddMember("staff", "worker")); err != nil {
 					t.Fatal(err)
 				}
 				mustBind(t, s, "/obj/memo", acl.New(acl.AllowGroup("staff", acl.Read)))
 			},
 			revoke: func(t *testing.T, s *core.System) {
-				if err := s.Registry().RemoveMember("staff", "worker"); err != nil {
+				if _, err := s.Registry().Apply(principal.RemoveMember("staff", "worker")); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -158,7 +160,7 @@ func TestUnbindInvalidatesGrant(t *testing.T) {
 	if _, err := s.CheckData(ctx, "/obj/tmp", acl.Read); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Names().UnbindUnchecked("/obj/tmp"); err != nil {
+	if _, err := s.Names().Apply(nil, lattice.Class{}, names.Unbind("/obj/tmp")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.CheckData(ctx, "/obj/tmp", acl.Read); err == nil {

@@ -31,7 +31,8 @@ func (w *world) ctx(t *testing.T, name, class string, cats ...string) *subject.C
 	t.Helper()
 	p, err := w.reg.Principal(name)
 	if err != nil {
-		p, err = w.reg.AddPrincipal(name, w.lat.MustClass(class, cats...))
+		_, err = w.reg.Apply(principal.AddPrincipal(name, w.lat.MustClass(class, cats...)))
+		p, _ = w.reg.Principal(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,12 +149,12 @@ func A3() Result {
 	bindCycle := func(dir string) func(n int) {
 		return func(n int) {
 			for i := 0; i < n; i++ {
-				if _, err := sys.Bind(ctx, dir, names.BindSpec{
+				if _, err := sys.Apply(ctx, names.Bind(dir, names.BindSpec{
 					Name: "f", Kind: names.KindFile, ACL: fileACL, Class: bot,
-				}); err != nil {
+				})); err != nil {
 					panic(err)
 				}
-				if err := sys.Unbind(ctx, dir+"/f"); err != nil {
+				if _, err := sys.Apply(ctx, names.Unbind(dir+"/f")); err != nil {
 					panic(err)
 				}
 			}

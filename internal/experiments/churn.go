@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"secext"
+	"secext/internal/principal"
 )
 
 // churnWorld builds the E16 fixture: 64 member principals plus a
@@ -23,22 +24,17 @@ func churnWorld() (*secext.World, *secext.Context, []string, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	reg := w.Sys.Registry()
-	if err := reg.AddGroup("churn"); err != nil {
+	class, err := w.Sys.ParseClass("organization:{dept-1}")
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if _, err := w.Sys.AddPrincipal("alice", "organization:{dept-1}"); err != nil {
-		return nil, nil, nil, err
-	}
+	edits := []principal.Edit{principal.AddGroup("churn"), principal.AddPrincipal("alice", class), principal.AddMember("churn", "alice")}
 	members := make([]string, 64)
 	for i := range members {
-		name := fmt.Sprintf("p%d", i)
-		if _, err := w.Sys.AddPrincipal(name, "organization:{dept-1}"); err != nil {
-			return nil, nil, nil, err
-		}
-		members[i] = name
+		members[i] = fmt.Sprintf("p%d", i)
+		edits = append(edits, principal.AddPrincipal(members[i], class))
 	}
-	if err := reg.AddMember("churn", "alice"); err != nil {
+	if _, err := w.Sys.Registry().Apply(edits...); err != nil {
 		return nil, nil, nil, err
 	}
 	ctx, err := w.Sys.NewContext("alice")
@@ -64,8 +60,8 @@ func churnWorld() (*secext.World, *secext.Context, []string, error) {
 //
 // Bulk rows are the batching headline: installing and revoking 64
 // memberships as 64 individual mutations (64 freezes, 64 epoch
-// publications each way) versus one AddMembers/RemoveMembers call (one
-// freeze, one publication). The ratio is the write-tax reduction at
+// publications each way) versus one 64-edit Registry.Apply each way
+// (one freeze, one publication). The ratio is the write-tax reduction at
 // batch size 64.
 //
 // The sustained-churn row runs mutators and readers concurrently:
@@ -103,10 +99,10 @@ func E16() Result {
 	reg.SetIncrementalFreeze(false)
 	fullMut := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
-			if err := reg.AddMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.AddMember("churn", "p0")); err != nil {
 				panic(err)
 			}
-			if err := reg.RemoveMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.RemoveMember("churn", "p0")); err != nil {
 				panic(err)
 			}
 		}
@@ -114,10 +110,10 @@ func E16() Result {
 	reg.SetIncrementalFreeze(true)
 	incMut := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
-			if err := reg.AddMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.AddMember("churn", "p0")); err != nil {
 				panic(err)
 			}
-			if err := reg.RemoveMember("churn", "p0"); err != nil {
+			if _, err := reg.Apply(principal.RemoveMember("churn", "p0")); err != nil {
 				panic(err)
 			}
 		}
@@ -131,23 +127,28 @@ func E16() Result {
 	unbatched := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
 			for _, m := range members {
-				if err := reg.AddMember("churn", m); err != nil {
+				if _, err := reg.Apply(principal.AddMember("churn", m)); err != nil {
 					panic(err)
 				}
 			}
 			for _, m := range members {
-				if err := reg.RemoveMember("churn", m); err != nil {
+				if _, err := reg.Apply(principal.RemoveMember("churn", m)); err != nil {
 					panic(err)
 				}
 			}
 		}
 	})
+	var grant, revoke []principal.Edit
+	for _, m := range members {
+		grant = append(grant, principal.AddMember("churn", m))
+		revoke = append(revoke, principal.RemoveMember("churn", m))
+	}
 	batched := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := reg.AddMembers("churn", members...); err != nil {
+			if _, err := reg.Apply(grant...); err != nil {
 				panic(err)
 			}
-			if _, err := reg.RemoveMembers("churn", members...); err != nil {
+			if _, err := reg.Apply(revoke...); err != nil {
 				panic(err)
 			}
 		}
@@ -209,10 +210,10 @@ func E16() Result {
 			defer mwg.Done()
 			member := members[m]
 			for time.Since(churnStart) < churnDur {
-				if err := reg.AddMember("churn", member); err != nil {
+				if _, err := reg.Apply(principal.AddMember("churn", member)); err != nil {
 					panic(err)
 				}
-				if err := reg.RemoveMember("churn", member); err != nil {
+				if _, err := reg.Apply(principal.RemoveMember("churn", member)); err != nil {
 					panic(err)
 				}
 				mutations.Add(2)

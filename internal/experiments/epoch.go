@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"secext"
+	"secext/internal/principal"
 )
 
 // epochWorld builds a world where alice's only right to /fs/f flows
@@ -27,15 +28,15 @@ func epochWorld(disableCache bool) (*secext.World, *secext.Context, error) {
 	}
 	reg := w.Sys.Registry()
 	for i := 0; i < 4; i++ {
-		if err := reg.AddGroup(fmt.Sprintf("g%d", i)); err != nil {
+		if _, err := reg.Apply(principal.AddGroup(fmt.Sprintf("g%d", i))); err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := reg.AddMember("g0", "alice"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("g0", "alice")); err != nil {
 		return nil, nil, err
 	}
 	for i := 1; i < 4; i++ {
-		if err := reg.AddMember(fmt.Sprintf("g%d", i), fmt.Sprintf("g%d", i-1)); err != nil {
+		if _, err := reg.Apply(principal.AddMember(fmt.Sprintf("g%d", i), fmt.Sprintf("g%d", i-1))); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -195,10 +196,10 @@ func E15() Result {
 	reg := uw.Sys.Registry()
 	frozenMut := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
-			if err := reg.AddMember("g3", "alice"); err != nil {
+			if _, err := reg.Apply(principal.AddMember("g3", "alice")); err != nil {
 				panic(err)
 			}
-			if err := reg.RemoveMember("g3", "alice"); err != nil {
+			if _, err := reg.Apply(principal.RemoveMember("g3", "alice")); err != nil {
 				panic(err)
 			}
 		}

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"secext"
+	"secext/internal/lattice"
+	"secext/internal/names"
 	"secext/internal/remote"
 	"secext/internal/replica"
 	"secext/internal/telemetry"
@@ -169,7 +171,7 @@ func (f *replFleet) burst(k int) (time.Duration, error) {
 		if i%2 == 0 {
 			next = b
 		}
-		nv, err := f.w.Sys.Names().SetACLUncheckedAt("/fs/f", next)
+		nv, err := f.w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", next))
 		if err != nil {
 			return 0, err
 		}

@@ -13,6 +13,7 @@ import (
 	"secext/internal/baseline/unixmode"
 	"secext/internal/core"
 	"secext/internal/names"
+	"secext/internal/principal"
 )
 
 // e9Scenario is one policy requirement probed across models. Each cell
@@ -215,7 +216,7 @@ func E10() Result {
 		res.Err = err
 		return res
 	}
-	if err := w.Sys.Registry().AddMember("auditors", "auditor"); err != nil {
+	if _, err := w.Sys.Registry().Apply(principal.AddMember("auditors", "auditor")); err != nil {
 		res.Err = err
 		return res
 	}

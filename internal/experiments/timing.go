@@ -17,6 +17,7 @@ import (
 	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/subject"
 )
 
@@ -494,17 +495,17 @@ func E8() Result {
 		// g0 <- g1 <- ... <- g(depth-1); alice in g0; entry names the
 		// outermost group.
 		for i := 0; i < depth; i++ {
-			if err := reg.AddGroup("g" + strconv.Itoa(i)); err != nil {
+			if _, err := reg.Apply(principal.AddGroup("g" + strconv.Itoa(i))); err != nil {
 				res.Err = err
 				return res
 			}
 		}
-		if err := reg.AddMember("g0", "alice"); err != nil {
+		if _, err := reg.Apply(principal.AddMember("g0", "alice")); err != nil {
 			res.Err = err
 			return res
 		}
 		for i := 1; i < depth; i++ {
-			if err := reg.AddMember("g"+strconv.Itoa(i), "g"+strconv.Itoa(i-1)); err != nil {
+			if _, err := reg.Apply(principal.AddMember("g"+strconv.Itoa(i), "g"+strconv.Itoa(i-1))); err != nil {
 				res.Err = err
 				return res
 			}

@@ -93,7 +93,7 @@ func (h *fakeHost) Retract(path, owner string) error {
 func (h *fakeHost) token(t *testing.T, name, level string, cats ...string) string {
 	t.Helper()
 	if _, err := h.reg.Principal(name); err != nil {
-		if _, err := h.reg.AddPrincipal(name, h.lat.MustClass(level, cats...)); err != nil {
+		if _, err := h.reg.Apply(principal.AddPrincipal(name, h.lat.MustClass(level, cats...))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -76,9 +76,9 @@ func (f *FS) MkdirMultilevel(ctx *subject.Context, path string, a *acl.ACL, clas
 	if err != nil {
 		return err
 	}
-	_, err = f.sys.Bind(ctx, parent, names.BindSpec{
+	_, err = f.sys.Apply(ctx, names.Bind(parent, names.BindSpec{
 		Name: name, Kind: names.KindDirectory, ACL: a, Class: class, Multilevel: true,
-	})
+	}))
 	return err
 }
 
@@ -92,9 +92,9 @@ func (f *FS) Mkdir(ctx *subject.Context, path string, a *acl.ACL, class lattice.
 	if err != nil {
 		return err
 	}
-	_, err = f.sys.Bind(ctx, parent, names.BindSpec{
+	_, err = f.sys.Apply(ctx, names.Bind(parent, names.BindSpec{
 		Name: name, Kind: names.KindDirectory, ACL: a, Class: class,
-	})
+	}))
 	return err
 }
 
@@ -104,10 +104,10 @@ func (f *FS) Create(ctx *subject.Context, path string, a *acl.ACL, class lattice
 	if err != nil {
 		return err
 	}
-	_, err = f.sys.Bind(ctx, parent, names.BindSpec{
+	_, err = f.sys.Apply(ctx, names.Bind(parent, names.BindSpec{
 		Name: name, Kind: names.KindFile, ACL: a, Class: class,
 		Payload: &fileData{},
-	})
+	}))
 	return err
 }
 
@@ -193,7 +193,8 @@ func (f *FS) Truncate(ctx *subject.Context, path string) error {
 // Remove deletes a file or empty directory (delete on the node, write
 // on the parent).
 func (f *FS) Remove(ctx *subject.Context, path string) error {
-	return f.sys.Unbind(ctx, path)
+	_, err := f.sys.Apply(ctx, names.Unbind(path))
+	return err
 }
 
 // Rename moves a file or directory to a new path. The node keeps its
@@ -203,7 +204,8 @@ func (f *FS) Rename(ctx *subject.Context, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	return f.sys.Names().Rename(ctx, ctx.Class(), oldPath, parent, name)
+	_, err = f.sys.Apply(ctx, names.Rename(oldPath, parent, name))
+	return err
 }
 
 // List enumerates a directory.

@@ -9,6 +9,7 @@ import (
 	"secext/internal/core"
 	"secext/internal/lattice"
 	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/subject"
 )
 
@@ -57,7 +58,7 @@ func newFlowWorld(t *testing.T, r *rand.Rand) *flowWorld {
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("s%d", i)
 		class := randClass()
-		if _, err := sys.Registry().AddPrincipal(name, class); err != nil {
+		if _, err := sys.Registry().Apply(principal.AddPrincipal(name, class)); err != nil {
 			t.Fatal(err)
 		}
 		ctx, err := sys.NewContext(name)
@@ -113,7 +114,7 @@ func (w *flowWorld) step(t *testing.T, r *rand.Rand) {
 		newClass := ctx.Class().Join(node.Class())
 		// Only attempt the relabel the monitor would allow
 		// (administrate + relabel rules); use the checked path.
-		if err := w.sys.Names().SetClass(ctx, ctx.Class(), target, newClass); err == nil {
+		if _, err := w.sys.Names().Apply(ctx, ctx.Class(), names.SetClass(target, newClass)); err == nil {
 			// Relabeling changes future checks, not past knowledge;
 			// nothing to mirror: sources keep their birth class.
 			_ = newClass

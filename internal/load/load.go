@@ -17,6 +17,7 @@ import (
 	"secext/internal/core"
 	"secext/internal/lattice"
 	"secext/internal/names"
+	"secext/internal/principal"
 )
 
 // Config describes one synthetic population: tree size and shape, the
@@ -147,36 +148,28 @@ type BuildStats struct {
 }
 
 // Populate fills a system with the plan's population: principals,
-// groups, and memberships in three batched registry publications (one
-// freeze each — per-entity registration is quadratic at this scale;
-// see principal.Registry.AddPrincipals), then the tree in ChunkSize
+// groups, and memberships in one registry Apply (one freeze — per-entity
+// registration is quadratic at this scale), then the tree in ChunkSize
 // bulk-bind publications.
 func Populate(sys *core.System, p Plan) (BuildStats, error) {
 	st := BuildStats{Plan: p}
-	lowest := sys.Lattice().Levels()[0]
 	bottom, err := sys.Lattice().Bottom()
 	if err != nil {
 		return st, err
 	}
 
 	t0 := time.Now()
-	if err := addPrincipals(sys, p, lowest); err != nil {
-		return st, err
-	}
-	reg := sys.Registry()
-	groups := make([]string, p.Groups)
-	for g := range groups {
-		groups[g] = GroupName(g)
-	}
-	if err := reg.AddGroups(groups...); err != nil {
-		return st, err
-	}
-	grants := make(map[string][]string, p.Groups)
+	edits := make([]principal.Edit, 0, 2*p.Principals+p.Groups)
 	for i := 0; i < p.Principals; i++ {
-		g := GroupName(i % p.Groups)
-		grants[g] = append(grants[g], PrincipalName(i))
+		edits = append(edits, principal.AddPrincipal(PrincipalName(i), bottom))
 	}
-	if _, err := reg.AddMemberships(grants); err != nil {
+	for g := 0; g < p.Groups; g++ {
+		edits = append(edits, principal.AddGroup(GroupName(g)))
+	}
+	for i := 0; i < p.Principals; i++ {
+		edits = append(edits, principal.AddMember(GroupName(i%p.Groups), PrincipalName(i)))
+	}
+	if _, err := sys.Registry().Apply(edits...); err != nil {
 		return st, err
 	}
 	st.Principals, st.Groups = p.Principals, p.Groups
@@ -191,21 +184,6 @@ func Populate(sys *core.System, p Plan) (BuildStats, error) {
 	st.Publications = sys.Names().Publishes() - pubs0
 	st.TreeNodes = 1 + p.Dirs + p.Leaves
 	return st, nil
-}
-
-// addPrincipals registers the plan's principals as one batched registry
-// publication. A worker pool over AddPrincipal does not help here: the
-// write-combining publisher coalesces the downstream *epochs*, but
-// every individual registration still freezes the registry, and each
-// freeze clones membership tables holding all earlier principals —
-// quadratic in the population.
-func addPrincipals(sys *core.System, p Plan, classLabel string) error {
-	names := make([]string, p.Principals)
-	for i := range names {
-		names[i] = PrincipalName(i)
-	}
-	_, err := sys.AddPrincipals(classLabel, names...)
-	return err
 }
 
 // BuildTree builds the plan's tree on a bare name server (no checks,

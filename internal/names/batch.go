@@ -37,8 +37,9 @@ import (
 // accumulates every member of the batch before the single store, and
 // versions advance only through flushes. Every mutator still blocks
 // until its batch is published before returning to its caller, so the
-// revocation barrier holds: when RemoveMember returns, the revocation
-// is enforced for every future decision.
+// revocation barrier holds: when a Registry.Apply carrying a
+// RemoveMember returns, the revocation is enforced for every future
+// decision.
 
 // Shard bits identifying which policy shards a pending batch touches;
 // the flush bumps one typed transition counter per touched shard.
@@ -265,10 +266,17 @@ func (s *Server) stageLattice(f *lattice.Frozen) func() uint64 {
 	return s.waiter(b)
 }
 
-// stageRegistry is the registry's publish hook; see stageLattice.
+// stageRegistry is the registry's publish hook; see stageLattice. The
+// hook delivers views in version order, but PublishRegistry can race it
+// with an older Freeze; a view older than the epoch's own is ignored,
+// so the registry shard never moves backwards.
 func (s *Server) stageRegistry(f *principal.Frozen) func() uint64 {
 	s.writeMu.Lock()
-	b := s.stageLocked(shardRegistry, func(e *Epoch) { e.reg = f })
+	b := s.stageLocked(shardRegistry, func(e *Epoch) {
+		if e.reg == nil || e.reg.Registry() != f.Registry() || f.Version() > e.reg.Version() {
+			e.reg = f
+		}
+	})
 	s.writeMu.Unlock()
 	return s.waiter(b)
 }

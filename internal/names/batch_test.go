@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"secext/internal/acl"
+	"secext/internal/lattice"
 	"secext/internal/principal"
 )
 
@@ -14,14 +15,34 @@ import (
 func attachReg(t *testing.T, f *fixture) *principal.Registry {
 	t.Helper()
 	reg := principal.NewRegistry(f.lat)
-	if _, err := reg.AddPrincipal("alice", f.bot); err != nil {
+	if _, err := reg.Apply(principal.AddPrincipal("alice", f.bot)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddGroup("ops"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("ops")); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.AttachRegistry(reg)
 	return reg
+}
+
+// applyBind runs a single Bind edit and returns the new node as
+// published, with the version it landed in.
+func applyBind(s *Server, sub acl.Subject, class lattice.Class, parent string, spec BindSpec) (*Node, uint64, error) {
+	v, err := s.Apply(sub, class, Bind(parent, spec))
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := resolveIn(s.Current(), nil, lattice.Class{}, Join(parent, spec.Name), false)
+	return n, v, err
+}
+
+// memberEdits builds one membership edit per member of group g.
+func memberEdits(edit func(group, member string) principal.Edit, g string, ms ...string) []principal.Edit {
+	out := make([]principal.Edit, len(ms))
+	for i, m := range ms {
+		out[i] = edit(g, m)
+	}
+	return out
 }
 
 // TestAtVariantsReturnLandingVersion: every mutation's At-variant
@@ -34,7 +55,7 @@ func TestAtVariantsReturnLandingVersion(t *testing.T) {
 
 	v0 := f.srv.Version()
 	grant := acl.New(acl.Allow("alice", acl.Read), acl.AllowEveryone(acl.List))
-	v1, err := f.srv.SetACLUncheckedAt("/svc/fs/read", grant)
+	v1, err := f.srv.Apply(nil, lattice.Class{}, SetACL("/svc/fs/read", grant))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +71,7 @@ func TestAtVariantsReturnLandingVersion(t *testing.T) {
 		t.Fatalf("epoch at returned version missing the ACL change: %v", err)
 	}
 
-	n, v2, err := f.srv.BindUncheckedAt("/svc/fs", BindSpec{Name: "extra", Kind: KindFile, ACL: grant, Class: f.bot})
+	n, v2, err := applyBind(f.srv, nil, lattice.Class{}, "/svc/fs", BindSpec{Name: "extra", Kind: KindFile, ACL: grant, Class: f.bot})
 	if err != nil || n == nil {
 		t.Fatal(err)
 	}
@@ -61,7 +82,7 @@ func TestAtVariantsReturnLandingVersion(t *testing.T) {
 		t.Fatalf("bound node not visible at returned version: %v", err)
 	}
 
-	v3, err := f.srv.UnbindUncheckedAt("/svc/fs/extra")
+	v3, err := f.srv.Apply(nil, lattice.Class{}, Unbind("/svc/fs/extra"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +93,7 @@ func TestAtVariantsReturnLandingVersion(t *testing.T) {
 		t.Fatal("unbound node still visible at returned version")
 	}
 
-	v4, err := f.srv.SetClassUncheckedAt("/svc/fs/read", f.org)
+	v4, err := f.srv.Apply(nil, lattice.Class{}, SetClass("/svc/fs/read", f.org))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +110,7 @@ func TestCheckedAtVariantsReturnVersions(t *testing.T) {
 	f.mkTree(t)
 
 	pubs := f.srv.Publishes()
-	n, v, err := f.srv.BindAt(f.root, f.bot, "/svc/fs", BindSpec{
+	n, v, err := applyBind(f.srv, f.root, f.bot, "/svc/fs", BindSpec{
 		Name: "w", Kind: KindFile,
 		ACL:   acl.New(acl.Allow("root", acl.AllModes)),
 		Class: f.bot,
@@ -100,23 +121,23 @@ func TestCheckedAtVariantsReturnVersions(t *testing.T) {
 	if v != f.srv.Version() {
 		t.Fatalf("BindAt version %d, current %d", v, f.srv.Version())
 	}
-	if _, err := f.srv.SetACLAt(f.root, f.bot, "/svc/fs/w", acl.New(acl.Allow("root", acl.AllModes))); err != nil {
+	if _, err := f.srv.Apply(f.root, f.bot, SetACL("/svc/fs/w", acl.New(acl.Allow("root", acl.AllModes)))); err != nil {
 		t.Fatal(err)
 	}
 	// Relabel up from bot as a bot subject (write up): allowed.
-	if _, err := f.srv.SetClassAt(f.root, f.bot, "/svc/fs/w", f.org); err != nil {
+	if _, err := f.srv.Apply(f.root, f.bot, SetClass("/svc/fs/w", f.org)); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := f.srv.RenameAt(f.root, f.bot, "/svc/fs/w", "/svc/fs", "w2"); err != nil || v != f.srv.Version() {
+	if v, err := f.srv.Apply(f.root, f.bot, Rename("/svc/fs/w", "/svc/fs", "w2")); err != nil || v != f.srv.Version() {
 		t.Fatalf("RenameAt: v=%d err=%v", v, err)
 	}
-	if v, err := f.srv.UnbindAt(f.root, f.bot, "/svc/fs/w2"); err != nil || v != f.srv.Version() {
+	if v, err := f.srv.Apply(f.root, f.bot, Unbind("/svc/fs/w2")); err != nil || v != f.srv.Version() {
 		t.Fatalf("UnbindAt: v=%d err=%v", v, err)
 	}
 
 	// Denied mutation: version 0, nothing published.
 	pubsBefore := f.srv.Publishes()
-	if _, _, err := f.srv.BindAt(subj("mallory"), f.bot, "/svc/fs", BindSpec{Name: "x", Kind: KindFile, ACL: acl.New()}); err == nil {
+	if _, err := f.srv.Apply(subj("mallory"), f.bot, Bind("/svc/fs", BindSpec{Name: "x", Kind: KindFile, ACL: acl.New()})); err == nil {
 		t.Fatal("mallory bind allowed")
 	}
 	if got := f.srv.Publishes(); got != pubsBefore {
@@ -132,18 +153,15 @@ func TestSetACLsUncheckedSinglePublish(t *testing.T) {
 	f := newFixture(t)
 	f.mkTree(t)
 	open := acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List))
-	var edits []ACLEdit
+	var edits []Edit
 	for i := 0; i < 8; i++ {
 		if _, err := f.srv.BindUnchecked("/svc/fs", BindSpec{Name: fmt.Sprintf("f%d", i), Kind: KindFile, ACL: open, Class: f.bot}); err != nil {
 			t.Fatal(err)
 		}
-		edits = append(edits, ACLEdit{
-			Path: fmt.Sprintf("/svc/fs/f%d", i),
-			ACL:  acl.New(acl.Allow("alice", acl.Read)),
-		})
+		edits = append(edits, SetACL(fmt.Sprintf("/svc/fs/f%d", i), acl.New(acl.Allow("alice", acl.Read))))
 	}
 	pubs := f.srv.Publishes()
-	v, err := f.srv.SetACLsUnchecked(edits)
+	v, err := f.srv.Apply(nil, lattice.Class{}, edits...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +172,7 @@ func TestSetACLsUncheckedSinglePublish(t *testing.T) {
 		t.Fatalf("returned version %d, current %d", v, f.srv.Version())
 	}
 	for i := range edits {
-		a, err := f.srv.ACLOf(edits[i].Path)
+		a, err := f.srv.ACLOf(edits[i].Path())
 		if err != nil || !a.Check(subj("alice"), acl.Read) {
 			t.Fatalf("edit %d not applied: %v", i, err)
 		}
@@ -168,10 +186,10 @@ func TestSetACLsUncheckedAtomicOnError(t *testing.T) {
 	f.mkTree(t)
 	pubs := f.srv.Publishes()
 	v0 := f.srv.Version()
-	_, err := f.srv.SetACLsUnchecked([]ACLEdit{
-		{Path: "/svc/fs/read", ACL: acl.New(acl.Allow("alice", acl.Read))},
-		{Path: "/svc/fs/missing", ACL: acl.New()},
-	})
+	_, err := f.srv.Apply(nil, lattice.Class{},
+		SetACL("/svc/fs/read", acl.New(acl.Allow("alice", acl.Read))),
+		SetACL("/svc/fs/missing", acl.New()),
+	)
 	if err == nil {
 		t.Fatal("batch with a missing path succeeded")
 	}
@@ -188,7 +206,7 @@ func TestSetACLsUncheckedAtomicOnError(t *testing.T) {
 func TestSetACLsUncheckedEmpty(t *testing.T) {
 	f := newFixture(t)
 	pubs := f.srv.Publishes()
-	v, err := f.srv.SetACLsUnchecked(nil)
+	v, err := f.srv.Apply(nil, lattice.Class{})
 	if err != nil || v != 0 {
 		t.Fatalf("empty batch: v=%d err=%v", v, err)
 	}
@@ -206,14 +224,14 @@ func TestRegistryBulkOpSinglePublish(t *testing.T) {
 	members := make([]string, 32)
 	for i := range members {
 		name := fmt.Sprintf("p%d", i)
-		if _, err := reg.AddPrincipal(name, f.bot); err != nil {
+		if _, err := reg.Apply(principal.AddPrincipal(name, f.bot)); err != nil {
 			t.Fatal(err)
 		}
 		members[i] = name
 	}
 
 	pubs := f.srv.Publishes()
-	v, err := reg.AddMembers("ops", members...)
+	v, err := reg.Apply(memberEdits(principal.AddMember, "ops", members...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +249,7 @@ func TestRegistryBulkOpSinglePublish(t *testing.T) {
 	}
 
 	pubs = f.srv.Publishes()
-	if _, err := reg.RemoveMembers("ops", members...); err != nil {
+	if _, err := reg.Apply(memberEdits(principal.RemoveMember, "ops", members...)...); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.srv.Publishes(); got != pubs+1 {
@@ -304,7 +322,7 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 	// Every principal the churn's ACLs will reference must exist, so the
 	// final epoch passes the Consistent() cross-shard walk.
 	for _, p := range []string{"root", "p0", "w0", "w1", "w2", "w3"} {
-		if _, err := reg.AddPrincipal(p, f.bot); err != nil {
+		if _, err := reg.Apply(principal.AddPrincipal(p, f.bot)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,8 +347,7 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 				case 1:
 					reg.RemoveMemberAt("ops", "p0") // may race to not-found; fine
 				case 2:
-					if _, err := f.srv.SetACLUncheckedAt("/svc/fs/read",
-						acl.New(acl.Allow(fmt.Sprintf("w%d", w), acl.Read))); err != nil {
+					if _, err := f.srv.Apply(nil, lattice.Class{}, SetACL("/svc/fs/read", acl.New(acl.Allow(fmt.Sprintf("w%d", w), acl.Read)))); err != nil {
 						t.Error(err)
 					}
 				}
@@ -386,7 +403,7 @@ func TestFrozenShardDeltaChain(t *testing.T) {
 	}
 
 	// Structural change: full rebuild, base 0.
-	if err := reg.AddGroup("fresh"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Freeze().DeltaBase(); got != 0 {

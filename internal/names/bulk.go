@@ -10,7 +10,7 @@ import (
 
 // Bulk subtree construction.
 //
-// Loading a million-node tree through BindUnchecked costs one epoch
+// Loading a million-node tree through single-bind Applies costs one epoch
 // publication (spine clone, compile, atomic store, journal record) per
 // node. The secload harness and replica warm-starts need the tree, not
 // a million transitions, so BindSubtreeUnchecked builds an entire
@@ -38,7 +38,7 @@ type SubtreeSpec struct {
 // directory is either the bind parent itself (single-component Path)
 // or a node created by an EARLIER spec in the same call. Nothing is
 // staged if any spec fails validation. For bootstrap and load
-// generation; production mutation goes through Bind.
+// generation; production mutation goes through Apply.
 func (s *Server) BindSubtreeUnchecked(parentPath string, specs []SubtreeSpec) (int, uint64, error) {
 	wait, err := s.bindSubtree(parentPath, specs)
 	var v uint64

@@ -112,16 +112,16 @@ func newCompiledFixture(t *testing.T) *compiledFixture {
 	f.mkTree(t)
 	reg := principal.NewRegistry(f.lat)
 	for _, p := range []string{"root", "alice", "bob", "carol"} {
-		if _, err := reg.AddPrincipal(p, f.bot); err != nil {
+		if _, err := reg.Apply(principal.AddPrincipal(p, f.bot)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, g := range []string{"ops", "eng"} {
-		if err := reg.AddGroup(g); err != nil {
+		if _, err := reg.Apply(principal.AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := reg.AddMember("ops", "alice"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("ops", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.AttachRegistry(reg)
@@ -145,7 +145,7 @@ func TestCompiledEpochLifecycle(t *testing.T) {
 		t.Fatal("compiled view without a registry")
 	}
 	reg := principal.NewRegistry(f.lat)
-	if _, err := reg.AddPrincipal("root", f.bot); err != nil {
+	if _, err := reg.Apply(principal.AddPrincipal("root", f.bot)); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.AttachRegistry(reg)
@@ -217,20 +217,20 @@ func TestCompiledIndexTracksMutations(t *testing.T) {
 	check("interior ACL tightened")
 
 	// Membership churn flips group-sensitive summaries.
-	if err := cf.reg.AddMember("eng", "bob"); err != nil {
+	if _, err := cf.reg.Apply(principal.AddMember("eng", "bob")); err != nil {
 		t.Fatal(err)
 	}
 	check("bob joins eng")
-	if err := cf.reg.RemoveMember("ops", "alice"); err != nil {
+	if _, err := cf.reg.Apply(principal.RemoveMember("ops", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	check("alice leaves ops")
 
 	// A new principal grows the ID space; bitsets must follow.
-	if _, err := cf.reg.AddPrincipal("dave", cf.bot); err != nil {
+	if _, err := cf.reg.Apply(principal.AddPrincipal("dave", cf.bot)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cf.reg.AddMember("eng", "dave"); err != nil {
+	if _, err := cf.reg.Apply(principal.AddMember("eng", "dave")); err != nil {
 		t.Fatal(err)
 	}
 	cf.subs = append(cf.subs, subj("dave"))
@@ -241,7 +241,7 @@ func TestCompiledIndexTracksMutations(t *testing.T) {
 	if _, err := srv.BindUnchecked("/", BindSpec{Name: "archive", Kind: KindDirectory, ACL: acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List)), Class: cf.bot}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Rename(cf.root, cf.bot, "/svc/dept", "/archive", "dept-old"); err != nil {
+	if _, err := srv.Apply(cf.root, cf.bot, Rename("/svc/dept", "/archive", "dept-old")); err != nil {
 		t.Fatal(err)
 	}
 	check("subtree move")
@@ -252,7 +252,7 @@ func TestCompiledIndexTracksMutations(t *testing.T) {
 		t.Fatal("index missing relocated node")
 	}
 
-	if err := srv.UnbindUnchecked("/archive/dept-old/doc2"); err != nil {
+	if _, err := srv.Apply(nil, lattice.Class{}, Unbind("/archive/dept-old/doc2")); err != nil {
 		t.Fatal(err)
 	}
 	check("unbind")
@@ -287,8 +287,8 @@ func TestCompiledIncrementalMatchesFullRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			cf.reg.AddMember("eng", "bob")
-			cf.reg.RemoveMember("eng", "bob")
+			cf.reg.Apply(principal.AddMember("eng", "bob"))
+			cf.reg.Apply(principal.RemoveMember("eng", "bob"))
 		}
 	}
 	inc := srv.Current()
@@ -386,7 +386,7 @@ func TestCompiledRandomizedOracle(t *testing.T) {
 				dirs = append(dirs, path)
 			}
 		case 2:
-			srv.UnbindUnchecked(fmt.Sprintf("/svc/r%d", rng.Intn(serial+1)))
+			srv.Apply(nil, lattice.Class{}, Unbind(fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))))
 		case 3:
 			p := dirs[rng.Intn(len(dirs))]
 			srv.SetACLUnchecked(p, acl.New(
@@ -395,16 +395,15 @@ func TestCompiledRandomizedOracle(t *testing.T) {
 				acl.AllowEveryone(acl.List),
 			))
 		case 4:
-			cf.reg.AddMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))])
+			cf.reg.Apply(principal.AddMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))]))
 		case 5:
-			cf.reg.RemoveMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))])
+			cf.reg.Apply(principal.RemoveMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))]))
 		case 6:
 			// Rename a random renameable node under /svc into /svc/fs.
 			old := fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))
-			srv.Rename(cf.root, cf.bot, old, "/svc/fs", fmt.Sprintf("mv%d", i))
+			srv.Apply(cf.root, cf.bot, Rename(old, "/svc/fs", fmt.Sprintf("mv%d", i)))
 		case 7:
-			if p, err := cf.reg.AddPrincipal(fmt.Sprintf("u%d", i), cf.bot); err == nil {
-				_ = p
+			if _, err := cf.reg.Apply(principal.AddPrincipal(fmt.Sprintf("u%d", i), cf.bot)); err == nil {
 				cf.subs = append(cf.subs, subj(fmt.Sprintf("u%d", i)))
 			}
 		}

@@ -20,7 +20,7 @@ func TestEpochBundlesAllShards(t *testing.T) {
 	f := newFixture(t)
 	f.mkTree(t)
 	reg := principal.NewRegistry(f.lat)
-	if _, err := reg.AddPrincipal("alice", f.bot); err != nil {
+	if _, err := reg.Apply(principal.AddPrincipal("alice", f.bot)); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.AttachRegistry(reg)
@@ -53,7 +53,7 @@ func TestEpochBundlesAllShards(t *testing.T) {
 	}
 
 	// Registry mutation → registry transition.
-	if err := reg.AddGroup("ops"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("ops")); err != nil {
 		t.Fatal(err)
 	}
 	ep2 := f.srv.Current()
@@ -97,13 +97,13 @@ func TestEpochReadPathAcquiresNoMutex(t *testing.T) {
 	f := newFixture(t)
 	f.mkTree(t)
 	reg := principal.NewRegistry(f.lat)
-	if _, err := reg.AddPrincipal("alice", f.bot); err != nil {
+	if _, err := reg.Apply(principal.AddPrincipal("alice", f.bot)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddGroup("ops"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("ops")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("ops", "alice"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("ops", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.AttachRegistry(reg)
@@ -163,16 +163,18 @@ func TestEpochReadPathAcquiresNoMutex(t *testing.T) {
 // (Epoch.Consistent) with a monotone version. A publication that paired
 // a new tree with a stale lattice or registry — or tore half a
 // transition — fails the consistency walk. The op vocabulary mixes
-// per-mutation publishes, bulk batched paths (AddMembers, ACL batches),
-// and direct Publish* calls, so write-combined and unbatched
-// publications interleave; the end-state checks catch lost mutations
-// and incremental-freeze divergence.
+// single-edit and multi-edit Applies on both shards (some failing
+// part-way), bulk subtree binds, and direct Publish* calls, so
+// write-combined and unbatched publications interleave; the end-state
+// checks catch lost mutations and incremental-freeze divergence.
 func FuzzEpochTransitions(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 7, 7, 2, 2, 8, 8})
 	f.Add([]byte("epoch transitions"))
 	// Wide-directory and deep-rename ops, interleaved with plain churn.
 	f.Add([]byte{12, 13, 0, 12, 2, 13, 5, 12, 13, 7})
+	// Multi-edit Applies, half of them failing on their last edit.
+	f.Add([]byte{14, 29, 44, 59, 74, 89, 104, 119, 134, 2, 14, 149, 164, 8, 14})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -185,12 +187,12 @@ func FuzzEpochTransitions(f *testing.F) {
 		srv := NewServer(lat, acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List)), bot)
 		reg := principal.NewRegistry(lat)
 		for _, p := range []string{"root", "p0", "p1", "p2"} {
-			if _, err := reg.AddPrincipal(p, bot); err != nil {
+			if _, err := reg.Apply(principal.AddPrincipal(p, bot)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, g := range []string{"g0", "g1"} {
-			if err := reg.AddGroup(g); err != nil {
+			if _, err := reg.Apply(principal.AddGroup(g)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -212,38 +214,36 @@ func FuzzEpochTransitions(f *testing.F) {
 				defer wg.Done()
 				home := fmt.Sprintf("/d%d", g)
 				for i := g; i < len(ops); i += mutators {
-					switch ops[i] % 14 {
+					switch ops[i] % 15 {
 					case 0:
-						srv.BindUnchecked(home, BindSpec{
+						srv.Apply(nil, lattice.Class{}, Bind(home, BindSpec{
 							Name: fmt.Sprintf("n%d", i), Kind: KindFile,
 							ACL: acl.New(acl.Allow("p0", acl.Read), acl.AllowGroup("g0", acl.List)), Class: bot,
-						})
+						}))
 					case 1:
-						srv.UnbindUnchecked(fmt.Sprintf("%s/n%d", home, i-8))
+						srv.Apply(nil, lattice.Class{}, Unbind(fmt.Sprintf("%s/n%d", home, i-8)))
 					case 2:
-						srv.SetACLUnchecked(home, acl.New(
+						srv.Apply(nil, lattice.Class{}, SetACL(home, acl.New(
 							acl.Allow(fmt.Sprintf("p%d", i%3), acl.AllModes),
-							acl.AllowGroup(fmt.Sprintf("g%d", i%2), acl.Read)))
+							acl.AllowGroup(fmt.Sprintf("g%d", i%2), acl.Read))))
 					case 3:
 						lat.DefineLevel(fmt.Sprintf("lv-%d-%d", g, i))
 					case 4:
 						lat.DefineCategory(fmt.Sprintf("cat-%d-%d", g, i))
 					case 5:
-						reg.AddMember(fmt.Sprintf("g%d", i%2), fmt.Sprintf("p%d", i%3))
+						reg.Apply(principal.AddMember(fmt.Sprintf("g%d", i%2), fmt.Sprintf("p%d", i%3)))
 					case 6:
-						reg.RemoveMember(fmt.Sprintf("g%d", i%2), fmt.Sprintf("p%d", i%3))
+						reg.Apply(principal.RemoveMember(fmt.Sprintf("g%d", i%2), fmt.Sprintf("p%d", i%3)))
 					case 7:
 						srv.PublishStack(srv.Pipeline().Current())
 					case 8:
 						// Bulk membership: one freeze, one batched publish.
-						reg.AddMembers(fmt.Sprintf("g%d", i%2), "p0", "p1", "p2")
+						reg.Apply(memberEdits(principal.AddMember, fmt.Sprintf("g%d", i%2), "p0", "p1", "p2")...)
 					case 9:
-						reg.RemoveMembers(fmt.Sprintf("g%d", i%2), "p0", "p1")
+						reg.Apply(memberEdits(principal.RemoveMember, fmt.Sprintf("g%d", i%2), "p0", "p1")...)
 					case 10:
 						// Batched ACL install over the mutator's own home.
-						srv.SetACLsUnchecked([]ACLEdit{
-							{Path: home, ACL: acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List))},
-						})
+						srv.Apply(nil, lattice.Class{}, SetACL(home, acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List))))
 					case 11:
 						// Direct publish of the current frozen registry,
 						// interleaved with hook-driven batched publishes.
@@ -276,7 +276,46 @@ func FuzzEpochTransitions(f *testing.F) {
 							specs = append(specs, SubtreeSpec{Path: rel, Kind: KindDirectory, ACL: open, Class: bot})
 						}
 						if _, _, err := srv.BindSubtreeUnchecked(home, specs); err == nil {
-							srv.Rename(subj("root"), bot, home+"/"+base, home, fmt.Sprintf("a-moved%d", i))
+							srv.Apply(subj("root"), bot, Rename(home+"/"+base, home, fmt.Sprintf("a-moved%d", i)))
+						}
+					case 14:
+						// A 1–8-edit Apply in the mutator's home — binds,
+						// each followed by an ACL edit on the new node —
+						// checked or unchecked; half the time its last edit
+						// unbinds a missing name. All-or-nothing: after the
+						// call either every bind is visible or none is.
+						k := 1 + int(ops[i]/15)%8
+						fails := (i/mutators)%2 == 1
+						good := k
+						if fails {
+							good--
+						}
+						var sub acl.Subject
+						if i%2 == 0 {
+							sub = subj("root")
+						}
+						var edits []Edit
+						var bound []string
+						for len(edits) < good {
+							name := fmt.Sprintf("m%d-%d", i, len(edits))
+							bound = append(bound, home+"/"+name)
+							edits = append(edits, Bind(home, BindSpec{Name: name, Kind: KindFile, ACL: open, Class: bot}))
+							if len(edits) < good {
+								edits = append(edits, SetACL(home+"/"+name, open))
+							}
+						}
+						if fails {
+							edits = append(edits, Unbind(home+"/missing"))
+						}
+						_, err := srv.Apply(sub, bot, edits...)
+						if fails && err == nil {
+							t.Errorf("Apply ending in a missing unbind succeeded")
+						}
+						for _, path := range bound {
+							_, rerr := resolveIn(srv.Current(), nil, lattice.Class{}, path, false)
+							if (err == nil) != (rerr == nil) {
+								t.Errorf("Apply err=%v but %s resolves with err=%v", err, path, rerr)
+							}
 						}
 					}
 				}

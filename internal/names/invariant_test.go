@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"secext/internal/acl"
+	"secext/internal/lattice"
 )
 
 // TestPropTreeInvariants drives random bind/unbind/rename sequences and
@@ -53,7 +54,7 @@ func TestPropTreeInvariants(t *testing.T) {
 				}
 			case op == 1: // unbind
 				target := paths[r.Intn(len(paths))]
-				err := f.srv.UnbindUnchecked(target)
+				_, err := f.srv.Apply(nil, lattice.Class{}, Unbind(target))
 				if err != nil && !isExpectedUnbindErr(err) {
 					t.Fatalf("seed %d step %d: unbind %s: %v", seed, step, target, err)
 				}
@@ -63,7 +64,7 @@ func TestPropTreeInvariants(t *testing.T) {
 				if r.Intn(2) == 0 {
 					dstParent = paths[r.Intn(len(paths))]
 				}
-				err := f.srv.Rename(subj("any"), f.top, src, dstParent, fmt.Sprintf("m%d", step))
+				_, err := f.srv.Apply(subj("any"), f.top, Rename(src, dstParent, fmt.Sprintf("m%d", step)))
 				// Access checks may deny (ACL is open but MAC applies);
 				// structural rejections are fine too.
 				_ = err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"secext/internal/acl"
+	"secext/internal/principal"
 )
 
 // TestJournalRecordsTransition: every publish appends one record whose
@@ -59,7 +60,7 @@ func TestJournalRecordsTransition(t *testing.T) {
 // reflecting the frozen snapshot's delta base.
 func TestJournalShardAndFreezeKinds(t *testing.T) {
 	cf := newCompiledFixture(t)
-	if err := cf.reg.AddMember("eng", "bob"); err != nil {
+	if _, err := cf.reg.Apply(principal.AddMember("eng", "bob")); err != nil {
 		t.Fatal(err)
 	}
 	r := cf.srv.Journal(1)[0]

@@ -22,26 +22,26 @@ func TestMultilevelBind(t *testing.T) {
 
 	// A subject above the directory's class can bind at its own class.
 	bob := subj("bob")
-	if _, err := f.srv.Bind(bob, f.org, "/tmp", BindSpec{
+	if _, err := f.srv.Apply(bob, f.org, Bind("/tmp", BindSpec{
 		Name: "f1", Kind: KindFile, Class: f.org,
 		ACL: acl.New(acl.Allow("bob", acl.Read|acl.Delete)),
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("bind above container class: %v", err)
 	}
 	// ... but still not below its own class (no write-down on the new
 	// node's label).
-	if _, err := f.srv.Bind(bob, f.org, "/tmp", BindSpec{
+	if _, err := f.srv.Apply(bob, f.org, Bind("/tmp", BindSpec{
 		Name: "f2", Kind: KindFile, Class: f.bot,
-	}); !errors.Is(err, ErrDenied) {
+	})); !errors.Is(err, ErrDenied) {
 		t.Fatalf("write-down label in multilevel dir: got %v", err)
 	}
 	// DAC still applies: a subject without write on the directory fails.
 	if err := f.srv.SetACLUnchecked("/tmp", acl.New(acl.AllowEveryone(acl.List))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.srv.Bind(bob, f.org, "/tmp", BindSpec{
+	if _, err := f.srv.Apply(bob, f.org, Bind("/tmp", BindSpec{
 		Name: "f3", Kind: KindFile, Class: f.org,
-	}); !errors.Is(err, ErrDenied) {
+	})); !errors.Is(err, ErrDenied) {
 		t.Fatalf("multilevel without DAC write: got %v", err)
 	}
 
@@ -66,36 +66,36 @@ func TestMultilevelUnbind(t *testing.T) {
 		t.Fatal(err)
 	}
 	bob := subj("bob")
-	if _, err := f.srv.Bind(bob, f.org, "/tmp", BindSpec{
+	if _, err := f.srv.Apply(bob, f.org, Bind("/tmp", BindSpec{
 		Name: "f", Kind: KindFile, Class: f.org,
 		ACL: acl.New(acl.Allow("bob", acl.Delete)),
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	// bob can remove his own entry although the container is below him.
-	if err := f.srv.Unbind(bob, f.org, "/tmp/f"); err != nil {
+	if _, err := f.srv.Apply(bob, f.org, Unbind("/tmp/f")); err != nil {
 		t.Fatalf("multilevel unbind: %v", err)
 	}
 	// Without delete on the entry it fails regardless.
-	if _, err := f.srv.Bind(bob, f.org, "/tmp", BindSpec{
+	if _, err := f.srv.Apply(bob, f.org, Bind("/tmp", BindSpec{
 		Name: "g", Kind: KindFile, Class: f.org,
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Unbind(bob, f.org, "/tmp/g"); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(bob, f.org, Unbind("/tmp/g")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("unbind without delete: got %v", err)
 	}
 	// DAC write on the container still required for unbind.
-	if _, err := f.srv.Bind(bob, f.org, "/tmp", BindSpec{
+	if _, err := f.srv.Apply(bob, f.org, Bind("/tmp", BindSpec{
 		Name: "h", Kind: KindFile, Class: f.org,
 		ACL: acl.New(acl.Allow("bob", acl.Delete)),
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.srv.SetACLUnchecked("/tmp", acl.New(acl.AllowEveryone(acl.List))); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Unbind(bob, f.org, "/tmp/h"); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(bob, f.org, Unbind("/tmp/h")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("unbind without DAC write on container: got %v", err)
 	}
 }

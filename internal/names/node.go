@@ -144,7 +144,7 @@ func (n *Node) Path() string { return n.path }
 
 // ACL returns a copy of the node's access control list. The copy is
 // detached: editing it does not change the node's protection state
-// (only Server.SetACL does).
+// (only a SetACL edit through Server.Apply does).
 func (n *Node) ACL() *acl.ACL { return n.acl.Clone() }
 
 // Class returns the node's security class.

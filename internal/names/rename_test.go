@@ -36,7 +36,7 @@ func renameFixture(t *testing.T) *fixture {
 func TestRenameHappyPath(t *testing.T) {
 	f := renameFixture(t)
 	owner := subj("owner")
-	if err := f.srv.Rename(owner, f.bot, "/a/x", "/b", "y"); err != nil {
+	if _, err := f.srv.Apply(owner, f.bot, Rename("/a/x", "/b", "y")); err != nil {
 		t.Fatalf("Rename: %v", err)
 	}
 	if _, err := f.srv.ResolveUnchecked("/a/x"); !errors.Is(err, ErrNotFound) {
@@ -55,7 +55,7 @@ func TestRenameChecks(t *testing.T) {
 	f := renameFixture(t)
 	other := subj("other")
 	// No delete on the node.
-	if err := f.srv.Rename(other, f.bot, "/a/x", "/b", "y"); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(other, f.bot, Rename("/a/x", "/b", "y")); !errors.Is(err, ErrDenied) {
 		t.Errorf("no delete: got %v", err)
 	}
 	// Delete but no write on the destination parent.
@@ -65,7 +65,7 @@ func TestRenameChecks(t *testing.T) {
 	if err := f.srv.SetACLUnchecked("/a", acl.New(acl.Allow("other", acl.Write|acl.List), acl.AllowEveryone(acl.List))); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Rename(other, f.bot, "/a/x", "/b", "y"); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(other, f.bot, Rename("/a/x", "/b", "y")); !errors.Is(err, ErrDenied) {
 		t.Errorf("no destination write: got %v", err)
 	}
 }
@@ -74,22 +74,22 @@ func TestRenameStructuralErrors(t *testing.T) {
 	f := renameFixture(t)
 	owner := subj("owner")
 	// Root cannot move.
-	if err := f.srv.Rename(owner, f.bot, "/", "/b", "r"); !errors.Is(err, ErrRoot) {
+	if _, err := f.srv.Apply(owner, f.bot, Rename("/", "/b", "r")); !errors.Is(err, ErrRoot) {
 		t.Errorf("move root: got %v", err)
 	}
 	// Destination occupied.
 	if _, err := f.srv.BindUnchecked("/b", BindSpec{Name: "x", Kind: KindFile, Class: f.bot}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Rename(owner, f.bot, "/a/x", "/b", "x"); !errors.Is(err, ErrExists) {
+	if _, err := f.srv.Apply(owner, f.bot, Rename("/a/x", "/b", "x")); !errors.Is(err, ErrExists) {
 		t.Errorf("occupied destination: got %v", err)
 	}
 	// Bad component.
-	if err := f.srv.Rename(owner, f.bot, "/a/x", "/b", "a/b"); !errors.Is(err, ErrBadPath) {
+	if _, err := f.srv.Apply(owner, f.bot, Rename("/a/x", "/b", "a/b")); !errors.Is(err, ErrBadPath) {
 		t.Errorf("bad component: got %v", err)
 	}
 	// Destination under a leaf.
-	if err := f.srv.Rename(owner, f.bot, "/a/x", "/b/x", "y"); !errors.Is(err, ErrLeaf) {
+	if _, err := f.srv.Apply(owner, f.bot, Rename("/a/x", "/b/x", "y")); !errors.Is(err, ErrLeaf) {
 		t.Errorf("leaf destination: got %v", err)
 	}
 }
@@ -104,11 +104,11 @@ func TestRenameCycleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := subj("o")
-	if err := f.srv.Rename(o, f.bot, "/d1", "/d1/d2", "loop"); !errors.Is(err, ErrBadPath) {
+	if _, err := f.srv.Apply(o, f.bot, Rename("/d1", "/d1/d2", "loop")); !errors.Is(err, ErrBadPath) {
 		t.Fatalf("cycle move: got %v", err)
 	}
 	// Moving a directory into itself directly.
-	if err := f.srv.Rename(o, f.bot, "/d1", "/d1", "self"); !errors.Is(err, ErrBadPath) {
+	if _, err := f.srv.Apply(o, f.bot, Rename("/d1", "/d1", "self")); !errors.Is(err, ErrBadPath) {
 		t.Fatalf("self move: got %v", err)
 	}
 }
@@ -129,10 +129,10 @@ func TestRenamePreservesProtection(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := subj("owner")
-	if err := f.srv.Rename(owner, f.org, "/a/x", "/b", "x"); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(owner, f.org, Rename("/a/x", "/b", "x")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("high subject moving name in low dirs must be a write-down: %v", err)
 	}
-	if err := f.srv.Rename(owner, f.bot, "/a/x", "/b", "x"); err != nil {
+	if _, err := f.srv.Apply(owner, f.bot, Rename("/a/x", "/b", "x")); err != nil {
 		t.Fatalf("Rename at directory class: %v", err)
 	}
 	n, _ := f.srv.ResolveUnchecked("/b/x")
@@ -154,15 +154,15 @@ func TestRenameInMultilevelDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	bob := subj("bob")
-	if _, err := f.srv.Bind(bob, f.org, "/tmp", BindSpec{
+	if _, err := f.srv.Apply(bob, f.org, Bind("/tmp", BindSpec{
 		Name: "f", Kind: KindFile, Class: f.org,
 		ACL: acl.New(acl.Allow("bob", acl.Delete)),
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	// bob renames his own entry inside the multilevel dir although the
 	// container is below his class.
-	if err := f.srv.Rename(bob, f.org, "/tmp/f", "/tmp", "g"); err != nil {
+	if _, err := f.srv.Apply(bob, f.org, Rename("/tmp/f", "/tmp", "g")); err != nil {
 		t.Fatalf("multilevel rename: %v", err)
 	}
 	if _, err := f.srv.ResolveUnchecked("/tmp/g"); err != nil {
@@ -192,7 +192,7 @@ func TestRenameWideDirectory(t *testing.T) {
 	}
 	// "0-first" sorts before every existing sibling of /b; the old name
 	// "wide" sorted last in /a — both insertion paths get exercised.
-	if err := f.srv.Rename(subj("owner"), f.bot, "/a/wide", "/b", "0-first"); err != nil {
+	if _, err := f.srv.Apply(subj("owner"), f.bot, Rename("/a/wide", "/b", "0-first")); err != nil {
 		t.Fatalf("Rename wide: %v", err)
 	}
 	for _, k := range []int{0, 1, kids / 2, kids - 1} {
@@ -228,7 +228,7 @@ func TestRenameDeepChain(t *testing.T) {
 	if _, _, err := f.srv.BindSubtreeUnchecked("/a", specs); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Rename(subj("owner"), f.bot, "/a/deep", "/b", "moved"); err != nil {
+	if _, err := f.srv.Apply(subj("owner"), f.bot, Rename("/a/deep", "/b", "moved")); err != nil {
 		t.Fatalf("Rename deep: %v", err)
 	}
 	want := "/b/moved"

@@ -41,20 +41,22 @@ var ErrNotEmpty = fmt.Errorf("names: node not empty")
 // one clock for "any policy shard changed" and "cached verdicts are
 // dead".
 //
-// Epoch transitions are typed: name mutations come through the Bind/
-// Unbind/Rename/Set* operations; the lattice and registry push their
-// freshly frozen state through PublishLattice/PublishRegistry (wired
-// via publish hooks at construction/attachment); guard installs push
+// Epoch transitions are typed: name mutations come through Apply (and
+// the bulk BindSubtreeUnchecked); the lattice and registry push their
+// freshly frozen state through their publish hooks (wired at
+// construction/attachment; PublishRegistry publishes one directly);
+// guard installs push
 // the new stack through PublishStack. There is no untyped "invalidate
 // everything" entry point — every version bump names the shard that
 // moved.
 //
 // Checked operations take the requesting subject (for the DAC decision)
 // and the subject's current security class (for the MAC decision).
-// Unchecked variants exist for bootstrap and for the reference monitor's
-// own bookkeeping; nothing outside internal/core should use them. The
-// reference monitor can observe unchecked operations via SetAdminHook so
-// that even mediation bypasses leave an audit trail.
+// Unchecked operations (a nil subject) exist for bootstrap and for the
+// reference monitor's own bookkeeping; nothing outside internal/core
+// should use them. The reference monitor can observe unchecked
+// operations via SetAdminHook so that even mediation bypasses leave an
+// audit trail.
 type Server struct {
 	// epoch is the atomically published current policy epoch. Readers
 	// load it once per operation and never look back; writeMu serializes
@@ -233,20 +235,6 @@ func (s *Server) EpochTransitions() Transitions {
 		Registry: s.registryPubs.Load(),
 		Stack:    s.stackPubs.Load(),
 	}
-}
-
-// PublishLattice is the typed epoch transition for the lattice shard:
-// a thin wrapper over the batched publisher that stages f as the
-// epoch's universe, flushes, and returns the version the publication
-// landed in. The lattice's publish hook (wired by NewServer) goes
-// through the staged path directly so definitions can coalesce; this
-// entry point is for callers that hold no lattice lock and want the
-// change live on return. A nil f is ignored (returns 0).
-func (s *Server) PublishLattice(f *lattice.Frozen) uint64 {
-	if f == nil {
-		return 0
-	}
-	return s.stageLattice(f)()
 }
 
 // PublishRegistry is the typed epoch transition for the principal/group
@@ -677,7 +665,7 @@ func (s *Server) List(sub acl.Subject, class lattice.Class, path string) ([]stri
 	return n.childNames(), nil
 }
 
-// BindSpec describes a new node for Bind.
+// BindSpec describes a new node for a Bind edit.
 type BindSpec struct {
 	Name    string        // final path component
 	Kind    Kind          // node kind
@@ -687,299 +675,6 @@ type BindSpec struct {
 	// Multilevel marks the new node as a multilevel container; see
 	// Node.Multilevel.
 	Multilevel bool
-}
-
-// Bind creates a new node under parentPath. The subject needs write mode
-// on the parent (§2.3: "whether an extension can add new entries"), MAC
-// write to the parent, and may only label the new node with a class it
-// could itself write to (preventing creation of objects below the
-// subject's own class, which would constitute a write-down channel).
-// Multilevel containers waive the parent's no-write-down rule
-// (monitor.OpContainerBind).
-func (s *Server) Bind(sub acl.Subject, class lattice.Class, parentPath string, spec BindSpec) (*Node, error) {
-	n, _, err := s.BindAt(sub, class, parentPath, spec)
-	return n, err
-}
-
-// BindAt is Bind returning the epoch version the binding landed in:
-// every reader pinning that version or later sees the new node.
-func (s *Server) BindAt(sub acl.Subject, class lattice.Class, parentPath string, spec BindSpec) (*Node, uint64, error) {
-	n, wait, err := s.bindChecked(sub, class, parentPath, spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return n, wait(), nil
-}
-
-func (s *Server) bindChecked(sub acl.Subject, class lattice.Class, parentPath string, spec BindSpec) (*Node, func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	parent, err := resolveIn(ep, sub, class, parentPath, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	op := monitor.OpAccess
-	if parent.multilevel {
-		op = monitor.OpContainerBind
-	}
-	if err := checkNode(ep, parent, parentPath, sub, class, acl.Write, op); err != nil {
-		return nil, nil, err
-	}
-	if v := ep.stack.Check(monitor.Request{
-		Subject: sub, Class: class, Object: describe(parent, parentPath),
-		NewClass: spec.Class, Members: ep.members(), Op: monitor.OpCreate,
-	}); !v.Allow {
-		return nil, nil, &DeniedError{Path: Join(parentPath, spec.Name), Op: "bind", Why: v.Reason}
-	}
-	return s.bindLocked(ep, parent, spec)
-}
-
-// BindUnchecked creates a node with no access checks; for bootstrap.
-func (s *Server) BindUnchecked(parentPath string, spec BindSpec) (*Node, error) {
-	n, _, err := s.BindUncheckedAt(parentPath, spec)
-	return n, err
-}
-
-// BindUncheckedAt is BindUnchecked returning the epoch version the
-// binding landed in.
-func (s *Server) BindUncheckedAt(parentPath string, spec BindSpec) (*Node, uint64, error) {
-	n, wait, err := s.bindUnchecked(parentPath, spec)
-	var v uint64
-	if err == nil {
-		v = wait()
-	}
-	s.admin("bind-unchecked", Join(parentPath, spec.Name), err)
-	return n, v, err
-}
-
-func (s *Server) bindUnchecked(parentPath string, spec BindSpec) (*Node, func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	parent, err := resolveIn(ep, nil, lattice.Class{}, parentPath, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.bindLocked(ep, parent, spec)
-}
-
-// bindLocked builds and stages the successor tree containing the new
-// node, returning the wait function the mutator calls after releasing
-// writeMu. Caller holds writeMu; parent belongs to ep, the epoch
-// returned by currentLocked (writers are serialized, so it reflects
-// every staged mutation).
-func (s *Server) bindLocked(ep *Epoch, parent *Node, spec BindSpec) (*Node, func() uint64, error) {
-	if err := ValidComponent(spec.Name); err != nil {
-		return nil, nil, err
-	}
-	if parent.kind.Leaf() {
-		return nil, nil, fmt.Errorf("%w: %s", ErrLeaf, parent.Path())
-	}
-	if !spec.Class.Valid() || spec.Class.Lattice() != s.lat {
-		return nil, nil, fmt.Errorf("%w: node class must come from the server lattice", ErrBadPath)
-	}
-	if parent.child(spec.Name) != nil {
-		return nil, nil, fmt.Errorf("%w: %s", ErrExists, Join(parent.Path(), spec.Name))
-	}
-	childPath := s.strings.intern(Join(parent.Path(), spec.Name))
-	n := &Node{
-		path:       childPath,
-		kind:       spec.Kind,
-		acl:        s.acls.canon(spec.ACL),
-		class:      s.classes.canon(spec.Class),
-		payload:    spec.Payload,
-		multilevel: spec.Multilevel && !spec.Kind.Leaf(),
-	}
-	parts, err := SplitPath(childPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return n, s.stageTreeLocked(rebind(ep.root, parts, n), ep.traversal), nil
-}
-
-// Unbind removes the node at path. The subject needs delete mode on the
-// target, write mode on the parent, and MAC write to both (the parent's
-// MAC rule is waived for multilevel containers). Non-empty nodes cannot
-// be unbound.
-func (s *Server) Unbind(sub acl.Subject, class lattice.Class, path string) error {
-	_, err := s.UnbindAt(sub, class, path)
-	return err
-}
-
-// UnbindAt is Unbind returning the epoch version the removal landed in:
-// every reader pinning that version or later no longer sees the node.
-func (s *Server) UnbindAt(sub acl.Subject, class lattice.Class, path string) (uint64, error) {
-	wait, err := s.unbindChecked(sub, class, path)
-	if err != nil {
-		return 0, err
-	}
-	return wait(), nil
-}
-
-func (s *Server) unbindChecked(sub acl.Subject, class lattice.Class, path string) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, sub, class, path, true)
-	if err != nil {
-		return nil, err
-	}
-	if n.path == "/" {
-		return nil, ErrRoot
-	}
-	if len(n.children) > 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotEmpty, path)
-	}
-	parent, err := resolveIn(ep, nil, lattice.Class{}, parentOf(n.path), false)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkNode(ep, n, path, sub, class, acl.Delete, monitor.OpAccess); err != nil {
-		return nil, err
-	}
-	op := monitor.OpAccess
-	if parent.multilevel {
-		op = monitor.OpContainerUnbind
-	}
-	if err := checkNode(ep, parent, parentOf(path), sub, class, acl.Write, op); err != nil {
-		return nil, err
-	}
-	parts, err := SplitPath(n.path)
-	if err != nil {
-		return nil, err
-	}
-	return s.stageTreeLocked(rebind(ep.root, parts, nil), ep.traversal), nil
-}
-
-// Rename moves the node at oldPath to newParentPath/newName. The
-// subject needs delete on the node, write on both the old and the new
-// parent (multilevel waivers apply to each side independently), and the
-// usual MAC rules; the node keeps its ACL, class, payload, and
-// children. Renaming across class boundaries never relabels: the name
-// moves, the protection does not.
-//
-// The move is one atomic publication: a concurrent reader sees the
-// wholly-old or the wholly-new tree, never a state where the subtree is
-// reachable under both names or neither.
-func (s *Server) Rename(sub acl.Subject, class lattice.Class, oldPath, newParentPath, newName string) error {
-	_, err := s.RenameAt(sub, class, oldPath, newParentPath, newName)
-	return err
-}
-
-// RenameAt is Rename returning the epoch version the move landed in.
-func (s *Server) RenameAt(sub acl.Subject, class lattice.Class, oldPath, newParentPath, newName string) (uint64, error) {
-	wait, err := s.renameChecked(sub, class, oldPath, newParentPath, newName)
-	if err != nil {
-		return 0, err
-	}
-	return wait(), nil
-}
-
-func (s *Server) renameChecked(sub acl.Subject, class lattice.Class, oldPath, newParentPath, newName string) (func() uint64, error) {
-	if err := ValidComponent(newName); err != nil {
-		return nil, err
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, sub, class, oldPath, true)
-	if err != nil {
-		return nil, err
-	}
-	if n.path == "/" {
-		return nil, ErrRoot
-	}
-	newParent, err := resolveIn(ep, sub, class, newParentPath, true)
-	if err != nil {
-		return nil, err
-	}
-	if newParent.kind.Leaf() {
-		return nil, fmt.Errorf("%w: %s", ErrLeaf, newParentPath)
-	}
-	// A node must not become its own ancestor. Paths in one epoch are
-	// canonical, so "inside n's subtree" is a prefix question.
-	if newParent.path == n.path || strings.HasPrefix(newParent.path, n.path+"/") {
-		return nil, fmt.Errorf("%w: cannot move %s under itself", ErrBadPath, oldPath)
-	}
-	if newParent.child(newName) != nil {
-		return nil, fmt.Errorf("%w: %s", ErrExists, Join(newParentPath, newName))
-	}
-	if err := checkNode(ep, n, oldPath, sub, class, acl.Delete, monitor.OpAccess); err != nil {
-		return nil, err
-	}
-	oldParent, err := resolveIn(ep, nil, lattice.Class{}, parentOf(n.path), false)
-	if err != nil {
-		return nil, err
-	}
-	checkParent := func(p *Node, path string) error {
-		op := monitor.OpAccess
-		if p.multilevel {
-			op = monitor.OpContainerUnbind
-		}
-		return checkNode(ep, p, path, sub, class, acl.Write, op)
-	}
-	if err := checkParent(oldParent, parentOf(oldPath)); err != nil {
-		return nil, err
-	}
-	if err := checkParent(newParent, newParentPath); err != nil {
-		return nil, err
-	}
-	oldParts, err := SplitPath(n.path)
-	if err != nil {
-		return nil, err
-	}
-	newPath := Join(newParent.path, newName)
-	newParts, err := SplitPath(newPath)
-	if err != nil {
-		return nil, err
-	}
-	// Detach the subtree, deep-copy it under its new name and paths
-	// (published nodes never change, so old epochs keep the old
-	// paths), then insert — all on the private successor tree, then one
-	// publication.
-	detached := rebind(ep.root, oldParts, nil)
-	moved := relocate(n, newPath, &s.strings)
-	return s.stageTreeLocked(rebind(detached, newParts, moved), ep.traversal), nil
-}
-
-// UnbindUnchecked removes the node at path with no access checks.
-func (s *Server) UnbindUnchecked(path string) error {
-	_, err := s.UnbindUncheckedAt(path)
-	return err
-}
-
-// UnbindUncheckedAt is UnbindUnchecked returning the epoch version the
-// removal landed in.
-func (s *Server) UnbindUncheckedAt(path string) (uint64, error) {
-	wait, err := s.unbindUnchecked(path)
-	var v uint64
-	if err == nil {
-		v = wait()
-	}
-	s.admin("unbind-unchecked", path, err)
-	return v, err
-}
-
-func (s *Server) unbindUnchecked(path string) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, nil, lattice.Class{}, path, false)
-	if err != nil {
-		return nil, err
-	}
-	if n.path == "/" {
-		return nil, ErrRoot
-	}
-	if len(n.children) > 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotEmpty, path)
-	}
-	parts, err := SplitPath(n.path)
-	if err != nil {
-		return nil, err
-	}
-	return s.stageTreeLocked(rebind(ep.root, parts, nil), ep.traversal), nil
 }
 
 // GetACL returns a copy of the node's ACL. Reading the protection state
@@ -1001,215 +696,6 @@ func (s *Server) GetACL(sub acl.Subject, class lattice.Class, path string) (*acl
 	return n.acl.Clone(), nil
 }
 
-// SetACL replaces the node's ACL. Changing protection is the
-// administrate mode (§2.1) and is MAC-wise a write.
-func (s *Server) SetACL(sub acl.Subject, class lattice.Class, path string, newACL *acl.ACL) error {
-	_, err := s.SetACLAt(sub, class, path, newACL)
-	return err
-}
-
-// SetACLAt is SetACL returning the epoch version the new ACL landed in:
-// a caller revoking a grant can assert "no decision computed against
-// that version or later honors the old ACL".
-func (s *Server) SetACLAt(sub acl.Subject, class lattice.Class, path string, newACL *acl.ACL) (uint64, error) {
-	wait, err := s.setACLChecked(sub, class, path, newACL)
-	if err != nil {
-		return 0, err
-	}
-	return wait(), nil
-}
-
-func (s *Server) setACLChecked(sub acl.Subject, class lattice.Class, path string, newACL *acl.ACL) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, sub, class, path, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkNode(ep, n, path, sub, class, acl.Administrate, monitor.OpAccess); err != nil {
-		return nil, err
-	}
-	return s.replaceLocked(ep, n, func(c *Node) { c.acl = s.acls.canon(newACL) })
-}
-
-// SetACLUnchecked replaces a node's ACL with no access checks.
-func (s *Server) SetACLUnchecked(path string, newACL *acl.ACL) error {
-	_, err := s.SetACLUncheckedAt(path, newACL)
-	return err
-}
-
-// SetACLUncheckedAt is SetACLUnchecked returning the epoch version the
-// new ACL landed in.
-func (s *Server) SetACLUncheckedAt(path string, newACL *acl.ACL) (uint64, error) {
-	wait, err := s.setACLUnchecked(path, newACL)
-	var v uint64
-	if err == nil {
-		v = wait()
-	}
-	s.admin("set-acl-unchecked", path, err)
-	return v, err
-}
-
-func (s *Server) setACLUnchecked(path string, newACL *acl.ACL) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, nil, lattice.Class{}, path, false)
-	if err != nil {
-		return nil, err
-	}
-	return s.replaceLocked(ep, n, func(c *Node) { c.acl = s.acls.canon(newACL) })
-}
-
-// ACLEdit is one path/ACL pair for SetACLsUnchecked.
-type ACLEdit struct {
-	Path string
-	ACL  *acl.ACL
-}
-
-// SetACLsUnchecked installs several ACLs in one published epoch, with
-// no access checks. The edits are atomic — all-or-nothing: if any path
-// fails to resolve, no edit is applied and the published state is
-// untouched. One epoch carries the whole batch, so a policy document
-// installing N grants costs one publication instead of N. It returns
-// the epoch version the batch landed in; an empty edit list is a no-op
-// returning 0.
-func (s *Server) SetACLsUnchecked(edits []ACLEdit) (uint64, error) {
-	if len(edits) == 0 {
-		return 0, nil
-	}
-	wait, err := s.setACLsUnchecked(edits)
-	if err != nil {
-		return 0, err
-	}
-	v := wait()
-	for _, e := range edits {
-		s.admin("set-acl-unchecked", e.Path, nil)
-	}
-	return v, nil
-}
-
-func (s *Server) setACLsUnchecked(edits []ACLEdit) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	root := ep.root
-	// Resolve each edit against the accumulating successor tree so
-	// edits later in the batch see earlier ones; scratch carries the
-	// in-progress root through resolveIn without touching ep.
-	scratch := *ep
-	// The scratch epoch's root diverges from ep's as edits accumulate;
-	// a copied compiled view would keep answering from ep's index, so
-	// it must not come along.
-	scratch.compiled = nil
-	for _, e := range edits {
-		scratch.root = root
-		n, err := resolveIn(&scratch, nil, lattice.Class{}, e.Path, false)
-		if err != nil {
-			s.admin("set-acl-unchecked", e.Path, err)
-			return nil, err
-		}
-		c := n.clone()
-		c.acl = s.acls.canon(e.ACL)
-		parts, err := SplitPath(n.path)
-		if err != nil {
-			return nil, err
-		}
-		root = rebind(root, parts, c)
-	}
-	return s.stageTreeLocked(root, ep.traversal), nil
-}
-
-// replaceLocked stages a successor tree in which node n (from epoch
-// ep) is replaced by a clone that mutate has edited, returning the
-// wait function the mutator calls after releasing writeMu. The clone
-// keeps the children map, so only the single node changes; the spine
-// above it is re-cloned by rebind. Caller holds writeMu.
-func (s *Server) replaceLocked(ep *Epoch, n *Node, mutate func(c *Node)) (func() uint64, error) {
-	c := n.clone()
-	mutate(c)
-	parts, err := SplitPath(n.path)
-	if err != nil {
-		return nil, err
-	}
-	return s.stageTreeLocked(rebind(ep.root, parts, c), ep.traversal), nil
-}
-
-// SetClass relabels the node. Relabeling violates tranquility, so it is
-// gated on administrate mode and the relabel flow rules (a read of the
-// old label, a write of the new).
-func (s *Server) SetClass(sub acl.Subject, class lattice.Class, path string, newClass lattice.Class) error {
-	_, err := s.SetClassAt(sub, class, path, newClass)
-	return err
-}
-
-// SetClassAt is SetClass returning the epoch version the relabel landed
-// in.
-func (s *Server) SetClassAt(sub acl.Subject, class lattice.Class, path string, newClass lattice.Class) (uint64, error) {
-	wait, err := s.setClassChecked(sub, class, path, newClass)
-	if err != nil {
-		return 0, err
-	}
-	return wait(), nil
-}
-
-func (s *Server) setClassChecked(sub acl.Subject, class lattice.Class, path string, newClass lattice.Class) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, sub, class, path, true)
-	if err != nil {
-		return nil, err
-	}
-	if !newClass.Valid() || newClass.Lattice() != s.lat {
-		return nil, fmt.Errorf("%w: class must come from the server lattice", ErrBadPath)
-	}
-	if err := checkNode(ep, n, path, sub, class, acl.Administrate, monitor.OpAccess); err != nil {
-		return nil, err
-	}
-	if v := ep.stack.Check(monitor.Request{
-		Subject: sub, Class: class, Object: describe(n, path),
-		NewClass: newClass, Members: ep.members(), Op: monitor.OpRelabel,
-	}); !v.Allow {
-		return nil, &DeniedError{Path: path, Op: "set-class", Why: v.Reason}
-	}
-	return s.replaceLocked(ep, n, func(c *Node) { c.class = s.classes.canon(newClass) })
-}
-
-// SetClassUnchecked relabels a node with no access checks; for
-// bootstrap and experiments.
-func (s *Server) SetClassUnchecked(path string, newClass lattice.Class) error {
-	_, err := s.SetClassUncheckedAt(path, newClass)
-	return err
-}
-
-// SetClassUncheckedAt is SetClassUnchecked returning the epoch version
-// the relabel landed in.
-func (s *Server) SetClassUncheckedAt(path string, newClass lattice.Class) (uint64, error) {
-	wait, err := s.setClassUnchecked(path, newClass)
-	var v uint64
-	if err == nil {
-		v = wait()
-	}
-	s.admin("set-class-unchecked", path, err)
-	return v, err
-}
-
-func (s *Server) setClassUnchecked(path string, newClass lattice.Class) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, nil, lattice.Class{}, path, false)
-	if err != nil {
-		return nil, err
-	}
-	if !newClass.Valid() || newClass.Lattice() != s.lat {
-		return nil, fmt.Errorf("%w: class must come from the server lattice", ErrBadPath)
-	}
-	return s.replaceLocked(ep, n, func(c *Node) { c.class = s.classes.canon(newClass) })
-}
-
 // ACLOf returns a copy of a node's ACL with no checks (monitor use).
 func (s *Server) ACLOf(path string) (*acl.ACL, error) {
 	n, err := resolveIn(s.epoch.Load(), nil, lattice.Class{}, path, false)
@@ -1217,31 +703,6 @@ func (s *Server) ACLOf(path string) (*acl.ACL, error) {
 		return nil, err
 	}
 	return n.acl.Clone(), nil
-}
-
-// SetPayload replaces the payload at path with no access checks
-// (monitor and service bootstrap use). Readers that already resolved
-// the node keep the payload of their epoch; the data plane behind a
-// payload handle is shared by reference across epochs and does its own
-// locking.
-func (s *Server) SetPayload(path string, payload any) error {
-	wait, err := s.setPayload(path, payload)
-	if err == nil {
-		wait()
-	}
-	s.admin("set-payload", path, err)
-	return err
-}
-
-func (s *Server) setPayload(path string, payload any) (func() uint64, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
-	n, err := resolveIn(ep, nil, lattice.Class{}, path, false)
-	if err != nil {
-		return nil, err
-	}
-	return s.replaceLocked(ep, n, func(c *Node) { c.payload = payload })
 }
 
 // Walk visits every node in the current epoch in depth-first order

@@ -161,9 +161,9 @@ func TestBindChecked(t *testing.T) {
 	f.mkTree(t)
 	alice := subj("alice")
 	// alice has no write on /svc/fs.
-	_, err := f.srv.Bind(alice, f.top, "/svc/fs", BindSpec{
+	_, err := f.srv.Apply(alice, f.top, Bind("/svc/fs", BindSpec{
 		Name: "write", Kind: KindMethod, Class: f.bot,
-	})
+	}))
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("unauthorized bind: got %v, want ErrDenied", err)
 	}
@@ -173,17 +173,17 @@ func TestBindChecked(t *testing.T) {
 	if err := f.srv.SetACLUnchecked("/svc/fs", aclFS); err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.srv.Bind(alice, f.top, "/svc/fs", BindSpec{
+	_, err = f.srv.Apply(alice, f.top, Bind("/svc/fs", BindSpec{
 		Name: "write", Kind: KindMethod, Class: f.bot,
-	})
+	}))
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("write-down bind: got %v, want ErrDenied", err)
 	}
 	// MAC write to the parent fails too when subject is top and parent
 	// is bot; use a bot-class subject binding a bot node instead.
-	_, err = f.srv.Bind(alice, f.bot, "/svc/fs", BindSpec{
+	_, err = f.srv.Apply(alice, f.bot, Bind("/svc/fs", BindSpec{
 		Name: "write", Kind: KindMethod, Class: f.bot, Payload: "w",
-	})
+	}))
 	if err != nil {
 		t.Fatalf("authorized bind: %v", err)
 	}
@@ -327,28 +327,28 @@ func TestUnbind(t *testing.T) {
 	f := newFixture(t)
 	f.mkTree(t)
 	// Not empty.
-	if err := f.srv.UnbindUnchecked("/svc"); !errors.Is(err, ErrNotEmpty) {
+	if _, err := f.srv.Apply(nil, lattice.Class{}, Unbind("/svc")); !errors.Is(err, ErrNotEmpty) {
 		t.Errorf("unbind non-empty: got %v, want ErrNotEmpty", err)
 	}
 	// Root.
-	if err := f.srv.UnbindUnchecked("/"); !errors.Is(err, ErrRoot) {
+	if _, err := f.srv.Apply(nil, lattice.Class{}, Unbind("/")); !errors.Is(err, ErrRoot) {
 		t.Errorf("unbind root: got %v, want ErrRoot", err)
 	}
 	// Checked requires delete on node + write on parent.
 	alice := subj("alice")
-	if err := f.srv.Unbind(alice, f.bot, "/svc/fs/read"); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(alice, f.bot, Unbind("/svc/fs/read")); !errors.Is(err, ErrDenied) {
 		t.Errorf("unauthorized unbind: got %v, want ErrDenied", err)
 	}
 	if err := f.srv.SetACLUnchecked("/svc/fs/read", acl.New(acl.Allow("alice", acl.Delete))); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Unbind(alice, f.bot, "/svc/fs/read"); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(alice, f.bot, Unbind("/svc/fs/read")); !errors.Is(err, ErrDenied) {
 		t.Errorf("unbind without parent write: got %v, want ErrDenied", err)
 	}
 	if err := f.srv.SetACLUnchecked("/svc/fs", acl.New(acl.Allow("alice", acl.Write|acl.List))); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Unbind(alice, f.bot, "/svc/fs/read"); err != nil {
+	if _, err := f.srv.Apply(alice, f.bot, Unbind("/svc/fs/read")); err != nil {
 		t.Fatalf("authorized unbind: %v", err)
 	}
 	if _, err := f.srv.ResolveUnchecked("/svc/fs/read"); !errors.Is(err, ErrNotFound) {
@@ -376,7 +376,7 @@ func TestACLOps(t *testing.T) {
 		t.Errorf("GetACL = %v", got)
 	}
 	// SetACL requires administrate.
-	if err := f.srv.SetACL(alice, f.bot, "/svc/fs/read", acl.New()); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(alice, f.bot, SetACL("/svc/fs/read", acl.New())); !errors.Is(err, ErrDenied) {
 		t.Errorf("SetACL without administrate: got %v, want ErrDenied", err)
 	}
 	if err := f.srv.SetACLUnchecked("/svc/fs/read",
@@ -384,7 +384,7 @@ func TestACLOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	newACL := acl.New(acl.Allow("bob", acl.Execute))
-	if err := f.srv.SetACL(alice, f.bot, "/svc/fs/read", newACL); err != nil {
+	if _, err := f.srv.Apply(alice, f.bot, SetACL("/svc/fs/read", newACL)); err != nil {
 		t.Fatalf("SetACL authorized: %v", err)
 	}
 	back, _ := f.srv.ACLOf("/svc/fs/read")
@@ -406,7 +406,7 @@ func TestSetClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Relabel up from bot as a bot subject: allowed (write up).
-	if err := f.srv.SetClass(alice, f.bot, "/svc/fs/read", f.org); err != nil {
+	if _, err := f.srv.Apply(alice, f.bot, SetClass("/svc/fs/read", f.org)); err != nil {
 		t.Fatalf("relabel up: %v", err)
 	}
 	n, _ := f.srv.ResolveUnchecked("/svc/fs/read")
@@ -416,12 +416,12 @@ func TestSetClass(t *testing.T) {
 	// Now alice at bot cannot administrate an org node (MAC write ok --
 	// org dominates bot -- but administrate needs write which is fine;
 	// the relabel *down* must fail).
-	if err := f.srv.SetClass(alice, f.bot, "/svc/fs/read", f.bot); !errors.Is(err, ErrDenied) {
+	if _, err := f.srv.Apply(alice, f.bot, SetClass("/svc/fs/read", f.bot)); !errors.Is(err, ErrDenied) {
 		t.Errorf("relabel down: got %v, want ErrDenied", err)
 	}
 	// Foreign class rejected.
 	other, _ := lattice.NewWithUniverse([]string{"x"}, nil)
-	if err := f.srv.SetClass(alice, f.bot, "/svc/fs/read", other.MustClass("x")); err == nil {
+	if _, err := f.srv.Apply(alice, f.bot, SetClass("/svc/fs/read", other.MustClass("x"))); err == nil {
 		t.Error("foreign class relabel must fail")
 	}
 }
@@ -448,14 +448,14 @@ func TestWalkAndSize(t *testing.T) {
 func TestSetPayload(t *testing.T) {
 	f := newFixture(t)
 	f.mkTree(t)
-	if err := f.srv.SetPayload("/svc/fs/read", 42); err != nil {
+	if _, err := f.srv.Apply(nil, lattice.Class{}, SetPayload("/svc/fs/read", 42)); err != nil {
 		t.Fatal(err)
 	}
 	n, _ := f.srv.ResolveUnchecked("/svc/fs/read")
 	if n.Payload() != 42 {
 		t.Errorf("Payload = %v", n.Payload())
 	}
-	if err := f.srv.SetPayload("/nope", 1); !errors.Is(err, ErrNotFound) {
+	if _, err := f.srv.Apply(nil, lattice.Class{}, SetPayload("/nope", 1)); !errors.Is(err, ErrNotFound) {
 		t.Errorf("SetPayload missing: %v", err)
 	}
 }
@@ -509,7 +509,7 @@ func TestConcurrentAccess(t *testing.T) {
 				_, _ = f.srv.BindUnchecked("/svc", BindSpec{
 					Name: name, Kind: KindObject, Class: f.bot,
 				})
-				_ = f.srv.UnbindUnchecked("/svc/" + name)
+				_, _ = f.srv.Apply(nil, lattice.Class{}, Unbind("/svc/"+name))
 			}
 		}(i)
 	}

@@ -152,7 +152,7 @@ func TestSnapshotPinning(t *testing.T) {
 	if _, err := f.srv.BindUnchecked("/svc", BindSpec{Name: "new", Kind: KindFile, ACL: acl.New(), Class: f.bot}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Rename(f.root, f.bot, "/svc/fs", "/", "fs2"); err != nil {
+	if _, err := f.srv.Apply(f.root, f.bot, Rename("/svc/fs", "/", "fs2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -238,10 +238,10 @@ func TestRenameConcurrentReaders(t *testing.T) {
 			}
 			var err error
 			if at == "/a/b" {
-				err = f.srv.Rename(f.root, f.bot, "/a/b", "/z", "b")
+				_, err = f.srv.Apply(f.root, f.bot, Rename("/a/b", "/z", "b"))
 				at = "/z/b"
 			} else {
-				err = f.srv.Rename(f.root, f.bot, "/z/b", "/a", "b")
+				_, err = f.srv.Apply(f.root, f.bot, Rename("/z/b", "/a", "b"))
 				at = "/a/b"
 			}
 			if err != nil {
@@ -249,11 +249,11 @@ func TestRenameConcurrentReaders(t *testing.T) {
 				return
 			}
 			if i%16 == 0 {
-				if err := f.srv.Rename(f.root, f.bot, at, at, "self"); !errors.Is(err, ErrBadPath) {
+				if _, err := f.srv.Apply(f.root, f.bot, Rename(at, at, "self")); !errors.Is(err, ErrBadPath) {
 					t.Errorf("move-into-own-subtree: got %v, want ErrBadPath", err)
 					return
 				}
-				if err := f.srv.Rename(f.root, f.bot, "/", "/z", "root"); !errors.Is(err, ErrRoot) {
+				if _, err := f.srv.Apply(f.root, f.bot, Rename("/", "/z", "root")); !errors.Is(err, ErrRoot) {
 					t.Errorf("root rename: got %v, want ErrRoot", err)
 					return
 				}
@@ -371,7 +371,7 @@ func TestStressSnapshotConsistency(t *testing.T) {
 				t.Errorf("binder: %v", err)
 				return
 			}
-			if err := f.srv.UnbindUnchecked("/spare/tmp"); err != nil {
+			if _, err := f.srv.Apply(nil, lattice.Class{}, Unbind("/spare/tmp")); err != nil {
 				t.Errorf("binder unbind: %v", err)
 				return
 			}
@@ -388,7 +388,7 @@ func TestStressSnapshotConsistency(t *testing.T) {
 			if at == "/m2/sub" {
 				to, dst = "/m1", "/m1/sub"
 			}
-			if err := f.srv.Rename(f.root, f.bot, at, to, "sub"); err != nil {
+			if _, err := f.srv.Apply(f.root, f.bot, Rename(at, to, "sub")); err != nil {
 				t.Errorf("renamer: %v", err)
 				return
 			}

@@ -40,18 +40,18 @@ func newMirror(t testing.TB, primary *Server) *mirror {
 		if err != nil {
 			t.Fatalf("mirror principal %s: %v", pw.Name, err)
 		}
-		if _, err := reg.AddPrincipal(pw.Name, class); err != nil {
+		if _, err := reg.Apply(principal.AddPrincipal(pw.Name, class)); err != nil {
 			t.Fatalf("mirror principal %s: %v", pw.Name, err)
 		}
 	}
 	for _, gw := range wire.Groups {
-		if err := reg.AddGroup(gw.Name); err != nil {
+		if _, err := reg.Apply(principal.AddGroup(gw.Name)); err != nil {
 			t.Fatalf("mirror group %s: %v", gw.Name, err)
 		}
 	}
 	for _, gw := range wire.Groups {
 		for _, m := range gw.Members {
-			if err := reg.AddMember(gw.Name, strings.TrimPrefix(m, "@")); err != nil {
+			if _, err := reg.Apply(principal.AddMember(gw.Name, strings.TrimPrefix(m, "@"))); err != nil {
 				t.Fatalf("mirror member %s->%s: %v", m, gw.Name, err)
 			}
 		}
@@ -94,13 +94,13 @@ func (m *mirror) apply(t testing.TB, d *EpochDelta) error {
 		if err != nil {
 			return err
 		}
-		if _, err := m.reg.AddPrincipal(pw.Name, class); err != nil {
+		if _, err := m.reg.Apply(principal.AddPrincipal(pw.Name, class)); err != nil {
 			return err
 		}
 	}
 	for _, gw := range dd.Groups {
 		if !m.reg.Freeze().HasGroup(gw.Name) {
-			if err := m.reg.AddGroup(gw.Name); err != nil {
+			if _, err := m.reg.Apply(principal.AddGroup(gw.Name)); err != nil {
 				return err
 			}
 		}
@@ -118,14 +118,14 @@ func (m *mirror) apply(t testing.TB, d *EpochDelta) error {
 		}
 		for _, mem := range cur {
 			if !want[mem] {
-				if err := m.reg.RemoveMember(gw.Name, strings.TrimPrefix(mem, "@")); err != nil {
+				if _, err := m.reg.Apply(principal.RemoveMember(gw.Name, strings.TrimPrefix(mem, "@"))); err != nil {
 					return err
 				}
 			}
 		}
 		for _, mem := range gw.Members {
 			if !have[mem] {
-				if err := m.reg.AddMember(gw.Name, strings.TrimPrefix(mem, "@")); err != nil {
+				if _, err := m.reg.Apply(principal.AddMember(gw.Name, strings.TrimPrefix(mem, "@"))); err != nil {
 					return err
 				}
 			}
@@ -247,16 +247,16 @@ func wirePrimary(t *testing.T) (*fixture, *principal.Registry) {
 	f := newFixture(t)
 	f.mkTree(t)
 	reg := principal.NewRegistry(f.lat)
-	if _, err := reg.AddPrincipal("alice", f.org); err != nil {
+	if _, err := reg.Apply(principal.AddPrincipal("alice", f.org)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.AddPrincipal("bob", f.bot); err != nil {
+	if _, err := reg.Apply(principal.AddPrincipal("bob", f.bot)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddGroup("eng"); err != nil {
+	if _, err := reg.Apply(principal.AddGroup("eng")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("eng", "alice"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("eng", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.AttachRegistry(reg)
@@ -334,15 +334,15 @@ func TestWireDeltaSequence(t *testing.T) {
 		})
 		return err
 	})
-	step("delete", func() error { return f.srv.Unbind(f.root, f.org, "/svc/home/f1") })
+	step("delete", func() error { _, err := f.srv.Apply(f.root, f.org, Unbind("/svc/home/f1")); return err })
 	step("level define", func() error { _, err := f.lat.DefineLevel("ultra"); return err })
 	step("category define", func() error { _, err := f.lat.DefineCategory("dept-3"); return err })
 	step("principal add", func() error {
-		_, err := reg.AddPrincipal("carol", f.org)
+		_, err := reg.Apply(principal.AddPrincipal("carol", f.org))
 		return err
 	})
-	step("member add", func() error { return reg.AddMember("eng", "carol") })
-	step("member remove (revocation)", func() error { return reg.RemoveMember("eng", "alice") })
+	step("member add", func() error { _, err := reg.Apply(principal.AddMember("eng", "carol")); return err })
+	step("member remove (revocation)", func() error { _, err := reg.Apply(principal.RemoveMember("eng", "alice")); return err })
 	step("traversal toggle", func() error { f.srv.SetTraversalChecks(true); return nil })
 	step("class change", func() error {
 		ultra := f.lat.MustClass("ultra", "dept-3")
@@ -394,7 +394,7 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 				if len(bound) == 0 {
 					continue
 				}
-				err = fx.srv.Unbind(fx.root, fx.bot, bound[len(bound)-1])
+				_, err = fx.srv.Apply(fx.root, fx.bot, Unbind(bound[len(bound)-1]))
 				bound = bound[:len(bound)-1]
 			case 3: // append a lattice level
 				seq++
@@ -404,12 +404,12 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 				_, err = fx.lat.DefineCategory(fmt.Sprintf("cat%d", seq))
 			case 5: // add a principal
 				seq++
-				_, err = reg.AddPrincipal(fmt.Sprintf("p%d", seq), fx.bot)
+				_, err = reg.Apply(principal.AddPrincipal(fmt.Sprintf("p%d", seq), fx.bot))
 			case 6: // membership churn: add then remove exercise both
 				if i%2 == 0 {
-					err = reg.AddMember("eng", "bob")
+					_, err = reg.Apply(principal.AddMember("eng", "bob"))
 				} else {
-					err = reg.RemoveMember("eng", "bob")
+					_, err = reg.Apply(principal.RemoveMember("eng", "bob"))
 				}
 				if err != nil {
 					// Adding a present member / removing an absent one

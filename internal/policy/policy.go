@@ -39,7 +39,9 @@ import (
 	"secext/internal/acl"
 	"secext/internal/admission"
 	"secext/internal/core"
+	"secext/internal/lattice"
 	"secext/internal/names"
+	"secext/internal/principal"
 )
 
 // ErrSyntax reports a malformed policy text.
@@ -279,33 +281,26 @@ func (p *Policy) Apply(sys *core.System) error {
 			return fmt.Errorf("policy: %w", err)
 		}
 	}
+	// Every registry declaration lands in one Registry.Apply: one freeze
+	// and one epoch publication for the whole document. Membership edges
+	// apply in document order; a cycle is a property of the edge set, so
+	// any order over an acyclic final graph is accepted.
+	edits := make([]principal.Edit, 0, len(p.Principals)+len(p.Groups)+len(p.Members))
 	for _, pr := range p.Principals {
-		if _, err := sys.AddPrincipal(pr.Name, pr.ClassLabel); err != nil {
+		class, err := lat.ParseClass(pr.ClassLabel)
+		if err != nil {
 			return fmt.Errorf("policy: principal %s: %w", pr.Name, err)
 		}
+		edits = append(edits, principal.AddPrincipal(pr.Name, class))
 	}
 	for _, g := range p.Groups {
-		if err := sys.Registry().AddGroup(g); err != nil {
-			return fmt.Errorf("policy: group %s: %w", g, err)
-		}
+		edits = append(edits, principal.AddGroup(g))
 	}
-	// Group membership lines by group so each group costs one freeze and
-	// one epoch publication instead of one per member. Insertion order
-	// within the final graph does not matter for cycle detection: a cycle
-	// is a property of the edge set, so any order over an acyclic-final
-	// graph is accepted.
-	memberOf := make(map[string][]string)
-	var memberOrder []string
 	for _, m := range p.Members {
-		if _, ok := memberOf[m.Group]; !ok {
-			memberOrder = append(memberOrder, m.Group)
-		}
-		memberOf[m.Group] = append(memberOf[m.Group], m.Member)
+		edits = append(edits, principal.AddMember(m.Group, m.Member))
 	}
-	for _, g := range memberOrder {
-		if _, err := sys.Registry().AddMembers(g, memberOf[g]...); err != nil {
-			return fmt.Errorf("policy: members of %s: %w", g, err)
-		}
+	if _, err := sys.Registry().Apply(edits...); err != nil {
+		return fmt.Errorf("policy: registry: %w", err)
 	}
 	for _, n := range p.Nodes {
 		spec := core.NodeSpec{Path: n.Path, Kind: n.Kind, Multilevel: n.Multilevel}
@@ -332,13 +327,13 @@ func (p *Policy) Apply(sys *core.System) error {
 		}
 		a.Add(d.Entry)
 	}
-	// Install every ACL in one batch: one name-tree freeze and one epoch
+	// Install every ACL in one Apply: one name-tree freeze and one epoch
 	// publication for the whole document instead of one per path.
-	edits := make([]names.ACLEdit, 0, len(order))
+	aclEdits := make([]names.Edit, 0, len(order))
 	for _, path := range order {
-		edits = append(edits, names.ACLEdit{Path: path, ACL: perPath[path]})
+		aclEdits = append(aclEdits, names.SetACL(path, perPath[path]))
 	}
-	if _, err := sys.Names().SetACLsUnchecked(edits); err != nil {
+	if _, err := sys.Names().Apply(nil, lattice.Class{}, aclEdits...); err != nil {
 		return fmt.Errorf("policy: acl: %w", err)
 	}
 	return nil

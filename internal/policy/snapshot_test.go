@@ -6,6 +6,7 @@ import (
 
 	"secext/internal/core"
 	"secext/internal/dispatch"
+	"secext/internal/principal"
 	"secext/internal/subject"
 )
 
@@ -110,14 +111,14 @@ func TestSnapshotNestedGroups(t *testing.T) {
 	}
 	reg := sys.Registry()
 	for _, g := range []string{"inner", "outer"} {
-		if err := reg.AddGroup(g); err != nil {
+		if _, err := reg.Apply(principal.AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := reg.AddMember("inner", "a"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("inner", "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("outer", "inner"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("outer", "inner")); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Snapshot(sys)

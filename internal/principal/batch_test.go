@@ -15,7 +15,7 @@ func TestAddPrincipalsBatch(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	c := lat.MustClass("others")
 	v0 := r.Version()
-	ps, err := r.AddPrincipals(c, "alice", "bob", "carol")
+	ps, err := addPrincipals(r, c, "alice", "bob", "carol")
 	if err != nil {
 		t.Fatalf("AddPrincipals: %v", err)
 	}
@@ -38,17 +38,17 @@ func TestAddPrincipalsBatch(t *testing.T) {
 		{"dave", "erin", "dave"}, // duplicate inside the batch
 		{"dave", "bad name"},     // invalid name
 	} {
-		if _, err := r.AddPrincipals(c, batch...); err == nil {
+		if _, err := addPrincipals(r, c, batch...); err == nil {
 			t.Errorf("batch %v: want error", batch)
 		}
 		if _, err := r.Principal("dave"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("batch %v: partial insert survived: %v", batch, err)
 		}
 	}
-	if err := r.AddGroup("staff"); err != nil {
+	if _, err := r.Apply(AddGroup("staff")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddPrincipals(c, "dave", "staff"); !errors.Is(err, ErrExists) {
+	if _, err := addPrincipals(r, c, "dave", "staff"); !errors.Is(err, ErrExists) {
 		t.Errorf("principal shadowing group: got %v", err)
 	}
 	if _, err := r.Principal("dave"); !errors.Is(err, ErrNotFound) {
@@ -59,19 +59,20 @@ func TestAddPrincipalsBatch(t *testing.T) {
 	}
 
 	// Empty batch is a no-op; a foreign-lattice class is rejected.
-	if ps, err := r.AddPrincipals(c); err != nil || ps != nil {
+	if ps, err := addPrincipals(r, c); err != nil || ps != nil {
 		t.Errorf("empty batch: %v %v", ps, err)
 	}
 	other, err := lattice.NewWithUniverse([]string{"lo", "hi"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddPrincipals(other.MustClass("lo"), "zed"); !errors.Is(err, ErrInvalidClass) {
+	if _, err := addPrincipals(r, other.MustClass("lo"), "zed"); !errors.Is(err, ErrInvalidClass) {
 		t.Errorf("foreign class: got %v", err)
 	}
 
 	// The next ID continues the dense sequence.
-	next, err := r.AddPrincipal("dave", c)
+	_, err = r.Apply(AddPrincipal("dave", c))
+	next, _ := r.Principal("dave")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAddPrincipalsBatch(t *testing.T) {
 // for the batch, all-or-nothing on collisions.
 func TestAddGroupsBatch(t *testing.T) {
 	r, lat := newTestRegistry(t)
-	if _, err := r.AddPrincipal("alice", lat.MustClass("others")); err != nil {
+	if _, err := r.Apply(AddPrincipal("alice", lat.MustClass("others"))); err != nil {
 		t.Fatal(err)
 	}
 	full0 := r.FreezeCounts().Full
@@ -120,7 +121,7 @@ func TestAddGroupsBatch(t *testing.T) {
 func TestAddMembershipsBulk(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	c := lat.MustClass("others")
-	if _, err := r.AddPrincipals(c, "alice", "bob", "carol", "dave"); err != nil {
+	if _, err := addPrincipals(r, c, "alice", "bob", "carol", "dave"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.AddGroups("staff", "admins", "everyone"); err != nil {
@@ -209,7 +210,7 @@ func TestBulkMatchesPerEntityRows(t *testing.T) {
 	for g := range gnames {
 		gnames[g] = gname(g)
 	}
-	if _, err := bulk.AddPrincipals(c, names...); err != nil {
+	if _, err := addPrincipals(bulk, c, names...); err != nil {
 		t.Fatal(err)
 	}
 	if err := bulk.AddGroups(gnames...); err != nil {
@@ -219,26 +220,26 @@ func TestBulkMatchesPerEntityRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range names {
-		if _, err := single.AddPrincipal(n, c); err != nil {
+		if _, err := single.Apply(AddPrincipal(n, c)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, g := range gnames {
-		if err := single.AddGroup(g); err != nil {
+		if _, err := single.Apply(AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < principals; i++ {
-		if err := single.AddMember(gname(i%groups), pname(i)); err != nil {
+		if _, err := single.Apply(AddMember(gname(i%groups), pname(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One small edit on top of the bulk registry exercises the
 	// dirty-principal walk after the edge walk populated the tables.
-	if err := bulk.AddMember(gname(0), pname(1)); err != nil {
+	if _, err := bulk.Apply(AddMember(gname(0), pname(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := single.AddMember(gname(0), pname(1)); err != nil {
+	if _, err := single.Apply(AddMember(gname(0), pname(1))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,4 +262,25 @@ func TestBulkMatchesPerEntityRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// addPrincipals registers names at class c in one Apply and returns the
+// new principals.
+func addPrincipals(r *Registry, c lattice.Class, names ...string) ([]*Principal, error) {
+	edits := make([]Edit, len(names))
+	for i, n := range names {
+		edits[i] = AddPrincipal(n, c)
+	}
+	if _, err := r.Apply(edits...); err != nil {
+		return nil, err
+	}
+	var out []*Principal
+	for _, n := range names {
+		p, err := r.Principal(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }

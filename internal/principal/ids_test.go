@@ -38,7 +38,8 @@ func TestPrincipalIDsDenseAndStable(t *testing.T) {
 
 	var ps []*Principal
 	for i := 0; i < 70; i++ {
-		p, err := reg.AddPrincipal(fmt.Sprintf("p%02d", i), pub)
+		_, err := reg.Apply(AddPrincipal(fmt.Sprintf("p%02d", i), pub))
+		p, _ := reg.Principal(fmt.Sprintf("p%02d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,10 +64,10 @@ func TestPrincipalIDsDenseAndStable(t *testing.T) {
 
 	// IDs must survive membership churn: the same frozen principal
 	// value (and so the same ID) is shared by later versions.
-	if err := reg.AddGroup("g"); err != nil {
+	if _, err := reg.Apply(AddGroup("g")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("g", "p42"); err != nil {
+	if _, err := reg.Apply(AddMember("g", "p42")); err != nil {
 		t.Fatal(err)
 	}
 	f2 := reg.Freeze()
@@ -99,29 +100,34 @@ func TestGroupMembersMatchesClosure(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op == 0 || len(principals) == 0:
 			name := fmt.Sprintf("p%d", len(principals))
-			if _, err := reg.AddPrincipal(name, pub); err != nil {
+			if _, err := reg.Apply(AddPrincipal(name, pub)); err != nil {
 				t.Fatal(err)
 			}
 			principals = append(principals, name)
 		case op == 1 || len(groups) == 0:
 			name := fmt.Sprintf("g%d", len(groups))
-			if err := reg.AddGroup(name); err != nil {
+			if _, err := reg.Apply(AddGroup(name)); err != nil {
 				t.Fatal(err)
 			}
 			groups = append(groups, name)
 		case op == 2 && len(groups) >= 2:
 			// Nested group edge; cycles are rejected, which is fine.
-			reg.AddMember(groups[rng.Intn(len(groups))], groups[rng.Intn(len(groups))])
+			reg.Apply(AddMember(groups[rng.Intn(len(groups))], groups[rng.Intn(len(groups))]))
 		case op <= 5:
-			reg.AddMember(groups[rng.Intn(len(groups))], principals[rng.Intn(len(principals))])
+			reg.Apply(AddMember(groups[rng.Intn(len(groups))], principals[rng.Intn(len(principals))]))
 		case op <= 7:
-			reg.RemoveMember(groups[rng.Intn(len(groups))], principals[rng.Intn(len(principals))])
+			reg.Apply(RemoveMember(groups[rng.Intn(len(groups))], principals[rng.Intn(len(principals))]))
 		case op == 8:
 			var batch []string
 			for i := 0; i < 3 && len(principals) > 0; i++ {
 				batch = append(batch, principals[rng.Intn(len(principals))])
 			}
-			reg.AddMembers(groups[rng.Intn(len(groups))], batch...)
+			g := groups[rng.Intn(len(groups))]
+			var edits []Edit
+			for _, m := range batch {
+				edits = append(edits, AddMember(g, m))
+			}
+			reg.Apply(edits...)
 		default:
 			reg.Touch()
 		}

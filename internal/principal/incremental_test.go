@@ -47,21 +47,21 @@ func TestIncrementalFreezeMatchesFullRebuild(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	bot, _ := lat.Bottom()
 	for i := 0; i < 6; i++ {
-		if _, err := r.AddPrincipal(fmt.Sprintf("p%d", i), bot); err != nil {
+		if _, err := r.Apply(AddPrincipal(fmt.Sprintf("p%d", i), bot)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, g := range []string{"g0", "g1", "g2"} {
-		if err := r.AddGroup(g); err != nil {
+		if _, err := r.Apply(AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Nest g0 ⊂ g1 ⊂ g2 so membership edits in g0 must propagate to the
 	// supersets through the retained reach-up sets.
-	if err := r.AddMember("g1", "g0"); err != nil {
+	if _, err := r.Apply(AddMember("g1", "g0")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("g2", "g1"); err != nil {
+	if _, err := r.Apply(AddMember("g2", "g1")); err != nil {
 		t.Fatal(err)
 	}
 	matrixEqual(t, r, "after structure")
@@ -70,18 +70,21 @@ func TestIncrementalFreezeMatchesFullRebuild(t *testing.T) {
 		name string
 		op   func() error
 	}{
-		{"add p0 to g0", func() error { return r.AddMember("g0", "p0") }},
-		{"add p1 to g1", func() error { return r.AddMember("g1", "p1") }},
-		{"add p2 to g2", func() error { return r.AddMember("g2", "p2") }},
-		{"remove p0 from g0", func() error { return r.RemoveMember("g0", "p0") }},
-		{"bulk add", func() error { _, err := r.AddMembers("g0", "p3", "p4", "p5"); return err }},
-		{"bulk remove", func() error { _, err := r.RemoveMembers("g0", "p3", "p4"); return err }},
-		{"new principal", func() error { _, err := r.AddPrincipal("late", bot); return err }},
-		{"late joins g2", func() error { return r.AddMember("g2", "late") }},
-		{"new group forces rebuild", func() error { return r.AddGroup("g3") }},
-		{"subgroup edge forces rebuild", func() error { return r.AddMember("g3", "g2") }},
-		{"edit after rebuild", func() error { return r.AddMember("g0", "p0") }},
-		{"remove subgroup edge", func() error { return r.RemoveMember("g3", "g2") }},
+		{"add p0 to g0", func() error { _, err := r.Apply(AddMember("g0", "p0")); return err }},
+		{"add p1 to g1", func() error { _, err := r.Apply(AddMember("g1", "p1")); return err }},
+		{"add p2 to g2", func() error { _, err := r.Apply(AddMember("g2", "p2")); return err }},
+		{"remove p0 from g0", func() error { _, err := r.Apply(RemoveMember("g0", "p0")); return err }},
+		{"bulk add", func() error {
+			_, err := r.Apply(AddMember("g0", "p3"), AddMember("g0", "p4"), AddMember("g0", "p5"))
+			return err
+		}},
+		{"bulk remove", func() error { _, err := r.Apply(RemoveMember("g0", "p3"), RemoveMember("g0", "p4")); return err }},
+		{"new principal", func() error { _, err := r.Apply(AddPrincipal("late", bot)); return err }},
+		{"late joins g2", func() error { _, err := r.Apply(AddMember("g2", "late")); return err }},
+		{"new group forces rebuild", func() error { _, err := r.Apply(AddGroup("g3")); return err }},
+		{"subgroup edge forces rebuild", func() error { _, err := r.Apply(AddMember("g3", "g2")); return err }},
+		{"edit after rebuild", func() error { _, err := r.Apply(AddMember("g0", "p0")); return err }},
+		{"remove subgroup edge", func() error { _, err := r.Apply(RemoveMember("g3", "g2")); return err }},
 	}
 	for _, s := range steps {
 		if err := s.op(); err != nil {
@@ -96,23 +99,23 @@ func TestIncrementalFreezeMatchesFullRebuild(t *testing.T) {
 func TestFreezeCountsClassifyMutations(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	bot, _ := lat.Bottom()
-	if _, err := r.AddPrincipal("alice", bot); err != nil {
+	if _, err := r.Apply(AddPrincipal("alice", bot)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddGroup("g"); err != nil {
+	if _, err := r.Apply(AddGroup("g")); err != nil {
 		t.Fatal(err)
 	}
 	base := r.FreezeCounts()
 
 	// Membership edits: incremental.
-	if err := r.AddMember("g", "alice"); err != nil {
+	if _, err := r.Apply(AddMember("g", "alice")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RemoveMember("g", "alice"); err != nil {
+	if _, err := r.Apply(RemoveMember("g", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	// New principal: incremental (one new empty row).
-	if _, err := r.AddPrincipal("bob", bot); err != nil {
+	if _, err := r.Apply(AddPrincipal("bob", bot)); err != nil {
 		t.Fatal(err)
 	}
 	st := r.FreezeCounts()
@@ -124,10 +127,10 @@ func TestFreezeCountsClassifyMutations(t *testing.T) {
 	}
 
 	// Structural change: full rebuild.
-	if err := r.AddGroup("h"); err != nil {
+	if _, err := r.Apply(AddGroup("h")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("h", "g"); err != nil {
+	if _, err := r.Apply(AddMember("h", "g")); err != nil {
 		t.Fatal(err)
 	}
 	st2 := r.FreezeCounts()
@@ -137,7 +140,7 @@ func TestFreezeCountsClassifyMutations(t *testing.T) {
 
 	// Incremental disabled: everything rebuilds.
 	r.SetIncrementalFreeze(false)
-	if err := r.AddMember("g", "bob"); err != nil {
+	if _, err := r.Apply(AddMember("g", "bob")); err != nil {
 		t.Fatal(err)
 	}
 	st3 := r.FreezeCounts()
@@ -154,16 +157,16 @@ func TestBulkMembershipAtomic(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	bot, _ := lat.Bottom()
 	for _, p := range []string{"a", "b", "c"} {
-		if _, err := r.AddPrincipal(p, bot); err != nil {
+		if _, err := r.Apply(AddPrincipal(p, bot)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.AddGroup("g"); err != nil {
+	if _, err := r.Apply(AddGroup("g")); err != nil {
 		t.Fatal(err)
 	}
 
 	v0 := r.Version()
-	v, err := r.AddMembers("g", "a", "b", "c")
+	v, err := r.Apply(AddMember("g", "a"), AddMember("g", "b"), AddMember("g", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,23 +182,23 @@ func TestBulkMembershipAtomic(t *testing.T) {
 	// Rollback: "ghost" is unknown, so a and the removal of b must both
 	// be undone.
 	v1 := r.Version()
-	if _, err := r.AddMembers("g", "a", "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Apply(AddMember("g", "a"), AddMember("g", "ghost")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("bulk add with unknown member: %v", err)
 	}
 	if r.Version() != v1 {
 		t.Fatalf("failed bulk add moved version %d -> %d", v1, r.Version())
 	}
-	if _, err := r.RemoveMembers("g", "b", "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Apply(RemoveMember("g", "b"), RemoveMember("g", "ghost")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("bulk remove with unknown member: %v", err)
 	}
 	if r.Version() != v1 || !r.Freeze().IsMember("b", "g") {
 		t.Fatal("failed bulk remove partially applied")
 	}
 	// Empty bulk ops are free.
-	if v, err := r.AddMembers("g"); err != nil || v != 0 {
+	if v, err := r.Apply(); err != nil || v != 0 {
 		t.Fatalf("empty bulk add: v=%d err=%v", v, err)
 	}
-	if v, err := r.RemoveMembers("g"); err != nil || v != 0 {
+	if v, err := r.Apply(); err != nil || v != 0 {
 		t.Fatalf("empty bulk remove: v=%d err=%v", v, err)
 	}
 	if r.Version() != v1 {
@@ -203,11 +206,11 @@ func TestBulkMembershipAtomic(t *testing.T) {
 	}
 
 	// Mixed principal/subgroup bulk op rolls back across kinds too.
-	if err := r.AddGroup("sub"); err != nil {
+	if _, err := r.Apply(AddGroup("sub")); err != nil {
 		t.Fatal(err)
 	}
 	v2 := r.Version()
-	if _, err := r.AddMembers("g", "sub", "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Apply(AddMember("g", "sub"), AddMember("g", "ghost")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("mixed bulk add: %v", err)
 	}
 	if r.Version() != v2 {
@@ -234,19 +237,19 @@ func TestIncrementalSharesUntouchedRows(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	bot, _ := lat.Bottom()
 	for _, p := range []string{"hot", "cold"} {
-		if _, err := r.AddPrincipal(p, bot); err != nil {
+		if _, err := r.Apply(AddPrincipal(p, bot)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.AddGroup("g"); err != nil {
+	if _, err := r.Apply(AddGroup("g")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("g", "cold"); err != nil {
+	if _, err := r.Apply(AddMember("g", "cold")); err != nil {
 		t.Fatal(err)
 	}
 
 	before := r.Freeze()
-	if err := r.AddMember("g", "hot"); err != nil {
+	if _, err := r.Apply(AddMember("g", "hot")); err != nil {
 		t.Fatal(err)
 	}
 	after := r.Freeze()

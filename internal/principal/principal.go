@@ -496,80 +496,6 @@ func validName(name string) error {
 	return nil
 }
 
-// AddPrincipal registers a new principal with the given default class.
-func (r *Registry) AddPrincipal(name string, class lattice.Class) (*Principal, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	if class.Lattice() != r.lat {
-		return nil, fmt.Errorf("%w: principal %q", ErrInvalidClass, name)
-	}
-	r.writeMu.Lock()
-	if _, dup := r.principals[name]; dup {
-		r.writeMu.Unlock()
-		return nil, fmt.Errorf("%w: principal %q", ErrExists, name)
-	}
-	if _, dup := r.groups[name]; dup {
-		r.writeMu.Unlock()
-		return nil, fmt.Errorf("%w: %q is a group", ErrExists, name)
-	}
-	p := &Principal{name: name, class: class, reg: r, id: len(r.principals)}
-	r.principals[name] = p
-	r.dirtyPrincipals[name] = true
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	wait()
-	return p, nil
-}
-
-// AddPrincipals registers several principals at one default class as
-// one published version: either every name registers or none does (the
-// published state is untouched on failure), the closure is refrozen
-// once, and one epoch carries the whole batch. Registering N principals
-// one at a time costs N freezes, each cloning membership tables that
-// already hold every earlier principal — quadratic in N; the batch pays
-// one. Bulk population (load harnesses, snapshot replay) should always
-// come through here.
-func (r *Registry) AddPrincipals(class lattice.Class, names ...string) ([]*Principal, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	if class.Lattice() != r.lat {
-		return nil, fmt.Errorf("%w: principals %q...", ErrInvalidClass, names[0])
-	}
-	for _, name := range names {
-		if err := validName(name); err != nil {
-			return nil, err
-		}
-	}
-	r.writeMu.Lock()
-	// Validate the whole batch before inserting anything, so failure
-	// needs no rollback and the builder tables never hold a half batch.
-	batch := make(map[string]bool, len(names))
-	for _, name := range names {
-		if _, dup := r.principals[name]; dup || batch[name] {
-			r.writeMu.Unlock()
-			return nil, fmt.Errorf("%w: principal %q", ErrExists, name)
-		}
-		if _, dup := r.groups[name]; dup {
-			r.writeMu.Unlock()
-			return nil, fmt.Errorf("%w: %q is a group", ErrExists, name)
-		}
-		batch[name] = true
-	}
-	out := make([]*Principal, len(names))
-	for i, name := range names {
-		p := &Principal{name: name, class: class, reg: r, id: len(r.principals)}
-		r.principals[name] = p
-		r.dirtyPrincipals[name] = true
-		out[i] = p
-	}
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	wait()
-	return out, nil
-}
-
 // Principal looks up a principal by name.
 func (r *Registry) Principal(name string) (*Principal, error) {
 	return r.frozen.Load().Principal(name)
@@ -580,285 +506,9 @@ func (r *Registry) Principals() []string {
 	return r.frozen.Load().Principals()
 }
 
-// AddGroup registers a new empty group. A new group shifts the frozen
-// bit indices, so it always forces a full freeze.
-func (r *Registry) AddGroup(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	r.writeMu.Lock()
-	if _, dup := r.groups[name]; dup {
-		r.writeMu.Unlock()
-		return fmt.Errorf("%w: group %q", ErrExists, name)
-	}
-	if _, dup := r.principals[name]; dup {
-		r.writeMu.Unlock()
-		return fmt.Errorf("%w: %q is a principal", ErrExists, name)
-	}
-	r.groups[name] = &group{
-		principals: make(map[string]bool),
-		subgroups:  make(map[string]bool),
-	}
-	r.dirtyAll = true
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	wait()
-	return nil
-}
-
-// AddGroups registers several new empty groups as one published
-// version, all-or-nothing. Every new group shifts the frozen bit
-// indices and forces a full closure rebuild, so registering N groups
-// one at a time pays N full freezes; the batch pays one.
-func (r *Registry) AddGroups(names ...string) error {
-	if len(names) == 0 {
-		return nil
-	}
-	for _, name := range names {
-		if err := validName(name); err != nil {
-			return err
-		}
-	}
-	r.writeMu.Lock()
-	batch := make(map[string]bool, len(names))
-	for _, name := range names {
-		if _, dup := r.groups[name]; dup || batch[name] {
-			r.writeMu.Unlock()
-			return fmt.Errorf("%w: group %q", ErrExists, name)
-		}
-		if _, dup := r.principals[name]; dup {
-			r.writeMu.Unlock()
-			return fmt.Errorf("%w: %q is a principal", ErrExists, name)
-		}
-		batch[name] = true
-	}
-	for _, name := range names {
-		r.groups[name] = &group{
-			principals: make(map[string]bool),
-			subgroups:  make(map[string]bool),
-		}
-	}
-	r.dirtyAll = true
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	wait()
-	return nil
-}
-
 // Groups returns all group names, sorted.
 func (r *Registry) Groups() []string {
 	return r.frozen.Load().Groups()
-}
-
-// AddMember adds a principal or a group (nested) to a group. Adding a
-// group member that would create a membership cycle fails with ErrCycle.
-func (r *Registry) AddMember(groupName, member string) error {
-	_, err := r.AddMemberAt(groupName, member)
-	return err
-}
-
-// AddMemberAt is AddMember returning the version of the policy epoch
-// (or, unattached, the registry version) the edit landed in: every
-// reader observing that version or later sees the membership.
-func (r *Registry) AddMemberAt(groupName, member string) (uint64, error) {
-	r.writeMu.Lock()
-	if _, err := r.addMemberLocked(groupName, member); err != nil {
-		r.writeMu.Unlock()
-		return 0, err
-	}
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	return wait(), nil
-}
-
-// RemoveMember removes a direct member (principal or group) from a group.
-func (r *Registry) RemoveMember(groupName, member string) error {
-	_, err := r.RemoveMemberAt(groupName, member)
-	return err
-}
-
-// RemoveMemberAt is RemoveMember returning the version of the policy
-// epoch (or, unattached, the registry version) the revocation landed
-// in: every decision computed against that version or later enforces
-// it. This is the revocation barrier callers pin audits to.
-func (r *Registry) RemoveMemberAt(groupName, member string) (uint64, error) {
-	r.writeMu.Lock()
-	if _, err := r.removeMemberLocked(groupName, member); err != nil {
-		r.writeMu.Unlock()
-		return 0, err
-	}
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	return wait(), nil
-}
-
-// AddMembers adds several members to one group as one published
-// version: all edits are applied atomically (on the first failure every
-// prior edit is rolled back and the published state is untouched), the
-// closure is refrozen once, and one epoch carries the whole batch — N
-// grants for one freeze instead of N. It returns the version the batch
-// landed in. An empty member list is a no-op returning 0.
-func (r *Registry) AddMembers(groupName string, members ...string) (uint64, error) {
-	if len(members) == 0 {
-		return 0, nil
-	}
-	r.writeMu.Lock()
-	inserted := make([]string, 0, len(members))
-	for _, m := range members {
-		ins, err := r.addMemberLocked(groupName, m)
-		if err != nil {
-			for _, u := range inserted {
-				// Roll back only true inserts; the over-marked dirty
-				// state recomputes to identical rows, so it is harmless.
-				r.removeMemberLocked(groupName, u)
-			}
-			r.writeMu.Unlock()
-			return 0, err
-		}
-		if ins {
-			inserted = append(inserted, m)
-		}
-	}
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	return wait(), nil
-}
-
-// AddMemberships applies membership grants across several groups as
-// one published version: grants maps each group name to the members
-// (principals or nested groups) to add to it. The whole map is applied
-// atomically — on the first failure every prior edit is rolled back and
-// the published state is untouched — the closure is refrozen once, and
-// one epoch carries every grant. This is the cross-group analogue of
-// AddMembers: populating G groups one AddMembers call at a time pays G
-// freezes, each cloning the full membership table; the bulk call pays
-// one. Groups are processed in sorted name order, so which grant an
-// error reports is deterministic. It returns the version the batch
-// landed in; an empty or all-empty map is a no-op returning 0.
-func (r *Registry) AddMemberships(grants map[string][]string) (uint64, error) {
-	gnames := make([]string, 0, len(grants))
-	total := 0
-	for g, ms := range grants {
-		if len(ms) == 0 {
-			continue
-		}
-		gnames = append(gnames, g)
-		total += len(ms)
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	sort.Strings(gnames)
-	type edit struct{ group, member string }
-	r.writeMu.Lock()
-	inserted := make([]edit, 0, total)
-	for _, gname := range gnames {
-		for _, m := range grants[gname] {
-			ins, err := r.addMemberLocked(gname, m)
-			if err != nil {
-				for _, u := range inserted {
-					r.removeMemberLocked(u.group, u.member)
-				}
-				r.writeMu.Unlock()
-				return 0, fmt.Errorf("group %q: %w", gname, err)
-			}
-			if ins {
-				inserted = append(inserted, edit{group: gname, member: m})
-			}
-		}
-	}
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	return wait(), nil
-}
-
-// RemoveMembers removes several direct members from one group as one
-// published version, with the same all-or-nothing and single-freeze
-// semantics as AddMembers. It returns the version the batch landed in;
-// an empty member list is a no-op returning 0.
-func (r *Registry) RemoveMembers(groupName string, members ...string) (uint64, error) {
-	if len(members) == 0 {
-		return 0, nil
-	}
-	r.writeMu.Lock()
-	type undo struct {
-		member string
-		sub    bool
-	}
-	removed := make([]undo, 0, len(members))
-	for _, m := range members {
-		sub, err := r.removeMemberLocked(groupName, m)
-		if err != nil {
-			g := r.groups[groupName]
-			for _, u := range removed {
-				if u.sub {
-					g.subgroups[u.member] = true
-				} else {
-					g.principals[u.member] = true
-					r.directMembers++
-				}
-			}
-			r.writeMu.Unlock()
-			return 0, err
-		}
-		removed = append(removed, undo{member: m, sub: sub})
-	}
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	return wait(), nil
-}
-
-// addMemberLocked applies one membership edit to the builder tables,
-// marking dirty state, and reports whether it inserted a new direct
-// member (false when already present). Caller holds writeMu.
-func (r *Registry) addMemberLocked(groupName, member string) (inserted bool, err error) {
-	g, ok := r.groups[groupName]
-	if !ok {
-		return false, fmt.Errorf("%w: group %q", ErrNotFound, groupName)
-	}
-	if _, isP := r.principals[member]; isP {
-		inserted = !g.principals[member]
-		if inserted {
-			r.directMembers++
-		}
-		g.principals[member] = true
-		r.dirtyGroups[groupName] = true
-		r.dirtyPrincipals[member] = true
-		return inserted, nil
-	}
-	if _, isG := r.groups[member]; isG {
-		if member == groupName || r.reachableLocked(member, groupName) {
-			return false, fmt.Errorf("%w: %q -> %q", ErrCycle, groupName, member)
-		}
-		inserted = !g.subgroups[member]
-		g.subgroups[member] = true
-		r.dirtyAll = true // subgroup edge: retained super sets are stale
-		return inserted, nil
-	}
-	return false, fmt.Errorf("%w: member %q", ErrNotFound, member)
-}
-
-// removeMemberLocked applies one membership removal to the builder
-// tables, marking dirty state, and reports whether the removed member
-// was a subgroup. Caller holds writeMu.
-func (r *Registry) removeMemberLocked(groupName, member string) (sub bool, err error) {
-	g, ok := r.groups[groupName]
-	if !ok {
-		return false, fmt.Errorf("%w: group %q", ErrNotFound, groupName)
-	}
-	if g.principals[member] {
-		delete(g.principals, member)
-		r.directMembers--
-		r.dirtyGroups[groupName] = true
-		r.dirtyPrincipals[member] = true
-		return false, nil
-	}
-	if g.subgroups[member] {
-		delete(g.subgroups, member)
-		r.dirtyAll = true // subgroup edge: retained super sets are stale
-		return true, nil
-	}
-	return false, fmt.Errorf("%w: member %q of %q", ErrNotFound, member, groupName)
 }
 
 // reachableLocked reports whether group "to" is reachable from group

@@ -23,7 +23,8 @@ func newTestRegistry(t *testing.T) (*Registry, *lattice.Lattice) {
 
 func TestAddAndLookupPrincipal(t *testing.T) {
 	r, lat := newTestRegistry(t)
-	alice, err := r.AddPrincipal("alice", lat.MustClass("local", "myself"))
+	_, err := r.Apply(AddPrincipal("alice", lat.MustClass("local", "myself")))
+	alice, _ := r.Principal("alice")
 	if err != nil {
 		t.Fatalf("AddPrincipal: %v", err)
 	}
@@ -45,29 +46,29 @@ func TestAddAndLookupPrincipal(t *testing.T) {
 func TestDuplicateAndBadNames(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	c := lat.MustClass("others")
-	if _, err := r.AddPrincipal("alice", c); err != nil {
+	if _, err := r.Apply(AddPrincipal("alice", c)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddPrincipal("alice", c); !errors.Is(err, ErrExists) {
+	if _, err := r.Apply(AddPrincipal("alice", c)); !errors.Is(err, ErrExists) {
 		t.Errorf("dup principal: got %v", err)
 	}
-	if err := r.AddGroup("alice"); !errors.Is(err, ErrExists) {
+	if _, err := r.Apply(AddGroup("alice")); !errors.Is(err, ErrExists) {
 		t.Errorf("group shadowing principal: got %v", err)
 	}
-	if err := r.AddGroup("staff"); err != nil {
+	if _, err := r.Apply(AddGroup("staff")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddGroup("staff"); !errors.Is(err, ErrExists) {
+	if _, err := r.Apply(AddGroup("staff")); !errors.Is(err, ErrExists) {
 		t.Errorf("dup group: got %v", err)
 	}
-	if _, err := r.AddPrincipal("staff", c); !errors.Is(err, ErrExists) {
+	if _, err := r.Apply(AddPrincipal("staff", c)); !errors.Is(err, ErrExists) {
 		t.Errorf("principal shadowing group: got %v", err)
 	}
 	for _, bad := range []string{"", "*", "a b", "a@b", "a;b", "a/b"} {
-		if _, err := r.AddPrincipal(bad, c); !errors.Is(err, ErrBadName) {
+		if _, err := r.Apply(AddPrincipal(bad, c)); !errors.Is(err, ErrBadName) {
 			t.Errorf("AddPrincipal(%q): got %v, want ErrBadName", bad, err)
 		}
-		if err := r.AddGroup(bad); !errors.Is(err, ErrBadName) {
+		if _, err := r.Apply(AddGroup(bad)); !errors.Is(err, ErrBadName) {
 			t.Errorf("AddGroup(%q): got %v, want ErrBadName", bad, err)
 		}
 	}
@@ -76,7 +77,7 @@ func TestDuplicateAndBadNames(t *testing.T) {
 func TestForeignLatticeClass(t *testing.T) {
 	r, _ := newTestRegistry(t)
 	other, _ := lattice.NewWithUniverse([]string{"x"}, nil)
-	if _, err := r.AddPrincipal("p", other.MustClass("x")); !errors.Is(err, ErrInvalidClass) {
+	if _, err := r.Apply(AddPrincipal("p", other.MustClass("x"))); !errors.Is(err, ErrInvalidClass) {
 		t.Errorf("got %v, want ErrInvalidClass", err)
 	}
 }
@@ -84,19 +85,20 @@ func TestForeignLatticeClass(t *testing.T) {
 func TestTransitiveMembership(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	c := lat.MustClass("organization", "dept-1")
-	alice, _ := r.AddPrincipal("alice", c)
-	must := func(err error) {
+	r.Apply(AddPrincipal("alice", c))
+	alice, _ := r.Principal("alice")
+	must := func(_ uint64, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(r.AddGroup("kernel-team"))
-	must(r.AddGroup("engineering"))
-	must(r.AddGroup("company"))
-	must(r.AddMember("kernel-team", "alice"))
-	must(r.AddMember("engineering", "kernel-team"))
-	must(r.AddMember("company", "engineering"))
+	must(r.Apply(AddGroup("kernel-team")))
+	must(r.Apply(AddGroup("engineering")))
+	must(r.Apply(AddGroup("company")))
+	must(r.Apply(AddMember("kernel-team", "alice")))
+	must(r.Apply(AddMember("engineering", "kernel-team")))
+	must(r.Apply(AddMember("company", "engineering")))
 
 	for _, g := range []string{"kernel-team", "engineering", "company"} {
 		if !alice.MemberOf(g) {
@@ -111,7 +113,7 @@ func TestTransitiveMembership(t *testing.T) {
 		t.Errorf("Groups = %v", groups)
 	}
 
-	must(r.RemoveMember("engineering", "kernel-team"))
+	must(r.Apply(RemoveMember("engineering", "kernel-team")))
 	if alice.MemberOf("company") {
 		t.Error("removing the chain link must break transitive membership")
 	}
@@ -123,48 +125,48 @@ func TestTransitiveMembership(t *testing.T) {
 func TestCycleRejection(t *testing.T) {
 	r, _ := newTestRegistry(t)
 	for _, g := range []string{"a", "b", "c"} {
-		if err := r.AddGroup(g); err != nil {
+		if _, err := r.Apply(AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.AddMember("a", "b"); err != nil {
+	if _, err := r.Apply(AddMember("a", "b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("b", "c"); err != nil {
+	if _, err := r.Apply(AddMember("b", "c")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("c", "a"); !errors.Is(err, ErrCycle) {
+	if _, err := r.Apply(AddMember("c", "a")); !errors.Is(err, ErrCycle) {
 		t.Errorf("3-cycle: got %v, want ErrCycle", err)
 	}
-	if err := r.AddMember("a", "a"); !errors.Is(err, ErrCycle) {
+	if _, err := r.Apply(AddMember("a", "a")); !errors.Is(err, ErrCycle) {
 		t.Errorf("self-cycle: got %v, want ErrCycle", err)
 	}
 }
 
 func TestMembershipErrors(t *testing.T) {
 	r, lat := newTestRegistry(t)
-	if err := r.AddMember("nope", "x"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Apply(AddMember("nope", "x")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("AddMember to missing group: %v", err)
 	}
-	if err := r.AddGroup("g"); err != nil {
+	if _, err := r.Apply(AddGroup("g")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("g", "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Apply(AddMember("g", "ghost")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("AddMember of unknown member: %v", err)
 	}
-	if err := r.RemoveMember("g", "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Apply(RemoveMember("g", "ghost")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("RemoveMember of non-member: %v", err)
 	}
-	if err := r.RemoveMember("nope", "x"); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Apply(RemoveMember("nope", "x")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("RemoveMember from missing group: %v", err)
 	}
 	if _, err := r.Members("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Members of missing group: %v", err)
 	}
-	if _, err := r.AddPrincipal("p", lat.MustClass("others")); err != nil {
+	if _, err := r.Apply(AddPrincipal("p", lat.MustClass("others"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("g", "p"); err != nil {
+	if _, err := r.Apply(AddMember("g", "p")); err != nil {
 		t.Fatal(err)
 	}
 	ms, err := r.Members("g")
@@ -175,18 +177,18 @@ func TestMembershipErrors(t *testing.T) {
 
 func TestMembersListsGroupsWithPrefix(t *testing.T) {
 	r, lat := newTestRegistry(t)
-	if _, err := r.AddPrincipal("bob", lat.MustClass("others")); err != nil {
+	if _, err := r.Apply(AddPrincipal("bob", lat.MustClass("others"))); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []string{"inner", "outer"} {
-		if err := r.AddGroup(g); err != nil {
+		if _, err := r.Apply(AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.AddMember("outer", "bob"); err != nil {
+	if _, err := r.Apply(AddMember("outer", "bob")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("outer", "inner"); err != nil {
+	if _, err := r.Apply(AddMember("outer", "inner")); err != nil {
 		t.Fatal(err)
 	}
 	ms, err := r.Members("outer")
@@ -200,7 +202,8 @@ func TestMembersListsGroupsWithPrefix(t *testing.T) {
 
 func TestTokens(t *testing.T) {
 	r, lat := newTestRegistry(t)
-	alice, _ := r.AddPrincipal("alice", lat.MustClass("local"))
+	r.Apply(AddPrincipal("alice", lat.MustClass("local")))
+	alice, _ := r.Principal("alice")
 	tok, err := r.IssueToken("alice")
 	if err != nil {
 		t.Fatalf("IssueToken: %v", err)
@@ -228,7 +231,7 @@ func TestTokens(t *testing.T) {
 	// Tokens from a different registry (different secret) fail.
 	r2, lat2 := NewRegistry(lat), lat
 	_ = lat2
-	if _, err := r2.AddPrincipal("alice", lat.MustClass("local")); err != nil {
+	if _, err := r2.Apply(AddPrincipal("alice", lat.MustClass("local"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r2.Authenticate(tok); !errors.Is(err, ErrBadToken) {
@@ -238,13 +241,13 @@ func TestTokens(t *testing.T) {
 
 func TestRegistryAccessors(t *testing.T) {
 	r, lat := newTestRegistry(t)
-	if _, err := r.AddPrincipal("zed", lat.MustClass("others")); err != nil {
+	if _, err := r.Apply(AddPrincipal("zed", lat.MustClass("others"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddPrincipal("amy", lat.MustClass("others")); err != nil {
+	if _, err := r.Apply(AddPrincipal("amy", lat.MustClass("others"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddGroup("g1"); err != nil {
+	if _, err := r.Apply(AddGroup("g1")); err != nil {
 		t.Fatal(err)
 	}
 	ps := r.Principals()
@@ -266,11 +269,12 @@ func TestRegistryAccessors(t *testing.T) {
 
 func TestConcurrentMembership(t *testing.T) {
 	r, lat := newTestRegistry(t)
-	alice, _ := r.AddPrincipal("alice", lat.MustClass("others"))
-	if err := r.AddGroup("g0"); err != nil {
+	r.Apply(AddPrincipal("alice", lat.MustClass("others")))
+	alice, _ := r.Principal("alice")
+	if _, err := r.Apply(AddGroup("g0")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddMember("g0", "alice"); err != nil {
+	if _, err := r.Apply(AddMember("g0", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -289,11 +293,11 @@ func TestConcurrentMembership(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := "grp" + string(rune('a'+i))
-			if err := r.AddGroup(name); err != nil {
+			if _, err := r.Apply(AddGroup(name)); err != nil {
 				t.Errorf("AddGroup(%s): %v", name, err)
 				return
 			}
-			if err := r.AddMember(name, "alice"); err != nil {
+			if _, err := r.Apply(AddMember(name, "alice")); err != nil {
 				t.Errorf("AddMember: %v", err)
 			}
 		}(i)

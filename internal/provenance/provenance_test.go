@@ -77,19 +77,19 @@ func newWorld(t *testing.T) *world {
 
 	reg := principal.NewRegistry(lat)
 	for _, p := range []string{"root", "alice", "bob"} {
-		if _, err := reg.AddPrincipal(p, bot); err != nil {
+		if _, err := reg.Apply(principal.AddPrincipal(p, bot)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, g := range []string{"ops", "oncall"} {
-		if err := reg.AddGroup(g); err != nil {
+		if _, err := reg.Apply(principal.AddGroup(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := reg.AddMember("ops", "oncall"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("ops", "oncall")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("oncall", "alice"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("oncall", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	srv.AttachRegistry(reg)

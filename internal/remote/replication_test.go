@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"secext"
+	"secext/internal/lattice"
+	"secext/internal/names"
 	"secext/internal/replica"
 )
 
@@ -219,8 +221,7 @@ func TestBarrierAndReplicasCommands(t *testing.T) {
 		t.Errorf("REPLICAS peer line = %q", line)
 	}
 	// A barrier raised over the wire waits for the live replica too.
-	nv, err := w.Sys.Names().SetACLUncheckedAt("/fs",
-		secext.NewACL(secext.AllowEveryone(secext.List|secext.Write)))
+	nv, err := w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs", secext.NewACL(secext.AllowEveryone(secext.List|secext.Write))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,9 @@ type Peer struct {
 	// snapshot already contains them).
 	base uint64
 	// ch carries encoded deltas to the connection's writer goroutine.
-	// Only the publisher's fan-out goroutine sends and closes; a close
-	// means the peer was dropped (overflow or publisher shutdown).
+	// Only the publisher's fan-out goroutine sends and closes — on drop
+	// and when it exits — so no send can race a close; a close means the
+	// peer was dropped (overflow or publisher shutdown).
 	ch chan Msg
 
 	acked         atomic.Uint64
@@ -76,6 +77,10 @@ type Publisher struct {
 	seq    int
 	closed bool
 
+	// done is closed when the fan-out goroutine has exited, after it
+	// closed every remaining peer's stream.
+	done chan struct{}
+
 	snapshots       atomic.Uint64
 	snapshotsGz     atomic.Uint64
 	deltas          atomic.Uint64
@@ -91,7 +96,7 @@ type Publisher struct {
 // only appends to the queue (it runs under the name server's writer
 // mutex); diffing and encoding happen on the publisher's goroutine.
 func NewPublisher(sys *core.System) *Publisher {
-	p := &Publisher{sys: sys, peers: make(map[string]*Peer)}
+	p := &Publisher{sys: sys, peers: make(map[string]*Peer), done: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
 	sys.Names().SetTransitionHook(func(prev, next *names.Epoch) {
 		p.mu.Lock()
@@ -106,22 +111,17 @@ func NewPublisher(sys *core.System) *Publisher {
 }
 
 // Close detaches the publisher from the name server and drops every
-// peer. Queued transitions are discarded.
+// peer: it stops the fan-out goroutine, which closes each peer's stream
+// on its way out, and returns once it has. Queued transitions are
+// discarded.
 func (p *Publisher) Close() {
 	p.sys.Names().SetTransitionHook(nil)
 	p.mu.Lock()
 	p.closed = true
 	p.queue = nil
-	peers := make([]*Peer, 0, len(p.peers))
-	for _, peer := range p.peers {
-		peers = append(peers, peer)
-	}
-	p.peers = make(map[string]*Peer)
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	for _, peer := range peers {
-		close(peer.ch)
-	}
+	<-p.done
 }
 
 // Subscribe registers a new peer and returns it together with the
@@ -226,15 +226,21 @@ func (p *Publisher) drop(peer *Peer) {
 
 // run is the fan-out goroutine: pop transitions in publication order,
 // derive and encode the delta once, deliver to every peer that needs
-// it.
+// it. On Close it closes every remaining peer's stream and exits.
 func (p *Publisher) run() {
+	defer close(p.done)
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
 			p.cond.Wait()
 		}
 		if p.closed {
+			peers := p.peers
+			p.peers = make(map[string]*Peer)
 			p.mu.Unlock()
+			for _, peer := range peers {
+				close(peer.ch)
+			}
 			return
 		}
 		t := p.queue[0]

@@ -14,6 +14,7 @@ import (
 	"secext/internal/core"
 	"secext/internal/monitor"
 	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/telemetry"
 )
 
@@ -188,26 +189,28 @@ func (r *Replica) bootstrap(env *SnapshotEnvelope) error {
 	if err := sys.Registry().SetTokenSecret(secret); err != nil {
 		return err
 	}
-	// Principals arrive in dense-ID order; replaying them in sequence
-	// assigns identical local IDs, so the compiled bitsets the replica
-	// builds index identically to the primary's.
+	// One Registry.Apply replays the whole registry: principals first, in
+	// dense-ID order, so local IDs equal the primary's and the compiled
+	// bitsets the replica builds index identically; then groups, then
+	// memberships.
+	var edits []principal.Edit
 	for _, pw := range env.Epoch.Principals {
-		if _, err := sys.AddPrincipal(pw.Name, pw.Class); err != nil {
+		class, err := sys.Lattice().ParseClass(pw.Class)
+		if err != nil {
 			return fmt.Errorf("replica: replaying principal %s: %w", pw.Name, err)
 		}
+		edits = append(edits, principal.AddPrincipal(pw.Name, class))
 	}
-	reg := sys.Registry()
 	for _, gw := range env.Epoch.Groups {
-		if err := reg.AddGroup(gw.Name); err != nil {
-			return fmt.Errorf("replica: replaying group %s: %w", gw.Name, err)
-		}
+		edits = append(edits, principal.AddGroup(gw.Name))
 	}
 	for _, gw := range env.Epoch.Groups {
 		for _, m := range gw.Members {
-			if err := reg.AddMember(gw.Name, strings.TrimPrefix(m, "@")); err != nil {
-				return fmt.Errorf("replica: replaying membership %s -> %s: %w", m, gw.Name, err)
-			}
+			edits = append(edits, principal.AddMember(gw.Name, strings.TrimPrefix(m, "@")))
 		}
+	}
+	if _, err := sys.Registry().Apply(edits...); err != nil {
+		return fmt.Errorf("replica: replaying registry: %w", err)
 	}
 	stack, err := BuildStack(env.Epoch.Stack)
 	if err != nil {
@@ -286,22 +289,25 @@ func (r *Replica) applyDelta(d *names.EpochDelta) error {
 			return err
 		}
 	}
-	for _, pw := range d.Principals {
-		if _, err := sys.AddPrincipal(pw.Name, pw.Class); err != nil {
-			return err
-		}
-	}
+	// The registry part of the delta is one Registry.Apply, landing in
+	// one local epoch before the ack: new principals, new groups, then
+	// every removal before any grant, so a moved subgroup edge never
+	// trips the cycle check on a half-moved edge set.
 	reg := sys.Registry()
-	for _, gw := range d.Groups {
-		if !reg.Freeze().HasGroup(gw.Name) {
-			if err := reg.AddGroup(gw.Name); err != nil {
-				return err
-			}
-		}
-		cur, err := reg.Members(gw.Name)
+	var edits, grants []principal.Edit
+	for _, pw := range d.Principals {
+		class, err := sys.Lattice().ParseClass(pw.Class)
 		if err != nil {
 			return err
 		}
+		edits = append(edits, principal.AddPrincipal(pw.Name, class))
+	}
+	f := reg.Freeze()
+	for _, gw := range d.Groups {
+		if !f.HasGroup(gw.Name) {
+			edits = append(edits, principal.AddGroup(gw.Name))
+		}
+		cur, _ := f.Members(gw.Name) // nil for a group this delta adds
 		want := make(map[string]bool, len(gw.Members))
 		for _, m := range gw.Members {
 			want[m] = true
@@ -309,23 +315,18 @@ func (r *Replica) applyDelta(d *names.EpochDelta) error {
 		have := make(map[string]bool, len(cur))
 		for _, m := range cur {
 			have[m] = true
-		}
-		// Removals first: a delta that both revokes and grants must
-		// never pass through a state more permissive than either end.
-		for _, m := range cur {
 			if !want[m] {
-				if err := reg.RemoveMember(gw.Name, strings.TrimPrefix(m, "@")); err != nil {
-					return err
-				}
+				edits = append(edits, principal.RemoveMember(gw.Name, strings.TrimPrefix(m, "@")))
 			}
 		}
 		for _, m := range gw.Members {
 			if !have[m] {
-				if err := reg.AddMember(gw.Name, strings.TrimPrefix(m, "@")); err != nil {
-					return err
-				}
+				grants = append(grants, principal.AddMember(gw.Name, strings.TrimPrefix(m, "@")))
 			}
 		}
+	}
+	if _, err := reg.Apply(append(edits, grants...)...); err != nil {
+		return err
 	}
 	var stack *monitor.Stack
 	if d.Stack != nil {
@@ -447,8 +448,14 @@ func (r *Replica) System() *core.System { return r.sys }
 // AppliedVersion returns the last primary epoch version fully applied.
 func (r *Replica) AppliedVersion() uint64 { return r.applied.Load() }
 
-// Stale reports whether the fail-closed stack is currently installed.
-func (r *Replica) Stale() bool { return r.stale.Load() }
+// Stale reports whether the fail-closed stack is currently installed:
+// the published epoch's stack is the stale-replica guard alone. (The
+// watchdog raises its internal flag before that publication lands, so
+// the flag alone would report staleness a moment too early.)
+func (r *Replica) Stale() bool {
+	g := r.sys.Names().Current().Stack().Guards()
+	return len(g) == 1 && g[0] == staleGuard{}.Name()
+}
 
 // Err returns the stream error, nil while the stream is healthy.
 func (r *Replica) Err() error {

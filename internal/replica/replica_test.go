@@ -15,6 +15,9 @@ import (
 	"time"
 
 	"secext"
+	"secext/internal/lattice"
+	"secext/internal/names"
+	"secext/internal/principal"
 	"secext/internal/remote"
 	"secext/internal/replica"
 )
@@ -149,7 +152,7 @@ func TestReplicaBootstrapAndPropagation(t *testing.T) {
 
 	// Revoke on the primary: everyone loses read on /fs/f.
 	closed := secext.NewACL(secext.AllowEveryone(secext.List))
-	v, err := p.w.Sys.Names().SetACLUncheckedAt("/fs/f", closed)
+	v, err := p.w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", closed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,7 @@ func TestRevocationBarrier(t *testing.T) {
 	}
 
 	closed := secext.NewACL(secext.AllowEveryone(secext.List))
-	v, err := p.w.Sys.Names().SetACLUncheckedAt("/fs/f", closed)
+	v, err := p.w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", closed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +212,7 @@ func TestBarrierTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.pub.Remove(peer)
-	v, err := p.w.Sys.Names().SetACLUncheckedAt("/fs/f",
-		secext.NewACL(secext.AllowEveryone(secext.List)))
+	v, err := p.w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", secext.NewACL(secext.AllowEveryone(secext.List))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +239,7 @@ func TestDisconnectedPeerStopsGatingBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := p.w.Sys.Names().SetACLUncheckedAt("/fs/f",
-		secext.NewACL(secext.AllowEveryone(secext.List)))
+	v, err := p.w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", secext.NewACL(secext.AllowEveryone(secext.List))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +352,7 @@ func TestSubscribeRequiresAdministrate(t *testing.T) {
 func TestReplicaLagTelemetry(t *testing.T) {
 	p := startPrimary(t, 50*time.Millisecond)
 	r := p.connect(t, 10*time.Second)
-	v, err := p.w.Sys.Names().SetACLUncheckedAt("/fs/f",
-		secext.NewACL(secext.AllowEveryone(secext.Read)))
+	v, err := p.w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", secext.NewACL(secext.AllowEveryone(secext.Read))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,13 +446,13 @@ func TestReplicaAppliesRegistryAndLatticeDeltas(t *testing.T) {
 	if _, err := sys.AddPrincipal("carol", "ultra:{dept-3}"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Registry().AddGroup("ops"); err != nil {
+	if _, err := sys.Registry().Apply(principal.AddGroup("ops")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Registry().AddMember("ops", "carol"); err != nil {
+	if _, err := sys.Registry().Apply(principal.AddMember("ops", "carol")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Registry().AddMember("ops", "alice"); err != nil {
+	if _, err := sys.Registry().Apply(principal.AddMember("ops", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	v, err := sys.Registry().RemoveMemberAt("ops", "alice")

@@ -49,7 +49,7 @@ func New(sys *core.System, path, ifacePath string, jACL *acl.ACL, class lattice.
 	}); err != nil {
 		return nil, err
 	}
-	if err := sys.Names().SetPayload(path, data); err != nil {
+	if _, err := sys.Names().Apply(nil, lattice.Class{}, names.SetPayload(path, data)); err != nil {
 		return nil, err
 	}
 	bot, err := sys.Lattice().Bottom()

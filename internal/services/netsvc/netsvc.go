@@ -151,11 +151,11 @@ func (n *Net) Open(ctx *subject.Context, name string) error {
 		acl.AllowEveryone(acl.WriteAppend|acl.List),
 		acl.Allow(ctx.SubjectName(), acl.Read|acl.Delete),
 	)
-	_, err := n.sys.Bind(ctx, n.dir, names.BindSpec{
+	_, err := n.sys.Apply(ctx, names.Bind(n.dir, names.BindSpec{
 		Name: name, Kind: names.KindObject,
 		ACL: epACL, Class: ctx.Class(),
 		Payload: &endpoint{depth: n.depth},
-	})
+	}))
 	return err
 }
 
@@ -219,7 +219,8 @@ func (n *Net) Pending(ctx *subject.Context, name string) (int, error) {
 
 // Close removes the endpoint (delete on the node).
 func (n *Net) Close(ctx *subject.Context, name string) error {
-	return n.sys.Unbind(ctx, names.Join(n.dir, name))
+	_, err := n.sys.Apply(ctx, names.Unbind(names.Join(n.dir, name)))
+	return err
 }
 
 // Endpoints lists the endpoint names visible to ctx.

@@ -161,10 +161,10 @@ func (m *Manager) Spawn(ctx *subject.Context, name string) (*Thread, error) {
 		acl.Allow(ctx.SubjectName(), acl.Write|acl.Delete),
 		acl.AllowEveryone(acl.List|acl.Read),
 	)
-	_, err := m.sys.Bind(ctx, m.dir, names.BindSpec{
+	_, err := m.sys.Apply(ctx, names.Bind(m.dir, names.BindSpec{
 		Name: strconv.Itoa(id), Kind: names.KindObject,
 		ACL: nodeACL, Class: ctx.Class(), Payload: t,
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,8 @@ func (m *Manager) Kill(ctx *subject.Context, id int) error {
 	}
 	// Reap the node so the name space reflects liveness. The service
 	// acts as the trusted reaper here, not the caller.
-	return m.sys.Names().UnbindUnchecked(path)
+	_, err = m.sys.Names().Apply(nil, lattice.Class{}, names.Unbind(path))
+	return err
 }
 
 // List returns the IDs of the threads whose nodes are visible to ctx,

@@ -23,7 +23,8 @@ func newWorld(t *testing.T) (*lattice.Lattice, *principal.Registry) {
 
 func TestNewContext(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, err := reg.AddPrincipal("alice", lat.MustClass("local", "myself"))
+	_, err := reg.Apply(principal.AddPrincipal("alice", lat.MustClass("local", "myself")))
+	alice, _ := reg.Principal("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,12 @@ func TestNewContext(t *testing.T) {
 
 func TestMemberOfDelegates(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, _ := reg.AddPrincipal("alice", lat.MustClass("others"))
-	if err := reg.AddGroup("staff"); err != nil {
+	reg.Apply(principal.AddPrincipal("alice", lat.MustClass("others")))
+	alice, _ := reg.Principal("alice")
+	if _, err := reg.Apply(principal.AddGroup("staff")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddMember("staff", "alice"); err != nil {
+	if _, err := reg.Apply(principal.AddMember("staff", "alice")); err != nil {
 		t.Fatal(err)
 	}
 	ctx := MustNew(alice)
@@ -65,7 +67,8 @@ func TestMemberOfDelegates(t *testing.T) {
 
 func TestDeriveClampsWithStatic(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, _ := reg.AddPrincipal("alice", lat.MustClass("local", "myself", "dept-1"))
+	reg.Apply(principal.AddPrincipal("alice", lat.MustClass("local", "myself", "dept-1")))
+	alice, _ := reg.Principal("alice")
 	ctx := MustNew(alice)
 	static := lat.MustClass("organization", "dept-1", "dept-2")
 	child, err := ctx.Derive("/svc/x", static)
@@ -87,7 +90,8 @@ func TestDeriveClampsWithStatic(t *testing.T) {
 
 func TestDeriveDynamic(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, _ := reg.AddPrincipal("alice", lat.MustClass("organization", "dept-1"))
+	reg.Apply(principal.AddPrincipal("alice", lat.MustClass("organization", "dept-1")))
+	alice, _ := reg.Principal("alice")
 	ctx := MustNew(alice)
 	child, err := ctx.Derive("/svc/y", lattice.Class{})
 	if err != nil {
@@ -100,7 +104,8 @@ func TestDeriveDynamic(t *testing.T) {
 
 func TestDeriveForeignStatic(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, _ := reg.AddPrincipal("alice", lat.MustClass("others"))
+	reg.Apply(principal.AddPrincipal("alice", lat.MustClass("others")))
+	alice, _ := reg.Principal("alice")
 	ctx := MustNew(alice)
 	other, _ := lattice.NewWithUniverse([]string{"x"}, nil)
 	if _, err := ctx.Derive("/s", other.MustClass("x")); !errors.Is(err, ErrBadClamp) {
@@ -110,7 +115,8 @@ func TestDeriveForeignStatic(t *testing.T) {
 
 func TestDeriveDepthLimit(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, _ := reg.AddPrincipal("alice", lat.MustClass("others"))
+	reg.Apply(principal.AddPrincipal("alice", lat.MustClass("others")))
+	alice, _ := reg.Principal("alice")
 	ctx := MustNew(alice)
 	var err error
 	for i := 0; i < MaxDepth; i++ {
@@ -126,7 +132,8 @@ func TestDeriveDepthLimit(t *testing.T) {
 
 func TestClamp(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, _ := reg.AddPrincipal("alice", lat.MustClass("local", "myself", "dept-1"))
+	reg.Apply(principal.AddPrincipal("alice", lat.MustClass("local", "myself", "dept-1")))
+	alice, _ := reg.Principal("alice")
 	ctx := MustNew(alice)
 	clamped, err := ctx.Clamp(lat.MustClass("others"))
 	if err != nil {
@@ -145,7 +152,8 @@ func TestClamp(t *testing.T) {
 
 func TestChainAndString(t *testing.T) {
 	lat, reg := newWorld(t)
-	alice, _ := reg.AddPrincipal("alice", lat.MustClass("local"))
+	reg.Apply(principal.AddPrincipal("alice", lat.MustClass("local")))
+	alice, _ := reg.Principal("alice")
 	ctx := MustNew(alice)
 	c1, _ := ctx.Derive("/svc/a", lattice.Class{})
 	c2, _ := c1.Derive("/svc/b", lattice.Class{})

@@ -3,6 +3,8 @@ package secext
 import (
 	"strings"
 	"testing"
+
+	"secext/internal/principal"
 )
 
 func newTestWorld(t *testing.T) *World {
@@ -69,7 +71,7 @@ func TestWorldEndToEnd(t *testing.T) {
 	if _, err := w.Sys.AddPrincipal("root", "local:{myself,dept-1,dept-2,outside}"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Sys.Registry().AddMember("auditors", "root"); err != nil {
+	if _, err := w.Sys.Registry().Apply(principal.AddMember("auditors", "root")); err != nil {
 		t.Fatal(err)
 	}
 	rctx, _ := w.Sys.NewContext("root")

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"secext"
+	"secext/internal/names"
 )
 
 func TestIntegrationStory(t *testing.T) {
@@ -75,12 +76,12 @@ member developers dev2
 		t.Fatal(err)
 	}
 	// The admitted extensions need extend on the service.
-	if err := sys.SetACL(lowAdmin, "/svc/report", secext.NewACL(
+	if _, err := sys.Apply(lowAdmin, names.SetACL("/svc/report", secext.NewACL(
 		secext.AllowGroup("developers", secext.Execute),
 		secext.Allow("it-admin", secext.Execute|secext.Extend|secext.Administrate),
 		secext.Allow("corp-vendor", secext.Extend),
 		secext.Allow("wild-vendor", secext.Extend),
-	)); err != nil {
+	))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := adm.Admit("tools.corp.example", secext.Manifest{
@@ -129,12 +130,12 @@ member developers dev2
 
 	// --- Act 4: the admin revokes the wild vendor; Revalidate evicts
 	// its extension; dev2 falls back to the base service. ---
-	if err := sys.SetACL(lowAdmin, "/svc/report", secext.NewACL(
+	if _, err := sys.Apply(lowAdmin, names.SetACL("/svc/report", secext.NewACL(
 		secext.AllowGroup("developers", secext.Execute),
 		secext.Allow("it-admin", secext.Execute|secext.Extend|secext.Administrate),
 		secext.Allow("corp-vendor", secext.Extend),
 		secext.Deny("wild-vendor", secext.Extend),
-	)); err != nil {
+	))); err != nil {
 		t.Fatal(err)
 	}
 	dropped, err := sys.Loader().Revalidate()

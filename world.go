@@ -6,6 +6,7 @@ import (
 	"secext/internal/fsys"
 	"secext/internal/names"
 	"secext/internal/policy"
+	"secext/internal/principal"
 	"secext/internal/services/logsvc"
 	"secext/internal/services/mbuf"
 	"secext/internal/services/netsvc"
@@ -196,7 +197,7 @@ func NewWorld(opts WorldOptions) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Registry().AddGroup("auditors"); err != nil {
+	if _, err := sys.Registry().Apply(principal.AddGroup("auditors")); err != nil {
 		return nil, err
 	}
 
