@@ -50,6 +50,10 @@ BATCH_COVER_FLOOR := 85.0
 # its own floor so the package average cannot hide an untested edit
 # kind or failure branch.
 APPLY_COVER_FLOOR := 85.0
+# The copy-on-write path index is what every compiled resolve probes
+# and every incremental build clones shards of; its file keeps its own
+# floor for the same reason.
+PATHINDEX_COVER_FLOOR := 85.0
 # Compiled epochs are new read-path machinery: the freeze-time index
 # and the ACL-summary bitsets each keep a per-file floor for the same
 # reason.
@@ -91,6 +95,10 @@ cover:
 	echo "internal/names/apply.go coverage: $$apply% (floor $(APPLY_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$apply >= $(APPLY_COVER_FLOOR))}" || \
 		{ echo "Apply coverage below floor"; exit 1; }
+	@pathindex=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/pathindex\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
+	echo "internal/names/pathindex.go coverage: $$pathindex% (floor $(PATHINDEX_COVER_FLOOR)%)"; \
+	awk "BEGIN {exit !($$pathindex >= $(PATHINDEX_COVER_FLOOR))}" || \
+		{ echo "path-index coverage below floor"; exit 1; }
 	@compiled=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/compiled\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
 	echo "internal/names/compiled.go coverage: $$compiled% (floor $(COMPILED_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$compiled >= $(COMPILED_COVER_FLOOR))}" || \

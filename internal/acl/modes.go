@@ -114,7 +114,11 @@ func ParseMode(s string) (Mode, error) {
 		return AllModes, nil
 	}
 	var m Mode
-	for _, part := range strings.Split(s, ",") {
+	// Cut, not Split: a CHECK parses its modes on every request, and
+	// the loop should leave no garbage behind.
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		found := false
 		for i, name := range modeNames {
 			if part == name {

@@ -65,6 +65,18 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
+// ParseMode runs once per remote CHECK; it must not allocate on the
+// success path.
+func TestParseModeAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseMode("read,write,list"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ParseMode allocates %v times per call, want 0", n)
+	}
+}
+
 func TestModeHas(t *testing.T) {
 	m := Read | Execute
 	if !m.Has(Read) || !m.Has(Execute) || !m.Has(Read|Execute) {

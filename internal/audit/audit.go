@@ -151,13 +151,16 @@ type Stats struct {
 
 // Log is a bounded, concurrency-safe audit log.
 //
-// The hot path (Record) is lock-free: a writer claims a ring slot with
-// one atomic increment and publishes an immutable event with one atomic
-// pointer store, so concurrent mediated operations never serialize on
-// the log. Mutexes remain only where they cannot hurt the hot path:
-// sinkMu serializes the (rare) external sink writes — the line is
-// formatted before the lock is taken, so a slow sink never holds it
-// during formatting and never touches the ring — and snapMu serializes
+// The hot path (Record) allocates nothing: a writer claims a ring slot
+// with one atomic increment and copies its event into the slot under
+// that slot's own mutex, so concurrent mediated operations serialize
+// only when two of them land on the same slot (the ring wrapped between
+// their claims) or a snapshot is copying that one event. An event per
+// mediation on the heap would make the garbage collector's pace follow
+// the request rate. The other mutexes cannot hurt the hot path: sinkMu
+// serializes the (rare) external sink writes — the line is formatted
+// before the lock is taken, so a slow sink never holds it during
+// formatting and never touches the ring — and snapMu serializes
 // whole-ring snapshot reads (Recent).
 //
 // The zero Log is not usable; call NewLog. A nil *Log is a valid no-op
@@ -168,9 +171,8 @@ type Log struct {
 	seq     atomic.Uint64
 
 	// ring holds the most recent events. pos counts slots ever claimed;
-	// slot pos%len(ring) is overwritten by the claimant. Events are
-	// immutable once published.
-	ring []atomic.Pointer[Event]
+	// slot pos%len(ring) is overwritten by the claimant.
+	ring []ringSlot
 	pos  atomic.Uint64
 
 	// filter is applied before an event claims a slot or counts.
@@ -194,13 +196,28 @@ type Log struct {
 	}
 }
 
+// ringSlot is one retained event. Seq 0 marks a slot never written:
+// recorded events are numbered from 1.
+type ringSlot struct {
+	mu sync.Mutex
+	ev Event
+}
+
+// load returns the slot's event, if it holds one.
+func (r *ringSlot) load() (Event, bool) {
+	r.mu.Lock()
+	ev := r.ev
+	r.mu.Unlock()
+	return ev, ev.Seq != 0
+}
+
 // NewLog creates an enabled log retaining the most recent capacity
 // events (minimum 1).
 func NewLog(capacity int) *Log {
 	if capacity < 1 {
 		capacity = 1
 	}
-	l := &Log{ring: make([]atomic.Pointer[Event], capacity)}
+	l := &Log{ring: make([]ringSlot, capacity)}
 	l.enabled.Store(true)
 	return l
 }
@@ -251,11 +268,12 @@ func (l *Log) SetFilter(f func(Event) bool) {
 // external tickets — with the audit trail. The Seq and Time fields of
 // ev are assigned by Record.
 //
-// Record never blocks on another recorder: the filter runs lock-free,
-// the ring slot is claimed with one atomic increment, and the event is
-// published with one atomic store. Sink output is formatted first and
-// only then written under sinkMu, so a slow sink delays other writers
-// only if they too have sink output pending — never the ring.
+// Record blocks on another recorder only when both claimed the same
+// ring slot: the filter runs lock-free, the slot is claimed with one
+// atomic increment, and the event is copied in under the slot's mutex.
+// Sink output is formatted first and only then written under sinkMu, so
+// a slow sink delays other writers only if they too have sink output
+// pending — never the ring.
 func (l *Log) Record(ev Event) uint64 {
 	return l.record(ev, true)
 }
@@ -295,8 +313,10 @@ func (l *Log) record(ev Event, decision bool) uint64 {
 		l.stats.byKind[ev.Kind].Add(1)
 	}
 
-	slot := (l.pos.Add(1) - 1) % uint64(len(l.ring))
-	l.ring[slot].Store(&ev)
+	slot := &l.ring[(l.pos.Add(1)-1)%uint64(len(l.ring))]
+	slot.mu.Lock()
+	slot.ev = ev
+	slot.mu.Unlock()
 
 	if sinks := l.sinks.Load(); sinks != nil && len(*sinks) > 0 {
 		line := ev.String()
@@ -323,8 +343,8 @@ func (l *Log) Recent(n int) []Event {
 	defer l.snapMu.Unlock()
 	var ordered []Event
 	for i := range l.ring {
-		if e := l.ring[i].Load(); e != nil {
-			ordered = append(ordered, *e)
+		if e, ok := l.ring[i].load(); ok {
+			ordered = append(ordered, e)
 		}
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
@@ -394,7 +414,7 @@ func (l *Log) Count(q Query) int {
 	defer l.snapMu.Unlock()
 	n := 0
 	for i := range l.ring {
-		if e := l.ring[i].Load(); e != nil && q.match(*e) {
+		if e, ok := l.ring[i].load(); ok && q.match(e) {
 			n++
 		}
 	}

@@ -246,6 +246,49 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
+// Record copies the event into the ring: with no filter or sink it
+// leaves no garbage per mediation.
+func TestRecordAllocatesNothing(t *testing.T) {
+	l := NewLog(16)
+	e := ev(KindData, "alice", "/fs/x", true)
+	if n := testing.AllocsPerRun(100, func() { l.Record(e) }); n != 0 {
+		t.Errorf("Record allocates %v times per call, want 0", n)
+	}
+}
+
+// Snapshots taken while writers overwrite the ring see whole events in
+// sequence order.
+func TestConcurrentRecordAndSnapshot(t *testing.T) {
+	l := NewLog(8)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			who := string(rune('a' + i))
+			for j := 0; j < 500; j++ {
+				l.Record(ev(KindCall, who, "/"+who, j%2 == 0))
+			}
+		}(i)
+	}
+	for k := 0; k < 200; k++ {
+		got := l.Recent(0)
+		for i, e := range got {
+			if e.Path != "/"+e.Subject {
+				t.Fatalf("torn event %+v", e)
+			}
+			if i > 0 && got[i-1].Seq >= e.Seq {
+				t.Fatalf("snapshot out of order: %d then %d", got[i-1].Seq, e.Seq)
+			}
+		}
+		l.Count(Query{Subject: "a"})
+	}
+	wg.Wait()
+	if got := len(l.Recent(0)); got != 8 {
+		t.Errorf("ring retained %d, want 8", got)
+	}
+}
+
 func TestRecordBypassCountsSeparately(t *testing.T) {
 	l := NewLog(16)
 	l.Record(ev(KindCall, "alice", "/svc/x", true))

@@ -124,6 +124,51 @@ func TestNsFormatting(t *testing.T) {
 	}
 }
 
+// noiseRounds is how many interleaved off/on rounds the warm-path
+// noise tests take; each arm is judged by its best round.
+const noiseRounds = 5
+
+// warmCheck builds a telemetry world in mode and returns its warm
+// mediation loop, primed so the decision cache holds the verdict.
+func warmCheck(t *testing.T, mode telemetry.Mode) func(n int) {
+	t.Helper()
+	w, ctx, err := telWorld(mode, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.Sys.Names().Current().Compiled() {
+		t.Fatal("epoch not compiled; the shadow monitor is a no-op")
+	}
+	check := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	check(1)
+	return check
+}
+
+// bestInterleaved measures the off and on loops in alternation for
+// noiseRounds rounds and returns each one's fastest round. Alternating
+// spreads a burst of load from other test packages over both arms,
+// and the minimum discards the rounds it hit, so the comparison prices
+// the code, not the scheduler.
+func bestInterleaved(off, on func(n int)) (bestOff, bestOn float64) {
+	for r := 0; r < noiseRounds; r++ {
+		a, b := measure(defaultMinDur, off), measure(defaultMinDur, on)
+		if r == 0 || a < bestOff {
+			bestOff = a
+		}
+		if r == 0 || b < bestOn {
+			bestOn = b
+		}
+	}
+	return bestOff, bestOn
+}
+
 // TestE13DefaultWithinNoise asserts the tentpole cost claim: the
 // default telemetry configuration (metrics on, traces sampled 1/256)
 // stays close to telemetry-off on the warm mediation path. The bound is
@@ -135,24 +180,7 @@ func TestE13DefaultWithinNoise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiments skipped in -short mode")
 	}
-	warm := func(mode telemetry.Mode) float64 {
-		w, ctx, err := telWorld(mode, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check := func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}
-		check(1)
-		return measure(defaultMinDur, check)
-	}
-	off := warm(telemetry.ModeOff)
-	def := warm(telemetry.ModeSampled)
+	off, def := bestInterleaved(warmCheck(t, telemetry.ModeOff), warmCheck(t, telemetry.ModeSampled))
 	if def > 2*off {
 		t.Errorf("default telemetry warm path %.1fns vs off %.1fns: over 2x", def, off)
 	}
@@ -168,27 +196,7 @@ func TestE18SampledWithinNoise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiments skipped in -short mode")
 	}
-	warm := func(mode telemetry.Mode) float64 {
-		w, ctx, err := telWorld(mode, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !w.Sys.Names().Current().Compiled() {
-			t.Fatal("epoch not compiled; the shadow monitor is a no-op")
-		}
-		check := func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}
-		check(1)
-		return measure(defaultMinDur, check)
-	}
-	off := warm(telemetry.ModeOff)
-	def := warm(telemetry.ModeSampled)
+	off, def := bestInterleaved(warmCheck(t, telemetry.ModeOff), warmCheck(t, telemetry.ModeSampled))
 	if def > 2*off {
 		t.Errorf("sampled warm path %.1fns vs off %.1fns: shadow monitor broke the noise band", def, off)
 	}

@@ -203,6 +203,7 @@ func (s *Server) flush() {
 	case compileReused:
 		s.compReused.Add(1)
 	}
+	s.compSummaries.Add(uint64(cs.compiles))
 	if cs.kind == compileFull || cs.kind == compileIncremental {
 		s.compSummaryNs.Observe(time.Duration(cs.sumNs))
 		s.compVisNs.Observe(time.Duration(cs.visNs))

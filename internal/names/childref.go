@@ -1,6 +1,9 @@
 package names
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // Compact structure-sharing child layout.
 //
@@ -55,6 +58,41 @@ func (n *Node) child(name string) *Node {
 		return n.children[i].node
 	}
 	return nil
+}
+
+// pairChildren matches two sorted child lists in one merge pass —
+// O(len(prev)+len(next)) with no per-sibling search — calling fn(o, n)
+// once per name: o is nil for a name only in next, n is nil for a name
+// only in prev. A successor's spine level usually shares all but one
+// child pointer with its parent's, and equal pointers pair without a
+// name comparison.
+func pairChildren(prev, next []childRef, fn func(o, n *Node)) {
+	i, j := 0, 0
+	for i < len(prev) && j < len(next) {
+		o, n := prev[i].node, next[j].node
+		c := 0
+		if o != n {
+			c = strings.Compare(prev[i].name(), next[j].name())
+		}
+		switch {
+		case c < 0:
+			fn(o, nil)
+			i++
+		case c > 0:
+			fn(nil, n)
+			j++
+		default:
+			fn(o, n)
+			i++
+			j++
+		}
+	}
+	for ; i < len(prev); i++ {
+		fn(prev[i].node, nil)
+	}
+	for ; j < len(next); j++ {
+		fn(nil, next[j].node)
+	}
 }
 
 // withChild returns a copy of kids with name bound to node — insert or

@@ -1,6 +1,7 @@
 package names
 
 import (
+	"maps"
 	"sync"
 	"time"
 	"unsafe"
@@ -19,9 +20,10 @@ import (
 // at read time. This file compiles three read-side structures into
 // every published epoch (when a registry is attached):
 //
-//   - a flat path→entry hash index over the whole tree, so resolution
-//     is one map probe instead of a per-component spine walk;
-//   - per-node effective-ACL summaries (allow/deny bitsets over dense
+//   - a path→entry hash index over the whole tree (sharded for
+//     copy-on-write, see pathindex.go), so resolution is one hash and
+//     one map probe instead of a per-component spine walk;
+//   - per-ACL effective summaries (allow/deny bitsets over dense
 //     principal IDs, group entries flattened through the frozen
 //     registry's transitive-membership bitsets) plus a per-node
 //     traversal-visibility chain (the AND of every strict ancestor's
@@ -41,24 +43,29 @@ import (
 // fuzz (FuzzEpochTransitions) and the guard-level equivalence tests
 // exist to rule out.
 //
-// Builds are incremental: the successor epoch starts from the parent's
-// index (an O(entries) map clone of shared pointers), prunes every
-// subtree whose root pointer, visibility context, and summary validity
-// are unchanged, and recompiles only what moved. A registry transition
-// recompiles only registry-sensitive summaries (group entries or
-// unresolved names); summaries naming only resolved individuals stay
-// valid across registry versions because principal IDs are dense,
-// arrival-ordered, and never reused. A rename lands as a deletion of
-// the old paths plus a fresh compile of the relocated subtree (its
-// nodes and paths are all new), which is the "targeted re-keying" the
-// incremental contract promises.
+// Builds are incremental and pay for what changed. A build starts from
+// the parent's copy-on-write path index (pathindex.go) and clones only
+// the shards it writes; it prunes every subtree whose root pointer and
+// visibility context are unchanged, and recompiles only what moved.
+// Summaries are kept per distinct canonical ACL, not per node: an
+// ACL's slot holds its one summary (and, once an interior node needs
+// it, its effective List set), every entry using that ACL points at
+// the slot, and a build compiles each ACL at most once. A registry
+// transition recompiles only the registry-sensitive slots (group
+// entries or unresolved names) — O(distinct sensitive ACLs), not
+// O(sensitive nodes) — and shares the index and every entry with the
+// parent; summaries naming only resolved individuals stay valid across
+// registry versions because principal IDs are dense, arrival-ordered,
+// and never reused. A rename lands as a deletion of the old paths plus
+// a fresh compile of the relocated subtree (its nodes and paths are
+// all new), which is the "targeted re-keying" the incremental contract
+// promises.
 
-// centry is one compiled index entry: the node, its compiled ACL, and
-// the precomputed context of every traversal check strictly above it.
+// centry is one compiled index entry: the node, its ACL's summary
+// slot, and the precomputed context of every traversal check strictly
+// above it.
 type centry struct {
 	node *Node
-	// sum is the node's ACL compiled against the epoch's registry.
-	sum *acl.Summary
 	// effList is the node's effective List set over principal IDs (nil
 	// for leaves, which have no children to make visible). It is the
 	// input to the children's visibility chain.
@@ -74,16 +81,35 @@ type centry struct {
 	visAllow acl.IDSet
 	visClass lattice.Class
 	objIdx   int32
-	// sensIdx is this entry's slot in the compiled view's sens/sums
-	// pair when sum is registry-sensitive, -1 otherwise. Sensitive
-	// summaries are read through compiled.sumOf, never through sum
-	// directly: a registry-only transition republishes just the sums
-	// slice and shares the entry (and the whole index) wholesale, so
-	// sum holds the summary from the build that created the entry,
-	// which may be older than the epoch's.
-	sensIdx int32
-	visIdx  int32
-	hasVis  bool
+	// slot is the node's ACL's slot: the node is judged by
+	// compiled.sums[slot]. Entries never hold a summary themselves, so
+	// a registry-only transition republishes just the sums slice and
+	// shares every entry (and the whole index) wholesale.
+	slot   int32
+	visIdx int32
+	hasVis bool
+}
+
+// aclSlot is the per-ACL state a summary slot carries across builds.
+type aclSlot struct {
+	acl *acl.ACL // nil: a free slot
+	// refs counts the index entries judged by this slot; a build that
+	// drops it to zero frees the slot.
+	refs int32
+	// eff is the summary's effective List set over the view's ID space,
+	// computed the first time an interior node uses the slot (effOK).
+	// A registry transition that changes it falls back to the walk,
+	// because descendant visibility chains were built from it.
+	eff   acl.IDSet
+	effOK bool
+}
+
+// slotTable maps canonical ACLs to summary slots. It is immutable once
+// published; a build copies what it changes.
+type slotTable struct {
+	ids   map[*acl.ACL]int32
+	slots []aclSlot
+	free  []int32
 }
 
 // retainedMem caches the lazily computed retained-bytes accounting of
@@ -98,8 +124,12 @@ type retainedMem struct {
 // compiled is the read-side compilation of one epoch. It is immutable
 // after the flush that built it publishes.
 type compiled struct {
-	index map[string]*centry
-	dom   *lattice.Dominance
+	index *pathIndex
+	// sums holds each slot's summary compiled against this epoch's
+	// registry (nil for a free slot).
+	sums []*acl.Summary
+	tab  *slotTable
+	dom  *lattice.Dominance
 	// fast records whether the epoch's guard stack is exactly the
 	// default [dac, mac] pair, whose OpAccess/OpTraverse semantics the
 	// summaries and dominance table reproduce. Any other stack keeps
@@ -107,30 +137,24 @@ type compiled struct {
 	// through the walk.
 	fast bool
 	// n is the principal-ID space size the bitsets were materialized
-	// over; sensitive counts live registry-sensitive summaries.
-	n         int
-	sensitive int
-	// sens/sums hold the registry-sensitive entries and their CURRENT
-	// summaries: entry sens[i] (with sensIdx == i) is judged by
-	// sums[i]. A registry-only transition clones sums — O(sensitive) —
-	// and shares index, sens, and every entry with the parent view. A
-	// nil slot is dead: a later tree build replaced or deleted its
-	// entry. Slots are append-only (shared entries pin their indices),
-	// so dead slots accumulate under ACL churn on sensitive nodes;
-	// when they outnumber live ones the flush forces a full rebuild,
-	// which resets both slices.
-	sens []*centry
-	sums []*acl.Summary
-	dead int
-	ret  *retainedMem
+	// over.
+	n   int
+	ret *retainedMem
 }
 
-// sumOf resolves e's current summary in this compiled view.
-func (c *compiled) sumOf(e *centry) *acl.Summary {
-	if e.sensIdx >= 0 {
-		return c.sums[e.sensIdx]
+// sumOf resolves e's summary in this compiled view.
+func (c *compiled) sumOf(e *centry) *acl.Summary { return c.sums[e.slot] }
+
+// sensitiveEntries counts the index entries judged by a
+// registry-sensitive summary.
+func (c *compiled) sensitiveEntries() int {
+	n := 0
+	for i, s := range c.sums {
+		if s != nil && s.RegSensitive() {
+			n += int(c.tab.slots[i].refs)
+		}
 	}
-	return e.sum
+	return n
 }
 
 // compileKind classifies how a flush obtained its compiled view.
@@ -144,13 +168,15 @@ const (
 )
 
 // compileStats is the freeze-cost split one flush reports: total build
-// time, the share spent compiling ACL summaries, and the share spent
-// recomputing effective/visibility bitsets.
+// time, the share spent compiling ACL summaries, the share spent
+// recomputing effective/visibility bitsets, and how many summaries it
+// compiled.
 type compileStats struct {
-	kind    compileKind
-	totalNs int64
-	sumNs   int64
-	visNs   int64
+	kind     compileKind
+	totalNs  int64
+	sumNs    int64
+	visNs    int64
+	compiles int
 }
 
 // fastStack reports whether st is exactly the default [dac, mac]
@@ -172,38 +198,142 @@ type visCtx struct {
 	has   bool
 }
 
-// compileBuilder carries one build/patch pass over the tree.
+// compileBuilder carries one build over the tree.
 type compileBuilder struct {
-	st   *Epoch    // the staged successor epoch being compiled
-	prev *compiled // parent epoch's compiled view; nil = full build
-	// regInvalid marks that the registry moved in a way that can
-	// change verdicts of sensitive summaries (any sensitive summary
-	// exists, or the ID space grew): pointer-equality pruning is then
-	// unsound and every entry must be revisited. nChanged narrows it:
-	// materialized bitsets (effList, visAllow) cover a stale ID range
-	// and must be rebuilt even where summaries are reusable.
+	st *Epoch // the staged successor epoch being compiled
+	// regInvalid marks that pruning unchanged subtrees is unsound: the
+	// ID space grew (every materialized bitset covers a stale range) or
+	// a registry transition moved the effective List set of an ACL some
+	// interior node uses (descendant visibility chains are stale).
+	// Summaries themselves never need a visit: entries read them
+	// through the slots.
 	regInvalid bool
-	nChanged   bool
 	n          int
 	dom        *lattice.DominanceBuilder
-	index      map[string]*centry
-	sensitive  int
-	sens       []*centry
-	sums       []*acl.Summary
-	dead       int
-	sumNs      int64
-	visNs      int64
+	idx        *indexBuilder
 
-	// Freeze-time bitset dedup. With the server's ACL canonicalization
-	// most directories share a handful of distinct ACL pointers, so a
-	// single build would otherwise materialize the same effective-List
-	// bitset (O(principals/64) words EACH) thousands of times over a
-	// million-node tree. effCache memoizes EffectiveIDs per summary
-	// pointer (n is fixed within one build), and andCache memoizes the
-	// visibility-chain AND by the identity of its two operands, so
-	// equal chains collapse to one allocation.
-	effCache map[*acl.Summary]acl.IDSet
+	// sums and tab are copies of the parent's (O(distinct ACLs)); the
+	// ACL→slot map is copied on first write (ownIDs).
+	sums         []*acl.Summary
+	tab          slotTable
+	idsOwn       bool
+	zeroed       []int32 // slots whose refs reached zero
+	compiles     int
+	sumNs, visNs int64
+
+	// andCache memoizes the visibility-chain AND by the identity of its
+	// two operands, so equal chains collapse to one allocation.
 	andCache map[andKey]acl.IDSet
+}
+
+// newCompileBuilder starts a build of st over n principal IDs from the
+// parent's view (nil: from nothing).
+func newCompileBuilder(st *Epoch, prev *compiled, n int) *compileBuilder {
+	b := &compileBuilder{st: st, n: n}
+	if prev == nil {
+		b.tab.ids, b.idsOwn = make(map[*acl.ACL]int32), true
+		return b
+	}
+	b.sums = append([]*acl.Summary(nil), prev.sums...)
+	b.tab = slotTable{
+		ids:   prev.tab.ids,
+		slots: append([]aclSlot(nil), prev.tab.slots...),
+		free:  append([]int32(nil), prev.tab.free...),
+	}
+	return b
+}
+
+func (b *compileBuilder) ownIDs() {
+	if !b.idsOwn {
+		b.tab.ids = maps.Clone(b.tab.ids)
+		b.idsOwn = true
+	}
+}
+
+// compile compiles a against the successor's registry, timing the
+// summary-compile share.
+func (b *compileBuilder) compile(a *acl.ACL) *acl.Summary {
+	t0 := time.Now()
+	s := a.Compile(b.st.reg)
+	b.sumNs += time.Since(t0).Nanoseconds()
+	b.compiles++
+	return s
+}
+
+// slotOf returns a's slot, allocating it (and compiling a's summary,
+// the build's one compile of a) on first use.
+func (b *compileBuilder) slotOf(a *acl.ACL) int32 {
+	if i, ok := b.tab.ids[a]; ok {
+		return i
+	}
+	b.ownIDs()
+	var i int32
+	if k := len(b.tab.free); k > 0 {
+		i, b.tab.free = b.tab.free[k-1], b.tab.free[:k-1]
+	} else {
+		i = int32(len(b.tab.slots))
+		b.tab.slots = append(b.tab.slots, aclSlot{})
+		b.sums = append(b.sums, nil)
+	}
+	b.tab.slots[i] = aclSlot{acl: a}
+	b.sums[i] = b.compile(a)
+	b.tab.ids[a] = i
+	return i
+}
+
+// effOf returns slot i's effective List set, computing it on first use.
+func (b *compileBuilder) effOf(i int32) acl.IDSet {
+	if sl := &b.tab.slots[i]; sl.effOK {
+		return sl.eff
+	}
+	t0 := time.Now()
+	eff := b.sums[i].EffectiveIDs(acl.List, b.n)
+	b.visNs += time.Since(t0).Nanoseconds()
+	b.tab.slots[i].eff, b.tab.slots[i].effOK = eff, true
+	return eff
+}
+
+// recompileSensitive recompiles every registry-sensitive slot against
+// the successor's registry — the whole summary cost of a registry
+// transition. With an unchanged ID space it compares each recompiled
+// slot's effective List set (where an interior node computed one)
+// with the old value, and marks the build regInvalid if any moved.
+func (b *compileBuilder) recompileSensitive(nChanged bool) {
+	for i, s := range b.sums {
+		if s == nil || !s.RegSensitive() {
+			continue
+		}
+		b.sums[i] = b.compile(b.tab.slots[i].acl)
+		if sl := b.tab.slots[i]; sl.effOK && !nChanged {
+			t0 := time.Now()
+			eff := b.sums[i].EffectiveIDs(acl.List, b.n)
+			b.visNs += time.Since(t0).Nanoseconds()
+			if !eff.Equal(sl.eff) {
+				b.tab.slots[i].eff = eff
+				b.regInvalid = true
+			}
+		}
+	}
+}
+
+// put binds path to e in place of cur (nil: the path was unbound),
+// moving one reference between their slots.
+func (b *compileBuilder) put(path string, e, cur *centry) {
+	if cur == nil || cur.slot != e.slot {
+		b.tab.slots[e.slot].refs++
+		if cur != nil {
+			b.release(cur.slot)
+		}
+	}
+	b.idx.set(path, e)
+}
+
+// release drops one reference to slot i; build frees it if no entry
+// took it up again.
+func (b *compileBuilder) release(i int32) {
+	if b.tab.slots[i].refs--; b.tab.slots[i].refs == 0 {
+		b.zeroed = append(b.zeroed, i)
+	}
 }
 
 // andKey identifies an IDSet AND by its operands' identities (backing
@@ -236,18 +366,6 @@ func (b *compileBuilder) andSets(vis, eff acl.IDSet) acl.IDSet {
 	return v
 }
 
-// killSlot retires e's sens/sums slot when e is replaced or deleted.
-// The identity guard makes repeated kills (e.g. a stale-entry
-// overwrite followed by a subtree delete) idempotent.
-func (b *compileBuilder) killSlot(e *centry) {
-	if e.sensIdx >= 0 && b.sens[e.sensIdx] == e {
-		b.sens[e.sensIdx] = nil
-		b.sums[e.sensIdx] = nil
-		b.sensitive--
-		b.dead++
-	}
-}
-
 // walk compiles node (at node.path) given old, the node published at
 // the same path in the parent epoch (nil if the path is new), and the
 // traversal context accumulated above it. visChanged reports whether
@@ -255,116 +373,87 @@ func (b *compileBuilder) killSlot(e *centry) {
 func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 	if old == node && !visChanged && !b.regInvalid {
 		// The whole subtree is shared with the parent epoch and every
-		// compiled entry under it is still valid: the cloned index
-		// already carries them.
+		// compiled entry under it is still valid: the parent's index
+		// shards already carry them.
 		return
 	}
+	// Only this walk writes node.path, so the entry there is still the
+	// parent's; it describes old if old kept its path.
+	cur, _ := b.idx.get(node.path)
 	var oldE *centry
-	if b.prev != nil {
-		if e, ok := b.prev.index[node.path]; ok && e.node == old {
-			oldE = e
-		}
+	if cur != nil && old != nil && cur.node == old {
+		oldE = cur
 	}
-	if stale, ok := b.index[node.path]; ok {
-		b.killSlot(stale) // entry being replaced (or re-keyed over)
-	}
-
-	// ACL summary: reuse the parent's current summary when the node
-	// shares the ACL value and the registry transition cannot have
-	// changed its verdicts (non-sensitive summaries survive any
-	// transition — principal IDs are append-only).
-	sum := (*acl.Summary)(nil)
-	if oldE != nil && oldE.node.acl == node.acl && !(b.regInvalid && oldE.sum.RegSensitive()) {
-		sum = b.prev.sumOf(oldE)
-	}
-	if sum == nil {
-		t0 := time.Now()
-		sum = node.acl.Compile(b.st.reg)
-		b.sumNs += time.Since(t0).Nanoseconds()
-	}
+	slot := b.slotOf(node.acl)
 
 	// Effective List set (non-leaves only): the children's visibility
-	// input. Recompute when the summary changed or the ID space grew;
-	// if the recomputed set is equal to the parent's, adopt the old
-	// pointer so the children's pruning and sharing survive.
+	// input. If it equals the old entry's, adopt the old pointer so
+	// the children's pruning and sharing survive. The old node must
+	// have had children: a leaf's entry skipped the computation, and
+	// its nil is "not computed", not "nobody holds List".
 	var effList acl.IDSet
 	if len(node.children) > 0 {
-		// Reuse requires the old node to have had children: a leaf's
-		// entry skipped the computation, and its nil is "not computed",
-		// not "nobody holds List".
-		if oldE != nil && sum == b.prev.sumOf(oldE) && !b.nChanged && len(oldE.node.children) > 0 {
+		effList = b.effOf(slot)
+		if oldE != nil && len(oldE.node.children) > 0 && effList.Equal(oldE.effList) {
 			effList = oldE.effList
-		} else if cached, ok := b.effCache[sum]; ok {
-			effList = cached
-		} else {
-			t0 := time.Now()
-			effList = sum.EffectiveIDs(acl.List, b.n)
-			if oldE != nil && effList.Equal(oldE.effList) {
-				effList = oldE.effList
-			}
-			b.visNs += time.Since(t0).Nanoseconds()
-			if b.effCache == nil {
-				b.effCache = make(map[*acl.Summary]acl.IDSet, 16)
-			}
-			b.effCache[sum] = effList
 		}
 	}
 
-	e := &centry{
-		node:    node,
-		sum:     sum,
-		effList: effList,
-		objIdx:  int32(b.dom.Add(*node.class)),
-		sensIdx: -1,
-		visIdx:  -1,
-	}
-	if sum.RegSensitive() {
-		e.sensIdx = int32(len(b.sens))
-		b.sens = append(b.sens, e)
-		b.sums = append(b.sums, sum)
-		b.sensitive++
-	}
-	if vis.has {
-		e.hasVis = true
-		if !visChanged && oldE != nil && oldE.hasVis {
-			// Context unchanged: keep the parent's pointers so the
-			// chain stays shared across epochs.
-			e.visAllow, e.visClass, e.visIdx = oldE.visAllow, oldE.visClass, oldE.visIdx
-		} else {
-			e.visAllow, e.visClass = vis.allow, vis.cls
-			e.visIdx = int32(b.dom.Add(vis.cls))
+	// An entry identical to the parent's (same node, slot, List set and
+	// context — a subtree a regInvalid walk must visit but that did not
+	// move) is kept, so its index shard stays shared.
+	if oldE == nil || oldE.node != node || oldE.slot != slot || !sameIDSet(effList, oldE.effList) ||
+		visChanged || vis.has != oldE.hasVis {
+		e := &centry{
+			node:    node,
+			effList: effList,
+			objIdx:  int32(b.dom.Add(*node.class)),
+			slot:    slot,
+			visIdx:  -1,
 		}
-	}
-	b.index[node.path] = e
-
-	if len(node.children) > 0 {
-		var childVis visCtx
-		if !vis.has {
-			childVis = visCtx{allow: effList, cls: *node.class, has: true}
-		} else {
-			childVis = visCtx{allow: b.andSets(vis.allow, effList), cls: vis.cls.Join(*node.class), has: true}
-		}
-		// The children's context changes when this node's List set OR its
-		// class moved: both feed the chain (allow ∧ effList, cls ⊔ class),
-		// so a relabel must recompile descendant visibility even though
-		// the descendants' own nodes are shared with the parent epoch.
-		childChanged := visChanged || oldE == nil ||
-			!sameIDSet(effList, oldE.effList) || !node.class.Equal(*oldE.node.class)
-		for _, cr := range node.children {
-			var oldChild *Node
-			if old != nil {
-				oldChild = old.child(cr.name())
+		if vis.has {
+			e.hasVis = true
+			if !visChanged && oldE != nil && oldE.hasVis {
+				// Context unchanged: keep the parent's pointers so the
+				// chain stays shared across epochs.
+				e.visAllow, e.visClass, e.visIdx = oldE.visAllow, oldE.visClass, oldE.visIdx
+			} else {
+				e.visAllow, e.visClass = vis.allow, vis.cls
+				e.visIdx = int32(b.dom.Add(vis.cls))
 			}
-			b.walk(cr.node, oldChild, childVis, childChanged)
 		}
+		b.put(node.path, e, cur)
 	}
+
+	var kids []childRef
 	if old != nil {
-		for _, cr := range old.children {
-			if node.child(cr.name()) == nil {
-				b.deleteSubtree(cr.node)
-			}
-		}
+		kids = old.children
 	}
+	if len(node.children) == 0 {
+		for _, cr := range kids {
+			b.deleteSubtree(cr.node)
+		}
+		return
+	}
+	var childVis visCtx
+	if !vis.has {
+		childVis = visCtx{allow: effList, cls: *node.class, has: true}
+	} else {
+		childVis = visCtx{allow: b.andSets(vis.allow, effList), cls: vis.cls.Join(*node.class), has: true}
+	}
+	// The children's context changes when this node's List set OR its
+	// class moved: both feed the chain (allow ∧ effList, cls ⊔ class),
+	// so a relabel must recompile descendant visibility even though
+	// the descendants' own nodes are shared with the parent epoch.
+	childChanged := visChanged || oldE == nil ||
+		!sameIDSet(effList, oldE.effList) || !node.class.Equal(*oldE.node.class)
+	pairChildren(kids, node.children, func(o, n *Node) {
+		if n == nil {
+			b.deleteSubtree(o)
+			return
+		}
+		b.walk(n, o, childVis, childChanged)
+	})
 }
 
 // sameIDSet reports slice identity (same backing array and length) —
@@ -381,12 +470,40 @@ func sameIDSet(a, b acl.IDSet) bool {
 // longer bound at its old paths (unbind, or the detach side of a
 // rename — the re-key of the incremental contract).
 func (b *compileBuilder) deleteSubtree(n *Node) {
-	if e, ok := b.index[n.path]; ok && e.node == n {
-		b.killSlot(e)
-		delete(b.index, n.path)
+	if e, ok := b.idx.get(n.path); ok && e.node == n {
+		b.release(e.slot)
+		b.idx.del(n.path)
 	}
 	for _, cr := range n.children {
 		b.deleteSubtree(cr.node)
+	}
+}
+
+// build walks the successor's tree against old, the parent's (nil: a
+// full build), on top of prev's index and dominance table, frees the
+// slots no entry uses any more, and assembles the view.
+func (b *compileBuilder) build(old *Node, prev *compiled) *compiled {
+	var index *pathIndex
+	var dom *lattice.Dominance
+	if prev != nil {
+		index, dom = prev.index, prev.dom
+	}
+	b.idx, b.dom = newIndexBuilder(index), lattice.BuilderFrom(dom)
+	b.walk(b.st.root, old, visCtx{}, false)
+	for _, i := range b.zeroed {
+		if sl := b.tab.slots[i]; sl.refs == 0 && sl.acl != nil {
+			b.ownIDs()
+			delete(b.tab.ids, sl.acl)
+			b.tab.slots[i] = aclSlot{}
+			b.sums[i] = nil
+			b.tab.free = append(b.tab.free, i)
+		}
+	}
+	tab := b.tab
+	return &compiled{
+		index: b.idx.finish(), sums: b.sums, tab: &tab,
+		dom: b.dom.Build(), fast: fastStack(b.st.stack), n: b.n,
+		ret: &retainedMem{},
 	}
 }
 
@@ -398,136 +515,56 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	prevC := prev.compiled
 	n := st.reg.NumPrincipalIDs()
 	start := time.Now()
-
-	// Sensitive slots are append-only across incremental builds, so a
-	// long unbind-heavy history accumulates dead (nil) slots that every
-	// registry patch clone still pays for. Once the dead slots outnumber
-	// the live ones (plus slack), force a full rebuild to reset the
-	// slices.
-	if prevC != nil && prevC.dead > prevC.sensitive+64 {
-		prevC = nil
+	stats := func(kind compileKind, b *compileBuilder) compileStats {
+		return compileStats{
+			kind: kind, totalNs: time.Since(start).Nanoseconds(),
+			sumNs: b.sumNs, visNs: b.visNs, compiles: b.compiles,
+		}
 	}
 
-	if prevC != nil {
-		regChanged := st.reg != prev.reg
-		regInvalid := regChanged && (prevC.sensitive > 0 || n != prevC.n)
-		if st.root == prev.root && !regInvalid {
+	if prevC == nil {
+		b := newCompileBuilder(st, nil, n)
+		return b.build(nil, nil), stats(compileFull, b)
+	}
+
+	b := newCompileBuilder(st, prevC, n)
+	nChanged := n != prevC.n
+	if nChanged {
+		// Every materialized bitset covers the old ID range.
+		b.regInvalid = true
+		for i := range b.tab.slots {
+			b.tab.slots[i].eff, b.tab.slots[i].effOK = nil, false
+		}
+	}
+	if st.reg != prev.reg {
+		b.recompileSensitive(nChanged)
+	}
+	if st.root == prev.root && !b.regInvalid {
+		if b.compiles == 0 {
 			// Nothing the compiled structures depend on moved (a pure
 			// lattice/stack/traversal transition, or a registry
 			// transition no summary is sensitive to). Reuse wholesale;
 			// only the fast flag can differ, and it is the one scalar
 			// field, so a shallow copy suffices.
+			c := prevC
 			if fast := fastStack(st.stack); fast != prevC.fast {
-				c := *prevC
-				c.fast = fast
-				return &c, compileStats{kind: compileReused, totalNs: time.Since(start).Nanoseconds()}
+				cp := *prevC
+				cp.fast = fast
+				c = &cp
 			}
-			return prevC, compileStats{kind: compileReused, totalNs: time.Since(start).Nanoseconds()}
+			return c, stats(compileReused, b)
 		}
-		if st.root == prev.root && n == prevC.n {
-			// Pure registry transition over an unchanged tree with an
-			// unchanged ID space: only registry-sensitive summaries can
-			// have changed verdicts, so patch those entries instead of
-			// walking the tree. Bails (ok == false) when a sensitive
-			// interior node's effective-List set changed value, because
-			// then descendant visibility chains are stale too.
-			if c, cs, ok := patchRegistrySummaries(st, prevC, start); ok {
-				return c, cs
-			}
-		}
-		b := &compileBuilder{
-			st: st, prev: prevC,
-			regInvalid: regInvalid, nChanged: n != prevC.n, n: n,
-			dom:       lattice.BuilderFrom(prevC.dom),
-			index:     make(map[string]*centry, len(prevC.index)),
-			sensitive: prevC.sensitive,
-			sens:      append([]*centry(nil), prevC.sens...),
-			sums:      append([]*acl.Summary(nil), prevC.sums...),
-			dead:      prevC.dead,
-		}
-		// Start from the parent's entries (shared pointers; O(entries)
-		// map clone — the honest cost of the incremental path, see
-		// CompiledStats) and patch what moved.
-		for k, v := range prevC.index {
-			b.index[k] = v
-		}
-		b.walk(st.root, prev.root, visCtx{}, false)
+		// A registry transition over an unchanged tree that moved no
+		// List set: the recompiled sensitive summaries are the whole
+		// change, and the index, the entries and the slot table are
+		// shared with the parent.
 		c := &compiled{
-			index: b.index, dom: b.dom.Build(), fast: fastStack(st.stack),
-			n: n, sensitive: b.sensitive,
-			sens: b.sens, sums: b.sums, dead: b.dead,
-			ret: &retainedMem{},
+			index: prevC.index, sums: b.sums, tab: prevC.tab, dom: prevC.dom,
+			fast: fastStack(st.stack), n: n, ret: &retainedMem{},
 		}
-		return c, compileStats{
-			kind: compileIncremental, totalNs: time.Since(start).Nanoseconds(),
-			sumNs: b.sumNs, visNs: b.visNs,
-		}
+		return c, stats(compileIncremental, b)
 	}
-
-	b := &compileBuilder{
-		st: st, n: n,
-		dom:   lattice.NewDominanceBuilder(),
-		index: make(map[string]*centry, 64),
-	}
-	b.walk(st.root, nil, visCtx{}, false)
-	c := &compiled{
-		index: b.index, dom: b.dom.Build(), fast: fastStack(st.stack),
-		n: n, sensitive: b.sensitive,
-		sens: b.sens, sums: b.sums, dead: b.dead,
-		ret: &retainedMem{},
-	}
-	return c, compileStats{
-		kind: compileFull, totalNs: time.Since(start).Nanoseconds(),
-		sumNs: b.sumNs, visNs: b.visNs,
-	}
-}
-
-// patchRegistrySummaries compiles a registry-only transition (same
-// tree root, same principal-ID count) by recompiling just the
-// registry-sensitive summaries into a cloned sums slice. Everything
-// else — the path index, entries, visibility chains, the dominance
-// table — is shared wholesale with the parent's compiled view:
-// membership churn cannot move nodes, intern new classes, or resize
-// bitsets, and sensitive entries read their summary through sumOf, so
-// versioning the O(sensitive) slice is enough. The one case it cannot
-// patch is a sensitive *interior* node whose effective-List set
-// changed value (the churn revoked or granted List somewhere):
-// descendant visibility chains are then stale, and the caller falls
-// back to the full incremental walk. RegSensitive is a property of the
-// ACL's shape, not of the registry, so the sensitive count carries
-// over unchanged.
-func patchRegistrySummaries(st *Epoch, prevC *compiled, start time.Time) (*compiled, compileStats, bool) {
-	var sumNs, visNs int64
-	sums := append([]*acl.Summary(nil), prevC.sums...)
-	for i, e := range prevC.sens {
-		if e == nil {
-			continue // dead slot (unbound node)
-		}
-		t0 := time.Now()
-		s := e.node.acl.Compile(st.reg)
-		sumNs += time.Since(t0).Nanoseconds()
-		if len(e.node.children) > 0 {
-			t0 = time.Now()
-			eff := s.EffectiveIDs(acl.List, prevC.n)
-			visNs += time.Since(t0).Nanoseconds()
-			if !eff.Equal(e.effList) {
-				return nil, compileStats{}, false
-			}
-			// Value-equal: descendant chains built from the old
-			// effList pointer are still correct.
-		}
-		sums[i] = s
-	}
-	c := &compiled{
-		index: prevC.index, dom: prevC.dom, fast: fastStack(st.stack),
-		n: prevC.n, sensitive: prevC.sensitive,
-		sens: prevC.sens, sums: sums, dead: prevC.dead,
-		ret: &retainedMem{},
-	}
-	return c, compileStats{
-		kind: compileIncremental, totalNs: time.Since(start).Nanoseconds(),
-		sumNs: sumNs, visNs: visNs,
-	}, true
+	return b.build(prev.root, prevC), stats(compileIncremental, b)
 }
 
 // fastCheck answers CheckAccess's resolve+verify from the compiled
@@ -540,7 +577,7 @@ func (ep *Epoch) fastCheck(sub acl.Subject, class lattice.Class, path string, mo
 	if c == nil || !c.fast || sub == nil {
 		return nil, false
 	}
-	e, ok := c.index[path]
+	e, ok := c.index.get(path)
 	if !ok {
 		return nil, false
 	}
@@ -587,7 +624,7 @@ func (ep *Epoch) fastResolve(sub acl.Subject, class lattice.Class, path string, 
 		return nil, false
 	}
 	if !checked || !ep.traversal {
-		if e, ok := c.index[path]; ok {
+		if e, ok := c.index.get(path); ok {
 			return e.node, true
 		}
 		return nil, false
@@ -595,7 +632,7 @@ func (ep *Epoch) fastResolve(sub acl.Subject, class lattice.Class, path string, 
 	if !c.fast || sub == nil {
 		return nil, false
 	}
-	e, ok := c.index[path]
+	e, ok := c.index.get(path)
 	if !ok {
 		return nil, false
 	}
@@ -627,7 +664,7 @@ func (ep *Epoch) CompiledResolve(path string) (*Node, bool) {
 	if ep.compiled == nil {
 		return nil, false
 	}
-	e, ok := ep.compiled.index[path]
+	e, ok := ep.compiled.index.get(path)
 	if !ok {
 		return nil, false
 	}
@@ -651,7 +688,7 @@ func (ep *Epoch) CompiledGrants(path, subject string) (acl.Mode, bool) {
 	if ep.compiled == nil {
 		return 0, false
 	}
-	e, ok := ep.compiled.index[path]
+	e, ok := ep.compiled.index.get(path)
 	if !ok {
 		return 0, false
 	}
@@ -673,6 +710,9 @@ type CompiledStats struct {
 	Full        uint64
 	Incremental uint64
 	Reused      uint64
+	// Summaries counts ACL summaries compiled across all builds: at
+	// most one per distinct ACL a build touches.
+	Summaries uint64
 
 	Entries             int
 	DomClasses          int
@@ -692,14 +732,15 @@ func (s *Server) CompiledStats() CompiledStats {
 		Full:           s.compFull.Load(),
 		Incremental:    s.compIncr.Load(),
 		Reused:         s.compReused.Load(),
+		Summaries:      s.compSummaries.Load(),
 		IndexBuild:     s.compIndexNs.Snapshot(),
 		SummaryCompile: s.compSummaryNs.Snapshot(),
 		VisRecompute:   s.compVisNs.Snapshot(),
 	}
 	if c := s.epoch.Load().compiled; c != nil {
-		st.Entries = len(c.index)
+		st.Entries = c.index.n
 		st.DomClasses = c.dom.Len()
-		st.Sensitive = c.sensitive
+		st.Sensitive = c.sensitiveEntries()
 		st.RetainedBytes, st.RetainedBytesCloned = c.retainedBytes()
 	}
 	return st
@@ -726,7 +767,7 @@ func (c *compiled) retainedBytes() (dedup, cloned int64) {
 			}
 		}
 		entrySize := int64(unsafe.Sizeof(centry{}))
-		for path, e := range c.index {
+		c.index.each(func(path string, e *centry) {
 			// Map slot: key header + bytes, value pointer, entry.
 			slot := int64(len(path)) + 16 + 8 + entrySize
 			c.ret.dedup += slot
@@ -739,20 +780,18 @@ func (c *compiled) retainedBytes() (dedup, cloned int64) {
 			c.ret.cloned += int64(sum.RetainedBytes())
 			addSet(e.effList)
 			addSet(e.visAllow)
-		}
-		// The sensitive-slot slices: pointer pairs, plus any build-time
-		// summary a patched entry still pins via e.sum (the entry keeps
-		// its construction-time pointer; the live one lives in sums).
-		slots := int64(cap(c.sens)+cap(c.sums)) * 8
-		c.ret.dedup += slots
-		c.ret.cloned += slots
-		for _, e := range c.sens {
-			if e == nil {
-				continue
-			}
-			if !seenSum[e.sum] {
-				seenSum[e.sum] = true
-				c.ret.dedup += int64(e.sum.RetainedBytes())
+		})
+		// The slot table: one summary pointer and one slot per distinct
+		// ACL, plus the ACL→slot map.
+		tab := int64(cap(c.sums))*8 + int64(cap(c.tab.slots))*int64(unsafe.Sizeof(aclSlot{})) +
+			int64(len(c.tab.ids))*16
+		c.ret.dedup += tab
+		c.ret.cloned += tab
+		for _, sl := range c.tab.slots {
+			if len(sl.eff) > 0 && !seenSet[&sl.eff[0]] {
+				seenSet[&sl.eff[0]] = true
+				c.ret.dedup += int64(cap(sl.eff)) * 8
+				c.ret.cloned += int64(cap(sl.eff)) * 8
 			}
 		}
 		dom := int64(c.dom.RetainedBytes())

@@ -29,7 +29,7 @@ var equivModes = []acl.Mode{
 
 // assertCompiledEquiv asserts the full compiled-vs-walk contract on one
 // pinned epoch: the index is exactly the tree (no missing, no stale
-// entries), compiled summaries render the same effective mode sets as
+// entries) and matches a full rebuild entry by entry, compiled summaries render the same effective mode sets as
 // ACL entry iteration, and the fast check never decides an allow the
 // walk denies — and, for registered subjects under the default stack,
 // decides every allow the walk grants.
@@ -49,13 +49,15 @@ func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []
 			t.Errorf("v%d: index missing or wrong at %s (ok=%v)", ep.Version(), p, ok)
 		}
 	}
-	if len(ep.compiled.index) != len(tree) {
-		for p := range ep.compiled.index {
+	if ep.compiled.index.n != len(tree) {
+		ep.compiled.index.each(func(p string, _ *centry) {
 			if _, ok := tree[p]; !ok {
 				t.Errorf("v%d: stale index entry %s", ep.Version(), p)
 			}
-		}
+		})
 	}
+	// Entry by entry, the view equals a from-scratch compile.
+	assertMatchesFullRebuild(t, ep)
 
 	for p, n := range tree {
 		for _, sub := range subs {
@@ -298,28 +300,83 @@ func TestCompiledIncrementalMatchesFullRebuild(t *testing.T) {
 	if full.Root() != inc.Root() {
 		t.Fatal("toggle moved the tree")
 	}
-	ic, fc := inc.compiled, full.compiled
-	if len(ic.index) != len(fc.index) {
-		t.Fatalf("index sizes differ: inc %d full %d", len(ic.index), len(fc.index))
+	assertSameCompiled(t, inc, inc.compiled, full.compiled)
+	assertMatchesFullRebuild(t, inc)
+}
+
+// fullRebuild compiles ep from scratch, with no parent view to share.
+func fullRebuild(ep *Epoch) *compiled {
+	return newCompileBuilder(ep, nil, ep.reg.NumPrincipalIDs()).build(nil, nil)
+}
+
+// assertMatchesFullRebuild checks ep's (incrementally built) compiled
+// view against a from-scratch compile of the same epoch.
+func assertMatchesFullRebuild(t *testing.T, ep *Epoch) {
+	t.Helper()
+	assertSameCompiled(t, ep, ep.compiled, fullRebuild(ep))
+}
+
+// assertSameCompiled asserts that ic and fc, two compiled views of ep,
+// each index exactly ep's tree, agree entry by entry (node, List set,
+// visibility chain, every principal's granted modes), and keep exact
+// slot books: one live slot per distinct ACL with refs equal to the
+// entries judged by it, so entries sharing an ACL share a summary.
+func assertSameCompiled(t *testing.T, ep *Epoch, ic, fc *compiled) {
+	t.Helper()
+	tree := make(map[string]*Node)
+	ep.Walk(func(p string, n *Node) { tree[p] = n })
+	for _, c := range []*compiled{ic, fc} {
+		if c.index.n != len(tree) {
+			t.Fatalf("v%d: index holds %d entries, tree %d", ep.Version(), c.index.n, len(tree))
+		}
+		refs := make(map[int32]int32)
+		c.index.each(func(p string, e *centry) {
+			if tree[p] != e.node {
+				t.Errorf("v%d: index entry %s is not the tree's node", ep.Version(), p)
+			}
+			if c.tab.slots[e.slot].acl != e.node.acl {
+				t.Errorf("v%d: %s judged by another ACL's slot", ep.Version(), p)
+			}
+			refs[e.slot]++
+		})
+		live := 0
+		for i, sl := range c.tab.slots {
+			if sl.acl == nil {
+				if c.sums[i] != nil || sl.refs != 0 {
+					t.Errorf("v%d: free slot %d still holds state", ep.Version(), i)
+				}
+				continue
+			}
+			live++
+			if sl.refs != refs[int32(i)] || sl.refs == 0 || c.tab.ids[sl.acl] != int32(i) {
+				t.Errorf("v%d: slot %d books refs=%d, index uses it %d times", ep.Version(), i, sl.refs, refs[int32(i)])
+			}
+		}
+		if live != len(c.tab.ids) || len(c.sums) != len(c.tab.slots) {
+			t.Errorf("v%d: %d live slots, %d ids, %d sums, %d slots", ep.Version(), live, len(c.tab.ids), len(c.sums), len(c.tab.slots))
+		}
 	}
-	if ic.sensitive != fc.sensitive || ic.n != fc.n || ic.fast != fc.fast {
-		t.Fatalf("metadata differs: inc{n:%d sens:%d fast:%v} full{n:%d sens:%d fast:%v}",
-			ic.n, ic.sensitive, ic.fast, fc.n, fc.sensitive, fc.fast)
+	if len(ic.tab.ids) != len(fc.tab.ids) || ic.sensitiveEntries() != fc.sensitiveEntries() ||
+		ic.n != fc.n || ic.fast != fc.fast {
+		t.Fatalf("v%d: metadata differs: inc{acls:%d sens:%d n:%d fast:%v} full{acls:%d sens:%d n:%d fast:%v}",
+			ep.Version(), len(ic.tab.ids), ic.sensitiveEntries(), ic.n, ic.fast,
+			len(fc.tab.ids), fc.sensitiveEntries(), fc.n, fc.fast)
 	}
-	for p, ie := range ic.index {
-		fe, ok := fc.index[p]
-		if !ok || fe.node != ie.node {
-			t.Fatalf("full rebuild disagrees about %s", p)
+	for p := range tree {
+		ie, _ := ic.index.get(p)
+		fe, ok := fc.index.get(p)
+		if ie == nil || !ok || fe.node != ie.node {
+			t.Fatalf("v%d: full rebuild disagrees about %s", ep.Version(), p)
 		}
 		sameCls := ie.visClass.Equal(fe.visClass) || (!ie.visClass.Valid() && !fe.visClass.Valid())
-		if ie.hasVis != fe.hasVis || !ie.visAllow.Equal(fe.visAllow) || !sameCls {
-			t.Errorf("visibility chain differs at %s", p)
+		if ie.hasVis != fe.hasVis || !ie.visAllow.Equal(fe.visAllow) || !sameCls || !ie.effList.Equal(fe.effList) {
+			t.Errorf("v%d: List set or visibility chain differs at %s", ep.Version(), p)
 		}
 		isum, fsum := ic.sumOf(ie), fc.sumOf(fe)
 		for pid := 0; pid < ic.n; pid++ {
 			if isum.Granted(pid) != fsum.Granted(pid) {
-				t.Errorf("summary differs at %s for pid %d: inc %v full %v",
-					p, pid, isum.Granted(pid), fsum.Granted(pid))
+				t.Errorf("v%d: summary differs at %s for pid %d: inc %v full %v",
+					ep.Version(), p, pid, isum.Granted(pid), fsum.Granted(pid))
 			}
 		}
 	}

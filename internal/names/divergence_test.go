@@ -14,16 +14,11 @@ import (
 // why the monitor exists: to catch the compiler bug that would.
 func corruptSummary(t *testing.T, ep *Epoch, path string) {
 	t.Helper()
-	e, ok := ep.compiled.index[path]
+	e, ok := ep.compiled.index.get(path)
 	if !ok {
 		t.Fatalf("no compiled entry at %s", path)
 	}
-	wide := acl.New(acl.AllowEveryone(acl.AllModes)).Compile(ep.reg)
-	if e.sensIdx >= 0 {
-		ep.compiled.sums[e.sensIdx] = wide
-		return
-	}
-	e.sum = wide
+	ep.compiled.sums[e.slot] = acl.New(acl.AllowEveryone(acl.AllModes)).Compile(ep.reg)
 }
 
 // TestShadowDivergenceDetectsCorruption is the monitor's acceptance

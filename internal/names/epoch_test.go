@@ -346,8 +346,9 @@ func FuzzEpochTransitions(f *testing.F) {
 		// Pinned epochs stay consistent after the dust settles — they are
 		// immutable, so the concurrent mutations cannot have touched them.
 		// Each pinned compiled epoch must also honor the compiled-vs-walk
-		// equivalence contract: index ≡ tree, summary verdict ≡ ACL entry
-		// iteration, fast check ≡ spine walk (assertCompiledEquiv).
+		// equivalence contract: index ≡ tree, every entry ≡ a full
+		// rebuild's, summary verdict ≡ ACL entry iteration, fast check ≡
+		// spine walk (assertCompiledEquiv).
 		fuzzSubs := []fakeSubject{subj("root"), subj("p0"), subj("p1"), subj("p2")}
 		for _, ep := range pinned {
 			if ok, path, why := ep.Consistent(); !ok {

@@ -66,13 +66,15 @@ func countOwned(prev, next *Node) int {
 		return 0
 	}
 	owned := 1
-	for _, cr := range next.children {
-		var p *Node
-		if prev != nil {
-			p = prev.child(cr.name())
-		}
-		owned += countOwned(p, cr.node)
+	var kids []childRef
+	if prev != nil {
+		kids = prev.children
 	}
+	pairChildren(kids, next.children, func(p, n *Node) {
+		if n != nil {
+			owned += countOwned(p, n)
+		}
+	})
 	return owned
 }
 

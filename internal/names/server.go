@@ -113,11 +113,13 @@ type Server struct {
 	// obtained its compiled view (full build, incremental patch,
 	// wholesale reuse) and where build time went (ACL summary
 	// compilation, effective/visibility bitset recomputation, and the
-	// remainder — index walk, map clone, dominance interning).
+	// remainder — index walk, copy-on-write shard clones, dominance
+	// interning). compSummaries counts the summaries compiled.
 	compiledOff   bool
 	compFull      atomic.Uint64
 	compIncr      atomic.Uint64
 	compReused    atomic.Uint64
+	compSummaries atomic.Uint64
 	compIndexNs   telemetry.Histogram
 	compSummaryNs telemetry.Histogram
 	compVisNs     telemetry.Histogram

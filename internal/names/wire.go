@@ -279,7 +279,8 @@ func upsertSubtree(n *Node, lat *lattice.Frozen, out *[]NodeWire) error {
 // diffTree walks matched subtrees of the parent and successor epochs,
 // emitting upserts and deletes. Pointer-equal subtrees are pruned —
 // the batch publisher shares every untouched subtree, so the walk
-// visits only the cloned spine plus the actual edits.
+// visits only the cloned spine plus the actual edits. A node's own
+// deletes follow its children's, in name order.
 func diffTree(prev, next *Node, lat *lattice.Frozen, d *EpochDelta) error {
 	if prev == next {
 		return nil
@@ -291,24 +292,21 @@ func diffTree(prev, next *Node, lat *lattice.Frozen, d *EpochDelta) error {
 		}
 		d.Upserts = append(d.Upserts, w)
 	}
-	for _, cr := range next.children {
-		pc := prev.child(cr.name())
-		if pc == nil {
-			if err := upsertSubtree(cr.node, lat, &d.Upserts); err != nil {
-				return err
-			}
-			continue
+	var err error
+	var deletes []string
+	pairChildren(prev.children, next.children, func(pc, nc *Node) {
+		switch {
+		case err != nil:
+		case nc == nil:
+			deletes = append(deletes, Join(next.path, pc.Name()))
+		case pc == nil:
+			err = upsertSubtree(nc, lat, &d.Upserts)
+		default:
+			err = diffTree(pc, nc, lat, d)
 		}
-		if err := diffTree(pc, cr.node, lat, d); err != nil {
-			return err
-		}
-	}
-	for _, cr := range prev.children {
-		if next.child(cr.name()) == nil {
-			d.Deletes = append(d.Deletes, Join(next.path, cr.name()))
-		}
-	}
-	return nil
+	})
+	d.Deletes = append(d.Deletes, deletes...)
+	return err
 }
 
 // DiffEpochs derives the wire delta that carries prev to next. It is
@@ -331,7 +329,9 @@ func DiffEpochs(prev, next *Epoch) (*EpochDelta, error) {
 	if d.Categories, err = appendSuffix("lattice category", prev.lat.Categories(), next.lat.Categories()); err != nil {
 		return nil, err
 	}
-	if next.reg != nil {
+	// A shared frozen registry means no principal or group moved, so
+	// an ACL-only delta skips flattening the registry.
+	if next.reg != nil && next.reg != prev.reg {
 		prins, groups, err := registryWire(next)
 		if err != nil {
 			return nil, err

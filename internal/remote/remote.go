@@ -57,6 +57,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"secext/internal/acl"
 	"secext/internal/core"
@@ -226,8 +227,26 @@ func (s *session) need() bool {
 	return true
 }
 
+// appendFields appends the fields of s, split as strings.Fields splits
+// them, to dst. dispatch hands it a stack array so that a request line
+// of up to four words is split without allocating.
+func appendFields(dst []string, s string) []string {
+	for {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+		if s == "" {
+			return dst
+		}
+		i := strings.IndexFunc(s, unicode.IsSpace)
+		if i < 0 {
+			return append(dst, s)
+		}
+		dst, s = append(dst, s[:i]), s[i:]
+	}
+}
+
 func (s *session) dispatch(line string) {
-	fields := strings.Fields(line)
+	var buf [4]string
+	fields := appendFields(buf[:0], line)
 	cmd := strings.ToUpper(fields[0])
 	args := fields[1:]
 	switch cmd {

@@ -99,6 +99,34 @@ func startServer(t *testing.T) (addr, aliceTok, eveTok string) {
 	return l.Addr().String(), aliceTok, eveTok
 }
 
+func TestAppendFieldsMatchesStringsFields(t *testing.T) {
+	for _, in := range []string{
+		"", "   ", "CHECK /fs/a read", "  CHECK\t/fs/a   read,write  ",
+		"WRITE /fs/x some words of text", "a\u00a0b\u2003c", "\u3000lead",
+	} {
+		var buf [4]string
+		got, want := appendFields(buf[:0], in), strings.Fields(in)
+		if len(got) != len(want) {
+			t.Errorf("appendFields(%q) = %q, want %q", in, got, want)
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("appendFields(%q) = %q, want %q", in, got, want)
+				break
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [4]string
+		if len(appendFields(buf[:0], "CHECK /fs/a read")) != 3 {
+			t.Fatal("wrong field count")
+		}
+	}); n != 0 {
+		t.Errorf("appendFields allocates %v times for a 3-word line, want 0", n)
+	}
+}
+
 func TestAuthRequired(t *testing.T) {
 	addr, aliceTok, _ := startServer(t)
 	c := dial(t, addr)

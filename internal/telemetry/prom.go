@@ -152,7 +152,7 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		"Latency from first staged mutation to epoch publication.", "",
 		s.Names.FlushLatency)
 	writePromHist(ew, "secext_epoch_compile_index_seconds",
-		"Per-flush compiled-epoch index build time (walk, map clone, dominance interning).", "",
+		"Per-flush compiled-epoch index build time (walk, copy-on-write index shard clones, dominance interning).", "",
 		s.Names.CompiledIndexBuild)
 	writePromHist(ew, "secext_epoch_compile_summary_seconds",
 		"Per-flush ACL-summary compilation time within compiled-epoch builds.", "",
