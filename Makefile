@@ -15,10 +15,13 @@ test:
 
 # The -cpu matrix covers the write path's shared machinery: the names
 # package (Apply in apply.go, the batched publisher) and the principal
-# registry's Apply, among the other policy packages.
+# registry's Apply, among the other policy packages. It also covers the
+# observability layer's concurrent code: telemetry's histograms and
+# trace ring, the audit log's per-slot ring, and scrapes that read
+# names.Server.Stats while flushes run.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/...
+	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/...
 
 # check is the full local gate: build, vet, the complete test suite
 # under the race detector, the nested bench module (which compiles

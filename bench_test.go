@@ -998,7 +998,7 @@ func BenchmarkE18Shadow(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, dv := uw.Sys.Names().DivergenceStats(); dv != 0 {
+			if dv := uw.Sys.Names().Stats().Divergences; dv != 0 {
 				b.Fatalf("%d divergences on an honest epoch", dv)
 			}
 		})

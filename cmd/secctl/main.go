@@ -289,15 +289,13 @@ func runStats(args []string) {
 		lat.P50, lat.P95, lat.P99, lat.Count)
 	fmt.Printf("decision cache: %d hits, %d misses, %d stores, %d invalidations\n",
 		s.Cache.Hits, s.Cache.Misses, s.Cache.Stores, s.Cache.Invalidations)
-	n := s.Names
+	n, c := s.Names, s.Names.CompiledStats
 	fmt.Printf("epoch v%d: %d publishes, compiled builds %d incremental / %d full / %d reused\n",
-		n.Version, n.Publishes, n.CompiledIncremental, n.CompiledFull, n.CompiledReused)
+		n.Version, n.Publishes, c.Incremental, c.Full, c.Reused)
 	fmt.Printf("compiled view: %d index entries, %d classes, %d registry-sensitive summaries, %s retained (%s if unshared)\n",
-		n.CompiledEntries, n.CompiledDomClasses, n.CompiledSensitive,
-		fmtBytes(n.CompiledRetainedBytes), fmtBytes(n.CompiledRetainedBytesCloned))
+		c.Entries, c.DomClasses, c.Sensitive, fmtBytes(c.RetainedBytes), fmtBytes(c.RetainedBytesCloned))
 	fmt.Printf("freeze cost p95: index %gns, summaries %gns, bitsets %gns (over %d compiled flushes)\n",
-		n.CompiledIndexBuild.P95, n.CompiledSummaryCompile.P95,
-		n.CompiledVisRecompute.P95, n.CompiledIndexBuild.Count)
+		c.IndexBuild.P95, c.SummaryCompile.P95, c.VisRecompute.P95, c.IndexBuild.Count)
 	fmt.Printf("shadow monitor: %d checks shadowed, %d divergences; journal holds %d transitions\n",
 		n.ShadowChecks, n.Divergences, n.JournalRecords)
 	fp := n.Footprint

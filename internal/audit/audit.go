@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"secext/internal/telemetry"
 )
 
 // Kind classifies an audited operation.
@@ -131,22 +133,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("#%d %s %s%s subject=%s class=%s path=%s op=%s: %s (%s)",
 		e.Seq, e.Time.UTC().Format(time.RFC3339Nano), e.Kind, epoch, e.Subject,
 		e.Class, e.Path, e.Op, verdict, e.Reason)
-}
-
-// Stats are running counters kept by a Log. Total, Allowed, and Denied
-// count mediated decisions only; Bypassed counts unchecked operations
-// recorded via RecordBypass, which appear in ByKind (KindUnchecked) and
-// the ring but not in the decision counters. Dropped counts ring
-// overwrites: events that have been pushed out of the bounded ring by
-// newer ones (they remain in the counters and any sinks, but Recent can
-// no longer return them).
-type Stats struct {
-	Total    uint64
-	Allowed  uint64
-	Denied   uint64
-	Bypassed uint64
-	Dropped  uint64
-	ByKind   [numKinds]uint64
 }
 
 // Log is a bounded, concurrency-safe audit log.
@@ -450,9 +436,10 @@ func ImportJSON(r io.Reader) ([]Event, error) {
 	}
 }
 
-// Stats returns a snapshot of the running counters.
-func (l *Log) Stats() Stats {
-	var s Stats
+// Stats returns a snapshot of the running counters (see
+// telemetry.AuditStats for their meaning); ByKind is indexed by Kind.
+func (l *Log) Stats() telemetry.AuditStats {
+	var s telemetry.AuditStats
 	if l == nil {
 		return s
 	}
@@ -463,6 +450,7 @@ func (l *Log) Stats() Stats {
 	if pos := l.pos.Load(); pos > uint64(len(l.ring)) {
 		s.Dropped = pos - uint64(len(l.ring))
 	}
+	s.ByKind = make([]uint64, numKinds)
 	for i := range s.ByKind {
 		s.ByKind[i] = l.stats.byKind[i].Load()
 	}

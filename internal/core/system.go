@@ -68,10 +68,6 @@ type Options struct {
 	// the current protection state), so there is no security reason to
 	// disable it; the switch exists for experiments (E11) and debugging.
 	DisableDecisionCache bool
-	// DecisionCacheSize is the approximate entry capacity of the
-	// decision cache (rounded up to a power of two per shard; default
-	// 32768 entries).
-	DecisionCacheSize int
 	// Guards are extra policy modules stacked after the built-in
 	// discretionary and mandatory guards in the reference monitor's
 	// pipeline (internal/monitor). They run in order; the first denial
@@ -146,13 +142,7 @@ func NewSystem(opts Options) (*System, error) {
 	telOpts.Kinds = audit.KindNames()
 	s.tel = telemetry.New(telOpts)
 	s.tel.RegisterGuards(s.pipe.Guards()...)
-	s.tel.SetAuditStats(func() telemetry.AuditStats {
-		st := s.log.Stats()
-		return telemetry.AuditStats{
-			Total: st.Total, Allowed: st.Allowed, Denied: st.Denied,
-			Bypassed: st.Bypassed, Dropped: st.Dropped,
-		}
-	})
+	s.tel.SetAuditStats(s.log.Stats)
 	if s.tel != nil {
 		s.disp.SetAdmissionObserver(func(_ string, admitted bool) {
 			s.tel.Admission(admitted)
@@ -193,61 +183,11 @@ func NewSystem(opts Options) (*System, error) {
 	// epoch, so from here on one atomic load pins everything a decision
 	// needs.
 	s.ns.AttachRegistry(s.reg)
-	s.tel.SetNamesStats(func() telemetry.NamesStats {
-		tr := s.ns.EpochTransitions()
-		bs := s.ns.BatchStats()
-		cs := s.ns.CompiledStats()
-		sc, dv := s.ns.DivergenceStats()
-		return telemetry.NamesStats{
-			Version:             s.ns.Version(),
-			Publishes:           s.ns.Publishes(),
-			NameTransitions:     tr.Names,
-			LatticeTransitions:  tr.Lattice,
-			RegistryTransitions: tr.Registry,
-			StackTransitions:    tr.Stack,
-			BatchedMutations:    bs.Mutations,
-			MaxBatch:            bs.MaxBatch,
-			BatchSize:           bs.Sizes,
-			FlushLatency:        bs.FlushLatency,
-
-			CompiledFull:                cs.Full,
-			CompiledIncremental:         cs.Incremental,
-			CompiledReused:              cs.Reused,
-			CompiledEntries:             cs.Entries,
-			CompiledDomClasses:          cs.DomClasses,
-			CompiledSensitive:           cs.Sensitive,
-			CompiledRetainedBytes:       cs.RetainedBytes,
-			CompiledRetainedBytesCloned: cs.RetainedBytesCloned,
-			CompiledIndexBuild:          cs.IndexBuild,
-			CompiledSummaryCompile:      cs.SummaryCompile,
-			CompiledVisRecompute:        cs.VisRecompute,
-
-			ShadowChecks:   sc,
-			Divergences:    dv,
-			JournalRecords: s.ns.JournalLen(),
-			Footprint:      footprintStats(s.ns.EpochFootprint()),
-		}
-	})
+	s.tel.SetNamesStats(s.ns.Stats)
 	// Decision provenance: the epoch-transition journal and the explain
 	// engine back /debug/epochs, /debug/explain, and the remote
 	// EXPLAIN/EPOCHS commands.
-	s.tel.SetEpochJournal(func(n int) []telemetry.EpochTransition {
-		recs := s.ns.Journal(n)
-		out := make([]telemetry.EpochTransition, len(recs))
-		for i, r := range recs {
-			out[i] = telemetry.EpochTransition{
-				Version: r.Version, Time: r.Time, Shards: r.Shards,
-				BatchSize:        r.BatchSize,
-				LatticeVersion:   r.LatticeVersion,
-				LatticeDeltaBase: r.LatticeDeltaBase,
-				RegistryVersion:  r.RegistryVersion, RegistryDeltaBase: r.RegistryDeltaBase,
-				IncrementalFreeze: r.IncrementalFreeze,
-				Compile:           r.Compile, CompileNS: r.CompileNS, PublishNS: r.PublishNS,
-				Kind: r.Kind, PrimaryVersion: r.PrimaryVersion,
-			}
-		}
-		return out
-	})
+	s.tel.SetEpochJournal(s.ns.Journal)
 	s.tel.SetExplain(func(subjectName, path, modes string) (string, []byte, error) {
 		ex, err := s.Explain(subjectName, path, modes)
 		if err != nil {
@@ -264,14 +204,12 @@ func NewSystem(opts Options) (*System, error) {
 		// The mediation fast path: memoized verdicts stamped with the
 		// snapshot version they were computed against; a publish from any
 		// layer makes older entries unreachable.
-		cache := decision.NewCache(opts.DecisionCacheSize)
+		cache := decision.NewCache(0)
 		s.ns.SetDecisionCache(cache)
 		s.tel.SetCacheStats(func() telemetry.CacheStats {
 			st := cache.Stats()
-			return telemetry.CacheStats{
-				Hits: st.Hits, Misses: st.Misses, Stores: st.Stores,
-				Invalidations: s.ns.Publishes(), Capacity: st.Capacity,
-			}
+			st.Invalidations = s.ns.Publishes()
+			return st
 		})
 	}
 	s.log.SetEnabled(!opts.DisableAudit)
@@ -477,43 +415,4 @@ func (s *System) RegisterService(spec ServiceSpec) error {
 		return err
 	}
 	return nil
-}
-
-// footprintStats maps the name server's epoch footprint into its
-// telemetry mirror (the telemetry package stays a leaf and cannot
-// import names).
-func footprintStats(ef names.EpochFootprint) telemetry.FootprintStats {
-	fp := ef.Footprint
-	return telemetry.FootprintStats{
-		EpochVersion: fp.Version,
-
-		Nodes:       fp.Nodes,
-		Leaves:      fp.Leaves,
-		Directories: fp.Directories,
-		OwnedNodes:  fp.OwnedNodes,
-		SharedNodes: fp.SharedNodes,
-
-		ChildSlots:      fp.ChildSlots,
-		ChildSliceBytes: fp.ChildSliceBytes,
-		PathBytes:       fp.PathBytes,
-		NameBytes:       fp.NameBytes,
-		NodeStructBytes: fp.NodeStructBytes,
-
-		ACLRefs:       fp.ACLRefs,
-		DistinctACLs:  fp.DistinctACLs,
-		ACLBytes:      fp.ACLBytes,
-		ACLDedupRatio: fp.ACLDedupRatio,
-
-		TotalBytes:   fp.TotalBytes,
-		BytesPerNode: fp.BytesPerNode,
-
-		InternedStrings:  ef.Interner.Strings,
-		InternedBytes:    ef.Interner.Bytes,
-		InternHits:       ef.Interner.Hits,
-		InternMisses:     ef.Interner.Misses,
-		InternResets:     ef.Interner.Resets,
-		ACLCanonDistinct: ef.ACLCanon.Distinct,
-		ACLCanonDedups:   ef.ACLCanon.Dedups,
-		ACLCanonResets:   ef.ACLCanon.Resets,
-	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"secext/internal/acl"
 	"secext/internal/lattice"
+	"secext/internal/telemetry"
 )
 
 func testLattice(t *testing.T) *lattice.Lattice {
@@ -146,7 +147,7 @@ func TestNilCacheIsNoop(t *testing.T) {
 		t.Error("nil cache must miss")
 	}
 	c.StoreAt(1, "alice", cls, "/x", acl.Read, nil, nil) // must not panic
-	if s := c.Stats(); s != (Stats{}) {
+	if s := c.Stats(); s != (telemetry.CacheStats{}) {
 		t.Errorf("nil Stats = %+v", s)
 	}
 }

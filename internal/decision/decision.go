@@ -48,6 +48,7 @@ import (
 
 	"secext/internal/acl"
 	"secext/internal/lattice"
+	"secext/internal/telemetry"
 )
 
 const (
@@ -58,22 +59,6 @@ const (
 	// defaultSlotsPerShard gives 64×512 = 32768 entries by default.
 	defaultSlotsPerShard = 512
 )
-
-// Generation is an atomic counter identifying a version of some piece
-// of decision-relevant state that lives outside the name space — the
-// monitor uses one for its guard stack. (The protection-state
-// generation itself is the name server's snapshot version, not a
-// Generation.) The zero Generation is ready to use.
-type Generation struct {
-	v atomic.Uint64
-}
-
-// Bump advances the generation, invalidating every verdict stamped
-// before it.
-func (g *Generation) Bump() { g.v.Add(1) }
-
-// Current returns the current generation value.
-func (g *Generation) Current() uint64 { return g.v.Load() }
 
 // entry is one immutable cached verdict. Published via atomic pointer
 // store; never mutated afterwards.
@@ -221,19 +206,11 @@ func (c *Cache) StoreAt(gen uint64, subject string, class lattice.Class, path st
 	c.stores.Add(1)
 }
 
-// Stats is a snapshot of the cache's counters. Invalidation is not
-// counted here — it is a property of the snapshot clock, reported by
-// the name server as its publish count.
-type Stats struct {
-	Hits     uint64 // lookups served from cache
-	Misses   uint64 // lookups that fell through to a full check
-	Stores   uint64 // verdicts published
-	Capacity int    // total slots
-}
-
-// Stats sums the per-shard counters.
-func (c *Cache) Stats() Stats {
-	var s Stats
+// Stats sums the per-shard counters. Invalidations stays zero:
+// invalidation is a property of the epoch clock, reported by the name
+// server as its publish count.
+func (c *Cache) Stats() telemetry.CacheStats {
+	var s telemetry.CacheStats
 	if c == nil {
 		return s
 	}

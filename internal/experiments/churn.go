@@ -176,7 +176,7 @@ func E16() Result {
 	// cached check. Reported as per-mutation latency; the batch-size and
 	// flush-latency rows below come from the publisher's histograms over
 	// this whole experiment.
-	before := ns16.BatchStats()
+	before := ns16.Stats()
 	var mutations atomic.Uint64
 	var readerNS atomic.Uint64
 	var readerOps atomic.Uint64
@@ -234,17 +234,17 @@ func E16() Result {
 			ns(float64(readerNS.Load())/float64(ops)), "-")
 	}
 
-	st := ns16.BatchStats()
+	st := ns16.Stats()
 	flushes := st.FlushLatency.Count - before.FlushLatency.Count
 	if flushes > 0 {
 		t.add("publish latency", "p50/p95/p99",
 			fmt.Sprintf("%s / %s / %s", ns(st.FlushLatency.P50), ns(st.FlushLatency.P95), ns(st.FlushLatency.P99)),
 			fmt.Sprintf("%d flushes", st.FlushLatency.Count))
 	}
-	avgBatch := float64(st.Mutations) / float64(st.Sizes.Count)
+	avgBatch := float64(st.BatchedMutations) / float64(st.BatchSize.Count)
 	t.add("batch size", "avg / max",
 		fmt.Sprintf("%.2f / %d", avgBatch, st.MaxBatch),
-		fmt.Sprintf("%d staged", st.Mutations))
+		fmt.Sprintf("%d staged", st.BatchedMutations))
 
 	// Quiescent warm check: churn over, the read path must sit back in
 	// the E11/E13/E15 warm band.

@@ -109,7 +109,8 @@ func E18() Result {
 	}
 	for i, mode := range modes {
 		c := &cells[i]
-		c.shadow, c.diverged = uncachedWorlds[i].Sys.Names().DivergenceStats()
+		st := uncachedWorlds[i].Sys.Names().Stats()
+		c.shadow, c.diverged = st.ShadowChecks, st.Divergences
 		if c.diverged != 0 {
 			res.Err = fmt.Errorf("E18: %d divergences on an honest epoch in mode %s",
 				c.diverged, mode)

@@ -75,7 +75,7 @@ func e20Plan(nodes, principals int) load.Plan {
 //     reading, since they are server-wide state amortized across every
 //     epoch, reported separately by the footprint gauges.
 //   - reduction: map/slice. The acceptance bar is >= 2x.
-//   - accounted B/node: the EpochFootprint analytic estimate for the
+//   - accounted B/node: the footprint analytic estimate (Server.Stats) for the
 //     full system's tree, cross-checking the accounting the telemetry
 //     gauges export against the measured truth.
 //   - acl dedupe: distinct ACL values per reference (footprint view).
@@ -163,7 +163,7 @@ func E20() Result {
 		res.Err = fmt.Errorf("E20: layout reduction %.2fx below the 2x bar (map %.0f B/node, slice %.0f B/node)",
 			reduction, mapPer, slicePer)
 	}
-	fp := w.Sys.Names().EpochFootprint()
+	fp := w.Sys.Names().Stats().Footprint
 
 	// Warm in-process check on the zipf-hottest leaf, for comparability
 	// with the E13/E17 warm band.

@@ -162,7 +162,7 @@ func TestPopulateAndMapBaselineAgreeOnShape(t *testing.T) {
 	// the live tree must dedupe down to at most the pool size.
 	// The live tree holds the plan's nodes plus the name-space root "/"
 	// the server itself owns.
-	fp := sys.Names().EpochFootprint()
+	fp := sys.Names().Stats().Footprint
 	if fp.Nodes != p.TotalNodes+1 {
 		t.Fatalf("footprint sees %d nodes, want %d", fp.Nodes, p.TotalNodes+1)
 	}

@@ -18,9 +18,9 @@
 // Concurrency and cost: the guard stack is copy-on-write behind an
 // atomic pointer, so Check takes no locks, and Request/Verdict travel
 // by value, so a decision allocates nothing. Installing or removing a
-// guard bumps a decision.Generation; the decision cache folds that
-// generation into its keys, so every cached verdict computed under the
-// old stack dies the moment the stack changes.
+// guard republishes the name server's policy epoch, whose version keys
+// the decision cache, so every cached verdict computed under the old
+// stack dies the moment the stack changes.
 //
 // Guards whose verdicts depend on mutable internal state (budgets,
 // rates) must declare themselves by implementing Stateful; the pipeline
@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"secext/internal/acl"
-	"secext/internal/decision"
 	"secext/internal/lattice"
 	"secext/internal/telemetry"
 )
@@ -186,19 +185,17 @@ type Stateful interface {
 }
 
 // Stack is one immutable configuration of the pipeline: the ordered
-// guard list, its cacheability, and the generation it was published
-// under. A Stack never changes after publication, so evaluating one is
+// guard list and its cacheability. A Stack never changes after publication, so evaluating one is
 // pure — the policy epoch pins the Stack in force when the epoch was
 // published, and every decision under that epoch runs exactly that
 // guard list even while Install/remove republish the pipeline.
 type Stack struct {
 	guards    []Guard
 	cacheable bool
-	gen       uint64
 }
 
-func newStack(guards []Guard, gen uint64) *Stack {
-	s := &Stack{guards: guards, cacheable: true, gen: gen}
+func newStack(guards []Guard) *Stack {
+	s := &Stack{guards: guards, cacheable: true}
 	for _, g := range guards {
 		if sf, ok := g.(Stateful); ok && sf.Stateful() {
 			s.cacheable = false
@@ -271,9 +268,6 @@ func (s *Stack) ExplainOp(r Request) (verdicts []Verdict, shortCircuit int) {
 	return verdicts, shortCircuit
 }
 
-// Gen returns the generation this stack was published under.
-func (s *Stack) Gen() uint64 { return s.gen }
-
 // Cacheable reports whether every guard in this stack is pure (its
 // verdict a function of the request and the protection state alone).
 func (s *Stack) Cacheable() bool { return s.cacheable }
@@ -302,18 +296,17 @@ func (s *Stack) Guards() []string {
 //
 // The pipeline is safe for concurrent use. Check is lock-free and
 // allocation-free; Install and the remove functions it returns take a
-// mutex and bump the stack generation.
+// mutex and publish a new stack.
 type Pipeline struct {
 	mu       sync.Mutex
 	stack    atomic.Pointer[Stack]
-	gen      decision.Generation
 	onChange func(*Stack) // guarded by mu
 }
 
 // NewPipeline builds a pipeline over the given guards, in order.
 func NewPipeline(guards ...Guard) *Pipeline {
 	p := &Pipeline{}
-	p.stack.Store(newStack(append([]Guard(nil), guards...), 0))
+	p.stack.Store(newStack(append([]Guard(nil), guards...)))
 	return p
 }
 
@@ -328,7 +321,7 @@ func (p *Pipeline) Current() *Stack { return p.stack.Load() }
 // so installing or removing a guard republishes the policy epoch — and
 // kills every cached verdict — before the installer regains control. A
 // nil hook clears it. The hook runs with the pipeline mutex held, so
-// publications reach it in generation order.
+// publications reach it in order.
 func (p *Pipeline) SetChangeHook(fn func(*Stack)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -350,31 +343,10 @@ func (p *Pipeline) Check(r Request) Verdict {
 	return p.stack.Load().Check(r)
 }
 
-// CheckTraced is Check with per-guard observability (see
-// Stack.CheckTraced). It is only invoked for requests the telemetry
-// sampler selected, so the per-guard timestamps never burden the common
-// path.
-func (p *Pipeline) CheckTraced(r Request, tr *telemetry.ActiveTrace) Verdict {
-	return p.stack.Load().CheckTraced(r, tr)
-}
-
-// Explain runs every guard regardless of earlier denials and returns
-// all verdicts in stack order — the diagnostic view of a decision.
-// Unlike Check it allocates; tooling only.
-func (p *Pipeline) Explain(r Request) []Verdict {
-	return p.stack.Load().Explain(r)
-}
-
-// ExplainOp is Explain plus the short-circuit point — see
-// Stack.ExplainOp.
-func (p *Pipeline) ExplainOp(r Request) ([]Verdict, int) {
-	return p.stack.Load().ExplainOp(r)
-}
-
 // Install appends a guard to the stack and returns a function that
-// removes exactly that guard again. Both directions bump the stack
-// generation, so cached verdicts computed under the old stack are dead
-// the moment the change lands.
+// removes exactly that guard again. Both directions publish a new
+// stack through the change hook, so cached verdicts computed under the
+// old stack are dead the moment the change lands.
 func (p *Pipeline) Install(g Guard) (remove func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -382,8 +354,7 @@ func (p *Pipeline) Install(g Guard) (remove func()) {
 	next := make([]Guard, len(cur), len(cur)+1)
 	copy(next, cur)
 	next = append(next, g)
-	p.gen.Bump()
-	p.publishLocked(newStack(next, p.gen.Current()))
+	p.publishLocked(newStack(next))
 
 	var once sync.Once
 	return func() {
@@ -400,17 +371,10 @@ func (p *Pipeline) Install(g Guard) (remove func()) {
 				}
 				next = append(next, have)
 			}
-			p.gen.Bump()
-			p.publishLocked(newStack(next, p.gen.Current()))
+			p.publishLocked(newStack(next))
 		})
 	}
 }
-
-// Gen returns the current guard-stack generation. The name server folds
-// the stack into the policy epoch, whose version keys the decision
-// cache, so a stack change invalidates all cached verdicts without
-// touching the cache.
-func (p *Pipeline) Gen() uint64 { return p.stack.Load().gen }
 
 // Cacheable reports whether every guard in the current stack is pure
 // (its verdict a function of the request and the protection state

@@ -58,7 +58,7 @@ func TestExplainRunsEveryGuard(t *testing.T) {
 	c := &scripted{name: "c", allow: true}
 	p := NewPipeline(a, b, c)
 
-	vs := p.Explain(Request{})
+	vs := p.Current().Explain(Request{})
 	if len(vs) != 3 {
 		t.Fatalf("Explain returned %d verdicts", len(vs))
 	}
@@ -85,7 +85,7 @@ func TestExplainOpShortCircuitPoint(t *testing.T) {
 	c := &scripted{name: "c", allow: false}
 	p := NewPipeline(a, b, c)
 
-	vs, sc := p.ExplainOp(Request{})
+	vs, sc := p.Current().ExplainOp(Request{})
 	if len(vs) != 3 {
 		t.Fatalf("ExplainOp returned %d verdicts", len(vs))
 	}
@@ -105,22 +105,22 @@ func TestExplainOpShortCircuitPoint(t *testing.T) {
 		t.Errorf("all-allow ExplainOp = (%d verdicts, sc %d), want (1, -1)", len(vs), sc)
 	}
 	// The empty stack allows vacuously.
-	if vs, sc := NewPipeline().ExplainOp(Request{}); sc != -1 || len(vs) != 0 {
+	if vs, sc := NewPipeline().Current().ExplainOp(Request{}); sc != -1 || len(vs) != 0 {
 		t.Errorf("empty ExplainOp = (%d verdicts, sc %d), want (0, -1)", len(vs), sc)
 	}
 }
 
 func TestInstallRemoveAndGeneration(t *testing.T) {
 	p := NewPipeline(&scripted{name: "base", allow: true})
-	g0 := p.Gen()
+	s0 := p.Current()
 	if v := p.Check(Request{}); !v.Allow {
 		t.Fatal("baseline denied")
 	}
 
 	veto := &scripted{name: "veto", allow: false}
 	remove := p.Install(veto)
-	if p.Gen() == g0 {
-		t.Error("Install did not bump the generation")
+	if p.Current() == s0 {
+		t.Error("Install did not publish a new stack")
 	}
 	if v := p.Check(Request{}); v.Allow {
 		t.Error("installed veto not consulted")
@@ -129,19 +129,19 @@ func TestInstallRemoveAndGeneration(t *testing.T) {
 		t.Errorf("Guards = %v", got)
 	}
 
-	g1 := p.Gen()
+	s1 := p.Current()
 	remove()
-	if p.Gen() == g1 {
-		t.Error("remove did not bump the generation")
+	if p.Current() == s1 {
+		t.Error("remove did not publish a new stack")
 	}
 	if v := p.Check(Request{}); !v.Allow {
 		t.Error("removed veto still denying")
 	}
-	// remove is idempotent: calling it again must not bump or panic.
-	g2 := p.Gen()
+	// remove is idempotent: calling it again must not republish or panic.
+	s2 := p.Current()
 	remove()
-	if p.Gen() != g2 {
-		t.Error("second remove bumped the generation")
+	if p.Current() != s2 {
+		t.Error("second remove published a new stack")
 	}
 }
 
@@ -215,7 +215,7 @@ func TestConcurrentCheckAndInstall(t *testing.T) {
 				default:
 					p.Check(Request{})
 					p.Cacheable()
-					p.Gen()
+					p.Current()
 				}
 			}
 		}()
@@ -232,15 +232,14 @@ func TestConcurrentCheckAndInstall(t *testing.T) {
 }
 
 // TestStackPinning: Current returns an immutable stack — installs
-// publish successors with bumped generations, and a pinned stack keeps
-// its guard list, cacheability, and generation while the pipeline moves
-// on. This is the property the policy epoch relies on.
+// publish successors, and a pinned stack keeps its guard list and
+// cacheability while the pipeline moves on. This is the property the policy epoch relies on.
 func TestStackPinning(t *testing.T) {
 	a := &scripted{name: "a", allow: true}
 	p := NewPipeline(a)
 	s0 := p.Current()
-	if s0.Depth() != 1 || !s0.Cacheable() || s0.Gen() != 0 {
-		t.Fatalf("initial stack: depth %d cacheable %v gen %d", s0.Depth(), s0.Cacheable(), s0.Gen())
+	if s0.Depth() != 1 || !s0.Cacheable() {
+		t.Fatalf("initial stack: depth %d cacheable %v", s0.Depth(), s0.Cacheable())
 	}
 
 	remove := p.Install(&statefulGuard{scripted{name: "meter", allow: false}})
@@ -248,8 +247,8 @@ func TestStackPinning(t *testing.T) {
 	if s1 == s0 {
 		t.Fatal("Install did not publish a new stack")
 	}
-	if s1.Gen() != s0.Gen()+1 || s1.Cacheable() || s1.Depth() != 2 {
-		t.Fatalf("installed stack: gen %d cacheable %v depth %d", s1.Gen(), s1.Cacheable(), s1.Depth())
+	if s1.Cacheable() || s1.Depth() != 2 {
+		t.Fatalf("installed stack: cacheable %v depth %d", s1.Cacheable(), s1.Depth())
 	}
 	// The pinned old stack still allows and still reports itself pure.
 	if v := s0.Check(Request{}); !v.Allow {
@@ -266,24 +265,24 @@ func TestStackPinning(t *testing.T) {
 		t.Fatalf("Guards() = %v", got)
 	}
 	remove()
-	if p.Current().Gen() != s1.Gen()+1 {
-		t.Fatal("remove did not bump the generation")
+	if p.Current() == s1 {
+		t.Fatal("remove did not publish a new stack")
 	}
 }
 
 // TestChangeHookSeesEveryPublication: the hook receives each newly
-// published stack, in generation order, exactly once per change — the
-// contract the name server's PublishStack transition depends on.
+// published stack, in order, exactly once per change — the contract
+// the name server's PublishStack transition depends on.
 func TestChangeHookSeesEveryPublication(t *testing.T) {
 	p := NewPipeline(&scripted{name: "a", allow: true})
-	var got []uint64
-	p.SetChangeHook(func(s *Stack) { got = append(got, s.Gen()) })
+	var got []int
+	p.SetChangeHook(func(s *Stack) { got = append(got, s.Depth()) })
 
 	remove := p.Install(&scripted{name: "b", allow: true})
 	remove()
 	remove() // idempotent: the second call must not republish
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("hook saw generations %v, want [1 2]", got)
+	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
+		t.Fatalf("hook saw stack depths %v, want [2 1]", got)
 	}
 	// Clearing the hook stops deliveries.
 	p.SetChangeHook(nil)
@@ -312,8 +311,8 @@ func TestStackExplainAndTracedNilTrace(t *testing.T) {
 	if v := allowStack.CheckTraced(Request{}, nil); !v.Allow {
 		t.Fatalf("CheckTraced allow = %+v", v)
 	}
-	// The pipeline-level traced entry point takes the same path.
-	if v := NewPipeline(a, b).CheckTraced(Request{}, nil); v.Allow || v.Guard != "b" {
+	// A freshly built pipeline's current stack takes the same path.
+	if v := NewPipeline(a, b).Current().CheckTraced(Request{}, nil); v.Allow || v.Guard != "b" {
 		t.Fatalf("Pipeline.CheckTraced = %+v", v)
 	}
 }

@@ -221,7 +221,7 @@ func (s *Server) flush() {
 	}
 	// Journal the transition. st is immutable once published, so its
 	// shard versions are safe to read here without the mutex.
-	rec := &TransitionRecord{
+	rec := &telemetry.EpochTransition{
 		Version:   st.version,
 		Time:      time.Now(),
 		Shards:    shardKinds(b.shards),
@@ -280,26 +280,4 @@ func (s *Server) stageRegistry(f *principal.Frozen) func() uint64 {
 	})
 	s.writeMu.Unlock()
 	return s.waiter(b)
-}
-
-// BatchStats is the write-combining publisher's telemetry: how many
-// mutations went through the batched path, the largest batch one flush
-// published, and the batch-size and flush-latency distributions.
-// Sizes abuses the latency histogram's buckets as plain counts — a
-// "duration" of n nanoseconds is a batch of n mutations.
-type BatchStats struct {
-	Mutations    uint64
-	MaxBatch     uint64
-	Sizes        telemetry.HistSnapshot
-	FlushLatency telemetry.HistSnapshot
-}
-
-// BatchStats returns the batched-publication counters and histograms.
-func (s *Server) BatchStats() BatchStats {
-	return BatchStats{
-		Mutations:    s.batchedMutations.Load(),
-		MaxBatch:     s.maxBatch.Load(),
-		Sizes:        s.batchSizes.Snapshot(),
-		FlushLatency: s.flushLat.Snapshot(),
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"secext/internal/acl"
 	"secext/internal/lattice"
 	"secext/internal/principal"
+	"secext/internal/telemetry"
 )
 
 // attachReg wires a registry with alice and a group into the fixture
@@ -270,7 +271,7 @@ func TestStagedMutationsCoalesce(t *testing.T) {
 	reg := attachReg(t, f)
 
 	pubs := f.srv.Publishes()
-	tr0 := f.srv.EpochTransitions()
+	tr0 := f.srv.Stats()
 
 	// Stage a lattice universe and a registry view without flushing
 	// in between: both join the same pending batch.
@@ -292,8 +293,8 @@ func TestStagedMutationsCoalesce(t *testing.T) {
 	if got := f.srv.Publishes(); got != pubs+2 { // DefineLevel + the batch
 		t.Fatalf("publications = %d, want %d", got-pubs, 2)
 	}
-	tr := f.srv.EpochTransitions()
-	if tr.Lattice != tr0.Lattice+2 || tr.Registry != tr0.Registry+1 {
+	tr := f.srv.Stats()
+	if tr.LatticeTransitions != tr0.LatticeTransitions+2 || tr.RegistryTransitions != tr0.RegistryTransitions+1 {
 		t.Fatalf("typed transitions: before %+v after %+v", tr0, tr)
 	}
 	ep := f.srv.Current()
@@ -301,12 +302,57 @@ func TestStagedMutationsCoalesce(t *testing.T) {
 		t.Fatal("published epoch does not carry both staged shards")
 	}
 
-	st := f.srv.BatchStats()
+	st := f.srv.Stats()
 	if st.MaxBatch < 2 {
 		t.Fatalf("max batch = %d, want >= 2", st.MaxBatch)
 	}
-	if st.Mutations == 0 || st.Sizes.Count == 0 || st.FlushLatency.Count == 0 {
+	if st.BatchedMutations == 0 || st.BatchSize.Count == 0 || st.FlushLatency.Count == 0 {
 		t.Fatalf("batch stats not populated: %+v", st)
+	}
+}
+
+// TestStatsDuringFlushes is the -race proof for telemetry scrapes:
+// Stats and Journal read the publication counters, the histograms, the
+// journal ring, the intern tables and the current epoch's compiled view
+// and footprint while writers flush, and successive scrapes never see
+// the epoch or a publication counter move backwards.
+func TestStatsDuringFlushes(t *testing.T) {
+	cf := newCompiledFixture(t)
+	a := acl.New(acl.AllowEveryone(acl.List | acl.Read))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				spec := BindSpec{Name: fmt.Sprintf("w%d-%d", w, i), Kind: KindFile, ACL: a, Class: cf.bot}
+				if _, err := cf.srv.Apply(nil, lattice.Class{}, Bind("/svc", spec)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var prev telemetry.NamesStats
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		st := cf.srv.Stats()
+		if st.Version < prev.Version || st.Publishes < prev.Publishes || st.NameTransitions < prev.NameTransitions ||
+			st.BatchedMutations < prev.BatchedMutations || st.Footprint.EpochVersion < prev.Footprint.EpochVersion {
+			t.Fatalf("scrape went backwards: %+v after %+v", st, prev)
+		}
+		if recs := cf.srv.Journal(4); len(recs) == 0 || recs[0].Version == 0 {
+			t.Fatalf("journal snapshot %+v", recs)
+		}
+		prev = st
+	}
+	if st := cf.srv.Stats(); st.Footprint.Nodes != cf.srv.Size() || st.Entries == 0 {
+		t.Fatalf("final scrape: %d footprint nodes for %d, %d compiled entries", st.Footprint.Nodes, cf.srv.Size(), st.Entries)
 	}
 }
 
@@ -329,7 +375,7 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 
 	v0 := f.srv.Version()
 	pubs0 := f.srv.Publishes()
-	mut0 := f.srv.BatchStats().Mutations
+	mut0 := f.srv.Stats().BatchedMutations
 
 	const workers = 4
 	const iters = 50
@@ -360,7 +406,7 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 	if got := f.srv.Version() - v0; got != pubs {
 		t.Fatalf("version advanced %d, publications %d — must match", got, pubs)
 	}
-	muts := f.srv.BatchStats().Mutations - mut0
+	muts := f.srv.Stats().BatchedMutations - mut0
 	if pubs > muts {
 		t.Fatalf("more publications (%d) than staged mutations (%d)", pubs, muts)
 	}

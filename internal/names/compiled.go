@@ -567,7 +567,7 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	return b.build(prev.root, prevC), stats(compileIncremental, b)
 }
 
-// fastCheck answers CheckAccess's resolve+verify from the compiled
+// fastCheck answers CheckAccessAt's resolve+verify from the compiled
 // structures alone: index probe, visibility bitset tests, summary
 // probe, dominance probe. It decides ALLOW only — ok == false means
 // "take the walk", which re-derives denials and structural errors with
@@ -699,36 +699,10 @@ func (ep *Epoch) CompiledGrants(path, subject string) (acl.Mode, bool) {
 	return ep.compiled.sumOf(e).Granted(pid), true
 }
 
-// CompiledStats is the compiled-epoch telemetry: how flushes obtained
-// their compiled views, the freeze-cost split, and what the CURRENT
-// epoch's view holds and retains. RetainedBytes counts structures
-// shared across entries and epochs once (what this epoch actually
-// pins); RetainedBytesCloned prices every use site separately — the
-// honest upper bound showing what structural sharing saves. Both are
-// estimates (map internals are approximated by slot size).
-type CompiledStats struct {
-	Full        uint64
-	Incremental uint64
-	Reused      uint64
-	// Summaries counts ACL summaries compiled across all builds: at
-	// most one per distinct ACL a build touches.
-	Summaries uint64
-
-	Entries             int
-	DomClasses          int
-	Sensitive           int
-	RetainedBytes       int64
-	RetainedBytesCloned int64
-
-	IndexBuild     telemetry.HistSnapshot
-	SummaryCompile telemetry.HistSnapshot
-	VisRecompute   telemetry.HistSnapshot
-}
-
 // CompiledStats returns the compiled-epoch counters, the freeze-cost
 // split histograms, and the current epoch's compiled footprint.
-func (s *Server) CompiledStats() CompiledStats {
-	st := CompiledStats{
+func (s *Server) CompiledStats() telemetry.CompiledStats {
+	st := telemetry.CompiledStats{
 		Full:           s.compFull.Load(),
 		Incremental:    s.compIncr.Load(),
 		Reused:         s.compReused.Load(),

@@ -160,7 +160,7 @@ func TestCompiledEpochLifecycle(t *testing.T) {
 	if f.srv.Current().Compiled() {
 		t.Fatal("compiled view survived SetCompiledEpochs(false)")
 	}
-	if _, err := f.srv.CheckAccess(f.root, f.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := f.srv.CheckAccessAt(f.root, f.bot, "/svc/fs/read", acl.Read); err != nil {
 		t.Fatalf("walk check with compilation off: %v", err)
 	}
 	f.srv.SetCompiledEpochs(true)
@@ -170,7 +170,7 @@ func TestCompiledEpochLifecycle(t *testing.T) {
 	if got := f.srv.CompiledStats().Full; got != full0+1 {
 		t.Fatalf("full rebuilds = %d, want %d (re-enable forces one)", got, full0+1)
 	}
-	if _, err := f.srv.CheckAccess(f.root, f.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := f.srv.CheckAccessAt(f.root, f.bot, "/svc/fs/read", acl.Read); err != nil {
 		t.Fatalf("fast check with compilation on: %v", err)
 	}
 }
@@ -403,7 +403,7 @@ func TestCompiledNonDefaultStackFallsBack(t *testing.T) {
 	if _, decided := ep.CompiledAllows(subj("root"), cf.bot, "/svc/fs/read", acl.Read); decided {
 		t.Fatal("fast check decided under a custom stack")
 	}
-	if _, err := srv.CheckAccess(subj("root"), cf.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := srv.CheckAccessAt(subj("root"), cf.bot, "/svc/fs/read", acl.Read); err != nil {
 		t.Fatalf("walk check under custom stack: %v", err)
 	}
 }

@@ -45,7 +45,8 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	if _, _, err := cf.srv.CheckAccessTracedAt(bob, cf.bot, path, acl.Read, nil); err == nil {
 		t.Fatal("traced check allowed bob read")
 	}
-	sc, dv := cf.srv.DivergenceStats()
+	st := cf.srv.Stats()
+	sc, dv := st.ShadowChecks, st.Divergences
 	if sc == 0 {
 		t.Fatal("shadow monitor did not run on the traced path")
 	}
@@ -64,7 +65,8 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	if _, _, err := cf.srv.CheckAccessTracedAt(carol, cf.bot, path, acl.Read, nil); err == nil {
 		t.Fatal("divergence leaked: corrupted compiled allow was enforced")
 	}
-	sc2, dv2 := cf.srv.DivergenceStats()
+	st = cf.srv.Stats()
+	sc2, dv2 := st.ShadowChecks, st.Divergences
 	if sc2 <= sc {
 		t.Fatalf("shadow checks did not advance: %d -> %d", sc, sc2)
 	}
@@ -81,7 +83,7 @@ func TestShadowMonitorSkipsUncompiled(t *testing.T) {
 	if _, _, err := f.srv.CheckAccessTracedAt(subj("nobody"), f.bot, "/svc/fs/read", acl.Read, nil); err == nil {
 		t.Fatal("unexpected allow")
 	}
-	if sc, dv := f.srv.DivergenceStats(); sc != 0 || dv != 0 {
-		t.Fatalf("counters (%d, %d) on an uncompiled server", sc, dv)
+	if st := f.srv.Stats(); st.ShadowChecks != 0 || st.Divergences != 0 {
+		t.Fatalf("counters (%d, %d) on an uncompiled server", st.ShadowChecks, st.Divergences)
 	}
 }

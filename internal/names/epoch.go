@@ -79,11 +79,6 @@ type Epoch struct {
 	fp    *fpCell
 }
 
-// Snapshot is the PR-4 name for a pinned policy version. It survives as
-// an alias: an Epoch is a snapshot that grew from covering the name
-// tree alone to covering every kind of policy state.
-type Snapshot = Epoch
-
 // Version returns the epoch's version number: the unified
 // protection-state generation used by the decision cache.
 func (ep *Epoch) Version() uint64 { return ep.version }

@@ -29,7 +29,7 @@ func TestEpochBundlesAllShards(t *testing.T) {
 	if ep0.Lattice() == nil || ep0.Registry() == nil || ep0.Stack() == nil || ep0.Root() == nil {
 		t.Fatalf("attached epoch missing a shard: %+v", ep0)
 	}
-	tr0 := f.srv.EpochTransitions()
+	tr0 := f.srv.Stats()
 
 	// Lattice definition → lattice transition, same tree and registry.
 	if _, err := f.lat.DefineLevel("ultra"); err != nil {
@@ -73,8 +73,8 @@ func TestEpochBundlesAllShards(t *testing.T) {
 		t.Fatal("tree mutation transitioned the wrong shard")
 	}
 
-	tr := f.srv.EpochTransitions()
-	if tr.Lattice != tr0.Lattice+1 || tr.Registry != tr0.Registry+1 || tr.Names != tr0.Names+1 {
+	tr := f.srv.Stats()
+	if tr.LatticeTransitions != tr0.LatticeTransitions+1 || tr.RegistryTransitions != tr0.RegistryTransitions+1 || tr.NameTransitions != tr0.NameTransitions+1 {
 		t.Fatalf("transition counters: before %+v after %+v", tr0, tr)
 	}
 	if got := f.srv.Publishes(); got < 3 {
@@ -123,7 +123,7 @@ func TestEpochReadPathAcquiresNoMutex(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				// Cached fast path.
-				if _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
+				if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
 					t.Errorf("cached check: %v", err)
 					return
 				}

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"secext/internal/acl"
+	"secext/internal/telemetry"
 )
 
 // Per-epoch footprint accounting.
@@ -14,7 +15,7 @@ import (
 // costs — node structs, child-slice backing arrays, path/name strings,
 // distinct ACL values — and how much of it is newly allocated versus
 // structure-shared with the parent epoch. The numbers are estimates in
-// the same spirit as CompiledStats.RetainedBytes: struct sizes via
+// the same spirit as the compiled view's RetainedBytes: struct sizes via
 // unsafe.Sizeof, string bytes by length, shared values counted once.
 //
 // The walk is O(tree) but runs at most once per epoch: the result is
@@ -24,37 +25,11 @@ import (
 // it costs O(changed) per publication and no parent epoch is kept
 // alive for accounting.
 
-// Footprint is one epoch's tree-memory accounting.
-type Footprint struct {
-	Version uint64 // epoch the numbers describe
-
-	Nodes       int // all nodes, root included
-	Leaves      int // nodes of leaf kinds
-	Directories int // non-leaf nodes
-
-	OwnedNodes  int // nodes newly allocated by this epoch's publication
-	SharedNodes int // nodes pointer-shared with the parent epoch
-
-	ChildSlots      int   // total childRef entries across all directories
-	ChildSliceBytes int64 // children backing arrays (cap × sizeof(childRef))
-	PathBytes       int64 // canonical path strings (one per node)
-	NameBytes       int64 // component-name bytes NOT shared with the node's path backing
-	NodeStructBytes int64 // Nodes × sizeof(Node)
-
-	ACLRefs       int     // nodes (every node holds an ACL reference)
-	DistinctACLs  int     // distinct *acl.ACL values in the tree
-	ACLBytes      int64   // entry storage of the distinct ACLs, counted once
-	ACLDedupRatio float64 // ACLRefs / DistinctACLs
-
-	TotalBytes   int64   // sum of the byte columns above
-	BytesPerNode float64 // TotalBytes / Nodes
-}
-
 // fpCell caches one epoch's lazily computed footprint. It is allocated
 // fresh per publication (see flush), so the sync.Once is never copied.
 type fpCell struct {
 	once sync.Once
-	fp   Footprint
+	fp   telemetry.FootprintStats
 }
 
 // countOwned counts the nodes of next's tree that are not pointer-
@@ -79,9 +54,10 @@ func countOwned(prev, next *Node) int {
 }
 
 // Footprint returns the epoch's tree-memory accounting, computed once
-// per epoch and cached. Calling it on a staged (unpublished) epoch
-// computes uncached.
-func (ep *Epoch) Footprint() Footprint {
+// per epoch and cached; the intern-table fields stay zero (Server.Stats
+// fills them). Calling it on a staged (unpublished) epoch computes
+// uncached.
+func (ep *Epoch) Footprint() telemetry.FootprintStats {
 	cell := ep.fp
 	if cell == nil {
 		return ep.computeFootprint()
@@ -90,8 +66,8 @@ func (ep *Epoch) Footprint() Footprint {
 	return cell.fp
 }
 
-func (ep *Epoch) computeFootprint() Footprint {
-	fp := Footprint{Version: ep.version, OwnedNodes: ep.owned}
+func (ep *Epoch) computeFootprint() telemetry.FootprintStats {
+	fp := telemetry.FootprintStats{EpochVersion: ep.version, OwnedNodes: ep.owned}
 	nodeSize := int64(unsafe.Sizeof(Node{}))
 	refSize := int64(unsafe.Sizeof(childRef{}))
 	seenACL := make(map[*acl.ACL]struct{}, 64)
@@ -128,24 +104,4 @@ func (ep *Epoch) computeFootprint() Footprint {
 		fp.BytesPerNode = float64(fp.TotalBytes) / float64(fp.Nodes)
 	}
 	return fp
-}
-
-// EpochFootprint bundles the current epoch's footprint with the
-// server's intern-table accounting — the write-side state the epoch
-// numbers depend on.
-type EpochFootprint struct {
-	Footprint
-	Interner InternStats
-	ACLCanon ACLCanonStats
-}
-
-// EpochFootprint returns the current epoch's footprint plus the
-// server's string-interner and ACL-dedup table statistics. Telemetry
-// surfaces it as the secext_epoch_footprint_* gauge family.
-func (s *Server) EpochFootprint() EpochFootprint {
-	return EpochFootprint{
-		Footprint: s.epoch.Load().Footprint(),
-		Interner:  s.strings.stats(),
-		ACLCanon:  s.acls.stats(),
-	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"secext/internal/acl"
 	"secext/internal/lattice"
+	"secext/internal/telemetry"
 )
 
 // Write-side interning.
@@ -84,27 +85,17 @@ func (in *interner) intern(s string) string {
 	return s
 }
 
-// InternStats describes the interner's table for footprint telemetry.
-type InternStats struct {
-	Strings int    `json:"strings"`
-	Bytes   int64  `json:"bytes"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Resets  uint64 `json:"resets"`
-}
-
-// stats snapshots the table.
-func (in *interner) stats() InternStats {
+// stats snapshots the table into fp's interner fields.
+func (in *interner) stats(fp *telemetry.FootprintStats) {
 	if in == nil {
-		return InternStats{}
+		return
 	}
 	in.mu.Lock()
-	st := InternStats{Strings: len(in.table), Bytes: in.bytes}
+	fp.InternedStrings, fp.InternedBytes = len(in.table), in.bytes
 	in.mu.Unlock()
-	st.Hits = in.hits.Load()
-	st.Misses = in.misses.Load()
-	st.Resets = in.resets.Load()
-	return st
+	fp.InternHits = in.hits.Load()
+	fp.InternMisses = in.misses.Load()
+	fp.InternResets = in.resets.Load()
 }
 
 // nameOf returns the final component of a canonical absolute path as a
@@ -195,22 +186,14 @@ func (cc *classCanon) canon(c lattice.Class) *lattice.Class {
 	return &boxed
 }
 
-// ACLCanonStats describes the ACL dedup table for footprint telemetry.
-type ACLCanonStats struct {
-	Distinct uint64 `json:"distinct"`
-	Dedups   uint64 `json:"dedups"`
-	Resets   uint64 `json:"resets"`
-}
-
-// stats snapshots the table.
-func (c *aclCanon) stats() ACLCanonStats {
+// stats snapshots the table into fp's ACL-canon fields.
+func (c *aclCanon) stats(fp *telemetry.FootprintStats) {
 	if c == nil {
-		return ACLCanonStats{}
+		return
 	}
 	c.mu.Lock()
-	st := ACLCanonStats{Distinct: uint64(len(c.table))}
+	fp.ACLCanonDistinct = uint64(len(c.table))
 	c.mu.Unlock()
-	st.Dedups = c.dedups.Load()
-	st.Resets = c.resets.Load()
-	return st
+	fp.ACLCanonDedups = c.dedups.Load()
+	fp.ACLCanonResets = c.resets.Load()
 }

@@ -2,7 +2,8 @@ package names
 
 import (
 	"sync/atomic"
-	"time"
+
+	"secext/internal/telemetry"
 )
 
 // journalCap is the number of epoch-transition records the journal
@@ -12,52 +13,6 @@ import (
 // latency investigation needs.
 const journalCap = 256
 
-// TransitionRecord describes one epoch publication: which shards
-// changed, how many staged mutations the batch coalesced, whether the
-// freezes were incremental or full rebuilds, what kind of compiled
-// read side was built and what it cost, and how long the whole
-// publish took. Records are immutable once appended.
-type TransitionRecord struct {
-	Version   uint64    `json:"version"`    // version the batch landed in
-	Time      time.Time `json:"time"`       // wall-clock publish time
-	Shards    []string  `json:"shards"`     // shard kinds staged into the batch
-	BatchSize int       `json:"batch_size"` // staged mutations coalesced
-
-	// Frozen-shard provenance: version and delta base of the lattice
-	// and registry snapshots the epoch carries. DeltaBase == 0 means
-	// the freeze was a full rebuild; nonzero names the version the
-	// incremental freeze derived from. Registry fields are zero when
-	// no registry is attached.
-	LatticeVersion    uint64 `json:"lattice_version"`
-	LatticeDeltaBase  uint64 `json:"lattice_delta_base"`
-	RegistryVersion   uint64 `json:"registry_version"`
-	RegistryDeltaBase uint64 `json:"registry_delta_base"`
-	// IncrementalFreeze reports whether the registry freeze for this
-	// epoch was derived incrementally from a prior frozen snapshot.
-	IncrementalFreeze bool `json:"incremental_freeze"`
-
-	// Compile provenance: the build kind of the epoch's compiled read
-	// side ("full", "incremental", "reused", or "none" when compiled
-	// epochs are off or no registry is attached) and its cost.
-	Compile   string `json:"compile"`
-	CompileNS int64  `json:"compile_ns"`
-
-	// PublishNS is the end-to-end latency of the flush that published
-	// this epoch (freeze + compile + pointer store), as observed by
-	// the flushing writer.
-	PublishNS int64 `json:"publish_ns"`
-
-	// Replication provenance: Kind is empty for a local publication,
-	// "replica" for an epoch applied from a primary's replication
-	// stream, and "replica-stale" for a fail-closed publication a
-	// replica installed after missing its staleness deadline.
-	// PrimaryVersion is the primary epoch version a replication apply
-	// mirrors (zero for local publications) — the field that ties the
-	// replica's local version clock to the primary's.
-	Kind           string `json:"kind,omitempty"`
-	PrimaryVersion uint64 `json:"primary_version,omitempty"`
-}
-
 // epochJournal is a lock-free ring of transition records. Appends are
 // one atomic add plus one pointer store; snapshots read pointers
 // without stopping writers. The zero value is ready to use, so the
@@ -65,11 +20,11 @@ type TransitionRecord struct {
 // is either the old or the new pointer — never a torn record — because
 // the slot holds a pointer to an immutable struct.
 type epochJournal struct {
-	slots [journalCap]atomic.Pointer[TransitionRecord]
+	slots [journalCap]atomic.Pointer[telemetry.EpochTransition]
 	pos   atomic.Uint64 // total appends since boot
 }
 
-func (j *epochJournal) append(r *TransitionRecord) {
+func (j *epochJournal) append(r *telemetry.EpochTransition) {
 	i := j.pos.Add(1) - 1
 	j.slots[i%journalCap].Store(r)
 }
@@ -78,7 +33,7 @@ func (j *epochJournal) append(r *TransitionRecord) {
 // retained records. Concurrent appends may overwrite the oldest slots
 // while we read; a slot whose pointer moved forward simply yields the
 // newer record, so the result is always a set of real transitions.
-func (j *epochJournal) snapshot(n int) []TransitionRecord {
+func (j *epochJournal) snapshot(n int) []telemetry.EpochTransition {
 	total := j.pos.Load()
 	avail := total
 	if avail > journalCap {
@@ -87,7 +42,7 @@ func (j *epochJournal) snapshot(n int) []TransitionRecord {
 	if n <= 0 || uint64(n) > avail {
 		n = int(avail)
 	}
-	out := make([]TransitionRecord, 0, n)
+	out := make([]telemetry.EpochTransition, 0, n)
 	for k := 0; k < n; k++ {
 		// Walk backwards from the most recent append.
 		idx := (total - 1 - uint64(k)) % journalCap
@@ -109,23 +64,10 @@ func (j *epochJournal) recorded() int {
 
 // Journal returns up to n epoch-transition records, newest first
 // (n <= 0 means all retained records). The snapshot is lock-free and
-// never blocks writers; see TransitionRecord for field semantics.
-func (s *Server) Journal(n int) []TransitionRecord {
+// never blocks writers; see telemetry.EpochTransition for field
+// semantics.
+func (s *Server) Journal(n int) []telemetry.EpochTransition {
 	return s.journal.snapshot(n)
-}
-
-// JournalLen returns the number of transition records currently
-// retained in the journal ring (at most journalCap).
-func (s *Server) JournalLen() int { return s.journal.recorded() }
-
-// DivergenceStats returns the shadow divergence monitor's counters:
-// how many traced checks were routed through both the compiled fast
-// path and the authoritative walk, and how many of those disagreed.
-// A nonzero divergence count is a correctness alarm — the compiled
-// read side allowed something the walk denied (the walk's verdict was
-// enforced; the compiled answer was only compared).
-func (s *Server) DivergenceStats() (shadowChecks, divergences uint64) {
-	return s.shadowChecks.Load(), s.divergences.Load()
 }
 
 // label renders a compile build kind for journal records and

@@ -14,14 +14,14 @@ import (
 // and compile provenance, publish latency.
 func TestJournalRecordsTransition(t *testing.T) {
 	cf := newCompiledFixture(t)
-	before := cf.srv.JournalLen()
+	before := cf.srv.Stats().JournalRecords
 
 	if err := cf.srv.SetACLUnchecked("/svc/fs/read",
 		acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List|acl.Read))); err != nil {
 		t.Fatal(err)
 	}
-	if cf.srv.JournalLen() != before+1 {
-		t.Fatalf("JournalLen = %d, want %d", cf.srv.JournalLen(), before+1)
+	if cf.srv.Stats().JournalRecords != before+1 {
+		t.Fatalf("JournalLen = %d, want %d", cf.srv.Stats().JournalRecords, before+1)
 	}
 
 	recs := cf.srv.Journal(1)
@@ -111,7 +111,7 @@ func TestJournalRingWraparound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.srv.JournalLen(); got != journalCap {
+	if got := f.srv.Stats().JournalRecords; got != journalCap {
 		t.Fatalf("JournalLen after wraparound = %d, want %d", got, journalCap)
 	}
 	recs := f.srv.Journal(0)

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"secext/internal/acl"
+	"secext/internal/telemetry"
 )
 
 // sameStringData reports whether two strings share a backing pointer.
@@ -137,8 +138,8 @@ func TestInterner(t *testing.T) {
 	if a != b || !sameStringData(a, b) {
 		t.Fatal("intern did not canonicalize")
 	}
-	st := in.stats()
-	if st.Strings != 1 || st.Bytes != int64(len("/svc/fs")) || st.Hits != 1 || st.Misses != 1 {
+	st := internStats(&in)
+	if st.InternedStrings != 1 || st.InternedBytes != int64(len("/svc/fs")) || st.InternHits != 1 || st.InternMisses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 
@@ -146,9 +147,21 @@ func TestInterner(t *testing.T) {
 	if nilIn.intern("pass") != "pass" {
 		t.Fatal("nil interner must pass through")
 	}
-	if (nilIn.stats() != InternStats{}) {
+	if (internStats(nilIn) != telemetry.FootprintStats{}) {
 		t.Fatal("nil interner stats must be zero")
 	}
+}
+
+// internStats and canonStats read one intern table's counters into an
+// otherwise empty footprint.
+func internStats(in *interner) (fp telemetry.FootprintStats) {
+	in.stats(&fp)
+	return fp
+}
+
+func canonStats(c *aclCanon) (fp telemetry.FootprintStats) {
+	c.stats(&fp)
+	return fp
 }
 
 func TestInternerReset(t *testing.T) {
@@ -159,11 +172,11 @@ func TestInternerReset(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		in.intern(fmt.Sprintf("/k%d", i))
 	}
-	st := in.stats()
-	if st.Resets == 0 {
+	st := internStats(&in)
+	if st.InternResets == 0 {
 		t.Fatalf("expected resets after overflow, stats = %+v", st)
 	}
-	if st.Strings > 4+1 {
+	if st.InternedStrings > 4+1 {
 		t.Fatalf("table exceeded cap: %+v", st)
 	}
 }
@@ -203,8 +216,8 @@ func TestACLCanon(t *testing.T) {
 	if c.canon(nil).Len() != 0 {
 		t.Fatal("nil ACL should canonicalize to empty")
 	}
-	st := c.stats()
-	if st.Distinct != 2 || st.Dedups != 2 {
+	st := canonStats(&c)
+	if st.ACLCanonDistinct != 2 || st.ACLCanonDedups != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 
@@ -213,7 +226,7 @@ func TestACLCanon(t *testing.T) {
 	if got == mine || got.String() != mine.String() {
 		t.Fatal("nil canon must clone")
 	}
-	if (nilC.stats() != ACLCanonStats{}) {
+	if (canonStats(nilC) != telemetry.FootprintStats{}) {
 		t.Fatal("nil canon stats must be zero")
 	}
 }
@@ -226,7 +239,7 @@ func TestACLCanonReset(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c.canon(acl.New(acl.Allow(fmt.Sprintf("p%d", i), acl.Read)))
 	}
-	if st := c.stats(); st.Resets == 0 {
+	if st := canonStats(&c); st.ACLCanonResets == 0 {
 		t.Fatalf("expected resets, stats = %+v", st)
 	}
 }
@@ -288,8 +301,8 @@ func TestEpochFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ef := f.srv.EpochFootprint()
-	fp := ef.Footprint
+	ef := f.srv.Stats().Footprint
+	fp := f.srv.Current().Footprint()
 	if fp.Nodes != f.srv.Size() || fp.Nodes != 9 {
 		t.Fatalf("Nodes = %d, Size = %d", fp.Nodes, f.srv.Size())
 	}
@@ -316,18 +329,18 @@ func TestEpochFootprint(t *testing.T) {
 	if fp.TotalBytes <= 0 || fp.BytesPerNode <= 0 {
 		t.Fatalf("byte totals: %+v", fp)
 	}
-	if fp.Version != f.srv.Current().Version() {
-		t.Fatalf("Version = %d", fp.Version)
+	if fp.EpochVersion != f.srv.Current().Version() {
+		t.Fatalf("Version = %d", fp.EpochVersion)
 	}
 	// Cached: a second call returns identical numbers.
-	if again := f.srv.EpochFootprint().Footprint; again != fp {
+	if again := f.srv.Current().Footprint(); again != fp {
 		t.Fatalf("footprint not stable: %+v vs %+v", again, fp)
 	}
-	if ef.Interner.Misses == 0 || ef.Interner.Strings == 0 {
-		t.Fatalf("interner stats empty: %+v", ef.Interner)
+	if ef.InternMisses == 0 || ef.InternedStrings == 0 {
+		t.Fatalf("interner stats empty: %+v", ef)
 	}
-	if ef.ACLCanon.Dedups == 0 {
-		t.Fatalf("acl canon stats: %+v", ef.ACLCanon)
+	if ef.ACLCanonDedups == 0 {
+		t.Fatalf("acl canon stats: %+v", ef)
 	}
 }
 

@@ -92,7 +92,7 @@ func (e *DeniedError) Unwrap() error { return ErrDenied }
 // Node is one entry in the name space. Nodes are immutable once
 // published: a Server mutation never edits a live node, it clones the
 // spine from the root to the change and publishes a new snapshot (see
-// Snapshot). A *Node obtained from any server operation is therefore
+// Epoch). A *Node obtained from any server operation is therefore
 // safe to read from any goroutine forever — it describes the node as
 // it was in the snapshot the operation ran against. Nodes carry their
 // absolute path instead of a parent pointer, so a snapshot is a pure

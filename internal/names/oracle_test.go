@@ -150,9 +150,9 @@ func TestCheckAccessMatchesPreRefactorOracle(t *testing.T) {
 			modes := acl.Mode(rng.Intn(int(acl.AllModes))) + 1
 
 			want := o.oracleCheck(sub, class, path, modes)
-			_, err := srv.CheckAccess(sub, class, path, modes)
+			_, _, err := srv.CheckAccessAt(sub, class, path, modes)
 			if got := err == nil; got != want {
-				t.Fatalf("round %d: CheckAccess(%s, %s, %s, %s) = %v (err=%v); oracle says %v",
+				t.Fatalf("round %d: CheckAccessAt(%s, %s, %s, %s) = %v (err=%v); oracle says %v",
 					round, sub.SubjectName(), class, path, modes, got, err, want)
 			}
 		}

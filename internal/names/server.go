@@ -31,7 +31,7 @@ var ErrNotEmpty = fmt.Errorf("names: node not empty")
 // Concurrency design (RCU over the WHOLE policy): the server publishes
 // an immutable Epoch — name tree, frozen lattice, frozen
 // principal/group registry, guard stack — through one atomic pointer.
-// Readers (Resolve, CheckAccess, List, GetACL, Walk) pin the current
+// Readers (Resolve, CheckAccessAt, List, GetACL, Walk) pin the current
 // Epoch with a single atomic load and run the entire decision against
 // it with zero locks; no mediation step ever consults mutable state.
 // Writers serialize on a writer-only mutex, derive a successor epoch
@@ -124,7 +124,7 @@ type Server struct {
 	compSummaryNs telemetry.Histogram
 	compVisNs     telemetry.Histogram
 
-	// cache, when set, memoizes CheckAccess verdicts keyed by
+	// cache, when set, memoizes CheckAccessAt verdicts keyed by
 	// (subject, class, path, modes) and stamped with the epoch version
 	// the verdict was computed against. A hit requires the stamp to
 	// equal the pinned epoch's version, so it is provably computed
@@ -220,22 +220,33 @@ func (s *Server) Version() uint64 { return s.epoch.Load().version }
 // writer-side counter telemetry exposes.
 func (s *Server) Publishes() uint64 { return s.publishes.Load() }
 
-// Transitions breaks Publishes down by the policy shard whose change
-// drove each publication.
-type Transitions struct {
-	Names    uint64 // tree mutations (bind/unbind/rename/set-acl/...)
-	Lattice  uint64 // lattice universe definitions
-	Registry uint64 // principal/group registry mutations
-	Stack    uint64 // guard installs/removals and pipeline swaps
-}
-
-// EpochTransitions returns the per-shard publication counters.
-func (s *Server) EpochTransitions() Transitions {
-	return Transitions{
-		Names:    s.namePubs.Load(),
-		Lattice:  s.latticePubs.Load(),
-		Registry: s.registryPubs.Load(),
-		Stack:    s.stackPubs.Load(),
+// Stats returns the name server's telemetry: the current epoch's
+// version, the publication counters by the shard that drove them, the
+// write-combining publisher's batches, the compiled-epoch counters, the
+// shadow divergence monitor (a nonzero divergence count is a
+// correctness alarm: the compiled read side allowed something the walk
+// denied, and the walk's verdict was enforced), the journal's fill, and
+// the current epoch's footprint with the intern tables' counters.
+func (s *Server) Stats() telemetry.NamesStats {
+	fp := s.epoch.Load().Footprint()
+	s.strings.stats(&fp)
+	s.acls.stats(&fp)
+	return telemetry.NamesStats{
+		Version:             s.Version(),
+		Publishes:           s.Publishes(),
+		NameTransitions:     s.namePubs.Load(),
+		LatticeTransitions:  s.latticePubs.Load(),
+		RegistryTransitions: s.registryPubs.Load(),
+		StackTransitions:    s.stackPubs.Load(),
+		BatchedMutations:    s.batchedMutations.Load(),
+		MaxBatch:            s.maxBatch.Load(),
+		BatchSize:           s.batchSizes.Snapshot(),
+		FlushLatency:        s.flushLat.Snapshot(),
+		CompiledStats:       s.CompiledStats(),
+		ShadowChecks:        s.shadowChecks.Load(),
+		Divergences:         s.divergences.Load(),
+		JournalRecords:      s.journal.recorded(),
+		Footprint:           fp,
 	}
 }
 
@@ -338,7 +349,7 @@ func (s *Server) admin(op, path string, err error) {
 }
 
 // SetDecisionCache installs (or, with nil, removes) the decision cache
-// consulted by CheckAccess. Call it during setup, before the server sees
+// consulted by CheckAccessAt. Call it during setup, before the server sees
 // concurrent traffic. Only the reference monitor should install a cache:
 // cached verdicts are keyed by subject *name*, which is sound only when
 // every subject name maps to one identity — core's registry guarantees
@@ -475,7 +486,7 @@ func (s *Server) ResolveIn(ep *Epoch, sub acl.Subject, class lattice.Class, path
 
 // Resolve walks to the node at path, enforcing visibility along the way.
 // The target node itself is not checked; callers apply the operation-
-// specific check via CheckAccess or a higher-level operation.
+// specific check via CheckAccessAt or a higher-level operation.
 func (s *Server) Resolve(sub acl.Subject, class lattice.Class, path string) (*Node, error) {
 	return s.ResolveIn(s.epoch.Load(), sub, class, path)
 }
@@ -487,9 +498,13 @@ func (s *Server) ResolveUnchecked(path string) (*Node, error) {
 	return n, err
 }
 
-// CheckAccess resolves path and verifies that the subject holds the
+// CheckAccessAt resolves path and verifies that the subject holds the
 // requested modes on the target under the guard stack. It returns the
-// node on success.
+// node on success and the deciding epoch's version either way, so
+// callers (the reference monitor's audit path) can stamp the decision
+// with the exact protection-state generation it was computed against —
+// a cache hit included, since a hit requires the stamp to equal the
+// pinned version.
 //
 // The whole decision — cache probe, resolve, guard evaluation — runs
 // against one pinned epoch, so it is computed against exactly one
@@ -501,16 +516,6 @@ func (s *Server) ResolveUnchecked(path string) (*Node, error) {
 // stamped with the pinned epoch's version, so a mutation of ANY policy
 // shard racing with the check leaves the entry unreachable the moment
 // it lands.
-func (s *Server) CheckAccess(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, error) {
-	n, _, err := s.CheckAccessAt(sub, class, path, modes)
-	return n, err
-}
-
-// CheckAccessAt is CheckAccess plus the deciding epoch's version, so
-// callers (the reference monitor's audit path) can stamp the decision
-// with the exact protection-state generation it was computed against —
-// a cache hit included, since a hit requires the stamp to equal the
-// pinned version.
 func (s *Server) CheckAccessAt(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, uint64, error) {
 	ep := s.epoch.Load()
 	cache := s.cache.Load()
@@ -537,19 +542,12 @@ func (s *Server) CheckAccessAt(sub acl.Subject, class lattice.Class, path string
 	return n, ep.version, err
 }
 
-// CheckAccessTraced is CheckAccess with stage-by-stage observability:
-// the pinned epoch version, the decision-cache probe, the path
-// resolution, and each guard's verdict land as spans on tr. It is
-// invoked only for requests the telemetry sampler selected, so the
+// CheckAccessTracedAt is CheckAccessAt with stage-by-stage
+// observability: the pinned epoch version, the decision-cache probe,
+// the path resolution, and each guard's verdict land as spans on tr. It
+// is invoked only for requests the telemetry sampler selected, so the
 // extra clock reads never touch the common path; the decision returned
-// is identical to CheckAccess's.
-func (s *Server) CheckAccessTraced(sub acl.Subject, class lattice.Class, path string, modes acl.Mode, tr *telemetry.ActiveTrace) (*Node, error) {
-	n, _, err := s.CheckAccessTracedAt(sub, class, path, modes, tr)
-	return n, err
-}
-
-// CheckAccessTracedAt is CheckAccessTraced plus the deciding epoch's
-// version (see CheckAccessAt).
+// is identical to CheckAccessAt's.
 func (s *Server) CheckAccessTracedAt(sub acl.Subject, class lattice.Class, path string, modes acl.Mode, tr *telemetry.ActiveTrace) (*Node, uint64, error) {
 	ep := s.epoch.Load()
 	tr.EpochVersion(ep.version)

@@ -302,10 +302,10 @@ func TestCheckAccessModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := subj("ext")
-	if _, err := f.srv.CheckAccess(ext, f.bot, "/svc/fs/read", acl.Execute); err != nil {
+	if _, _, err := f.srv.CheckAccessAt(ext, f.bot, "/svc/fs/read", acl.Execute); err != nil {
 		t.Errorf("execute: %v", err)
 	}
-	if _, err := f.srv.CheckAccess(ext, f.bot, "/svc/fs/read", acl.Extend); !errors.Is(err, ErrDenied) {
+	if _, _, err := f.srv.CheckAccessAt(ext, f.bot, "/svc/fs/read", acl.Extend); !errors.Is(err, ErrDenied) {
 		t.Errorf("extend without mode: got %v, want ErrDenied", err)
 	}
 	// MAC: object at organization, subject at bottom -> execute denied
@@ -313,7 +313,7 @@ func TestCheckAccessModes(t *testing.T) {
 	if err := f.srv.SetClassUnchecked("/svc/fs/read", f.org); err != nil {
 		t.Fatal(err)
 	}
-	_, err := f.srv.CheckAccess(ext, f.bot, "/svc/fs/read", acl.Execute)
+	_, _, err := f.srv.CheckAccessAt(ext, f.bot, "/svc/fs/read", acl.Execute)
 	if !errors.Is(err, ErrDenied) {
 		t.Errorf("MAC execute: got %v, want ErrDenied", err)
 	}

@@ -2,8 +2,7 @@ package names
 
 // This file holds the copy-on-write tree machinery behind epoch
 // publication: spine cloning, rebinding, and subtree relocation. The
-// pinned-version type itself is Epoch (see epoch.go); the PR-4 name
-// Snapshot survives as an alias for it.
+// pinned-version type itself is Epoch (see epoch.go).
 
 // clone returns a shallow copy of n. The copy shares the children
 // slice, ACL, class, payload, and grandchildren with the original —

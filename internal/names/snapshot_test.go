@@ -448,10 +448,10 @@ func TestCheckAccessCachedPath(t *testing.T) {
 	}
 
 	alice := subj("alice")
-	if _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
 		t.Fatalf("first (miss) check: %v", err)
 	}
-	if _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
 		t.Fatalf("second (hit) check: %v", err)
 	}
 	st := cache.Stats()
@@ -462,7 +462,7 @@ func TestCheckAccessCachedPath(t *testing.T) {
 	n, _ := f.srv.ResolveUnchecked("/svc/fs/read")
 	a := n.ACL()
 	a.Add(acl.Allow("mallory", acl.AllModes))
-	if _, err := f.srv.CheckAccess(subj("mallory"), f.bot, "/svc/fs/read", acl.Write); !errors.Is(err, ErrDenied) {
+	if _, _, err := f.srv.CheckAccessAt(subj("mallory"), f.bot, "/svc/fs/read", acl.Write); !errors.Is(err, ErrDenied) {
 		t.Fatalf("editing a returned ACL copy changed protection: %v", err)
 	}
 
@@ -471,12 +471,12 @@ func TestCheckAccessCachedPath(t *testing.T) {
 	if err := f.srv.SetACLUnchecked("/svc/fs/read", acl.New(acl.AllowEveryone(acl.List))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/read", acl.Read); !errors.Is(err, ErrDenied) {
+	if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/read", acl.Read); !errors.Is(err, ErrDenied) {
 		t.Fatalf("post-revocation check: %v", err)
 	}
 	// The denial itself is cached; a repeat is a hit with the same error.
 	hits := cache.Stats().Hits
-	if _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/read", acl.Read); !errors.Is(err, ErrDenied) {
+	if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/read", acl.Read); !errors.Is(err, ErrDenied) {
 		t.Fatalf("cached denial: %v", err)
 	}
 	if cache.Stats().Hits != hits+1 {
@@ -484,7 +484,7 @@ func TestCheckAccessCachedPath(t *testing.T) {
 	}
 	// Structural errors are not cached.
 	stores := cache.Stats().Stores
-	if _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/missing", acl.Read); !errors.Is(err, ErrNotFound) {
+	if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/missing", acl.Read); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("structural error: %v", err)
 	}
 	if cache.Stats().Stores != stores {
@@ -494,7 +494,7 @@ func TestCheckAccessCachedPath(t *testing.T) {
 	// A stateful guard in the pipeline bypasses the cache entirely.
 	f.srv.SetPipeline(monitor.NewPipeline(statefulGuard{}))
 	misses := cache.Stats().Misses
-	if _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
 		t.Fatalf("stateful-pipeline check: %v", err)
 	}
 	if cache.Stats().Misses != misses {
@@ -530,7 +530,7 @@ func TestCheckAccessTraced(t *testing.T) {
 		if tr == nil {
 			t.Fatal("ModeFull sampler returned nil trace")
 		}
-		_, err := f.srv.CheckAccessTraced(alice, f.bot, "/svc/fs/read", acl.Read, tr)
+		_, _, err := f.srv.CheckAccessTracedAt(alice, f.bot, "/svc/fs/read", acl.Read, tr)
 		tr.Finish(0, err == nil, "")
 		if (err != nil) != wantErr {
 			t.Fatalf("traced check err = %v, wantErr %v", err, wantErr)

@@ -463,7 +463,7 @@ func TestJournalWraparound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.srv.JournalLen(); got != journalCap {
+	if got := f.srv.Stats().JournalRecords; got != journalCap {
 		t.Fatalf("JournalLen = %d, want cap %d", got, journalCap)
 	}
 	recs := f.srv.Journal(0)

@@ -37,7 +37,7 @@ func TestApplyIsOneRegistryVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg0 := sys.Registry().Version()
-		names0 := sys.Names().EpochTransitions().Names
+		names0 := sys.Names().Stats().NameTransitions
 		if err := pol.Apply(sys); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestApplyIsOneRegistryVersion(t *testing.T) {
 			t.Errorf("%d principals, %d groups: registry moved %d versions, want 1", n, groups, got)
 		}
 		// One name transition per node declaration, plus one for every ACL.
-		if got := sys.Names().EpochTransitions().Names - names0; got != uint64(n)+1 {
+		if got := sys.Names().Stats().NameTransitions - names0; got != uint64(n)+1 {
 			t.Errorf("%d nodes with ACLs: %d name transitions, want %d", n, got, n+1)
 		}
 		if !sys.Registry().IsMember(fmt.Sprintf("p%d", n-1), fmt.Sprintf("g%d", (n-1)%groups)) {

@@ -104,19 +104,26 @@ type GuardStat struct {
 	Latency HistSnapshot `json:"latency"`
 }
 
-// CacheStats mirrors the decision cache's counters; the reference
-// monitor wires the cache in via SetCacheStats so this package stays a
-// leaf.
+// Every statistic the telemetry surfaces expose is declared once, in
+// this package: the layer that keeps the counters returns one of these
+// types directly, and the reference monitor wires its method value in
+// (SetNamesStats(ns.Stats), SetAuditStats(log.Stats), ...). This
+// package stays a stdlib-only leaf, so every producer can import it.
+
+// CacheStats is the decision cache's counter snapshot. The cache fills
+// everything but Invalidations: invalidation is a property of the epoch
+// clock, so the reference monitor reports the name server's publish
+// count there.
 type CacheStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Stores        uint64 `json:"stores"`
+	Hits          uint64 `json:"hits"`   // lookups served from cache
+	Misses        uint64 `json:"misses"` // lookups that fell through to a full check
+	Stores        uint64 `json:"stores"` // verdicts published
 	Invalidations uint64 `json:"invalidations"`
-	Capacity      int    `json:"capacity"`
+	Capacity      int    `json:"capacity"` // total slots
 }
 
-// NamesStats mirrors the name server's epoch counters: the version of
-// the currently published policy epoch (the unified protection-state
+// NamesStats is the name server's telemetry: the version of the
+// currently published policy epoch (the unified protection-state
 // generation), the total number of epochs published since boot, and
 // the per-shard breakdown of which kind of transition drove each
 // publication.
@@ -141,24 +148,9 @@ type NamesStats struct {
 	MaxBatch         uint64       `json:"max_batch"`
 	BatchSize        HistSnapshot `json:"batch_size"`
 	FlushLatency     HistSnapshot `json:"flush_latency"`
-	// Compiled epochs: how flushes obtained the read-side compilation
-	// (full build / incremental patch / wholesale reuse), the current
-	// epoch's compiled footprint, and the freeze-cost split (index
-	// build vs ACL-summary compilation vs effective/visibility bitset
-	// recomputation). CompiledRetainedBytes counts shared structures
-	// once; CompiledRetainedBytesCloned prices every use site, the
-	// upper bound structural sharing avoids.
-	CompiledFull                uint64       `json:"compiled_full"`
-	CompiledIncremental         uint64       `json:"compiled_incremental"`
-	CompiledReused              uint64       `json:"compiled_reused"`
-	CompiledEntries             int          `json:"compiled_entries"`
-	CompiledDomClasses          int          `json:"compiled_dom_classes"`
-	CompiledSensitive           int          `json:"compiled_sensitive"`
-	CompiledRetainedBytes       int64        `json:"compiled_retained_bytes"`
-	CompiledRetainedBytesCloned int64        `json:"compiled_retained_bytes_cloned"`
-	CompiledIndexBuild          HistSnapshot `json:"compiled_index_build"`
-	CompiledSummaryCompile      HistSnapshot `json:"compiled_summary_compile"`
-	CompiledVisRecompute        HistSnapshot `json:"compiled_vis_recompute"`
+	// CompiledStats is embedded, so its compiled_* keys sit at this
+	// level of the JSON object.
+	CompiledStats
 	// Shadow divergence monitor: traced checks routed through both the
 	// compiled fast path and the authoritative walk, and how many of
 	// those comparisons disagreed (compiled=allow, walk=deny). A
@@ -173,36 +165,66 @@ type NamesStats struct {
 	Footprint FootprintStats `json:"footprint"`
 }
 
-// FootprintStats mirrors the name server's per-epoch tree-memory
-// accounting: what the published tree costs (node structs, child-slice
-// backing arrays, path/name strings, distinct ACL values), how much of
-// it is newly allocated versus structure-shared with the parent epoch,
-// and the write-side intern tables that keep re-created strings and
-// ACLs on canonical allocations. The server injects it through
-// SetNamesStats so this package stays a leaf.
+// CompiledStats is the compiled-epoch telemetry: how flushes obtained
+// the read-side compilation (full build / incremental patch / wholesale
+// reuse), what the CURRENT epoch's compiled view holds and retains,
+// and the freeze-cost split (index build vs ACL-summary compilation vs
+// effective/visibility bitset recomputation). RetainedBytes counts
+// structures shared across entries and epochs once (what this epoch
+// actually pins); RetainedBytesCloned prices every use site
+// separately, the upper bound structural sharing avoids. Both are
+// estimates (map internals are approximated by slot size).
+type CompiledStats struct {
+	Full        uint64 `json:"compiled_full"`
+	Incremental uint64 `json:"compiled_incremental"`
+	Reused      uint64 `json:"compiled_reused"`
+	// Summaries counts ACL summaries compiled across all builds: at
+	// most one per distinct ACL a build touches.
+	Summaries uint64 `json:"-"`
+
+	Entries             int   `json:"compiled_entries"`
+	DomClasses          int   `json:"compiled_dom_classes"`
+	Sensitive           int   `json:"compiled_sensitive"`
+	RetainedBytes       int64 `json:"compiled_retained_bytes"`
+	RetainedBytesCloned int64 `json:"compiled_retained_bytes_cloned"`
+
+	IndexBuild     HistSnapshot `json:"compiled_index_build"`
+	SummaryCompile HistSnapshot `json:"compiled_summary_compile"`
+	VisRecompute   HistSnapshot `json:"compiled_vis_recompute"`
+}
+
+// FootprintStats is one epoch's tree-memory accounting: what the
+// published tree costs (node structs, child-slice backing arrays,
+// path/name strings, distinct ACL values) and how much of it is newly
+// allocated versus structure-shared with the parent epoch. The
+// name server's Stats adds the write-side intern tables that keep
+// re-created strings and ACLs on canonical allocations; an epoch's own
+// Footprint leaves those fields zero.
 type FootprintStats struct {
-	EpochVersion uint64 `json:"epoch_version"`
+	EpochVersion uint64 `json:"epoch_version"` // epoch the numbers describe
 
-	Nodes       int `json:"nodes"`
-	Leaves      int `json:"leaves"`
-	Directories int `json:"directories"`
-	OwnedNodes  int `json:"owned_nodes"`
-	SharedNodes int `json:"shared_nodes"`
+	Nodes       int `json:"nodes"`        // all nodes, root included
+	Leaves      int `json:"leaves"`       // nodes of leaf kinds
+	Directories int `json:"directories"`  // non-leaf nodes
+	OwnedNodes  int `json:"owned_nodes"`  // nodes newly allocated by this epoch's publication
+	SharedNodes int `json:"shared_nodes"` // nodes pointer-shared with the parent epoch
 
-	ChildSlots      int   `json:"child_slots"`
-	ChildSliceBytes int64 `json:"child_slice_bytes"`
-	PathBytes       int64 `json:"path_bytes"`
-	NameBytes       int64 `json:"name_bytes"`
-	NodeStructBytes int64 `json:"node_struct_bytes"`
+	ChildSlots      int   `json:"child_slots"`       // total child entries across all directories
+	ChildSliceBytes int64 `json:"child_slice_bytes"` // children backing arrays (cap × entry size)
+	PathBytes       int64 `json:"path_bytes"`        // canonical path strings (one per node)
+	NameBytes       int64 `json:"name_bytes"`        // component-name bytes NOT shared with the node's path backing
+	NodeStructBytes int64 `json:"node_struct_bytes"` // Nodes × node struct size
 
-	ACLRefs       int     `json:"acl_refs"`
-	DistinctACLs  int     `json:"distinct_acls"`
-	ACLBytes      int64   `json:"acl_bytes"`
-	ACLDedupRatio float64 `json:"acl_dedupe_ratio"`
+	ACLRefs       int     `json:"acl_refs"`         // nodes (every node holds an ACL reference)
+	DistinctACLs  int     `json:"distinct_acls"`    // distinct ACL values in the tree
+	ACLBytes      int64   `json:"acl_bytes"`        // entry storage of the distinct ACLs, counted once
+	ACLDedupRatio float64 `json:"acl_dedupe_ratio"` // ACLRefs / DistinctACLs
 
-	TotalBytes   int64   `json:"total_bytes"`
-	BytesPerNode float64 `json:"bytes_per_node"`
+	TotalBytes   int64   `json:"total_bytes"`    // sum of the byte columns above
+	BytesPerNode float64 `json:"bytes_per_node"` // TotalBytes / Nodes
 
+	// Write-side intern tables: the path interner and the ACL dedup
+	// table, each reset wholesale when it hits its size cap.
 	InternedStrings  int    `json:"interned_strings"`
 	InternedBytes    int64  `json:"interned_bytes"`
 	InternHits       uint64 `json:"intern_hits"`
@@ -213,29 +235,48 @@ type FootprintStats struct {
 	ACLCanonResets   uint64 `json:"acl_canon_resets"`
 }
 
-// EpochTransition mirrors one record of the name server's
-// epoch-transition journal: which shards a publication carried, how
-// many staged mutations it coalesced, whether the freezes and the
-// read-side compilation were incremental, and what the publish cost.
-// The owner injects the journal via SetEpochJournal; this package
-// stays a leaf.
+// EpochTransition is one record of the name server's epoch-transition
+// journal: which shards a publication carried, how many staged
+// mutations it coalesced, whether the freezes and the read-side
+// compilation were incremental, and what the publish cost. Records are
+// immutable once journaled.
 type EpochTransition struct {
-	Version           uint64    `json:"version"`
-	Time              time.Time `json:"time"`
-	Shards            []string  `json:"shards"`
-	BatchSize         int       `json:"batch_size"`
-	LatticeVersion    uint64    `json:"lattice_version"`
-	LatticeDeltaBase  uint64    `json:"lattice_delta_base"`
-	RegistryVersion   uint64    `json:"registry_version"`
-	RegistryDeltaBase uint64    `json:"registry_delta_base"`
-	IncrementalFreeze bool      `json:"incremental_freeze"`
-	Compile           string    `json:"compile"`
-	CompileNS         int64     `json:"compile_ns"`
-	PublishNS         int64     `json:"publish_ns"`
-	// Kind is empty for local publications, "replica" for epochs applied
-	// from a replication stream, "replica-stale" for a replica's
-	// fail-closed publication; PrimaryVersion is the primary epoch a
-	// replication apply mirrors (zero for local publications).
+	Version   uint64    `json:"version"`    // version the batch landed in
+	Time      time.Time `json:"time"`       // wall-clock publish time
+	Shards    []string  `json:"shards"`     // shard kinds staged into the batch
+	BatchSize int       `json:"batch_size"` // staged mutations coalesced
+
+	// Frozen-shard provenance: version and delta base of the lattice
+	// and registry snapshots the epoch carries. DeltaBase == 0 means
+	// the freeze was a full rebuild; nonzero names the version the
+	// incremental freeze derived from. Registry fields are zero when
+	// no registry is attached.
+	LatticeVersion    uint64 `json:"lattice_version"`
+	LatticeDeltaBase  uint64 `json:"lattice_delta_base"`
+	RegistryVersion   uint64 `json:"registry_version"`
+	RegistryDeltaBase uint64 `json:"registry_delta_base"`
+	// IncrementalFreeze reports whether the registry freeze for this
+	// epoch was derived incrementally from a prior frozen snapshot.
+	IncrementalFreeze bool `json:"incremental_freeze"`
+
+	// Compile provenance: the build kind of the epoch's compiled read
+	// side ("full", "incremental", "reused", or "none" when compiled
+	// epochs are off or no registry is attached) and its cost.
+	Compile   string `json:"compile"`
+	CompileNS int64  `json:"compile_ns"`
+
+	// PublishNS is the end-to-end latency of the flush that published
+	// this epoch (freeze + compile + pointer store), as observed by
+	// the flushing writer.
+	PublishNS int64 `json:"publish_ns"`
+
+	// Replication provenance: Kind is empty for a local publication,
+	// "replica" for an epoch applied from a primary's replication
+	// stream, and "replica-stale" for a fail-closed publication a
+	// replica installed after missing its staleness deadline.
+	// PrimaryVersion is the primary epoch version a replication apply
+	// mirrors (zero for local publications) — the field that ties the
+	// replica's local version clock to the primary's.
 	Kind           string `json:"kind,omitempty"`
 	PrimaryVersion uint64 `json:"primary_version,omitempty"`
 }
@@ -280,8 +321,8 @@ type ReplicaPeerStat struct {
 
 // ReplicationStats is the primary-side replication publisher's counter
 // snapshot: per-peer lag, transfer volume by message kind, and the
-// revocation-barrier wait distribution. The publisher injects it via
-// SetReplication so this package stays a leaf.
+// revocation-barrier wait distribution, as the replication publisher's
+// Stats returns it (wired via SetReplication).
 type ReplicationStats struct {
 	Peers          []ReplicaPeerStat `json:"peers"`
 	PrimaryVersion uint64            `json:"primary_version"`
@@ -299,14 +340,21 @@ type ReplicationStats struct {
 	BarrierWait     HistSnapshot `json:"barrier_wait"`
 }
 
-// AuditStats mirrors the audit log's counters, including ring drops
-// (events overwritten before ever being read out).
+// AuditStats is the audit log's running counters. Total, Allowed, and
+// Denied count mediated decisions only; Bypassed counts unchecked
+// operations recorded via RecordBypass, which appear in ByKind and the
+// ring but not in the decision counters. Dropped counts ring
+// overwrites: events pushed out of the bounded ring by newer ones (they
+// remain in the counters and any sinks, but Recent can no longer return
+// them). ByKind is indexed by the audit kind; the per-kind mediation
+// counters already expose it, so it stays out of the JSON view.
 type AuditStats struct {
-	Total    uint64 `json:"total"`
-	Allowed  uint64 `json:"allowed"`
-	Denied   uint64 `json:"denied"`
-	Bypassed uint64 `json:"bypassed"`
-	Dropped  uint64 `json:"dropped"`
+	Total    uint64   `json:"total"`
+	Allowed  uint64   `json:"allowed"`
+	Denied   uint64   `json:"denied"`
+	Bypassed uint64   `json:"bypassed"`
+	Dropped  uint64   `json:"dropped"`
+	ByKind   []uint64 `json:"-"`
 }
 
 // AdmissionStats counts dispatcher admission decisions.

@@ -58,20 +58,20 @@ func WriteProm(w io.Writer, s Snapshot) error {
 
 	ew.printf("# HELP secext_epoch_index_incremental_total Compiled-epoch builds patched incrementally from the parent epoch's index.\n")
 	ew.printf("# TYPE secext_epoch_index_incremental_total counter\n")
-	ew.printf("secext_epoch_index_incremental_total %d\n", s.Names.CompiledIncremental)
+	ew.printf("secext_epoch_index_incremental_total %d\n", s.Names.CompiledStats.Incremental)
 	ew.printf("# HELP secext_epoch_index_full_total Compiled-epoch builds rebuilt from scratch.\n")
 	ew.printf("# TYPE secext_epoch_index_full_total counter\n")
-	ew.printf("secext_epoch_index_full_total %d\n", s.Names.CompiledFull)
+	ew.printf("secext_epoch_index_full_total %d\n", s.Names.CompiledStats.Full)
 	ew.printf("# HELP secext_epoch_index_reused_total Flushes that reused the parent epoch's compiled view wholesale.\n")
 	ew.printf("# TYPE secext_epoch_index_reused_total counter\n")
-	ew.printf("secext_epoch_index_reused_total %d\n", s.Names.CompiledReused)
+	ew.printf("secext_epoch_index_reused_total %d\n", s.Names.CompiledStats.Reused)
 	ew.printf("# HELP secext_epoch_index_entries Path index entries in the current epoch's compiled view.\n")
 	ew.printf("# TYPE secext_epoch_index_entries gauge\n")
-	ew.printf("secext_epoch_index_entries %d\n", s.Names.CompiledEntries)
+	ew.printf("secext_epoch_index_entries %d\n", s.Names.CompiledStats.Entries)
 	ew.printf("# HELP secext_epoch_compiled_retained_bytes Heap bytes the current epoch's compiled view retains, shared structures counted once (label deduped=\"false\" prices every use site).\n")
 	ew.printf("# TYPE secext_epoch_compiled_retained_bytes gauge\n")
-	ew.printf("secext_epoch_compiled_retained_bytes{deduped=\"true\"} %d\n", s.Names.CompiledRetainedBytes)
-	ew.printf("secext_epoch_compiled_retained_bytes{deduped=\"false\"} %d\n", s.Names.CompiledRetainedBytesCloned)
+	ew.printf("secext_epoch_compiled_retained_bytes{deduped=\"true\"} %d\n", s.Names.CompiledStats.RetainedBytes)
+	ew.printf("secext_epoch_compiled_retained_bytes{deduped=\"false\"} %d\n", s.Names.CompiledStats.RetainedBytesCloned)
 
 	ew.printf("# HELP secext_compiled_shadow_checks_total Sampled checks routed through both the compiled fast path and the authoritative walk.\n")
 	ew.printf("# TYPE secext_compiled_shadow_checks_total counter\n")
@@ -144,26 +144,28 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	ew.printf("secext_traces_sampled_total %d\n", s.TracesSampled)
 
 	writePromHist(ew, "secext_mediation_seconds",
-		"End-to-end mediation latency (sampled).", "", s.MediationLatency)
+		"End-to-end mediation latency (sampled).", s.MediationLatency)
 	writePromHistWith(ew, "secext_epoch_batch_size",
-		"Mutations coalesced into one epoch publication.", "",
+		"Mutations coalesced into one epoch publication.",
 		s.Names.BatchSize, formatCount)
 	writePromHist(ew, "secext_epoch_flush_seconds",
-		"Latency from first staged mutation to epoch publication.", "",
+		"Latency from first staged mutation to epoch publication.",
 		s.Names.FlushLatency)
 	writePromHist(ew, "secext_epoch_compile_index_seconds",
-		"Per-flush compiled-epoch index build time (walk, copy-on-write index shard clones, dominance interning).", "",
-		s.Names.CompiledIndexBuild)
+		"Per-flush compiled-epoch index build time (walk, copy-on-write index shard clones, dominance interning).",
+		s.Names.CompiledStats.IndexBuild)
 	writePromHist(ew, "secext_epoch_compile_summary_seconds",
-		"Per-flush ACL-summary compilation time within compiled-epoch builds.", "",
-		s.Names.CompiledSummaryCompile)
+		"Per-flush ACL-summary compilation time within compiled-epoch builds.",
+		s.Names.CompiledStats.SummaryCompile)
 	writePromHist(ew, "secext_epoch_compile_bitset_seconds",
-		"Per-flush effective/visibility bitset recomputation time within compiled-epoch builds.", "",
-		s.Names.CompiledVisRecompute)
-	for _, g := range s.Guards {
-		writePromHist(ew, "secext_guard_eval_seconds",
-			"Per-guard evaluation latency (sampled).",
-			"guard="+promQuote(g.Name), g.Latency)
+		"Per-flush effective/visibility bitset recomputation time within compiled-epoch builds.",
+		s.Names.CompiledStats.VisRecompute)
+	if len(s.Guards) > 0 {
+		// One family, one header: a scraper rejects a repeated TYPE line.
+		promHeader(ew, "secext_guard_eval_seconds", "Per-guard evaluation latency (sampled).", "histogram")
+		for _, g := range s.Guards {
+			writePromHistSeries(ew, "secext_guard_eval_seconds", "guard="+promQuote(g.Name), g.Latency, formatSeconds)
+		}
 	}
 
 	if s.Replication != nil {
@@ -193,24 +195,36 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		ew.printf("# TYPE secext_replica_barrier_timeouts_total counter\n")
 		ew.printf("secext_replica_barrier_timeouts_total %d\n", r.BarrierTimeouts)
 		writePromHist(ew, "secext_replica_barrier_wait_seconds",
-			"Time revocation barriers waited for fleet-wide acknowledgment.", "",
+			"Time revocation barriers waited for fleet-wide acknowledgment.",
 			r.BarrierWait)
 	}
 	return ew.err
 }
 
-// writePromHist emits one histogram metric family with bucket bounds
-// and sum rendered as seconds; labels is either "" or a rendered
-// `name="value"` list without braces.
-func writePromHist(ew *errWriter, name, help, labels string, h HistSnapshot) {
-	writePromHistWith(ew, name, help, labels, h, formatSeconds)
+// writePromHist emits one unlabeled histogram metric family with
+// bucket bounds and sum rendered as seconds.
+func writePromHist(ew *errWriter, name, help string, h HistSnapshot) {
+	writePromHistWith(ew, name, help, h, formatSeconds)
 }
 
 // writePromHistWith is writePromHist with an explicit value formatter,
 // so histograms that reuse the nanosecond buckets for unitless counts
 // (e.g. batch sizes) can render raw bucket bounds instead of seconds.
-func writePromHistWith(ew *errWriter, name, help, labels string, h HistSnapshot, format func(float64) string) {
-	ew.printf("# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+func writePromHistWith(ew *errWriter, name, help string, h HistSnapshot, format func(float64) string) {
+	promHeader(ew, name, help, "histogram")
+	writePromHistSeries(ew, name, "", h, format)
+}
+
+// promHeader emits a metric family's HELP and TYPE lines; each family
+// gets exactly one of each, before its first sample.
+func promHeader(ew *errWriter, name, help, typ string) {
+	ew.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// writePromHistSeries emits one histogram series' samples (cumulative
+// buckets trimmed past the last occupied one, sum, count); labels is
+// either "" or a rendered `name="value"` list without braces.
+func writePromHistSeries(ew *errWriter, name, labels string, h HistSnapshot, format func(float64) string) {
 	last := 0
 	for i, c := range h.Buckets {
 		if c > 0 {

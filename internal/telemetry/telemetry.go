@@ -120,8 +120,8 @@ type Telemetry struct {
 
 	// cacheStats, auditStats, and namesStats, when wired, pull the
 	// decision cache's, audit log's, and name server's own counters into
-	// snapshots; this package stays a leaf, so the owners inject them as
-	// plain functions.
+	// snapshots. This package stays a leaf, so the owners inject their
+	// Stats method values, which return this package's types.
 	cacheStats atomic.Pointer[func() CacheStats]
 	auditStats atomic.Pointer[func() AuditStats]
 	namesStats atomic.Pointer[func() NamesStats]
@@ -194,8 +194,8 @@ func (t *Telemetry) SetCacheStats(fn func() CacheStats) {
 	t.cacheStats.Store(&fn)
 }
 
-// SetNamesStats wires the name server's snapshot-version gauge and
-// publish counter into Snapshot; nil detaches it.
+// SetNamesStats wires the name server's epoch, publication, compile,
+// journal, and footprint counters into Snapshot; nil detaches it.
 func (t *Telemetry) SetNamesStats(fn func() NamesStats) {
 	if t == nil {
 		return

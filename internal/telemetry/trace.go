@@ -142,11 +142,6 @@ func (a *ActiveTrace) EpochVersion(v uint64) {
 	a.Span("epoch", "v="+strconv.FormatUint(v, 10), 0)
 }
 
-// SnapshotVersion is the PR-4 name for EpochVersion, kept for
-// compatibility: the pinned version grew from covering the name tree
-// alone to covering the whole policy.
-func (a *ActiveTrace) SnapshotVersion(v uint64) { a.EpochVersion(v) }
-
 // CacheProbe records the decision-cache stage: whether the probe hit
 // and the protection-state generation it was answered against.
 func (a *ActiveTrace) CacheProbe(hit bool, gen uint64, d time.Duration) {

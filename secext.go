@@ -190,7 +190,7 @@ type (
 	// AuditEvent is one recorded decision.
 	AuditEvent = audit.Event
 	// AuditStats are the log's running counters.
-	AuditStats = audit.Stats
+	AuditStats = telemetry.AuditStats
 	// AuditQuery selects retained audit events.
 	AuditQuery = audit.Query
 )

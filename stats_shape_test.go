@@ -225,3 +225,67 @@ func lineDiff(want, got string) string {
 	sort.Strings(out)
 	return strings.Join(out, "\n")
 }
+
+// TestPromExpositionWellFormed checks the /metrics page against the
+// text format's family rules, which a Prometheus scrape enforces: each
+// family has exactly one HELP and one TYPE line, both before its first
+// sample, and the family's samples are contiguous. The world has a
+// three-guard stack and a replication publisher, so every family the
+// page can carry appears.
+func TestPromExpositionWellFormed(t *testing.T) {
+	w := observedWorld(t)
+	var b strings.Builder
+	if err := secext.WriteProm(&b, w.Telemetry().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+
+	help, typ := make(map[string]int), make(map[string]string)
+	closed := make(map[string]bool) // families whose samples have ended
+	cur := ""
+	for i, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" {
+			switch f[1] {
+			case "HELP":
+				help[f[2]]++
+				if help[f[2]] > 1 {
+					t.Errorf("line %d: second HELP for %s", i+1, f[2])
+				}
+			case "TYPE":
+				if _, dup := typ[f[2]]; dup {
+					t.Errorf("line %d: second TYPE for %s", i+1, f[2])
+				}
+				if len(f) > 3 {
+					typ[f[2]] = f[3]
+				}
+			}
+			continue
+		}
+		name := line
+		if j := strings.IndexAny(name, "{ "); j >= 0 {
+			name = name[:j]
+		}
+		fam := name
+		if _, ok := typ[fam]; !ok {
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(name, suf); base != name && typ[base] == "histogram" {
+					fam = base
+				}
+			}
+		}
+		if _, ok := typ[fam]; !ok || help[fam] == 0 {
+			t.Errorf("line %d: sample %q before its family's HELP and TYPE", i+1, line)
+		}
+		if fam != cur {
+			if closed[fam] {
+				t.Errorf("line %d: family %s resumes after another family's samples", i+1, fam)
+			}
+			closed[cur] = true
+			cur = fam
+		}
+	}
+	for fam := range typ {
+		if help[fam] != 1 {
+			t.Errorf("family %s has %d HELP lines", fam, help[fam])
+		}
+	}
+}

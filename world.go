@@ -68,9 +68,6 @@ type WorldOptions struct {
 	// DisableDecisionCache turns off the mediation fast path (see
 	// core.Options.DisableDecisionCache); for experiments.
 	DisableDecisionCache bool
-	// DecisionCacheSize overrides the decision cache's approximate
-	// entry capacity (0 = default).
-	DecisionCacheSize int
 	// Guards are extra policy modules stacked after the built-in
 	// discretionary and mandatory guards (see core.Options.Guards).
 	Guards []Guard
@@ -119,7 +116,6 @@ func NewWorld(opts WorldOptions) (*World, error) {
 		DisableAudit:         opts.DisableAudit,
 		TrustLinkTime:        opts.TrustLinkTime,
 		DisableDecisionCache: opts.DisableDecisionCache,
-		DecisionCacheSize:    opts.DecisionCacheSize,
 		Guards:               opts.Guards,
 		Telemetry:            opts.Telemetry,
 	})
