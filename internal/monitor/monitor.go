@@ -185,10 +185,11 @@ type Stateful interface {
 }
 
 // Stack is one immutable configuration of the pipeline: the ordered
-// guard list and its cacheability. A Stack never changes after publication, so evaluating one is
-// pure — the policy epoch pins the Stack in force when the epoch was
-// published, and every decision under that epoch runs exactly that
-// guard list even while Install/remove republish the pipeline.
+// guard list and its cacheability. A Stack never changes after
+// publication, so evaluating one is pure — the policy epoch pins the
+// Stack in force when the epoch was published, and every decision under
+// that epoch runs exactly that guard list even while Install/remove
+// republish the pipeline.
 type Stack struct {
 	guards    []Guard
 	cacheable bool
