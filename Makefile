@@ -18,10 +18,12 @@ test:
 # registry's Apply, among the other policy packages. It also covers the
 # observability layer's concurrent code: telemetry's histograms and
 # trace ring, the audit log's per-slot ring, and scrapes that read
-# names.Server.Stats while flushes run.
+# names.Server.Stats while flushes run. The remote server is in it
+# because a session's reply buffer passes from the dispatch loop to the
+# replication stream's writer goroutine at SUBSCRIBE.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/...
+	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
 
 # check is the full local gate: build, vet, the complete test suite
 # under the race detector, the nested bench module (which compiles

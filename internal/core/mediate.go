@@ -33,11 +33,13 @@ func (s *System) check(ctx *subject.Context, path string, modes acl.Mode, kind a
 		n, epoch, err = s.ns.CheckAccessTracedAt(ctx, ctx.Class(), path, modes, tr)
 	}
 	seq := s.recordAt(kind, ctx, path, modes.String(), epoch, err)
-	reason := ""
-	if err != nil {
-		reason = err.Error()
+	if tr != nil {
+		reason := ""
+		if err != nil {
+			reason = err.Error()
+		}
+		tr.Finish(seq, err == nil, reason)
 	}
-	tr.Finish(seq, err == nil, reason)
 	return n, err
 }
 

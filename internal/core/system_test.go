@@ -10,6 +10,7 @@ import (
 	"secext/internal/dispatch"
 	"secext/internal/names"
 	"secext/internal/subject"
+	"secext/internal/telemetry"
 )
 
 // newSys builds the standard test system: paper §2.2 universe, a /svc
@@ -456,5 +457,41 @@ func TestAuditDisabledAtStart(t *testing.T) {
 	}
 	if s.Audit().Enabled() {
 		t.Error("DisableAudit must start the log disabled")
+	}
+}
+
+// raceEnabled is set in race builds, whose instrumentation changes
+// allocation counts.
+var raceEnabled bool
+
+// TestDeniedCheckDataAllocs pins the allocation cost of a denied
+// CheckData with telemetry off: the denial's reason is formatted once,
+// for the audit event, and never for a trace that is not open.
+func TestDeniedCheckDataAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s, err := NewSystem(Options{
+		Levels:    []string{"others", "organization"},
+		Telemetry: telemetry.Options{Mode: telemetry.ModeOff},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateNode(NodeSpec{Path: "/svc", Kind: names.KindDomain,
+		ACL: acl.New(acl.AllowEveryone(acl.List))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddPrincipal("eve", "others"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxFor(t, s, "eve")
+	if _, err := s.CheckData(ctx, "/svc", acl.Administrate); !IsDenied(err) {
+		t.Fatalf("CheckData = %v, want a denial", err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		_, _ = s.CheckData(ctx, "/svc", acl.Administrate)
+	}); n > 4 {
+		t.Errorf("denied CheckData allocates %.1f times, want <= 4", n)
 	}
 }

@@ -47,6 +47,13 @@
 //	BARRIER <v> [timeoutms]  block until every connected replica acked
 //	                         epoch >= v (administrate on "/" required)
 //	REPLICAS                 per-peer replication status: "OK <k>" then k lines
+//
+// Pipelining: a client may send any number of requests without waiting
+// for their replies. Replies come back in request order. The server
+// buffers them and writes them out when it has no more complete request
+// lines buffered, so a burst of pipelined requests is answered with one
+// write and a single request in flight with one write per reply. BARRIER
+// writes out the replies before it waits for the fleet.
 package remote
 
 import (
@@ -164,10 +171,18 @@ func (s *Server) drop(conn net.Conn) {
 	conn.Close()
 }
 
+// maxLine bounds a request line. Requests are short and the only long
+// lines on the wire (snapshots and deltas) travel from the server, so a
+// longer line is refused with "ERR line too long" and the connection
+// closed.
+const maxLine = 1 << 20
+
 // session is one authenticated connection.
 type session struct {
-	srv  *Server
-	ctx  *subject.Context
+	srv *Server
+	ctx *subject.Context
+	// out buffers replies; Read writes them out. Once the session is
+	// hijacked, the stream's writer goroutine owns it.
 	out  *bufio.Writer
 	conn net.Conn
 	sc   *bufio.Scanner
@@ -181,12 +196,14 @@ type session struct {
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.drop(conn)
-	sc := bufio.NewScanner(conn)
-	// Replication snapshots and deltas are single lines that can carry
-	// a whole policy tree; raise the scanner ceiling far above the
-	// interactive default.
-	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
-	sess := &session{srv: s, out: bufio.NewWriter(conn), conn: conn, sc: sc, proto: 1}
+	sess := &session{srv: s, out: bufio.NewWriter(conn), conn: conn, proto: 1}
+	// Deferred after drop, so it runs first: replies to the last
+	// requests (QUIT, EOF after a half-close, a read error) are written
+	// before the connection closes.
+	defer sess.out.Flush()
+	sc := bufio.NewScanner(sess)
+	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sess.sc = sc
 	sess.reply("OK secext ready")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -202,11 +219,27 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+	if sc.Err() == bufio.ErrTooLong {
+		sess.reply("ERR line too long")
+	}
 }
 
+// Read is the scanner's source. The scanner reads only once it has
+// used up every complete line it holds, which is when the session would
+// otherwise block, so the buffered replies are written out first: a
+// pipelined burst costs one write. A failed write ends the session.
+func (s *session) Read(p []byte) (int, error) {
+	if !s.hijacked {
+		if err := s.out.Flush(); err != nil {
+			return 0, err
+		}
+	}
+	return s.conn.Read(p)
+}
+
+// reply appends one reply line to the session's output buffer.
 func (s *session) reply(format string, args ...any) {
 	fmt.Fprintf(s.out, format+"\n", args...)
-	s.out.Flush()
 }
 
 func (s *session) fail(err error) {
@@ -550,6 +583,7 @@ func (s *session) dispatch(line string) {
 		} else {
 			s.reply("SNAPSHOT %s", snap)
 		}
+		s.out.Flush()
 		s.stream(pub, peer)
 	case "BARRIER":
 		if len(args) < 1 || len(args) > 2 {
@@ -586,6 +620,8 @@ func (s *session) dispatch(line string) {
 			}
 			timeout = time.Duration(ms) * time.Millisecond
 		}
+		// A failed write stays in s.out; the next Read returns it.
+		s.out.Flush()
 		if err := pub.Barrier(v, timeout); err != nil {
 			s.fail(err)
 			return
@@ -617,7 +653,8 @@ func (s *session) dispatch(line string) {
 
 // stream converts the connection into a replication stream: a writer
 // goroutine drains the peer's delta queue (interleaving keepalive
-// PINGs), while this goroutine keeps reading the client's ACK lines
+// PINGs) and owns s.out from here on, writing each line out at once,
+// while this goroutine keeps reading the client's ACK lines
 // and feeding them to the publisher — where they satisfy revocation
 // barriers. Runs until either side hangs up or the publisher drops the
 // peer (queue overflow, shutdown).
@@ -643,6 +680,10 @@ func (s *session) stream(pub *replica.Publisher, peer *replica.Peer) {
 			case <-ticker.C:
 				s.reply("PING %d", s.srv.sys.Names().Version())
 			case <-quit:
+				return
+			}
+			if s.out.Flush() != nil {
+				s.conn.Close()
 				return
 			}
 		}

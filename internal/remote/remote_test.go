@@ -68,6 +68,14 @@ func (c *client) expectErr(format string, args ...any) string {
 // loopback listener.
 func startServer(t *testing.T) (addr, aliceTok, eveTok string) {
 	t.Helper()
+	addr, aliceTok, eveTok, _ = startCountingServer(t)
+	return addr, aliceTok, eveTok
+}
+
+// startCountingServer is startServer with a listener that counts the
+// server's writes on every connection it accepts.
+func startCountingServer(t *testing.T) (addr, aliceTok, eveTok string, l *countingListener) {
+	t.Helper()
 	w, err := secext.NewWorld(secext.WorldOptions{
 		Levels:     []string{"others", "organization", "local"},
 		Categories: []string{"dept-1", "dept-2"},
@@ -89,14 +97,15 @@ func startServer(t *testing.T) (addr, aliceTok, eveTok string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	l = &countingListener{Listener: inner}
 	srv := NewServer(w.Sys)
 	go func() { _ = srv.Serve(l) }()
 	t.Cleanup(func() { srv.Close(); l.Close() })
-	return l.Addr().String(), aliceTok, eveTok
+	return l.Addr().String(), aliceTok, eveTok, l
 }
 
 func TestAppendFieldsMatchesStringsFields(t *testing.T) {
