@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # The -cpu matrix covers the write path's shared machinery: the names
-# package (Apply in apply.go, the batched publisher) and the principal
+# package (Apply in apply.go, the epoch publisher) and the principal
 # registry's Apply, among the other policy packages. It also covers the
 # observability layer's concurrent code: telemetry's histograms and
 # trace ring, the audit log's per-slot ring, and scrapes that read
@@ -48,8 +48,8 @@ TELEMETRY_COVER_FLOOR := 90.0
 NAMES_COVER_FLOOR := 90.0
 LATTICE_COVER_FLOOR := 85.0
 PRINCIPAL_COVER_FLOOR := 85.0
-# The write-combining publisher is new write-path machinery; its file
-# keeps its own floor so the package average cannot hide it.
+# The epoch publisher is the write path every transition rides; its
+# file keeps its own floor so the package average cannot hide it.
 BATCH_COVER_FLOOR := 85.0
 # Apply is the name server's one mutation entry point; its file keeps
 # its own floor so the package average cannot hide an untested edit
@@ -92,10 +92,10 @@ cover:
 	echo "internal/names coverage: $$total% (floor $(NAMES_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$total >= $(NAMES_COVER_FLOOR))}" || \
 		{ echo "coverage below floor"; exit 1; }
-	@batch=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/batch\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
-	echo "internal/names/batch.go coverage: $$batch% (floor $(BATCH_COVER_FLOOR)%)"; \
-	awk "BEGIN {exit !($$batch >= $(BATCH_COVER_FLOOR))}" || \
-		{ echo "batched-publisher coverage below floor"; exit 1; }
+	@publish=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/publish\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
+	echo "internal/names/publish.go coverage: $$publish% (floor $(BATCH_COVER_FLOOR)%)"; \
+	awk "BEGIN {exit !($$publish >= $(BATCH_COVER_FLOOR))}" || \
+		{ echo "epoch-publisher coverage below floor"; exit 1; }
 	@apply=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/apply\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
 	echo "internal/names/apply.go coverage: $$apply% (floor $(APPLY_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$apply >= $(APPLY_COVER_FLOOR))}" || \
@@ -144,8 +144,8 @@ cover:
 
 # bench-smoke compiles and exercises the E1 benchmarks for a fixed tiny
 # iteration count, plus one iteration of the E16 churn family so the
-# batched write path cannot bit-rot unnoticed; it validates the
-# harness, not the numbers.
+# write path cannot bit-rot unnoticed; it validates the harness, not
+# the numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'E16' -benchtime 1x .
@@ -170,8 +170,8 @@ bench-epoch:
 	$(GO) run ./cmd/benchtab -json . E15
 
 # bench-churn runs the E16 write-path-scaling experiment alone and
-# writes BENCH_E16.json (incremental vs full freeze, batched vs
-# unbatched bulk churn, sustained churn under readers).
+# writes BENCH_E16.json (incremental vs full freeze, 64-edit vs
+# per-edit Apply bulk churn, sustained churn under readers).
 bench-churn:
 	$(GO) run ./cmd/benchtab -json . E16
 

@@ -640,7 +640,7 @@ func BenchmarkE10Append(b *testing.B) {
 	}
 }
 
-// --- E16: write-path churn (batched publication, incremental freeze) ---
+// --- E16: write-path churn (multi-edit Apply, incremental freeze) ---
 
 // e16World builds the E16 fixture: 64 member principals, a reader whose
 // access flows through the churned group, audit off.
@@ -685,7 +685,7 @@ func e16World(b testing.TB) (*secext.World, *secext.Context, []string) {
 
 // BenchmarkE16Churn is the benchmark form of E16's table: per-mutation
 // publish cost with full vs incremental freeze, and the 64-member bulk
-// op unbatched vs batched.
+// op as per-edit Apply calls vs one 64-edit Apply.
 func BenchmarkE16Churn(b *testing.B) {
 	b.Run("single-full-freeze", func(b *testing.B) {
 		w, _, _ := e16World(b)

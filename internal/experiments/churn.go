@@ -48,38 +48,29 @@ func churnWorld() (*secext.World, *secext.Context, []string, error) {
 	return w, ctx, members, nil
 }
 
-// E16 prices write-path scaling under sustained policy churn: the
-// write-combining epoch publisher plus incremental freezing against the
-// unbatched per-mutation publish discipline and the pre-epoch locked
-// map.
+// E16 prices write-path scaling under sustained policy churn:
+// multi-edit Registry.Apply plus incremental freezing against per-edit
+// Apply calls and the pre-epoch locked map.
 //
 // Single-mutation rows isolate the incremental freeze: the same
 // add+remove pair with the delta path disabled (every freeze rebuilds
 // the transitive closure from scratch) and enabled (only the touched
 // principal's bitset row is recomputed).
 //
-// Bulk rows are the batching headline: installing and revoking 64
-// memberships as 64 individual mutations (64 freezes, 64 epoch
-// publications each way) versus one 64-edit Registry.Apply each way
-// (one freeze, one publication). The ratio is the write-tax reduction at
-// batch size 64.
+// Bulk rows are the headline: installing and revoking 64 memberships
+// as 64 per-edit Apply calls (64 freezes, 64 epoch publications each
+// way) versus one 64-edit Registry.Apply each way (one freeze, one
+// publication). The ratio is the write-tax reduction of carrying 64
+// edits in one call.
 //
 // The sustained-churn row runs mutators and readers concurrently:
 // mutations flow while readers hammer the warm cached check, and the
-// flush-latency and batch-size distributions come from the publisher's
-// own histograms.
-//
-// Single-vCPU honesty: on one core the concurrent row's mutators and
-// readers time-slice instead of overlapping, so opportunistic write
-// combining (which needs a waiter to flush while another mutator
-// stages) rarely exceeds batch size 1-2, and reader latency includes
-// scheduler noise. The deterministic bulk rows — where batch size 64 is
-// structural, not scheduling luck — carry the scaling claim; the
-// concurrent row is a liveness and ordering smoke under churn, not a
-// parallel-speedup measurement.
+// publish-latency distribution comes from the publisher's own
+// histogram. Every mutation is one publication; the row is a liveness
+// and ordering smoke under churn, not a parallel-speedup measurement.
 func E16() Result {
-	res := Result{ID: "E16", Title: "Write-path scaling: batched epoch publication and incremental freeze under churn"}
-	t := &table{header: []string{"operation", "impl", "ns/op", "vs batched"}}
+	res := Result{ID: "E16", Title: "Write-path scaling: multi-edit Apply and incremental freeze under churn"}
+	t := &table{header: []string{"operation", "impl", "ns/op", "ratio"}}
 	ratio := func(slow, fast float64) string {
 		if fast == 0 {
 			return "-"
@@ -121,10 +112,9 @@ func E16() Result {
 	t.add("single add+remove", "full-rebuild freeze", ns(fullMut), ratio(fullMut, incMut))
 	t.add("single add+remove", "incremental freeze", ns(incMut), "1.0x")
 
-	// Bulk churn: 64 adds + 64 removes, per-mutation publishes vs one
-	// batched publication each way. This is the batching headline at
-	// batch size 64.
-	unbatched := measure(defaultMinDur, func(n int) {
+	// Bulk churn: 64 adds + 64 removes, per-edit Apply calls vs one
+	// 64-edit Apply each way.
+	perEdit := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
 			for _, m := range members {
 				if _, err := reg.Apply(principal.AddMember("churn", m)); err != nil {
@@ -143,7 +133,7 @@ func E16() Result {
 		grant = append(grant, principal.AddMember("churn", m))
 		revoke = append(revoke, principal.RemoveMember("churn", m))
 	}
-	batched := measure(defaultMinDur, func(n int) {
+	bulk := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
 			if _, err := reg.Apply(grant...); err != nil {
 				panic(err)
@@ -153,12 +143,12 @@ func E16() Result {
 			}
 		}
 	})
-	t.add("64-member add+remove", "unbatched (128 publishes)", ns(unbatched), ratio(unbatched, batched))
-	t.add("64-member add+remove", "batched (2 publishes)", ns(batched), "1.0x")
+	t.add("64-member add+remove", "per-edit Apply (128 publishes)", ns(perEdit), ratio(perEdit, bulk))
+	t.add("64-member add+remove", "64-edit Apply (2 publishes)", ns(bulk), "1.0x")
 
 	// Pre-epoch baseline: the same 128 edits against a locked map with
-	// no freeze and no publication — the floor batching is bought
-	// against.
+	// no freeze and no publication — the floor the 64-edit Apply is
+	// bought against.
 	walk := &lockedMembership{up: map[string][]string{}}
 	locked := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
@@ -170,12 +160,12 @@ func E16() Result {
 			}
 		}
 	})
-	t.add("64-member add+remove", "locked map (no publish)", ns(locked), ratio(locked, batched))
+	t.add("64-member add+remove", "locked map (no publish)", ns(locked), ratio(locked, bulk))
 
 	// Sustained churn: mutators add/remove while readers hammer the warm
-	// cached check. Reported as per-mutation latency; the batch-size and
-	// flush-latency rows below come from the publisher's histograms over
-	// this whole experiment.
+	// cached check. Reported as per-mutation latency; the publish-latency
+	// row below comes from the publisher's histogram over this whole
+	// experiment.
 	before := ns16.Stats()
 	var mutations atomic.Uint64
 	var readerNS atomic.Uint64
@@ -235,16 +225,11 @@ func E16() Result {
 	}
 
 	st := ns16.Stats()
-	flushes := st.FlushLatency.Count - before.FlushLatency.Count
-	if flushes > 0 {
+	if st.FlushLatency.Count > before.FlushLatency.Count {
 		t.add("publish latency", "p50/p95/p99",
 			fmt.Sprintf("%s / %s / %s", ns(st.FlushLatency.P50), ns(st.FlushLatency.P95), ns(st.FlushLatency.P99)),
-			fmt.Sprintf("%d flushes", st.FlushLatency.Count))
+			fmt.Sprintf("%d publishes", st.FlushLatency.Count))
 	}
-	avgBatch := float64(st.BatchedMutations) / float64(st.BatchSize.Count)
-	t.add("batch size", "avg / max",
-		fmt.Sprintf("%.2f / %d", avgBatch, st.MaxBatch),
-		fmt.Sprintf("%d staged", st.BatchedMutations))
 
 	// Quiescent warm check: churn over, the read path must sit back in
 	// the E11/E13/E15 warm band.

@@ -27,8 +27,8 @@ type Frozen struct {
 
 	// deltaBase is the version this view was derived from by patching
 	// (definitions are append-only, so every clone is a delta over its
-	// predecessor); 0 means the view was built from scratch. See
-	// names.FrozenShard.
+	// predecessor); 0 means the view was built from scratch. The name
+	// server's epoch journal records it.
 	deltaBase uint64
 }
 

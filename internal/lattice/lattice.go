@@ -64,14 +64,13 @@ type Lattice struct {
 	frozen  atomic.Pointer[Frozen]
 	writeMu sync.Mutex
 
-	// onPublish, when set, receives every newly published Frozen and
-	// returns a wait function that blocks until the view is live in the
-	// receiver's own published state. The reference monitor wires it to
-	// the name server's batched epoch publisher (stage + flush), so a
-	// definition lands in the policy epoch — and kills every cached
-	// verdict — before the definer regains control, while concurrent
-	// definitions may coalesce into one epoch. Guarded by writeMu.
-	onPublish func(*Frozen) func() uint64
+	// onPublish, when set, receives every newly published Frozen,
+	// makes it live in the receiver's own published state, and returns
+	// the version it landed in. The reference monitor wires it to the
+	// name server's epoch publisher, so a definition lands in the policy
+	// epoch — and kills every cached verdict — before the definer
+	// regains control. Guarded by writeMu.
+	onPublish func(*Frozen) uint64
 }
 
 // New returns an empty lattice with no levels and no categories.
@@ -113,30 +112,24 @@ func (l *Lattice) Freeze() *Frozen { return l.frozen.Load() }
 func (l *Lattice) Version() uint64 { return l.frozen.Load().version }
 
 // SetPublishHook installs a function that receives every newly
-// published Frozen universe and returns a wait function blocking until
-// the view is live downstream. The reference monitor wires it to the
-// name server's batched epoch publisher; a nil hook clears it. The
-// hook runs with the writer mutex held, so publications reach it in
-// version order; the wait function it returns is called after the
-// mutex is released, so a slow downstream flush never blocks other
-// definers from staging.
-func (l *Lattice) SetPublishHook(fn func(*Frozen) func() uint64) {
+// published Frozen universe, makes it live downstream, and returns the
+// downstream version. The reference monitor wires it to the name
+// server's epoch publisher; a nil hook clears it. The hook runs with
+// the writer mutex held, so publications reach it in version order.
+func (l *Lattice) SetPublishHook(fn func(*Frozen) uint64) {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
 	l.onPublish = fn
 }
 
-// publishLocked installs next as the current universe, reports it to
-// the hook, and returns the wait function the definer must call after
-// releasing writeMu (it blocks until the epoch carrying next is
-// published downstream). Caller holds writeMu.
-func (l *Lattice) publishLocked(next *Frozen) func() uint64 {
+// publishLocked installs next as the current universe and reports it
+// to the hook, which returns once the epoch carrying next is published
+// downstream. Caller holds writeMu.
+func (l *Lattice) publishLocked(next *Frozen) {
 	l.frozen.Store(next)
 	if l.onPublish != nil {
-		return l.onPublish(next)
+		l.onPublish(next)
 	}
-	v := next.version
-	return func() uint64 { return v }
 }
 
 // DefineLevel appends a new trust level that dominates every level
@@ -155,9 +148,8 @@ func (l *Lattice) DefineLevel(name string) (Level, error) {
 	lv := Level(len(next.levels))
 	next.levels = append(next.levels, name)
 	next.levelIdx[name] = lv
-	wait := l.publishLocked(next)
+	l.publishLocked(next)
 	l.writeMu.Unlock()
-	wait()
 	return lv, nil
 }
 
@@ -177,9 +169,8 @@ func (l *Lattice) DefineCategory(name string) (int, error) {
 	idx := len(next.cats)
 	next.cats = append(next.cats, name)
 	next.catIdx[name] = idx
-	wait := l.publishLocked(next)
+	l.publishLocked(next)
 	l.writeMu.Unlock()
-	wait()
 	return idx, nil
 }
 

@@ -117,17 +117,14 @@ func (e *EditError) Unwrap() error { return e.Err }
 // edit, with its error).
 //
 // Each edit resolves against the successor tree as it accumulates, so a
-// later edit sees the earlier ones. If any edit fails nothing is staged,
-// and the error is an *EditError naming it. An empty call returns 0.
+// later edit sees the earlier ones. If any edit fails nothing is
+// published, and the error is an *EditError naming it. An empty call
+// returns 0.
 func (s *Server) Apply(sub acl.Subject, class lattice.Class, edits ...Edit) (uint64, error) {
 	if len(edits) == 0 {
 		return 0, nil
 	}
-	wait, err := s.stageEdits(sub, class, edits)
-	var v uint64
-	if err == nil {
-		v = wait()
-	}
+	v, err := s.applyEdits(sub, class, edits)
 	if sub == nil {
 		if ee, failed := err.(*EditError); failed {
 			s.admin(ee.Edit.adminOp(), ee.Edit.Path(), ee.Err)
@@ -140,12 +137,12 @@ func (s *Server) Apply(sub acl.Subject, class lattice.Class, edits ...Edit) (uin
 	return v, err
 }
 
-// stageEdits builds the successor tree for edits and stages it,
-// returning the wait function Apply calls after releasing writeMu.
-func (s *Server) stageEdits(sub acl.Subject, class lattice.Class, edits []Edit) (func() uint64, error) {
+// applyEdits builds the successor tree for edits and publishes it,
+// returning the landing version.
+func (s *Server) applyEdits(sub acl.Subject, class lattice.Class, edits []Edit) (uint64, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
+	ep := s.epoch.Load()
 	// The first edit resolves in ep itself, compiled index included.
 	// Every later edit resolves in a scratch copy of ep carrying the
 	// accumulating successor root and no compiled view: ep's index
@@ -163,10 +160,10 @@ func (s *Server) stageEdits(sub acl.Subject, class lattice.Class, edits []Edit) 
 		}
 		var err error
 		if root, err = s.edit(view, sub, class, &edits[i]); err != nil {
-			return nil, &EditError{Index: i, Edit: edits[i], Err: err}
+			return 0, &EditError{Index: i, Edit: edits[i], Err: err}
 		}
 	}
-	return s.stageTreeLocked(root, ep.traversal), nil
+	return s.publishTreeLocked(root, ep.traversal), nil
 }
 
 // edit checks one edit against ep (unless sub is nil) and returns the

@@ -37,14 +37,10 @@ type SubtreeSpec struct {
 // Specs must be in parent-before-child order: each spec's containing
 // directory is either the bind parent itself (single-component Path)
 // or a node created by an EARLIER spec in the same call. Nothing is
-// staged if any spec fails validation. For bootstrap and load
+// published if any spec fails validation. For bootstrap and load
 // generation; production mutation goes through Apply.
 func (s *Server) BindSubtreeUnchecked(parentPath string, specs []SubtreeSpec) (int, uint64, error) {
-	wait, err := s.bindSubtree(parentPath, specs)
-	var v uint64
-	if err == nil && wait != nil {
-		v = wait()
-	}
+	v, err := s.bindSubtree(parentPath, specs)
 	s.admin("bind-subtree-unchecked", parentPath, err)
 	if err != nil {
 		return 0, 0, err
@@ -52,19 +48,19 @@ func (s *Server) BindSubtreeUnchecked(parentPath string, specs []SubtreeSpec) (i
 	return len(specs), v, nil
 }
 
-func (s *Server) bindSubtree(parentPath string, specs []SubtreeSpec) (func() uint64, error) {
+func (s *Server) bindSubtree(parentPath string, specs []SubtreeSpec) (uint64, error) {
 	if len(specs) == 0 {
-		return nil, nil
+		return 0, nil
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	ep := s.currentLocked()
+	ep := s.epoch.Load()
 	parent, err := resolveIn(ep, nil, lattice.Class{}, parentPath, false)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if parent.kind.Leaf() {
-		return nil, fmt.Errorf("%w: %s", ErrLeaf, parent.Path())
+		return 0, fmt.Errorf("%w: %s", ErrLeaf, parent.Path())
 	}
 
 	// The working parent: a clone whose children slice is a private
@@ -80,30 +76,30 @@ func (s *Server) bindSubtree(parentPath string, specs []SubtreeSpec) (func() uin
 	for _, spec := range specs {
 		rel := strings.Trim(spec.Path, "/")
 		if rel == "" {
-			return nil, fmt.Errorf("%w: empty subtree path", ErrBadPath)
+			return 0, fmt.Errorf("%w: empty subtree path", ErrBadPath)
 		}
 		if !spec.Class.Valid() || spec.Class.Lattice() != s.lat {
-			return nil, fmt.Errorf("%w: node class must come from the server lattice", ErrBadPath)
+			return 0, fmt.Errorf("%w: node class must come from the server lattice", ErrBadPath)
 		}
 		dir, name := "", rel
 		if i := strings.LastIndexByte(rel, '/'); i >= 0 {
 			dir, name = rel[:i], rel[i+1:]
 		}
 		if err := ValidComponent(name); err != nil {
-			return nil, err
+			return 0, err
 		}
 		under := work
 		if dir != "" {
 			under = fresh[dir]
 			if under == nil {
-				return nil, fmt.Errorf("%w: %s: parent %q not created by an earlier spec", ErrNotFound, rel, dir)
+				return 0, fmt.Errorf("%w: %s: parent %q not created by an earlier spec", ErrNotFound, rel, dir)
 			}
 			if under.kind.Leaf() {
-				return nil, fmt.Errorf("%w: %s", ErrLeaf, under.Path())
+				return 0, fmt.Errorf("%w: %s", ErrLeaf, under.Path())
 			}
 		}
 		if under.child(name) != nil {
-			return nil, fmt.Errorf("%w: %s", ErrExists, Join(under.Path(), name))
+			return 0, fmt.Errorf("%w: %s", ErrExists, Join(under.Path(), name))
 		}
 		childPath := s.strings.intern(Join(under.Path(), name))
 		n := &Node{
@@ -120,7 +116,7 @@ func (s *Server) bindSubtree(parentPath string, specs []SubtreeSpec) (func() uin
 
 	parts, err := SplitPath(parent.Path())
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return s.stageTreeLocked(rebind(ep.root, parts, work), ep.traversal), nil
+	return s.publishTreeLocked(rebind(ep.root, parts, work), ep.traversal), nil
 }

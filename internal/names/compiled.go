@@ -122,7 +122,7 @@ type retainedMem struct {
 }
 
 // compiled is the read-side compilation of one epoch. It is immutable
-// after the flush that built it publishes.
+// after the publication that built it.
 type compiled struct {
 	index *pathIndex
 	// sums holds each slot's summary compiled against this epoch's
@@ -157,7 +157,7 @@ func (c *compiled) sensitiveEntries() int {
 	return n
 }
 
-// compileKind classifies how a flush obtained its compiled view.
+// compileKind classifies how a publication obtained its compiled view.
 type compileKind uint8
 
 const (
@@ -167,7 +167,7 @@ const (
 	compileReused
 )
 
-// compileStats is the freeze-cost split one flush reports: total build
+// compileStats is the freeze-cost split one publication reports: total build
 // time, the share spent compiling ACL summaries, the share spent
 // recomputing effective/visibility bitsets, and how many summaries it
 // compiled.
@@ -200,7 +200,7 @@ type visCtx struct {
 
 // compileBuilder carries one build over the tree.
 type compileBuilder struct {
-	st *Epoch // the staged successor epoch being compiled
+	st *Epoch // the successor epoch being compiled
 	// regInvalid marks that pruning unchanged subtrees is unsound: the
 	// ID space grew (every materialized bitset covers a stale range) or
 	// a registry transition moved the effective List set of an ACL some
@@ -507,9 +507,9 @@ func (b *compileBuilder) build(old *Node, prev *compiled) *compiled {
 	}
 }
 
-// compileEpoch builds the staged epoch's compiled view. Caller holds
+// compileEpoch builds the successor epoch's compiled view. Caller holds
 // writeMu and has not yet stored st, so s.epoch.Load() is still the
-// parent epoch. st.reg is non-nil (checked by the flush).
+// parent epoch. st.reg is non-nil (checked by the publisher).
 func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	prev := s.epoch.Load()
 	prevC := prev.compiled

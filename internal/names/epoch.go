@@ -63,18 +63,19 @@ type Epoch struct {
 	stack     *monitor.Stack
 	// compiled is the epoch's freeze-time read-side compilation (path
 	// index, effective-ACL bitsets, dominance table; see compiled.go).
-	// It is nil on staged epochs (mutators always walk their own
-	// accumulated tree), when no registry is attached, and when
-	// compilation is disabled; the flush populates it immediately
-	// before the atomic store.
+	// It is nil on the scratch views Apply resolves later edits in
+	// (they walk their own accumulated tree), when no registry is
+	// attached, and when compilation is disabled; the publisher
+	// populates it immediately before the atomic store.
 	compiled *compiled
 
 	// owned counts the tree nodes newly allocated for this epoch (not
-	// pointer-shared with the parent epoch's tree). The flush computes
-	// it by a pointer-pruned diff walk — O(changed) — so the footprint
-	// can report structure sharing without holding parent epochs alive.
+	// pointer-shared with the parent epoch's tree). The publisher
+	// computes it by a pointer-pruned diff walk — O(changed) — so the
+	// footprint can report structure sharing without holding parent
+	// epochs alive.
 	// fp caches the lazily computed footprint (see footprint.go); it is
-	// freshly allocated per publication, nil on staged epochs.
+	// freshly allocated per publication, nil on unpublished views.
 	owned int
 	fp    *fpCell
 }

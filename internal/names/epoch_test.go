@@ -165,8 +165,8 @@ func TestEpochReadPathAcquiresNoMutex(t *testing.T) {
 // transition — fails the consistency walk. The op vocabulary mixes
 // single-edit and multi-edit Applies on both shards (some failing
 // part-way), bulk subtree binds, and direct Publish* calls, so
-// write-combined and unbatched publications interleave; the end-state
-// checks catch lost mutations and incremental-freeze divergence.
+// hook-driven and direct publications interleave; the end-state checks
+// catch lost mutations and incremental-freeze divergence.
 func FuzzEpochTransitions(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 7, 7, 2, 2, 8, 8})
@@ -237,7 +237,7 @@ func FuzzEpochTransitions(f *testing.F) {
 					case 7:
 						srv.PublishStack(srv.Pipeline().Current())
 					case 8:
-						// Bulk membership: one freeze, one batched publish.
+						// Bulk membership: one freeze, one publication.
 						reg.Apply(memberEdits(principal.AddMember, fmt.Sprintf("g%d", i%2), "p0", "p1", "p2")...)
 					case 9:
 						reg.Apply(memberEdits(principal.RemoveMember, fmt.Sprintf("g%d", i%2), "p0", "p1")...)
@@ -246,7 +246,7 @@ func FuzzEpochTransitions(f *testing.F) {
 						srv.Apply(nil, lattice.Class{}, SetACL(home, acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List))))
 					case 11:
 						// Direct publish of the current frozen registry,
-						// interleaved with hook-driven batched publishes.
+						// interleaved with hook-driven publications.
 						srv.PublishRegistry(reg.Freeze())
 					case 12:
 						// Wide directory: 10^3+ children land in one bulk

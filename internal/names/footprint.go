@@ -21,12 +21,12 @@ import (
 // The walk is O(tree) but runs at most once per epoch: the result is
 // cached in a per-publication cell (fpCell), so telemetry scrapes after
 // the first pay one pointer load. The shared-vs-owned split is computed
-// eagerly by the flush (countOwned) with a pointer-pruned diff walk, so
+// eagerly by the publisher (countOwned) with a pointer-pruned diff walk, so
 // it costs O(changed) per publication and no parent epoch is kept
 // alive for accounting.
 
 // fpCell caches one epoch's lazily computed footprint. It is allocated
-// fresh per publication (see flush), so the sync.Once is never copied.
+// fresh per publication (see publishLocked), so the sync.Once is never copied.
 type fpCell struct {
 	once sync.Once
 	fp   telemetry.FootprintStats
@@ -55,7 +55,7 @@ func countOwned(prev, next *Node) int {
 
 // Footprint returns the epoch's tree-memory accounting, computed once
 // per epoch and cached; the intern-table fields stay zero (Server.Stats
-// fills them). Calling it on a staged (unpublished) epoch computes
+// fills them). Calling it on an unpublished epoch computes
 // uncached.
 func (ep *Epoch) Footprint() telemetry.FootprintStats {
 	cell := ep.fp

@@ -84,8 +84,8 @@ func (k compileKind) label() string {
 	return "none"
 }
 
-// shardKinds returns the human-readable shard kinds staged into a
-// batch, from its shard bitmask.
+// shardKinds returns the human-readable shard kinds one publication
+// moved, from its shard bitmask.
 func shardKinds(shards uint8) []string {
 	var out []string
 	if shards&shardNames != 0 {

@@ -38,9 +38,6 @@ func TestJournalRecordsTransition(t *testing.T) {
 	if len(r.Shards) != 1 || r.Shards[0] != "names" {
 		t.Errorf("shards = %v, want [names]", r.Shards)
 	}
-	if r.BatchSize < 1 {
-		t.Errorf("batch size = %d, want >= 1", r.BatchSize)
-	}
 	ep := cf.srv.Current()
 	if r.RegistryVersion != ep.Registry().Version() {
 		t.Errorf("registry version %d, epoch carries %d", r.RegistryVersion, ep.Registry().Version())

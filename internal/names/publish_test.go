@@ -12,7 +12,7 @@ import (
 )
 
 // attachReg wires a registry with alice and a group into the fixture
-// server, for tests that drive the registry's batched publish path.
+// server, for tests that drive the registry's publish hook.
 func attachReg(t *testing.T, f *fixture) *principal.Registry {
 	t.Helper()
 	reg := principal.NewRegistry(f.lat)
@@ -263,58 +263,37 @@ func TestRegistryBulkOpSinglePublish(t *testing.T) {
 	}
 }
 
-// TestStagedMutationsCoalesce drives the stage/flush split directly:
-// two shard publications staged before any waiter runs must land in ONE
-// epoch — same version, one publication, both typed counters bumped.
-func TestStagedMutationsCoalesce(t *testing.T) {
+// TestStalePublishRegistryPublishesNothing: a PublishRegistry carrying
+// a view no newer than the epoch's registry leaves the epoch alone — no
+// publication, no version bump (which would empty the decision cache and
+// ship an empty delta to every replica), and the registry shard never
+// moves backwards.
+func TestStalePublishRegistryPublishesNothing(t *testing.T) {
 	f := newFixture(t)
 	reg := attachReg(t, f)
-
-	pubs := f.srv.Publishes()
-	tr0 := f.srv.Stats()
-
-	// Stage a lattice universe and a registry view without flushing
-	// in between: both join the same pending batch.
-	if _, err := f.lat.DefineLevel("ultra"); err != nil {
-		// DefineLevel waits for its own flush, so stage by hand instead.
+	stale := reg.Freeze()
+	if _, err := reg.Apply(principal.AddMember("ops", "alice")); err != nil {
 		t.Fatal(err)
 	}
-	// DefineLevel above flushed its own batch (sequential callers see
-	// per-mutation versions). Now exercise true coalescing through the
-	// unexported staging API.
-	latF := f.lat.Freeze()
-	regF := reg.Freeze()
-	w1 := f.srv.stageLattice(latF)
-	w2 := f.srv.stageRegistry(regF)
-	v1, v2 := w1(), w2()
-	if v1 != v2 {
-		t.Fatalf("coalesced mutations landed in different epochs: %d vs %d", v1, v2)
+	pubs, v := f.srv.Publishes(), f.srv.Version()
+	for _, view := range []*principal.Frozen{stale, reg.Freeze()} {
+		if got := f.srv.PublishRegistry(view); got != v {
+			t.Fatalf("PublishRegistry(v%d) = %d, want current version %d", view.Version(), got, v)
+		}
 	}
-	if got := f.srv.Publishes(); got != pubs+2 { // DefineLevel + the batch
-		t.Fatalf("publications = %d, want %d", got-pubs, 2)
+	if f.srv.Publishes() != pubs || f.srv.Version() != v {
+		t.Fatalf("stale PublishRegistry published: publishes %d -> %d, version %d -> %d",
+			pubs, f.srv.Publishes(), v, f.srv.Version())
 	}
-	tr := f.srv.Stats()
-	if tr.LatticeTransitions != tr0.LatticeTransitions+2 || tr.RegistryTransitions != tr0.RegistryTransitions+1 {
-		t.Fatalf("typed transitions: before %+v after %+v", tr0, tr)
-	}
-	ep := f.srv.Current()
-	if ep.Lattice() != latF || ep.Registry() != regF || ep.Version() != v1 {
-		t.Fatal("published epoch does not carry both staged shards")
-	}
-
-	st := f.srv.Stats()
-	if st.MaxBatch < 2 {
-		t.Fatalf("max batch = %d, want >= 2", st.MaxBatch)
-	}
-	if st.BatchedMutations == 0 || st.BatchSize.Count == 0 || st.FlushLatency.Count == 0 {
-		t.Fatalf("batch stats not populated: %+v", st)
+	if f.srv.Current().Registry() != reg.Freeze() {
+		t.Fatal("registry shard moved backwards")
 	}
 }
 
 // TestStatsDuringFlushes is the -race proof for telemetry scrapes:
 // Stats and Journal read the publication counters, the histograms, the
 // journal ring, the intern tables and the current epoch's compiled view
-// and footprint while writers flush, and successive scrapes never see
+// and footprint while writers publish, and successive scrapes never see
 // the epoch or a publication counter move backwards.
 func TestStatsDuringFlushes(t *testing.T) {
 	cf := newCompiledFixture(t)
@@ -343,7 +322,7 @@ func TestStatsDuringFlushes(t *testing.T) {
 		}
 		st := cf.srv.Stats()
 		if st.Version < prev.Version || st.Publishes < prev.Publishes || st.NameTransitions < prev.NameTransitions ||
-			st.BatchedMutations < prev.BatchedMutations || st.Footprint.EpochVersion < prev.Footprint.EpochVersion {
+			st.FlushLatency.Count < prev.FlushLatency.Count || st.Footprint.EpochVersion < prev.Footprint.EpochVersion {
 			t.Fatalf("scrape went backwards: %+v after %+v", st, prev)
 		}
 		if recs := cf.srv.Journal(4); len(recs) == 0 || recs[0].Version == 0 {
@@ -356,10 +335,11 @@ func TestStatsDuringFlushes(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurnInvariants hammers the batched publisher from
-// concurrent mutators and checks the accounting invariants: the version
-// advances exactly once per publication, every staged mutation is
-// counted, and the final epoch reflects the final shard states (no lost
+// TestConcurrentChurnInvariants hammers the publisher from concurrent
+// mutators and checks the accounting invariants: every successful
+// mutating call is exactly one publication, the version advances once
+// per publication, the versions the calls return are pairwise distinct,
+// and the final epoch reflects the final shard states (no lost
 // mutations).
 func TestConcurrentChurnInvariants(t *testing.T) {
 	f := newFixture(t)
@@ -375,28 +355,43 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 
 	v0 := f.srv.Version()
 	pubs0 := f.srv.Publishes()
-	mut0 := f.srv.Stats().BatchedMutations
 
 	const workers = 4
 	const iters = 50
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		versions = make(map[uint64]bool)
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
+				var v uint64
+				var err error
 				switch (w + i) % 3 {
 				case 0:
-					if _, err := reg.AddMemberAt("ops", "p0"); err != nil {
-						t.Error(err)
-					}
+					v, err = reg.Apply(principal.AddMember("ops", "p0"))
 				case 1:
-					reg.RemoveMemberAt("ops", "p0") // may race to not-found; fine
-				case 2:
-					if _, err := f.srv.Apply(nil, lattice.Class{}, SetACL("/svc/fs/read", acl.New(acl.Allow(fmt.Sprintf("w%d", w), acl.Read)))); err != nil {
-						t.Error(err)
+					// May race to not-found: a failed call publishes
+					// nothing and is not counted.
+					if v, err = reg.Apply(principal.RemoveMember("ops", "p0")); err != nil {
+						continue
 					}
+				case 2:
+					v, err = f.srv.Apply(nil, lattice.Class{}, SetACL("/svc/fs/read", acl.New(acl.Allow(fmt.Sprintf("w%d", w), acl.Read))))
 				}
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				mu.Lock()
+				if versions[v] {
+					t.Errorf("two mutating calls returned version %d", v)
+				}
+				versions[v] = true
+				mu.Unlock()
 			}
 		}(w)
 	}
@@ -406,9 +401,8 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 	if got := f.srv.Version() - v0; got != pubs {
 		t.Fatalf("version advanced %d, publications %d — must match", got, pubs)
 	}
-	muts := f.srv.Stats().BatchedMutations - mut0
-	if pubs > muts {
-		t.Fatalf("more publications (%d) than staged mutations (%d)", pubs, muts)
+	if pubs != uint64(len(versions)) {
+		t.Fatalf("%d publications for %d successful mutating calls", pubs, len(versions))
 	}
 	// No lost mutations: the published epoch carries the registry's and
 	// server's final frozen state.
@@ -421,21 +415,19 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 	}
 }
 
-// TestFrozenShardDeltaChain pins the FrozenShard contract: delta-built
-// views anchor to the exact previous version, full rebuilds report base
-// 0, and the interface is satisfied by both freezers.
+// TestFrozenShardDeltaChain pins the delta-freeze contract both frozen
+// shards implement: delta-built views anchor to the exact previous
+// version, and full rebuilds report base 0.
 func TestFrozenShardDeltaChain(t *testing.T) {
 	f := newFixture(t)
 	reg := attachReg(t, f)
 
-	var shard FrozenShard = f.lat.Freeze()
-	prev := shard.Version()
+	prev := f.lat.Freeze().Version()
 	if _, err := f.lat.DefineCategory("delta-cat"); err != nil {
 		t.Fatal(err)
 	}
-	shard = f.lat.Freeze()
-	if shard.DeltaBase() != prev {
-		t.Fatalf("lattice delta base %d, want %d", shard.DeltaBase(), prev)
+	if lf := f.lat.Freeze(); lf.DeltaBase() != prev {
+		t.Fatalf("lattice delta base %d, want %d", lf.DeltaBase(), prev)
 	}
 
 	// Membership edit: incremental, anchored to the previous version.

@@ -60,37 +60,24 @@ var ErrNotEmpty = fmt.Errorf("names: node not empty")
 type Server struct {
 	// epoch is the atomically published current policy epoch. Readers
 	// load it once per operation and never look back; writeMu serializes
-	// the load-derive-stage sequence of every transition.
+	// the load-derive-publish sequence of every transition (publish.go).
 	epoch   atomic.Pointer[Epoch]
 	writeMu sync.Mutex
-
-	// staged is the open batch's successor epoch: mutations staged but
-	// not yet published, at the published version + 1. batch tracks the
-	// waiters and telemetry of that open batch. Both are guarded by
-	// writeMu and nil when no batch is open; see batch.go.
-	staged *Epoch
-	batch  *pendingBatch
 
 	lat *lattice.Lattice
 
 	// publishes counts epoch publications after boot: the writer-side
 	// telemetry counter. The typed counters below split it by the shard
-	// that moved; with write combining one publication can carry
-	// several shards, so the typed counters may sum to more than
-	// publishes.
+	// that moved; a replicated apply carrying a stack moves two shards
+	// in one publication, so the typed counters may sum to more than
+	// publishes. flushLat is the distribution of one publication's
+	// latency.
 	publishes    atomic.Uint64
 	namePubs     atomic.Uint64
 	latticePubs  atomic.Uint64
 	registryPubs atomic.Uint64
 	stackPubs    atomic.Uint64
-
-	// Batched-publication telemetry: mutations staged through batches,
-	// the largest batch one flush published, and the batch-size and
-	// flush-latency distributions.
-	batchedMutations atomic.Uint64
-	maxBatch         atomic.Uint64
-	batchSizes       telemetry.Histogram
-	flushLat         telemetry.Histogram
+	flushLat     telemetry.Histogram
 
 	// pipe is the writer-side policy pipeline: Install and remove
 	// mutate it, and every newly published stack lands in the next
@@ -108,10 +95,10 @@ type Server struct {
 	adminHook atomic.Pointer[func(op, path string, err error)]
 
 	// compiledOff disables epoch compilation (SetCompiledEpochs); it is
-	// guarded by writeMu and read only by the flush. The counters and
-	// histograms below are the freeze-cost split: how each flush
-	// obtained its compiled view (full build, incremental patch,
-	// wholesale reuse) and where build time went (ACL summary
+	// guarded by writeMu and read only by the publisher. The counters
+	// and histograms below are the freeze-cost split: how each
+	// publication obtained its compiled view (full build, incremental
+	// patch, wholesale reuse) and where build time went (ACL summary
 	// compilation, effective/visibility bitset recomputation, and the
 	// remainder — index walk, copy-on-write shard clones, dominance
 	// interning). compSummaries counts the summaries compiled.
@@ -139,14 +126,14 @@ type Server struct {
 	cache atomic.Pointer[decision.Cache]
 
 	// journal retains the last journalCap epoch transitions (version,
-	// shards, batch size, freeze delta-bases, compile kind and cost,
-	// publish latency) in a lock-free ring; Journal snapshots it
-	// without stopping writers.
+	// shards, freeze delta-bases, compile kind and cost, publish
+	// latency) in a lock-free ring; Journal snapshots it without
+	// stopping writers.
 	journal epochJournal
 
 	// transHook, when set, observes every epoch publication as a
-	// (parent, successor) pair, called by the flush under writeMu so
-	// transitions arrive in strict version order. Replication wires it
+	// (parent, successor) pair, called by the publisher under writeMu
+	// so transitions arrive in strict version order. Replication wires it
 	// to the delta publisher; the hook must only enqueue and return.
 	// Guarded by writeMu.
 	transHook func(prev, next *Epoch)
@@ -198,7 +185,7 @@ func NewServer(lat *lattice.Lattice, rootACL *acl.ACL, rootClass lattice.Class) 
 		owned:     1,
 		fp:        &fpCell{},
 	})
-	lat.SetPublishHook(s.stageLattice)
+	lat.SetPublishHook(s.publishLattice)
 	pipe.SetChangeHook(func(st *monitor.Stack) { s.PublishStack(st) })
 	return s
 }
@@ -222,11 +209,11 @@ func (s *Server) Publishes() uint64 { return s.publishes.Load() }
 
 // Stats returns the name server's telemetry: the current epoch's
 // version, the publication counters by the shard that drove them, the
-// write-combining publisher's batches, the compiled-epoch counters, the
-// shadow divergence monitor (a nonzero divergence count is a
-// correctness alarm: the compiled read side allowed something the walk
-// denied, and the walk's verdict was enforced), the journal's fill, and
-// the current epoch's footprint with the intern tables' counters.
+// publication latency, the compiled-epoch counters, the shadow
+// divergence monitor (a nonzero divergence count is a correctness
+// alarm: the compiled read side allowed something the walk denied, and
+// the walk's verdict was enforced), the journal's fill, and the current
+// epoch's footprint with the intern tables' counters.
 func (s *Server) Stats() telemetry.NamesStats {
 	fp := s.epoch.Load().Footprint()
 	s.strings.stats(&fp)
@@ -238,9 +225,6 @@ func (s *Server) Stats() telemetry.NamesStats {
 		LatticeTransitions:  s.latticePubs.Load(),
 		RegistryTransitions: s.registryPubs.Load(),
 		StackTransitions:    s.stackPubs.Load(),
-		BatchedMutations:    s.batchedMutations.Load(),
-		MaxBatch:            s.maxBatch.Load(),
-		BatchSize:           s.batchSizes.Snapshot(),
 		FlushLatency:        s.flushLat.Snapshot(),
 		CompiledStats:       s.CompiledStats(),
 		ShadowChecks:        s.shadowChecks.Load(),
@@ -251,23 +235,31 @@ func (s *Server) Stats() telemetry.NamesStats {
 }
 
 // PublishRegistry is the typed epoch transition for the principal/group
-// shard: a thin wrapper over the batched publisher that stages f as the
-// epoch's registry, flushes, and returns the version the publication
-// landed in. The registry's publish hook (wired by AttachRegistry) goes
-// through the staged path directly so membership edits can coalesce —
-// an editor still blocks until its epoch is published, so a revocation
-// reaches every future decision before the revoker regains control. A
-// nil f is ignored (returns 0).
+// shard: it publishes f as the epoch's registry and returns the version
+// the publication landed in. It is also the registry's publish hook
+// (wired by AttachRegistry), run under the registry's writer mutex, so
+// a revocation reaches every future decision before the revoker
+// regains control. The hook delivers views in version order, but a
+// direct call can race it with an older Freeze: a view no newer than
+// the epoch's own registry publishes nothing and returns the current
+// version, so the registry shard never moves backwards and a stale
+// call empties no cache and ships no replica delta. A nil f is ignored
+// (returns 0).
 func (s *Server) PublishRegistry(f *principal.Frozen) uint64 {
 	if f == nil {
 		return 0
 	}
-	return s.stageRegistry(f)()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	if cur := s.epoch.Load(); cur.reg != nil && cur.reg.Registry() == f.Registry() && f.Version() <= cur.reg.Version() {
+		return cur.version
+	}
+	return s.publishLocked(shardRegistry, "", 0, func(e *Epoch) { e.reg = f })
 }
 
 // PublishStack is the typed epoch transition for the guard-stack shard:
-// it stages st as the epoch's stack, flushes, and returns the version
-// the publication landed in. The pipeline's change hook (wired by
+// it publishes st as the epoch's stack and returns the version the
+// publication landed in. The pipeline's change hook (wired by
 // NewServer and SetPipeline) calls it on every Install/remove. A nil st
 // is ignored (returns 0).
 func (s *Server) PublishStack(st *monitor.Stack) uint64 {
@@ -275,15 +267,14 @@ func (s *Server) PublishStack(st *monitor.Stack) uint64 {
 		return 0
 	}
 	s.writeMu.Lock()
-	b := s.stageLocked(shardStack, func(e *Epoch) { e.stack = st })
-	s.writeMu.Unlock()
-	return s.waiter(b)()
+	defer s.writeMu.Unlock()
+	return s.publishLocked(shardStack, "", 0, func(e *Epoch) { e.stack = st })
 }
 
 // AttachRegistry wires the principal/group registry into the policy
-// epoch: the registry's publish hook becomes the server's batched
-// registry transition, and the registry's current frozen state is
-// published immediately so the very next decision pins it. Call during
+// epoch: the registry's publish hook becomes PublishRegistry, and the
+// registry's current frozen state is published immediately so the very
+// next decision pins it. Call during
 // setup, before the server sees concurrent traffic; only the reference
 // monitor should attach a registry (pinned membership assumes subject
 // names are canonical).
@@ -291,7 +282,7 @@ func (s *Server) AttachRegistry(reg *principal.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.SetPublishHook(s.stageRegistry)
+	reg.SetPublishHook(s.PublishRegistry)
 	s.PublishRegistry(reg.Freeze())
 }
 
@@ -365,9 +356,8 @@ func (s *Server) DecisionCache() *decision.Cache { return s.cache.Load() }
 // under the other policy are dead.
 func (s *Server) SetTraversalChecks(on bool) {
 	s.writeMu.Lock()
-	wait := s.stageTreeLocked(s.currentLocked().root, on)
-	s.writeMu.Unlock()
-	wait()
+	defer s.writeMu.Unlock()
+	s.publishTreeLocked(s.epoch.Load().root, on)
 }
 
 // SetCompiledEpochs toggles freeze-time compilation of read-side
@@ -378,11 +368,10 @@ func (s *Server) SetTraversalChecks(on bool) {
 // from the next publication onward, on compiles a fresh one.
 func (s *Server) SetCompiledEpochs(on bool) {
 	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	s.compiledOff = !on
-	cur := s.currentLocked()
-	wait := s.stageTreeLocked(cur.root, cur.traversal)
-	s.writeMu.Unlock()
-	wait()
+	cur := s.epoch.Load()
+	s.publishTreeLocked(cur.root, cur.traversal)
 }
 
 // describe builds the guard stack's view of node n at path. The node
@@ -429,7 +418,7 @@ func resolveIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, che
 	// Compiled epochs answer resolution from the path index: a bare
 	// probe when no checks apply, the precomputed visibility chain when
 	// they do. The index decides success only — a miss (unbound path,
-	// failing visibility, non-default stack, staged epoch) falls
+	// failing visibility, non-default stack, uncompiled epoch) falls
 	// through to the walk, which derives the exact error.
 	if n, ok := ep.fastResolve(sub, class, path, checked); ok {
 		return n, nil

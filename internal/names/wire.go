@@ -8,7 +8,7 @@ package names
 // frozen registry, guard-stack descriptor), and a delta describes the
 // exact edit set that carried epoch v to epoch v+1 — derived by
 // structural diff over the two immutable trees, which is cheap because
-// the batch publisher shares every untouched subtree between parent
+// the epoch publisher shares every untouched subtree between parent
 // and successor (pointer equality prunes the walk to the changed
 // spine).
 //
@@ -278,7 +278,7 @@ func upsertSubtree(n *Node, lat *lattice.Frozen, out *[]NodeWire) error {
 
 // diffTree walks matched subtrees of the parent and successor epochs,
 // emitting upserts and deletes. Pointer-equal subtrees are pruned —
-// the batch publisher shares every untouched subtree, so the walk
+// the epoch publisher shares every untouched subtree, so the walk
 // visits only the cloned spine plus the actual edits. A node's own
 // deletes follow its children's, in name order.
 func diffTree(prev, next *Node, lat *lattice.Frozen, d *EpochDelta) error {
@@ -484,8 +484,8 @@ type ReplicaApply struct {
 	Stack          *monitor.Stack
 }
 
-// ApplyReplicated installs a replicated epoch transition: one staged
-// batch, one atomic publication, journaled with a replication kind and
+// ApplyReplicated installs a replicated epoch transition: one atomic
+// publication, journaled with a replication kind and
 // the primary version it mirrors. The replica's own version counter
 // advances as usual (local bootstrap publications mean the numbers
 // differ from the primary's); the journal record ties the two clocks
@@ -500,7 +500,8 @@ func (s *Server) ApplyReplicated(app ReplicaApply) (uint64, error) {
 		kind = "replica"
 	}
 	s.writeMu.Lock()
-	cur := s.currentLocked()
+	defer s.writeMu.Unlock()
+	cur := s.epoch.Load()
 	root := cur.root
 	var err error
 	if app.Full != nil {
@@ -509,21 +510,17 @@ func (s *Server) ApplyReplicated(app ReplicaApply) (uint64, error) {
 		root, err = patchWireTree(cur.root, app.Upserts, app.Deletes, lat, &s.strings, &s.acls, &s.classes)
 	}
 	if err != nil {
-		s.writeMu.Unlock()
 		return 0, err
 	}
 	shards := shardNames
 	if app.Stack != nil {
 		shards |= shardStack
 	}
-	b := s.stageLocked(shards, func(e *Epoch) {
+	return s.publishLocked(shards, kind, app.PrimaryVersion, func(e *Epoch) {
 		e.root = root
 		e.traversal = app.Traversal
 		if app.Stack != nil {
 			e.stack = app.Stack
 		}
-	})
-	b.replicaKind, b.replicaVersion = kind, app.PrimaryVersion
-	s.writeMu.Unlock()
-	return s.waiter(b)(), nil
+	}), nil
 }

@@ -509,17 +509,29 @@ func TestJournalReplicationKinds(t *testing.T) {
 			recs[0].Kind, recs[0].PrimaryVersion, f.srv.Version())
 	}
 
-	// A stale-style apply records its distinct kind.
+	// A stale-style apply records its distinct kind. Carrying a stack,
+	// it moves two shards in one publication: each typed counter moves
+	// once.
+	st0 := m.srv.Stats()
 	if _, err := m.srv.ApplyReplicated(ReplicaApply{
 		PrimaryVersion: f.srv.Version(),
 		Kind:           "replica-stale",
 		Traversal:      m.srv.Current().TraversalChecks(),
+		Stack:          m.srv.Current().Stack(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	recs = m.srv.Journal(1)
 	if recs[0].Kind != "replica-stale" {
 		t.Fatalf("stale record kind=%q, want replica-stale", recs[0].Kind)
+	}
+	if got := strings.Join(recs[0].Shards, "+"); got != "names+stack" {
+		t.Fatalf("stale record shards=%s, want names+stack", got)
+	}
+	st := m.srv.Stats()
+	if st.Publishes != st0.Publishes+1 || st.NameTransitions != st0.NameTransitions+1 ||
+		st.StackTransitions != st0.StackTransitions+1 {
+		t.Fatalf("replicated apply with a stack: before %+v after %+v", st0, st)
 	}
 
 	// Local publications carry no replication stamp.

@@ -55,13 +55,11 @@ func (r *Registry) Apply(edits ...Edit) (uint64, error) {
 		return 0, nil
 	}
 	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
 	if err := r.applyLocked(edits); err != nil {
-		r.writeMu.Unlock()
 		return 0, err
 	}
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	return wait(), nil
+	return r.publishLocked(), nil
 }
 
 // applyLocked applies edits to the builder tables, or none of them.

@@ -96,8 +96,8 @@ type Frozen struct {
 
 	// deltaBase is the version this view was incrementally derived
 	// from by cloning and patching only the touched principals' rows;
-	// 0 means the closure was rebuilt from scratch. See
-	// names.FrozenShard.
+	// 0 means the closure was rebuilt from scratch. The name server's
+	// epoch journal records it.
 	deltaBase uint64
 }
 

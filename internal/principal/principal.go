@@ -142,14 +142,13 @@ type Registry struct {
 	fullFreezes atomic.Uint64
 	incFreezes  atomic.Uint64
 
-	// onPublish, when set, receives every newly published Frozen and
-	// returns a wait function that blocks until the view is live in the
-	// receiver's published state. The reference monitor wires it to the
-	// name server's batched epoch publisher (stage + flush), so a
-	// membership edit lands in the policy epoch — and kills every
-	// cached verdict — before the editor regains control, while
-	// concurrent edits may coalesce into one epoch. Guarded by writeMu.
-	onPublish func(*Frozen) func() uint64
+	// onPublish, when set, receives every newly published Frozen,
+	// makes it live in the receiver's published state, and returns the
+	// version it landed in. The reference monitor wires it to the name
+	// server's epoch publisher, so a membership edit lands in the policy
+	// epoch — and kills every cached verdict — before the editor
+	// regains control. Guarded by writeMu.
+	onPublish func(*Frozen) uint64
 }
 
 // NewRegistry creates an empty registry whose principals carry classes
@@ -188,14 +187,11 @@ func (r *Registry) Freeze() *Frozen { return r.frozen.Load() }
 func (r *Registry) Version() uint64 { return r.frozen.Load().version }
 
 // SetPublishHook installs a function that receives every newly
-// published Frozen view and returns a wait function blocking until the
-// view is live downstream. The reference monitor wires it to the name
-// server's batched epoch publisher; a nil hook clears it. The hook runs
-// with the writer mutex held, so publications reach it in version
-// order; the wait function it returns is called after the mutex is
-// released, so a slow downstream flush never blocks other editors from
-// staging their own mutations.
-func (r *Registry) SetPublishHook(fn func(*Frozen) func() uint64) {
+// published Frozen view, makes it live downstream, and returns the
+// downstream version. The reference monitor wires it to the name
+// server's epoch publisher; a nil hook clears it. The hook runs with
+// the writer mutex held, so publications reach it in version order.
+func (r *Registry) SetPublishHook(fn func(*Frozen) uint64) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
 	r.onPublish = fn
@@ -228,19 +224,15 @@ func (r *Registry) FreezeCounts() FreezeStats {
 // storms without growing the registry.
 func (r *Registry) Touch() {
 	r.writeMu.Lock()
-	wait := r.publishLocked()
-	r.writeMu.Unlock()
-	wait()
+	defer r.writeMu.Unlock()
+	r.publishLocked()
 }
 
 // publishLocked freezes the builder tables into a successor view at
-// version+1, publishes it, and returns the wait function the mutator
-// must call after releasing writeMu: it blocks until the downstream
-// policy epoch carrying the view is live and returns that epoch's
-// version (or the registry's own version when no hook is attached).
-// Waiting outside the mutex is what lets concurrent mutations pipeline
-// into one batched epoch. Caller holds writeMu.
-func (r *Registry) publishLocked() func() uint64 {
+// version+1, publishes it, and returns the version of the downstream
+// policy epoch carrying the view (or the registry's own version when no
+// hook is attached). Caller holds writeMu.
+func (r *Registry) publishLocked() uint64 {
 	next := r.freezeLocked(r.frozen.Load().version + 1)
 	r.frozen.Store(next)
 	clear(r.dirtyPrincipals)
@@ -249,8 +241,7 @@ func (r *Registry) publishLocked() func() uint64 {
 	if r.onPublish != nil {
 		return r.onPublish(next)
 	}
-	v := next.version
-	return func() uint64 { return v }
+	return next.version
 }
 
 // freezeLocked builds the successor view, patching the previous one

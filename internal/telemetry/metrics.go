@@ -132,22 +132,16 @@ type NamesStats struct {
 	Publishes uint64 `json:"publishes"`
 	// Typed epoch transitions: how many publications were driven by
 	// name-tree mutations, lattice definitions, registry mutations,
-	// and guard-stack changes respectively. With write combining one
-	// publication can carry several shards, so these may sum to more
-	// than Publishes.
+	// and guard-stack changes respectively. A replicated apply carrying
+	// a guard stack moves two shards in one publication, so these may
+	// sum to more than Publishes.
 	NameTransitions     uint64 `json:"name_transitions"`
 	LatticeTransitions  uint64 `json:"lattice_transitions"`
 	RegistryTransitions uint64 `json:"registry_transitions"`
 	StackTransitions    uint64 `json:"stack_transitions"`
-	// Write-combining publisher: mutations staged through batches, the
-	// largest batch one flush published, and the batch-size and
-	// flush-latency distributions. BatchSize reuses the histogram's
-	// nanosecond buckets as plain counts (a "duration" of n ns is a
-	// batch of n mutations).
-	BatchedMutations uint64       `json:"batched_mutations"`
-	MaxBatch         uint64       `json:"max_batch"`
-	BatchSize        HistSnapshot `json:"batch_size"`
-	FlushLatency     HistSnapshot `json:"flush_latency"`
+	// FlushLatency is the distribution of one epoch publication's
+	// latency: derive, compile, store and journal.
+	FlushLatency HistSnapshot `json:"flush_latency"`
 	// CompiledStats is embedded, so its compiled_* keys sit at this
 	// level of the JSON object.
 	CompiledStats
@@ -165,7 +159,7 @@ type NamesStats struct {
 	Footprint FootprintStats `json:"footprint"`
 }
 
-// CompiledStats is the compiled-epoch telemetry: how flushes obtained
+// CompiledStats is the compiled-epoch telemetry: how publications obtained
 // the read-side compilation (full build / incremental patch / wholesale
 // reuse), what the CURRENT epoch's compiled view holds and retains,
 // and the freeze-cost split (index build vs ACL-summary compilation vs
@@ -236,15 +230,13 @@ type FootprintStats struct {
 }
 
 // EpochTransition is one record of the name server's epoch-transition
-// journal: which shards a publication carried, how many staged
-// mutations it coalesced, whether the freezes and the read-side
-// compilation were incremental, and what the publish cost. Records are
-// immutable once journaled.
+// journal: which shards a publication carried, whether the freezes and
+// the read-side compilation were incremental, and what the publish
+// cost. Records are immutable once journaled.
 type EpochTransition struct {
-	Version   uint64    `json:"version"`    // version the batch landed in
-	Time      time.Time `json:"time"`       // wall-clock publish time
-	Shards    []string  `json:"shards"`     // shard kinds staged into the batch
-	BatchSize int       `json:"batch_size"` // staged mutations coalesced
+	Version uint64    `json:"version"` // version the publication landed in
+	Time    time.Time `json:"time"`    // wall-clock publish time
+	Shards  []string  `json:"shards"`  // shard kinds the publication moved
 
 	// Frozen-shard provenance: version and delta base of the lattice
 	// and registry snapshots the epoch carries. DeltaBase == 0 means
@@ -265,9 +257,9 @@ type EpochTransition struct {
 	Compile   string `json:"compile"`
 	CompileNS int64  `json:"compile_ns"`
 
-	// PublishNS is the end-to-end latency of the flush that published
-	// this epoch (freeze + compile + pointer store), as observed by
-	// the flushing writer.
+	// PublishNS is the latency of the publication that produced this
+	// epoch (derive + compile + pointer store), as observed by the
+	// writer.
 	PublishNS int64 `json:"publish_ns"`
 
 	// Replication provenance: Kind is empty for a local publication,
@@ -284,8 +276,8 @@ type EpochTransition struct {
 // String renders the transition as a one-line journal entry.
 func (e EpochTransition) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch v%d %s shards=%s batch=%d",
-		e.Version, e.Time.Format(time.RFC3339Nano), strings.Join(e.Shards, "+"), e.BatchSize)
+	fmt.Fprintf(&b, "epoch v%d %s shards=%s",
+		e.Version, e.Time.Format(time.RFC3339Nano), strings.Join(e.Shards, "+"))
 	if e.RegistryVersion != 0 {
 		freeze := "full"
 		if e.IncrementalFreeze {

@@ -49,12 +49,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	ew.printf("secext_epoch_transitions_total{shard=\"lattice\"} %d\n", s.Names.LatticeTransitions)
 	ew.printf("secext_epoch_transitions_total{shard=\"registry\"} %d\n", s.Names.RegistryTransitions)
 	ew.printf("secext_epoch_transitions_total{shard=\"stack\"} %d\n", s.Names.StackTransitions)
-	ew.printf("# HELP secext_epoch_batched_mutations_total Mutations staged through the write-combining epoch publisher.\n")
-	ew.printf("# TYPE secext_epoch_batched_mutations_total counter\n")
-	ew.printf("secext_epoch_batched_mutations_total %d\n", s.Names.BatchedMutations)
-	ew.printf("# HELP secext_epoch_max_batch Largest number of mutations one epoch publication carried.\n")
-	ew.printf("# TYPE secext_epoch_max_batch gauge\n")
-	ew.printf("secext_epoch_max_batch %d\n", s.Names.MaxBatch)
 
 	ew.printf("# HELP secext_epoch_index_incremental_total Compiled-epoch builds patched incrementally from the parent epoch's index.\n")
 	ew.printf("# TYPE secext_epoch_index_incremental_total counter\n")
@@ -62,7 +56,7 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	ew.printf("# HELP secext_epoch_index_full_total Compiled-epoch builds rebuilt from scratch.\n")
 	ew.printf("# TYPE secext_epoch_index_full_total counter\n")
 	ew.printf("secext_epoch_index_full_total %d\n", s.Names.CompiledStats.Full)
-	ew.printf("# HELP secext_epoch_index_reused_total Flushes that reused the parent epoch's compiled view wholesale.\n")
+	ew.printf("# HELP secext_epoch_index_reused_total Publications that reused the parent epoch's compiled view wholesale.\n")
 	ew.printf("# TYPE secext_epoch_index_reused_total counter\n")
 	ew.printf("secext_epoch_index_reused_total %d\n", s.Names.CompiledStats.Reused)
 	ew.printf("# HELP secext_epoch_index_entries Path index entries in the current epoch's compiled view.\n")
@@ -145,26 +139,23 @@ func WriteProm(w io.Writer, s Snapshot) error {
 
 	writePromHist(ew, "secext_mediation_seconds",
 		"End-to-end mediation latency (sampled).", s.MediationLatency)
-	writePromHistWith(ew, "secext_epoch_batch_size",
-		"Mutations coalesced into one epoch publication.",
-		s.Names.BatchSize, formatCount)
 	writePromHist(ew, "secext_epoch_flush_seconds",
-		"Latency from first staged mutation to epoch publication.",
+		"Latency of one epoch publication (derive, compile, store, journal).",
 		s.Names.FlushLatency)
 	writePromHist(ew, "secext_epoch_compile_index_seconds",
-		"Per-flush compiled-epoch index build time (walk, copy-on-write index shard clones, dominance interning).",
+		"Per-publication compiled-epoch index build time (walk, copy-on-write index shard clones, dominance interning).",
 		s.Names.CompiledStats.IndexBuild)
 	writePromHist(ew, "secext_epoch_compile_summary_seconds",
-		"Per-flush ACL-summary compilation time within compiled-epoch builds.",
+		"Per-publication ACL-summary compilation time within compiled-epoch builds.",
 		s.Names.CompiledStats.SummaryCompile)
 	writePromHist(ew, "secext_epoch_compile_bitset_seconds",
-		"Per-flush effective/visibility bitset recomputation time within compiled-epoch builds.",
+		"Per-publication effective/visibility bitset recomputation time within compiled-epoch builds.",
 		s.Names.CompiledStats.VisRecompute)
 	if len(s.Guards) > 0 {
 		// One family, one header: a scraper rejects a repeated TYPE line.
 		promHeader(ew, "secext_guard_eval_seconds", "Per-guard evaluation latency (sampled).", "histogram")
 		for _, g := range s.Guards {
-			writePromHistSeries(ew, "secext_guard_eval_seconds", "guard="+promQuote(g.Name), g.Latency, formatSeconds)
+			writePromHistSeries(ew, "secext_guard_eval_seconds", "guard="+promQuote(g.Name), g.Latency)
 		}
 	}
 
@@ -204,15 +195,8 @@ func WriteProm(w io.Writer, s Snapshot) error {
 // writePromHist emits one unlabeled histogram metric family with
 // bucket bounds and sum rendered as seconds.
 func writePromHist(ew *errWriter, name, help string, h HistSnapshot) {
-	writePromHistWith(ew, name, help, h, formatSeconds)
-}
-
-// writePromHistWith is writePromHist with an explicit value formatter,
-// so histograms that reuse the nanosecond buckets for unitless counts
-// (e.g. batch sizes) can render raw bucket bounds instead of seconds.
-func writePromHistWith(ew *errWriter, name, help string, h HistSnapshot, format func(float64) string) {
 	promHeader(ew, name, help, "histogram")
-	writePromHistSeries(ew, name, "", h, format)
+	writePromHistSeries(ew, name, "", h)
 }
 
 // promHeader emits a metric family's HELP and TYPE lines; each family
@@ -222,9 +206,10 @@ func promHeader(ew *errWriter, name, help, typ string) {
 }
 
 // writePromHistSeries emits one histogram series' samples (cumulative
-// buckets trimmed past the last occupied one, sum, count); labels is
-// either "" or a rendered `name="value"` list without braces.
-func writePromHistSeries(ew *errWriter, name, labels string, h HistSnapshot, format func(float64) string) {
+// buckets trimmed past the last occupied one, sum, count) with bounds
+// and sum in seconds; labels is either "" or a rendered `name="value"`
+// list without braces.
+func writePromHistSeries(ew *errWriter, name, labels string, h HistSnapshot) {
 	last := 0
 	for i, c := range h.Buckets {
 		if c > 0 {
@@ -235,13 +220,13 @@ func writePromHistSeries(ew *errWriter, name, labels string, h HistSnapshot, for
 	for b := 0; b <= last; b++ {
 		cum += h.Buckets[b]
 		_, hi := bucketBounds(b)
-		ew.printf("%s_bucket{%s} %d\n", name, promLabels(labels, "le", format(hi)), cum)
+		ew.printf("%s_bucket{%s} %d\n", name, promLabels(labels, "le", formatSeconds(hi)), cum)
 	}
 	ew.printf("%s_bucket{%s} %d\n", name, promLabels(labels, "le", "+Inf"), h.Count)
 	if labels != "" {
 		labels = "{" + labels + "}"
 	}
-	ew.printf("%s_sum%s %s\n", name, labels, format(float64(h.SumNS)))
+	ew.printf("%s_sum%s %s\n", name, labels, formatSeconds(float64(h.SumNS)))
 	ew.printf("%s_count%s %d\n", name, labels, h.Count)
 }
 
@@ -285,12 +270,6 @@ func promQuote(v string) string {
 // formatSeconds renders a nanosecond quantity as seconds.
 func formatSeconds(ns float64) string {
 	return strconv.FormatFloat(ns/1e9, 'g', -1, 64)
-}
-
-// formatCount renders a bucket bound as a raw (unitless) number, for
-// histograms whose nanosecond buckets actually hold counts.
-func formatCount(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 type errWriter struct {

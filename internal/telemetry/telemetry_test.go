@@ -506,12 +506,12 @@ func TestTraceEpochRendering(t *testing.T) {
 func TestEpochTransitionString(t *testing.T) {
 	base := EpochTransition{
 		Version: 12, Time: time.Unix(0, 0).UTC(), Shards: []string{"names", "registry"},
-		BatchSize: 3, RegistryVersion: 4, Compile: "incremental",
+		RegistryVersion: 4, Compile: "incremental",
 		CompileNS: 1500, PublishNS: 42000,
 	}
 	s := base.String()
 	for _, want := range []string{
-		"epoch v12", "shards=names+registry", "batch=3",
+		"epoch v12", "shards=names+registry",
 		"registry=v4 freeze=full", "compile=incremental(1.5µs)", "publish=42µs",
 	} {
 		if !strings.Contains(s, want) {
@@ -526,7 +526,7 @@ func TestEpochTransitionString(t *testing.T) {
 		t.Errorf("incremental render = %q", s)
 	}
 
-	bare := EpochTransition{Version: 2, Shards: []string{"names"}, BatchSize: 1, Compile: "none"}
+	bare := EpochTransition{Version: 2, Shards: []string{"names"}, Compile: "none"}
 	s = bare.String()
 	if strings.Contains(s, "registry=") || strings.Contains(s, "compile=none(") {
 		t.Errorf("bare render = %q", s)
@@ -573,7 +573,7 @@ func TestEpochJournalAndExplainWiring(t *testing.T) {
 func TestHTTPEpochsAndExplain(t *testing.T) {
 	tel := newTestTelemetry(Options{})
 	tel.SetEpochJournal(func(n int) []EpochTransition {
-		return []EpochTransition{{Version: 5, Shards: []string{"names"}, BatchSize: 2, Compile: "full"}}
+		return []EpochTransition{{Version: 5, Shards: []string{"names"}, Compile: "full"}}
 	})
 	tel.SetExplain(func(subject, path, mode string) (string, []byte, error) {
 		if subject == "nobody" {
