@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover bench-module bench-smoke bench bench-scale bench-epoch bench-churn bench-resolve bench-explain bench-replica bench-load tables
+.PHONY: all build vet test race fuzz-smoke check cover bench-module bench-smoke bench bench-scale bench-epoch bench-churn bench-resolve bench-explain bench-replica bench-load tables
 
 all: check
 
@@ -25,12 +25,21 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
 
+# fuzz-smoke runs the two epoch fuzzers for a few seconds each: the
+# concurrent transition fuzzer (consistency, compiled view against a
+# full compile) and the delta codec fuzzer (a mirror replaying deltas
+# equals the primary). Their seed corpora run in every `go test`; this
+# explores beyond them.
+fuzz-smoke:
+	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochTransitions -fuzztime 10s
+	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochDeltaCodec -fuzztime 10s
+
 # check is the full local gate: build, vet, the complete test suite
-# under the race detector, the nested bench module (which compiles
-# against this module's API, so an API change that breaks it must fail
-# here), and a benchmark smoke run so the harness itself cannot bit-rot
-# unnoticed.
-check: build vet race bench-module bench-smoke
+# under the race detector, a short run of the epoch fuzzers, the nested
+# bench module (which compiles against this module's API, so an API
+# change that breaks it must fail here), and a benchmark smoke run so
+# the harness itself cannot bit-rot unnoticed.
+check: build vet race fuzz-smoke bench-module bench-smoke
 
 bench-module:
 	$(GO) -C bench vet ./...

@@ -520,13 +520,13 @@ func TestAttackStaleGrantUnderConcurrentGroupRevocation(t *testing.T) {
 	}
 }
 
-// TestAttackBatchedRevocationNotDelayed attacks the write-combining
-// epoch publisher's ordering contract: with concurrent mutators forcing
-// the revocation to ride a batch, the version RemoveMemberAt returns to
-// the revoker must already enforce the revocation — any reader that
-// pins an epoch at or past that version and still gets a grant has
-// found a window where batching delayed enforcement, not just
-// publication. Run with -race.
+// TestAttackBatchedRevocationNotDelayed attacks the epoch publisher's
+// ordering contract: with concurrent mutators publishing on both the
+// registry and name-tree shards around it, the version RemoveMemberAt
+// returns to the revoker must already enforce the revocation — any
+// reader that pins an epoch at or past that version and still gets a
+// grant has found a window where a concurrent publication delayed
+// enforcement, not just publication. Run with -race.
 func TestAttackBatchedRevocationNotDelayed(t *testing.T) {
 	w := attackWorld(t)
 	reg := w.Sys.Registry()
@@ -562,10 +562,10 @@ func TestAttackBatchedRevocationNotDelayed(t *testing.T) {
 	stop := make(chan struct{})
 	var wg, wgNoise sync.WaitGroup
 
-	// Noise mutators keep the batched publisher busy on both the
-	// registry and name-tree shards, so the revocation coalesces with
-	// unrelated mutations instead of publishing alone. They run until
-	// the readers and the revoker are done (their own WaitGroup).
+	// Noise mutators keep the publisher busy on both the registry and
+	// name-tree shards, so the revocation publishes between unrelated
+	// mutations that contend for the writer mutex. They run until the
+	// readers and the revoker are done (their own WaitGroup).
 	for m := 0; m < 2; m++ {
 		wgNoise.Add(1)
 		go func(m int) {
@@ -650,11 +650,13 @@ func TestAttackBatchedRevocationNotDelayed(t *testing.T) {
 // keep granting from stale bits even though entry iteration denies.
 // Readers race the revocation through the compiled fast path directly
 // (CompiledAllows on pinned epochs — the uncached route CheckAccess
-// takes on a cache miss) while noise mutators keep the revocation
-// riding shared batches; any pinned epoch at or past the version
-// RemoveMemberAt returned whose bitsets still grant is a stale compiled
-// summary. Companion to TestAttackBatchedRevocationNotDelayed, one
-// layer down. Run with -race.
+// takes on a cache miss) while noise mutators toggle another group and
+// edit another ACL around it, so the scoped recompile must tell the
+// revoked group's row from the noise group's; any pinned epoch at or
+// past the version RemoveMemberAt returned whose bitsets still grant
+// is a stale compiled summary. Companion to
+// TestAttackBatchedRevocationNotDelayed, one layer down. Run with
+// -race.
 func TestAttackStaleCompiledSummary(t *testing.T) {
 	w := attackWorld(t)
 	reg := w.Sys.Registry()

@@ -21,20 +21,25 @@ func (s IDSet) Has(id int) bool {
 	return id >= 0 && w < len(s) && s[w]&(1<<(uint(id)&63)) != 0
 }
 
+// grow extends the set to at least n words in one allocation.
+func (s *IDSet) grow(n int) {
+	if n > len(*s) {
+		out := make(IDSet, n)
+		copy(out, *s)
+		*s = out
+	}
+}
+
 // set inserts id, growing the set as needed.
 func (s *IDSet) set(id int) {
 	w := id >> 6
-	for len(*s) <= w {
-		*s = append(*s, 0)
-	}
+	s.grow(w + 1)
 	(*s)[w] |= 1 << (uint(id) & 63)
 }
 
 // or unions raw words into the set, growing as needed.
 func (s *IDSet) or(words []uint64) {
-	for len(*s) < len(words) {
-		*s = append(*s, 0)
-	}
+	s.grow(len(words))
 	for i, w := range words {
 		(*s)[i] |= w
 	}
@@ -155,6 +160,9 @@ type Summary struct {
 	// all resolved, plus Everyone entries) stays valid across registry
 	// versions because principal IDs are append-only and stable.
 	regSensitive bool
+	// unresolved records whether a principal entry named no registered
+	// principal: the summary changes when the registry allocates new IDs.
+	unresolved bool
 }
 
 // Compile builds the Summary of a against r. The caller must ensure a
@@ -176,7 +184,7 @@ func (a *ACL) Compile(r IDResolver) *Summary {
 				// A name with no ID can never match a registered
 				// subject, but it forces recompilation when the
 				// registry changes (the principal may appear later).
-				s.regSensitive = true
+				s.regSensitive, s.unresolved = true, true
 				continue
 			}
 			s.each(e, func(set *IDSet) { set.set(id) })
@@ -274,6 +282,11 @@ func (s *Summary) EffectiveIDs(m Mode, n int) IDSet {
 // unresolved names). Non-sensitive summaries may be reused across
 // registry transitions because principal IDs are append-only.
 func (s *Summary) RegSensitive() bool { return s.regSensitive }
+
+// Unresolved reports whether a principal entry named no principal of
+// the registry the summary was compiled against, so that a registry
+// allocating new IDs can change the summary.
+func (s *Summary) Unresolved() bool { return s.unresolved }
 
 // RetainedBytes reports the heap bytes held by the summary's bitsets
 // (not counting the Summary header itself).

@@ -60,7 +60,7 @@ func (r *fakeResolver) IsMember(subject, group string) bool {
 // the Membership explicitly, as epoch-pinned decisions do.
 type namedSubject string
 
-func (s namedSubject) SubjectName() string      { return string(s) }
+func (s namedSubject) SubjectName() string        { return string(s) }
 func (s namedSubject) MemberOf(group string) bool { return false }
 
 func TestIDSetOps(t *testing.T) {
@@ -238,5 +238,20 @@ func TestSummaryRetainedBytes(t *testing.T) {
 	s := New(Allow("a", AllModes)).Compile(r)
 	if s.RetainedBytes() < 8*numModes {
 		t.Fatalf("summary retains %d bytes, want >= %d", s.RetainedBytes(), 8*numModes)
+	}
+}
+
+// TestCompileHighIDAllocs: a principal entry at ID 10,000 sizes each of
+// its mode sets in one allocation, not one per word appended.
+func TestCompileHighIDAllocs(t *testing.T) {
+	r := &fakeResolver{ids: map[string]int{"late": 10_000}, n: 10_001}
+	a := New(Allow("late", Read|Write))
+	allocs := testing.AllocsPerRun(100, func() { a.Compile(r) })
+	// The Summary itself plus one set per mode bit.
+	if allocs > 3 {
+		t.Fatalf("compiling one entry at ID 10,000: %v allocs, want <= 3", allocs)
+	}
+	if s := a.Compile(r); !s.Grants(10_000, Read|Write) || s.Grants(9_999, Read) {
+		t.Fatal("summary at ID 10,000 wrong")
 	}
 }

@@ -2,12 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"secext"
+	"secext/internal/load"
+	"secext/internal/names"
 	"secext/internal/principal"
+	"secext/internal/telemetry"
 )
 
 // churnWorld builds the E16 fixture: 64 member principals plus a
@@ -68,6 +73,9 @@ func churnWorld() (*secext.World, *secext.Context, []string, error) {
 // publish-latency distribution comes from the publisher's own
 // histogram. Every mutation is one publication; the row is a liveness
 // and ordering smoke under churn, not a parallel-speedup measurement.
+//
+// The at-scale rows price single registry transitions at secbench's
+// check-allow population (see e16AtScale).
 func E16() Result {
 	res := Result{ID: "E16", Title: "Write-path scaling: multi-edit Apply and incremental freeze under churn"}
 	t := &table{header: []string{"operation", "impl", "ns/op", "ratio"}}
@@ -249,6 +257,75 @@ func E16() Result {
 		res.Err = fmt.Errorf("E16: post-churn check failed: %w", err)
 		return res
 	}
+	if err := e16AtScale(t); err != nil {
+		res.Err = fmt.Errorf("E16: at scale: %w", err)
+		return res
+	}
 	res.setTable(t)
 	return res
+}
+
+// e16AtScale prices one registry transition at secbench's check-allow
+// population: 100k nodes, 10k principals, 312 groups, a 1,562-ACL pool
+// that names every group. A membership toggle is one Registry.Apply
+// adding (or removing) a principal to a group it is not in, timed from
+// the call until the epoch carrying it is published (p50 and p99 over
+// 400 calls); its replication delta is DiffEpochs between the two
+// epochs. A new principal is one Registry.Apply registering a principal
+// no ACL names (median of 20).
+func e16AtScale(t *table) error {
+	w, _, err := telWorld(telemetry.ModeOff, false)
+	if err != nil {
+		return err
+	}
+	cfg := load.Defaults()
+	cfg.Nodes, cfg.Principals, cfg.Groups, cfg.ACLPool = 100_000, 10_000, 312, 100_000/64
+	plan := load.NewPlan(cfg)
+	if _, err := load.Populate(w.Sys, plan); err != nil {
+		return err
+	}
+	reg, srv := w.Sys.Registry(), w.Sys.Names()
+	pct := func(ds []time.Duration, q float64) float64 {
+		s := slices.Clone(ds)
+		slices.Sort(s)
+		return float64(s[int(q*float64(len(s)-1))].Nanoseconds())
+	}
+	runtime.GC()
+	var toggles, diffs []time.Duration
+	for i := 0; i < 200; i++ {
+		member, group := load.PrincipalName(i), load.GroupName((i+1)%plan.Groups)
+		for _, e := range []principal.Edit{principal.AddMember(group, member), principal.RemoveMember(group, member)} {
+			prev := srv.Current()
+			t0 := time.Now()
+			if _, err := reg.Apply(e); err != nil {
+				return err
+			}
+			toggles = append(toggles, time.Since(t0))
+			t0 = time.Now()
+			if _, err := names.DiffEpochs(prev, srv.Current()); err != nil {
+				return err
+			}
+			diffs = append(diffs, time.Since(t0))
+		}
+	}
+	bottom, err := w.Sys.Lattice().Bottom()
+	if err != nil {
+		return err
+	}
+	var adds []time.Duration
+	for i := 0; i < 20; i++ {
+		t0 := time.Now()
+		if _, err := reg.Apply(principal.AddPrincipal(fmt.Sprintf("late%d", i), bottom)); err != nil {
+			return err
+		}
+		adds = append(adds, time.Since(t0))
+	}
+	scale := "check-allow scale, p50 / p99"
+	t.add("membership toggle", "Registry.Apply, "+scale,
+		fmt.Sprintf("%s / %s", ns(pct(toggles, 0.5)), ns(pct(toggles, 0.99))), fmt.Sprintf("%d calls", len(toggles)))
+	t.add("toggle delta", "DiffEpochs, "+scale,
+		fmt.Sprintf("%s / %s", ns(pct(diffs, 0.5)), ns(pct(diffs, 0.99))), fmt.Sprintf("%d deltas", len(diffs)))
+	t.add("new principal", "Registry.Apply, check-allow scale, p50",
+		ns(pct(adds, 0.5)), fmt.Sprintf("%d calls", len(adds)))
+	return nil
 }

@@ -2,6 +2,7 @@ package names
 
 import (
 	"maps"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -11,6 +12,7 @@ import (
 	"secext/internal/monitor"
 	"secext/internal/monitor/dacguard"
 	"secext/internal/monitor/macguard"
+	"secext/internal/principal"
 	"secext/internal/telemetry"
 )
 
@@ -51,12 +53,17 @@ import (
 // ACL's slot holds its one summary (and, once an interior node needs
 // it, its effective List set), every entry using that ACL points at
 // the slot, and a build compiles each ACL at most once. A registry
-// transition recompiles only the registry-sensitive slots (group
-// entries or unresolved names) — O(distinct sensitive ACLs), not
-// O(sensitive nodes) — and shares the index and every entry with the
-// parent; summaries naming only resolved individuals stay valid across
-// registry versions because principal IDs are dense, arrival-ordered,
-// and never reused. A rename lands as a deletion of the old paths plus
+// transition recompiles only the slots it can have changed: those
+// naming a group whose member row moved (rows are copy-on-write, so an
+// unchanged row keeps its pointer), and, when the registry allocated
+// new IDs, those naming a principal it did not know before. A
+// membership toggle therefore costs O(ACLs naming that group), and the
+// index and every entry stay shared with the parent. Summaries naming
+// only resolved individuals stay valid across registry versions
+// because principal IDs are dense, arrival-ordered, and never reused.
+// Bitsets are materialized over an ID space rounded up to idChunk, so
+// a new principal inside the current chunk moves no bitset width and
+// forces no walk. A rename lands as a deletion of the old paths plus
 // a fresh compile of the relocated subtree (its nodes and paths are
 // all new), which is the "targeted re-keying" the incremental contract
 // promises.
@@ -102,6 +109,11 @@ type aclSlot struct {
 	// because descendant visibility chains were built from it.
 	eff   acl.IDSet
 	effOK bool
+	// groups names the groups the ACL's entries use, recorded when the
+	// slot is created: a registry transition recompiles the slot only if
+	// one of their member rows moved (or it has an unresolved name and
+	// the ID space grew).
+	groups []string
 }
 
 // slotTable maps canonical ACLs to summary slots. It is immutable once
@@ -137,7 +149,7 @@ type compiled struct {
 	// through the walk.
 	fast bool
 	// n is the principal-ID space size the bitsets were materialized
-	// over.
+	// over: the registry's ID count rounded up to idChunk.
 	n   int
 	ret *retainedMem
 }
@@ -155,6 +167,17 @@ func (c *compiled) sensitiveEntries() int {
 		}
 	}
 	return n
+}
+
+// idChunk is the granularity of the compiled principal-ID space. A new
+// principal that fits in the current chunk leaves every materialized
+// bitset's width valid, so it forces no walk and no effective-set
+// rebuild.
+const idChunk = 1024
+
+// idSpace returns the ID space compiled bitsets cover for reg.
+func idSpace(reg *principal.Frozen) int {
+	return (reg.NumPrincipalIDs() + idChunk - 1) / idChunk * idChunk
 }
 
 // compileKind classifies how a publication obtained its compiled view.
@@ -275,7 +298,7 @@ func (b *compileBuilder) slotOf(a *acl.ACL) int32 {
 		b.tab.slots = append(b.tab.slots, aclSlot{})
 		b.sums = append(b.sums, nil)
 	}
-	b.tab.slots[i] = aclSlot{acl: a}
+	b.tab.slots[i] = aclSlot{acl: a, groups: aclGroups(a)}
 	b.sums[i] = b.compile(a)
 	b.tab.ids[a] = i
 	return i
@@ -293,23 +316,49 @@ func (b *compileBuilder) effOf(i int32) acl.IDSet {
 	return eff
 }
 
-// recompileSensitive recompiles every registry-sensitive slot against
-// the successor's registry — the whole summary cost of a registry
-// transition. With an unchanged ID space it compares each recompiled
-// slot's effective List set (where an interior node computed one)
-// with the old value, and marks the build regInvalid if any moved.
-func (b *compileBuilder) recompileSensitive(nChanged bool) {
-	for i, s := range b.sums {
-		if s == nil || !s.RegSensitive() {
+// aclGroups returns the group names a's entries use.
+func aclGroups(a *acl.ACL) []string {
+	var out []string
+	for _, e := range a.Entries() {
+		if e.Kind == acl.Group && !slices.Contains(out, e.Who) {
+			out = append(out, e.Who)
+		}
+	}
+	return out
+}
+
+// recompileMoved recompiles the slots a registry transition from prev
+// to the successor's registry can have changed: a slot naming a group
+// whose member row moved, or, when the registry allocated new IDs, a
+// slot with a name prev did not know. Rows are copy-on-write, so a
+// row compares by pointer. With an unchanged ID space it compares each
+// recompiled slot's effective List set (where an interior node
+// computed one) with the old value, and marks the build regInvalid if
+// any moved.
+func (b *compileBuilder) recompileMoved(prev *principal.Frozen, nChanged bool) {
+	next := b.st.reg
+	grew := next.NumPrincipalIDs() != prev.NumPrincipalIDs()
+	moved := make(map[string]bool)
+	rowMoved := func(g string) bool {
+		m, ok := moved[g]
+		if !ok {
+			m = !sameIDSet(prev.GroupPrincipalIDs(g), next.GroupPrincipalIDs(g))
+			moved[g] = m
+		}
+		return m
+	}
+	for i := range b.tab.slots {
+		sl := &b.tab.slots[i]
+		if sl.acl == nil || !(grew && b.sums[i].Unresolved()) && !slices.ContainsFunc(sl.groups, rowMoved) {
 			continue
 		}
-		b.sums[i] = b.compile(b.tab.slots[i].acl)
-		if sl := b.tab.slots[i]; sl.effOK && !nChanged {
+		b.sums[i] = b.compile(sl.acl)
+		if sl.effOK && !nChanged {
 			t0 := time.Now()
 			eff := b.sums[i].EffectiveIDs(acl.List, b.n)
 			b.visNs += time.Since(t0).Nanoseconds()
 			if !eff.Equal(sl.eff) {
-				b.tab.slots[i].eff = eff
+				sl.eff = eff
 				b.regInvalid = true
 			}
 		}
@@ -457,8 +506,9 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 }
 
 // sameIDSet reports slice identity (same backing array and length) —
-// the sharing invariant the incremental build maintains: an unchanged
-// effList keeps the parent epoch's pointer, so identity ⟺ unchanged.
+// the sharing invariant the incremental build and the registry freeze
+// maintain: an unchanged effList or group member row keeps the parent's
+// pointer, so identity ⟺ unchanged.
 func sameIDSet(a, b acl.IDSet) bool {
 	if len(a) != len(b) {
 		return false
@@ -513,7 +563,7 @@ func (b *compileBuilder) build(old *Node, prev *compiled) *compiled {
 func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	prev := s.epoch.Load()
 	prevC := prev.compiled
-	n := st.reg.NumPrincipalIDs()
+	n := idSpace(st.reg)
 	start := time.Now()
 	stats := func(kind compileKind, b *compileBuilder) compileStats {
 		return compileStats{
@@ -537,13 +587,13 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 		}
 	}
 	if st.reg != prev.reg {
-		b.recompileSensitive(nChanged)
+		b.recompileMoved(prev.reg, nChanged)
 	}
 	if st.root == prev.root && !b.regInvalid {
 		if b.compiles == 0 {
 			// Nothing the compiled structures depend on moved (a pure
 			// lattice/stack/traversal transition, or a registry
-			// transition no summary is sensitive to). Reuse wholesale;
+			// transition no summary depends on). Reuse wholesale;
 			// only the fast flag can differ, and it is the one scalar
 			// field, so a shallow copy suffices.
 			c := prevC
@@ -555,9 +605,9 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 			return c, stats(compileReused, b)
 		}
 		// A registry transition over an unchanged tree that moved no
-		// List set: the recompiled sensitive summaries are the whole
-		// change, and the index, the entries and the slot table are
-		// shared with the parent.
+		// List set: the recompiled summaries are the whole change, and
+		// the index, the entries and the slot table are shared with the
+		// parent.
 		c := &compiled{
 			index: prevC.index, sums: b.sums, tab: prevC.tab, dom: prevC.dom,
 			fast: fastStack(st.stack), n: n, ret: &retainedMem{},

@@ -3,6 +3,7 @@ package names
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"secext/internal/acl"
@@ -306,7 +307,7 @@ func TestCompiledIncrementalMatchesFullRebuild(t *testing.T) {
 
 // fullRebuild compiles ep from scratch, with no parent view to share.
 func fullRebuild(ep *Epoch) *compiled {
-	return newCompileBuilder(ep, nil, ep.reg.NumPrincipalIDs()).build(nil, nil)
+	return newCompileBuilder(ep, nil, idSpace(ep.reg)).build(nil, nil)
 }
 
 // assertMatchesFullRebuild checks ep's (incrementally built) compiled
@@ -412,7 +413,10 @@ func TestCompiledNonDefaultStackFallsBack(t *testing.T) {
 // every mutation class and asserts the equivalence contract on every
 // published epoch along the way, plus pinned-epoch immutability at the
 // end. This is the op-sequence oracle for index-resolve ≡ walk-resolve
-// and summary-verdict ≡ entry-iteration.
+// and summary-verdict ≡ entry-iteration. The registry ops cover every
+// path a scoped registry transition takes: member toggles, subgroup
+// edges (a full re-freeze), enrolling a principal registered earlier,
+// and an ACL naming a principal before it registers.
 func TestCompiledRandomizedOracle(t *testing.T) {
 	cf := newCompiledFixture(t)
 	srv, classes := cf.srv, cf.classes()
@@ -422,8 +426,9 @@ func TestCompiledRandomizedOracle(t *testing.T) {
 	var pinned []*Epoch
 	dirs := []string{"/svc", "/svc/fs"}
 	serial := 0
+	var added []string
 	for i := 0; i < 120; i++ {
-		switch rng.Intn(8) {
+		switch rng.Intn(11) {
 		case 0, 1:
 			parent := dirs[rng.Intn(len(dirs))]
 			serial++
@@ -460,10 +465,32 @@ func TestCompiledRandomizedOracle(t *testing.T) {
 			old := fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))
 			srv.Apply(cf.root, cf.bot, Rename(old, "/svc/fs", fmt.Sprintf("mv%d", i)))
 		case 7:
-			if _, err := cf.reg.Apply(principal.AddPrincipal(fmt.Sprintf("u%d", i), cf.bot)); err == nil {
-				cf.subs = append(cf.subs, subj(fmt.Sprintf("u%d", i)))
+			name := fmt.Sprintf("u%d", len(added))
+			if _, err := cf.reg.Apply(principal.AddPrincipal(name, cf.bot)); err == nil {
+				added = append(added, name)
+				cf.subs = append(cf.subs, subj(name))
 			}
+		case 8:
+			// Subgroup edge eng ⊆ ops, toggled: a full re-freeze.
+			if members, _ := cf.reg.Members("ops"); slices.Contains(members, "@eng") {
+				cf.reg.Apply(principal.RemoveMember("ops", "eng"))
+			} else {
+				cf.reg.Apply(principal.AddMember("ops", "eng"))
+			}
+		case 9:
+			// Enrol a principal registered earlier in the run.
+			if len(added) > 0 {
+				cf.reg.Apply(principal.AddMember(groups[rng.Intn(len(groups))], added[rng.Intn(len(added))]))
+			}
+		case 10:
+			// An interior ACL naming the principal case 7 registers next.
+			srv.SetACLUnchecked(dirs[rng.Intn(len(dirs))], acl.New(
+				acl.Allow("root", acl.AllModes),
+				acl.Allow(fmt.Sprintf("u%d", len(added)), acl.List|acl.Read),
+				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.List),
+			))
 		}
+		assertMatchesFullRebuild(t, srv.Current())
 		if i%10 == 0 || i == 119 {
 			ep := srv.Current()
 			assertCompiledEquiv(t, ep, cf.subs, classes)
@@ -481,4 +508,81 @@ func TestCompiledRandomizedOracle(t *testing.T) {
 	if st.Incremental == 0 || st.Full == 0 {
 		t.Fatalf("expected both full and incremental builds: %+v", st)
 	}
+}
+
+// TestRegistryTransitionRecompilesWhatMoved: a registry transition
+// recompiles only the summaries whose inputs moved — the ACLs naming a
+// group whose member row changed, and, when the registry allocates new
+// IDs, the ACLs naming a principal it did not know — and shares the
+// index with the parent. Every step matches a from-scratch compile.
+func TestRegistryTransitionRecompilesWhatMoved(t *testing.T) {
+	cf := newCompiledFixture(t)
+	srv := cf.srv
+	bind := func(name string, a *acl.ACL) {
+		t.Helper()
+		if _, err := srv.BindUnchecked("/svc", BindSpec{Name: name, Kind: KindFile, ACL: a, Class: cf.bot}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bind("ops-r", acl.New(acl.AllowGroup("ops", acl.Read)))
+	bind("ops-w", acl.New(acl.AllowGroup("ops", acl.Write)))
+	bind("ops-rw", acl.New(acl.AllowGroup("ops", acl.Read|acl.Write), acl.Deny("carol", acl.Write)))
+	bind("eng-r", acl.New(acl.AllowGroup("eng", acl.Read)))
+	bind("both", acl.New(acl.AllowGroup("eng", acl.Write), acl.DenyGroup("ops", acl.Write)))
+	bind("alice", acl.New(acl.Allow("alice", acl.Read)))
+	bind("dave", acl.New(acl.Allow("dave", acl.Read|acl.Write)))
+	assertMatchesFullRebuild(t, srv.Current())
+
+	// step applies edits and reports how many summaries the publication
+	// compiled, its journal label, and whether it shared the index.
+	step := func(what string, edits ...principal.Edit) (compiles uint64, label string, shared bool) {
+		t.Helper()
+		prev := srv.Current()
+		before := srv.CompiledStats().Summaries
+		if _, err := cf.reg.Apply(edits...); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		ep := srv.Current()
+		assertMatchesFullRebuild(t, ep)
+		if t.Failed() {
+			t.Fatalf("after %s", what)
+		}
+		return srv.CompiledStats().Summaries - before, srv.Journal(1)[0].Compile, ep.compiled.index == prev.compiled.index
+	}
+
+	if n, label, shared := step("bob joins eng", principal.AddMember("eng", "bob")); n != 2 || label != "incremental" || !shared {
+		t.Errorf("eng toggle: %d compiles (want the 2 ACLs naming eng), label %q, index shared %v", n, label, shared)
+	}
+	if n, _, shared := step("alice leaves ops", principal.RemoveMember("ops", "alice")); n != 4 || !shared {
+		t.Errorf("ops toggle: %d compiles (want the 4 ACLs naming ops), index shared %v", n, shared)
+	}
+	if n, label, shared := step("dave registers", principal.AddPrincipal("dave", cf.bot)); n != 1 || label != "incremental" || !shared {
+		t.Errorf("new principal named by one ACL: %d compiles (want 1), label %q, index shared %v", n, label, shared)
+	}
+	if n, label, shared := step("erin registers", principal.AddPrincipal("erin", cf.bot)); n != 0 || label != "reused" || !shared {
+		t.Errorf("new principal no ACL names: %d compiles, label %q, index shared %v", n, label, shared)
+	}
+	if n, _, _ := step("dave joins ops", principal.AddMember("ops", "dave")); n != 4 {
+		t.Errorf("ops toggle: %d compiles, want 4", n)
+	}
+	// A subgroup edge re-freezes the registry from scratch: every group
+	// row is fresh, so every group-bearing ACL recompiles.
+	if n, _, _ := step("eng nests in ops", principal.AddMember("ops", "eng")); n != 5 {
+		t.Errorf("subgroup edge: %d compiles, want the 5 group-bearing ACLs", n)
+	}
+	step("eng leaves ops", principal.RemoveMember("ops", "eng"))
+
+	// Crossing an ID chunk widens every bitset: one walk over the tree.
+	var edits []principal.Edit
+	for i := cf.reg.Freeze().NumPrincipalIDs(); i <= idChunk; i++ {
+		edits = append(edits, principal.AddPrincipal(fmt.Sprintf("bulk%d", i), cf.bot))
+	}
+	if _, _, shared := step("chunk crossed", edits...); shared {
+		t.Error("crossing an ID chunk kept the parent's index")
+	}
+	if got := srv.Current().compiled.n; got != 2*idChunk {
+		t.Errorf("ID space %d after %d principals, want %d", got, srv.Current().Registry().NumPrincipalIDs(), 2*idChunk)
+	}
+	cf.subs = append(cf.subs, subj("dave"), subj("erin"), subj("bulk1024"))
+	assertCompiledEquiv(t, srv.Current(), cf.subs, cf.classes())
 }

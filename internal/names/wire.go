@@ -25,11 +25,11 @@ package names
 
 import (
 	"fmt"
-	"sort"
 
 	"secext/internal/acl"
 	"secext/internal/lattice"
 	"secext/internal/monitor"
+	"secext/internal/principal"
 )
 
 // NodeWire is one name-space node in transit: its canonical path, kind,
@@ -146,40 +146,28 @@ func decodeNode(w NodeWire, lat *lattice.Frozen, in *interner, canon *aclCanon, 
 	return n, nil
 }
 
-// registryWire flattens the epoch's frozen registry in dense-ID order.
-func registryWire(ep *Epoch) ([]PrincipalWire, []GroupWire, error) {
-	if ep.reg == nil {
-		return nil, nil, nil
+// registryDelta lists what next's registry adds to prev's (nil: an
+// empty registry): the principals from prev's ID count upward, in
+// dense-ID order, and the new or changed groups with their full
+// direct-member lists, in name order. Its cost follows the change, not
+// the registry: principal IDs are append-only, and group records are
+// copy-on-write (see principal.Frozen.ChangedGroups).
+func registryDelta(prev, next *principal.Frozen, lat *lattice.Frozen) ([]PrincipalWire, []GroupWire, error) {
+	from := 0
+	if prev != nil {
+		from = prev.NumPrincipalIDs()
 	}
-	names := ep.reg.Principals()
-	type idp struct {
-		id   int
-		name string
-	}
-	byID := make([]idp, 0, len(names))
-	for _, name := range names {
-		p, err := ep.reg.Principal(name)
+	var prins []PrincipalWire
+	for _, p := range next.PrincipalsFrom(from) {
+		label, err := lat.Format(p.Class())
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("names: wire-encode principal %s: %w", p.SubjectName(), err)
 		}
-		byID = append(byID, idp{p.ID(), name})
-	}
-	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
-	prins := make([]PrincipalWire, 0, len(byID))
-	for _, e := range byID {
-		p, err := ep.reg.Principal(e.name)
-		if err != nil {
-			return nil, nil, err
-		}
-		label, err := ep.lat.Format(p.Class())
-		if err != nil {
-			return nil, nil, fmt.Errorf("names: wire-encode principal %s: %w", e.name, err)
-		}
-		prins = append(prins, PrincipalWire{Name: e.name, Class: label})
+		prins = append(prins, PrincipalWire{Name: p.SubjectName(), Class: label})
 	}
 	var groups []GroupWire
-	for _, g := range ep.reg.Groups() {
-		members, err := ep.reg.Members(g)
+	for _, g := range next.ChangedGroups(prev) {
+		members, err := next.Members(g)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -197,11 +185,13 @@ func (ep *Epoch) WireSnapshot() (*EpochWire, error) {
 		Categories: ep.lat.Categories(),
 		Stack:      ep.stack.Guards(),
 	}
-	prins, groups, err := registryWire(ep)
-	if err != nil {
-		return nil, err
+	if ep.reg != nil {
+		prins, groups, err := registryDelta(nil, ep.reg, ep.lat)
+		if err != nil {
+			return nil, err
+		}
+		w.Principals, w.Groups = prins, groups
 	}
-	w.Principals, w.Groups = prins, groups
 	var werr error
 	ep.Walk(func(path string, n *Node) {
 		if werr != nil {
@@ -329,30 +319,10 @@ func DiffEpochs(prev, next *Epoch) (*EpochDelta, error) {
 	if d.Categories, err = appendSuffix("lattice category", prev.lat.Categories(), next.lat.Categories()); err != nil {
 		return nil, err
 	}
-	// A shared frozen registry means no principal or group moved, so
-	// an ACL-only delta skips flattening the registry.
+	// A shared frozen registry means no principal or group moved.
 	if next.reg != nil && next.reg != prev.reg {
-		prins, groups, err := registryWire(next)
-		if err != nil {
+		if d.Principals, d.Groups, err = registryDelta(prev.reg, next.reg, next.lat); err != nil {
 			return nil, err
-		}
-		for _, p := range prins {
-			if prev.reg == nil || !prev.reg.HasPrincipal(p.Name) {
-				d.Principals = append(d.Principals, p)
-			}
-		}
-		for _, g := range groups {
-			if prev.reg == nil || !prev.reg.HasGroup(g.Name) {
-				d.Groups = append(d.Groups, g)
-				continue
-			}
-			prevMembers, err := prev.reg.Members(g.Name)
-			if err != nil {
-				return nil, err
-			}
-			if !sameStrings(prevMembers, g.Members) {
-				d.Groups = append(d.Groups, g)
-			}
 		}
 	}
 	if !sameStrings(prev.stack.Guards(), next.stack.Guards()) {

@@ -3,6 +3,7 @@ package names
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,25 +90,24 @@ func (m *mirror) apply(t testing.TB, d *EpochDelta) error {
 			return err
 		}
 	}
+	// The registry part lands as one Apply in the replica's order: new
+	// principals, new groups, every removal, then every grant, so a
+	// subgroup edge to a group this delta adds, or a moved edge, never
+	// trips on a half-applied edge set.
+	var edits, grants []principal.Edit
 	for _, pw := range dd.Principals {
 		class, err := m.lat.ParseClass(pw.Class)
 		if err != nil {
 			return err
 		}
-		if _, err := m.reg.Apply(principal.AddPrincipal(pw.Name, class)); err != nil {
-			return err
-		}
+		edits = append(edits, principal.AddPrincipal(pw.Name, class))
 	}
+	f := m.reg.Freeze()
 	for _, gw := range dd.Groups {
-		if !m.reg.Freeze().HasGroup(gw.Name) {
-			if _, err := m.reg.Apply(principal.AddGroup(gw.Name)); err != nil {
-				return err
-			}
+		if !f.HasGroup(gw.Name) {
+			edits = append(edits, principal.AddGroup(gw.Name))
 		}
-		cur, err := m.reg.Members(gw.Name)
-		if err != nil {
-			return err
-		}
+		cur, _ := f.Members(gw.Name) // nil for a group this delta adds
 		want := make(map[string]bool, len(gw.Members))
 		for _, mem := range gw.Members {
 			want[mem] = true
@@ -115,21 +115,18 @@ func (m *mirror) apply(t testing.TB, d *EpochDelta) error {
 		have := make(map[string]bool, len(cur))
 		for _, mem := range cur {
 			have[mem] = true
-		}
-		for _, mem := range cur {
 			if !want[mem] {
-				if _, err := m.reg.Apply(principal.RemoveMember(gw.Name, strings.TrimPrefix(mem, "@"))); err != nil {
-					return err
-				}
+				edits = append(edits, principal.RemoveMember(gw.Name, strings.TrimPrefix(mem, "@")))
 			}
 		}
 		for _, mem := range gw.Members {
 			if !have[mem] {
-				if _, err := m.reg.Apply(principal.AddMember(gw.Name, strings.TrimPrefix(mem, "@"))); err != nil {
-					return err
-				}
+				grants = append(grants, principal.AddMember(gw.Name, strings.TrimPrefix(mem, "@")))
 			}
 		}
+	}
+	if _, err := m.reg.Apply(append(edits, grants...)...); err != nil {
+		return err
 	}
 	_, err = m.srv.ApplyReplicated(ReplicaApply{
 		PrimaryVersion: dd.Version,
@@ -157,8 +154,8 @@ func wireEquivalent(a, b *Epoch) string {
 	if !sameStrings(a.Stack().Guards(), b.Stack().Guards()) {
 		return fmt.Sprintf("stack %v vs %v", a.Stack().Guards(), b.Stack().Guards())
 	}
-	ap, ag, aerr := registryWire(a)
-	bp, bg, berr := registryWire(b)
+	ap, ag, aerr := registryDelta(nil, a.Registry(), a.Lattice())
+	bp, bg, berr := registryDelta(nil, b.Registry(), b.Lattice())
 	if aerr != nil || berr != nil {
 		return fmt.Sprintf("registry encode: %v / %v", aerr, berr)
 	}
@@ -350,18 +347,61 @@ func TestWireDeltaSequence(t *testing.T) {
 	})
 }
 
+// TestRegistryDeltaCarriesWhatMoved: a registry transition's delta
+// lists exactly the principals it registered and the groups whose
+// member lists it changed — one group for a one-member toggle, whatever
+// the registry's size, and only the new group after a full re-freeze.
+func TestRegistryDeltaCarriesWhatMoved(t *testing.T) {
+	f, reg := wirePrimary(t)
+	for _, g := range []string{"ops", "qa"} {
+		if _, err := reg.Apply(principal.AddGroup(g), principal.AddMember(g, "bob")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev := f.srv.Current()
+	step := func(what string, wantPrincipals, wantGroups string, edits ...principal.Edit) {
+		t.Helper()
+		if _, err := reg.Apply(edits...); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		next := f.srv.Current()
+		d, err := DiffEpochs(prev, next)
+		if err != nil {
+			t.Fatalf("%s: diff: %v", what, err)
+		}
+		if got := fmt.Sprint(d.Principals); got != wantPrincipals {
+			t.Errorf("%s: delta principals %s, want %s", what, got, wantPrincipals)
+		}
+		if got := fmt.Sprint(d.Groups); got != wantGroups {
+			t.Errorf("%s: delta groups %s, want %s", what, got, wantGroups)
+		}
+		prev = next
+	}
+	step("one-member toggle", "[]", "[{eng [alice bob]}]", principal.AddMember("eng", "bob"))
+	step("one-member revoke", "[]", "[{ops []}]", principal.RemoveMember("ops", "bob"))
+	step("new principal", "[{carol organization:{dept-1}}]", "[]", principal.AddPrincipal("carol", f.org))
+	step("new group (full freeze)", "[]", "[{sec []}]", principal.AddGroup("sec"))
+	step("subgroup edge", "[]", "[{qa [@sec bob]}]", principal.AddMember("qa", "sec"))
+}
+
 // FuzzEpochDeltaCodec drives a random mutation script against a
 // primary, derives the delta for every transition, JSON round-trips
 // it, applies it to a mirror, and requires the mirror to equal the
 // primary's successor epoch — the replication soundness claim,
 // fuzzed. Each script byte selects one mutation; payload bytes are
-// folded into names so scripts explore bind/delete collisions.
+// folded into names so scripts explore bind/delete collisions. The
+// registry ops cover every path a scoped registry transition takes:
+// member toggles, subgroup edges (a full re-freeze), enrolling a
+// principal the script registered, and an ACL naming a principal
+// before it registers. Both sides' compiled views must match a
+// from-scratch compile at every step.
 func FuzzEpochDeltaCodec(f *testing.F) {
 	f.Add([]byte("ab"))
 	f.Add([]byte("nnd"))
 	f.Add([]byte("lcpgr"))
 	f.Add([]byte("anbndlcpgrtna"))
 	f.Add([]byte{0xff, 0x00, 'n', 'd', 'd', 'n'})
+	f.Add([]byte{10, 5, 9, 8, 6, 9, 8, 10, 5, 0, 9})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 48 {
 			script = script[:48]
@@ -370,11 +410,11 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 		m := newMirror(t, fx.srv)
 		prev := fx.srv.Current()
 		open := acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List))
-		var bound []string
+		var bound, added []string
 		seq := 0
 		for i, op := range script {
 			var err error
-			switch op % 8 {
+			switch op % 11 {
 			case 0: // acl flip on a fixed node
 				a := acl.New(acl.Allow("alice", acl.Read))
 				if i%2 == 0 {
@@ -403,8 +443,9 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 				seq++
 				_, err = fx.lat.DefineCategory(fmt.Sprintf("cat%d", seq))
 			case 5: // add a principal
-				seq++
-				_, err = reg.Apply(principal.AddPrincipal(fmt.Sprintf("p%d", seq), fx.bot))
+				name := fmt.Sprintf("p%d", len(added))
+				added = append(added, name)
+				_, err = reg.Apply(principal.AddPrincipal(name, fx.bot))
 			case 6: // membership churn: add then remove exercise both
 				if i%2 == 0 {
 					_, err = reg.Apply(principal.AddMember("eng", "bob"))
@@ -418,6 +459,30 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 				}
 			case 7: // traversal toggle
 				fx.srv.SetTraversalChecks(i%2 == 0)
+			case 8: // subgroup edge eng ⊇ ops, toggled; creating ops is part of the first add
+				if members, _ := reg.Members("eng"); slices.Contains(members, "@ops") {
+					_, err = reg.Apply(principal.RemoveMember("eng", "ops"))
+				} else if reg.Freeze().HasGroup("ops") {
+					_, err = reg.Apply(principal.AddMember("eng", "ops"))
+				} else {
+					_, err = reg.Apply(principal.AddGroup("ops"), principal.AddMember("ops", "bob"), principal.AddMember("eng", "ops"))
+				}
+			case 9: // enrol (or drop) the principal the script registered last
+				if len(added) == 0 {
+					continue
+				}
+				name := added[len(added)-1]
+				if members, _ := reg.Members("eng"); slices.Contains(members, name) {
+					_, err = reg.Apply(principal.RemoveMember("eng", name))
+				} else {
+					_, err = reg.Apply(principal.AddMember("eng", name))
+				}
+			case 10: // an interior ACL naming the principal op 5 registers next
+				err = fx.srv.SetACLUnchecked("/svc/home", acl.New(
+					acl.Allow("root", acl.AllModes),
+					acl.Allow(fmt.Sprintf("p%d", len(added)), acl.List|acl.Read),
+					acl.AllowGroup("eng", acl.List),
+				))
 			}
 			if err != nil {
 				t.Fatalf("op %d (%q): %v", i, op, err)
@@ -435,6 +500,11 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 			}
 			if diff := wireEquivalent(next, m.srv.Current()); diff != "" {
 				t.Fatalf("op %d: mirror diverged at v%d: %s", i, next.Version(), diff)
+			}
+			assertMatchesFullRebuild(t, next)
+			assertMatchesFullRebuild(t, m.srv.Current())
+			if t.Failed() {
+				t.Fatalf("op %d (%q): compiled view diverged from a full compile", i, op)
 			}
 			prev = next
 		}

@@ -2,6 +2,7 @@ package principal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -46,6 +47,22 @@ func (s groupset) union(o groupset) {
 	}
 }
 
+// rowChunkSize is the number of membership rows one copy-on-write
+// chunk holds. A freeze that touches one principal clones that
+// principal's chunk and the chunk directory, not a row per principal.
+const rowChunkSize = 64
+
+// memberRow is one principal's entry in the ID-ordered row table: the
+// principal and its transitively closed group membership.
+type memberRow struct {
+	p      *Principal
+	groups groupset
+}
+
+// rowChunk holds the rows of rowChunkSize consecutive principal IDs.
+// A published chunk is immutable; a freeze clones the chunks it writes.
+type rowChunk [rowChunkSize]memberRow
+
 // frozenGroup is one group's direct membership as of the freeze.
 type frozenGroup struct {
 	principals []string // sorted
@@ -73,9 +90,14 @@ type Frozen struct {
 	groups     map[string]*frozenGroup
 	groupNames []string       // sorted; index = bit position
 	groupIdx   map[string]int // name -> bit position
-	membership map[string]groupset
 
-	// groupMembers is the reverse index of membership: one bitset per
+	// rows holds every principal's closed membership by dense ID, chunk
+	// id/rowChunkSize, slot id%rowChunkSize. Chunks are copy-on-write:
+	// an incremental freeze shares every chunk it does not write with
+	// the previous view.
+	rows []*rowChunk
+
+	// groupMembers is the reverse index of rows: one bitset per
 	// group (indexed like groupNames) whose bit p is set when the
 	// principal with dense ID p is a transitive member. It is what lets
 	// freeze-time ACL compilation turn a group entry into principal-ID
@@ -177,7 +199,7 @@ func (f *Frozen) IsMember(principalName, groupName string) bool {
 	if !ok {
 		return false
 	}
-	return f.membership[principalName].has(idx)
+	return f.groupsOf(principalName).has(idx)
 }
 
 // PrincipalID returns the dense, append-only ID of the named principal.
@@ -209,10 +231,78 @@ func (f *Frozen) GroupPrincipalIDs(group string) []uint64 {
 	return f.groupMembers[idx]
 }
 
+// row returns the row of the principal with dense ID id; the caller
+// guarantees the ID is allocated in this version.
+func (f *Frozen) row(id int) *memberRow {
+	return &f.rows[id/rowChunkSize][id%rowChunkSize]
+}
+
+// groupsOf returns the named principal's closed membership, nil for an
+// unknown principal.
+func (f *Frozen) groupsOf(principalName string) groupset {
+	p, ok := f.principals[principalName]
+	if !ok {
+		return nil
+	}
+	return f.row(p.id).groups
+}
+
+// setRow installs p's row, cloning its chunk on the version's first
+// write to it (a chunk beyond prev's table is already fresh). The
+// caller has given f its own chunk directory.
+func (f *Frozen) setRow(prev *Frozen, p *Principal, groups groupset) {
+	c := p.id / rowChunkSize
+	for len(f.rows) <= c {
+		f.rows = append(f.rows, new(rowChunk))
+	}
+	if c < len(prev.rows) && f.rows[c] == prev.rows[c] {
+		cp := *f.rows[c]
+		f.rows[c] = &cp
+	}
+	f.rows[c][p.id%rowChunkSize] = memberRow{p: p, groups: groups}
+}
+
+// PrincipalsFrom returns the principals with dense ID id and up, in ID
+// order: what this version registered since a version that had
+// allocated id IDs. A replication delta lists exactly these.
+func (f *Frozen) PrincipalsFrom(id int) []*Principal {
+	n := len(f.principals)
+	if id >= n {
+		return nil
+	}
+	out := make([]*Principal, 0, n-id)
+	for ; id < n; id++ {
+		out = append(out, f.row(id).p)
+	}
+	return out
+}
+
+// ChangedGroups returns, in name order, the groups whose direct-member
+// lists differ from prev's, new groups included (every group when prev
+// is nil). Group records are copy-on-write, so an untouched group keeps
+// prev's record and costs one pointer comparison; a fresh record is
+// confirmed by comparing the lists, because a full freeze re-freezes
+// every record whether it changed or not.
+func (f *Frozen) ChangedGroups(prev *Frozen) []string {
+	var out []string
+	for _, name := range f.groupNames {
+		g := f.groups[name]
+		var pg *frozenGroup
+		if prev != nil {
+			pg = prev.groups[name]
+		}
+		if pg == g || pg != nil && slices.Equal(pg.principals, g.principals) && slices.Equal(pg.subgroups, g.subgroups) {
+			continue
+		}
+		out = append(out, name)
+	}
+	return out
+}
+
 // GroupsOf returns every group the principal transitively belongs to,
 // sorted.
 func (f *Frozen) GroupsOf(principalName string) []string {
-	set := f.membership[principalName]
+	set := f.groupsOf(principalName)
 	var out []string
 	for i, name := range f.groupNames {
 		if set.has(i) {

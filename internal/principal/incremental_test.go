@@ -258,7 +258,7 @@ func TestIncrementalSharesUntouchedRows(t *testing.T) {
 	}
 	// The frozen group tables must share untouched entries with the
 	// previous view, and cold's row must be the same slice.
-	bm, am := before.membership["cold"], after.membership["cold"]
+	bm, am := before.groupsOf("cold"), after.groupsOf("cold")
 	if len(bm) == 0 || &bm[0] != &am[0] {
 		t.Error("incremental freeze copied an untouched principal's row")
 	}

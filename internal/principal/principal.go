@@ -29,6 +29,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -267,37 +269,25 @@ func (r *Registry) freezeLocked(version uint64) *Frozen {
 		groups:       prev.groups,
 		groupNames:   prev.groupNames,
 		groupIdx:     prev.groupIdx,
-		membership:   prev.membership,
+		rows:         prev.rows,
 		groupMembers: prev.groupMembers,
 		super:        prev.super,
 	}
 	if len(r.dirtyGroups) > 0 {
-		groups := make(map[string]*frozenGroup, len(prev.groups))
-		for k, v := range prev.groups {
-			groups[k] = v
-		}
+		f.groups = maps.Clone(prev.groups)
 		for gname := range r.dirtyGroups {
-			groups[gname] = freezeGroup(r.groups[gname])
+			f.groups[gname] = freezeGroup(r.groups[gname])
 		}
-		f.groups = groups
 	}
 	if len(r.dirtyPrincipals) > 0 {
-		membership := make(map[string]groupset, len(prev.membership)+len(r.dirtyPrincipals))
-		for k, v := range prev.membership {
-			membership[k] = v
-		}
-		var principals map[string]*Principal // cloned on first new principal
+		f.rows = slices.Clone(prev.rows)
 		dirtySets := make(map[string]groupset, len(r.dirtyPrincipals))
 		for pname := range r.dirtyPrincipals {
 			if _, known := prev.principals[pname]; !known {
-				if principals == nil {
-					principals = make(map[string]*Principal, len(prev.principals)+1)
-					for k, v := range prev.principals {
-						principals[k] = v
-					}
-					f.principals = principals
+				if len(f.principals) == len(prev.principals) { // still prev's map
+					f.principals = maps.Clone(prev.principals)
 				}
-				principals[pname] = r.principals[pname]
+				f.principals[pname] = r.principals[pname]
 			}
 			dirtySets[pname] = newGroupset(len(f.groupNames))
 		}
@@ -326,20 +316,20 @@ func (r *Registry) freezeLocked(version uint64) *Frozen {
 				}
 			}
 		}
-		for pname, set := range dirtySets {
-			membership[pname] = set
-		}
-		f.membership = membership
 
-		// Patch the reverse index: for each dirty principal, flip its
-		// ID bit in exactly the groups whose membership changed. Rows
-		// are copy-on-write — untouched groups keep sharing prev's
-		// bitsets, and a row is cloned at most once per freeze.
+		// Install the rows and patch the reverse index: for each dirty
+		// principal, flip its ID bit in exactly the groups whose
+		// membership changed. Rows and reverse-index rows are
+		// copy-on-write — untouched ones keep sharing prev's, and each
+		// is cloned at most once per freeze.
 		rowFresh := make(map[int]bool)
-		for pname := range r.dirtyPrincipals {
-			id := r.principals[pname].id
-			old := prev.membership[pname] // nil for a new principal
-			neu := membership[pname]
+		for pname, neu := range dirtySets {
+			p := r.principals[pname]
+			var old groupset // nil for a new principal
+			if p.id < len(prev.principals) {
+				old = prev.row(p.id).groups
+			}
+			f.setRow(prev, p, neu)
 			for i := range f.groupNames {
 				was, is := old.has(i), neu.has(i)
 				if was == is {
@@ -347,17 +337,17 @@ func (r *Registry) freezeLocked(version uint64) *Frozen {
 				}
 				if !rowFresh[i] {
 					if len(rowFresh) == 0 {
-						f.groupMembers = append([]groupset(nil), prev.groupMembers...)
+						f.groupMembers = slices.Clone(prev.groupMembers)
 					}
-					f.groupMembers[i] = f.groupMembers[i].cloneGrown(id)
+					f.groupMembers[i] = f.groupMembers[i].cloneGrown(p.id)
 					rowFresh[i] = true
-				} else if id/64 >= len(f.groupMembers[i]) {
-					f.groupMembers[i] = f.groupMembers[i].cloneGrown(id)
+				} else if p.id/64 >= len(f.groupMembers[i]) {
+					f.groupMembers[i] = f.groupMembers[i].cloneGrown(p.id)
 				}
 				if is {
-					f.groupMembers[i].set(id)
+					f.groupMembers[i].set(p.id)
 				} else {
-					f.groupMembers[i].clear(id)
+					f.groupMembers[i].clear(p.id)
 				}
 			}
 		}
@@ -372,14 +362,11 @@ func (r *Registry) buildFrozen(version uint64) *Frozen {
 	f := &Frozen{
 		reg:        r,
 		version:    version,
-		principals: make(map[string]*Principal, len(r.principals)),
+		principals: maps.Clone(r.principals),
 		groups:     make(map[string]*frozenGroup, len(r.groups)),
 		groupNames: make([]string, 0, len(r.groups)),
 		groupIdx:   make(map[string]int, len(r.groups)),
-		membership: make(map[string]groupset, len(r.principals)),
-	}
-	for n, p := range r.principals {
-		f.principals[n] = p
+		rows:       make([]*rowChunk, (len(r.principals)+rowChunkSize-1)/rowChunkSize),
 	}
 	f.groups = f.collectGroups(r.groups)
 	sort.Strings(f.groupNames)
@@ -426,13 +413,16 @@ func (r *Registry) buildFrozen(version uint64) *Frozen {
 	// O(direct memberships), where the cross product is O(P·G) hash
 	// probes — the difference between seconds and milliseconds at the
 	// 10^5-principal scale bench-load builds.
-	for pname := range r.principals {
-		f.membership[pname] = newGroupset(len(f.groupNames))
+	for i := range f.rows {
+		f.rows[i] = new(rowChunk)
+	}
+	for _, p := range r.principals {
+		*f.row(p.id) = memberRow{p: p, groups: newGroupset(len(f.groupNames))}
 	}
 	for gname, g := range r.groups {
 		s := super[gname]
 		for pname := range g.principals {
-			f.membership[pname].union(s)
+			f.groupsOf(pname).union(s)
 		}
 	}
 	// Reverse index: per-group bitsets over principal IDs. Built by
@@ -441,8 +431,8 @@ func (r *Registry) buildFrozen(version uint64) *Frozen {
 	for i := range f.groupMembers {
 		f.groupMembers[i] = newGroupset(len(r.principals))
 	}
-	for pname, set := range f.membership {
-		id := r.principals[pname].id
+	for id := 0; id < len(r.principals); id++ {
+		set := f.row(id).groups
 		for i := range f.groupNames {
 			if set.has(i) {
 				f.groupMembers[i].set(id)
