@@ -25,14 +25,16 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
 
-# fuzz-smoke runs the two epoch fuzzers for a few seconds each: the
-# concurrent transition fuzzer (consistency, compiled view against a
-# full compile) and the delta codec fuzzer (a mirror replaying deltas
-# equals the primary). Their seed corpora run in every `go test`; this
-# explores beyond them.
+# fuzz-smoke runs three fuzzers for a few seconds each: the concurrent
+# epoch transition fuzzer (consistency, compiled view against a full
+# compile), the delta codec fuzzer (a mirror replaying deltas equals the
+# primary), and the registry Apply fuzzer (closure against a naive walk,
+# atomic failures, copy-on-write sharing). Their seed corpora run in
+# every `go test`; this explores beyond them.
 fuzz-smoke:
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochTransitions -fuzztime 10s
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochDeltaCodec -fuzztime 10s
+	$(GO) test ./internal/principal -run '^$$' -fuzz FuzzRegistryApply -fuzztime 10s
 
 # check is the full local gate: build, vet, the complete test suite
 # under the race detector, a short run of the epoch fuzzers, the nested
@@ -179,8 +181,9 @@ bench-epoch:
 	$(GO) run ./cmd/benchtab -json . E15
 
 # bench-churn runs the E16 write-path-scaling experiment alone and
-# writes BENCH_E16.json (incremental vs full freeze, 64-edit vs
-# per-edit Apply bulk churn, sustained churn under readers).
+# writes BENCH_E16.json (64-edit vs per-edit Apply bulk churn,
+# sustained churn under readers, single registry transitions at
+# check-allow scale).
 bench-churn:
 	$(GO) run ./cmd/benchtab -json . E16
 

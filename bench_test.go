@@ -640,7 +640,7 @@ func BenchmarkE10Append(b *testing.B) {
 	}
 }
 
-// --- E16: write-path churn (multi-edit Apply, incremental freeze) ---
+// --- E16: write-path churn (multi-edit Apply) ---
 
 // e16World builds the E16 fixture: 64 member principals, a reader whose
 // access flows through the churned group, audit off.
@@ -684,24 +684,10 @@ func e16World(b testing.TB) (*secext.World, *secext.Context, []string) {
 }
 
 // BenchmarkE16Churn is the benchmark form of E16's table: per-mutation
-// publish cost with full vs incremental freeze, and the 64-member bulk
-// op as per-edit Apply calls vs one 64-edit Apply.
+// publish cost, and the 64-member bulk op as per-edit Apply calls vs
+// one 64-edit Apply.
 func BenchmarkE16Churn(b *testing.B) {
-	b.Run("single-full-freeze", func(b *testing.B) {
-		w, _, _ := e16World(b)
-		reg := w.Sys.Registry()
-		reg.SetIncrementalFreeze(false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := reg.Apply(principal.AddMember("churn", "p0")); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := reg.Apply(principal.RemoveMember("churn", "p0")); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("single-incremental", func(b *testing.B) {
+	b.Run("single", func(b *testing.B) {
 		w, _, _ := e16World(b)
 		reg := w.Sys.Registry()
 		b.ResetTimer()

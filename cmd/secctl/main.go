@@ -358,7 +358,7 @@ func runExplain(args []string) {
 }
 
 // runEpochs prints a running daemon's epoch-transition journal, newest
-// first: which policy shards changed, incremental vs full freeze, the compile kind and cost, and the publish latency.
+// first: which policy shards changed, the registry and lattice versions, the compile kind and cost, and the publish latency.
 func runEpochs(args []string) {
 	fs := flag.NewFlagSet("epochs", flag.ExitOnError)
 	httpAddr := fs.String("http", "", "daemon telemetry address (host:port)")

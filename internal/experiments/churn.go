@@ -54,13 +54,12 @@ func churnWorld() (*secext.World, *secext.Context, []string, error) {
 }
 
 // E16 prices write-path scaling under sustained policy churn:
-// multi-edit Registry.Apply plus incremental freezing against per-edit
-// Apply calls and the pre-epoch locked map.
+// multi-edit Registry.Apply against per-edit Apply calls and the
+// pre-epoch locked map.
 //
-// Single-mutation rows isolate the incremental freeze: the same
-// add+remove pair with the delta path disabled (every freeze rebuilds
-// the transitive closure from scratch) and enabled (only the touched
-// principal's bitset row is recomputed).
+// The single-mutation row prices one add+remove pair: each Apply
+// derives its registry version from the last, recomputing only the
+// touched principal's bitset row.
 //
 // Bulk rows are the headline: installing and revoking 64 memberships
 // as 64 per-edit Apply calls (64 freezes, 64 epoch publications each
@@ -77,7 +76,7 @@ func churnWorld() (*secext.World, *secext.Context, []string, error) {
 // The at-scale rows price single registry transitions at secbench's
 // check-allow population (see e16AtScale).
 func E16() Result {
-	res := Result{ID: "E16", Title: "Write-path scaling: multi-edit Apply and incremental freeze under churn"}
+	res := Result{ID: "E16", Title: "Write-path scaling: multi-edit Apply under churn"}
 	t := &table{header: []string{"operation", "impl", "ns/op", "ratio"}}
 	ratio := func(slow, fast float64) string {
 		if fast == 0 {
@@ -94,9 +93,8 @@ func E16() Result {
 	reg := w.Sys.Registry()
 	ns16 := w.Sys.Names()
 
-	// Single membership mutation: full rebuild vs incremental freeze.
-	reg.SetIncrementalFreeze(false)
-	fullMut := measure(defaultMinDur, func(n int) {
+	// Single membership mutation.
+	single := measure(defaultMinDur, func(n int) {
 		for i := 0; i < n; i++ {
 			if _, err := reg.Apply(principal.AddMember("churn", "p0")); err != nil {
 				panic(err)
@@ -106,19 +104,7 @@ func E16() Result {
 			}
 		}
 	})
-	reg.SetIncrementalFreeze(true)
-	incMut := measure(defaultMinDur, func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := reg.Apply(principal.AddMember("churn", "p0")); err != nil {
-				panic(err)
-			}
-			if _, err := reg.Apply(principal.RemoveMember("churn", "p0")); err != nil {
-				panic(err)
-			}
-		}
-	})
-	t.add("single add+remove", "full-rebuild freeze", ns(fullMut), ratio(fullMut, incMut))
-	t.add("single add+remove", "incremental freeze", ns(incMut), "1.0x")
+	t.add("single add+remove", "Registry.Apply (2 publishes)", ns(single), "-")
 
 	// Bulk churn: 64 adds + 64 removes, per-edit Apply calls vs one
 	// 64-edit Apply each way.
@@ -272,7 +258,9 @@ func E16() Result {
 // the call until the epoch carrying it is published (p50 and p99 over
 // 400 calls); its replication delta is DiffEpochs between the two
 // epochs. A new principal is one Registry.Apply registering a principal
-// no ACL names (median of 20).
+// no ACL names, a new group one registering a group no ACL names, and
+// a subgroup edge one nesting a populated group in another or undoing
+// that (median of 20 each, 40 for edges).
 func e16AtScale(t *table) error {
 	w, _, err := telWorld(telemetry.ModeOff, false)
 	if err != nil {
@@ -312,20 +300,36 @@ func e16AtScale(t *table) error {
 	if err != nil {
 		return err
 	}
-	var adds []time.Duration
+	var adds, newGroups, edges []time.Duration
 	for i := 0; i < 20; i++ {
-		t0 := time.Now()
-		if _, err := reg.Apply(principal.AddPrincipal(fmt.Sprintf("late%d", i), bottom)); err != nil {
-			return err
+		sub, group := load.GroupName(i), load.GroupName(i+1)
+		for _, c := range []struct {
+			e  principal.Edit
+			ds *[]time.Duration
+		}{
+			{principal.AddPrincipal(fmt.Sprintf("late%d", i), bottom), &adds},
+			{principal.AddGroup(fmt.Sprintf("fresh%d", i)), &newGroups},
+			{principal.AddMember(group, sub), &edges},
+			{principal.RemoveMember(group, sub), &edges},
+		} {
+			t0 := time.Now()
+			if _, err := reg.Apply(c.e); err != nil {
+				return err
+			}
+			*c.ds = append(*c.ds, time.Since(t0))
 		}
-		adds = append(adds, time.Since(t0))
 	}
 	scale := "check-allow scale, p50 / p99"
 	t.add("membership toggle", "Registry.Apply, "+scale,
 		fmt.Sprintf("%s / %s", ns(pct(toggles, 0.5)), ns(pct(toggles, 0.99))), fmt.Sprintf("%d calls", len(toggles)))
 	t.add("toggle delta", "DiffEpochs, "+scale,
 		fmt.Sprintf("%s / %s", ns(pct(diffs, 0.5)), ns(pct(diffs, 0.99))), fmt.Sprintf("%d deltas", len(diffs)))
-	t.add("new principal", "Registry.Apply, check-allow scale, p50",
-		ns(pct(adds, 0.5)), fmt.Sprintf("%d calls", len(adds)))
+	for _, row := range []struct {
+		op string
+		ds []time.Duration
+	}{{"new principal", adds}, {"new group", newGroups}, {"subgroup edge", edges}} {
+		t.add(row.op, "Registry.Apply, check-allow scale, p50",
+			ns(pct(row.ds, 0.5)), fmt.Sprintf("%d calls", len(row.ds)))
+	}
 	return nil
 }

@@ -24,21 +24,11 @@ type Frozen struct {
 	levelIdx map[string]Level
 	cats     []string
 	catIdx   map[string]int
-
-	// deltaBase is the version this view was derived from by patching
-	// (definitions are append-only, so every clone is a delta over its
-	// predecessor); 0 means the view was built from scratch. The name
-	// server's epoch journal records it.
-	deltaBase uint64
 }
 
 // Version returns the universe version this view was published as.
 // Versions start at 1 and advance by one per definition.
 func (f *Frozen) Version() uint64 { return f.version }
-
-// DeltaBase returns the version this view was incrementally derived
-// from, or 0 if it was built from scratch (the empty universe).
-func (f *Frozen) DeltaBase() uint64 { return f.deltaBase }
 
 // Lattice returns the lattice this view was frozen from.
 func (f *Frozen) Lattice() *Lattice { return f.lat }
@@ -186,19 +176,17 @@ func (f *Frozen) Contains(c Class) bool {
 	return true
 }
 
-// cloneForDefine copies the frozen tables for one more definition. The
-// clone is a delta over f (deltaBase records the provenance), which is
-// as incremental as a lattice freeze gets: the universe is append-only,
-// so patching the previous tables IS the full rebuild, minus nothing.
+// cloneForDefine copies the frozen tables for one more definition: the
+// universe is append-only, so the successor is f's tables plus one
+// entry.
 func (f *Frozen) cloneForDefine() *Frozen {
 	next := &Frozen{
-		lat:       f.lat,
-		version:   f.version + 1,
-		deltaBase: f.version,
-		levels:    append([]string(nil), f.levels...),
-		cats:      append([]string(nil), f.cats...),
-		levelIdx:  make(map[string]Level, len(f.levelIdx)+1),
-		catIdx:    make(map[string]int, len(f.catIdx)+1),
+		lat:      f.lat,
+		version:  f.version + 1,
+		levels:   append([]string(nil), f.levels...),
+		cats:     append([]string(nil), f.cats...),
+		levelIdx: make(map[string]Level, len(f.levelIdx)+1),
+		catIdx:   make(map[string]int, len(f.catIdx)+1),
 	}
 	for k, v := range f.levelIdx {
 		next.levelIdx[k] = v

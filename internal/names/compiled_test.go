@@ -565,10 +565,14 @@ func TestRegistryTransitionRecompilesWhatMoved(t *testing.T) {
 	if n, _, _ := step("dave joins ops", principal.AddMember("ops", "dave")); n != 4 {
 		t.Errorf("ops toggle: %d compiles, want 4", n)
 	}
-	// A subgroup edge re-freezes the registry from scratch: every group
-	// row is fresh, so every group-bearing ACL recompiles.
-	if n, _, _ := step("eng nests in ops", principal.AddMember("ops", "eng")); n != 5 {
-		t.Errorf("subgroup edge: %d compiles, want the 5 group-bearing ACLs", n)
+	// A new group moves no member row: nothing recompiles.
+	if n, label, shared := step("sec registers", principal.AddGroup("sec")); n != 0 || label != "reused" || !shared {
+		t.Errorf("new group: %d compiles, label %q, index shared %v", n, label, shared)
+	}
+	// A subgroup edge moves only the closure of the groups above it:
+	// eng's members join ops, eng's own row stays.
+	if n, _, _ := step("eng nests in ops", principal.AddMember("ops", "eng")); n != 4 {
+		t.Errorf("subgroup edge: %d compiles, want the 4 ACLs naming ops", n)
 	}
 	step("eng leaves ops", principal.RemoveMember("ops", "eng"))
 

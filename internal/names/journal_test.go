@@ -53,8 +53,8 @@ func TestJournalRecordsTransition(t *testing.T) {
 }
 
 // TestJournalShardAndFreezeKinds: registry transitions are journaled
-// with the registry shard named and the incremental-freeze bit
-// reflecting the frozen snapshot's delta base.
+// with the registry shard named and the version of the frozen registry
+// the epoch carries.
 func TestJournalShardAndFreezeKinds(t *testing.T) {
 	cf := newCompiledFixture(t)
 	if _, err := cf.reg.Apply(principal.AddMember("eng", "bob")); err != nil {
@@ -70,9 +70,8 @@ func TestJournalShardAndFreezeKinds(t *testing.T) {
 	if !found {
 		t.Errorf("registry transition journaled with shards %v", r.Shards)
 	}
-	wantIncr := r.RegistryDeltaBase != 0
-	if r.IncrementalFreeze != wantIncr {
-		t.Errorf("incremental_freeze = %v with delta base %d", r.IncrementalFreeze, r.RegistryDeltaBase)
+	if r.RegistryVersion != cf.reg.Version() {
+		t.Errorf("registry_version = %d, registry at v%d", r.RegistryVersion, cf.reg.Version())
 	}
 }
 
@@ -85,9 +84,8 @@ func TestJournalNoRegistry(t *testing.T) {
 	if r.Compile != "none" {
 		t.Errorf("compile = %q without a registry, want none", r.Compile)
 	}
-	if r.RegistryVersion != 0 || r.IncrementalFreeze {
-		t.Errorf("registry provenance (%d, %v) on a registry-less server",
-			r.RegistryVersion, r.IncrementalFreeze)
+	if r.RegistryVersion != 0 {
+		t.Errorf("registry provenance v%d on a registry-less server", r.RegistryVersion)
 	}
 }
 

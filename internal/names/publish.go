@@ -105,12 +105,9 @@ func (s *Server) publishLocked(shards uint8, kind string, primaryVersion uint64,
 	}
 	if next.lat != nil {
 		rec.LatticeVersion = next.lat.Version()
-		rec.LatticeDeltaBase = next.lat.DeltaBase()
 	}
 	if next.reg != nil {
 		rec.RegistryVersion = next.reg.Version()
-		rec.RegistryDeltaBase = next.reg.DeltaBase()
-		rec.IncrementalFreeze = next.reg.DeltaBase() != 0
 	}
 	s.journal.append(rec)
 	return next.version

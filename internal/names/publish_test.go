@@ -414,37 +414,3 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 		t.Fatalf("final epoch inconsistent at %s: %s", path, why)
 	}
 }
-
-// TestFrozenShardDeltaChain pins the delta-freeze contract both frozen
-// shards implement: delta-built views anchor to the exact previous
-// version, and full rebuilds report base 0.
-func TestFrozenShardDeltaChain(t *testing.T) {
-	f := newFixture(t)
-	reg := attachReg(t, f)
-
-	prev := f.lat.Freeze().Version()
-	if _, err := f.lat.DefineCategory("delta-cat"); err != nil {
-		t.Fatal(err)
-	}
-	if lf := f.lat.Freeze(); lf.DeltaBase() != prev {
-		t.Fatalf("lattice delta base %d, want %d", lf.DeltaBase(), prev)
-	}
-
-	// Membership edit: incremental, anchored to the previous version.
-	prevReg := reg.Version()
-	if _, err := reg.AddMemberAt("ops", "alice"); err != nil {
-		t.Fatal(err)
-	}
-	rf := reg.Freeze()
-	if rf.DeltaBase() != prevReg {
-		t.Fatalf("registry delta base %d, want %d", rf.DeltaBase(), prevReg)
-	}
-
-	// Structural change: full rebuild, base 0.
-	if _, err := reg.Apply(principal.AddGroup("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Freeze().DeltaBase(); got != 0 {
-		t.Fatalf("structural change delta base %d, want 0 (full rebuild)", got)
-	}
-}

@@ -350,7 +350,7 @@ func TestWireDeltaSequence(t *testing.T) {
 // TestRegistryDeltaCarriesWhatMoved: a registry transition's delta
 // lists exactly the principals it registered and the groups whose
 // member lists it changed — one group for a one-member toggle, whatever
-// the registry's size, and only the new group after a full re-freeze.
+// the registry's size, and only the new group when one is added.
 func TestRegistryDeltaCarriesWhatMoved(t *testing.T) {
 	f, reg := wirePrimary(t)
 	for _, g := range []string{"ops", "qa"} {
@@ -380,7 +380,7 @@ func TestRegistryDeltaCarriesWhatMoved(t *testing.T) {
 	step("one-member toggle", "[]", "[{eng [alice bob]}]", principal.AddMember("eng", "bob"))
 	step("one-member revoke", "[]", "[{ops []}]", principal.RemoveMember("ops", "bob"))
 	step("new principal", "[{carol organization:{dept-1}}]", "[]", principal.AddPrincipal("carol", f.org))
-	step("new group (full freeze)", "[]", "[{sec []}]", principal.AddGroup("sec"))
+	step("new group", "[]", "[{sec []}]", principal.AddGroup("sec"))
 	step("subgroup edge", "[]", "[{qa [@sec bob]}]", principal.AddMember("qa", "sec"))
 }
 
@@ -391,9 +391,8 @@ func TestRegistryDeltaCarriesWhatMoved(t *testing.T) {
 // fuzzed. Each script byte selects one mutation; payload bytes are
 // folded into names so scripts explore bind/delete collisions. The
 // registry ops cover every path a scoped registry transition takes:
-// member toggles, subgroup edges (a full re-freeze), enrolling a
-// principal the script registered, and an ACL naming a principal
-// before it registers. Both sides' compiled views must match a
+// member toggles, subgroup edges, enrolling a principal the script
+// registered, and an ACL naming a principal before it registers. Both sides' compiled views must match a
 // from-scratch compile at every step.
 func FuzzEpochDeltaCodec(f *testing.F) {
 	f.Add([]byte("ab"))

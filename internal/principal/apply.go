@@ -2,6 +2,8 @@ package principal
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"secext/internal/lattice"
@@ -22,8 +24,8 @@ func AddPrincipal(name string, class lattice.Class) Edit {
 	return Edit{op: "add-principal", name: name, class: class}
 }
 
-// AddGroup registers a new empty group. A new group shifts the frozen
-// bit indices, so the publication carrying it is a full freeze.
+// AddGroup registers a new empty group. It takes the next group bit
+// position, so it moves no existing membership row.
 func AddGroup(name string) Edit { return Edit{op: "add-group", name: name} }
 
 // AddMember adds a principal or a group (nested) to a group. Adding a
@@ -43,143 +45,343 @@ func RemoveMember(group, member string) Edit {
 // version of the policy epoch (or, unattached, the registry version) it
 // landed in: every reader observing that version or later sees every
 // edit — for a RemoveMember, this is the revocation barrier callers pin
-// audits to. Each edit applies to the builder tables as they accumulate,
-// so a later edit sees the earlier ones (add a principal, then enrol
-// it). The closure is refrozen once, whatever the number of edits.
+// audits to. The edits accumulate in a transaction over the published
+// view, so a later edit sees the earlier ones (add a principal, then
+// enrol it), and the successor view is derived once, whatever the
+// number of edits.
 //
-// Apply is all-or-nothing: on the first failing edit every earlier one
-// is undone — dense principal IDs included — and the published state
-// and version are untouched. An empty call is a no-op returning 0.
+// Apply is all-or-nothing: on the first failing edit the transaction is
+// dropped, so the published state, the version and the next dense
+// principal ID are untouched. An empty call is a no-op returning 0.
 func (r *Registry) Apply(edits ...Edit) (uint64, error) {
 	if len(edits) == 0 {
 		return 0, nil
 	}
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
-	if err := r.applyLocked(edits); err != nil {
-		return 0, err
-	}
-	return r.publishLocked(), nil
-}
-
-// applyLocked applies edits to the builder tables, or none of them.
-// Caller holds writeMu.
-func (r *Registry) applyLocked(edits []Edit) error {
-	type undo struct {
-		e   Edit
-		sub bool // the member edited is a group
-	}
-	var log []undo
-	directMembers := r.directMembers
+	base := r.frozen.Load()
+	next := *base
+	next.version++
+	t := &txn{base: base, next: &next, members: make(map[string]*memberSet), direct: make(map[*Principal]groupset, len(edits))}
 	for _, e := range edits {
-		changed, sub, err := r.editLocked(e)
-		if err == nil {
-			if changed {
-				log = append(log, undo{e, sub})
-			}
-			continue
+		if err := t.apply(e); err != nil {
+			return 0, err
 		}
-		for i := len(log) - 1; i >= 0; i-- {
-			u := log[i]
-			switch u.e.op {
-			case "add-principal":
-				delete(r.principals, u.e.name)
-			case "add-group":
-				delete(r.groups, u.e.name)
-			default:
-				set := r.groups[u.e.group].principals
-				if u.sub {
-					set = r.groups[u.e.group].subgroups
-				}
-				if u.e.op == "add-member" {
-					delete(set, u.e.name)
-				} else {
-					set[u.e.name] = true
-				}
-			}
-		}
-		r.directMembers = directMembers
-		// Every mutation publishes before releasing writeMu, so the dirty
-		// state was empty when this call began; the undone edits leave it
-		// empty again.
-		clear(r.dirtyPrincipals)
-		clear(r.dirtyGroups)
-		r.dirtyAll = false
-		return err
 	}
-	return nil
+	return r.publishLocked(t.commit()), nil
 }
 
-// editLocked applies one edit to the builder tables, marking dirty
-// state. It reports whether the tables changed and whether the member
-// edited is a group. Caller holds writeMu.
-func (r *Registry) editLocked(e Edit) (changed, sub bool, err error) {
+// txn derives the successor of one published view from an Apply's
+// edits. It never writes what the base view shares: the principals map
+// is cloned on the first new principal, a touched group's edits are
+// kept beside its published record, and commit clones only the tables,
+// row chunks and reverse-index rows it writes. Dropping a txn leaves no
+// trace.
+type txn struct {
+	base, next *Frozen
+	// members holds the edits to the groups the call touched, new
+	// groups included; commit merges each into a frozenGroup once.
+	members map[string]*memberSet
+	added   []string // new groups, in arrival order
+	// direct holds the new direct-group sets of the principals the call
+	// registered or whose direct memberships it edited.
+	direct map[*Principal]groupset
+	// restructured records a new group or a subgroup edge added or
+	// removed: the super sets must be recomputed.
+	restructured bool
+}
+
+// memberSet is a touched group's direct membership during a txn: the
+// published record (an empty one for a new group) and the call's edits
+// to its lists, name -> present afterwards.
+type memberSet struct {
+	rec                   *frozenGroup
+	principals, subgroups map[string]bool
+}
+
+// merged returns the sorted list with edits applied, and whether the
+// edits changed it (list itself when they did not). It sorts the edited
+// names and walks them beside list once.
+func merged(list []string, edits map[string]bool) ([]string, bool) {
+	if len(edits) == 0 {
+		return list, false
+	}
+	names := make([]string, 0, len(edits))
+	for name := range edits {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]string, 0, len(list)+len(names))
+	changed, i := false, 0
+	for _, name := range names {
+		for i < len(list) && list[i] < name {
+			out, i = append(out, list[i]), i+1
+		}
+		was := i < len(list) && list[i] == name
+		if was {
+			i++
+		}
+		if present := edits[name]; present {
+			out = append(out, name)
+			changed = changed || !was
+		} else {
+			changed = changed || was
+		}
+	}
+	if !changed {
+		return list, false
+	}
+	return append(out, list[i:]...), true
+}
+
+// apply applies one edit to the transaction. Caller holds writeMu.
+func (t *txn) apply(e Edit) error {
 	switch e.op {
 	case "add-principal", "add-group":
 		if err := validName(e.name); err != nil {
-			return false, false, err
+			return err
 		}
-		_, isP := r.principals[e.name]
-		_, isG := r.groups[e.name]
+		_, isP := t.next.principals[e.name]
+		isG := t.hasGroup(e.name)
 		if e.op == "add-group" {
 			switch {
 			case isG:
-				return false, false, fmt.Errorf("%w: group %q", ErrExists, e.name)
+				return fmt.Errorf("%w: group %q", ErrExists, e.name)
 			case isP:
-				return false, false, fmt.Errorf("%w: %q is a principal", ErrExists, e.name)
+				return fmt.Errorf("%w: %q is a principal", ErrExists, e.name)
 			}
-			r.groups[e.name] = &group{principals: make(map[string]bool), subgroups: make(map[string]bool)}
-			r.dirtyAll = true
-			return true, false, nil
+			t.members[e.name] = &memberSet{
+				rec:        &frozenGroup{idx: len(t.base.groupNames) + len(t.added)},
+				principals: make(map[string]bool),
+				subgroups:  make(map[string]bool),
+			}
+			t.added = append(t.added, e.name)
+			t.restructured = true
+			return nil
 		}
 		switch {
-		case e.class.Lattice() != r.lat:
-			return false, false, fmt.Errorf("%w: principal %q", ErrInvalidClass, e.name)
+		case e.class.Lattice() != t.base.reg.lat:
+			return fmt.Errorf("%w: principal %q", ErrInvalidClass, e.name)
 		case isP:
-			return false, false, fmt.Errorf("%w: principal %q", ErrExists, e.name)
+			return fmt.Errorf("%w: principal %q", ErrExists, e.name)
 		case isG:
-			return false, false, fmt.Errorf("%w: %q is a group", ErrExists, e.name)
+			return fmt.Errorf("%w: %q is a group", ErrExists, e.name)
 		}
-		r.principals[e.name] = &Principal{name: e.name, class: e.class, reg: r, id: len(r.principals)}
-		r.dirtyPrincipals[e.name] = true
-		return true, false, nil
+		if len(t.next.principals) == len(t.base.principals) { // still the base's map
+			t.next.principals = maps.Clone(t.base.principals)
+		}
+		p := &Principal{name: e.name, class: e.class, reg: t.base.reg, id: len(t.next.principals)}
+		t.next.principals[e.name] = p
+		t.direct[p] = nil
+		return nil
 	}
-	g, ok := r.groups[e.group]
-	if !ok {
-		return false, false, fmt.Errorf("%w: group %q", ErrNotFound, e.group)
+	g := t.group(e.group)
+	if g == nil {
+		return fmt.Errorf("%w: group %q", ErrNotFound, e.group)
 	}
-	_, isP := r.principals[e.name]
-	sub = !isP
-	set, delta := g.principals, 1
-	if sub {
-		set = g.subgroups
+	p, isP := t.next.principals[e.name]
+	list, edits := g.rec.principals, g.principals
+	if !isP {
+		list, edits = g.rec.subgroups, g.subgroups
+	}
+	present, edited := edits[e.name]
+	if !edited {
+		_, present = slices.BinarySearch(list, e.name)
 	}
 	if e.op == "remove-member" {
-		if !set[e.name] {
-			return false, false, fmt.Errorf("%w: member %q of %q", ErrNotFound, e.name, e.group)
+		if !present {
+			return fmt.Errorf("%w: member %q of %q", ErrNotFound, e.name, e.group)
 		}
-		delete(set, e.name)
-		delta = -1
+		edits[e.name] = false
 	} else {
-		if _, isG := r.groups[e.name]; sub && !isG {
-			return false, false, fmt.Errorf("%w: member %q", ErrNotFound, e.name)
+		if !isP && !t.hasGroup(e.name) {
+			return fmt.Errorf("%w: member %q", ErrNotFound, e.name)
 		}
-		if sub && (e.name == e.group || r.reachableLocked(e.name, e.group)) {
-			return false, false, fmt.Errorf("%w: %q -> %q", ErrCycle, e.group, e.name)
+		if !isP && (e.name == e.group || t.reachable(e.name, e.group)) {
+			return fmt.Errorf("%w: %q -> %q", ErrCycle, e.group, e.name)
 		}
-		if set[e.name] {
-			return false, sub, nil
+		if present {
+			return nil
 		}
-		set[e.name] = true
+		edits[e.name] = true
 	}
-	if sub {
-		r.dirtyAll = true // subgroup edge: retained super sets are stale
+	if !isP {
+		t.restructured = true
+		return nil
+	}
+	direct, owned := t.direct[p]
+	if !owned {
+		direct = t.base.row(p.id).direct
+	}
+	if !owned || g.rec.idx/64 >= len(direct) {
+		direct = direct.cloneGrown(g.rec.idx)
+	}
+	if e.op == "remove-member" {
+		direct.clear(g.rec.idx)
 	} else {
-		r.directMembers += delta
-		r.dirtyGroups[e.group] = true
-		r.dirtyPrincipals[e.name] = true
+		direct.set(g.rec.idx)
 	}
-	return true, sub, nil
+	t.direct[p] = direct
+	return nil
+}
+
+func (t *txn) hasGroup(name string) bool {
+	_, touched := t.members[name]
+	_, published := t.base.groups[name]
+	return touched || published
+}
+
+// group returns the named group's member set, starting it from the
+// base view's record on first touch; nil for an unknown group.
+func (t *txn) group(name string) *memberSet {
+	if ms, ok := t.members[name]; ok {
+		return ms
+	}
+	g, ok := t.base.groups[name]
+	if !ok {
+		return nil
+	}
+	ms := &memberSet{rec: g, principals: make(map[string]bool), subgroups: make(map[string]bool)}
+	t.members[name] = ms
+	return ms
+}
+
+// reachable reports whether group "to" is reachable from group "from"
+// through subgroup edges as the transaction has them.
+func (t *txn) reachable(from, to string) bool {
+	seen := map[string]bool{}
+	var walk func(string) bool
+	walk = func(cur string) bool {
+		if cur == to {
+			return true
+		}
+		if seen[cur] {
+			return false
+		}
+		seen[cur] = true
+		rec, edits := t.base.groups[cur], map[string]bool(nil)
+		if ms, ok := t.members[cur]; ok {
+			rec, edits = ms.rec, ms.subgroups
+		}
+		subs, _ := merged(rec.subgroups, edits)
+		return slices.ContainsFunc(subs, walk)
+	}
+	return walk(from)
+}
+
+// commit completes the successor view: it freezes the touched groups,
+// recomputes the super sets if the group structure changed, and
+// rewrites the rows of the principals whose membership can have moved —
+// the ones the edits registered or enrolled, plus, after a structural
+// change, the ones listed directly in a group whose super set changed.
+// Each rewritten row flips its principal's bit in exactly the
+// reverse-index rows whose membership changed.
+func (t *txn) commit() *Frozen {
+	f, base := t.next, t.base
+	if len(t.added) > 0 {
+		f.groupNames = append(slices.Clip(base.groupNames), t.added...)
+		f.groupMembers = append(slices.Clip(base.groupMembers), make([]groupset, len(t.added))...)
+	}
+	if len(t.members) > 0 {
+		f.groups = maps.Clone(base.groups)
+		for name, ms := range t.members {
+			ps, pMoved := merged(ms.rec.principals, ms.principals)
+			subs, sMoved := merged(ms.rec.subgroups, ms.subgroups)
+			// A group whose edits cancelled out keeps its record, so its
+			// pointer still says "unchanged" (see ChangedGroups).
+			if pMoved || sMoved || base.groups[name] == nil {
+				f.groups[name] = &frozenGroup{idx: ms.rec.idx, principals: ps, subgroups: subs}
+			}
+		}
+	}
+	dirty := t.direct
+	if t.restructured {
+		f.super = f.closeSupers()
+		for i, s := range f.super {
+			if i < len(base.super) && s.equal(base.super[i]) {
+				continue
+			}
+			for _, name := range f.groups[f.groupNames[i]].principals {
+				p := f.principals[name]
+				if _, ok := dirty[p]; !ok {
+					dirty[p] = base.row(p.id).direct
+				}
+			}
+		}
+	}
+	if len(dirty) == 0 {
+		return f
+	}
+	f.rows = slices.Clone(base.rows)
+	if len(t.added) == 0 {
+		f.groupMembers = slices.Clone(base.groupMembers)
+	}
+	fresh := newGroupset(len(f.groupNames)) // reverse-index rows this version owns
+	flip := func(i, id int, on bool) {
+		if !fresh.has(i) || id/64 >= len(f.groupMembers[i]) {
+			f.groupMembers[i] = f.groupMembers[i].cloneGrown(id)
+			fresh.set(i)
+		}
+		if on {
+			f.groupMembers[i].set(id)
+		} else {
+			f.groupMembers[i].clear(id)
+		}
+	}
+	for p, direct := range dirty {
+		groups := newGroupset(len(f.groupNames))
+		direct.each(func(d int) { groups.union(f.super[d]) })
+		var old groupset // nil for a new principal
+		if p.id < len(base.principals) {
+			row := base.row(p.id)
+			if row.direct.equal(direct) && row.groups.equal(groups) {
+				continue // edits that cancelled out keep the row
+			}
+			old = row.groups
+		}
+		old.each(func(i int) {
+			if !groups.has(i) {
+				flip(i, p.id, false)
+			}
+		})
+		groups.each(func(i int) {
+			if !old.has(i) {
+				flip(i, p.id, true)
+			}
+		})
+		f.setRow(base, memberRow{p: p, direct: direct, groups: groups})
+	}
+	return f
+}
+
+// closeSupers computes the super sets of f's group structure: group i's
+// set is its own bit plus the super sets of the groups listing i as a
+// subgroup. Apply rejects cycles, so the memoized walk terminates.
+func (f *Frozen) closeSupers() []groupset {
+	n := len(f.groupNames)
+	up := make([][]int, n)
+	for _, g := range f.groups {
+		for _, sub := range g.subgroups {
+			i := f.groups[sub].idx
+			up[i] = append(up[i], g.idx)
+		}
+	}
+	super := make([]groupset, n)
+	var superOf func(i int) groupset
+	superOf = func(i int) groupset {
+		if super[i] == nil {
+			super[i] = newGroupset(n)
+			super[i].set(i)
+			for _, u := range up[i] {
+				super[i].union(superOf(u))
+			}
+		}
+		return super[i]
+	}
+	for i := range super {
+		superOf(i)
+	}
+	return super
 }
 
 // AddGroups is Apply(AddGroup...); kept for bench/.

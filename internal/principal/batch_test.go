@@ -81,19 +81,19 @@ func TestAddPrincipalsBatch(t *testing.T) {
 	}
 }
 
-// TestAddGroupsBatch checks bulk group registration: one full freeze
-// for the batch, all-or-nothing on collisions.
+// TestAddGroupsBatch checks bulk group registration: one version for
+// the batch, all-or-nothing on collisions.
 func TestAddGroupsBatch(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	if _, err := r.Apply(AddPrincipal("alice", lat.MustClass("others"))); err != nil {
 		t.Fatal(err)
 	}
-	full0 := r.FreezeCounts().Full
+	v0 := r.Version()
 	if err := r.AddGroups("staff", "admins", "ops"); err != nil {
 		t.Fatalf("AddGroups: %v", err)
 	}
-	if got := r.FreezeCounts().Full - full0; got != 1 {
-		t.Errorf("batch paid %d full freezes, want 1", got)
+	if got := r.Version() - v0; got != 1 {
+		t.Errorf("batch published %d versions, want 1", got)
 	}
 	if got := r.Groups(); len(got) != 3 {
 		t.Errorf("Groups = %v", got)
@@ -186,9 +186,8 @@ func TestAddMembershipsBulk(t *testing.T) {
 
 // TestBulkMatchesPerEntityRows populates one registry through the
 // batch APIs and another through per-entity calls and demands
-// identical closures — the bulk freeze walks membership edges while
-// small freezes walk dirty principals (see freezeLocked), and both
-// orders must compute the same rows.
+// identical closures: one transaction writing every row and many
+// writing one row each must compute the same rows.
 func TestBulkMatchesPerEntityRows(t *testing.T) {
 	const principals, groups = 96, 8
 	lat, err := lattice.NewWithUniverse([]string{"lo", "hi"}, nil)
@@ -234,8 +233,7 @@ func TestBulkMatchesPerEntityRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One small edit on top of the bulk registry exercises the
-	// dirty-principal walk after the edge walk populated the tables.
+	// One small edit on top of each registry.
 	if _, err := bulk.Apply(AddMember(gname(0), pname(1))); err != nil {
 		t.Fatal(err)
 	}

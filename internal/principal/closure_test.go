@@ -3,47 +3,55 @@ package principal
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// membershipMatrix renders the full transitive membership relation of a
-// frozen view as a comparable map, for equivalence checks between the
-// incremental and from-scratch freeze paths.
-func membershipMatrix(f *Frozen) map[string]bool {
-	out := make(map[string]bool)
-	for _, p := range f.Principals() {
-		for _, g := range f.Groups() {
-			out[p+"∈"+g] = f.IsMember(p, g)
+// naiveMember decides transitive membership by a depth-first walk of
+// f's direct-member lists: the reference every derived closure is
+// checked against.
+func naiveMember(f *Frozen, p, g string) bool {
+	members, err := f.Members(g)
+	if err != nil {
+		return false
+	}
+	for _, m := range members {
+		if m == p || strings.HasPrefix(m, "@") && naiveMember(f, p, m[1:]) {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-func matrixEqual(t *testing.T, r *Registry, context string) {
+// checkClosure asserts that f's closure (IsMember, GroupsOf) equals the
+// naive one for every principal and group, and that the reverse index
+// mirrors it.
+func checkClosure(t *testing.T, f *Frozen, context string) {
 	t.Helper()
-	inc := membershipMatrix(r.Freeze())
-	// Force a from-scratch rebuild of the same registry state and
-	// compare the closures entry by entry.
-	r.SetIncrementalFreeze(false)
-	r.Touch()
-	full := membershipMatrix(r.Freeze())
-	r.SetIncrementalFreeze(true)
-	if len(inc) != len(full) {
-		t.Fatalf("%s: matrix sizes differ: %d vs %d", context, len(inc), len(full))
-	}
-	for k, v := range full {
-		if inc[k] != v {
-			t.Errorf("%s: incremental and full closures disagree on %s: %v vs %v", context, k, inc[k], v)
+	for _, p := range f.Principals() {
+		var want []string
+		for _, g := range f.Groups() {
+			naive := naiveMember(f, p, g)
+			if got := f.IsMember(p, g); got != naive {
+				t.Fatalf("%s: v%d: IsMember(%s, %s) = %v, naive closure says %v", context, f.Version(), p, g, got, naive)
+			}
+			if naive {
+				want = append(want, g)
+			}
+		}
+		if got := f.GroupsOf(p); !slices.Equal(got, want) {
+			t.Fatalf("%s: v%d: GroupsOf(%s) = %v, want %v", context, f.Version(), p, got, want)
 		}
 	}
+	checkReverseIndex(t, f)
 }
 
-// TestIncrementalFreezeMatchesFullRebuild drives a mixed mutation
-// sequence — membership edits (incremental), structural changes (full
-// rebuild), bulk ops, rollback-inducing failures — and after every step
-// asserts the incrementally patched closure is identical to one rebuilt
-// from scratch.
-func TestIncrementalFreezeMatchesFullRebuild(t *testing.T) {
+// TestApplyMatchesNaiveClosure drives a mixed mutation sequence —
+// membership edits, new principals and groups, subgroup edges added
+// and removed, bulk ops — and after every step asserts the derived
+// closure equals the naive one.
+func TestApplyMatchesNaiveClosure(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	bot, _ := lat.Bottom()
 	for i := 0; i < 6; i++ {
@@ -57,14 +65,14 @@ func TestIncrementalFreezeMatchesFullRebuild(t *testing.T) {
 		}
 	}
 	// Nest g0 ⊂ g1 ⊂ g2 so membership edits in g0 must propagate to the
-	// supersets through the retained reach-up sets.
+	// supersets through the retained super sets.
 	if _, err := r.Apply(AddMember("g1", "g0")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Apply(AddMember("g2", "g1")); err != nil {
 		t.Fatal(err)
 	}
-	matrixEqual(t, r, "after structure")
+	checkClosure(t, r.Freeze(), "after structure")
 
 	steps := []struct {
 		name string
@@ -81,71 +89,16 @@ func TestIncrementalFreezeMatchesFullRebuild(t *testing.T) {
 		{"bulk remove", func() error { _, err := r.Apply(RemoveMember("g0", "p3"), RemoveMember("g0", "p4")); return err }},
 		{"new principal", func() error { _, err := r.Apply(AddPrincipal("late", bot)); return err }},
 		{"late joins g2", func() error { _, err := r.Apply(AddMember("g2", "late")); return err }},
-		{"new group forces rebuild", func() error { _, err := r.Apply(AddGroup("g3")); return err }},
-		{"subgroup edge forces rebuild", func() error { _, err := r.Apply(AddMember("g3", "g2")); return err }},
-		{"edit after rebuild", func() error { _, err := r.Apply(AddMember("g0", "p0")); return err }},
+		{"new group", func() error { _, err := r.Apply(AddGroup("g3")); return err }},
+		{"subgroup edge", func() error { _, err := r.Apply(AddMember("g3", "g2")); return err }},
+		{"edit below the new edge", func() error { _, err := r.Apply(AddMember("g0", "p0")); return err }},
 		{"remove subgroup edge", func() error { _, err := r.Apply(RemoveMember("g3", "g2")); return err }},
 	}
 	for _, s := range steps {
 		if err := s.op(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		matrixEqual(t, r, s.name)
-	}
-}
-
-// TestFreezeCountsClassifyMutations pins which mutations take the cheap
-// incremental path and which force a from-scratch rebuild.
-func TestFreezeCountsClassifyMutations(t *testing.T) {
-	r, lat := newTestRegistry(t)
-	bot, _ := lat.Bottom()
-	if _, err := r.Apply(AddPrincipal("alice", bot)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Apply(AddGroup("g")); err != nil {
-		t.Fatal(err)
-	}
-	base := r.FreezeCounts()
-
-	// Membership edits: incremental.
-	if _, err := r.Apply(AddMember("g", "alice")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Apply(RemoveMember("g", "alice")); err != nil {
-		t.Fatal(err)
-	}
-	// New principal: incremental (one new empty row).
-	if _, err := r.Apply(AddPrincipal("bob", bot)); err != nil {
-		t.Fatal(err)
-	}
-	st := r.FreezeCounts()
-	if inc := st.Incremental - base.Incremental; inc != 3 {
-		t.Errorf("incremental freezes = %d, want 3", inc)
-	}
-	if st.Full != base.Full {
-		t.Errorf("membership edits took %d full rebuilds", st.Full-base.Full)
-	}
-
-	// Structural change: full rebuild.
-	if _, err := r.Apply(AddGroup("h")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Apply(AddMember("h", "g")); err != nil {
-		t.Fatal(err)
-	}
-	st2 := r.FreezeCounts()
-	if full := st2.Full - st.Full; full != 2 {
-		t.Errorf("structural changes took %d full rebuilds, want 2", full)
-	}
-
-	// Incremental disabled: everything rebuilds.
-	r.SetIncrementalFreeze(false)
-	if _, err := r.Apply(AddMember("g", "bob")); err != nil {
-		t.Fatal(err)
-	}
-	st3 := r.FreezeCounts()
-	if st3.Full != st2.Full+1 || st3.Incremental != st2.Incremental {
-		t.Errorf("disabled incremental: %+v -> %+v", st2, st3)
+		checkClosure(t, r.Freeze(), s.name)
 	}
 }
 
@@ -230,9 +183,8 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// TestIncrementalSharesUntouchedRows: an incremental freeze must reuse
-// the untouched principals' bitsets and only patch the dirty rows —
-// that sharing is the whole point of the delta path.
+// TestIncrementalSharesUntouchedRows: a derived version must reuse the
+// untouched principals' bitsets and only rewrite the touched rows.
 func TestIncrementalSharesUntouchedRows(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	bot, _ := lat.Bottom()
@@ -253,14 +205,11 @@ func TestIncrementalSharesUntouchedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := r.Freeze()
-	if after.DeltaBase() != before.Version() {
-		t.Fatalf("delta base %d, want %d", after.DeltaBase(), before.Version())
-	}
 	// The frozen group tables must share untouched entries with the
 	// previous view, and cold's row must be the same slice.
 	bm, am := before.groupsOf("cold"), after.groupsOf("cold")
 	if len(bm) == 0 || &bm[0] != &am[0] {
-		t.Error("incremental freeze copied an untouched principal's row")
+		t.Error("derived version copied an untouched principal's row")
 	}
 	if !after.IsMember("hot", "g") || !after.IsMember("cold", "g") {
 		t.Error("patched closure wrong")

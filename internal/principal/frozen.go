@@ -2,13 +2,14 @@ package principal
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
 
-// groupset is a bit vector over the frozen registry's group indices:
-// bit i set means membership in the group with index i. Sets are built
-// once at freeze time and never mutated, so testing membership is one
+// groupset is a bit vector over the registry's group bit positions:
+// bit i set means membership in the group whose frozenGroup.idx is i.
+// A published set is never mutated, so testing membership is one
 // bounds check and one AND — no locks, no lazy computation, no maps of
 // maps.
 type groupset []uint64
@@ -40,31 +41,62 @@ func (s groupset) has(i int) bool {
 	return w < len(s) && s[w]&(1<<uint(i%64)) != 0
 }
 
-// union folds o into s (same length by construction).
+// union folds o into s (s at least as wide as o).
 func (s groupset) union(o groupset) {
 	for i, w := range o {
 		s[i] |= w
 	}
 }
 
+// each calls fn with every bit set in s, in ascending order.
+func (s groupset) each(fn func(i int)) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			fn(w*64 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// equal reports whether s and o hold the same bits, whatever their
+// widths.
+func (s groupset) equal(o groupset) bool {
+	if len(s) < len(o) {
+		s, o = o, s
+	}
+	for i, w := range s {
+		if i < len(o) && w != o[i] || i >= len(o) && w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // rowChunkSize is the number of membership rows one copy-on-write
-// chunk holds. A freeze that touches one principal clones that
+// chunk holds. A transition that touches one principal clones that
 // principal's chunk and the chunk directory, not a row per principal.
 const rowChunkSize = 64
 
 // memberRow is one principal's entry in the ID-ordered row table: the
-// principal and its transitively closed group membership.
+// principal, the groups that list it directly, and its transitively
+// closed membership — the union of super[d] over its direct groups d.
 type memberRow struct {
 	p      *Principal
+	direct groupset
 	groups groupset
 }
 
 // rowChunk holds the rows of rowChunkSize consecutive principal IDs.
-// A published chunk is immutable; a freeze clones the chunks it writes.
+// A published chunk is immutable; a transition clones the chunks it
+// writes.
 type rowChunk [rowChunkSize]memberRow
 
-// frozenGroup is one group's direct membership as of the freeze.
+// frozenGroup is one group as of a version: its bit position and its
+// direct membership. A published record is immutable; a transition
+// that changes a group's members replaces its record.
 type frozenGroup struct {
+	// idx is the group's bit position: assigned in arrival order, never
+	// reused (there is no group removal), so a new group moves no row.
+	idx        int
 	principals []string // sorted
 	subgroups  []string // sorted
 }
@@ -72,9 +104,9 @@ type frozenGroup struct {
 // Frozen is one immutable version of the principal/group registry: the
 // identity tables and the *transitively closed* group membership as of
 // one publication. Every query on a Frozen is a pure lookup — the
-// closure is precomputed into per-principal bitsets at freeze time, so
-// IsMember costs two map probes and a bit test, with no locks and no
-// memoization races.
+// closure is precomputed into per-principal bitsets when the version
+// is derived, so IsMember costs two map probes and a bit test, with no
+// locks and no memoization races.
 //
 // Frozen is the registry's contribution to a policy epoch (see
 // names.Epoch): a reference monitor that pins an epoch evaluates every
@@ -88,48 +120,35 @@ type Frozen struct {
 	version    uint64
 	principals map[string]*Principal
 	groups     map[string]*frozenGroup
-	groupNames []string       // sorted; index = bit position
-	groupIdx   map[string]int // name -> bit position
+	groupNames []string // arrival order; index = bit position
 
-	// rows holds every principal's closed membership by dense ID, chunk
+	// rows holds every principal's membership by dense ID, chunk
 	// id/rowChunkSize, slot id%rowChunkSize. Chunks are copy-on-write:
-	// an incremental freeze shares every chunk it does not write with
-	// the previous view.
+	// a version shares every chunk it does not write with its
+	// predecessor.
 	rows []*rowChunk
 
-	// groupMembers is the reverse index of rows: one bitset per
-	// group (indexed like groupNames) whose bit p is set when the
-	// principal with dense ID p is a transitive member. It is what lets
+	// groupMembers is the reverse index of rows: one bitset per group
+	// (indexed by bit position) whose bit p is set when the principal
+	// with dense ID p is a transitive member. It is what lets
 	// freeze-time ACL compilation turn a group entry into principal-ID
 	// bits without touching names (see acl.IDResolver). Rows are
-	// copy-on-write: an incremental freeze clones only the rows whose
-	// member sets actually changed.
+	// copy-on-write: a version clones only the rows whose member sets
+	// changed.
 	groupMembers []groupset
 
-	// super maps every group to the set of groups reachable from it
-	// through "contained in" edges, itself included. It is the
-	// intermediate of the transitive closure, retained so an
-	// incremental freeze can recompute one principal's membership as a
-	// union of supersets without re-walking the subgroup graph. Valid
-	// for exactly this version's group structure: any structural change
-	// (new group, subgroup edge added or removed) forces a full
-	// rebuild.
-	super map[string]groupset
-
-	// deltaBase is the version this view was incrementally derived
-	// from by cloning and patching only the touched principals' rows;
-	// 0 means the closure was rebuilt from scratch. The name server's
-	// epoch journal records it.
-	deltaBase uint64
+	// super holds, per group bit position, the set of groups reachable
+	// from that group through "contained in" edges, itself included. It
+	// is the intermediate of the transitive closure, retained so a
+	// transition recomputes a principal's row as a union of supersets
+	// without re-walking the subgroup graph. Only a new group or an
+	// added or removed subgroup edge replaces it.
+	super []groupset
 }
 
 // Version returns the registry version this view was published as.
 // Versions start at 1 and advance by one per mutation.
 func (f *Frozen) Version() uint64 { return f.version }
-
-// DeltaBase returns the version this view was incrementally derived
-// from, or 0 if the membership closure was rebuilt from scratch.
-func (f *Frozen) DeltaBase() uint64 { return f.deltaBase }
 
 // Registry returns the registry this view was frozen from.
 func (f *Frozen) Registry() *Registry { return f.reg }
@@ -168,7 +187,9 @@ func (f *Frozen) Principals() []string {
 
 // Groups returns all group names, sorted.
 func (f *Frozen) Groups() []string {
-	return append([]string(nil), f.groupNames...)
+	out := slices.Clone(f.groupNames)
+	sort.Strings(out)
+	return out
 }
 
 // Members returns the direct members of a group: principal names and
@@ -195,11 +216,11 @@ func (f *Frozen) Members(groupName string) ([]string, error) {
 // IsMember's (subject, group) signature satisfies acl.Membership, so a
 // pinned Frozen can drive ACL evaluation directly.
 func (f *Frozen) IsMember(principalName, groupName string) bool {
-	idx, ok := f.groupIdx[groupName]
+	g, ok := f.groups[groupName]
 	if !ok {
 		return false
 	}
-	return f.groupsOf(principalName).has(idx)
+	return f.groupsOf(principalName).has(g.idx)
 }
 
 // PrincipalID returns the dense, append-only ID of the named principal.
@@ -224,11 +245,11 @@ func (f *Frozen) NumPrincipalIDs() int { return len(f.principals) }
 // p), nil for an unknown group. The returned words are shared with the
 // frozen view and must not be mutated.
 func (f *Frozen) GroupPrincipalIDs(group string) []uint64 {
-	idx, ok := f.groupIdx[group]
-	if !ok || idx >= len(f.groupMembers) {
+	g, ok := f.groups[group]
+	if !ok {
 		return nil
 	}
-	return f.groupMembers[idx]
+	return f.groupMembers[g.idx]
 }
 
 // row returns the row of the principal with dense ID id; the caller
@@ -250,7 +271,8 @@ func (f *Frozen) groupsOf(principalName string) groupset {
 // setRow installs p's row, cloning its chunk on the version's first
 // write to it (a chunk beyond prev's table is already fresh). The
 // caller has given f its own chunk directory.
-func (f *Frozen) setRow(prev *Frozen, p *Principal, groups groupset) {
+func (f *Frozen) setRow(prev *Frozen, row memberRow) {
+	p := row.p
 	c := p.id / rowChunkSize
 	for len(f.rows) <= c {
 		f.rows = append(f.rows, new(rowChunk))
@@ -259,7 +281,7 @@ func (f *Frozen) setRow(prev *Frozen, p *Principal, groups groupset) {
 		cp := *f.rows[c]
 		f.rows[c] = &cp
 	}
-	f.rows[c][p.id%rowChunkSize] = memberRow{p: p, groups: groups}
+	f.rows[c][p.id%rowChunkSize] = row
 }
 
 // PrincipalsFrom returns the principals with dense ID id and up, in ID
@@ -277,37 +299,27 @@ func (f *Frozen) PrincipalsFrom(id int) []*Principal {
 	return out
 }
 
-// ChangedGroups returns, in name order, the groups whose direct-member
-// lists differ from prev's, new groups included (every group when prev
-// is nil). Group records are copy-on-write, so an untouched group keeps
-// prev's record and costs one pointer comparison; a fresh record is
-// confirmed by comparing the lists, because a full freeze re-freezes
-// every record whether it changed or not.
+// ChangedGroups returns, in name order, the groups whose records
+// differ from prev's, new groups included (every group when prev is
+// nil). Group records are copy-on-write and a transition replaces only
+// the records whose member lists it changed, so each group costs one
+// pointer comparison.
 func (f *Frozen) ChangedGroups(prev *Frozen) []string {
 	var out []string
-	for _, name := range f.groupNames {
-		g := f.groups[name]
-		var pg *frozenGroup
-		if prev != nil {
-			pg = prev.groups[name]
+	for name, g := range f.groups {
+		if prev == nil || prev.groups[name] != g {
+			out = append(out, name)
 		}
-		if pg == g || pg != nil && slices.Equal(pg.principals, g.principals) && slices.Equal(pg.subgroups, g.subgroups) {
-			continue
-		}
-		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 
 // GroupsOf returns every group the principal transitively belongs to,
 // sorted.
 func (f *Frozen) GroupsOf(principalName string) []string {
-	set := f.groupsOf(principalName)
 	var out []string
-	for i, name := range f.groupNames {
-		if set.has(i) {
-			out = append(out, name)
-		}
-	}
-	return out // groupNames is sorted, so out is too
+	f.groupsOf(principalName).each(func(i int) { out = append(out, f.groupNames[i]) })
+	sort.Strings(out)
+	return out
 }

@@ -86,10 +86,10 @@ func TestPrincipalIDsDenseAndStable(t *testing.T) {
 }
 
 // TestGroupMembersMatchesClosure drives a randomized mutation sequence
-// (principals, groups, nested groups, adds, removes, bulk ops) with the
-// incremental freeze path on and asserts after every publication that
-// the reverse index exactly mirrors the transitive closure — and that a
-// full rebuild of the same builder state produces an equivalent index.
+// (principals, groups, nested groups, adds, removes, bulk ops) and
+// asserts after every publication that the reverse index exactly
+// mirrors the transitive closure, and that the closure equals the
+// naive one.
 func TestGroupMembersMatchesClosure(t *testing.T) {
 	reg, lat := newTestRegistry(t)
 	pub := lat.MustClass("others")
@@ -131,24 +131,6 @@ func TestGroupMembersMatchesClosure(t *testing.T) {
 		default:
 			reg.Touch()
 		}
-		checkReverseIndex(t, reg.Freeze())
-	}
-
-	// The final incremental chain must match a from-scratch rebuild.
-	inc := reg.Freeze()
-	reg.SetIncrementalFreeze(false)
-	reg.Touch()
-	full := reg.Freeze()
-	if full.DeltaBase() != 0 {
-		t.Fatal("expected a full rebuild")
-	}
-	for _, g := range full.Groups() {
-		iw, fw := inc.GroupPrincipalIDs(g), full.GroupPrincipalIDs(g)
-		for _, p := range full.Principals() {
-			id, _ := full.PrincipalID(p)
-			if idHas(iw, id) != idHas(fw, id) {
-				t.Fatalf("incremental and full reverse indexes disagree on (%s in %s)", p, g)
-			}
-		}
+		checkClosure(t, reg.Freeze(), fmt.Sprintf("step %d", step))
 	}
 }

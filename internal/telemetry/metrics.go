@@ -230,26 +230,20 @@ type FootprintStats struct {
 }
 
 // EpochTransition is one record of the name server's epoch-transition
-// journal: which shards a publication carried, whether the freezes and
-// the read-side compilation were incremental, and what the publish
-// cost. Records are immutable once journaled.
+// journal: which shards a publication carried, the versions of the
+// frozen shards it holds, whether the read-side compilation was
+// incremental, and what the publish cost. Records are immutable once
+// journaled.
 type EpochTransition struct {
 	Version uint64    `json:"version"` // version the publication landed in
 	Time    time.Time `json:"time"`    // wall-clock publish time
 	Shards  []string  `json:"shards"`  // shard kinds the publication moved
 
-	// Frozen-shard provenance: version and delta base of the lattice
-	// and registry snapshots the epoch carries. DeltaBase == 0 means
-	// the freeze was a full rebuild; nonzero names the version the
-	// incremental freeze derived from. Registry fields are zero when
-	// no registry is attached.
-	LatticeVersion    uint64 `json:"lattice_version"`
-	LatticeDeltaBase  uint64 `json:"lattice_delta_base"`
-	RegistryVersion   uint64 `json:"registry_version"`
-	RegistryDeltaBase uint64 `json:"registry_delta_base"`
-	// IncrementalFreeze reports whether the registry freeze for this
-	// epoch was derived incrementally from a prior frozen snapshot.
-	IncrementalFreeze bool `json:"incremental_freeze"`
+	// Frozen-shard provenance: versions of the lattice and registry
+	// snapshots the epoch carries. RegistryVersion is zero when no
+	// registry is attached.
+	LatticeVersion  uint64 `json:"lattice_version"`
+	RegistryVersion uint64 `json:"registry_version"`
 
 	// Compile provenance: the build kind of the epoch's compiled read
 	// side ("full", "incremental", "reused", or "none" when compiled
@@ -279,11 +273,7 @@ func (e EpochTransition) String() string {
 	fmt.Fprintf(&b, "epoch v%d %s shards=%s",
 		e.Version, e.Time.Format(time.RFC3339Nano), strings.Join(e.Shards, "+"))
 	if e.RegistryVersion != 0 {
-		freeze := "full"
-		if e.IncrementalFreeze {
-			freeze = fmt.Sprintf("incremental(from v%d)", e.RegistryDeltaBase)
-		}
-		fmt.Fprintf(&b, " registry=v%d freeze=%s", e.RegistryVersion, freeze)
+		fmt.Fprintf(&b, " registry=v%d", e.RegistryVersion)
 	}
 	if e.LatticeVersion != 0 {
 		fmt.Fprintf(&b, " lattice=v%d", e.LatticeVersion)

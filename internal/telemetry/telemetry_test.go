@@ -501,8 +501,8 @@ func TestTraceEpochRendering(t *testing.T) {
 }
 
 // TestEpochTransitionString covers the render variants: registry
-// provenance with full vs incremental freeze, compile cost shown for
-// real builds and suppressed for reuse, registry-less records.
+// provenance, compile cost shown for real builds and suppressed for
+// reuse, registry-less records.
 func TestEpochTransitionString(t *testing.T) {
 	base := EpochTransition{
 		Version: 12, Time: time.Unix(0, 0).UTC(), Shards: []string{"names", "registry"},
@@ -512,18 +512,17 @@ func TestEpochTransitionString(t *testing.T) {
 	s := base.String()
 	for _, want := range []string{
 		"epoch v12", "shards=names+registry",
-		"registry=v4 freeze=full", "compile=incremental(1.5µs)", "publish=42µs",
+		"registry=v4 compile=incremental(1.5µs)", "publish=42µs",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("render %q missing %q", s, want)
 		}
 	}
 
-	incr := base
-	incr.IncrementalFreeze = true
-	incr.RegistryDeltaBase = 3
-	if s := incr.String(); !strings.Contains(s, "freeze=incremental(from v3)") {
-		t.Errorf("incremental render = %q", s)
+	reused := base
+	reused.Compile = "reused"
+	if s := reused.String(); !strings.Contains(s, "compile=reused publish=") {
+		t.Errorf("reused render = %q", s)
 	}
 
 	bare := EpochTransition{Version: 2, Shards: []string{"names"}, Compile: "none"}
