@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke check cover bench-module bench-smoke bench bench-scale bench-epoch bench-churn bench-resolve bench-explain bench-replica bench-load tables
+.PHONY: all build vet test race fuzz-smoke check cover bench-module bench-smoke bench bench-churn bench-resolve bench-explain bench-replica bench-load tables
 
 all: check
 
@@ -168,17 +168,6 @@ bench-smoke:
 # bench runs the full benchmark suite with allocation stats (slow).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# bench-scale runs the E14 read-scaling experiment alone and writes
-# BENCH_E14.json (snapshot tree vs RWMutex shim at 1..8 goroutines).
-bench-scale:
-	$(GO) run ./cmd/benchtab -json . E14
-
-# bench-epoch runs the E15 policy-epoch experiment alone and writes
-# BENCH_E15.json (frozen vs locked decision reads, mutation-publish
-# cost, warm cached path).
-bench-epoch:
-	$(GO) run ./cmd/benchtab -json . E15
 
 # bench-churn runs the E16 write-path-scaling experiment alone and
 # writes BENCH_E16.json (64-edit vs per-edit Apply bulk churn,

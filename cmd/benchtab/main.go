@@ -1,6 +1,7 @@
 // Command benchtab regenerates every table in EXPERIMENTS.md: the
 // scenario reproductions S1-S3 (the paper's qualitative walk-throughs,
-// with asserted outcomes) and the quantitative characterizations E1-E14.
+// with asserted outcomes), the quantitative characterizations E1-E20 and
+// the ablations A1-A3.
 //
 // Usage:
 //
@@ -8,7 +9,8 @@
 //	benchtab S1 E7 E12       # run selected experiments
 //	benchtab -json . E11     # also write BENCH_E11.json with the rows
 //
-// Only the selected experiments run; an unknown ID selects nothing.
+// Only the selected experiments run. An unknown ID prints the usage and
+// exits 2 before anything runs.
 // With -json DIR, each experiment additionally writes its structured
 // rows to DIR/BENCH_<ID>.json for machine consumption (plots, CI
 // regression tracking of the parallel and contention tables).
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"secext/internal/experiments"
@@ -51,18 +54,29 @@ func writeJSON(dir string, r experiments.Result) error {
 
 func main() {
 	jsonDir := flag.String("json", "", "directory to write BENCH_<ID>.json files with structured rows")
+	runners := experiments.Runners()
+	ids := make([]string, len(runners))
+	for i, r := range runners {
+		ids[i] = r.ID
+	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchtab [-json DIR] [S1 S2 S3 E1 ... E14]\n")
+		fmt.Fprintf(os.Stderr, "usage: benchtab [-json DIR] [ID ...]\nIDs: %s\n", strings.Join(ids, " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	want := map[string]bool{}
 	for _, a := range flag.Args() {
-		want[strings.ToUpper(a)] = true
+		id := strings.ToUpper(a)
+		if !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q\n", a)
+			flag.Usage()
+			os.Exit(2)
+		}
+		want[id] = true
 	}
 
 	failed := 0
-	for _, runner := range experiments.Runners() {
+	for _, runner := range runners {
 		if len(want) > 0 && !want[runner.ID] {
 			continue
 		}

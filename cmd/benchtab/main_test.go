@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -86,12 +87,21 @@ func TestJSONEmission(t *testing.T) {
 	}
 }
 
+// TestUnknownSelectionRunsNothing checks that an ID with no experiment,
+// including a retired one, is a usage error: nothing runs, the usage
+// names the valid IDs, and the exit status is 2.
 func TestUnknownSelectionRunsNothing(t *testing.T) {
-	out, err := exec.Command(binPath, "Z9").CombinedOutput()
-	if err != nil {
-		t.Fatalf("benchtab Z9: %v\n%s", err, out)
-	}
-	if strings.Contains(string(out), "== ") {
-		t.Errorf("unknown id must select nothing:\n%s", out)
+	for _, args := range [][]string{{"Z9"}, {"E14"}, {"S1", "E99"}} {
+		out, err := exec.Command(binPath, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("benchtab %v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		if strings.Contains(string(out), "== ") {
+			t.Errorf("benchtab %v: unknown id must select nothing:\n%s", args, out)
+		}
+		if !strings.Contains(string(out), "usage: benchtab") || !strings.Contains(string(out), "E16") {
+			t.Errorf("benchtab %v: usage with the valid IDs missing:\n%s", args, out)
+		}
 	}
 }

@@ -54,8 +54,7 @@ func churnWorld() (*secext.World, *secext.Context, []string, error) {
 }
 
 // E16 prices write-path scaling under sustained policy churn:
-// multi-edit Registry.Apply against per-edit Apply calls and the
-// pre-epoch locked map.
+// multi-edit Registry.Apply against per-edit Apply calls.
 //
 // The single-mutation row prices one add+remove pair: each Apply
 // derives its registry version from the last, recomputing only the
@@ -140,22 +139,6 @@ func E16() Result {
 	t.add("64-member add+remove", "per-edit Apply (128 publishes)", ns(perEdit), ratio(perEdit, bulk))
 	t.add("64-member add+remove", "64-edit Apply (2 publishes)", ns(bulk), "1.0x")
 
-	// Pre-epoch baseline: the same 128 edits against a locked map with
-	// no freeze and no publication — the floor the 64-edit Apply is
-	// bought against.
-	walk := &lockedMembership{up: map[string][]string{}}
-	locked := measure(defaultMinDur, func(n int) {
-		for i := 0; i < n; i++ {
-			for _, m := range members {
-				walk.add(m, "churn")
-			}
-			for _, m := range members {
-				walk.remove(m, "churn")
-			}
-		}
-	})
-	t.add("64-member add+remove", "locked map (no publish)", ns(locked), ratio(locked, bulk))
-
 	// Sustained churn: mutators add/remove while readers hammer the warm
 	// cached check. Reported as per-mutation latency; the publish-latency
 	// row below comes from the publisher's histogram over this whole
@@ -226,7 +209,7 @@ func E16() Result {
 	}
 
 	// Quiescent warm check: churn over, the read path must sit back in
-	// the E11/E13/E15 warm band.
+	// the E11/E13/E17 warm band.
 	warmFn := func(n int) {
 		for i := 0; i < n; i++ {
 			if _, err := w.Sys.CheckData(ctx, "/fs/churn", secext.Read); err != nil {

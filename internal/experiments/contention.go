@@ -67,7 +67,7 @@ func checkWorld(disableCache bool) (*secext.World, *secext.Context, error) {
 // workloads run the same mediated data check at 1, 4, and 16 goroutines:
 //
 //   - uncached: the cache is disabled; every check resolves the path and
-//     evaluates DAC+MAC under the name-server lock (the pre-cache cost).
+//     evaluates DAC+MAC against the pinned epoch (the pre-cache cost).
 //   - cold: every check is preceded by a generation bump, so the cache
 //     never hits — the fast path's worst case, measuring lookup+store
 //     overhead on top of full mediation.
@@ -79,8 +79,9 @@ func checkWorld(disableCache bool) (*secext.World, *secext.Context, error) {
 //     so correctness costs throughput, never staleness.
 //
 // The speedup column is relative to the uncached workload at the same
-// goroutine count; warm speedup should grow with contention because hits
-// take no locks while the uncached path serializes on the name server.
+// goroutine count. Neither path takes a lock (an uncached check pins the
+// epoch with one atomic load), so the speedup prices the work a hit
+// skips and should hold steady as goroutines are added.
 func E11() Result {
 	res := Result{ID: "E11", Title: "Decision-cache contention: uncached/cold/warm/storm mediated checks"}
 	t := &table{header: []string{"workload", "goroutines", "ns/op", "speedup vs uncached"}}

@@ -37,9 +37,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	ew.printf("# HELP secext_epoch_version Version of the currently published policy epoch (name tree + lattice + registry + guard stack).\n")
 	ew.printf("# TYPE secext_epoch_version gauge\n")
 	ew.printf("secext_epoch_version %d\n", s.Names.Version)
-	ew.printf("# HELP secext_names_snapshot_version Version of the currently published name-space snapshot (alias of secext_epoch_version).\n")
-	ew.printf("# TYPE secext_names_snapshot_version gauge\n")
-	ew.printf("secext_names_snapshot_version %d\n", s.Names.Version)
 	ew.printf("# HELP secext_names_publishes_total Policy epochs published since boot.\n")
 	ew.printf("# TYPE secext_names_publishes_total counter\n")
 	ew.printf("secext_names_publishes_total %d\n", s.Names.Publishes)
