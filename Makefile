@@ -25,16 +25,19 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
 
-# fuzz-smoke runs three fuzzers for a few seconds each: the concurrent
+# fuzz-smoke runs four fuzzers for a few seconds each: the concurrent
 # epoch transition fuzzer (consistency, compiled view against a full
 # compile), the delta codec fuzzer (a mirror replaying deltas equals the
-# primary), and the registry Apply fuzzer (closure against a naive walk,
-# atomic failures, copy-on-write sharing). Their seed corpora run in
-# every `go test`; this explores beyond them.
+# primary), the registry Apply fuzzer (closure against a naive walk,
+# atomic failures, copy-on-write sharing), and the persistent map
+# fuzzer (the trie against a Go map, earlier versions unchanged, no
+# build writing a node it did not allocate, untouched subtrees shared).
+# Their seed corpora run in every `go test`; this explores beyond them.
 fuzz-smoke:
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochTransitions -fuzztime 10s
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochDeltaCodec -fuzztime 10s
 	$(GO) test ./internal/principal -run '^$$' -fuzz FuzzRegistryApply -fuzztime 10s
+	$(GO) test ./internal/hamt -run '^$$' -fuzz FuzzPersistentMap -fuzztime 10s
 
 # check is the full local gate: build, vet, the complete test suite
 # under the race detector, a short run of the epoch fuzzers, the nested
@@ -47,7 +50,7 @@ bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test .
 
-# cover runs the monitor, telemetry, names, lattice, and principal
+# cover runs the monitor, telemetry, names, hamt, lattice, and principal
 # packages' tests with coverage and enforces per-tree floors: the policy
 # layer is the code whose regressions are security bugs, the telemetry
 # layer is what makes such regressions observable in production, the
@@ -66,10 +69,10 @@ BATCH_COVER_FLOOR := 85.0
 # its own floor so the package average cannot hide an untested edit
 # kind or failure branch.
 APPLY_COVER_FLOOR := 85.0
-# The copy-on-write path index is what every compiled resolve probes
-# and every incremental build clones shards of; its file keeps its own
-# floor for the same reason.
-PATHINDEX_COVER_FLOOR := 85.0
+# The persistent trie (internal/hamt) is what every compiled resolve
+# probes, every incremental build path-copies and every principal
+# lookup reads; its package keeps its own floor.
+HAMT_COVER_FLOOR := 85.0
 # Compiled epochs are new read-path machinery: the freeze-time index
 # and the ACL-summary bitsets each keep a per-file floor for the same
 # reason.
@@ -111,10 +114,6 @@ cover:
 	echo "internal/names/apply.go coverage: $$apply% (floor $(APPLY_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$apply >= $(APPLY_COVER_FLOOR))}" || \
 		{ echo "Apply coverage below floor"; exit 1; }
-	@pathindex=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/pathindex\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
-	echo "internal/names/pathindex.go coverage: $$pathindex% (floor $(PATHINDEX_COVER_FLOOR)%)"; \
-	awk "BEGIN {exit !($$pathindex >= $(PATHINDEX_COVER_FLOOR))}" || \
-		{ echo "path-index coverage below floor"; exit 1; }
 	@compiled=$$($(GO) tool cover -func=cover-names.out | awk '/internal\/names\/compiled\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
 	echo "internal/names/compiled.go coverage: $$compiled% (floor $(COMPILED_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$compiled >= $(COMPILED_COVER_FLOOR))}" || \
@@ -125,6 +124,11 @@ cover:
 		awk "BEGIN {exit !($$avg >= $(LAYOUT_COVER_FLOOR))}" || \
 			{ echo "compact-layout coverage below floor"; exit 1; }; \
 	done
+	$(GO) test -coverprofile=cover-hamt.out ./internal/hamt/
+	@total=$$($(GO) tool cover -func=cover-hamt.out | awk '/^total:/ {gsub(/%/,"",$$3); print $$3}'); \
+	echo "internal/hamt coverage: $$total% (floor $(HAMT_COVER_FLOOR)%)"; \
+	awk "BEGIN {exit !($$total >= $(HAMT_COVER_FLOOR))}" || \
+		{ echo "persistent-map coverage below floor"; exit 1; }
 	$(GO) test -coverprofile=cover-acl.out ./internal/acl/
 	@summary=$$($(GO) tool cover -func=cover-acl.out | awk '/internal\/acl\/summary\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
 	echo "internal/acl/summary.go coverage: $$summary% (floor $(SUMMARY_COVER_FLOOR)%)"; \

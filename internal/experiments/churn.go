@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"secext"
+	"secext/internal/lattice"
 	"secext/internal/load"
 	"secext/internal/names"
 	"secext/internal/principal"
@@ -234,16 +236,19 @@ func E16() Result {
 	return res
 }
 
-// e16AtScale prices one registry transition at secbench's check-allow
+// e16AtScale prices one transition at secbench's check-allow
 // population: 100k nodes, 10k principals, 312 groups, a 1,562-ACL pool
 // that names every group. A membership toggle is one Registry.Apply
 // adding (or removing) a principal to a group it is not in, timed from
 // the call until the epoch carrying it is published (p50 and p99 over
 // 400 calls); its replication delta is DiffEpochs between the two
-// epochs. A new principal is one Registry.Apply registering a principal
-// no ACL names, a new group one registering a group no ACL names, and
-// a subgroup edge one nesting a populated group in another or undoing
-// that (median of 20 each, 40 for edges).
+// epochs. A leaf ACL edit is one names.Apply setting a pool ACL on a
+// leaf (see leafEdits; p50 and p99 over 3,000 calls). A new principal
+// is one Registry.Apply registering a principal no ACL names, a new
+// group one registering a group no ACL names, and a subgroup edge one
+// nesting a populated group in another or undoing that (median of 20
+// each, 40 for edges). Last, the registry grows to 10^5 principals in
+// one Apply and a new principal is priced there (median of 20).
 func e16AtScale(t *table) error {
 	w, _, err := telWorld(telemetry.ModeOff, false)
 	if err != nil {
@@ -256,11 +261,6 @@ func e16AtScale(t *table) error {
 		return err
 	}
 	reg, srv := w.Sys.Registry(), w.Sys.Names()
-	pct := func(ds []time.Duration, q float64) float64 {
-		s := slices.Clone(ds)
-		slices.Sort(s)
-		return float64(s[int(q*float64(len(s)-1))].Nanoseconds())
-	}
 	runtime.GC()
 	var toggles, diffs []time.Duration
 	for i := 0; i < 200; i++ {
@@ -280,6 +280,10 @@ func e16AtScale(t *table) error {
 		}
 	}
 	bottom, err := w.Sys.Lattice().Bottom()
+	if err != nil {
+		return err
+	}
+	edits, err := leafEdits(srv, plan, bottom, 3000)
 	if err != nil {
 		return err
 	}
@@ -307,6 +311,8 @@ func e16AtScale(t *table) error {
 		fmt.Sprintf("%s / %s", ns(pct(toggles, 0.5)), ns(pct(toggles, 0.99))), fmt.Sprintf("%d calls", len(toggles)))
 	t.add("toggle delta", "DiffEpochs, "+scale,
 		fmt.Sprintf("%s / %s", ns(pct(diffs, 0.5)), ns(pct(diffs, 0.99))), fmt.Sprintf("%d deltas", len(diffs)))
+	t.add("leaf ACL edit", "names.Apply, "+scale,
+		fmt.Sprintf("%s / %s", ns(pct(edits, 0.5)), ns(pct(edits, 0.99))), fmt.Sprintf("%d calls", len(edits)))
 	for _, row := range []struct {
 		op string
 		ds []time.Duration
@@ -314,5 +320,58 @@ func e16AtScale(t *table) error {
 		t.add(row.op, "Registry.Apply, check-allow scale, p50",
 			ns(pct(row.ds, 0.5)), fmt.Sprintf("%d calls", len(row.ds)))
 	}
+	const grown = 100_000
+	var grow []principal.Edit
+	for i := reg.Freeze().NumPrincipalIDs(); i < grown; i++ {
+		grow = append(grow, principal.AddPrincipal(fmt.Sprintf("bulk%06d", i), bottom))
+	}
+	if _, err := reg.Apply(grow...); err != nil {
+		return err
+	}
+	adds, err = newPrincipals(reg, bottom, "grown", 20)
+	if err != nil {
+		return err
+	}
+	t.add("new principal", "Registry.Apply, 10^5 principals, p50",
+		ns(pct(adds, 0.5)), fmt.Sprintf("%d calls", len(adds)))
 	return nil
+}
+
+// pct returns the q-quantile of ds in nanoseconds.
+func pct(ds []time.Duration, q float64) float64 {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return float64(s[int(q*float64(len(s)-1))].Nanoseconds())
+}
+
+// leafEdits times n unchecked names.Apply calls, each setting a pool
+// ACL on a leaf of p, both drawn by a generator seeded with p's seed,
+// from the call until the epoch carrying the edit is published.
+func leafEdits(srv *names.Server, p load.Plan, class lattice.Class, n int) ([]time.Duration, error) {
+	rng := rand.New(rand.NewSource(p.Seed))
+	ds := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		e := names.SetACL(p.LeafPath(rng.Intn(p.Leaves)), p.ACLPoolEntry(rng.Intn(p.ACLPool)))
+		t0 := time.Now()
+		if _, err := srv.Apply(nil, class, e); err != nil {
+			return nil, err
+		}
+		ds = append(ds, time.Since(t0))
+	}
+	return ds, nil
+}
+
+// newPrincipals times n Registry.Apply calls, each registering a new
+// principal no ACL names, named prefix0, prefix1, ...
+func newPrincipals(reg *principal.Registry, class lattice.Class, prefix string, n int) ([]time.Duration, error) {
+	ds := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		e := principal.AddPrincipal(fmt.Sprintf("%s%d", prefix, i), class)
+		t0 := time.Now()
+		if _, err := reg.Apply(e); err != nil {
+			return nil, err
+		}
+		ds = append(ds, time.Since(t0))
+	}
+	return ds, nil
 }

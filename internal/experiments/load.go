@@ -185,6 +185,23 @@ func E20() Result {
 		}
 	})
 
+	// Write side at this scale: leaf ACL edits, then new principals.
+	wbottom, err := w.Sys.Lattice().Bottom()
+	if err != nil {
+		res.Err = fmt.Errorf("E20: bottom: %w", err)
+		return res
+	}
+	edits, err := leafEdits(w.Sys.Names(), p, wbottom, 1000)
+	if err != nil {
+		res.Err = fmt.Errorf("E20: leaf edits: %w", err)
+		return res
+	}
+	adds, err := newPrincipals(w.Sys.Registry(), wbottom, "late", 20)
+	if err != nil {
+		res.Err = fmt.Errorf("E20: new principals: %w", err)
+		return res
+	}
+
 	// Remote zipf traffic over the real line protocol on loopback.
 	srv := remote.NewServer(w.Sys)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -218,6 +235,7 @@ func E20() Result {
 		"map B/node", "slice B/node", "reduction",
 		"accounted B/node", "acl dedupe",
 		"warm check", "remote p50", "p95", "p99", "ops/s",
+		"leaf edit p50 / p99", "new principal p50",
 	}}
 	t.add(
 		fmt.Sprintf("%d", p.TotalNodes),
@@ -234,6 +252,8 @@ func E20() Result {
 		ns(float64(tr.P95.Nanoseconds())),
 		ns(float64(tr.P99.Nanoseconds())),
 		fmt.Sprintf("%.0f", tr.Achieved),
+		fmt.Sprintf("%s / %s", ns(pct(edits, 0.5)), ns(pct(edits, 0.99))),
+		ns(pct(adds, 0.5)),
 	)
 	res.setTable(t)
 	return res

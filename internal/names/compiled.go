@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"secext/internal/acl"
+	"secext/internal/hamt"
 	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/monitor/dacguard"
@@ -22,9 +23,10 @@ import (
 // at read time. This file compiles three read-side structures into
 // every published epoch (when a registry is attached):
 //
-//   - a path→entry hash index over the whole tree (sharded for
-//     copy-on-write, see pathindex.go), so resolution is one hash and
-//     one map probe instead of a per-component spine walk;
+//   - a path→entry index over the whole tree, a persistent hash trie
+//     (internal/hamt) keyed by each entry's node path, so resolution
+//     is one hash and one trie probe instead of a per-component spine
+//     walk;
 //   - per-ACL effective summaries (allow/deny bitsets over dense
 //     principal IDs, group entries flattened through the frozen
 //     registry's transitive-membership bitsets) plus a per-node
@@ -46,8 +48,8 @@ import (
 // exist to rule out.
 //
 // Builds are incremental and pay for what changed. A build starts from
-// the parent's copy-on-write path index (pathindex.go) and clones only
-// the shards it writes; it prunes every subtree whose root pointer and
+// the parent's index and copies only the trie nodes on the paths of the
+// entries it writes; it prunes every subtree whose root pointer and
 // visibility context are unchanged, and recompiles only what moved.
 // Summaries are kept per distinct canonical ACL, not per node: an
 // ACL's slot holds its one summary (and, once an interior node needs
@@ -97,12 +99,23 @@ type centry struct {
 	hasVis bool
 }
 
-// aclSlot is the per-ACL state a summary slot carries across builds.
+// indexed is one slot of the path index: an entry and its key, its
+// node's canonical path. The index compares the key on every probe;
+// kept beside the pointer, it is read in the load that finds the slot,
+// and the entry and the key's bytes then load side by side. Reading it
+// through the entry's node would chain two more cache misses before
+// the compare.
+type indexed struct {
+	path string
+	*centry
+}
+
+func indexKey(x *indexed) string { return x.path }
+
+// aclSlot is the per-ACL state a summary slot carries across builds,
+// apart from its reference count.
 type aclSlot struct {
 	acl *acl.ACL // nil: a free slot
-	// refs counts the index entries judged by this slot; a build that
-	// drops it to zero frees the slot.
-	refs int32
 	// eff is the summary's effective List set over the view's ID space,
 	// computed the first time an interior node uses the slot (effOK).
 	// A registry transition that changes it falls back to the walk,
@@ -117,11 +130,18 @@ type aclSlot struct {
 }
 
 // slotTable maps canonical ACLs to summary slots. It is immutable once
-// published; a build copies what it changes.
+// published; a build copies what it changes. The reference counts are
+// kept apart from the slots: every build that moves an entry between
+// slots writes them, and an array of int32 copies without a write
+// barrier, while the slots change only when an ACL gains or loses its
+// slot or its effective List set.
 type slotTable struct {
 	ids   map[*acl.ACL]int32
 	slots []aclSlot
-	free  []int32
+	// refs counts the index entries judged by each slot; a build that
+	// drops one to zero frees the slot.
+	refs []int32
+	free []int32
 }
 
 // retainedMem caches the lazily computed retained-bytes accounting of
@@ -136,7 +156,7 @@ type retainedMem struct {
 // compiled is the read-side compilation of one epoch. It is immutable
 // after the publication that built it.
 type compiled struct {
-	index *pathIndex
+	index hamt.Map[indexed]
 	// sums holds each slot's summary compiled against this epoch's
 	// registry (nil for a free slot).
 	sums []*acl.Summary
@@ -163,7 +183,7 @@ func (c *compiled) sensitiveEntries() int {
 	n := 0
 	for i, s := range c.sums {
 		if s != nil && s.RegSensitive() {
-			n += int(c.tab.slots[i].refs)
+			n += int(c.tab.refs[i])
 		}
 	}
 	return n
@@ -233,16 +253,17 @@ type compileBuilder struct {
 	regInvalid bool
 	n          int
 	dom        *lattice.DominanceBuilder
-	idx        *indexBuilder
+	idx        *hamt.Builder[indexed]
 
-	// sums and tab are copies of the parent's (O(distinct ACLs)); the
-	// ACL→slot map is copied on first write (ownIDs).
-	sums         []*acl.Summary
-	tab          slotTable
-	idsOwn       bool
-	zeroed       []int32 // slots whose refs reached zero
-	compiles     int
-	sumNs, visNs int64
+	// sums and tab start as the parent's. The reference counts are
+	// copied up front; the summaries, the slots and the ACL→slot map
+	// are copied on first write (ownSums, ownSlots, ownIDs).
+	sums                     []*acl.Summary
+	tab                      slotTable
+	idsOwn, sumsOwn, slotOwn bool
+	zeroed                   []int32 // slots whose refs reached zero
+	compiles                 int
+	sumNs, visNs             int64
 
 	// andCache memoizes the visibility-chain AND by the identity of its
 	// two operands, so equal chains collapse to one allocation.
@@ -254,14 +275,15 @@ type compileBuilder struct {
 func newCompileBuilder(st *Epoch, prev *compiled, n int) *compileBuilder {
 	b := &compileBuilder{st: st, n: n}
 	if prev == nil {
-		b.tab.ids, b.idsOwn = make(map[*acl.ACL]int32), true
+		b.tab.ids, b.idsOwn, b.sumsOwn, b.slotOwn = make(map[*acl.ACL]int32), true, true, true
 		return b
 	}
-	b.sums = append([]*acl.Summary(nil), prev.sums...)
+	b.sums = prev.sums
 	b.tab = slotTable{
 		ids:   prev.tab.ids,
-		slots: append([]aclSlot(nil), prev.tab.slots...),
-		free:  append([]int32(nil), prev.tab.free...),
+		slots: prev.tab.slots,
+		refs:  slices.Clone(prev.tab.refs),
+		free:  slices.Clip(prev.tab.free),
 	}
 	return b
 }
@@ -270,6 +292,20 @@ func (b *compileBuilder) ownIDs() {
 	if !b.idsOwn {
 		b.tab.ids = maps.Clone(b.tab.ids)
 		b.idsOwn = true
+	}
+}
+
+func (b *compileBuilder) ownSums() {
+	if !b.sumsOwn {
+		b.sums = slices.Clone(b.sums)
+		b.sumsOwn = true
+	}
+}
+
+func (b *compileBuilder) ownSlots() {
+	if !b.slotOwn {
+		b.tab.slots = slices.Clone(b.tab.slots)
+		b.slotOwn = true
 	}
 }
 
@@ -290,12 +326,15 @@ func (b *compileBuilder) slotOf(a *acl.ACL) int32 {
 		return i
 	}
 	b.ownIDs()
+	b.ownSlots()
+	b.ownSums()
 	var i int32
 	if k := len(b.tab.free); k > 0 {
 		i, b.tab.free = b.tab.free[k-1], b.tab.free[:k-1]
 	} else {
 		i = int32(len(b.tab.slots))
 		b.tab.slots = append(b.tab.slots, aclSlot{})
+		b.tab.refs = append(b.tab.refs, 0)
 		b.sums = append(b.sums, nil)
 	}
 	b.tab.slots[i] = aclSlot{acl: a, groups: aclGroups(a)}
@@ -312,6 +351,7 @@ func (b *compileBuilder) effOf(i int32) acl.IDSet {
 	t0 := time.Now()
 	eff := b.sums[i].EffectiveIDs(acl.List, b.n)
 	b.visNs += time.Since(t0).Nanoseconds()
+	b.ownSlots()
 	b.tab.slots[i].eff, b.tab.slots[i].effOK = eff, true
 	return eff
 }
@@ -352,35 +392,37 @@ func (b *compileBuilder) recompileMoved(prev *principal.Frozen, nChanged bool) {
 		if sl.acl == nil || !(grew && b.sums[i].Unresolved()) && !slices.ContainsFunc(sl.groups, rowMoved) {
 			continue
 		}
+		b.ownSums()
 		b.sums[i] = b.compile(sl.acl)
 		if sl.effOK && !nChanged {
 			t0 := time.Now()
 			eff := b.sums[i].EffectiveIDs(acl.List, b.n)
 			b.visNs += time.Since(t0).Nanoseconds()
 			if !eff.Equal(sl.eff) {
-				sl.eff = eff
+				b.ownSlots()
+				b.tab.slots[i].eff = eff
 				b.regInvalid = true
 			}
 		}
 	}
 }
 
-// put binds path to e in place of cur (nil: the path was unbound),
-// moving one reference between their slots.
-func (b *compileBuilder) put(path string, e, cur *centry) {
+// put binds e at its node's path in place of cur (nil: the path was
+// unbound), moving one reference between their slots.
+func (b *compileBuilder) put(e, cur *centry) {
 	if cur == nil || cur.slot != e.slot {
-		b.tab.slots[e.slot].refs++
+		b.tab.refs[e.slot]++
 		if cur != nil {
 			b.release(cur.slot)
 		}
 	}
-	b.idx.set(path, e)
+	b.idx.Put(indexed{e.node.path, e})
 }
 
 // release drops one reference to slot i; build frees it if no entry
 // took it up again.
 func (b *compileBuilder) release(i int32) {
-	if b.tab.slots[i].refs--; b.tab.slots[i].refs == 0 {
+	if b.tab.refs[i]--; b.tab.refs[i] == 0 {
 		b.zeroed = append(b.zeroed, i)
 	}
 }
@@ -423,12 +465,15 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 	if old == node && !visChanged && !b.regInvalid {
 		// The whole subtree is shared with the parent epoch and every
 		// compiled entry under it is still valid: the parent's index
-		// shards already carry them.
+		// already carries them.
 		return
 	}
 	// Only this walk writes node.path, so the entry there is still the
 	// parent's; it describes old if old kept its path.
-	cur, _ := b.idx.get(node.path)
+	var cur *centry
+	if x, ok := b.idx.Get(node.path); ok {
+		cur = x.centry
+	}
 	var oldE *centry
 	if cur != nil && old != nil && cur.node == old {
 		oldE = cur
@@ -450,7 +495,7 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 
 	// An entry identical to the parent's (same node, slot, List set and
 	// context — a subtree a regInvalid walk must visit but that did not
-	// move) is kept, so its index shard stays shared.
+	// move) is kept, so its index nodes stay shared.
 	if oldE == nil || oldE.node != node || oldE.slot != slot || !sameIDSet(effList, oldE.effList) ||
 		visChanged || vis.has != oldE.hasVis {
 		e := &centry{
@@ -471,7 +516,7 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 				e.visIdx = int32(b.dom.Add(vis.cls))
 			}
 		}
-		b.put(node.path, e, cur)
+		b.put(e, cur)
 	}
 
 	var kids []childRef
@@ -520,9 +565,9 @@ func sameIDSet(a, b acl.IDSet) bool {
 // longer bound at its old paths (unbind, or the detach side of a
 // rename — the re-key of the incremental contract).
 func (b *compileBuilder) deleteSubtree(n *Node) {
-	if e, ok := b.idx.get(n.path); ok && e.node == n {
+	if e, ok := b.idx.Get(n.path); ok && e.node == n {
 		b.release(e.slot)
-		b.idx.del(n.path)
+		b.idx.Delete(n.path)
 	}
 	for _, cr := range n.children {
 		b.deleteSubtree(cr.node)
@@ -533,16 +578,18 @@ func (b *compileBuilder) deleteSubtree(n *Node) {
 // full build), on top of prev's index and dominance table, frees the
 // slots no entry uses any more, and assembles the view.
 func (b *compileBuilder) build(old *Node, prev *compiled) *compiled {
-	var index *pathIndex
+	index := hamt.New(indexKey)
 	var dom *lattice.Dominance
 	if prev != nil {
 		index, dom = prev.index, prev.dom
 	}
-	b.idx, b.dom = newIndexBuilder(index), lattice.BuilderFrom(dom)
+	b.idx, b.dom = index.Edit(), lattice.BuilderFrom(dom)
 	b.walk(b.st.root, old, visCtx{}, false)
 	for _, i := range b.zeroed {
-		if sl := b.tab.slots[i]; sl.refs == 0 && sl.acl != nil {
+		if sl := b.tab.slots[i]; b.tab.refs[i] == 0 && sl.acl != nil {
 			b.ownIDs()
+			b.ownSlots()
+			b.ownSums()
 			delete(b.tab.ids, sl.acl)
 			b.tab.slots[i] = aclSlot{}
 			b.sums[i] = nil
@@ -551,7 +598,7 @@ func (b *compileBuilder) build(old *Node, prev *compiled) *compiled {
 	}
 	tab := b.tab
 	return &compiled{
-		index: b.idx.finish(), sums: b.sums, tab: &tab,
+		index: b.idx.Map(), sums: b.sums, tab: &tab,
 		dom: b.dom.Build(), fast: fastStack(b.st.stack), n: b.n,
 		ret: &retainedMem{},
 	}
@@ -582,6 +629,7 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	if nChanged {
 		// Every materialized bitset covers the old ID range.
 		b.regInvalid = true
+		b.ownSlots()
 		for i := range b.tab.slots {
 			b.tab.slots[i].eff, b.tab.slots[i].effOK = nil, false
 		}
@@ -627,11 +675,12 @@ func (ep *Epoch) fastCheck(sub acl.Subject, class lattice.Class, path string, mo
 	if c == nil || !c.fast || sub == nil {
 		return nil, false
 	}
-	e, ok := c.index.get(path)
-	if !ok {
+	x := c.index.Ref(path)
+	if x == nil {
 		return nil, false
 	}
-	pid, ok := ep.reg.PrincipalID(sub.SubjectName())
+	e := x.centry
+	pid, ok := ep.subjectID(sub)
 	if !ok {
 		return nil, false
 	}
@@ -665,6 +714,28 @@ func (ep *Epoch) fastCheck(sub acl.Subject, class lattice.Class, path string, mo
 	return e.node, true
 }
 
+// subjectID returns sub's dense principal ID in this epoch's registry.
+// A subject that carries its principal (a *principal.Principal, or a
+// context acting for one) is confirmed by pointer against the
+// registry's row for that ID, so the check hashes no name. Any other
+// subject, and a principal the registry did not register (a replica's
+// principal checked on the primary), is looked up by name.
+func (ep *Epoch) subjectID(sub acl.Subject) (int, bool) {
+	var p *principal.Principal
+	switch s := sub.(type) {
+	case *principal.Principal:
+		p = s
+	case interface{ Principal() *principal.Principal }:
+		p = s.Principal()
+	}
+	if p != nil {
+		if id, ok := ep.reg.IDOf(p); ok {
+			return id, true
+		}
+	}
+	return ep.reg.PrincipalID(sub.SubjectName())
+}
+
 // fastResolve answers resolveIn from the index: a bare probe for
 // unchecked resolution, the precomputed visibility chain for checked.
 // Like fastCheck it decides success only.
@@ -674,22 +745,23 @@ func (ep *Epoch) fastResolve(sub acl.Subject, class lattice.Class, path string, 
 		return nil, false
 	}
 	if !checked || !ep.traversal {
-		if e, ok := c.index.get(path); ok {
-			return e.node, true
+		if x := c.index.Ref(path); x != nil {
+			return x.node, true
 		}
 		return nil, false
 	}
 	if !c.fast || sub == nil {
 		return nil, false
 	}
-	e, ok := c.index.get(path)
-	if !ok {
+	x := c.index.Ref(path)
+	if x == nil {
 		return nil, false
 	}
+	e := x.centry
 	if !e.hasVis {
 		return e.node, true // the root: no traversal checks apply
 	}
-	pid, ok := ep.reg.PrincipalID(sub.SubjectName())
+	pid, ok := ep.subjectID(sub)
 	if !ok || !e.visAllow.Has(pid) {
 		return nil, false
 	}
@@ -714,11 +786,11 @@ func (ep *Epoch) CompiledResolve(path string) (*Node, bool) {
 	if ep.compiled == nil {
 		return nil, false
 	}
-	e, ok := ep.compiled.index.get(path)
-	if !ok {
+	x := ep.compiled.index.Ref(path)
+	if x == nil {
 		return nil, false
 	}
-	return e.node, true
+	return x.node, true
 }
 
 // CompiledAllows runs the compiled fast check: decided is true only
@@ -738,15 +810,15 @@ func (ep *Epoch) CompiledGrants(path, subject string) (acl.Mode, bool) {
 	if ep.compiled == nil {
 		return 0, false
 	}
-	e, ok := ep.compiled.index.get(path)
-	if !ok {
+	x := ep.compiled.index.Ref(path)
+	if x == nil {
 		return 0, false
 	}
 	pid, ok := ep.reg.PrincipalID(subject)
 	if !ok {
 		return 0, false
 	}
-	return ep.compiled.sumOf(e).Granted(pid), true
+	return ep.compiled.sumOf(x.centry).Granted(pid), true
 }
 
 // CompiledStats returns the compiled-epoch counters, the freeze-cost
@@ -762,7 +834,7 @@ func (s *Server) CompiledStats() telemetry.CompiledStats {
 		VisRecompute:   s.compVisNs.Snapshot(),
 	}
 	if c := s.epoch.Load().compiled; c != nil {
-		st.Entries = c.index.n
+		st.Entries = c.index.Len()
 		st.DomClasses = c.dom.Len()
 		st.Sensitive = c.sensitiveEntries()
 		st.RetainedBytes, st.RetainedBytesCloned = c.retainedBytes()
@@ -790,12 +862,18 @@ func (c *compiled) retainedBytes() (dedup, cloned int64) {
 				c.ret.dedup += int64(cap(s)) * 8
 			}
 		}
+		// The index: its trie arrays (a slot per entry: the key's string
+		// header and the entry pointer) and the entries. A trie node has
+		// one parent within a view, so both counts take each array once.
+		// The key bytes are the nodes' own paths, which the tree holds.
+		idx := c.index.Bytes()
+		c.ret.dedup += idx
+		c.ret.cloned += idx
 		entrySize := int64(unsafe.Sizeof(centry{}))
-		c.index.each(func(path string, e *centry) {
-			// Map slot: key header + bytes, value pointer, entry.
-			slot := int64(len(path)) + 16 + 8 + entrySize
-			c.ret.dedup += slot
-			c.ret.cloned += slot
+		c.index.Range(func(x *indexed) bool {
+			e := x.centry
+			c.ret.dedup += entrySize
+			c.ret.cloned += entrySize
 			sum := c.sumOf(e)
 			if !seenSum[sum] {
 				seenSum[sum] = true
@@ -804,11 +882,12 @@ func (c *compiled) retainedBytes() (dedup, cloned int64) {
 			c.ret.cloned += int64(sum.RetainedBytes())
 			addSet(e.effList)
 			addSet(e.visAllow)
+			return true
 		})
-		// The slot table: one summary pointer and one slot per distinct
-		// ACL, plus the ACL→slot map.
+		// The slot table: one summary pointer, one slot and one reference
+		// count per distinct ACL, plus the ACL→slot map.
 		tab := int64(cap(c.sums))*8 + int64(cap(c.tab.slots))*int64(unsafe.Sizeof(aclSlot{})) +
-			int64(len(c.tab.ids))*16
+			int64(cap(c.tab.refs))*4 + int64(len(c.tab.ids))*16
 		c.ret.dedup += tab
 		c.ret.cloned += tab
 		for _, sl := range c.tab.slots {

@@ -1,16 +1,19 @@
 package names
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"secext/internal/acl"
 	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/monitor/dacguard"
 	"secext/internal/principal"
+	"secext/internal/subject"
 )
 
 // walkOnly returns a shadow of ep with the compiled view stripped, so
@@ -50,11 +53,12 @@ func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []
 			t.Errorf("v%d: index missing or wrong at %s (ok=%v)", ep.Version(), p, ok)
 		}
 	}
-	if ep.compiled.index.n != len(tree) {
-		ep.compiled.index.each(func(p string, _ *centry) {
-			if _, ok := tree[p]; !ok {
-				t.Errorf("v%d: stale index entry %s", ep.Version(), p)
+	if ep.compiled.index.Len() != len(tree) {
+		ep.compiled.index.Range(func(e *indexed) bool {
+			if _, ok := tree[e.node.path]; !ok {
+				t.Errorf("v%d: stale index entry %s", ep.Version(), e.node.path)
 			}
+			return true
 		})
 	}
 	// Entry by entry, the view equals a from-scratch compile.
@@ -327,11 +331,12 @@ func assertSameCompiled(t *testing.T, ep *Epoch, ic, fc *compiled) {
 	tree := make(map[string]*Node)
 	ep.Walk(func(p string, n *Node) { tree[p] = n })
 	for _, c := range []*compiled{ic, fc} {
-		if c.index.n != len(tree) {
-			t.Fatalf("v%d: index holds %d entries, tree %d", ep.Version(), c.index.n, len(tree))
+		if c.index.Len() != len(tree) {
+			t.Fatalf("v%d: index holds %d entries, tree %d", ep.Version(), c.index.Len(), len(tree))
 		}
 		refs := make(map[int32]int32)
-		c.index.each(func(p string, e *centry) {
+		c.index.Range(func(e *indexed) bool {
+			p := e.node.path
 			if tree[p] != e.node {
 				t.Errorf("v%d: index entry %s is not the tree's node", ep.Version(), p)
 			}
@@ -339,21 +344,22 @@ func assertSameCompiled(t *testing.T, ep *Epoch, ic, fc *compiled) {
 				t.Errorf("v%d: %s judged by another ACL's slot", ep.Version(), p)
 			}
 			refs[e.slot]++
+			return true
 		})
 		live := 0
 		for i, sl := range c.tab.slots {
 			if sl.acl == nil {
-				if c.sums[i] != nil || sl.refs != 0 {
+				if c.sums[i] != nil || c.tab.refs[i] != 0 {
 					t.Errorf("v%d: free slot %d still holds state", ep.Version(), i)
 				}
 				continue
 			}
 			live++
-			if sl.refs != refs[int32(i)] || sl.refs == 0 || c.tab.ids[sl.acl] != int32(i) {
-				t.Errorf("v%d: slot %d books refs=%d, index uses it %d times", ep.Version(), i, sl.refs, refs[int32(i)])
+			if c.tab.refs[i] != refs[int32(i)] || c.tab.refs[i] == 0 || c.tab.ids[sl.acl] != int32(i) {
+				t.Errorf("v%d: slot %d books refs=%d, index uses it %d times", ep.Version(), i, c.tab.refs[i], refs[int32(i)])
 			}
 		}
-		if live != len(c.tab.ids) || len(c.sums) != len(c.tab.slots) {
+		if live != len(c.tab.ids) || len(c.sums) != len(c.tab.slots) || len(c.tab.refs) != len(c.tab.slots) {
 			t.Errorf("v%d: %d live slots, %d ids, %d sums, %d slots", ep.Version(), live, len(c.tab.ids), len(c.sums), len(c.tab.slots))
 		}
 	}
@@ -364,16 +370,15 @@ func assertSameCompiled(t *testing.T, ep *Epoch, ic, fc *compiled) {
 			len(fc.tab.ids), fc.sensitiveEntries(), fc.n, fc.fast)
 	}
 	for p := range tree {
-		ie, _ := ic.index.get(p)
-		fe, ok := fc.index.get(p)
-		if ie == nil || !ok || fe.node != ie.node {
+		ie, fe := ic.index.Ref(p), fc.index.Ref(p)
+		if ie == nil || fe == nil || fe.node != ie.node {
 			t.Fatalf("v%d: full rebuild disagrees about %s", ep.Version(), p)
 		}
 		sameCls := ie.visClass.Equal(fe.visClass) || (!ie.visClass.Valid() && !fe.visClass.Valid())
 		if ie.hasVis != fe.hasVis || !ie.visAllow.Equal(fe.visAllow) || !sameCls || !ie.effList.Equal(fe.effList) {
 			t.Errorf("v%d: List set or visibility chain differs at %s", ep.Version(), p)
 		}
-		isum, fsum := ic.sumOf(ie), fc.sumOf(fe)
+		isum, fsum := ic.sumOf(ie.centry), fc.sumOf(fe.centry)
 		for pid := 0; pid < ic.n; pid++ {
 			if isum.Granted(pid) != fsum.Granted(pid) {
 				t.Errorf("v%d: summary differs at %s for pid %d: inc %v full %v",
@@ -547,7 +552,8 @@ func TestRegistryTransitionRecompilesWhatMoved(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("after %s", what)
 		}
-		return srv.CompiledStats().Summaries - before, srv.Journal(1)[0].Compile, ep.compiled.index == prev.compiled.index
+		fresh, _ := ep.compiled.index.Sharing(&prev.compiled.index)
+		return srv.CompiledStats().Summaries - before, srv.Journal(1)[0].Compile, fresh == 0
 	}
 
 	if n, label, shared := step("bob joins eng", principal.AddMember("eng", "bob")); n != 2 || label != "incremental" || !shared {
@@ -589,4 +595,98 @@ func TestRegistryTransitionRecompilesWhatMoved(t *testing.T) {
 	}
 	cf.subs = append(cf.subs, subj("dave"), subj("erin"), subj("bulk1024"))
 	assertCompiledEquiv(t, srv.Current(), cf.subs, cf.classes())
+}
+
+// TestSubjectIDConfirmsPrincipal: a subject carrying its principal
+// (the principal itself or a context acting for it) gets its ID from
+// the principal, confirmed against the epoch's registry; a principal
+// from another registry (a replica's, checked on the primary) fails
+// the confirmation, falls back to its name, and gets the walk's
+// verdict and DeniedError text.
+func TestSubjectIDConfirmsPrincipal(t *testing.T) {
+	cf := newCompiledFixture(t)
+	doc := acl.New(acl.Allow("root", acl.AllModes), acl.Allow("alice", acl.Read))
+	if _, _, err := cf.srv.BindSubtreeUnchecked("/", []SubtreeSpec{{Path: "doc", Kind: KindFile, ACL: doc, Class: cf.bot}}); err != nil {
+		t.Fatal(err)
+	}
+	ep := cf.srv.Current()
+	// The replica's registry has the same names in another order, so
+	// alice's ID there is bob's here.
+	replica := principal.NewRegistry(cf.lat)
+	for _, p := range []string{"bob", "carol", "alice", "root"} {
+		if _, err := replica.Apply(principal.AddPrincipal(p, cf.bot)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from := func(reg *principal.Registry, name string) *principal.Principal {
+		p, err := reg.Freeze().Principal(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, name := range []string{"alice", "bob"} {
+		want, _ := ep.reg.PrincipalID(name)
+		own, foreign := from(cf.reg, name), from(replica, name)
+		if _, ok := ep.reg.IDOf(foreign); ok {
+			t.Fatalf("%s: the replica's principal was confirmed by the primary's registry", name)
+		}
+		subs := []acl.Subject{own, subject.MustNew(own), foreign, subject.MustNew(foreign), subj(name)}
+		for i, sub := range subs {
+			if id, ok := ep.subjectID(sub); !ok || id != want {
+				t.Errorf("%s subject %d: ID %d %v, want %d", name, i, id, ok, want)
+			}
+			_, got := cf.srv.CheckAccessIn(ep, sub, cf.bot, "/doc", acl.Read)
+			_, walk := cf.srv.CheckAccessIn(walkOnly(ep), sub, cf.bot, "/doc", acl.Read)
+			if fmt.Sprint(got) != fmt.Sprint(walk) {
+				t.Errorf("%s subject %d: %v, walk %v", name, i, got, walk)
+			}
+			var de *DeniedError
+			if denied := errors.As(got, &de); denied != (name == "bob") {
+				t.Errorf("%s subject %d: err %v", name, i, got)
+			}
+			if _, decided := ep.CompiledAllows(sub, cf.bot, "/doc", acl.Read); decided != (name == "alice") {
+				t.Errorf("%s subject %d: compiled decided %v", name, i, decided)
+			}
+		}
+	}
+	// A principal registered after the epoch was published is beyond
+	// its ID range and its name is unknown there: the walk denies.
+	if _, err := cf.reg.Apply(principal.AddPrincipal("dave", cf.bot)); err != nil {
+		t.Fatal(err)
+	}
+	dave := from(cf.reg, "dave")
+	if _, ok := ep.subjectID(subject.MustNew(dave)); ok {
+		t.Fatal("a principal newer than the epoch got an ID in it")
+	}
+	if _, err := cf.srv.CheckAccessIn(ep, dave, cf.bot, "/doc", acl.Read); !errors.Is(err, ErrDenied) {
+		t.Fatalf("dave on the older epoch: %v", err)
+	}
+}
+
+// TestRetainedBytesByHand: a one-node tree's compiled view retains the
+// index trie's one value slot, the root's entry, the root ACL's
+// summary, a one-slot table and the dominance table; nothing in it is
+// shared, so both counts agree.
+func TestRetainedBytesByHand(t *testing.T) {
+	f := newFixture(t)
+	reg := principal.NewRegistry(f.lat)
+	if _, err := reg.Apply(principal.AddPrincipal("root", f.bot)); err != nil {
+		t.Fatal(err)
+	}
+	f.srv.AttachRegistry(reg)
+	c := f.srv.Current().compiled
+	if c.index.Len() != 1 || len(c.sums) != 1 {
+		t.Fatalf("%d entries, %d slots", c.index.Len(), len(c.sums))
+	}
+	const ptr = 8
+	want := int64(unsafe.Sizeof(indexed{})) + // the trie root's value array: one slot
+		int64(unsafe.Sizeof(centry{})) +
+		int64(c.sums[0].RetainedBytes()) +
+		1*ptr + int64(unsafe.Sizeof(aclSlot{})) + 16 + // sums, slots, one ACL->slot map entry
+		2*4 + // refs: one int32, its array rounded up to the 8-byte size class
+		int64(c.dom.RetainedBytes())
+	if dedup, cloned := c.retainedBytes(); dedup != want || cloned != want {
+		t.Fatalf("retained %d dedup, %d cloned; want %d", dedup, cloned, want)
+	}
 }

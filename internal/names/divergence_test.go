@@ -14,7 +14,7 @@ import (
 // why the monitor exists: to catch the compiler bug that would.
 func corruptSummary(t *testing.T, ep *Epoch, path string) {
 	t.Helper()
-	e, ok := ep.compiled.index.get(path)
+	e, ok := ep.compiled.index.Get(path)
 	if !ok {
 		t.Fatalf("no compiled entry at %s", path)
 	}

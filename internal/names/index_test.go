@@ -2,7 +2,6 @@ package names
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"secext/internal/acl"
@@ -47,34 +46,27 @@ func newWideFixture(t *testing.T, dirs, leaves, pool int) *wideFixture {
 	return wf
 }
 
-// sharedShards counts the shards of next's index that are the very
-// maps of prev's.
-func sharedShards(prev, next *pathIndex) int {
-	if len(prev.shards) != len(next.shards) {
-		return 0
+// indexDepth is the trie depth to expect for n entries under random
+// hashes: enough 5-bit levels to spread n keys one per slot, plus one
+// for the level where a slot's pair is split.
+func indexDepth(n int) int {
+	d := 1
+	for 1<<(5*d) < n {
+		d++
 	}
-	n := 0
-	for i := range prev.shards {
-		if reflect.ValueOf(prev.shards[i]).UnsafePointer() == reflect.ValueOf(next.shards[i]).UnsafePointer() {
-			n++
-		}
-	}
-	return n
+	return d + 1
 }
 
-// TestLeafEditSharesIndexShards: a single-leaf ACL edit on a 20k-node
-// tree clones only the shards its spine (root, /t, the directory, the
-// leaf) lands in; every other shard is the parent's map.
-func TestLeafEditSharesIndexShards(t *testing.T) {
+// TestLeafEditSharesIndexNodes: a single-leaf ACL edit on a 20k-node
+// tree rewrites the index entries of its spine (root, /t, the
+// directory, the leaf), so it allocates at most 4 x depth new trie
+// nodes; every other node is the parent's.
+func TestLeafEditSharesIndexNodes(t *testing.T) {
 	wf := newWideFixture(t, 80, 250, 16)
 	srv := wf.srv
 	prev := srv.Current()
-	if prev.compiled.index.n < 20000 {
-		t.Fatalf("fixture has %d entries", prev.compiled.index.n)
-	}
-	shards := len(prev.compiled.index.shards)
-	if shards < 64 {
-		t.Fatalf("%d shards for %d entries", shards, prev.compiled.index.n)
+	if n := prev.compiled.index.Len(); n < 20000 {
+		t.Fatalf("fixture has %d entries", n)
 	}
 	if err := srv.SetACLUnchecked("/t/d07/f123", wf.pool[3]); err != nil {
 		t.Fatal(err)
@@ -84,8 +76,9 @@ func TestLeafEditSharesIndexShards(t *testing.T) {
 		t.Fatal("edit published no new tree")
 	}
 	const spine = 4 // "/", /t, /t/d07, /t/d07/f123
-	if cloned := shards - sharedShards(prev.compiled.index, next.compiled.index); cloned > spine {
-		t.Fatalf("leaf edit cloned %d of %d shards, want at most %d", cloned, shards, spine)
+	fresh, total := next.compiled.index.Sharing(&prev.compiled.index)
+	if limit := spine * indexDepth(next.compiled.index.Len()); fresh == 0 || fresh > limit || total < 500 {
+		t.Fatalf("leaf edit allocated %d of %d index nodes, want 1..%d", fresh, total, limit)
 	}
 	assertMatchesFullRebuild(t, next)
 }
@@ -105,13 +98,14 @@ func TestSharedACLSharesSummary(t *testing.T) {
 	c := wf.srv.Current().compiled
 	byACL := make(map[*acl.ACL]*acl.Summary)
 	summaries := make(map[*acl.Summary]bool)
-	c.index.each(func(p string, e *centry) {
-		s := c.sumOf(e)
+	c.index.Range(func(e *indexed) bool {
+		s := c.sumOf(e.centry)
 		summaries[s] = true
 		if prev, ok := byACL[e.node.acl]; ok && prev != s {
-			t.Errorf("%s: ACL shared with another node but judged by a different summary", p)
+			t.Errorf("%s: ACL shared with another node but judged by a different summary", e.node.path)
 		}
 		byACL[e.node.acl] = s
+		return true
 	})
 	if len(summaries) != len(byACL) {
 		t.Fatalf("%d summaries for %d distinct ACLs", len(summaries), len(byACL))
@@ -141,7 +135,7 @@ func TestMembershipToggleCompilesPerDistinctACL(t *testing.T) {
 		t.Fatalf("toggle was not one incremental build: %+v", after)
 	}
 	next := srv.Current()
-	if next.compiled.index != prev.compiled.index || next.compiled.tab != prev.compiled.tab {
+	if fresh, _ := next.compiled.index.Sharing(&prev.compiled.index); fresh != 0 || next.compiled.tab != prev.compiled.tab {
 		t.Fatal("registry-only toggle rebuilt the index or slot table")
 	}
 	if g, ok := next.CompiledGrants("/t/d03/f017", "carol"); !ok || g&acl.Read == 0 {
@@ -153,7 +147,7 @@ func TestMembershipToggleCompilesPerDistinctACL(t *testing.T) {
 // TestToggleMovingListSetRewalks: when a membership edit changes the
 // List set of an ACL an interior node uses, the registry patch falls
 // back to the walk; the descendants' visibility follows, and every
-// entry the edit did not move keeps its index shard shared.
+// index node off the moved entries' paths stays shared.
 func TestToggleMovingListSetRewalks(t *testing.T) {
 	wf := newWideFixture(t, 12, 100, 4)
 	srv := wf.srv
@@ -181,24 +175,21 @@ func TestToggleMovingListSetRewalks(t *testing.T) {
 		t.Fatal("bob's new List grant did not reach the compiled visibility chain")
 	}
 	const moved = 3 // /t/gate and its two leaves
-	shards := len(next.compiled.index.shards)
-	if cloned := shards - sharedShards(prev.compiled.index, next.compiled.index); cloned == 0 || cloned > moved || shards < 8 {
-		t.Fatalf("re-walk cloned %d of %d shards, want 1..%d", cloned, shards, moved)
+	fresh, total := next.compiled.index.Sharing(&prev.compiled.index)
+	if limit := moved * indexDepth(next.compiled.index.Len()); fresh == 0 || fresh > limit || total < 50 {
+		t.Fatalf("re-walk allocated %d of %d index nodes, want 1..%d", fresh, total, limit)
 	}
 	assertMatchesFullRebuild(t, next)
 	assertCompiledEquiv(t, next, []fakeSubject{subj("root"), subj("bob"), subj("carol")}, wf.classes()[:1])
 }
 
-// TestPathIndexReshards: the shard count follows the entry count up
-// under bulk binds and back down under bulk unbinds, and the index
-// stays exact both ways.
-func TestPathIndexReshards(t *testing.T) {
+// TestBulkUnbindEmptiesIndex: unbinding every leaf and directory in
+// bulk leaves an index that matches a full rebuild, frees the trie
+// nodes and the ACL slots the removed entries held.
+func TestBulkUnbindEmptiesIndex(t *testing.T) {
 	wf := newWideFixture(t, 40, 100, 5)
 	srv := wf.srv
 	grown := srv.Current().compiled.index
-	if len(grown.shards) < 8 || grown.n/len(grown.shards) > 4*indexShardLoad {
-		t.Fatalf("%d entries over %d shards", grown.n, len(grown.shards))
-	}
 	for d := 0; d < 40; d++ {
 		dir := fmt.Sprintf("/t/d%02d", d)
 		var edits []Edit
@@ -210,11 +201,11 @@ func TestPathIndexReshards(t *testing.T) {
 		}
 	}
 	shrunk := srv.Current()
-	if got := len(shrunk.compiled.index.shards); got != 1 {
-		t.Fatalf("%d entries left over %d shards", shrunk.compiled.index.n, got)
+	if got, was := shrunk.compiled.index.Bytes(), grown.Bytes(); 8*got > was {
+		t.Fatalf("%d entries still hold %d trie bytes of %d", shrunk.compiled.index.Len(), got, was)
 	}
 	assertMatchesFullRebuild(t, shrunk)
-	if st := srv.CompiledStats(); st.Entries != shrunk.compiled.index.n || len(shrunk.compiled.tab.ids) > 2 {
+	if st := srv.CompiledStats(); st.Entries != shrunk.compiled.index.Len() || len(shrunk.compiled.tab.ids) > 2 {
 		t.Fatalf("stats %+v, %d live ACL slots after the unbinds", st, len(shrunk.compiled.tab.ids))
 	}
 }

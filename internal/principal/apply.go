@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"secext/internal/hamt"
 	"secext/internal/lattice"
 )
 
@@ -72,13 +73,16 @@ func (r *Registry) Apply(edits ...Edit) (uint64, error) {
 }
 
 // txn derives the successor of one published view from an Apply's
-// edits. It never writes what the base view shares: the principals map
-// is cloned on the first new principal, a touched group's edits are
+// edits. It never writes what the base view shares: new principals go
+// into a build of the base's name trie, a touched group's edits are
 // kept beside its published record, and commit clones only the tables,
 // row chunks and reverse-index rows it writes. Dropping a txn leaves no
 // trace.
 type txn struct {
 	base, next *Frozen
+	// names is the build of the principal name trie, started on the
+	// first new principal.
+	names *hamt.Builder[*Principal]
 	// members holds the edits to the groups the call touched, new
 	// groups included; commit merges each into a frozenGroup once.
 	members map[string]*memberSet
@@ -141,7 +145,7 @@ func (t *txn) apply(e Edit) error {
 		if err := validName(e.name); err != nil {
 			return err
 		}
-		_, isP := t.next.principals[e.name]
+		_, isP := t.principal(e.name)
 		isG := t.hasGroup(e.name)
 		if e.op == "add-group" {
 			switch {
@@ -167,11 +171,11 @@ func (t *txn) apply(e Edit) error {
 		case isG:
 			return fmt.Errorf("%w: %q is a group", ErrExists, e.name)
 		}
-		if len(t.next.principals) == len(t.base.principals) { // still the base's map
-			t.next.principals = maps.Clone(t.base.principals)
+		if t.names == nil {
+			t.names = t.base.principals.Edit()
 		}
-		p := &Principal{name: e.name, class: e.class, reg: t.base.reg, id: len(t.next.principals)}
-		t.next.principals[e.name] = p
+		p := &Principal{name: e.name, class: e.class, reg: t.base.reg, id: t.names.Len()}
+		t.names.Put(p)
 		t.direct[p] = nil
 		return nil
 	}
@@ -179,7 +183,7 @@ func (t *txn) apply(e Edit) error {
 	if g == nil {
 		return fmt.Errorf("%w: group %q", ErrNotFound, e.group)
 	}
-	p, isP := t.next.principals[e.name]
+	p, isP := t.principal(e.name)
 	list, edits := g.rec.principals, g.principals
 	if !isP {
 		list, edits = g.rec.subgroups, g.subgroups
@@ -223,6 +227,14 @@ func (t *txn) apply(e Edit) error {
 	}
 	t.direct[p] = direct
 	return nil
+}
+
+// principal returns the named principal as the transaction has it.
+func (t *txn) principal(name string) (*Principal, bool) {
+	if t.names != nil {
+		return t.names.Get(name)
+	}
+	return t.base.principals.Get(name)
 }
 
 func (t *txn) hasGroup(name string) bool {
@@ -278,6 +290,9 @@ func (t *txn) reachable(from, to string) bool {
 // reverse-index rows whose membership changed.
 func (t *txn) commit() *Frozen {
 	f, base := t.next, t.base
+	if t.names != nil {
+		f.principals = t.names.Map()
+	}
 	if len(t.added) > 0 {
 		f.groupNames = append(slices.Clip(base.groupNames), t.added...)
 		f.groupMembers = append(slices.Clip(base.groupMembers), make([]groupset, len(t.added))...)
@@ -302,7 +317,7 @@ func (t *txn) commit() *Frozen {
 				continue
 			}
 			for _, name := range f.groups[f.groupNames[i]].principals {
-				p := f.principals[name]
+				p, _ := f.principals.Get(name)
 				if _, ok := dirty[p]; !ok {
 					dirty[p] = base.row(p.id).direct
 				}
@@ -332,7 +347,7 @@ func (t *txn) commit() *Frozen {
 		groups := newGroupset(len(f.groupNames))
 		direct.each(func(d int) { groups.union(f.super[d]) })
 		var old groupset // nil for a new principal
-		if p.id < len(base.principals) {
+		if p.id < base.principals.Len() {
 			row := base.row(p.id)
 			if row.direct.equal(direct) && row.groups.equal(groups) {
 				continue // edits that cancelled out keep the row

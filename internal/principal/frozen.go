@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+
+	"secext/internal/hamt"
 )
 
 // groupset is a bit vector over the registry's group bit positions:
@@ -105,7 +107,7 @@ type frozenGroup struct {
 // identity tables and the *transitively closed* group membership as of
 // one publication. Every query on a Frozen is a pure lookup — the
 // closure is precomputed into per-principal bitsets when the version
-// is derived, so IsMember costs two map probes and a bit test, with no
+// is derived, so IsMember costs two probes and a bit test, with no
 // locks and no memoization races.
 //
 // Frozen is the registry's contribution to a policy epoch (see
@@ -116,9 +118,12 @@ type frozenGroup struct {
 //
 // Frozen implements acl.Membership.
 type Frozen struct {
-	reg        *Registry
-	version    uint64
-	principals map[string]*Principal
+	reg     *Registry
+	version uint64
+	// principals maps each name to its principal. It is a persistent
+	// trie, so a new principal copies the few nodes on its path, not the
+	// whole table.
+	principals hamt.Map[*Principal]
 	groups     map[string]*frozenGroup
 	groupNames []string // arrival order; index = bit position
 
@@ -155,7 +160,7 @@ func (f *Frozen) Registry() *Registry { return f.reg }
 
 // Principal looks up a principal by name.
 func (f *Frozen) Principal(name string) (*Principal, error) {
-	p, ok := f.principals[name]
+	p, ok := f.principals.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: principal %q", ErrNotFound, name)
 	}
@@ -165,7 +170,7 @@ func (f *Frozen) Principal(name string) (*Principal, error) {
 // HasPrincipal reports whether the named principal exists in this
 // version.
 func (f *Frozen) HasPrincipal(name string) bool {
-	_, ok := f.principals[name]
+	_, ok := f.principals.Get(name)
 	return ok
 }
 
@@ -177,10 +182,11 @@ func (f *Frozen) HasGroup(name string) bool {
 
 // Principals returns all principal names, sorted.
 func (f *Frozen) Principals() []string {
-	out := make([]string, 0, len(f.principals))
-	for n := range f.principals {
-		out = append(out, n)
-	}
+	out := make([]string, 0, f.principals.Len())
+	f.principals.Range(func(p **Principal) bool {
+		out = append(out, (*p).name)
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
@@ -229,16 +235,28 @@ func (f *Frozen) IsMember(principalName, groupName string) bool {
 // principal in every other version that contains it. Together with
 // GroupPrincipalIDs and NumPrincipalIDs this satisfies acl.IDResolver.
 func (f *Frozen) PrincipalID(name string) (int, bool) {
-	p, ok := f.principals[name]
+	p, ok := f.principals.Get(name)
 	if !ok {
 		return 0, false
 	}
 	return p.id, true
 }
 
+// IDOf returns p's dense ID when p is the principal this version
+// registered under that ID: one bounds check and one pointer compare,
+// with no name lookup. A principal of another registry, or one this
+// version does not have yet, is not confirmed; callers holding only
+// its name use PrincipalID.
+func (f *Frozen) IDOf(p *Principal) (int, bool) {
+	if p.id < f.principals.Len() && f.row(p.id).p == p {
+		return p.id, true
+	}
+	return 0, false
+}
+
 // NumPrincipalIDs reports how many principal IDs this version has
-// allocated; IDs are dense in 0..N-1.
-func (f *Frozen) NumPrincipalIDs() int { return len(f.principals) }
+// allocated; IDs are dense in 0..N-1. It reads the name trie's count.
+func (f *Frozen) NumPrincipalIDs() int { return f.principals.Len() }
 
 // GroupPrincipalIDs returns the transitive member set of the named
 // group as bitset words over principal IDs (bit p == principal with ID
@@ -261,7 +279,7 @@ func (f *Frozen) row(id int) *memberRow {
 // groupsOf returns the named principal's closed membership, nil for an
 // unknown principal.
 func (f *Frozen) groupsOf(principalName string) groupset {
-	p, ok := f.principals[principalName]
+	p, ok := f.principals.Get(principalName)
 	if !ok {
 		return nil
 	}
@@ -288,7 +306,7 @@ func (f *Frozen) setRow(prev *Frozen, row memberRow) {
 // order: what this version registered since a version that had
 // allocated id IDs. A replication delta lists exactly these.
 func (f *Frozen) PrincipalsFrom(id int) []*Principal {
-	n := len(f.principals)
+	n := f.principals.Len()
 	if id >= n {
 		return nil
 	}

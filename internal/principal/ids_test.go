@@ -62,6 +62,32 @@ func TestPrincipalIDsDenseAndStable(t *testing.T) {
 		t.Fatal("unknown principal resolved")
 	}
 
+	// IDOf confirms a principal by its row: this registry's principals
+	// pass, a same-named principal of another registry (with the same
+	// ID) does not, nor does one this version predates.
+	for i, p := range ps {
+		if id, ok := f.IDOf(p); !ok || id != i {
+			t.Fatalf("IDOf(%s) = %d,%v, want %d,true", p.SubjectName(), id, ok, i)
+		}
+	}
+	other, _ := newTestRegistry(t)
+	if _, err := other.Apply(AddPrincipal("p00", other.Lattice().MustClass("others"))); err != nil {
+		t.Fatal(err)
+	}
+	if twin, _ := other.Principal("p00"); twin.ID() != 0 {
+		t.Fatalf("twin ID %d", twin.ID())
+	} else if _, ok := f.IDOf(twin); ok {
+		t.Fatal("another registry's principal confirmed")
+	}
+	if _, err := reg.Apply(AddPrincipal("late", pub)); err != nil {
+		t.Fatal(err)
+	}
+	if late, _ := reg.Principal("late"); late == nil {
+		t.Fatal("late principal missing")
+	} else if _, ok := f.IDOf(late); ok {
+		t.Fatal("a version confirmed a principal registered after it")
+	}
+
 	// IDs must survive membership churn: the same frozen principal
 	// value (and so the same ID) is shared by later versions.
 	if _, err := reg.Apply(AddGroup("g")); err != nil {

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"secext/internal/hamt"
 	"secext/internal/lattice"
 )
 
@@ -125,7 +126,7 @@ func NewRegistry(lat *lattice.Lattice) *Registry {
 	r.frozen.Store(&Frozen{
 		reg:        r,
 		version:    1,
-		principals: make(map[string]*Principal),
+		principals: hamt.New(func(p **Principal) string { return (*p).name }),
 		groups:     make(map[string]*frozenGroup),
 	})
 	return r
