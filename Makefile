@@ -25,17 +25,21 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
 
-# fuzz-smoke runs four fuzzers for a few seconds each: the concurrent
+# fuzz-smoke runs five fuzzers for a few seconds each: the concurrent
 # epoch transition fuzzer (consistency, compiled view against a full
-# compile), the delta codec fuzzer (a mirror replaying deltas equals the
-# primary), the registry Apply fuzzer (closure against a naive walk,
-# atomic failures, copy-on-write sharing), and the persistent map
-# fuzzer (the trie against a Go map, earlier versions unchanged, no
-# build writing a node it did not allocate, untouched subtrees shared).
+# compile), the delta codec fuzzer (a mirror bootstrapped from snapshot
+# frames and replaying deltas equals the primary), the snapshot stream
+# fuzzer (arbitrary frames never panic; what decodes and builds
+# re-encodes to the same frames), the registry Apply fuzzer (closure
+# against a naive walk, atomic failures, copy-on-write sharing), and
+# the persistent map fuzzer (the trie against a Go map, earlier
+# versions unchanged, no build writing a node it did not allocate,
+# untouched subtrees shared).
 # Their seed corpora run in every `go test`; this explores beyond them.
 fuzz-smoke:
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochTransitions -fuzztime 10s
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochDeltaCodec -fuzztime 10s
+	$(GO) test ./internal/names -run '^$$' -fuzz FuzzSnapshotStream -fuzztime 10s
 	$(GO) test ./internal/principal -run '^$$' -fuzz FuzzRegistryApply -fuzztime 10s
 	$(GO) test ./internal/hamt -run '^$$' -fuzz FuzzPersistentMap -fuzztime 10s
 

@@ -13,6 +13,7 @@ import (
 	"secext/internal/load"
 	"secext/internal/names"
 	"secext/internal/remote"
+	"secext/internal/replica"
 	"secext/internal/telemetry"
 )
 
@@ -78,9 +79,20 @@ func e20Plan(nodes, principals int) load.Plan {
 //   - accounted B/node: the footprint analytic estimate (Server.Stats) for the
 //     full system's tree, cross-checking the accounting the telemetry
 //     gauges export against the measured truth.
+//   - index B/node: the measured retained heap of the full system's
+//     compiled read side — the persistent path index and its entries,
+//     plus the per-ACL summaries and visibility chains — per node,
+//     priced by dropping the compiled view and compiling it again. The
+//     slice column never includes it: its bare server has no registry,
+//     so nothing is compiled.
 //   - acl dedupe: distinct ACL values per reference (footprint view).
 //   - warm check: in-process mediated CheckData on a zipf-hot leaf,
 //     comparable to the E13/E17 warm band.
+//   - replica bootstrap s and bootstrap alloc MB: one replica.Connect
+//     to the full system over loopback TCP, from dial to a serving
+//     replica (snapshot encode, frames, decode, tree build and compile),
+//     and the bytes both ends allocated meanwhile — they share the
+//     process, so the column counts the primary's encoding too.
 //   - remote p50/p95/p99: open-loop zipf CHECK traffic over loopback
 //     TCP, latencies measured from scheduled (not actual) send times,
 //     so server lag shows up as queueing delay instead of silently
@@ -164,6 +176,8 @@ func E20() Result {
 			reduction, mapPer, slicePer)
 	}
 	fp := w.Sys.Names().Stats().Footprint
+	w.Sys.Names().SetCompiledEpochs(false)
+	indexPer := float64(load.HeapDelta(func() { w.Sys.Names().SetCompiledEpochs(true) })) / float64(p.TotalNodes)
 
 	// Warm in-process check on the zipf-hottest leaf, for comparability
 	// with the E13/E17 warm band.
@@ -202,8 +216,16 @@ func E20() Result {
 		return res
 	}
 
-	// Remote zipf traffic over the real line protocol on loopback.
+	// One replica bootstrap, then remote zipf traffic, over the real
+	// line protocol on loopback.
+	rtok, err := addReplicator(w)
+	if err != nil {
+		res.Err = fmt.Errorf("E20: replicator: %w", err)
+		return res
+	}
 	srv := remote.NewServer(w.Sys)
+	pub := replica.NewPublisher(w.Sys)
+	srv.SetPublisher(pub)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		res.Err = fmt.Errorf("E20: listen: %w", err)
@@ -212,6 +234,12 @@ func E20() Result {
 	go srv.Serve(l)
 	defer l.Close()
 	defer srv.Close()
+	boot, bootAlloc, err := bootstrapCost(l.Addr().String(), rtok)
+	pub.Close()
+	if err != nil {
+		res.Err = fmt.Errorf("E20: replica bootstrap: %w", err)
+		return res
+	}
 	const conns = 4
 	tokens := make([]string, conns)
 	for i := range tokens {
@@ -233,9 +261,10 @@ func E20() Result {
 	t := &table{header: []string{
 		"nodes", "principals", "build s", "pubs",
 		"map B/node", "slice B/node", "reduction",
-		"accounted B/node", "acl dedupe",
+		"accounted B/node", "index B/node", "acl dedupe",
 		"warm check", "remote p50", "p95", "p99", "ops/s",
 		"leaf edit p50 / p99", "new principal p50",
+		"replica bootstrap s", "bootstrap alloc MB",
 	}}
 	t.add(
 		fmt.Sprintf("%d", p.TotalNodes),
@@ -246,6 +275,7 @@ func E20() Result {
 		fmt.Sprintf("%.0f", slicePer),
 		fmt.Sprintf("%.2fx", reduction),
 		fmt.Sprintf("%.0f", fp.BytesPerNode),
+		fmt.Sprintf("%.0f", indexPer),
 		fmt.Sprintf("%.1fx", fp.ACLDedupRatio),
 		ns(warm),
 		ns(float64(tr.P50.Nanoseconds())),
@@ -254,7 +284,27 @@ func E20() Result {
 		fmt.Sprintf("%.0f", tr.Achieved),
 		fmt.Sprintf("%s / %s", ns(pct(edits, 0.5)), ns(pct(edits, 0.99))),
 		ns(pct(adds, 0.5)),
+		fmt.Sprintf("%.2f", boot.Seconds()),
+		fmt.Sprintf("%.0f", float64(bootAlloc)/1e6),
 	)
 	res.setTable(t)
 	return res
+}
+
+// bootstrapCost connects one replica to the primary serving on addr and
+// returns how long replica.Connect took and how many bytes the process
+// allocated meanwhile. The replica is closed before it returns.
+func bootstrapCost(addr, token string) (time.Duration, uint64, error) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	r, err := replica.Connect(replica.Options{Addr: addr, Token: token})
+	took := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		return 0, 0, err
+	}
+	r.Close()
+	return took, m1.TotalAlloc - m0.TotalAlloc, nil
 }

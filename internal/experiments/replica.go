@@ -38,18 +38,7 @@ func newReplFleet(n int) (*replFleet, error) {
 		return nil, err
 	}
 	f := &replFleet{w: w, ctx: ctx}
-	if _, err := w.Sys.AddPrincipal("replicator", "others"); err != nil {
-		return nil, err
-	}
-	rootACL, err := w.Sys.Names().ACLOf("/")
-	if err != nil {
-		return nil, err
-	}
-	rootACL.Add(secext.Allow("replicator", secext.Administrate))
-	if err := w.Sys.Names().SetACLUnchecked("/", rootACL); err != nil {
-		return nil, err
-	}
-	rtok, err := w.Sys.Registry().IssueToken("replicator")
+	rtok, err := addReplicator(w)
 	if err != nil {
 		return nil, err
 	}
@@ -91,6 +80,23 @@ func newReplFleet(n int) (*replFleet, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// addReplicator registers the replicator principal with administrate
+// on "/", as secextd -serve-replication does, and returns its token.
+func addReplicator(w *secext.World) (string, error) {
+	if _, err := w.Sys.AddPrincipal("replicator", "others"); err != nil {
+		return "", err
+	}
+	rootACL, err := w.Sys.Names().ACLOf("/")
+	if err != nil {
+		return "", err
+	}
+	rootACL.Add(secext.Allow("replicator", secext.Administrate))
+	if err := w.Sys.Names().SetACLUnchecked("/", rootACL); err != nil {
+		return "", err
+	}
+	return w.Sys.Registry().IssueToken("replicator")
 }
 
 // catchUp waits until every replica applied the primary's current
@@ -201,8 +207,9 @@ func (f *replFleet) burst(k int) (time.Duration, error) {
 //     revocation barrier — every replica acknowledging the final epoch
 //     of the burst. This is the price of "revocation is synchronous"
 //     at fleet scale, paid only by revokers who ask for it.
-//   - snapshot B and delta B: average transfer cost per bootstrap vs
-//     per streamed epoch, from the publisher's byte counters. Deltas
+//   - snapshot B and delta B: average transfer cost per bootstrap (the
+//     framed snapshot, SNAP-SECRET line included) vs per streamed
+//     epoch, from the publisher's byte counters. Deltas
 //     exist because re-snapshotting per epoch would make replication
 //     cost O(tree) per mutation; the ratio column is the economy.
 func E19() Result {

@@ -469,10 +469,14 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 		return
 	}
 	// Only this walk writes node.path, so the entry there is still the
-	// parent's; it describes old if old kept its path.
+	// parent's; it describes old if old kept its path. A path new to
+	// this epoch (old == nil) has no entry, so a full build or a freshly
+	// bound subtree skips the probe.
 	var cur *centry
-	if x, ok := b.idx.Get(node.path); ok {
-		cur = x.centry
+	if old != nil {
+		if x, ok := b.idx.Get(node.path); ok {
+			cur = x.centry
+		}
 	}
 	var oldE *centry
 	if cur != nil && old != nil && cur.node == old {

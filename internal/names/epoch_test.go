@@ -377,6 +377,16 @@ func FuzzEpochTransitions(f *testing.F) {
 		if final.Registry() != reg.Freeze() {
 			t.Errorf("final epoch registry v%d, registry at v%d", final.Registry().Version(), reg.Version())
 		}
+		// A mirror bootstrapped from the final epoch's snapshot frames
+		// equals it and decides every sampled check the same way, denial
+		// text included.
+		m := newMirror(t, srv)
+		if diff := wireEquivalent(final, m.srv.Current()); diff != "" {
+			t.Errorf("mirror bootstrapped from the frames differs: %s", diff)
+		}
+		if diff := verdictsAgree(final, m.srv.Current()); diff != "" {
+			t.Errorf("mirror bootstrapped from the frames decides differently: %s", diff)
+		}
 		// The closure the epoch carries, derived version by version,
 		// must agree with a naive walk of the direct-member lists for
 		// every principal × group pair.

@@ -1,6 +1,7 @@
 package names
 
 import (
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,6 +84,20 @@ func (in *interner) intern(s string) string {
 	in.mu.Unlock()
 	in.misses.Add(1)
 	return s
+}
+
+// reserve makes room for n more strings when they outnumber the table,
+// so a bulk build of n fresh paths (a snapshot install) grows the table
+// once instead of rehashing it at every doubling.
+func (in *interner) reserve(n int) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if n <= len(in.table) || len(in.table)+n > internCap {
+		return
+	}
+	grown := make(map[string]string, len(in.table)+n)
+	maps.Copy(grown, in.table)
+	in.table = grown
 }
 
 // stats snapshots the table into fp's interner fields.

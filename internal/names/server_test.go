@@ -30,7 +30,7 @@ type fixture struct {
 	root fakeSubject // all-powerful subject
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	lat, err := lattice.NewWithUniverse(
 		[]string{"others", "organization", "local"},
@@ -54,7 +54,7 @@ func newFixture(t *testing.T) *fixture {
 }
 
 // mkTree builds /svc/fs/read with permissive defaults for root.
-func (f *fixture) mkTree(t *testing.T) {
+func (f *fixture) mkTree(t testing.TB) {
 	t.Helper()
 	openACL := acl.New(acl.Allow("root", acl.AllModes), acl.AllowEveryone(acl.List))
 	specs := []struct {

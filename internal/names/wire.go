@@ -10,7 +10,9 @@ package names
 // structural diff over the two immutable trees, which is cheap because
 // the epoch publisher shares every untouched subtree between parent
 // and successor (pointer equality prunes the walk to the changed
-// spine).
+// spine). A snapshot is table-shaped (EpochWire: each distinct ACL and
+// class once, then one row per node by parent index) and travels as
+// line frames (snapframe.go); a delta is JSON.
 //
 // The codec deliberately serializes *protection state only*. Payloads
 // (service implementations, file handles) are data plane and never
@@ -32,9 +34,9 @@ import (
 	"secext/internal/principal"
 )
 
-// NodeWire is one name-space node in transit: its canonical path, kind,
-// class label, textual ACL, and multilevel flag. Payloads do not
-// replicate (see the package comment above).
+// NodeWire is one node a delta upserts: its canonical path, kind, class
+// label, textual ACL, and multilevel flag. Payloads do not replicate
+// (see the package comment above).
 type NodeWire struct {
 	Path       string `json:"path"`
 	Kind       uint8  `json:"kind"`
@@ -61,18 +63,37 @@ type GroupWire struct {
 	Members []string `json:"members"`
 }
 
-// EpochWire is a full epoch snapshot: everything a replica needs to
-// rebuild the policy from nothing. Nodes are in depth-first pre-order
-// (the Walk order), so every parent precedes its children.
+// EpochWire is a full epoch snapshot in the epoch's own shape: the
+// header fields, then tables, then one row per node. Every node's ACL
+// and class are indexes into the ACLs and Classes tables, which list
+// each distinct canonical ACL string and class label once, in order of
+// first use. Rows are in depth-first pre-order (the Walk order), so
+// every parent precedes its children and siblings appear in name
+// order. EncodeSnapshot frames it for the wire and DecodeSnapshot
+// rebuilds it; ApplyReplicated builds a tree from it.
 type EpochWire struct {
 	Version    uint64          `json:"version"`
 	Traversal  bool            `json:"traversal"`
 	Levels     []string        `json:"levels"`
 	Categories []string        `json:"categories"`
+	Stack      []string        `json:"stack"`
+	ACLs       []string        `json:"acls"`
+	Classes    []string        `json:"classes"`
 	Principals []PrincipalWire `json:"principals"`
 	Groups     []GroupWire     `json:"groups"`
-	Stack      []string        `json:"stack"`
-	Nodes      []NodeWire      `json:"nodes"`
+	Rows       []RowWire       `json:"rows"`
+}
+
+// RowWire is one node of a snapshot: its parent's row index (-1 for the
+// root, row 0), its component name ("" for the root), kind, ACL and
+// class table indexes, and multilevel flag.
+type RowWire struct {
+	Name       string `json:"n"`
+	Parent     int32  `json:"p"`
+	ACL        uint32 `json:"a"`
+	Class      uint32 `json:"c"`
+	Kind       uint8  `json:"k"`
+	Multilevel bool   `json:"ml,omitempty"`
 }
 
 // EpochDelta is the edit set carrying epoch From to epoch Version. The
@@ -112,13 +133,11 @@ func encodeNode(n *Node, lat *lattice.Frozen) (NodeWire, error) {
 	}, nil
 }
 
-// decodeNode rebuilds a node from the wire against the receiver's
-// frozen lattice. The node has no payload and no children (the patcher
-// fills those in). The path is interned and the ACL canonicalized by
-// the receiving server's tables, so a replica bootstrapping a
-// million-node snapshot shares strings across re-bootstraps and ACL
-// values across nodes exactly as the primary does; in is nil-safe and
-// canon is nil-safe for contexts without a server.
+// decodeNode rebuilds a delta's node against the receiver's frozen
+// lattice. The node has no payload and no children (the patcher fills
+// those in). The path is interned and the ACL canonicalized by the
+// receiving server's tables, so replayed nodes share strings and ACL
+// values with the rest of the replica's tree.
 func decodeNode(w NodeWire, lat *lattice.Frozen, in *interner, canon *aclCanon, classes *classCanon) (*Node, error) {
 	if err := ValidPath(w.Path); err != nil {
 		return nil, err
@@ -176,7 +195,10 @@ func registryDelta(prev, next *principal.Frozen, lat *lattice.Frozen) ([]Princip
 	return prins, groups, nil
 }
 
-// WireSnapshot encodes the epoch as a full snapshot.
+// WireSnapshot encodes the epoch as a full snapshot. ACLs and classes
+// are tabled by pointer first (nodes share canonical values) and by
+// text second, so each distinct ACL string and class label is rendered
+// and listed once.
 func (ep *Epoch) WireSnapshot() (*EpochWire, error) {
 	w := &EpochWire{
 		Version:    ep.version,
@@ -184,6 +206,9 @@ func (ep *Epoch) WireSnapshot() (*EpochWire, error) {
 		Levels:     ep.lat.Levels(),
 		Categories: ep.lat.Categories(),
 		Stack:      ep.stack.Guards(),
+		ACLs:       []string{},
+		Classes:    []string{},
+		Rows:       make([]RowWire, 0, ep.Size()),
 	}
 	if ep.reg != nil {
 		prins, groups, err := registryDelta(nil, ep.reg, ep.lat)
@@ -192,20 +217,53 @@ func (ep *Epoch) WireSnapshot() (*EpochWire, error) {
 		}
 		w.Principals, w.Groups = prins, groups
 	}
-	var werr error
-	ep.Walk(func(path string, n *Node) {
-		if werr != nil {
-			return
+	aclByPtr := make(map[*acl.ACL]uint32)
+	aclByText := make(map[string]uint32)
+	classByPtr := make(map[*lattice.Class]uint32)
+	classByText := make(map[string]uint32)
+	var visit func(n *Node, parent int32) error
+	visit = func(n *Node, parent int32) error {
+		ai, ok := aclByPtr[n.acl]
+		if !ok {
+			text := n.acl.String()
+			if ai, ok = aclByText[text]; !ok {
+				ai = uint32(len(w.ACLs))
+				w.ACLs = append(w.ACLs, text)
+				aclByText[text] = ai
+			}
+			aclByPtr[n.acl] = ai
 		}
-		nw, err := encodeNode(n, ep.lat)
-		if err != nil {
-			werr = err
-			return
+		ci, ok := classByPtr[n.class]
+		if !ok {
+			label, err := ep.lat.Format(*n.class)
+			if err != nil {
+				return fmt.Errorf("names: wire-encode %s: %w", n.path, err)
+			}
+			if ci, ok = classByText[label]; !ok {
+				ci = uint32(len(w.Classes))
+				w.Classes = append(w.Classes, label)
+				classByText[label] = ci
+			}
+			classByPtr[n.class] = ci
 		}
-		w.Nodes = append(w.Nodes, nw)
-	})
-	if werr != nil {
-		return nil, werr
+		row := int32(len(w.Rows))
+		w.Rows = append(w.Rows, RowWire{
+			Parent:     parent,
+			Name:       nameOf(n.path),
+			Kind:       uint8(n.kind),
+			Multilevel: n.multilevel,
+			ACL:        ai,
+			Class:      ci,
+		})
+		for _, cr := range n.children {
+			if err := visit(cr.node, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := visit(ep.root, -1); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
@@ -355,33 +413,110 @@ func lookupWire(root *Node, path string) *Node {
 	return cur
 }
 
-// buildWireTree rebuilds a full tree from pre-ordered snapshot nodes.
-// Every node here is freshly allocated by this build, so the in-place
-// appendChild is legal; snapshot order is the Walk pre-order, which
-// appends children in sorted order without shifting.
-func buildWireTree(nodes []NodeWire, lat *lattice.Frozen, in *interner, canon *aclCanon, classes *classCanon) (*Node, error) {
-	if len(nodes) == 0 || nodes[0].Path != "/" {
-		return nil, fmt.Errorf("%w: snapshot must begin at the root", ErrBadPath)
+// buildSnapshotTree builds a full tree from a snapshot. Each table
+// entry is parsed and canonicalized once; rows attach to their parent
+// by index, with the in-place appendChild (legal because this build
+// allocated every node) and the path interned as parent path + "/" +
+// name. Nothing is trusted: a snapshot that is not exactly what
+// WireSnapshot would emit for some tree fails here, before anything is
+// published. The checks: every table entry is in canonical form,
+// distinct, and first used in table order; the root comes first; each
+// row's parent is an earlier row on the path to the row before it (so
+// rows are in pre-order) and is not a leaf; names are valid components
+// in strictly increasing order among siblings; kinds and indexes are
+// in range.
+func buildSnapshotTree(w *EpochWire, lat *lattice.Frozen, in *interner, canon *aclCanon, classes *classCanon) (*Node, error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: snapshot %s", ErrBadPath, fmt.Sprintf(format, args...))
 	}
-	root, err := decodeNode(nodes[0], lat, in, canon, classes)
-	if err != nil {
-		return nil, err
-	}
-	if root.kind != KindRoot {
-		return nil, fmt.Errorf("%w: snapshot root has kind %s", ErrBadPath, root.kind)
-	}
-	for _, w := range nodes[1:] {
-		n, err := decodeNode(w, lat, in, canon, classes)
+	acls := make([]*acl.ACL, len(w.ACLs))
+	seen := make(map[string]bool, len(w.ACLs)+len(w.Classes))
+	for i, text := range w.ACLs {
+		a, err := acl.Parse(text)
 		if err != nil {
+			return nil, fmt.Errorf("names: snapshot ACL %d: %w", i, err)
+		}
+		if a.String() != text || seen[text] {
+			return nil, bad("ACL %d %q is not canonical or not distinct", i, text)
+		}
+		seen[text] = true
+		acls[i] = canon.canon(a)
+	}
+	clear(seen)
+	cls := make([]*lattice.Class, len(w.Classes))
+	for i, label := range w.Classes {
+		c, err := lat.ParseClass(label)
+		if err != nil {
+			return nil, fmt.Errorf("names: snapshot class %d: %w", i, err)
+		}
+		if again, err := lat.Format(c); err != nil || again != label || seen[label] {
+			return nil, bad("class %d %q is not canonical or not distinct", i, label)
+		}
+		seen[label] = true
+		cls[i] = classes.canon(c)
+	}
+	if len(w.Rows) == 0 || w.Rows[0].Parent != -1 || w.Rows[0].Name != "" || Kind(w.Rows[0].Kind) != KindRoot {
+		return nil, bad("must begin with the root")
+	}
+	in.reserve(len(w.Rows))
+	nodes := make([]*Node, len(w.Rows))
+	// open is the path from the root to the previous row, as row
+	// indexes: a pre-order row's parent is always on it.
+	open := make([]int32, 0, 16)
+	var nextACL, nextClass uint32
+	for i, r := range w.Rows {
+		kind := Kind(r.Kind)
+		switch {
+		case r.Kind >= numKinds:
+			return nil, bad("row %d has unknown kind %d", i, r.Kind)
+		case r.ACL > nextACL || r.ACL >= uint32(len(acls)):
+			return nil, bad("row %d ACL index %d out of order or range", i, r.ACL)
+		case r.Class > nextClass || r.Class >= uint32(len(cls)):
+			return nil, bad("row %d class index %d out of order or range", i, r.Class)
+		case r.Multilevel && kind.Leaf():
+			return nil, bad("row %d is a multilevel leaf", i)
+		}
+		if r.ACL == nextACL {
+			nextACL++
+		}
+		if r.Class == nextClass {
+			nextClass++
+		}
+		n := &Node{kind: kind, multilevel: r.Multilevel, acl: acls[r.ACL], class: cls[r.Class]}
+		nodes[i] = n
+		if i == 0 {
+			n.path = in.intern("/")
+			open = append(open, 0)
+			continue
+		}
+		for len(open) > 0 && open[len(open)-1] > r.Parent {
+			open = open[:len(open)-1]
+		}
+		if len(open) == 0 || open[len(open)-1] != r.Parent {
+			return nil, bad("row %d parent %d is not an open ancestor", i, r.Parent)
+		}
+		parent := nodes[r.Parent]
+		if parent.kind.Leaf() {
+			return nil, bad("row %d parent %s is a leaf", i, parent.path)
+		}
+		if err := ValidComponent(r.Name); err != nil {
 			return nil, err
 		}
-		parent := lookupWire(root, parentOf(w.Path))
-		if parent == nil || parent.kind.Leaf() {
-			return nil, fmt.Errorf("%w: snapshot node %s has no parent", ErrBadPath, w.Path)
+		if k := len(parent.children); k > 0 && parent.children[k-1].name() >= r.Name {
+			return nil, bad("row %d name %q out of sibling order under %s", i, r.Name, parent.path)
+		}
+		if parent.path == "/" {
+			n.path = in.intern("/" + r.Name)
+		} else {
+			n.path = in.intern(parent.path + "/" + r.Name)
 		}
 		appendChild(parent, n)
+		open = append(open, int32(i))
 	}
-	return root, nil
+	if nextACL != uint32(len(acls)) || nextClass != uint32(len(cls)) {
+		return nil, bad("tables list %d ACLs and %d classes, rows use %d and %d", len(acls), len(cls), nextACL, nextClass)
+	}
+	return nodes[0], nil
 }
 
 // patchWireTree applies a delta's deletes then upserts to root,
@@ -436,8 +571,28 @@ func patchWireTree(root *Node, upserts []NodeWire, deletes []string, lat *lattic
 	return root, nil
 }
 
+// SnapshotTree is a snapshot's tree, built and checked against one
+// server's lattice and intern tables but not yet published;
+// ApplyReplicated installs it. Building takes no server lock, so a
+// replica builds the tree while it replays the registry.
+type SnapshotTree struct {
+	srv  *Server
+	root *Node
+}
+
+// BuildSnapshot builds w's tree for a later ApplyReplicated on s. It
+// fails unless w is exactly what WireSnapshot emits for some tree (see
+// buildSnapshotTree).
+func (s *Server) BuildSnapshot(w *EpochWire) (*SnapshotTree, error) {
+	root, err := buildSnapshotTree(w, s.lat.Freeze(), &s.strings, &s.acls, &s.classes)
+	if err != nil {
+		return nil, err
+	}
+	return &SnapshotTree{srv: s, root: root}, nil
+}
+
 // ReplicaApply is one replicated epoch installation: either a full
-// snapshot tree (Full non-nil) or a tree patch, plus an optional stack
+// snapshot tree (Snapshot non-nil) or a tree patch, plus an optional stack
 // swap. PrimaryVersion stamps the journal record so lag is auditable;
 // Kind defaults to "replica" ("replica-stale" marks a fail-closed
 // installation). The lattice and registry shards are NOT part of this
@@ -448,7 +603,7 @@ type ReplicaApply struct {
 	PrimaryVersion uint64
 	Kind           string
 	Traversal      bool
-	Full           []NodeWire
+	Snapshot       *SnapshotTree
 	Upserts        []NodeWire
 	Deletes        []string
 	Stack          *monitor.Stack
@@ -464,6 +619,9 @@ func (s *Server) ApplyReplicated(app ReplicaApply) (uint64, error) {
 	if app.PrimaryVersion == 0 {
 		return 0, fmt.Errorf("names: replicated apply requires a primary version")
 	}
+	if app.Snapshot != nil && app.Snapshot.srv != s {
+		return 0, fmt.Errorf("names: snapshot tree was built for another server")
+	}
 	lat := s.lat.Freeze()
 	kind := app.Kind
 	if kind == "" {
@@ -474,8 +632,8 @@ func (s *Server) ApplyReplicated(app ReplicaApply) (uint64, error) {
 	cur := s.epoch.Load()
 	root := cur.root
 	var err error
-	if app.Full != nil {
-		root, err = buildWireTree(app.Full, lat, &s.strings, &s.acls, &s.classes)
+	if app.Snapshot != nil {
+		root = app.Snapshot.root
 	} else if len(app.Upserts) > 0 || len(app.Deletes) > 0 {
 		root, err = patchWireTree(cur.root, app.Upserts, app.Deletes, lat, &s.strings, &s.acls, &s.classes)
 	}

@@ -3,6 +3,7 @@ package names
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -13,10 +14,11 @@ import (
 )
 
 // mirror is an in-process replica of a primary name server at the
-// names layer: it bootstraps from a WireSnapshot and tracks the
-// primary by replaying wire deltas, exactly as internal/replica does
-// over TCP (lattice and registry through the ordinary append-only
-// entry points, tree and traversal through ApplyReplicated).
+// names layer: it bootstraps from the primary's snapshot frames and
+// tracks the primary by replaying wire deltas, exactly as
+// internal/replica does over TCP (lattice and registry through the
+// ordinary append-only entry points, tree and traversal through
+// ApplyReplicated).
 type mirror struct {
 	lat *lattice.Lattice
 	reg *principal.Registry
@@ -25,9 +27,9 @@ type mirror struct {
 
 func newMirror(t testing.TB, primary *Server) *mirror {
 	t.Helper()
-	wire, err := primary.Current().WireSnapshot()
+	wire, err := DecodeSnapshot(frameSource(snapshotFrames(t, primary.Current())))
 	if err != nil {
-		t.Fatalf("WireSnapshot: %v", err)
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
 	lat, err := lattice.NewWithUniverse(wire.Levels, wire.Categories)
 	if err != nil {
@@ -58,14 +60,48 @@ func newMirror(t testing.TB, primary *Server) *mirror {
 		}
 	}
 	srv.AttachRegistry(reg)
+	tree, err := srv.BuildSnapshot(wire)
+	if err != nil {
+		t.Fatalf("mirror bootstrap build: %v", err)
+	}
 	if _, err := srv.ApplyReplicated(ReplicaApply{
 		PrimaryVersion: wire.Version,
 		Traversal:      wire.Traversal,
-		Full:           wire.Nodes,
+		Snapshot:       tree,
 	}); err != nil {
 		t.Fatalf("mirror bootstrap apply: %v", err)
 	}
 	return &mirror{lat: lat, reg: reg, srv: srv}
+}
+
+// snapshotFrames encodes ep's snapshot and returns its frames.
+func snapshotFrames(t testing.TB, ep *Epoch) [][]byte {
+	t.Helper()
+	wire, err := ep.WireSnapshot()
+	if err != nil {
+		t.Fatalf("WireSnapshot: %v", err)
+	}
+	var frames [][]byte
+	if err := EncodeSnapshot(wire, func(f []byte) error {
+		frames = append(frames, f)
+		return nil
+	}); err != nil {
+		t.Fatalf("EncodeSnapshot: %v", err)
+	}
+	return frames
+}
+
+// frameSource feeds frames to DecodeSnapshot one line at a time, as a
+// line scanner would, and reports a cut stream once they run out.
+func frameSource(frames [][]byte) func() (string, error) {
+	return func() (string, error) {
+		if len(frames) == 0 {
+			return "", io.ErrUnexpectedEOF
+		}
+		f := frames[0]
+		frames = frames[1:]
+		return strings.TrimSuffix(string(f), "\n"), nil
+	}
 }
 
 // apply replays one delta after a JSON round-trip — the wire contract
@@ -197,10 +233,12 @@ func wireEquivalent(a, b *Epoch) string {
 	return ""
 }
 
-// verdictsAgree compares mediated verdicts between the two epochs for
-// every principal on every leaf path — on a compiled epoch this runs
-// the locally rebuilt summaries, so agreement here is the "compiled
-// read side rebuilt at apply time matches the primary's" claim.
+// verdictsAgree compares mediated verdicts, denial text included,
+// between the two epochs for every principal on every leaf path (on
+// at most ~256 leaves, evenly spread, in a larger tree) — on a compiled
+// epoch this runs the locally rebuilt summaries, so agreement here is
+// the "compiled read side rebuilt at apply time matches the primary's"
+// claim.
 func verdictsAgree(a, b *Epoch) string {
 	if a.Registry() == nil || b.Registry() == nil {
 		return ""
@@ -211,6 +249,7 @@ func verdictsAgree(a, b *Epoch) string {
 			leaves = append(leaves, path)
 		}
 	})
+	stride := max(1, len(leaves)/256)
 	for _, name := range a.Registry().Principals() {
 		// Classes are lattice-scoped (cross-lattice comparisons are
 		// always false), so each side checks with the class its own
@@ -223,11 +262,12 @@ func verdictsAgree(a, b *Epoch) string {
 		if err != nil {
 			return fmt.Sprintf("mirror missing principal %s: %v", name, err)
 		}
-		for _, path := range leaves {
+		for i := 0; i < len(leaves); i += stride {
+			path := leaves[i]
 			for _, mode := range []acl.Mode{acl.Read, acl.Write, acl.Administrate} {
 				_, aerr := a.CheckIn(subj(name), pa.Class(), path, mode)
 				_, berr := b.CheckIn(subj(name), pb.Class(), path, mode)
-				if (aerr == nil) != (berr == nil) {
+				if fmt.Sprint(aerr) != fmt.Sprint(berr) {
 					return fmt.Sprintf("%s %s on %s: primary err=%v, mirror err=%v",
 						name, mode, path, aerr, berr)
 				}
@@ -239,7 +279,7 @@ func verdictsAgree(a, b *Epoch) string {
 
 // wirePrimary builds a primary with tree, registry, groups, and a
 // multilevel directory — every wire feature in one fixture.
-func wirePrimary(t *testing.T) (*fixture, *principal.Registry) {
+func wirePrimary(t testing.TB) (*fixture, *principal.Registry) {
 	t.Helper()
 	f := newFixture(t)
 	f.mkTree(t)

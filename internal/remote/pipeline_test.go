@@ -173,11 +173,11 @@ func TestPipelinedQuit(t *testing.T) {
 func TestPipelinedBarrierFlushes(t *testing.T) {
 	addr, adminTok, _, w, _ := startReplServer(t)
 	sub := dial(t, addr)
-	sub.expectOK("HELLO 2")
+	sub.expectOK("HELLO 4")
 	sub.expectOK("AUTH %s", adminTok)
 	sub.expectOK("SUBSCRIBE 0")
-	if kind, _, _ := strings.Cut(sub.readLine(), " "); kind != "SNAPSHOT" {
-		t.Fatalf("subscriber got %q, want SNAPSHOT", kind)
+	if kind, _, _ := strings.Cut(sub.readLine(), " "); kind != "SNAP-SECRET" {
+		t.Fatalf("subscriber got %q, want SNAP-SECRET", kind)
 	}
 	// The subscriber never acks what follows.
 	v, err := w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs", secext.NewACL(secext.AllowEveryone(secext.List))))

@@ -32,16 +32,18 @@
 //	WHOAMI                   current principal and class
 //	QUIT                     close the connection
 //
-// Protocol version 2 adds replication (all of these require a prior
-// "HELLO 2"; HELLO itself is version 1 so old servers answer it with a
-// clean unknown-command error instead of a hang):
+// Protocol version 2 adds replication (BARRIER and REPLICAS require a
+// prior "HELLO 2", SUBSCRIBE a prior "HELLO 4"; HELLO itself is version
+// 1 so old servers answer it with a clean unknown-command error instead
+// of a hang):
 //
 //	HELLO <n>                negotiate: "OK proto <min(n, server)>", or a
 //	                         clean ERR when n is below the server's minimum
 //	SUBSCRIBE 0              become a replica (administrate on "/" required):
-//	                         "OK <peer>", "SNAPSHOT <json>" (or, once the
-//	                         session negotiated protocol >= 3, "SNAPSHOT-GZ
-//	                         <base64(gzip(json))>"), then a stream of
+//	                         "OK <peer>", "SNAP-SECRET <base64>", the
+//	                         snapshot frames ("SNAP-HEAD <json>", "SNAP
+//	                         <fields>"..., "SNAP-END", each at most 1 MiB;
+//	                         see names.EncodeSnapshot), then a stream of
 //	                         "DELTA <json>" / "PING <v>" lines; the client
 //	                         answers each with "ACK <version>"
 //	BARRIER <v> [timeoutms]  block until every connected replica acked
@@ -543,8 +545,8 @@ func (s *session) dispatch(line string) {
 			s.reply("ERR usage: SUBSCRIBE 0")
 			return
 		}
-		if s.proto < 2 {
-			s.reply("ERR SUBSCRIBE requires protocol >= 2 (send HELLO 2 first)")
+		if s.proto < replica.SubscribeProto {
+			s.reply("ERR SUBSCRIBE requires protocol >= %d (send HELLO %d first)", replica.SubscribeProto, replica.SubscribeProto)
 			return
 		}
 		if !s.need() {
@@ -568,22 +570,14 @@ func (s *session) dispatch(line string) {
 			return
 		}
 		s.reply("OK %s", peer.Name())
-		// Protocol >= 3 peers take the bootstrap snapshot gzipped —
-		// it is the one message whose size scales with the whole tree.
-		// Older peers keep the plaintext form, so a mixed fleet
-		// upgrades one process at a time.
-		if s.proto >= 3 {
-			gz, err := pub.CompressSnapshotFor(peer, snap)
-			if err != nil {
-				pub.Remove(peer)
-				s.fail(err)
-				return
-			}
-			s.reply("SNAPSHOT-GZ %s", gz)
-		} else {
-			s.reply("SNAPSHOT %s", snap)
+		// A subscriber that goes away mid-snapshot, or a snapshot that
+		// fails to encode, ends the session at once: the peer stops
+		// gating barriers and the replica sees a cut stream.
+		if _, err := snap.WriteTo(s.out); err != nil || s.out.Flush() != nil {
+			pub.Remove(peer)
+			s.hijacked = true
+			return
 		}
-		s.out.Flush()
 		s.stream(pub, peer)
 	case "BARRIER":
 		if len(args) < 1 || len(args) > 2 {

@@ -98,8 +98,8 @@ func TestOldClientAgainstNewServer(t *testing.T) {
 	c.expectOK("AUTH %s", adminTok)
 	c.expectOK("LS /")
 	got := c.expectErr("SUBSCRIBE 0")
-	if !strings.Contains(got, "HELLO 2") {
-		t.Errorf("SUBSCRIBE without HELLO = %q, want a hint to send HELLO 2", got)
+	if !strings.Contains(got, "HELLO 4") {
+		t.Errorf("SUBSCRIBE without HELLO = %q, want a hint to send HELLO 4", got)
 	}
 	got = c.expectErr("BARRIER 1")
 	if !strings.Contains(got, "HELLO 2") {
@@ -152,17 +152,25 @@ func TestSubscribeGates(t *testing.T) {
 	c.expectOK("AUTH %s", adminTok)
 	c.expectErr("SUBSCRIBE 0")
 
-	// Protocol 2 but unauthenticated.
+	// Authenticated on protocol 3, which bootstrapped from a JSON
+	// snapshot this server no longer sends.
+	c.expectOK("HELLO 3")
+	if got := c.expectErr("SUBSCRIBE 0"); !strings.Contains(got, "protocol >= 4") {
+		t.Errorf("protocol-3 SUBSCRIBE = %q, want a protocol >= 4 error", got)
+	}
+	c.expectOK("WHOAMI")
+
+	// Protocol 4 but unauthenticated.
 	c2 := dial(t, addr)
-	c2.expectOK("HELLO 2")
+	c2.expectOK("HELLO 4")
 	got := c2.expectErr("SUBSCRIBE 0")
 	if !strings.Contains(got, "authenticate") {
 		t.Errorf("unauthenticated SUBSCRIBE = %q", got)
 	}
 
-	// Authenticated, protocol 2, but no administrate on "/".
+	// Authenticated, protocol 4, but no administrate on "/".
 	c3 := dial(t, addr)
-	c3.expectOK("HELLO 2")
+	c3.expectOK("HELLO 4")
 	c3.expectOK("AUTH %s", eveTok)
 	got = c3.expectErr("SUBSCRIBE 0")
 	if !strings.Contains(got, "denied") {
@@ -179,7 +187,7 @@ func TestSubscribeGates(t *testing.T) {
 func TestSubscribeWithoutPublisher(t *testing.T) {
 	addr, aliceTok, _ := startServer(t)
 	c := dial(t, addr)
-	c.expectOK("HELLO 2")
+	c.expectOK("HELLO 4")
 	c.expectOK("AUTH %s", aliceTok)
 	for _, cmd := range []string{"SUBSCRIBE 0", "BARRIER 1", "REPLICAS"} {
 		got := c.expectErr(cmd)
@@ -257,47 +265,50 @@ func TestCheckCommand(t *testing.T) {
 	_ = eveTok
 }
 
-// TestSnapshotCompressionNegotiation: a protocol-3 subscriber receives
-// SNAPSHOT-GZ and the payload decompresses to the exact envelope a
-// protocol-2 subscriber receives in plaintext; the publisher's stats
-// record both the raw and the compressed sizes.
-func TestSnapshotCompressionNegotiation(t *testing.T) {
+// TestSnapshotFramesShared: two subscribers at one epoch version get
+// the same snapshot frames from one encoding, after their own
+// SNAP-SECRET line; every frame fits the 1 MiB line bound, and the
+// publisher counts the framed bytes it sent.
+func TestSnapshotFramesShared(t *testing.T) {
 	addr, adminTok, _, _, pub := startReplServer(t)
 
-	subscribe := func(proto int) (kind, payload string) {
+	subscribe := func() (secret string, frames []string, bytes int) {
 		t.Helper()
 		c := dial(t, addr)
-		c.expectOK("HELLO %d", proto)
+		c.expectOK("HELLO 4")
 		c.expectOK("AUTH %s", adminTok)
 		c.expectOK("SUBSCRIBE 0")
-		kind, payload, _ = strings.Cut(c.readLine(), " ")
-		return kind, payload
+		secret = c.readLine()
+		bytes = len(secret) + 1
+		for {
+			raw, err := c.rd.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			line := strings.TrimSuffix(raw, "\n")
+			if len(line)+1 > names.MaxFrame {
+				t.Fatalf("frame of %d bytes exceeds the line bound", len(line)+1)
+			}
+			frames = append(frames, line)
+			bytes += len(line) + 1
+			if line == "SNAP-END" {
+				return secret, frames, bytes
+			}
+		}
 	}
-
-	kind2, plain := subscribe(2)
-	if kind2 != "SNAPSHOT" {
-		t.Fatalf("proto-2 subscriber got %q, want SNAPSHOT", kind2)
+	s1, f1, n1 := subscribe()
+	s2, f2, n2 := subscribe()
+	if !strings.HasPrefix(s1, "SNAP-SECRET ") || s1 != s2 {
+		t.Fatalf("secret lines %.30q and %.30q", s1, s2)
 	}
-	kind3, gz := subscribe(3)
-	if kind3 != "SNAPSHOT-GZ" {
-		t.Fatalf("proto-3 subscriber got %q, want SNAPSHOT-GZ", kind3)
+	if !strings.HasPrefix(f1[0], "SNAP-HEAD ") || strings.Join(f1, "\n") != strings.Join(f2, "\n") {
+		t.Fatalf("subscribers at one version got different frames:\n%.200q\n%.200q", f1, f2)
 	}
-	body, err := replica.DecompressSnapshot(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != plain {
-		t.Errorf("decompressed snapshot differs from the plaintext form:\n gz: %.120s...\n v2: %.120s...", body, plain)
-	}
-	if len(gz) >= len(plain) {
-		t.Errorf("compressed payload (%d bytes) not smaller than plaintext (%d bytes)", len(gz), len(plain))
-	}
-
 	st := pub.Stats()
-	if st.Snapshots != 2 || st.SnapshotsGz != 1 {
-		t.Errorf("snapshots = %d (%d gz), want 2 (1 gz)", st.Snapshots, st.SnapshotsGz)
+	if st.Snapshots != 2 || st.SnapshotEncodes != 1 {
+		t.Errorf("snapshots = %d (%d encodes), want 2 (1 encode)", st.Snapshots, st.SnapshotEncodes)
 	}
-	if st.SnapshotGzBytes == 0 || st.SnapshotGzBytes >= st.SnapshotBytes {
-		t.Errorf("gz bytes %d vs raw bytes %d: compression not recorded", st.SnapshotGzBytes, st.SnapshotBytes)
+	if st.SnapshotBytes != uint64(n1+n2) {
+		t.Errorf("snapshot bytes = %d, want the %d framed bytes sent", st.SnapshotBytes, n1+n2)
 	}
 }

@@ -27,7 +27,8 @@
 // writes; replicas are read-only mediators.
 //
 // This package speaks the wire format (internal/names' epoch codec
-// wrapped in the line protocol's SNAPSHOT/DELTA/ACK messages) from
+// carried by the line protocol: a subscriber receives SNAP-SECRET and
+// the snapshot frames, then DELTA and PING lines, and answers ACK) from
 // both ends but never imports internal/remote — remote imports this
 // package to serve the primary side.
 package replica
@@ -46,22 +47,24 @@ import (
 )
 
 // Protocol versions. Version 1 is the pre-replication line protocol;
-// version 2 adds HELLO/SUBSCRIBE/SNAPSHOT/DELTA/ACK/BARRIER/REPLICAS;
-// version 3 compresses the bootstrap snapshot: a subscriber that
-// negotiated >= 3 receives SNAPSHOT-GZ (base64 of the gzipped JSON
-// envelope) instead of SNAPSHOT. A server negotiates min(client,
-// ProtoVersion) and rejects clients below MinProto with a clean error
-// instead of a parse failure; version-2 peers keep getting plaintext
-// snapshots, so mixed fleets upgrade one process at a time.
+// version 2 added HELLO/SUBSCRIBE/DELTA/ACK/BARRIER/REPLICAS; version 4
+// bootstraps a subscriber from the streamed, table-shaped snapshot:
+// after "OK <peer>" comes one SNAP-SECRET line with the token secret,
+// then the frames of names.EncodeSnapshot, each one line of at most
+// names.MaxFrame bytes. A server negotiates min(client, ProtoVersion)
+// and rejects clients below MinProto with a clean error instead of a
+// parse failure; SUBSCRIBE needs SubscribeProto, so a subscriber from
+// before version 4 gets a clean ERR rather than a snapshot it cannot
+// read.
 const (
-	ProtoVersion = 3
-	MinProto     = 1
+	ProtoVersion   = 4
+	MinProto       = 1
+	SubscribeProto = 4
 )
 
-// CompressSnapshot encodes a snapshot body for the SNAPSHOT-GZ message:
-// gzip, then base64 so the payload stays a single protocol line. The
-// JSON envelope is dominated by repeated key names and path prefixes,
-// so a million-node snapshot typically shrinks several-fold.
+// CompressSnapshot gzips a body and base64-encodes it. Kept for bench/
+// only, which still prices the JSON form of a snapshot this way; the
+// protocol no longer compresses.
 func CompressSnapshot(body []byte) (string, error) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
@@ -74,8 +77,7 @@ func CompressSnapshot(body []byte) (string, error) {
 	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
 }
 
-// DecompressSnapshot decodes a SNAPSHOT-GZ payload back to the JSON
-// envelope.
+// DecompressSnapshot undoes CompressSnapshot. Kept for bench/ only.
 func DecompressSnapshot(s string) ([]byte, error) {
 	raw, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
@@ -95,22 +97,21 @@ func DecompressSnapshot(s string) ([]byte, error) {
 	return body, nil
 }
 
-// SnapshotEnvelope is the payload of a SNAPSHOT message: the full
-// epoch plus the primary's token-signing secret, so tokens the primary
-// issued authenticate against the replica too. The secret rides the
-// replication envelope, not the names codec — it is a transport
-// credential, not protection state.
+// SnapshotEnvelope is a snapshot and the primary's token secret as one
+// JSON value. Kept for bench/ only, which prices that JSON form; the
+// protocol sends the secret in its own SNAP-SECRET line and the
+// snapshot as frames.
 type SnapshotEnvelope struct {
 	Epoch  *names.EpochWire `json:"epoch"`
 	Secret string           `json:"secret"`
 }
 
-// EncodeSecret renders a token secret for the envelope.
+// EncodeSecret renders a token secret for the SNAP-SECRET line.
 func EncodeSecret(secret []byte) string {
 	return base64.StdEncoding.EncodeToString(secret)
 }
 
-// DecodeSecret parses an envelope secret.
+// DecodeSecret parses a SNAP-SECRET payload.
 func DecodeSecret(s string) ([]byte, error) {
 	return base64.StdEncoding.DecodeString(s)
 }

@@ -3,6 +3,7 @@ package replica
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +38,7 @@ type Peer struct {
 	acked         atomic.Uint64
 	deltas        atomic.Uint64
 	deltaBytes    atomic.Uint64
-	snapshotBytes uint64
+	snapshotBytes atomic.Uint64
 }
 
 // Name returns the peer's display name (unique per publisher).
@@ -77,15 +78,18 @@ type Publisher struct {
 	seq    int
 	closed bool
 
+	// enc is the snapshot encoding of the last epoch version a peer
+	// subscribed at; subscribers at that version share it.
+	enc *snapEncoding
+
 	// done is closed when the fan-out goroutine has exited, after it
 	// closed every remaining peer's stream.
 	done chan struct{}
 
 	snapshots       atomic.Uint64
-	snapshotsGz     atomic.Uint64
+	snapshotEncodes atomic.Uint64
 	deltas          atomic.Uint64
 	snapshotBytes   atomic.Uint64
-	snapshotGzBytes atomic.Uint64
 	deltaBytes      atomic.Uint64
 	barrierTimeouts atomic.Uint64
 	barrierWait     telemetry.Histogram
@@ -124,13 +128,14 @@ func (p *Publisher) Close() {
 	<-p.done
 }
 
-// Subscribe registers a new peer and returns it together with the
-// encoded SNAPSHOT envelope the connection must send first. The
-// snapshot is captured under the publisher's mutex, so no published
-// delta can fall between the snapshot version and the peer's stream:
-// every transition enqueued after this point either is contained in
-// the snapshot (version <= base, filtered) or will be delivered.
-func (p *Publisher) Subscribe(label string) (*Peer, []byte, error) {
+// Subscribe registers a new peer and returns it with the snapshot the
+// connection must send first. The snapshot's epoch is pinned under the
+// publisher's mutex, so no published delta can fall between the
+// snapshot version and the peer's stream: every transition enqueued
+// after this point either is contained in the snapshot (version <=
+// base, filtered) or will be delivered. Subscribers at one epoch
+// version share one encoding of it.
+func (p *Publisher) Subscribe(label string) (*Peer, *Snapshot, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -142,39 +147,94 @@ func (p *Publisher) Subscribe(label string) (*Peer, []byte, error) {
 	peer := &Peer{name: name, base: ep.Version(), ch: make(chan Msg, peerChCap)}
 	peer.acked.Store(ep.Version())
 	p.peers[name] = peer
+	if p.enc == nil || p.enc.version != ep.Version() {
+		p.enc = newSnapEncoding(ep)
+		p.snapshotEncodes.Add(1)
+	}
+	enc := p.enc
 	p.mu.Unlock()
-
-	wire, err := ep.WireSnapshot()
-	if err != nil {
-		p.Remove(peer)
-		return nil, nil, err
-	}
-	env := SnapshotEnvelope{Epoch: wire, Secret: EncodeSecret(p.sys.Registry().TokenSecret())}
-	body, err := json.Marshal(env)
-	if err != nil {
-		p.Remove(peer)
-		return nil, nil, err
-	}
 	p.snapshots.Add(1)
-	p.snapshotBytes.Add(uint64(len(body)))
-	peer.snapshotBytes = uint64(len(body))
-	return peer, body, nil
+	return peer, &Snapshot{pub: p, peer: peer, enc: enc, secret: p.sys.Registry().TokenSecret()}, nil
 }
 
-// CompressSnapshotFor gzips a snapshot body for a protocol >= 3 peer
-// and records the compressed wire size next to the raw size Subscribe
-// already counted — the two counters together are the compression
-// ratio the telemetry exports. The peer's own snapshot stat switches
-// to the wire size: it reports what the link actually carried.
-func (p *Publisher) CompressSnapshotFor(peer *Peer, raw []byte) (string, error) {
-	gz, err := CompressSnapshot(raw)
-	if err != nil {
-		return "", err
+// Snapshot is one subscriber's bootstrap: the token secret, then the
+// shared frames of the epoch it subscribed at.
+type Snapshot struct {
+	pub    *Publisher
+	peer   *Peer
+	enc    *snapEncoding
+	secret []byte
+}
+
+// WriteTo writes the SNAP-SECRET line and then each frame as the shared
+// encoding produces it, and adds the bytes written to the publisher's
+// and the peer's snapshot bytes. The secret stays out of the shared
+// frames. An encoding error ends the write before SNAP-END.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	n, err := fmt.Fprintf(w, "SNAP-SECRET %s\n", EncodeSecret(s.secret))
+	total := int64(n)
+	for i := 0; err == nil; i++ {
+		var f []byte
+		if f, err = s.enc.frame(i); f == nil {
+			break
+		}
+		n, err = w.Write(f)
+		total += int64(n)
 	}
-	p.snapshotsGz.Add(1)
-	p.snapshotGzBytes.Add(uint64(len(gz)))
-	peer.snapshotBytes = uint64(len(gz))
-	return gz, nil
+	s.pub.snapshotBytes.Add(uint64(total))
+	s.peer.snapshotBytes.Add(uint64(total))
+	return total, err
+}
+
+// snapEncoding is the snapshot frames of one epoch version, encoded
+// once on its own goroutine and shared by every subscriber at that
+// version. Frames are appended as the encoder emits them, so the first
+// subscriber sends while the rest is still being encoded.
+type snapEncoding struct {
+	version uint64
+	mu      sync.Mutex
+	grown   sync.Cond // broadcast on each frame and at the end
+	frames  [][]byte
+	done    bool
+	err     error
+}
+
+func newSnapEncoding(ep *names.Epoch) *snapEncoding {
+	e := &snapEncoding{version: ep.Version()}
+	e.grown.L = &e.mu
+	go e.run(ep)
+	return e
+}
+
+func (e *snapEncoding) run(ep *names.Epoch) {
+	wire, err := ep.WireSnapshot()
+	if err == nil {
+		err = names.EncodeSnapshot(wire, func(f []byte) error {
+			e.mu.Lock()
+			e.frames = append(e.frames, f)
+			e.mu.Unlock()
+			e.grown.Broadcast()
+			return nil
+		})
+	}
+	e.mu.Lock()
+	e.done, e.err = true, err
+	e.mu.Unlock()
+	e.grown.Broadcast()
+}
+
+// frame returns frame i once it is encoded, or nil and the encoding's
+// error once the encoding ended before it.
+func (e *snapEncoding) frame(i int) ([]byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i >= len(e.frames) && !e.done {
+		e.grown.Wait()
+	}
+	if i < len(e.frames) {
+		return e.frames[i], nil
+	}
+	return nil, e.err
 }
 
 // Ack records that the peer applied every primary epoch up to v, and
@@ -273,9 +333,14 @@ func (p *Publisher) run() {
 			continue
 		}
 		body, err := json.Marshal(d)
-		if err != nil {
+		if err != nil || len("DELTA ")+len(body)+1 > names.MaxFrame {
+			// A delta that cannot be encoded, or not as one protocol
+			// line, cannot be streamed: its peers are dropped, and their
+			// replicas fail closed until they bootstrap from a snapshot.
 			for _, peer := range peers {
-				p.drop(peer)
+				if d.Version > peer.base {
+					p.drop(peer)
+				}
 			}
 			continue
 		}
@@ -356,10 +421,9 @@ func (p *Publisher) Stats() telemetry.ReplicationStats {
 	st := telemetry.ReplicationStats{
 		PrimaryVersion:  cur,
 		Snapshots:       p.snapshots.Load(),
-		SnapshotsGz:     p.snapshotsGz.Load(),
+		SnapshotEncodes: p.snapshotEncodes.Load(),
 		Deltas:          p.deltas.Load(),
 		SnapshotBytes:   p.snapshotBytes.Load(),
-		SnapshotGzBytes: p.snapshotGzBytes.Load(),
 		DeltaBytes:      p.deltaBytes.Load(),
 		BarrierTimeouts: p.barrierTimeouts.Load(),
 		BarrierWait:     p.barrierWait.Snapshot(),
@@ -374,7 +438,7 @@ func (p *Publisher) Stats() telemetry.ReplicationStats {
 			Name:          peer.name,
 			Acked:         acked,
 			Lag:           lag,
-			SnapshotBytes: peer.snapshotBytes,
+			SnapshotBytes: peer.snapshotBytes.Load(),
 			DeltaBytes:    peer.deltaBytes.Load(),
 			Deltas:        peer.deltas.Load(),
 		})

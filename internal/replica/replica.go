@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 
 	"secext/internal/core"
+	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/names"
 	"secext/internal/principal"
@@ -68,9 +69,11 @@ type Replica struct {
 }
 
 // Connect dials the primary, authenticates, bootstraps a full local
-// system from the SNAPSHOT, and starts the stream reader and the
-// staleness watchdog. On return the replica serves checks at the
-// primary epoch version carried by the snapshot.
+// system from the streamed snapshot, and starts the stream reader and
+// the staleness watchdog. On return the replica serves checks at the
+// primary epoch version carried by the snapshot. Every read until then
+// has StaleAfter to arrive, so a primary that stalls mid-bootstrap
+// fails Connect instead of hanging it.
 func Connect(opts Options) (*Replica, error) {
 	if opts.StaleAfter <= 0 {
 		opts.StaleAfter = 3 * time.Second
@@ -83,24 +86,28 @@ func Connect(opts Options) (*Replica, error) {
 		return nil, fmt.Errorf("replica: dial %s: %w", opts.Addr, err)
 	}
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), names.MaxFrame)
 
 	fail := func(err error) (*Replica, error) {
 		conn.Close()
 		return nil, err
 	}
-	expect := func(what string) (string, error) {
+	readLine := func(what string) (string, error) {
+		conn.SetReadDeadline(time.Now().Add(opts.StaleAfter))
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
 				return "", fmt.Errorf("replica: reading %s: %w", what, err)
 			}
 			return "", fmt.Errorf("replica: connection closed while reading %s", what)
 		}
-		line := sc.Text()
-		if !strings.HasPrefix(line, "OK") {
-			return "", fmt.Errorf("replica: %s: primary said %q", what, line)
+		return sc.Text(), nil
+	}
+	expect := func(what string) (string, error) {
+		line, err := readLine(what)
+		if err == nil && !strings.HasPrefix(line, "OK") {
+			err = fmt.Errorf("replica: %s: primary said %q", what, line)
 		}
-		return line, nil
+		return line, err
 	}
 
 	if _, err := expect("greeting"); err != nil {
@@ -112,8 +119,8 @@ func Connect(opts Options) (*Replica, error) {
 		return fail(err)
 	}
 	var proto int
-	if _, err := fmt.Sscanf(line, "OK proto %d", &proto); err != nil || proto < 2 {
-		return fail(fmt.Errorf("replica: primary negotiated %q; replication needs protocol >= 2", line))
+	if _, err := fmt.Sscanf(line, "OK proto %d", &proto); err != nil || proto < SubscribeProto {
+		return fail(fmt.Errorf("replica: primary negotiated %q; replication needs protocol >= %d", line, SubscribeProto))
 	}
 	fmt.Fprintf(conn, "AUTH %s\n", opts.Token)
 	if _, err := expect("authentication"); err != nil {
@@ -123,41 +130,34 @@ func Connect(opts Options) (*Replica, error) {
 	if _, err := expect("subscription"); err != nil {
 		return fail(err)
 	}
-	if !sc.Scan() {
-		return fail(fmt.Errorf("replica: connection closed before snapshot"))
+	if line, err = readLine("snapshot"); err != nil {
+		return fail(err)
 	}
-	kind, payload, _ := strings.Cut(sc.Text(), " ")
-	var body []byte
-	switch kind {
-	case "SNAPSHOT":
-		body = []byte(payload)
-	case "SNAPSHOT-GZ":
-		// Protocol >= 3 primaries compress the bootstrap snapshot; a
-		// protocol-2 primary (which would have negotiated our HELLO
-		// down) still sends plaintext, handled above.
-		body, err = DecompressSnapshot(payload)
-		if err != nil {
-			return fail(err)
-		}
-	default:
-		return fail(fmt.Errorf("replica: expected SNAPSHOT, got %q", kind))
+	payload, ok := strings.CutPrefix(line, "SNAP-SECRET ")
+	if !ok {
+		return fail(fmt.Errorf("replica: expected the snapshot's SNAP-SECRET line, got %.40q", line))
 	}
-	var env SnapshotEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return fail(fmt.Errorf("replica: decoding snapshot: %w", err))
+	secret, err := DecodeSecret(payload)
+	if err != nil {
+		return fail(fmt.Errorf("replica: decoding token secret: %w", err))
 	}
+	wire, err := names.DecodeSnapshot(func() (string, error) { return readLine("snapshot") })
+	if err != nil {
+		return fail(err)
+	}
+	conn.SetReadDeadline(time.Time{})
 	r := &Replica{
 		conn: conn,
 		opts: opts,
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if err := r.bootstrap(&env); err != nil {
+	if err := r.bootstrap(wire, secret); err != nil {
 		return fail(err)
 	}
-	r.applied.Store(env.Epoch.Version)
+	r.applied.Store(wire.Version)
 	r.lastHeard.Store(time.Now().UnixNano())
-	fmt.Fprintf(conn, "ACK %d\n", env.Epoch.Version)
+	fmt.Fprintf(conn, "ACK %d\n", wire.Version)
 	go r.read(sc)
 	go r.watchdog()
 	return r, nil
@@ -167,24 +167,14 @@ func Connect(opts Options) (*Replica, error) {
 // token secret, principals (in dense-ID order, so local IDs equal the
 // primary's), groups, and finally the tree and guard stack in one
 // atomic publication.
-func (r *Replica) bootstrap(env *SnapshotEnvelope) error {
-	if env.Epoch == nil || env.Epoch.Version == 0 {
-		return fmt.Errorf("replica: snapshot carries no epoch")
-	}
-	if len(env.Epoch.Levels) == 0 {
-		return fmt.Errorf("replica: snapshot carries no lattice levels")
-	}
+func (r *Replica) bootstrap(wire *names.EpochWire, secret []byte) error {
 	sys, err := core.NewSystem(core.Options{
-		Levels:     env.Epoch.Levels,
-		Categories: env.Epoch.Categories,
+		Levels:     wire.Levels,
+		Categories: wire.Categories,
 		Telemetry:  r.opts.Telemetry,
 	})
 	if err != nil {
 		return fmt.Errorf("replica: building local system: %w", err)
-	}
-	secret, err := DecodeSecret(env.Secret)
-	if err != nil {
-		return fmt.Errorf("replica: decoding token secret: %w", err)
 	}
 	if err := sys.Registry().SetTokenSecret(secret); err != nil {
 		return err
@@ -193,36 +183,56 @@ func (r *Replica) bootstrap(env *SnapshotEnvelope) error {
 	// dense-ID order, so local IDs equal the primary's and the compiled
 	// bitsets the replica builds index identically; then groups, then
 	// memberships.
-	var edits []principal.Edit
-	for _, pw := range env.Epoch.Principals {
-		class, err := sys.Lattice().ParseClass(pw.Class)
-		if err != nil {
-			return fmt.Errorf("replica: replaying principal %s: %w", pw.Name, err)
+	n := len(wire.Principals) + len(wire.Groups)
+	for _, gw := range wire.Groups {
+		n += len(gw.Members)
+	}
+	edits := make([]principal.Edit, 0, n)
+	classes := make(map[string]lattice.Class) // class values are immutable; principals share them
+	for _, pw := range wire.Principals {
+		class, ok := classes[pw.Class]
+		if !ok {
+			if class, err = sys.Lattice().ParseClass(pw.Class); err != nil {
+				return fmt.Errorf("replica: replaying principal %s: %w", pw.Name, err)
+			}
+			classes[pw.Class] = class
 		}
 		edits = append(edits, principal.AddPrincipal(pw.Name, class))
 	}
-	for _, gw := range env.Epoch.Groups {
+	for _, gw := range wire.Groups {
 		edits = append(edits, principal.AddGroup(gw.Name))
 	}
-	for _, gw := range env.Epoch.Groups {
+	for _, gw := range wire.Groups {
 		for _, m := range gw.Members {
 			edits = append(edits, principal.AddMember(gw.Name, strings.TrimPrefix(m, "@")))
 		}
 	}
-	if _, err := sys.Registry().Apply(edits...); err != nil {
-		return fmt.Errorf("replica: replaying registry: %w", err)
-	}
-	stack, err := BuildStack(env.Epoch.Stack)
+	stack, err := BuildStack(wire.Stack)
 	if err != nil {
 		return err
+	}
+	// The registry replay and the tree build are independent: run them
+	// side by side, then publish the tree once the registry has landed,
+	// so its one compile sees the whole registry.
+	replayed := make(chan error, 1)
+	go func() {
+		_, err := sys.Registry().Apply(edits...)
+		replayed <- err
+	}()
+	tree, err := sys.Names().BuildSnapshot(wire)
+	if rerr := <-replayed; rerr != nil {
+		return fmt.Errorf("replica: replaying registry: %w", rerr)
+	}
+	if err != nil {
+		return fmt.Errorf("replica: installing snapshot tree: %w", err)
 	}
 	r.mu.Lock()
 	r.liveStack = stack
 	r.mu.Unlock()
 	if _, err := sys.Names().ApplyReplicated(names.ReplicaApply{
-		PrimaryVersion: env.Epoch.Version,
-		Traversal:      env.Epoch.Traversal,
-		Full:           env.Epoch.Nodes,
+		PrimaryVersion: wire.Version,
+		Traversal:      wire.Traversal,
+		Snapshot:       tree,
 		Stack:          stack,
 	}); err != nil {
 		return fmt.Errorf("replica: installing snapshot tree: %w", err)

@@ -2,12 +2,13 @@ package replica_test
 
 // End-to-end replication tests over real loopback TCP: a primary
 // secext world serving the line protocol, replicas connecting through
-// replica.Connect, policy flowing as SNAPSHOT + DELTA messages. These
+// replica.Connect, policy flowing as snapshot frames + DELTA messages. These
 // are the consistency-contract proofs at the package level; the
 // fleet-wide attack test lives in the repository root's attack suite.
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -506,14 +507,14 @@ func fakePrimary(t *testing.T, fn func(conn net.Conn, sc *bufio.Scanner)) string
 }
 
 // handshake answers the greeting/HELLO/AUTH/SUBSCRIBE sequence like a
-// real primary, leaving the snapshot line to the caller.
+// real primary, leaving the snapshot lines to the caller.
 func handshake(conn net.Conn, sc *bufio.Scanner) {
 	fmt.Fprintf(conn, "OK secext ready\n")
 	for i := 0; i < 3 && sc.Scan(); i++ { // HELLO, AUTH, SUBSCRIBE
 		cmd, _, _ := strings.Cut(sc.Text(), " ")
 		switch cmd {
 		case "HELLO":
-			fmt.Fprintf(conn, "OK proto 2\n")
+			fmt.Fprintf(conn, "OK proto 4\n")
 		default:
 			fmt.Fprintf(conn, "OK\n")
 		}
@@ -533,32 +534,32 @@ func TestConnectRejectsBrokenPrimaries(t *testing.T) {
 		}, "greeting"},
 		{"hangup before snapshot", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
-		}, "before snapshot"},
+		}, "closed while reading snapshot"},
 		{"old proto", func(conn net.Conn, sc *bufio.Scanner) {
 			fmt.Fprintf(conn, "OK secext ready\n")
 			if sc.Scan() {
-				fmt.Fprintf(conn, "OK proto 1\n")
+				fmt.Fprintf(conn, "OK proto 3\n")
 			}
 			sc.Scan()
-		}, "protocol >= 2"},
+		}, "protocol >= 4"},
 		{"not a snapshot", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
 			fmt.Fprintf(conn, "GARBAGE x\n")
 			sc.Scan()
-		}, "expected SNAPSHOT"},
+		}, "expected the snapshot's SNAP-SECRET"},
 		{"snapshot not json", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
-			fmt.Fprintf(conn, "SNAPSHOT {nope\n")
+			fmt.Fprintf(conn, "SNAP-SECRET c2VjcmV0\nSNAP-HEAD {nope\n")
 			sc.Scan()
-		}, "decoding snapshot"},
+		}, "decoding snapshot header"},
 		{"empty snapshot", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
-			fmt.Fprintf(conn, "SNAPSHOT {}\n")
+			fmt.Fprintf(conn, "SNAP-SECRET c2VjcmV0\nSNAP-HEAD {}\n")
 			sc.Scan()
 		}, "no epoch"},
 		{"no levels", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
-			fmt.Fprintf(conn, "SNAPSHOT {\"epoch\":{\"version\":1}}\n")
+			fmt.Fprintf(conn, "SNAP-SECRET c2VjcmV0\nSNAP-HEAD {\"version\":1}\n")
 			sc.Scan()
 		}, "no lattice levels"},
 	}
@@ -576,16 +577,21 @@ func TestConnectRejectsBrokenPrimaries(t *testing.T) {
 	}
 }
 
-// realSnapshot captures a valid snapshot body from a live publisher so
-// the fake primary can replay it and then misbehave mid-stream.
+// realSnapshot captures a valid snapshot, SNAP-SECRET line and frames,
+// from a live publisher so the fake primary can replay it and then
+// misbehave mid-stream.
 func realSnapshot(t *testing.T, p *primary) []byte {
 	t.Helper()
-	peer, body, err := p.pub.Subscribe("capture")
+	peer, snap, err := p.pub.Subscribe("capture")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.pub.Remove(peer)
-	return body
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestStreamFailuresRecordErr: garbage or explicit errors on an
@@ -607,7 +613,7 @@ func TestStreamFailuresRecordErr(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := fakePrimary(t, func(conn net.Conn, sc *bufio.Scanner) {
 				handshake(conn, sc)
-				fmt.Fprintf(conn, "SNAPSHOT %s\n", snap)
+				conn.Write(snap)
 				sc.Scan() // the bootstrap ACK
 				// An unknown informational line is ignored...
 				fmt.Fprintf(conn, "NOTICE upgrade scheduled\n")
@@ -682,10 +688,10 @@ func TestSlowPeerDropped(t *testing.T) {
 	})
 }
 
-// TestSnapshotCompressionRoundTrip pins the SNAPSHOT-GZ codec: a body
-// survives compress/decompress byte-identically, compresses a
-// repetitive policy payload smaller than plaintext, and malformed
-// payloads fail with clean errors instead of garbage.
+// TestSnapshotCompressionRoundTrip pins the gzip helpers bench/ prices
+// snapshots with: a body survives compress/decompress byte-identically,
+// compresses a repetitive policy payload smaller than plaintext, and
+// malformed payloads fail with clean errors instead of garbage.
 func TestSnapshotCompressionRoundTrip(t *testing.T) {
 	body := []byte(strings.Repeat(`{"path":"/svc/printer/enqueue","acl":"allow * read,list"}`, 200))
 	gz, err := replica.CompressSnapshot(body)

@@ -99,9 +99,9 @@ func (t *Telemetry) HTTPHandler() http.Handler {
 		}
 		if r.URL.Query().Get("text") == "1" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "primary=v%d peers=%d snapshots=%d (%d gz) deltas=%d snapshot_bytes=%d snapshot_gz_bytes=%d delta_bytes=%d barrier_timeouts=%d\n",
-				stats.PrimaryVersion, len(stats.Peers), stats.Snapshots, stats.SnapshotsGz, stats.Deltas,
-				stats.SnapshotBytes, stats.SnapshotGzBytes, stats.DeltaBytes, stats.BarrierTimeouts)
+			fmt.Fprintf(w, "primary=v%d peers=%d snapshots=%d (%d encoded) deltas=%d snapshot_bytes=%d delta_bytes=%d barrier_timeouts=%d\n",
+				stats.PrimaryVersion, len(stats.Peers), stats.Snapshots, stats.SnapshotEncodes, stats.Deltas,
+				stats.SnapshotBytes, stats.DeltaBytes, stats.BarrierTimeouts)
 			for _, p := range stats.Peers {
 				fmt.Fprintf(w, "peer=%s acked=v%d lag=%d deltas=%d delta_bytes=%d snapshot_bytes=%d\n",
 					p.Name, p.Acked, p.Lag, p.Deltas, p.DeltaBytes, p.SnapshotBytes)

@@ -308,15 +308,14 @@ type ReplicaPeerStat struct {
 type ReplicationStats struct {
 	Peers          []ReplicaPeerStat `json:"peers"`
 	PrimaryVersion uint64            `json:"primary_version"`
-	Snapshots      uint64            `json:"snapshots"`
-	// SnapshotsGz counts the snapshots that went out gzip-compressed
-	// (protocol >= 3 subscribers); SnapshotBytes always accumulates the
-	// raw JSON size, SnapshotGzBytes the compressed wire size of the
-	// compressed ones, so gz_bytes / raw bytes is the observed ratio.
-	SnapshotsGz     uint64       `json:"snapshots_gz"`
+	// Snapshots counts subscriptions, each bootstrapped by one
+	// snapshot; SnapshotEncodes counts the snapshot encodings behind
+	// them (subscribers at one epoch version share one), and
+	// SnapshotBytes the framed wire bytes sent.
+	Snapshots       uint64       `json:"snapshots"`
+	SnapshotEncodes uint64       `json:"snapshot_encodes"`
 	Deltas          uint64       `json:"deltas"`
 	SnapshotBytes   uint64       `json:"snapshot_bytes"`
-	SnapshotGzBytes uint64       `json:"snapshot_gz_bytes"`
 	DeltaBytes      uint64       `json:"delta_bytes"`
 	BarrierTimeouts uint64       `json:"barrier_timeouts"`
 	BarrierWait     HistSnapshot `json:"barrier_wait"`

@@ -172,12 +172,13 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		ew.printf("# HELP secext_replica_messages_total Replication messages sent by kind.\n")
 		ew.printf("# TYPE secext_replica_messages_total counter\n")
 		ew.printf("secext_replica_messages_total{kind=\"snapshot\"} %d\n", r.Snapshots)
-		ew.printf("secext_replica_messages_total{kind=\"snapshot_gz\"} %d\n", r.SnapshotsGz)
 		ew.printf("secext_replica_messages_total{kind=\"delta\"} %d\n", r.Deltas)
-		ew.printf("# HELP secext_replica_bytes_total Replication payload bytes by kind: snapshot is the raw JSON size of every snapshot, snapshot_gz the compressed wire size of those sent gzipped (protocol >= 3), delta the delta stream.\n")
+		ew.printf("# HELP secext_replica_snapshot_encodes_total Snapshot encodings; subscribers at one epoch version share one.\n")
+		ew.printf("# TYPE secext_replica_snapshot_encodes_total counter\n")
+		ew.printf("secext_replica_snapshot_encodes_total %d\n", r.SnapshotEncodes)
+		ew.printf("# HELP secext_replica_bytes_total Replication bytes sent by kind: snapshot is every snapshot's framed wire bytes, delta the delta stream.\n")
 		ew.printf("# TYPE secext_replica_bytes_total counter\n")
 		ew.printf("secext_replica_bytes_total{kind=\"snapshot\"} %d\n", r.SnapshotBytes)
-		ew.printf("secext_replica_bytes_total{kind=\"snapshot_gz\"} %d\n", r.SnapshotGzBytes)
 		ew.printf("secext_replica_bytes_total{kind=\"delta\"} %d\n", r.DeltaBytes)
 		ew.printf("# HELP secext_replica_barrier_timeouts_total Revocation barriers that timed out before the fleet acked.\n")
 		ew.printf("# TYPE secext_replica_barrier_timeouts_total counter\n")
