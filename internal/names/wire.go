@@ -420,11 +420,11 @@ func lookupWire(root *Node, path string) *Node {
 // name. Nothing is trusted: a snapshot that is not exactly what
 // WireSnapshot would emit for some tree fails here, before anything is
 // published. The checks: every table entry is in canonical form,
-// distinct, and first used in table order; the root comes first; each
-// row's parent is an earlier row on the path to the row before it (so
-// rows are in pre-order) and is not a leaf; names are valid components
-// in strictly increasing order among siblings; kinds and indexes are
-// in range.
+// distinct, and first used in table order; the root comes first and
+// only there; each row's parent is an earlier row on the path to the
+// row before it (so rows are in pre-order) and is not a leaf; names
+// are valid components in strictly increasing order among siblings;
+// kinds and indexes are in range.
 func buildSnapshotTree(w *EpochWire, lat *lattice.Frozen, in *interner, canon *aclCanon, classes *classCanon) (*Node, error) {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: snapshot %s", ErrBadPath, fmt.Sprintf(format, args...))
@@ -469,6 +469,8 @@ func buildSnapshotTree(w *EpochWire, lat *lattice.Frozen, in *interner, canon *a
 		switch {
 		case r.Kind >= numKinds:
 			return nil, bad("row %d has unknown kind %d", i, r.Kind)
+		case i > 0 && kind == KindRoot:
+			return nil, bad("row %d is a second root", i)
 		case r.ACL > nextACL || r.ACL >= uint32(len(acls)):
 			return nil, bad("row %d ACL index %d out of order or range", i, r.ACL)
 		case r.Class > nextClass || r.Class >= uint32(len(cls)):

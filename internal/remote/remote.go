@@ -44,8 +44,10 @@
 //	                         snapshot frames ("SNAP-HEAD <json>", "SNAP
 //	                         <fields>"..., "SNAP-END", each at most 1 MiB;
 //	                         see names.EncodeSnapshot), then a stream of
-//	                         "DELTA <json>" / "PING <v>" lines; the client
-//	                         answers each with "ACK <version>"
+//	                         "DELTA <json>" / "PING <v>" lines (a delta
+//	                         over 1 MiB comes as "DELTA-PART <piece>"
+//	                         lines and a final "DELTA <piece>"); the
+//	                         client answers each with "ACK <version>"
 //	BARRIER <v> [timeoutms]  block until every connected replica acked
 //	                         epoch >= v (administrate on "/" required)
 //	REPLICAS                 per-peer replication status: "OK <k>" then k lines
@@ -670,7 +672,7 @@ func (s *session) stream(pub *replica.Publisher, peer *replica.Peer) {
 					s.conn.Close()
 					return
 				}
-				s.reply("DELTA %s", msg.Payload)
+				replica.WriteDelta(s.out, msg.Payload)
 			case <-ticker.C:
 				s.reply("PING %d", s.srv.sys.Names().Version())
 			case <-quit:

@@ -51,7 +51,10 @@ import (
 // bootstraps a subscriber from the streamed, table-shaped snapshot:
 // after "OK <peer>" comes one SNAP-SECRET line with the token secret,
 // then the frames of names.EncodeSnapshot, each one line of at most
-// names.MaxFrame bytes. A server negotiates min(client, ProtoVersion)
+// names.MaxFrame bytes; after that, each delta travels as one DELTA
+// line, or, when its JSON does not fit one line, as DELTA-PART lines
+// carrying the leading pieces and a DELTA line carrying the last (see
+// WriteDelta). A server negotiates min(client, ProtoVersion)
 // and rejects clients below MinProto with a clean error instead of a
 // parse failure; SUBSCRIBE needs SubscribeProto, so a subscriber from
 // before version 4 gets a clean ERR rather than a snapshot it cannot
@@ -61,6 +64,27 @@ const (
 	MinProto       = 1
 	SubscribeProto = 4
 )
+
+// maxDelta bounds the JSON of one delta, joined from its lines: a
+// primary drops a peer rather than send a larger one, and a replica
+// fails its stream rather than buffer one.
+const maxDelta = 64 << 20
+
+// WriteDelta writes one encoded delta as protocol lines of at most
+// names.MaxFrame bytes each: DELTA-PART lines for the leading pieces,
+// then a DELTA line with the rest. Encoded JSON holds no newline, so a
+// piece never does either.
+func WriteDelta(w io.Writer, body []byte) error {
+	const piece = names.MaxFrame - len("DELTA-PART \n")
+	for len(body) > names.MaxFrame-len("DELTA \n") {
+		if _, err := fmt.Fprintf(w, "DELTA-PART %s\n", body[:piece]); err != nil {
+			return err
+		}
+		body = body[piece:]
+	}
+	_, err := fmt.Fprintf(w, "DELTA %s\n", body)
+	return err
+}
 
 // CompressSnapshot gzips a body and base64-encodes it. Kept for bench/
 // only, which still prices the JSON form of a snapshot this way; the

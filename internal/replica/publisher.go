@@ -79,7 +79,9 @@ type Publisher struct {
 	closed bool
 
 	// enc is the snapshot encoding of the last epoch version a peer
-	// subscribed at; subscribers at that version share it.
+	// subscribed at, while that version is current: subscribers at that
+	// version share it, and the fan-out lets it go at the next
+	// publication (a stream still sending it keeps its own reference).
 	enc *snapEncoding
 
 	// done is closed when the fan-out goroutine has exited, after it
@@ -305,6 +307,9 @@ func (p *Publisher) run() {
 		}
 		t := p.queue[0]
 		p.queue = p.queue[1:]
+		if p.enc != nil && t.next.Version() > p.enc.version {
+			p.enc = nil // no later subscriber starts at its version
+		}
 		peers := make([]*Peer, 0, len(p.peers))
 		for _, peer := range p.peers {
 			peers = append(peers, peer)
@@ -333,10 +338,11 @@ func (p *Publisher) run() {
 			continue
 		}
 		body, err := json.Marshal(d)
-		if err != nil || len("DELTA ")+len(body)+1 > names.MaxFrame {
-			// A delta that cannot be encoded, or not as one protocol
-			// line, cannot be streamed: its peers are dropped, and their
-			// replicas fail closed until they bootstrap from a snapshot.
+		if err != nil || len(body) > maxDelta {
+			// A delta that cannot be encoded, or is larger than a replica
+			// will join, cannot be streamed: its peers are dropped, and
+			// their replicas fail closed until they bootstrap from a
+			// snapshot.
 			for _, peer := range peers {
 				if d.Version > peer.base {
 					p.drop(peer)

@@ -241,20 +241,33 @@ func (r *Replica) bootstrap(wire *names.EpochWire, secret []byte) error {
 	return nil
 }
 
-// read is the stream reader: apply each DELTA atomically, acknowledge
-// it, answer PINGs. When the stream ends the reader just exits — the
-// watchdog then fails the replica closed once the staleness deadline
+// read is the stream reader: join each delta from its DELTA-PART and
+// DELTA lines, apply it atomically, acknowledge it, answer PINGs. When
+// the stream ends the reader just exits — the watchdog then fails the replica closed once the staleness deadline
 // passes, which is the bounded-stale half of the consistency contract
 // (a freshly severed replica may keep granting until the deadline, and
 // never after).
 func (r *Replica) read(sc *bufio.Scanner) {
 	defer close(r.done)
+	// body collects the pieces of the delta being received.
+	var body []byte
 	for sc.Scan() {
 		kind, payload, _ := strings.Cut(sc.Text(), " ")
 		switch kind {
-		case "DELTA":
+		case "DELTA-PART", "DELTA":
+			if len(body)+len(payload) > maxDelta {
+				r.fail(fmt.Errorf("replica: delta exceeds %d bytes", maxDelta))
+				return
+			}
+			body = append(body, payload...)
+			r.heard()
+			if kind == "DELTA-PART" {
+				continue
+			}
 			var d names.EpochDelta
-			if err := json.Unmarshal([]byte(payload), &d); err != nil {
+			err := json.Unmarshal(body, &d)
+			body = nil
+			if err != nil {
 				r.fail(fmt.Errorf("replica: decoding delta: %w", err))
 				return
 			}

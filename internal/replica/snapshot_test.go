@@ -218,6 +218,7 @@ func TestSnapshotStreamFaults(t *testing.T) {
 			w.Rows[siblings].Name, w.Rows[siblings+1].Name = w.Rows[siblings+1].Name, w.Rows[siblings].Name
 		}), "sibling order"},
 		{"duplicate siblings", mutated(func(w *names.EpochWire) { w.Rows[siblings+1].Name = w.Rows[siblings].Name }), "sibling order"},
+		{"second root", mutated(func(w *names.EpochWire) { w.Rows[last].Kind = uint8(names.KindRoot) }), "second root"},
 		{"bad name", mutated(func(w *names.EpochWire) { w.Rows[last].Name = ".." }), "component"},
 		{"ACL index out of range", mutated(func(w *names.EpochWire) { w.Rows[last].ACL = uint32(len(w.ACLs)) }), "ACL index"},
 		{"class index out of range", mutated(func(w *names.EpochWire) { w.Rows[last].Class = uint32(len(w.Classes) + 3) }), "class index"},
@@ -311,39 +312,68 @@ func TestSubscriberLeavesMidSnapshot(t *testing.T) {
 	}
 }
 
-// TestOversizeDeltaDropsPeer: a delta that does not fit one protocol
-// line cannot be streamed, so the peers that need it are dropped (their
-// replicas fail closed) instead of being sent a line they must refuse.
-func TestOversizeDeltaDropsPeer(t *testing.T) {
+// TestLargeDeltaReachesReplica: a delta whose JSON does not fit one
+// protocol line (a 20k-node bind, several MiB) travels as DELTA-PART
+// lines and a DELTA line, and the replica joins and applies it.
+func TestLargeDeltaReachesReplica(t *testing.T) {
 	p := startPrimary(t, time.Hour)
-	peer, _, err := p.pub.Subscribe("big")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := p.connect(t, time.Hour)
 	bottom, err := p.w.Sys.Lattice().Bottom()
 	if err != nil {
 		t.Fatal(err)
 	}
 	open := secext.NewACL(secext.AllowEveryone(secext.Read))
+	const n = 20_000
 	specs := []names.SubtreeSpec{{Path: "big", Kind: names.KindDirectory, ACL: open, Class: bottom}}
-	for i := 0; i < 20_000; i++ {
+	for i := 0; i < n; i++ {
 		specs = append(specs, names.SubtreeSpec{Path: fmt.Sprintf("big/%s%06d", strings.Repeat("n", 40), i), Kind: names.KindFile, ACL: open, Class: bottom})
 	}
-	if _, _, err := p.w.Sys.Names().BindSubtreeUnchecked("/", specs); err != nil {
+	_, v, err := p.w.Sys.Names().BindSubtreeUnchecked("/", specs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "the peer to be dropped", func() bool {
-		select {
-		case _, ok := <-peer.Ch():
-			return !ok
-		default:
-			return false
-		}
-	})
-	if len(p.pub.Peers()) != 0 {
-		t.Fatal("dropped peer still in the fleet")
+	if err := p.pub.Barrier(v, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if st := p.pub.Stats(); st.Deltas != 0 {
-		t.Fatalf("%d deltas counted as sent", st.Deltas)
+	if st := p.pub.Stats(); st.Deltas != 1 || st.DeltaBytes <= 2*names.MaxFrame {
+		t.Fatalf("%d deltas of %d bytes, want one of several MiB", st.Deltas, st.DeltaBytes)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	last := fmt.Sprintf("/big/%s%06d", strings.Repeat("n", 40), n-1)
+	if _, err := r.System().Names().Current().Lookup(last); err != nil {
+		t.Fatalf("replica lacks %s: %v", last, err)
+	}
+	if got, want := r.System().Names().Current().Size(), p.w.Sys.Names().Current().Size(); got != want {
+		t.Fatalf("replica has %d nodes, primary %d", got, want)
+	}
+}
+
+// TestWriteDeltaLines: WriteDelta keeps every line within the frame
+// bound, and the pieces join back to the delta.
+func TestWriteDeltaLines(t *testing.T) {
+	for _, size := range []int{0, 10, names.MaxFrame - len("DELTA \n"), names.MaxFrame - len("DELTA \n") + 1, 3*names.MaxFrame + 17} {
+		body := []byte(strings.Repeat("x", size))
+		var b strings.Builder
+		if err := replica.WriteDelta(&b, body); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(b.String(), "\n")
+		lines = lines[:len(lines)-1]
+		var joined strings.Builder
+		for i, l := range lines {
+			if len(l) > names.MaxFrame {
+				t.Fatalf("size %d: line %d of %d bytes", size, i, len(l))
+			}
+			kind, piece, _ := strings.Cut(strings.TrimSuffix(l, "\n"), " ")
+			if want := map[bool]string{true: "DELTA", false: "DELTA-PART"}[i == len(lines)-1]; kind != want {
+				t.Fatalf("size %d: line %d is %s, want %s", size, i, kind, want)
+			}
+			joined.WriteString(piece)
+		}
+		if joined.String() != string(body) {
+			t.Fatalf("size %d: pieces join to %d bytes", size, joined.Len())
+		}
 	}
 }
