@@ -23,9 +23,9 @@ test:
 # replication stream's writer goroutine at SUBSCRIBE.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
+	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/idset/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
 
-# fuzz-smoke runs five fuzzers for a few seconds each: the concurrent
+# fuzz-smoke runs six fuzzers for a few seconds each: the concurrent
 # epoch transition fuzzer (consistency, compiled view against a full
 # compile), the delta codec fuzzer (a mirror bootstrapped from snapshot
 # frames and replaying deltas equals the primary), the snapshot stream
@@ -34,7 +34,9 @@ race:
 # against a naive walk, atomic failures, copy-on-write sharing), and
 # the persistent map fuzzer (the trie against a Go map, earlier
 # versions unchanged, no build writing a node it did not allocate,
-# untouched subtrees shared).
+# untouched subtrees shared), and the ID-set fuzzer (every operation
+# against a map, every chunk layout and its transitions, an unchanged
+# operand returned by pointer).
 # Their seed corpora run in every `go test`; this explores beyond them.
 fuzz-smoke:
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochTransitions -fuzztime 10s
@@ -42,6 +44,7 @@ fuzz-smoke:
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzSnapshotStream -fuzztime 10s
 	$(GO) test ./internal/principal -run '^$$' -fuzz FuzzRegistryApply -fuzztime 10s
 	$(GO) test ./internal/hamt -run '^$$' -fuzz FuzzPersistentMap -fuzztime 10s
+	$(GO) test ./internal/idset -run '^$$' -fuzz FuzzIDSet -fuzztime 10s
 
 # check is the full local gate: build, vet, the complete test suite
 # under the race detector, a short run of the epoch fuzzers, the nested
@@ -54,8 +57,8 @@ bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test .
 
-# cover runs the monitor, telemetry, names, hamt, lattice, and principal
-# packages' tests with coverage and enforces per-tree floors: the policy
+# cover runs the monitor, telemetry, names, hamt, idset, lattice, and
+# principal packages' tests with coverage and enforces per-tree floors: the policy
 # layer is the code whose regressions are security bugs, the telemetry
 # layer is what makes such regressions observable in production, the
 # name server is the mechanism every decision rides through, and the
@@ -77,6 +80,10 @@ APPLY_COVER_FLOOR := 85.0
 # probes, every incremental build path-copies and every principal
 # lookup reads; its package keeps its own floor.
 HAMT_COVER_FLOOR := 85.0
+# The ID sets (internal/idset) hold every compiled grant, visibility
+# chain and group's member list; a layout branch no test reaches is a
+# verdict no test checks. Measured 93.0%.
+IDSET_COVER_FLOOR := 90.0
 # Compiled epochs are new read-path machinery: the freeze-time index
 # and the ACL-summary bitsets each keep a per-file floor for the same
 # reason.
@@ -133,6 +140,11 @@ cover:
 	echo "internal/hamt coverage: $$total% (floor $(HAMT_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$total >= $(HAMT_COVER_FLOOR))}" || \
 		{ echo "persistent-map coverage below floor"; exit 1; }
+	$(GO) test -coverprofile=cover-idset.out ./internal/idset/
+	@total=$$($(GO) tool cover -func=cover-idset.out | awk '/^total:/ {gsub(/%/,"",$$3); print $$3}'); \
+	echo "internal/idset coverage: $$total% (floor $(IDSET_COVER_FLOOR)%)"; \
+	awk "BEGIN {exit !($$total >= $(IDSET_COVER_FLOOR))}" || \
+		{ echo "ID-set coverage below floor"; exit 1; }
 	$(GO) test -coverprofile=cover-acl.out ./internal/acl/
 	@summary=$$($(GO) tool cover -func=cover-acl.out | awk '/internal\/acl\/summary\.go/ {gsub(/%/,"",$$3); sum += $$3; n++} END {if (n) printf "%.1f", sum/n; else print 0}'); \
 	echo "internal/acl/summary.go coverage: $$summary% (floor $(SUMMARY_COVER_FLOOR)%)"; \

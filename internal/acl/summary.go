@@ -1,145 +1,37 @@
 package acl
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"secext/internal/idset"
+)
 
 // This file implements freeze-time ACL compilation: an immutable
 // Summary that answers the deny-overrides decision of GrantedIn with a
-// few bitset probes over dense principal IDs instead of iterating the
+// few set probes over dense principal IDs instead of iterating the
 // entry list and resolving group membership per request. Summaries are
 // built once per published policy epoch (the registry and ACL are both
 // frozen at that point) and shared by every reader of that epoch.
 
-// IDSet is a bitset over dense principal IDs (bit i == principal with
-// ID i). The zero value is the empty set. IDSets attached to published
-// summaries are immutable and may be shared freely across epochs.
-type IDSet []uint64
-
-// Has reports whether id is in the set. Negative or out-of-range IDs
-// are simply absent.
-func (s IDSet) Has(id int) bool {
-	w := id >> 6
-	return id >= 0 && w < len(s) && s[w]&(1<<(uint(id)&63)) != 0
-}
-
-// grow extends the set to at least n words in one allocation.
-func (s *IDSet) grow(n int) {
-	if n > len(*s) {
-		out := make(IDSet, n)
-		copy(out, *s)
-		*s = out
-	}
-}
-
-// set inserts id, growing the set as needed.
-func (s *IDSet) set(id int) {
-	w := id >> 6
-	s.grow(w + 1)
-	(*s)[w] |= 1 << (uint(id) & 63)
-}
-
-// or unions raw words into the set, growing as needed.
-func (s *IDSet) or(words []uint64) {
-	s.grow(len(words))
-	for i, w := range words {
-		(*s)[i] |= w
-	}
-}
-
-// And returns the intersection of s and t as a fresh set.
-func (s IDSet) And(t IDSet) IDSet {
-	n := len(s)
-	if len(t) < n {
-		n = len(t)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make(IDSet, n)
-	for i := 0; i < n; i++ {
-		out[i] = s[i] & t[i]
-	}
-	return out
-}
-
-// Equal reports whether s and t contain the same IDs (trailing zero
-// words are ignored).
-func (s IDSet) Equal(t IDSet) bool {
-	long, short := s, t
-	if len(short) > len(long) {
-		long, short = t, s
-	}
-	for i := range short {
-		if long[i] != short[i] {
-			return false
-		}
-	}
-	for _, w := range long[len(short):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Len reports the number of IDs in the set.
-func (s IDSet) Len() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// onesIDSet returns a set containing IDs 0..n-1.
-func onesIDSet(n int) IDSet {
-	if n <= 0 {
-		return nil
-	}
-	out := make(IDSet, (n+63)/64)
-	for i := range out {
-		out[i] = ^uint64(0)
-	}
-	out.maskTail(n)
-	return out
-}
-
-// maskTail clears any bits at positions >= n.
-func (s IDSet) maskTail(n int) {
-	if n < 0 {
-		n = 0
-	}
-	w := n >> 6
-	for i := w; i < len(s); i++ {
-		if i == w && n&63 != 0 {
-			s[i] &= 1<<(uint(n)&63) - 1
-		} else {
-			s[i] = 0
-		}
-	}
-}
-
-// retainedBytes reports the heap bytes held by the set's backing array.
-func (s IDSet) retainedBytes() int { return cap(s) * 8 }
-
 // IDResolver maps principal and group names to the dense, append-only
 // principal-ID space of a frozen registry. The principal package's
-// Frozen registry satisfies it. GroupPrincipalIDs returns the raw
-// bitset words (bit i == principal ID i) of the group's transitive
-// member set; an unknown name yields (0, false) / nil.
+// Frozen registry satisfies it. An unknown name yields (0, false) /
+// nil.
 type IDResolver interface {
 	// PrincipalID returns the dense ID of the named principal.
 	PrincipalID(name string) (int, bool)
 	// GroupPrincipalIDs returns the transitive member set of the named
-	// group as bitset words over principal IDs, nil if unknown. The
-	// returned slice must not be mutated.
-	GroupPrincipalIDs(group string) []uint64
+	// group over principal IDs, nil if unknown or empty. One registry
+	// version returns the same set on every call: a summary whose
+	// per-mode set is exactly that group's closure holds it, not a copy.
+	GroupPrincipalIDs(group string) *idset.Set
 	// NumPrincipalIDs reports how many principal IDs are allocated
 	// (IDs are 0..N-1).
 	NumPrincipalIDs() int
 }
 
 // Summary is the compiled form of an ACL against one frozen registry:
-// per-mode allow and deny bitsets over principal IDs, with Everyone
+// per-mode allow and deny sets of principal IDs, with Everyone
 // entries folded into mode masks. A Summary reproduces GrantedIn's
 // deny-overrides verdict exactly for every principal that has an ID in
 // the registry it was compiled against.
@@ -148,8 +40,10 @@ type IDResolver interface {
 type Summary struct {
 	// allow[b] / deny[b] hold the principals granted / vetoed mode bit
 	// b by Principal and Group entries. Everyone entries live in the
-	// evAllow / evDeny masks instead of materializing all-ones sets.
-	allow, deny [numModes]IDSet
+	// evAllow / evDeny masks instead of materializing all-IDs sets.
+	// Per-mode sets drawn from the same entries are one set, and a set
+	// that is one group's closure is the registry's own set.
+	allow, deny [numModes]*idset.Set
 	evAllow     Mode
 	evDeny      Mode
 
@@ -179,38 +73,75 @@ func (a *ACL) Compile(r IDResolver) *Summary {
 				s.evAllow |= e.Modes
 			}
 		case Principal:
-			id, ok := r.PrincipalID(e.Who)
-			if !ok {
+			if _, ok := r.PrincipalID(e.Who); !ok {
 				// A name with no ID can never match a registered
 				// subject, but it forces recompilation when the
 				// registry changes (the principal may appear later).
 				s.regSensitive, s.unresolved = true, true
-				continue
 			}
-			s.each(e, func(set *IDSet) { set.set(id) })
 		case Group:
 			// Group entries always depend on the membership relation.
 			s.regSensitive = true
-			words := r.GroupPrincipalIDs(e.Who)
-			if len(words) == 0 {
-				continue
-			}
-			s.each(e, func(set *IDSet) { set.or(words) })
 		}
+	}
+slots:
+	for k := 0; k < 2*numModes; k++ {
+		for j := 0; j < k; j++ {
+			if a.sameSources(j, k) {
+				*s.slot(k) = *s.slot(j)
+				continue slots
+			}
+		}
+		*s.slot(k) = a.compileSet(r, k)
 	}
 	return s
 }
 
-// each applies fn to the per-mode set (allow or deny per e.Deny) of
-// every mode bit in e.Modes.
-func (s *Summary) each(e Entry, fn func(*IDSet)) {
-	sets := &s.allow
-	if e.Deny {
-		sets = &s.deny
+// slot returns the set of slot k: allow[k] below numModes, deny[k -
+// numModes] from there.
+func (s *Summary) slot(k int) **idset.Set {
+	if k < numModes {
+		return &s.allow[k]
 	}
-	for m := e.Modes & AllModes; m != 0; m &= m - 1 {
-		fn(&sets[bits.TrailingZeros16(uint16(m))])
+	return &s.deny[k-numModes]
+}
+
+// feeds reports whether entry e contributes IDs to slot k's set.
+func feeds(e Entry, k int) bool {
+	return e.Kind != Everyone && e.Deny == (k >= numModes) && e.Modes&(1<<(k%numModes)) != 0
+}
+
+// sameSources reports whether slots j and k draw on the same entries,
+// and so hold the same IDs.
+func (a *ACL) sameSources(j, k int) bool {
+	for _, e := range a.entries {
+		if feeds(e, j) != feeds(e, k) {
+			return false
+		}
 	}
+	return true
+}
+
+// compileSet builds slot k's set: the union of the IDs of the
+// principal entries and the closures of the group entries feeding it.
+func (a *ACL) compileSet(r IDResolver, k int) *idset.Set {
+	var buf [8]int
+	ids := buf[:0]
+	var set *idset.Set
+	for _, e := range a.entries {
+		if !feeds(e, k) {
+			continue
+		}
+		if e.Kind == Group {
+			set = set.Or(r.GroupPrincipalIDs(e.Who))
+		} else if id, ok := r.PrincipalID(e.Who); ok {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return set
+	}
+	return set.Or(idset.Of(ids...))
 }
 
 // Granted computes the effective mode set for the principal with the
@@ -247,10 +178,12 @@ func (s *Summary) Grants(id int, want Mode) bool {
 	return want&^AllModes == 0
 }
 
-// EffectiveIDs materializes the set of principal IDs (over 0..n-1)
-// granted the single mode m: (everyone-or-allowed) minus denied. It is
-// used to compile traversal-visibility chains at freeze time.
-func (s *Summary) EffectiveIDs(m Mode, n int) IDSet {
+// EffectiveIDs returns the set of principal IDs in all granted the
+// single mode m: (everyone-or-allowed) minus denied. all is the ID
+// space, IDs 0..n-1; with everyone allowed and no one denied, the
+// result is all itself. It is used to compile traversal-visibility
+// chains at freeze time.
+func (s *Summary) EffectiveIDs(m Mode, all *idset.Set) *idset.Set {
 	b := bits.TrailingZeros16(uint16(m & AllModes))
 	if b >= numModes {
 		return nil
@@ -259,22 +192,11 @@ func (s *Summary) EffectiveIDs(m Mode, n int) IDSet {
 	if s.evDeny&bit != 0 {
 		return nil
 	}
-	var out IDSet
+	out := s.allow[b].And(all)
 	if s.evAllow&bit != 0 {
-		out = onesIDSet(n)
-	} else {
-		src := s.allow[b]
-		out = make(IDSet, len(src))
-		copy(out, src)
-		out.maskTail(n)
+		out = all
 	}
-	for i, w := range s.deny[b] {
-		if i >= len(out) {
-			break
-		}
-		out[i] &^= w
-	}
-	return out
+	return out.AndNot(s.deny[b])
 }
 
 // RegSensitive reports whether the summary's verdicts depend on the
@@ -288,12 +210,25 @@ func (s *Summary) RegSensitive() bool { return s.regSensitive }
 // allocating new IDs can change the summary.
 func (s *Summary) Unresolved() bool { return s.unresolved }
 
-// RetainedBytes reports the heap bytes held by the summary's bitsets
-// (not counting the Summary header itself).
+// EachSet calls fn once with every distinct non-empty per-mode set.
+func (s *Summary) EachSet(fn func(*idset.Set)) {
+	for k := 0; k < 2*numModes; k++ {
+		set := *s.slot(k)
+		seen := set == nil
+		for j := 0; j < k && !seen; j++ {
+			seen = *s.slot(j) == set
+		}
+		if !seen {
+			fn(set)
+		}
+	}
+}
+
+// RetainedBytes reports the heap bytes held by the summary's distinct
+// per-mode sets, a group's closure it shares with the registry
+// included (not counting the Summary header itself).
 func (s *Summary) RetainedBytes() int {
 	n := 0
-	for b := 0; b < numModes; b++ {
-		n += s.allow[b].retainedBytes() + s.deny[b].retainedBytes()
-	}
+	s.EachSet(func(set *idset.Set) { n += set.RetainedBytes() })
 	return n
 }

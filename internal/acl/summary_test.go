@@ -1,16 +1,22 @@
 package acl
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
+
+	"secext/internal/idset"
 )
 
 // fakeResolver is a test IDResolver over a flat name→ID map and a flat
 // group→members relation (transitivity is the registry's business; the
 // resolver contract only says GroupPrincipalIDs IS the transitive set).
+// Like a frozen registry it hands out one set per group.
 type fakeResolver struct {
 	ids    map[string]int
 	groups map[string][]string
+	sets   map[string]*idset.Set
 	n      int
 }
 
@@ -28,18 +34,21 @@ func (r *fakeResolver) PrincipalID(name string) (int, bool) {
 	return id, ok
 }
 
-func (r *fakeResolver) GroupPrincipalIDs(group string) []uint64 {
-	members, ok := r.groups[group]
-	if !ok {
-		return nil
+func (r *fakeResolver) GroupPrincipalIDs(group string) *idset.Set {
+	if s, ok := r.sets[group]; ok {
+		return s
 	}
-	var s IDSet
-	for _, m := range members {
+	var ids []int
+	for _, m := range r.groups[group] {
 		if id, ok := r.ids[m]; ok {
-			s.set(id)
+			ids = append(ids, id)
 		}
 	}
-	return s
+	if r.sets == nil {
+		r.sets = map[string]*idset.Set{}
+	}
+	r.sets[group] = idset.Of(ids...)
+	return r.sets[group]
 }
 
 func (r *fakeResolver) NumPrincipalIDs() int { return r.n }
@@ -62,55 +71,6 @@ type namedSubject string
 
 func (s namedSubject) SubjectName() string        { return string(s) }
 func (s namedSubject) MemberOf(group string) bool { return false }
-
-func TestIDSetOps(t *testing.T) {
-	var s IDSet
-	if s.Has(0) || s.Has(100) || s.Len() != 0 {
-		t.Fatal("empty set not empty")
-	}
-	s.set(3)
-	s.set(70)
-	if !s.Has(3) || !s.Has(70) || s.Has(4) || s.Len() != 2 {
-		t.Fatalf("set contents wrong: %v", s)
-	}
-	if s.Has(-1) {
-		t.Fatal("negative ID present")
-	}
-	var q IDSet
-	q.set(70)
-	and := s.And(q)
-	if !and.Has(70) || and.Has(3) || and.Len() != 1 {
-		t.Fatalf("And wrong: %v", and)
-	}
-	if s.And(nil) != nil {
-		t.Fatal("And with empty should be nil")
-	}
-	if !and.Equal(q) || and.Equal(s) {
-		t.Fatal("Equal wrong")
-	}
-	// Equal must ignore trailing zero words.
-	long := make(IDSet, 4)
-	long[0] = 1
-	short := IDSet{1}
-	if !long.Equal(short) || !short.Equal(long) {
-		t.Fatal("Equal should ignore trailing zeros")
-	}
-	ones := onesIDSet(70)
-	if ones.Len() != 70 || ones.Has(70) || !ones.Has(69) {
-		t.Fatalf("onesIDSet(70) wrong: len=%d", ones.Len())
-	}
-	if onesIDSet(0) != nil {
-		t.Fatal("onesIDSet(0) should be empty")
-	}
-	if got := s.retainedBytes(); got < 16 {
-		t.Fatalf("retainedBytes = %d, want >= 16", got)
-	}
-	var words IDSet
-	words.or([]uint64{0, 1 << 5})
-	if !words.Has(69) || words.Len() != 1 {
-		t.Fatalf("or wrong: %v", words)
-	}
-}
 
 func TestSummaryRegSensitive(t *testing.T) {
 	r := newFakeResolver([]string{"alice", "bob"}, map[string][]string{"staff": {"bob"}})
@@ -213,7 +173,7 @@ func TestSummaryOracle(t *testing.T) {
 		// EffectiveIDs must equal the per-principal oracle per mode.
 		for b := 0; b < numModes; b++ {
 			m := Mode(1) << b
-			eff := sum.EffectiveIDs(m, r.NumPrincipalIDs())
+			eff := sum.EffectiveIDs(m, idset.Range(0, r.NumPrincipalIDs()))
 			for _, p := range principals {
 				id, _ := r.PrincipalID(p)
 				oracle := a.GrantedIn(namedSubject(p), r).Has(m)
@@ -253,5 +213,58 @@ func TestCompileHighIDAllocs(t *testing.T) {
 	}
 	if s := a.Compile(r); !s.Grants(10_000, Read|Write) || s.Grants(9_999, Read) {
 		t.Fatal("summary at ID 10,000 wrong")
+	}
+}
+
+// TestPoolACLFootprint compiles an ACL shaped like the load pool's
+// (everyone read+list, one principal write+delete, one 32-member group
+// write+administrate) against 10^5 principal IDs. Its sets hold at most
+// 33 IDs, so the summary retains a few hundred bytes wherever the IDs
+// fall (dense sets over the ID space took ~37 KB); the Administrate set
+// is the group's own set.
+func TestPoolACLFootprint(t *testing.T) {
+	const n = 100_000
+	principals := make([]string, n)
+	for i := range principals {
+		principals[i] = fmt.Sprintf("p%06d", i)
+	}
+	var members []string
+	for i := 17; i < n; i += n / 32 {
+		members = append(members, principals[i])
+	}
+	r := newFakeResolver(principals, map[string][]string{"g": members})
+	a := New(
+		AllowEveryone(Read|List),
+		Allow(principals[99_999], Write|Delete),
+		AllowGroup("g", Write|Administrate),
+	)
+	s := a.Compile(r)
+	if got := s.RetainedBytes(); got > 512 {
+		t.Fatalf("pool-shaped summary retains %d B, want <= 512", got)
+	}
+	bit := func(m Mode) int { return bits.TrailingZeros16(uint16(m)) }
+	if s.allow[bit(Administrate)] != r.GroupPrincipalIDs("g") {
+		t.Fatal("the Administrate set is not the group's set")
+	}
+	if s.allow[bit(Write)].Len() != 33 || s.allow[bit(Delete)].Len() != 1 {
+		t.Fatalf("Write holds %d IDs, Delete %d", s.allow[bit(Write)].Len(), s.allow[bit(Delete)].Len())
+	}
+	if !s.Grants(99_999, Write|Delete|Read) || s.Grants(99_999, Administrate) || !s.Grants(17, Administrate|Write) {
+		t.Fatal("pool-shaped summary verdicts wrong")
+	}
+}
+
+// TestSameSourcesShareOneSet: per-mode sets drawn from the same entries
+// are one set, so an entry granting every mode costs one set.
+func TestSameSourcesShareOneSet(t *testing.T) {
+	r := newFakeResolver([]string{"a", "b"}, nil)
+	s := New(Allow("a", AllModes), Deny("b", Write|Read)).Compile(r)
+	for b := 1; b < numModes; b++ {
+		if s.allow[b] != s.allow[0] {
+			t.Fatalf("allow set of mode bit %d is a copy", b)
+		}
+	}
+	if s.deny[0] != s.deny[1] || s.deny[0] == s.allow[0] || s.deny[2] != nil {
+		t.Fatal("deny sets shared wrongly")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"secext/internal/acl"
+	"secext/internal/idset"
 	"secext/internal/monitor"
 )
 
@@ -76,17 +77,14 @@ func (r *idResolver) PrincipalID(name string) (int, bool) {
 	return id, ok
 }
 
-func (r *idResolver) GroupPrincipalIDs(group string) []uint64 {
-	var s acl.IDSet
+func (r *idResolver) GroupPrincipalIDs(group string) *idset.Set {
+	var ids []int
 	for _, m := range r.groups[group] {
 		if id, ok := r.ids[m]; ok {
-			for len(s) <= id/64 {
-				s = append(s, 0)
-			}
-			s[id/64] |= 1 << uint(id%64)
+			ids = append(ids, id)
 		}
 	}
-	return s
+	return idset.Of(ids...)
 }
 
 func (r *idResolver) NumPrincipalIDs() int { return len(r.ids) }

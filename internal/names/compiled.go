@@ -9,6 +9,7 @@ import (
 
 	"secext/internal/acl"
 	"secext/internal/hamt"
+	"secext/internal/idset"
 	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/monitor/dacguard"
@@ -27,12 +28,12 @@ import (
 //     (internal/hamt) keyed by each entry's node path, so resolution
 //     is one hash and one trie probe instead of a per-component spine
 //     walk;
-//   - per-ACL effective summaries (allow/deny bitsets over dense
-//     principal IDs, group entries flattened through the frozen
-//     registry's transitive-membership bitsets) plus a per-node
+//   - per-ACL effective summaries (allow/deny sets of dense principal
+//     IDs, internal/idset, a group entry resolved to the frozen
+//     registry's own transitive-member set) plus a per-node
 //     traversal-visibility chain (the AND of every strict ancestor's
 //     effective List set and the Join of their classes), so the DAC
-//     side of a check is a few bitset probes with zero entry iteration
+//     side of a check is a few set probes with zero entry iteration
 //     and zero per-component work;
 //   - an interned-class dominance table (lattice.Dominance), so the
 //     MAC side is one bit-matrix probe per flow direction.
@@ -43,7 +44,7 @@ import (
 // and remains the oracle the compiled structures are tested against.
 // The security-critical direction is therefore structural: the fast
 // path can never allow what the walk denies unless the compiled
-// bitsets disagree with the ACL/lattice evaluation, which the oracle
+// sets disagree with the ACL/lattice evaluation, which the oracle
 // fuzz (FuzzEpochTransitions) and the guard-level equivalence tests
 // exist to rule out.
 //
@@ -63,12 +64,12 @@ import (
 // index and every entry stay shared with the parent. Summaries naming
 // only resolved individuals stay valid across registry versions
 // because principal IDs are dense, arrival-ordered, and never reused.
-// Bitsets are materialized over an ID space rounded up to idChunk, so
-// a new principal inside the current chunk moves no bitset width and
-// forces no walk. A rename lands as a deletion of the old paths plus
-// a fresh compile of the relocated subtree (its nodes and paths are
-// all new), which is the "targeted re-keying" the incremental contract
-// promises.
+// "Everyone" sets are the run of IDs 0..n-1 over an ID space n rounded
+// up to idChunk, so a new principal inside the current chunk changes no
+// set and forces no walk. A rename lands as a deletion of the old paths
+// plus a fresh compile of the relocated subtree (its nodes and paths
+// are all new), which is the "targeted re-keying" the incremental
+// contract promises.
 
 // centry is one compiled index entry: the node, its ACL's summary
 // slot, and the precomputed context of every traversal check strictly
@@ -78,7 +79,7 @@ type centry struct {
 	// effList is the node's effective List set over principal IDs (nil
 	// for leaves, which have no children to make visible). It is the
 	// input to the children's visibility chain.
-	effList acl.IDSet
+	effList *idset.Set
 	// visAllow is the AND of every strict ancestor's effList: the
 	// principals for which every traversal DAC check on the way here
 	// passes. visClass is the Join of every strict ancestor's class:
@@ -87,7 +88,7 @@ type centry struct {
 	// the epoch's dominance table. hasVis is false only for the root,
 	// which has no strict ancestors (resolution of "/" runs no
 	// traversal checks at all).
-	visAllow acl.IDSet
+	visAllow *idset.Set
 	visClass lattice.Class
 	objIdx   int32
 	// slot is the node's ACL's slot: the node is judged by
@@ -120,7 +121,7 @@ type aclSlot struct {
 	// computed the first time an interior node uses the slot (effOK).
 	// A registry transition that changes it falls back to the walk,
 	// because descendant visibility chains were built from it.
-	eff   acl.IDSet
+	eff   *idset.Set
 	effOK bool
 	// groups names the groups the ACL's entries use, recorded when the
 	// slot is created: a registry transition recompiles the slot only if
@@ -168,9 +169,12 @@ type compiled struct {
 	// the index for unchecked resolution but routes every decision
 	// through the walk.
 	fast bool
-	// n is the principal-ID space size the bitsets were materialized
-	// over: the registry's ID count rounded up to idChunk.
+	// n is the principal-ID space size the sets were computed over: the
+	// registry's ID count rounded up to idChunk. all is that space, IDs
+	// 0..n-1, which every "everyone may list" set is; a view whose n is
+	// unchanged takes its parent's.
 	n   int
+	all *idset.Set
 	ret *retainedMem
 }
 
@@ -190,12 +194,12 @@ func (c *compiled) sensitiveEntries() int {
 }
 
 // idChunk is the granularity of the compiled principal-ID space. A new
-// principal that fits in the current chunk leaves every materialized
-// bitset's width valid, so it forces no walk and no effective-set
-// rebuild.
+// principal that fits in the current chunk leaves the "everyone" run
+// and every effective set computed from it valid, so it forces no walk
+// and no effective-set rebuild.
 const idChunk = 1024
 
-// idSpace returns the ID space compiled bitsets cover for reg.
+// idSpace returns the ID space compiled sets cover for reg.
 func idSpace(reg *principal.Frozen) int {
 	return (reg.NumPrincipalIDs() + idChunk - 1) / idChunk * idChunk
 }
@@ -212,7 +216,7 @@ const (
 
 // compileStats is the freeze-cost split one publication reports: total build
 // time, the share spent compiling ACL summaries, the share spent
-// recomputing effective/visibility bitsets, and how many summaries it
+// recomputing effective/visibility sets, and how many summaries it
 // compiled.
 type compileStats struct {
 	kind     compileKind
@@ -236,7 +240,7 @@ func fastStack(st *monitor.Stack) bool {
 // visCtx is the accumulated traversal context above the node being
 // compiled; the zero value (has == false) is the root's context.
 type visCtx struct {
-	allow acl.IDSet
+	allow *idset.Set
 	cls   lattice.Class
 	has   bool
 }
@@ -245,13 +249,14 @@ type visCtx struct {
 type compileBuilder struct {
 	st *Epoch // the successor epoch being compiled
 	// regInvalid marks that pruning unchanged subtrees is unsound: the
-	// ID space grew (every materialized bitset covers a stale range) or
+	// ID space grew (every "everyone" set covers a stale range) or
 	// a registry transition moved the effective List set of an ACL some
 	// interior node uses (descendant visibility chains are stale).
 	// Summaries themselves never need a visit: entries read them
 	// through the slots.
 	regInvalid bool
 	n          int
+	all        *idset.Set // IDs 0..n-1
 	dom        *lattice.DominanceBuilder
 	idx        *hamt.Builder[indexed]
 
@@ -267,13 +272,18 @@ type compileBuilder struct {
 
 	// andCache memoizes the visibility-chain AND by the identity of its
 	// two operands, so equal chains collapse to one allocation.
-	andCache map[andKey]acl.IDSet
+	andCache map[andKey]*idset.Set
 }
 
 // newCompileBuilder starts a build of st over n principal IDs from the
 // parent's view (nil: from nothing).
 func newCompileBuilder(st *Epoch, prev *compiled, n int) *compileBuilder {
 	b := &compileBuilder{st: st, n: n}
+	if prev != nil && prev.n == n {
+		b.all = prev.all
+	} else {
+		b.all = idset.Range(0, n)
+	}
 	if prev == nil {
 		b.tab.ids, b.idsOwn, b.sumsOwn, b.slotOwn = make(map[*acl.ACL]int32), true, true, true
 		return b
@@ -344,12 +354,12 @@ func (b *compileBuilder) slotOf(a *acl.ACL) int32 {
 }
 
 // effOf returns slot i's effective List set, computing it on first use.
-func (b *compileBuilder) effOf(i int32) acl.IDSet {
+func (b *compileBuilder) effOf(i int32) *idset.Set {
 	if sl := &b.tab.slots[i]; sl.effOK {
 		return sl.eff
 	}
 	t0 := time.Now()
-	eff := b.sums[i].EffectiveIDs(acl.List, b.n)
+	eff := b.sums[i].EffectiveIDs(acl.List, b.all)
 	b.visNs += time.Since(t0).Nanoseconds()
 	b.ownSlots()
 	b.tab.slots[i].eff, b.tab.slots[i].effOK = eff, true
@@ -382,7 +392,7 @@ func (b *compileBuilder) recompileMoved(prev *principal.Frozen, nChanged bool) {
 	rowMoved := func(g string) bool {
 		m, ok := moved[g]
 		if !ok {
-			m = !sameIDSet(prev.GroupPrincipalIDs(g), next.GroupPrincipalIDs(g))
+			m = prev.GroupPrincipalIDs(g) != next.GroupPrincipalIDs(g)
 			moved[g] = m
 		}
 		return m
@@ -396,7 +406,7 @@ func (b *compileBuilder) recompileMoved(prev *principal.Frozen, nChanged bool) {
 		b.sums[i] = b.compile(sl.acl)
 		if sl.effOK && !nChanged {
 			t0 := time.Now()
-			eff := b.sums[i].EffectiveIDs(acl.List, b.n)
+			eff := b.sums[i].EffectiveIDs(acl.List, b.all)
 			b.visNs += time.Since(t0).Nanoseconds()
 			if !eff.Equal(sl.eff) {
 				b.ownSlots()
@@ -427,30 +437,19 @@ func (b *compileBuilder) release(i int32) {
 	}
 }
 
-// andKey identifies an IDSet AND by its operands' identities (backing
-// array head + length — the sharing invariant makes identity ⟺ value
-// for sets already in the build).
-type andKey struct {
-	a, b *uint64
-	la   int
-	lb   int
-}
-
-func setHead(s acl.IDSet) *uint64 {
-	if len(s) == 0 {
-		return nil
-	}
-	return &s[0]
-}
+// andKey identifies a visibility-chain AND by its operands' identities
+// (the sharing invariant makes identity ⟺ value for sets already in the
+// build).
+type andKey struct{ a, b *idset.Set }
 
 // andSets returns vis ∧ eff, memoized by operand identity.
-func (b *compileBuilder) andSets(vis, eff acl.IDSet) acl.IDSet {
-	k := andKey{a: setHead(vis), b: setHead(eff), la: len(vis), lb: len(eff)}
+func (b *compileBuilder) andSets(vis, eff *idset.Set) *idset.Set {
+	k := andKey{vis, eff}
 	if v, ok := b.andCache[k]; ok {
 		return v
 	}
 	if b.andCache == nil {
-		b.andCache = make(map[andKey]acl.IDSet, 16)
+		b.andCache = make(map[andKey]*idset.Set, 16)
 	}
 	v := vis.And(eff)
 	b.andCache[k] = v
@@ -489,7 +488,7 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 	// the children's pruning and sharing survive. The old node must
 	// have had children: a leaf's entry skipped the computation, and
 	// its nil is "not computed", not "nobody holds List".
-	var effList acl.IDSet
+	var effList *idset.Set
 	if len(node.children) > 0 {
 		effList = b.effOf(slot)
 		if oldE != nil && len(oldE.node.children) > 0 && effList.Equal(oldE.effList) {
@@ -500,7 +499,7 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 	// An entry identical to the parent's (same node, slot, List set and
 	// context — a subtree a regInvalid walk must visit but that did not
 	// move) is kept, so its index nodes stay shared.
-	if oldE == nil || oldE.node != node || oldE.slot != slot || !sameIDSet(effList, oldE.effList) ||
+	if oldE == nil || oldE.node != node || oldE.slot != slot || effList != oldE.effList ||
 		visChanged || vis.has != oldE.hasVis {
 		e := &centry{
 			node:    node,
@@ -544,7 +543,7 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 	// so a relabel must recompile descendant visibility even though
 	// the descendants' own nodes are shared with the parent epoch.
 	childChanged := visChanged || oldE == nil ||
-		!sameIDSet(effList, oldE.effList) || !node.class.Equal(*oldE.node.class)
+		effList != oldE.effList || !node.class.Equal(*oldE.node.class)
 	pairChildren(kids, node.children, func(o, n *Node) {
 		if n == nil {
 			b.deleteSubtree(o)
@@ -552,17 +551,6 @@ func (b *compileBuilder) walk(node, old *Node, vis visCtx, visChanged bool) {
 		}
 		b.walk(n, o, childVis, childChanged)
 	})
-}
-
-// sameIDSet reports slice identity (same backing array and length) —
-// the sharing invariant the incremental build and the registry freeze
-// maintain: an unchanged effList or group member row keeps the parent's
-// pointer, so identity ⟺ unchanged.
-func sameIDSet(a, b acl.IDSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
 }
 
 // deleteSubtree removes the compiled entries of a subtree that is no
@@ -603,7 +591,7 @@ func (b *compileBuilder) build(old *Node, prev *compiled) *compiled {
 	tab := b.tab
 	return &compiled{
 		index: b.idx.Map(), sums: b.sums, tab: &tab,
-		dom: b.dom.Build(), fast: fastStack(b.st.stack), n: b.n,
+		dom: b.dom.Build(), fast: fastStack(b.st.stack), n: b.n, all: b.all,
 		ret: &retainedMem{},
 	}
 }
@@ -631,7 +619,7 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	b := newCompileBuilder(st, prevC, n)
 	nChanged := n != prevC.n
 	if nChanged {
-		// Every materialized bitset covers the old ID range.
+		// Every "everyone" set covers the old ID range.
 		b.regInvalid = true
 		b.ownSlots()
 		for i := range b.tab.slots {
@@ -662,7 +650,7 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 		// parent.
 		c := &compiled{
 			index: prevC.index, sums: b.sums, tab: prevC.tab, dom: prevC.dom,
-			fast: fastStack(st.stack), n: n, ret: &retainedMem{},
+			fast: fastStack(st.stack), n: n, all: b.all, ret: &retainedMem{},
 		}
 		return c, stats(compileIncremental, b)
 	}
@@ -670,7 +658,7 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 }
 
 // fastCheck answers CheckAccessAt's resolve+verify from the compiled
-// structures alone: index probe, visibility bitset tests, summary
+// structures alone: index probe, visibility set tests, summary
 // probe, dominance probe. It decides ALLOW only — ok == false means
 // "take the walk", which re-derives denials and structural errors with
 // byte-identical error values.
@@ -851,20 +839,21 @@ func (s *Server) CompiledStats() telemetry.CompiledStats {
 // retains. dedup counts shared structures once, the honest number for
 // "what does this epoch pin"; cloned counts them at every use site, an
 // upper bound showing what sharing saves (summaries are shared across
-// epochs and entries, visibility chains across siblings).
+// epochs and entries, ID sets across summaries, slots and visibility
+// chains, and a group's set with the registry).
 func (c *compiled) retainedBytes() (dedup, cloned int64) {
 	c.ret.once.Do(func() {
 		seenSum := make(map[*acl.Summary]bool)
-		seenSet := make(map[*uint64]bool)
-		addSet := func(s acl.IDSet) {
-			if len(s) == 0 {
-				return
+		seenSet := make(map[*idset.Set]bool)
+		pin := func(s *idset.Set) {
+			if !seenSet[s] {
+				seenSet[s] = true
+				c.ret.dedup += int64(s.RetainedBytes())
 			}
-			c.ret.cloned += int64(cap(s)) * 8
-			if head := &s[0]; !seenSet[head] {
-				seenSet[head] = true
-				c.ret.dedup += int64(cap(s)) * 8
-			}
+		}
+		addSet := func(s *idset.Set) {
+			c.ret.cloned += int64(s.RetainedBytes())
+			pin(s)
 		}
 		// The index: its trie arrays (a slot per entry: the key's string
 		// header and the entry pointer) and the entries. A trie node has
@@ -881,7 +870,7 @@ func (c *compiled) retainedBytes() (dedup, cloned int64) {
 			sum := c.sumOf(e)
 			if !seenSum[sum] {
 				seenSum[sum] = true
-				c.ret.dedup += int64(sum.RetainedBytes())
+				sum.EachSet(pin)
 			}
 			c.ret.cloned += int64(sum.RetainedBytes())
 			addSet(e.effList)
@@ -895,10 +884,8 @@ func (c *compiled) retainedBytes() (dedup, cloned int64) {
 		c.ret.dedup += tab
 		c.ret.cloned += tab
 		for _, sl := range c.tab.slots {
-			if len(sl.eff) > 0 && !seenSet[&sl.eff[0]] {
-				seenSet[&sl.eff[0]] = true
-				c.ret.dedup += int64(cap(sl.eff)) * 8
-				c.ret.cloned += int64(cap(sl.eff)) * 8
+			if !seenSet[sl.eff] {
+				addSet(sl.eff)
 			}
 		}
 		dom := int64(c.dom.RetainedBytes())

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"secext/internal/hamt"
+	"secext/internal/idset"
 	"secext/internal/lattice"
 )
 
@@ -63,7 +64,7 @@ func (r *Registry) Apply(edits ...Edit) (uint64, error) {
 	base := r.frozen.Load()
 	next := *base
 	next.version++
-	t := &txn{base: base, next: &next, members: make(map[string]*memberSet), direct: make(map[*Principal]groupset, len(edits))}
+	t := &txn{base: base, next: &next, members: make(map[string]*memberSet), direct: make(map[*Principal]*idset.Set, len(edits))}
 	for _, e := range edits {
 		if err := t.apply(e); err != nil {
 			return 0, err
@@ -89,7 +90,7 @@ type txn struct {
 	added   []string // new groups, in arrival order
 	// direct holds the new direct-group sets of the principals the call
 	// registered or whose direct memberships it edited.
-	direct map[*Principal]groupset
+	direct map[*Principal]*idset.Set
 	// restructured records a new group or a subgroup edge added or
 	// removed: the super sets must be recomputed.
 	restructured bool
@@ -217,13 +218,10 @@ func (t *txn) apply(e Edit) error {
 	if !owned {
 		direct = t.base.row(p.id).direct
 	}
-	if !owned || g.rec.idx/64 >= len(direct) {
-		direct = direct.cloneGrown(g.rec.idx)
-	}
 	if e.op == "remove-member" {
-		direct.clear(g.rec.idx)
+		direct = direct.AndNot(idset.Of(g.rec.idx))
 	} else {
-		direct.set(g.rec.idx)
+		direct = direct.Or(idset.Of(g.rec.idx))
 	}
 	t.direct[p] = direct
 	return nil
@@ -286,8 +284,9 @@ func (t *txn) reachable(from, to string) bool {
 // rewrites the rows of the principals whose membership can have moved —
 // the ones the edits registered or enrolled, plus, after a structural
 // change, the ones listed directly in a group whose super set changed.
-// Each rewritten row flips its principal's bit in exactly the
-// reverse-index rows whose membership changed.
+// Each rewritten row moves its principal's ID in exactly the
+// reverse-index rows whose membership changed, and each of those is
+// rebuilt once.
 func (t *txn) commit() *Frozen {
 	f, base := t.next, t.base
 	if t.names != nil {
@@ -295,7 +294,7 @@ func (t *txn) commit() *Frozen {
 	}
 	if len(t.added) > 0 {
 		f.groupNames = append(slices.Clip(base.groupNames), t.added...)
-		f.groupMembers = append(slices.Clip(base.groupMembers), make([]groupset, len(t.added))...)
+		f.groupMembers = append(slices.Clip(base.groupMembers), make([]*idset.Set, len(t.added))...)
 	}
 	if len(t.members) > 0 {
 		f.groups = maps.Clone(base.groups)
@@ -313,7 +312,9 @@ func (t *txn) commit() *Frozen {
 	if t.restructured {
 		f.super = f.closeSupers()
 		for i, s := range f.super {
-			if i < len(base.super) && s.equal(base.super[i]) {
+			if i < len(base.super) && s.Equal(base.super[i]) {
+				// Rows holding the old set keep sharing it.
+				f.super[i] = base.super[i]
 				continue
 			}
 			for _, name := range f.groups[f.groupNames[i]].principals {
@@ -331,48 +332,65 @@ func (t *txn) commit() *Frozen {
 	if len(t.added) == 0 {
 		f.groupMembers = slices.Clone(base.groupMembers)
 	}
-	fresh := newGroupset(len(f.groupNames)) // reverse-index rows this version owns
-	flip := func(i, id int, on bool) {
-		if !fresh.has(i) || id/64 >= len(f.groupMembers[i]) {
-			f.groupMembers[i] = f.groupMembers[i].cloneGrown(id)
-			fresh.set(i)
-		}
-		if on {
-			f.groupMembers[i].set(id)
-		} else {
-			f.groupMembers[i].clear(id)
-		}
-	}
+	moved := rowEdits{rows: f.groupMembers, edits: make(map[int]*idset.Builder)}
 	for p, direct := range dirty {
-		groups := newGroupset(len(f.groupNames))
-		direct.each(func(d int) { groups.union(f.super[d]) })
-		var old groupset // nil for a new principal
+		var groups *idset.Set
+		direct.Each(func(d int) { groups = groups.Or(f.super[d]) })
+		var old *idset.Set // nil for a new principal
 		if p.id < base.principals.Len() {
 			row := base.row(p.id)
-			if row.direct.equal(direct) && row.groups.equal(groups) {
+			if row.direct.Equal(direct) && row.groups.Equal(groups) {
 				continue // edits that cancelled out keep the row
 			}
 			old = row.groups
+			if groups.Equal(old) {
+				groups = old
+			}
 		}
-		old.each(func(i int) {
-			if !groups.has(i) {
-				flip(i, p.id, false)
-			}
-		})
-		groups.each(func(i int) {
-			if !old.has(i) {
-				flip(i, p.id, true)
-			}
-		})
+		if direct.Equal(groups) {
+			direct = groups // one group, no supergroup: one set
+		}
+		old.AndNot(groups).Each(func(i int) { moved.flip(i, p.id, false) })
+		groups.AndNot(old).Each(func(i int) { moved.flip(i, p.id, true) })
 		f.setRow(base, memberRow{p: p, direct: direct, groups: groups})
 	}
+	moved.build()
 	return f
+}
+
+// rowEdits collects, per reverse-index row (a group's bit position), the
+// principal IDs a commit moves into or out of it, so each touched row is
+// rebuilt once from its parent's row whatever order the IDs arrive in.
+type rowEdits struct {
+	rows  []*idset.Set // the commit's own copy of the rows
+	edits map[int]*idset.Builder
+}
+
+// flip records principal id entering (on) or leaving row i.
+func (m *rowEdits) flip(i, id int, on bool) {
+	b := m.edits[i]
+	if b == nil {
+		b = idset.NewBuilder(m.rows[i])
+		m.edits[i] = b
+	}
+	if on {
+		b.Add(id)
+	} else {
+		b.Remove(id)
+	}
+}
+
+// build rebuilds every touched row.
+func (m *rowEdits) build() {
+	for i, b := range m.edits {
+		m.rows[i] = b.Build()
+	}
 }
 
 // closeSupers computes the super sets of f's group structure: group i's
 // set is its own bit plus the super sets of the groups listing i as a
 // subgroup. Apply rejects cycles, so the memoized walk terminates.
-func (f *Frozen) closeSupers() []groupset {
+func (f *Frozen) closeSupers() []*idset.Set {
 	n := len(f.groupNames)
 	up := make([][]int, n)
 	for _, g := range f.groups {
@@ -381,15 +399,15 @@ func (f *Frozen) closeSupers() []groupset {
 			up[i] = append(up[i], g.idx)
 		}
 	}
-	super := make([]groupset, n)
-	var superOf func(i int) groupset
-	superOf = func(i int) groupset {
+	super := make([]*idset.Set, n)
+	var superOf func(i int) *idset.Set
+	superOf = func(i int) *idset.Set {
 		if super[i] == nil {
-			super[i] = newGroupset(n)
-			super[i].set(i)
+			s := idset.Of(i)
 			for _, u := range up[i] {
-				super[i].union(superOf(u))
+				s = s.Or(superOf(u))
 			}
+			super[i] = s
 		}
 		return super[i]
 	}

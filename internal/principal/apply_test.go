@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"secext/internal/idset"
 	"secext/internal/lattice"
 )
 
@@ -106,5 +107,30 @@ func TestApplyFailureIsAtomic(t *testing.T) {
 			t.Fatalf("%s: next principal took ID %d, want 2", tc.name, p.ID())
 		}
 		checkClosure(t, f, tc.name)
+	}
+}
+
+// TestReverseRowBuiltOnce: a commit that moves 256 principals into one
+// group builds the group's reverse-index row once from its parent's
+// row. Rebuilding the row as each ID arrives (a dense row re-cloned
+// whenever a higher ID needed a wider one) would allocate once per ID
+// here, since each ID is in a word of its own.
+func TestReverseRowBuiltOnce(t *testing.T) {
+	parent := idset.Of(1)
+	var row *idset.Set
+	allocs := testing.AllocsPerRun(20, func() {
+		m := rowEdits{rows: []*idset.Set{parent}, edits: make(map[int]*idset.Builder, 1)}
+		for id := 64; id <= 256*64; id += 64 {
+			m.flip(0, id, true)
+		}
+		m.flip(0, 1, false)
+		m.build()
+		row = m.rows[0]
+	})
+	if row.Len() != 256 || row.Has(1) || !row.Has(64) || !row.Has(256*64) {
+		t.Fatalf("rebuilt row %v", row)
+	}
+	if allocs > 32 {
+		t.Fatalf("moving 256 IDs into one row: %v allocations, want <= 32", allocs)
 	}
 }

@@ -253,11 +253,8 @@ func TestBulkMatchesPerEntityRows(t *testing.T) {
 		}
 	}
 	for g := 0; g < groups; g++ {
-		b, s := fb.GroupPrincipalIDs(gname(g)), fs.GroupPrincipalIDs(gname(g))
-		for w := range b {
-			if b[w] != s[w] {
-				t.Fatalf("group %s reverse-index word %d: bulk %x, single %x", gname(g), w, b[w], s[w])
-			}
+		if b, s := fb.GroupPrincipalIDs(gname(g)), fs.GroupPrincipalIDs(gname(g)); !b.Equal(s) {
+			t.Fatalf("group %s reverse index: bulk %v, single %v", gname(g), b, s)
 		}
 	}
 }

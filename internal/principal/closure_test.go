@@ -184,7 +184,7 @@ func contains(xs []string, want string) bool {
 }
 
 // TestIncrementalSharesUntouchedRows: a derived version must reuse the
-// untouched principals' bitsets and only rewrite the touched rows.
+// untouched principals' sets and only rewrite the touched rows.
 func TestIncrementalSharesUntouchedRows(t *testing.T) {
 	r, lat := newTestRegistry(t)
 	bot, _ := lat.Bottom()
@@ -206,9 +206,9 @@ func TestIncrementalSharesUntouchedRows(t *testing.T) {
 	}
 	after := r.Freeze()
 	// The frozen group tables must share untouched entries with the
-	// previous view, and cold's row must be the same slice.
+	// previous view, and cold's row must be the same set.
 	bm, am := before.groupsOf("cold"), after.groupsOf("cold")
-	if len(bm) == 0 || &bm[0] != &am[0] {
+	if bm == nil || bm != am {
 		t.Error("derived version copied an untouched principal's row")
 	}
 	if !after.IsMember("hot", "g") || !after.IsMember("cold", "g") {

@@ -2,76 +2,12 @@ package principal
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
 	"secext/internal/hamt"
+	"secext/internal/idset"
 )
-
-// groupset is a bit vector over the registry's group bit positions:
-// bit i set means membership in the group whose frozenGroup.idx is i.
-// A published set is never mutated, so testing membership is one
-// bounds check and one AND — no locks, no lazy computation, no maps of
-// maps.
-type groupset []uint64
-
-func newGroupset(n int) groupset { return make(groupset, (n+63)/64) }
-
-func (s groupset) set(i int) { s[i/64] |= 1 << uint(i%64) }
-
-// clear removes bit i if it is in range (a short set simply lacks it).
-func (s groupset) clear(i int) {
-	if w := i / 64; w < len(s) {
-		s[w] &^= 1 << uint(i%64)
-	}
-}
-
-// cloneGrown copies s into a fresh set wide enough to hold bit i.
-func (s groupset) cloneGrown(i int) groupset {
-	n := len(s)
-	if need := i/64 + 1; need > n {
-		n = need
-	}
-	out := make(groupset, n)
-	copy(out, s)
-	return out
-}
-
-func (s groupset) has(i int) bool {
-	w := i / 64
-	return w < len(s) && s[w]&(1<<uint(i%64)) != 0
-}
-
-// union folds o into s (s at least as wide as o).
-func (s groupset) union(o groupset) {
-	for i, w := range o {
-		s[i] |= w
-	}
-}
-
-// each calls fn with every bit set in s, in ascending order.
-func (s groupset) each(fn func(i int)) {
-	for w, word := range s {
-		for ; word != 0; word &= word - 1 {
-			fn(w*64 + bits.TrailingZeros64(word))
-		}
-	}
-}
-
-// equal reports whether s and o hold the same bits, whatever their
-// widths.
-func (s groupset) equal(o groupset) bool {
-	if len(s) < len(o) {
-		s, o = o, s
-	}
-	for i, w := range s {
-		if i < len(o) && w != o[i] || i >= len(o) && w != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // rowChunkSize is the number of membership rows one copy-on-write
 // chunk holds. A transition that touches one principal clones that
@@ -79,12 +15,14 @@ func (s groupset) equal(o groupset) bool {
 const rowChunkSize = 64
 
 // memberRow is one principal's entry in the ID-ordered row table: the
-// principal, the groups that list it directly, and its transitively
-// closed membership — the union of super[d] over its direct groups d.
+// principal, the bit positions of the groups that list it directly, and
+// its transitively closed membership — the union of super[d] over its
+// direct groups d. A principal whose closure is one group's super set
+// holds that set.
 type memberRow struct {
 	p      *Principal
-	direct groupset
-	groups groupset
+	direct *idset.Set
+	groups *idset.Set
 }
 
 // rowChunk holds the rows of rowChunkSize consecutive principal IDs.
@@ -106,9 +44,9 @@ type frozenGroup struct {
 // Frozen is one immutable version of the principal/group registry: the
 // identity tables and the *transitively closed* group membership as of
 // one publication. Every query on a Frozen is a pure lookup — the
-// closure is precomputed into per-principal bitsets when the version
-// is derived, so IsMember costs two probes and a bit test, with no
-// locks and no memoization races.
+// closure is precomputed into per-principal sets of group positions
+// when the version is derived, so IsMember costs two probes and a set
+// test, with no locks and no memoization races.
 //
 // Frozen is the registry's contribution to a policy epoch (see
 // names.Epoch): a reference monitor that pins an epoch evaluates every
@@ -133,14 +71,14 @@ type Frozen struct {
 	// predecessor.
 	rows []*rowChunk
 
-	// groupMembers is the reverse index of rows: one bitset per group
-	// (indexed by bit position) whose bit p is set when the principal
-	// with dense ID p is a transitive member. It is what lets
-	// freeze-time ACL compilation turn a group entry into principal-ID
-	// bits without touching names (see acl.IDResolver). Rows are
-	// copy-on-write: a version clones only the rows whose member sets
-	// changed.
-	groupMembers []groupset
+	// groupMembers is the reverse index of rows: one set per group
+	// (indexed by bit position) holding the dense IDs of its transitive
+	// members. It is what lets freeze-time ACL compilation turn a group
+	// entry into principal IDs without touching names (see
+	// acl.IDResolver). Rows are copy-on-write: a version rebuilds only
+	// the rows whose member sets changed, each once, and an unchanged
+	// row keeps its pointer.
+	groupMembers []*idset.Set
 
 	// super holds, per group bit position, the set of groups reachable
 	// from that group through "contained in" edges, itself included. It
@@ -148,7 +86,7 @@ type Frozen struct {
 	// transition recomputes a principal's row as a union of supersets
 	// without re-walking the subgroup graph. Only a new group or an
 	// added or removed subgroup edge replaces it.
-	super []groupset
+	super []*idset.Set
 }
 
 // Version returns the registry version this view was published as.
@@ -217,7 +155,7 @@ func (f *Frozen) Members(groupName string) ([]string, error) {
 // IsMember reports whether the named principal is a transitive member
 // of the named group in this version of the registry. Unknown
 // principals or groups are simply not members. The query is pure: one
-// index probe, one closure probe, one bit test.
+// index probe, one closure probe, one set test.
 //
 // IsMember's (subject, group) signature satisfies acl.Membership, so a
 // pinned Frozen can drive ACL evaluation directly.
@@ -226,7 +164,7 @@ func (f *Frozen) IsMember(principalName, groupName string) bool {
 	if !ok {
 		return false
 	}
-	return f.groupsOf(principalName).has(g.idx)
+	return f.groupsOf(principalName).Has(g.idx)
 }
 
 // PrincipalID returns the dense, append-only ID of the named principal.
@@ -259,10 +197,11 @@ func (f *Frozen) IDOf(p *Principal) (int, bool) {
 func (f *Frozen) NumPrincipalIDs() int { return f.principals.Len() }
 
 // GroupPrincipalIDs returns the transitive member set of the named
-// group as bitset words over principal IDs (bit p == principal with ID
-// p), nil for an unknown group. The returned words are shared with the
-// frozen view and must not be mutated.
-func (f *Frozen) GroupPrincipalIDs(group string) []uint64 {
+// group over principal IDs, nil for an unknown or empty group. The set
+// is the frozen view's own: every call on this version returns it, and
+// a later version returns the same pointer until the group's members
+// change.
+func (f *Frozen) GroupPrincipalIDs(group string) *idset.Set {
 	g, ok := f.groups[group]
 	if !ok {
 		return nil
@@ -278,7 +217,7 @@ func (f *Frozen) row(id int) *memberRow {
 
 // groupsOf returns the named principal's closed membership, nil for an
 // unknown principal.
-func (f *Frozen) groupsOf(principalName string) groupset {
+func (f *Frozen) groupsOf(principalName string) *idset.Set {
 	p, ok := f.principals.Get(principalName)
 	if !ok {
 		return nil
@@ -337,7 +276,7 @@ func (f *Frozen) ChangedGroups(prev *Frozen) []string {
 // sorted.
 func (f *Frozen) GroupsOf(principalName string) []string {
 	var out []string
-	f.groupsOf(principalName).each(func(i int) { out = append(out, f.groupNames[i]) })
+	f.groupsOf(principalName).Each(func(i int) { out = append(out, f.groupNames[i]) })
 	sort.Strings(out)
 	return out
 }

@@ -129,7 +129,7 @@ func render(f *Frozen) string {
 	}
 	for _, g := range f.Groups() {
 		members, _ := f.Members(g)
-		fmt.Fprintf(&b, " %s%v%x", g, members, f.GroupPrincipalIDs(g))
+		fmt.Fprintf(&b, " %s%v%v", g, members, f.GroupPrincipalIDs(g))
 	}
 	return b.String()
 }
@@ -150,23 +150,18 @@ func checkSharing(t *testing.T, prev, next *Frozen, context string) {
 			t.Fatalf("%s: group %s record shared=%v, lists equal=%v", context, name, pg == ng, same)
 		}
 		pw, nw := prev.groupMembers[pg.idx], next.groupMembers[pg.idx]
-		if pw.equal(nw) != sameWords(pw, nw) {
-			t.Fatalf("%s: group %s reverse row shared=%v, value equal=%v", context, name, sameWords(pw, nw), pw.equal(nw))
+		if pw.Equal(nw) != (pw == nw) {
+			t.Fatalf("%s: group %s reverse row shared=%v, value equal=%v", context, name, pw == nw, pw.Equal(nw))
 		}
 	}
 	for c, pc := range prev.rows {
 		same := true
 		for i := range pc {
 			pr, nr := pc[i], next.rows[c][i]
-			same = same && pr.p == nr.p && pr.direct.equal(nr.direct) && pr.groups.equal(nr.groups)
+			same = same && pr.p == nr.p && pr.direct.Equal(nr.direct) && pr.groups.Equal(nr.groups)
 		}
 		if same != (pc == next.rows[c]) {
 			t.Fatalf("%s: row chunk %d shared=%v, rows equal=%v", context, c, pc == next.rows[c], same)
 		}
 	}
-}
-
-// sameWords reports whether a and b are the same slice.
-func sameWords(a, b groupset) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -6,25 +6,19 @@ import (
 	"testing"
 )
 
-// idHas reports whether bit id is set in raw reverse-index words.
-func idHas(words []uint64, id int) bool {
-	w := id / 64
-	return w < len(words) && words[w]&(1<<uint(id%64)) != 0
-}
-
 // checkReverseIndex asserts the reverse index (GroupPrincipalIDs)
 // agrees with the forward closure (IsMember) for every principal and
 // group of a frozen view.
 func checkReverseIndex(t *testing.T, f *Frozen) {
 	t.Helper()
 	for _, g := range f.Groups() {
-		words := f.GroupPrincipalIDs(g)
+		members := f.GroupPrincipalIDs(g)
 		for _, p := range f.Principals() {
 			id, ok := f.PrincipalID(p)
 			if !ok {
 				t.Fatalf("v%d: principal %q has no ID", f.Version(), p)
 			}
-			if got, want := idHas(words, id), f.IsMember(p, g); got != want {
+			if got, want := members.Has(id), f.IsMember(p, g); got != want {
 				t.Fatalf("v%d: reverse index says %v for (%s in %s), IsMember says %v",
 					f.Version(), got, p, g, want)
 			}
@@ -100,14 +94,14 @@ func TestPrincipalIDsDenseAndStable(t *testing.T) {
 	if id, ok := f2.PrincipalID("p42"); !ok || id != 42 {
 		t.Fatalf("ID drifted after churn: %d,%v", id, ok)
 	}
-	if !idHas(f2.GroupPrincipalIDs("g"), 42) {
+	if !f2.GroupPrincipalIDs("g").Has(42) {
 		t.Fatal("reverse index missing p42 in g")
 	}
 	if f.GroupPrincipalIDs("g") != nil {
 		t.Fatal("older version leaked a later group")
 	}
 	if f2.GroupPrincipalIDs("nosuch") != nil {
-		t.Fatal("unknown group returned words")
+		t.Fatal("unknown group returned a set")
 	}
 }
 
