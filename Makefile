@@ -28,9 +28,10 @@ race:
 # fuzz-smoke runs six fuzzers for a few seconds each: the concurrent
 # epoch transition fuzzer (consistency, compiled view against a full
 # compile), the delta codec fuzzer (a mirror bootstrapped from snapshot
-# frames and replaying deltas equals the primary), the snapshot stream
-# fuzzer (arbitrary frames never panic; what decodes and builds
-# re-encodes to the same frames), the registry Apply fuzzer (closure
+# frames and replaying delta frames equals the primary), the epoch
+# stream fuzzer (arbitrary snapshot or delta frames never panic; what
+# decodes and installs re-encodes to the same frames), the registry
+# Apply fuzzer (closure
 # against a naive walk, atomic failures, copy-on-write sharing), and
 # the persistent map fuzzer (the trie against a Go map, earlier
 # versions unchanged, no build writing a node it did not allocate,
@@ -98,8 +99,10 @@ PROVENANCE_COVER_FLOOR := 85.0
 # the package keeps the floor individually.
 REPLICA_COVER_FLOOR := 85.0
 # The compact node layout and the intern/dedup tables are what every
-# million-node claim rests on; each new file keeps its own floor so the
-# package average cannot hide a hole in the layout machinery.
+# million-node claim rests on, and the epoch codec (wire, snapframe) is
+# what every replica installs; each file keeps its own floor so the
+# package average cannot hide a hole in that machinery or in the
+# codec's rejection branches.
 LAYOUT_COVER_FLOOR := 85.0
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/monitor/...
@@ -129,7 +132,7 @@ cover:
 	echo "internal/names/compiled.go coverage: $$compiled% (floor $(COMPILED_COVER_FLOOR)%)"; \
 	awk "BEGIN {exit !($$compiled >= $(COMPILED_COVER_FLOOR))}" || \
 		{ echo "compiled-epoch coverage below floor"; exit 1; }
-	@for f in childref intern footprint bulk; do \
+	@for f in childref intern footprint bulk wire snapframe; do \
 		avg=$$($(GO) tool cover -func=cover-names.out | awk "/internal\/names\/$$f\.go/ {gsub(/%/,\"\",\$$3); sum += \$$3; n++} END {if (n) printf \"%.1f\", sum/n; else print 0}"); \
 		echo "internal/names/$$f.go coverage: $$avg% (floor $(LAYOUT_COVER_FLOOR)%)"; \
 		awk "BEGIN {exit !($$avg >= $(LAYOUT_COVER_FLOOR))}" || \

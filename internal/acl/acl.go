@@ -386,6 +386,22 @@ func (a *ACL) String() string {
 	return strings.Join(parts, "; ")
 }
 
+// Equal reports whether a and b render the same String, without
+// rendering either: the same entries in the same order, where the name
+// of an everyone entry does not count.
+func (a *ACL) Equal(b *ACL) bool {
+	if len(a.entries) != len(b.entries) {
+		return false
+	}
+	for i, x := range a.entries {
+		y := b.entries[i]
+		if x.Kind != y.Kind || x.Deny != y.Deny || x.Modes != y.Modes || x.Kind != Everyone && x.Who != y.Who {
+			return false
+		}
+	}
+	return true
+}
+
 // Parse parses a semicolon-separated entry list as produced by String.
 // The empty string and "(empty)" parse to an empty ACL.
 func Parse(s string) (*ACL, error) {

@@ -176,8 +176,24 @@ func TestStringParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", s, err)
 	}
-	if b.String() != s {
+	if b.String() != s || !b.Equal(a) {
 		t.Errorf("round trip:\n  %q\n  %q", s, b.String())
+	}
+	for _, c := range []*ACL{
+		New(Allow("alice", Read|Execute), DenyGroup("outside", Extend|Execute)),
+		New(Allow("alice", Read), DenyGroup("outside", Extend|Execute), AllowEveryone(List)),
+		New(Allow("bob", Read|Execute), DenyGroup("outside", Extend|Execute), AllowEveryone(List)),
+		New(Allow("alice", Read|Execute), AllowGroup("outside", Extend|Execute), AllowEveryone(List)),
+		New(Allow("alice", Read|Execute), DenyGroup("outside", Extend|Execute), DenyEveryone(List)),
+	} {
+		if c.Equal(a) || (c.String() == s) {
+			t.Errorf("%q equals %q", c, s)
+		}
+	}
+	named := a.Clone()
+	named.entries[2].Who = "ignored"
+	if !named.Equal(a) || named.String() != s {
+		t.Errorf("an everyone entry's name changed %q", named)
 	}
 	empty, err := Parse("")
 	if err != nil || empty.Len() != 0 {

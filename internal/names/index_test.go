@@ -227,8 +227,8 @@ func TestDiffEpochsACLOnlyOmitsRegistry(t *testing.T) {
 	if len(d.Principals) != 0 || len(d.Groups) != 0 {
 		t.Fatalf("ACL-only delta carries registry state: %+v", d)
 	}
-	if len(d.Upserts) == 0 {
-		t.Fatal("ACL-only delta lost the upsert")
+	if len(d.Rows) != 1 || d.Rows[0].Parent != -1 || d.Rows[0].Name != "/t/d01/f004" {
+		t.Fatalf("ACL-only delta rows = %+v, want one anchor at the edited node", d.Rows)
 	}
 	if _, err := wf.reg.Apply(principal.AddMember("eng", "carol")); err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestDiffEpochsACLOnlyOmitsRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Groups) != 1 || d.Groups[0].Name != "eng" || len(d.Upserts) != 0 {
+	if len(d.Groups) != 1 || d.Groups[0].Name != "eng" || len(d.Rows) != 0 {
 		t.Fatalf("membership delta = %+v", d)
 	}
 }

@@ -1,24 +1,26 @@
 package names
 
-// Snapshot frames: the line-protocol form of an EpochWire.
+// Epoch frames: the line-protocol form of an EpochWire, snapshot and
+// delta alike.
 //
-// A snapshot travels as a sequence of lines, each at most MaxFrame
+// A message travels as a sequence of lines, each at most MaxFrame
 // bytes with its newline, so a receiver's scanner never needs a buffer
 // larger than the protocol's line bound:
 //
-//	SNAP-HEAD <json>   version, traversal flag, lattice universe, guard
-//	                   stack, and the length of every table
-//	SNAP <field>...    the tables, then the rows, as one field stream
-//	                   cut into frames at field boundaries
+//	SNAP-HEAD <json>   base and target versions, traversal flag, the
+//	                   lattice entries added, the guard stack (null:
+//	                   unchanged), and the length of every table
+//	SNAP <field>...    the tables, the deletes, then the rows, as one
+//	                   field stream cut into frames at field boundaries
 //	SNAP-END
 //
 // The field stream lists, in order: each ACL string; each class label;
 // each principal as name and class label; each group as name, member
-// count and members; each row as parent index, name, kind, ACL index,
-// class index and multilevel flag (0 or 1). Every field is preceded by
-// one space. A string field writes '%', space, control bytes and DEL
-// as %XX, so any name or ACL fits one field and no frame holds a
-// newline. Numbers are decimal.
+// count and members; each deleted path; each row as parent index, name,
+// kind, ACL index, class index and multilevel flag (0 or 1). Every
+// field is preceded by one space. A string field writes '%', space,
+// control bytes and DEL as %XX, so any name or ACL fits one field and
+// no frame holds a newline. Numbers are decimal.
 //
 // The codec is hand-written rather than reflection JSON: a row is a
 // few bytes to scan, and the frames can be encoded once per epoch and
@@ -32,7 +34,7 @@ import (
 )
 
 const (
-	// MaxFrame bounds one snapshot frame, newline included: the line
+	// MaxFrame bounds one frame, newline included: the line
 	// protocol's 1 MiB line.
 	MaxFrame = 1 << 20
 	// frameTarget is where the encoder cuts frames. Smaller frames let
@@ -45,37 +47,41 @@ const (
 	frameEnd  = "SNAP-END"
 )
 
-// snapHeader is the SNAP-HEAD frame's JSON: the snapshot's scalar
-// fields and the length of each table in the field stream.
+// snapHeader is the SNAP-HEAD frame's JSON: the message's scalar
+// fields and the length of each table in the field stream. Zero fields
+// are left out, except the stack, whose null (unchanged) differs from
+// an empty list.
 type snapHeader struct {
+	From       uint64   `json:"from,omitempty"`
 	Version    uint64   `json:"version"`
-	Traversal  bool     `json:"traversal"`
-	Levels     []string `json:"levels"`
-	Categories []string `json:"categories"`
+	Traversal  bool     `json:"traversal,omitempty"`
+	Levels     []string `json:"levels,omitempty"`
+	Categories []string `json:"categories,omitempty"`
 	Stack      []string `json:"stack"`
-	ACLs       int      `json:"acls"`
-	Classes    int      `json:"classes"`
-	Principals int      `json:"principals"`
-	Groups     int      `json:"groups"`
-	Rows       int      `json:"rows"`
+	ACLs       int      `json:"acls,omitempty"`
+	Classes    int      `json:"classes,omitempty"`
+	Principals int      `json:"principals,omitempty"`
+	Groups     int      `json:"groups,omitempty"`
+	Deletes    int      `json:"deletes,omitempty"`
+	Rows       int      `json:"rows,omitempty"`
 }
 
-// EncodeSnapshot frames w, calling emit once per frame, in stream
+// EncodeEpoch frames w, calling emit once per frame, in stream
 // order. Each frame is one protocol line with its newline, and emit
 // owns it: the encoder never touches a frame again.
-func EncodeSnapshot(w *EpochWire, emit func(frame []byte) error) error {
+func EncodeEpoch(w *EpochWire, emit func(frame []byte) error) error {
 	head, err := json.Marshal(snapHeader{
-		Version: w.Version, Traversal: w.Traversal,
+		From: w.From, Version: w.Version, Traversal: w.Traversal,
 		Levels: w.Levels, Categories: w.Categories, Stack: w.Stack,
 		ACLs: len(w.ACLs), Classes: len(w.Classes), Principals: len(w.Principals),
-		Groups: len(w.Groups), Rows: len(w.Rows),
+		Groups: len(w.Groups), Deletes: len(w.Deletes), Rows: len(w.Rows),
 	})
 	if err != nil {
 		return err
 	}
 	frame := append(append(append(make([]byte, 0, len(frameHead)+len(head)+2), frameHead...), ' '), head...)
 	if len(frame)+1 > MaxFrame {
-		return fmt.Errorf("names: snapshot header of %d bytes exceeds the frame bound", len(frame))
+		return fmt.Errorf("names: epoch header of %d bytes exceeds the frame bound", len(frame))
 	}
 	if err := emit(append(frame, '\n')); err != nil {
 		return err
@@ -98,6 +104,9 @@ func EncodeSnapshot(w *EpochWire, emit func(frame []byte) error) error {
 			fw.str(m)
 		}
 	}
+	for _, path := range w.Deletes {
+		fw.str(path)
+	}
 	for _, r := range w.Rows {
 		fw.num(int64(r.Parent))
 		fw.str(r.Name)
@@ -118,10 +127,14 @@ func EncodeSnapshot(w *EpochWire, emit func(frame []byte) error) error {
 }
 
 // frameWriter cuts the field stream into SNAP frames. The first error
-// sticks and turns every later call into a no-op.
+// sticks and turns every later call into a no-op. A frame's buffer
+// grows as fields arrive, so a one-row delta costs a few hundred bytes;
+// once one frame has reached the target, every later one starts at the
+// target's size.
 type frameWriter struct {
 	emit func([]byte) error
 	buf  []byte
+	size int // the capacity a new frame starts with
 	err  error
 }
 
@@ -147,7 +160,7 @@ func (fw *frameWriter) num(n int64) {
 // returns the field's offset (its separating space).
 func (fw *frameWriter) openField() int {
 	if len(fw.buf) == 0 {
-		fw.buf = append(make([]byte, 0, frameTarget+256), frameData...)
+		fw.buf = append(make([]byte, 0, max(fw.size, 256)), frameData...)
 	}
 	start := len(fw.buf)
 	fw.buf = append(fw.buf, ' ')
@@ -161,17 +174,18 @@ func (fw *frameWriter) cut(start int) {
 	if len(fw.buf)+1 <= frameTarget {
 		return
 	}
+	fw.size = frameTarget + 256
 	if start > len(frameData) {
 		// The field does not fit behind the others: they go out first.
 		field := fw.buf[start:]
-		next := append(make([]byte, 0, max(frameTarget+256, len(frameData)+len(field)+1)), frameData...)
+		next := append(make([]byte, 0, max(fw.size, len(frameData)+len(field)+1)), frameData...)
 		next = append(next, field...)
 		fw.buf = fw.buf[:start]
 		fw.flush()
 		fw.buf = next
 	}
 	if len(fw.buf)+1 > MaxFrame {
-		fw.err = fmt.Errorf("names: snapshot field of %d bytes exceeds the frame bound", len(fw.buf)-len(frameData)-1)
+		fw.err = fmt.Errorf("names: epoch field of %d bytes exceeds the frame bound", len(fw.buf)-len(frameData)-1)
 		return
 	}
 	if len(fw.buf)+1 > frameTarget {
@@ -213,13 +227,16 @@ func appendEscaped(dst []byte, s string) []byte {
 	return dst
 }
 
-// DecodeSnapshot rebuilds a snapshot from its frames. next returns each
-// frame in turn without its newline; DecodeSnapshot reads up to and
+// DecodeEpoch rebuilds a message from its frames. next returns each
+// frame in turn without its newline; DecodeEpoch reads up to and
 // including SNAP-END and no further. It checks the syntax and that the
 // stream holds exactly the table lengths the header announces; what the
-// rows mean is checked when ApplyReplicated builds the tree. String
-// fields with no escapes are substrings of the frames next returned.
-func DecodeSnapshot(next func() (string, error)) (*EpochWire, error) {
+// rows mean is checked when BuildEpoch and ApplyReplicated install it.
+// Row names, deleted paths and class labels, which an install only
+// reads, are substrings of the frames next returned where they hold no
+// escapes; the ACLs and the registry's names and members are copies, so
+// what a receiver keeps of them does not hold a whole frame alive.
+func DecodeEpoch(next func() (string, error)) (*EpochWire, error) {
 	line, err := next()
 	if err != nil {
 		return nil, err
@@ -230,45 +247,51 @@ func DecodeSnapshot(next func() (string, error)) (*EpochWire, error) {
 	}
 	var h snapHeader
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
-		return nil, fmt.Errorf("names: decoding snapshot header: %w", err)
+		return nil, fmt.Errorf("names: decoding epoch header: %w", err)
 	}
 	switch {
 	case h.Version == 0:
-		return nil, fmt.Errorf("names: snapshot carries no epoch")
-	case len(h.Levels) == 0:
+		return nil, fmt.Errorf("names: message carries no epoch")
+	case h.From >= h.Version:
+		return nil, fmt.Errorf("names: message from v%d does not advance to v%d", h.From, h.Version)
+	case h.From == 0 && len(h.Levels) == 0:
 		return nil, fmt.Errorf("names: snapshot carries no lattice levels")
-	case h.ACLs < 0 || h.Classes < 0 || h.Principals < 0 || h.Groups < 0 || h.Rows < 0:
-		return nil, fmt.Errorf("names: snapshot header has a negative table length")
+	case h.ACLs < 0 || h.Classes < 0 || h.Principals < 0 || h.Groups < 0 || h.Deletes < 0 || h.Rows < 0:
+		return nil, fmt.Errorf("names: epoch header has a negative table length")
 	}
 	w := &EpochWire{
-		Version: h.Version, Traversal: h.Traversal,
+		From: h.From, Version: h.Version, Traversal: h.Traversal,
 		Levels: h.Levels, Categories: h.Categories, Stack: h.Stack,
 		ACLs:       make([]string, 0, prealloc(h.ACLs)),
 		Classes:    make([]string, 0, prealloc(h.Classes)),
 		Principals: make([]PrincipalWire, 0, prealloc(h.Principals)),
 		Groups:     make([]GroupWire, 0, prealloc(h.Groups)),
+		Deletes:    make([]string, 0, prealloc(h.Deletes)),
 		Rows:       make([]RowWire, 0, prealloc(h.Rows)),
 	}
 	// Every loop stops at the first error, so a header announcing more
 	// than the stream holds costs one failed read, not its count.
 	r := fieldReader{next: next}
 	for i := 0; i < h.ACLs && r.err == nil; i++ {
-		w.ACLs = append(w.ACLs, r.str())
+		w.ACLs = append(w.ACLs, r.own())
 	}
 	for i := 0; i < h.Classes && r.err == nil; i++ {
 		w.Classes = append(w.Classes, r.str())
 	}
 	for i := 0; i < h.Principals && r.err == nil; i++ {
-		w.Principals = append(w.Principals, PrincipalWire{Name: r.str(), Class: r.str()})
+		w.Principals = append(w.Principals, PrincipalWire{Name: r.own(), Class: r.str()})
 	}
 	for i := 0; i < h.Groups && r.err == nil; i++ {
-		g := GroupWire{Name: r.str()}
+		g := GroupWire{Name: r.own()}
 		n := int(r.num(0, 1<<31-1))
 		g.Members = make([]string, 0, prealloc(n))
 		for j := 0; j < n && r.err == nil; j++ {
-			g.Members = append(g.Members, r.str())
+			g.Members = append(g.Members, r.own())
 		}
 		w.Groups = append(w.Groups, g)
+	}
+	for i := 0; i < h.Deletes && r.err == nil; i++ {
+		w.Deletes = append(w.Deletes, r.str())
 	}
 	for i := 0; i < h.Rows && r.err == nil; i++ {
 		w.Rows = append(w.Rows, RowWire{
@@ -284,7 +307,7 @@ func DecodeSnapshot(next func() (string, error)) (*EpochWire, error) {
 		return nil, r.err
 	}
 	if r.rest != "" {
-		return nil, fmt.Errorf("names: snapshot holds more fields than its header announces")
+		return nil, fmt.Errorf("names: message holds more fields than its header announces")
 	}
 	if line, err = next(); err != nil {
 		return nil, err
@@ -323,7 +346,7 @@ func (r *fieldReader) raw() string {
 		}
 		rest, ok := strings.CutPrefix(line, frameData)
 		if !ok || rest == "" || rest[0] != ' ' {
-			r.err = fmt.Errorf("names: snapshot field %d: expected a %s frame, got %.40q", r.field, frameData, line)
+			r.err = fmt.Errorf("names: epoch field %d: expected a %s frame, got %.40q", r.field, frameData, line)
 			return ""
 		}
 		r.rest = rest
@@ -361,6 +384,9 @@ func (r *fieldReader) str() string {
 	return string(out)
 }
 
+// own reads one string field as a string of its own.
+func (r *fieldReader) own() string { return strings.Clone(r.str()) }
+
 // unhex returns the value of the hex digit at f[i], or -1.
 func unhex(f string, i int) int {
 	if i >= len(f) {
@@ -393,6 +419,6 @@ func (r *fieldReader) num(lo, hi int64) int64 {
 
 func (r *fieldReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("names: snapshot field %d: %s", r.field, fmt.Sprintf(format, args...))
+		r.err = fmt.Errorf("names: epoch field %d: %s", r.field, fmt.Sprintf(format, args...))
 	}
 }

@@ -27,11 +27,11 @@ func splitFrames(stream []byte) [][]byte {
 func encodeFrames(t testing.TB, w *EpochWire) [][]byte {
 	t.Helper()
 	var frames [][]byte
-	if err := EncodeSnapshot(w, func(f []byte) error {
+	if err := EncodeEpoch(w, func(f []byte) error {
 		frames = append(frames, f)
 		return nil
 	}); err != nil {
-		t.Fatalf("EncodeSnapshot: %v", err)
+		t.Fatalf("EncodeEpoch: %v", err)
 	}
 	return frames
 }
@@ -70,11 +70,11 @@ func TestSnapshotFramesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := m.srv.BuildSnapshot(wire)
+	foreign, err := m.srv.BuildEpoch(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.srv.ApplyReplicated(ReplicaApply{PrimaryVersion: 1, Snapshot: foreign}); err == nil {
+	if _, err := f.srv.ApplyReplicated(ReplicaApply{PrimaryVersion: 1, Tree: foreign}); err == nil {
 		t.Fatal("a tree built for another server installed")
 	}
 	frames := snapshotFrames(t, f.srv.Current())
@@ -93,76 +93,106 @@ func TestSnapshotFramesRoundTrip(t *testing.T) {
 	if len(frames) != 4 || len(frames[1]) != len("SNAP ")+2*frameTarget+1 {
 		t.Fatalf("an oversize field: %d frames, second of %d bytes", len(frames), len(frames[1]))
 	}
-	back, err := DecodeSnapshot(frameSource(frames))
+	back, err := DecodeEpoch(frameSource(frames))
 	if err != nil || back.ACLs[0] != big.ACLs[0] {
 		t.Fatalf("oversize field round trip: %v", err)
 	}
 	big.ACLs[0] = strings.Repeat("x", MaxFrame)
-	if err := EncodeSnapshot(big, func([]byte) error { return nil }); err == nil {
+	if err := EncodeEpoch(big, func([]byte) error { return nil }); err == nil {
 		t.Fatal("a field longer than a line encoded")
 	}
-	for _, table := range []string{"acls", "classes", "principals", "groups", "rows"} {
+	for _, table := range []string{"acls", "classes", "principals", "groups", "deletes", "rows"} {
 		huge := fmt.Sprintf("SNAP-HEAD {\"version\":1,\"levels\":[\"l\"],\"%s\":1000000000}\nSNAP x\nSNAP-END\n", table)
-		if _, err := DecodeSnapshot(frameSource(splitFrames([]byte(huge)))); err == nil {
+		if _, err := DecodeEpoch(frameSource(splitFrames([]byte(huge)))); err == nil {
 			t.Fatalf("a header announcing 10^9 %s decoded from one field", table)
 		}
 	}
 	stop := errors.New("stop")
-	if err := EncodeSnapshot(back, func([]byte) error { return stop }); err != stop {
+	if err := EncodeEpoch(back, func([]byte) error { return stop }); err != stop {
 		t.Fatalf("emit error: got %v", err)
 	}
 }
 
-// FuzzSnapshotStream: decoding arbitrary frames never panics. A stream
-// either fails — DecodeSnapshot, or BuildSnapshot, which then has
-// published nothing — or it yields a tree whose Walk
-// re-encodes to the same frames the decoded snapshot encodes to. The
-// registry, lattice and stack are replayed outside this package, so the
-// comparison covers the traversal flag, the ACL and class tables and
-// every row.
+// FuzzSnapshotStream: decoding arbitrary frames never panics. A
+// snapshot installs on an empty server and a delta on a mirror of the
+// fixture's base epoch. Either the message fails — DecodeEpoch,
+// BuildEpoch, or ApplyReplicated, which then has published nothing — or
+// it yields a tree that re-encodes to the frames the decoded message
+// encodes to: the snapshot of the new tree, or the diff from the base.
+// The registry, lattice and stack are replayed outside this path, so
+// the comparison covers the traversal flag, the ACL and class tables,
+// the deletes and every row.
 func FuzzSnapshotStream(f *testing.F) {
 	fx, _ := wirePrimary(f)
-	f.Add(joinFrames(snapshotFrames(f, fx.srv.Current())))
-	if _, err := fx.srv.BindUnchecked("/svc/home", BindSpec{Name: "a b%", Kind: KindDirectory, ACL: acl.New(), Class: fx.org, Multilevel: true}); err != nil {
-		f.Fatal(err)
+	base := fx.srv.Current()
+	baseFrames := snapshotFrames(f, base)
+	f.Add(joinFrames(baseFrames))
+	delta := func(mutate func() error) {
+		if err := mutate(); err != nil {
+			f.Fatal(err)
+		}
+		d, err := DiffEpochs(base, fx.srv.Current())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(joinFrames(encodeFrames(f, d)))
 	}
-	fx.srv.SetTraversalChecks(true)
+	delta(func() error {
+		_, err := fx.srv.BindUnchecked("/svc/home", BindSpec{Name: "a b%", Kind: KindDirectory, ACL: acl.New(), Class: fx.org, Multilevel: true})
+		return err
+	})
+	delta(func() error {
+		_, err := fx.srv.BindUnchecked("/svc/home/a b%", BindSpec{Name: "leaf", Kind: KindFile, ACL: acl.New(acl.Allow("bob", acl.Read)), Class: fx.org})
+		return err
+	})
+	delta(func() error { _, err := fx.srv.Apply(fx.root, fx.org, Unbind("/svc/home/f1")); return err })
+	delta(func() error { return fx.srv.SetACLUnchecked("/svc/home", acl.New(acl.Allow("alice", acl.List))) })
+	delta(func() error { fx.srv.SetTraversalChecks(true); return nil })
 	good := joinFrames(snapshotFrames(f, fx.srv.Current()))
 	f.Add(good)
 	f.Add(bytes.Replace(good, []byte(" 1 1 0 "), []byte(" 1 1 7 "), 1))
 	f.Add(bytes.Replace(good, []byte("SNAP-END"), []byte("SNAP 0"), 1))
-	f.Add([]byte("SNAP-HEAD {\"version\":1,\"levels\":[\"l\"],\"acls\":1,\"classes\":1,\"rows\":2}\nSNAP (empty) l -1  0 0 0 0 0 x 0 0 0 0\nSNAP-END\n"))
+	f.Add([]byte("SNAP-HEAD {\"version\":1,\"levels\":[\"l\"],\"acls\":1,\"classes\":1,\"rows\":2}\nSNAP (empty) l -1 / 0 0 0 0 0 x 0 0 0 0\nSNAP-END\n"))
+	f.Add([]byte("SNAP-HEAD {\"from\":9,\"version\":10,\"acls\":1,\"classes\":1,\"deletes\":1,\"rows\":1}\nSNAP (empty) low /svc/home/f1 -1 /svc/x 3 0 0 0\nSNAP-END\n"))
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		wire, err := DecodeSnapshot(frameSource(splitFrames(stream)))
+		wire, err := DecodeEpoch(frameSource(splitFrames(stream)))
 		if err != nil {
 			return
 		}
-		lat, err := lattice.NewWithUniverse(wire.Levels, wire.Categories)
-		if err != nil {
-			return
+		var srv *Server
+		if wire.From == 0 {
+			lat, err := lattice.NewWithUniverse(wire.Levels, wire.Categories)
+			if err != nil {
+				return
+			}
+			bot, _ := lat.Bottom()
+			srv = NewServer(lat, acl.New(), bot)
+		} else {
+			srv = mirrorFrom(t, baseFrames).srv
 		}
-		bot, _ := lat.Bottom()
-		srv := NewServer(lat, acl.New(), bot)
-		before := srv.Version()
-		tree, err := srv.BuildSnapshot(wire)
+		prev := srv.Current()
+		tree, err := srv.BuildEpoch(wire)
+		if err == nil {
+			_, err = srv.ApplyReplicated(ReplicaApply{PrimaryVersion: wire.Version, Traversal: wire.Traversal, Tree: tree})
+		}
 		if err != nil {
-			if srv.Version() != before {
-				t.Fatalf("a failed snapshot build published v%d: %v", srv.Version(), err)
+			if srv.Current() != prev {
+				t.Fatalf("a failed message published v%d: %v", srv.Version(), err)
 			}
 			return
 		}
-		if _, err := srv.ApplyReplicated(ReplicaApply{PrimaryVersion: wire.Version, Traversal: wire.Traversal, Snapshot: tree}); err != nil {
-			t.Fatalf("installing a built snapshot: %v", err)
+		if wire.From == 0 {
+			prev = nil
 		}
-		got, err := srv.Current().WireSnapshot()
+		got, err := DiffEpochs(prev, srv.Current())
 		if err != nil {
-			t.Fatalf("re-encoding a bootstrapped tree: %v", err)
+			t.Fatalf("re-encoding an installed message: %v", err)
 		}
-		got.Version, got.Levels, got.Categories, got.Stack = wire.Version, wire.Levels, wire.Categories, wire.Stack
+		got.From, got.Version, got.Levels, got.Categories, got.Stack = wire.From, wire.Version, wire.Levels, wire.Categories, wire.Stack
 		got.Principals, got.Groups = wire.Principals, wire.Groups
 		want, have := joinFrames(encodeFrames(t, wire)), joinFrames(encodeFrames(t, got))
 		if !bytes.Equal(want, have) {
-			t.Fatalf("bootstrapped tree re-encodes differently:\n decoded: %.300q\n rebuilt: %.300q", want, have)
+			t.Fatalf("installed message re-encodes differently:\n decoded: %.300q\n rebuilt: %.300q", want, have)
 		}
 	})
 }

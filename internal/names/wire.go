@@ -3,16 +3,16 @@ package names
 // Epoch wire codec: the replication unit of ROADMAP item 2.
 //
 // Epochs are immutable, versioned, and atomically published, which
-// makes them the natural unit to stream to replica mediators: a full
-// snapshot describes one epoch completely (tree, frozen lattice,
-// frozen registry, guard-stack descriptor), and a delta describes the
-// exact edit set that carried epoch v to epoch v+1 — derived by
-// structural diff over the two immutable trees, which is cheap because
-// the epoch publisher shares every untouched subtree between parent
-// and successor (pointer equality prunes the walk to the changed
-// spine). A snapshot is table-shaped (EpochWire: each distinct ACL and
-// class once, then one row per node by parent index) and travels as
-// line frames (snapframe.go); a delta is JSON.
+// makes them the natural unit to stream to replica mediators. One
+// message type, EpochWire, carries every transition: the policy change
+// from a base epoch From to epoch Version. A snapshot is the message
+// from the empty epoch (From 0); a delta is the message from the
+// epoch before. Both are derived by structural diff over the two
+// immutable trees, which is cheap because the epoch publisher shares
+// every untouched subtree between parent and successor (pointer
+// equality prunes the walk to the changed spine). Both travel as the
+// same line frames (snapframe.go), and a receiver checks and installs
+// both with the same code: BuildEpoch, then ApplyReplicated.
 //
 // The codec deliberately serializes *protection state only*. Payloads
 // (service implementations, file handles) are data plane and never
@@ -27,23 +27,14 @@ package names
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"secext/internal/acl"
 	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/principal"
 )
-
-// NodeWire is one node a delta upserts: its canonical path, kind, class
-// label, textual ACL, and multilevel flag. Payloads do not replicate
-// (see the package comment above).
-type NodeWire struct {
-	Path       string `json:"path"`
-	Kind       uint8  `json:"kind"`
-	Class      string `json:"class"`
-	ACL        string `json:"acl"`
-	Multilevel bool   `json:"ml,omitempty"`
-}
 
 // PrincipalWire is one registered principal. Principals are listed in
 // dense-ID order so a replica replaying them assigns identical IDs —
@@ -55,23 +46,38 @@ type PrincipalWire struct {
 }
 
 // GroupWire is one group with its full direct-member list, in
-// principal.Frozen.Members form (subgroups are "@"-prefixed). Deltas
-// carry changed groups wholesale: direct-member lists are small and a
-// full list makes the apply idempotent.
+// principal.Frozen.Members form (subgroups are "@"-prefixed). A
+// message carries changed groups wholesale: direct-member lists are
+// small and a full list makes the apply idempotent.
 type GroupWire struct {
 	Name    string   `json:"name"`
 	Members []string `json:"members"`
 }
 
-// EpochWire is a full epoch snapshot in the epoch's own shape: the
-// header fields, then tables, then one row per node. Every node's ACL
-// and class are indexes into the ACLs and Classes tables, which list
-// each distinct canonical ACL string and class label once, in order of
-// first use. Rows are in depth-first pre-order (the Walk order), so
-// every parent precedes its children and siblings appear in name
-// order. EncodeSnapshot frames it for the wire and DecodeSnapshot
-// rebuilds it; ApplyReplicated builds a tree from it.
+// EpochWire is the change that carries epoch From to epoch Version, in
+// the epoch's own shape: the header fields, then tables, then the
+// deleted paths and one row per placed node. The lattice and registry
+// shards are append-only (no level, category, principal, or group is
+// ever removed), so Levels, Categories and Principals list what From
+// lacks, and Groups lists the groups whose member lists changed. Stack
+// is the guard stack when it changed (always, from version 0), nil
+// when it did not.
+//
+// Every row's ACL and class are indexes into the ACLs and Classes
+// tables, which list each distinct canonical ACL string and class label
+// once, in order of first use. A row is an anchor or a child. An anchor
+// (Parent -1) names a full path: if From holds that path the anchor
+// replaces the node's content and keeps its children, otherwise it
+// starts a new subtree, whose other nodes follow it as children. A
+// child's parent is an earlier row of the same subtree, rows are in
+// depth-first pre-order, and siblings appear in name order. Anchors and
+// deletes are each in pre-order of their paths. A snapshot is one
+// anchor, "/", and its whole tree.
+//
+// EncodeEpoch frames a message for the wire and DecodeEpoch rebuilds
+// it; BuildEpoch and ApplyReplicated install it.
 type EpochWire struct {
+	From       uint64          `json:"from"`
 	Version    uint64          `json:"version"`
 	Traversal  bool            `json:"traversal"`
 	Levels     []string        `json:"levels"`
@@ -81,12 +87,13 @@ type EpochWire struct {
 	Classes    []string        `json:"classes"`
 	Principals []PrincipalWire `json:"principals"`
 	Groups     []GroupWire     `json:"groups"`
+	Deletes    []string        `json:"deletes"`
 	Rows       []RowWire       `json:"rows"`
 }
 
-// RowWire is one node of a snapshot: its parent's row index (-1 for the
-// root, row 0), its component name ("" for the root), kind, ACL and
-// class table indexes, and multilevel flag.
+// RowWire is one node of a message: its parent's row index (-1 for an
+// anchor), its name (an anchor's full path, a child's component), kind,
+// ACL and class table indexes, and multilevel flag.
 type RowWire struct {
 	Name       string `json:"n"`
 	Parent     int32  `json:"p"`
@@ -94,75 +101,6 @@ type RowWire struct {
 	Class      uint32 `json:"c"`
 	Kind       uint8  `json:"k"`
 	Multilevel bool   `json:"ml,omitempty"`
-}
-
-// EpochDelta is the edit set carrying epoch From to epoch Version. The
-// lattice and registry shards are append-only (no level, category,
-// principal, or group is ever removed), so their deltas are pure
-// additions plus changed-group member lists; the tree delta is upserts
-// (pre-order: parents before children) and subtree deletes. A nil
-// Stack means the guard stack did not change.
-type EpochDelta struct {
-	From      uint64 `json:"from"`
-	Version   uint64 `json:"version"`
-	Traversal bool   `json:"traversal"`
-
-	Levels     []string        `json:"levels,omitempty"`
-	Categories []string        `json:"categories,omitempty"`
-	Principals []PrincipalWire `json:"principals,omitempty"`
-	Groups     []GroupWire     `json:"groups,omitempty"`
-	Stack      []string        `json:"stack,omitempty"`
-
-	Upserts []NodeWire `json:"upserts,omitempty"`
-	Deletes []string   `json:"deletes,omitempty"`
-}
-
-// encodeNode renders one node for the wire, formatting its class
-// against the epoch's own frozen lattice.
-func encodeNode(n *Node, lat *lattice.Frozen) (NodeWire, error) {
-	label, err := lat.Format(*n.class)
-	if err != nil {
-		return NodeWire{}, fmt.Errorf("names: wire-encode %s: %w", n.path, err)
-	}
-	return NodeWire{
-		Path:       n.path,
-		Kind:       uint8(n.kind),
-		Class:      label,
-		ACL:        n.acl.String(),
-		Multilevel: n.multilevel,
-	}, nil
-}
-
-// decodeNode rebuilds a delta's node against the receiver's frozen
-// lattice. The node has no payload and no children (the patcher fills
-// those in). The path is interned and the ACL canonicalized by the
-// receiving server's tables, so replayed nodes share strings and ACL
-// values with the rest of the replica's tree.
-func decodeNode(w NodeWire, lat *lattice.Frozen, in *interner, canon *aclCanon, classes *classCanon) (*Node, error) {
-	if err := ValidPath(w.Path); err != nil {
-		return nil, err
-	}
-	if w.Kind >= numKinds {
-		return nil, fmt.Errorf("%w: wire node %s has unknown kind %d", ErrBadPath, w.Path, w.Kind)
-	}
-	kind := Kind(w.Kind)
-	class, err := lat.ParseClass(w.Class)
-	if err != nil {
-		return nil, fmt.Errorf("names: wire-decode %s: %w", w.Path, err)
-	}
-	a, err := acl.Parse(w.ACL)
-	if err != nil {
-		return nil, fmt.Errorf("names: wire-decode %s: %w", w.Path, err)
-	}
-	path := in.intern(w.Path)
-	n := &Node{
-		path:       path,
-		kind:       kind,
-		acl:        canon.canon(a),
-		class:      classes.canon(class),
-		multilevel: w.Multilevel && !kind.Leaf(),
-	}
-	return n, nil
 }
 
 // registryDelta lists what next's registry adds to prev's (nil: an
@@ -195,78 +133,9 @@ func registryDelta(prev, next *principal.Frozen, lat *lattice.Frozen) ([]Princip
 	return prins, groups, nil
 }
 
-// WireSnapshot encodes the epoch as a full snapshot. ACLs and classes
-// are tabled by pointer first (nodes share canonical values) and by
-// text second, so each distinct ACL string and class label is rendered
-// and listed once.
-func (ep *Epoch) WireSnapshot() (*EpochWire, error) {
-	w := &EpochWire{
-		Version:    ep.version,
-		Traversal:  ep.traversal,
-		Levels:     ep.lat.Levels(),
-		Categories: ep.lat.Categories(),
-		Stack:      ep.stack.Guards(),
-		ACLs:       []string{},
-		Classes:    []string{},
-		Rows:       make([]RowWire, 0, ep.Size()),
-	}
-	if ep.reg != nil {
-		prins, groups, err := registryDelta(nil, ep.reg, ep.lat)
-		if err != nil {
-			return nil, err
-		}
-		w.Principals, w.Groups = prins, groups
-	}
-	aclByPtr := make(map[*acl.ACL]uint32)
-	aclByText := make(map[string]uint32)
-	classByPtr := make(map[*lattice.Class]uint32)
-	classByText := make(map[string]uint32)
-	var visit func(n *Node, parent int32) error
-	visit = func(n *Node, parent int32) error {
-		ai, ok := aclByPtr[n.acl]
-		if !ok {
-			text := n.acl.String()
-			if ai, ok = aclByText[text]; !ok {
-				ai = uint32(len(w.ACLs))
-				w.ACLs = append(w.ACLs, text)
-				aclByText[text] = ai
-			}
-			aclByPtr[n.acl] = ai
-		}
-		ci, ok := classByPtr[n.class]
-		if !ok {
-			label, err := ep.lat.Format(*n.class)
-			if err != nil {
-				return fmt.Errorf("names: wire-encode %s: %w", n.path, err)
-			}
-			if ci, ok = classByText[label]; !ok {
-				ci = uint32(len(w.Classes))
-				w.Classes = append(w.Classes, label)
-				classByText[label] = ci
-			}
-			classByPtr[n.class] = ci
-		}
-		row := int32(len(w.Rows))
-		w.Rows = append(w.Rows, RowWire{
-			Parent:     parent,
-			Name:       nameOf(n.path),
-			Kind:       uint8(n.kind),
-			Multilevel: n.multilevel,
-			ACL:        ai,
-			Class:      ci,
-		})
-		for _, cr := range n.children {
-			if err := visit(cr.node, row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := visit(ep.root, -1); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
+// WireSnapshot encodes the epoch as a full snapshot: the message from
+// the empty epoch.
+func (ep *Epoch) WireSnapshot() (*EpochWire, error) { return DiffEpochs(nil, ep) }
 
 // appendSuffix returns the entries of next beyond prev, verifying prev
 // is a strict prefix (the shard is append-only; anything else means
@@ -283,41 +152,77 @@ func appendSuffix(kind string, prev, next []string) ([]string, error) {
 	return next[len(prev):], nil
 }
 
-// sameStrings reports element-wise equality.
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // contentDiffers reports whether two same-named nodes differ in
 // protection-relevant content. Payloads are excluded (they do not
-// replicate), and ACLs compare by pointer: spine clones share the ACL
-// pointer, while every real ACL edit installs a fresh clone, so a
-// pointer mismatch is exactly "this node's ACL was edited" (at worst a
-// semantically equal re-install, which re-encodes harmlessly).
+// replicate). ACLs compare by pointer first — spine clones share the
+// ACL pointer — and by text when the pointers differ, so a node whose
+// ACL pointer changed without its text never travels: the receiver
+// rejects an anchor that changes nothing.
 func contentDiffers(prev, next *Node) bool {
 	return prev.kind != next.kind ||
 		prev.multilevel != next.multilevel ||
-		prev.acl != next.acl ||
-		!prev.class.Equal(*next.class)
+		!prev.class.Equal(*next.class) ||
+		prev.acl != next.acl && !prev.acl.Equal(next.acl)
 }
 
-// upsertSubtree emits the whole subtree rooted at n, pre-order.
-func upsertSubtree(n *Node, lat *lattice.Frozen, out *[]NodeWire) error {
-	w, err := encodeNode(n, lat)
-	if err != nil {
+// wireEncoder fills one message's tables and rows. ACLs and classes are
+// tabled by pointer first (nodes share canonical values) and by text
+// second, so each distinct ACL string and class label is rendered and
+// listed once.
+type wireEncoder struct {
+	w           *EpochWire
+	lat         *lattice.Frozen
+	aclByPtr    map[*acl.ACL]uint32
+	aclByText   map[string]uint32
+	classByPtr  map[*lattice.Class]uint32
+	classByText map[string]uint32
+}
+
+// row appends n as a row named name under parent.
+func (e *wireEncoder) row(n *Node, parent int32, name string) error {
+	ai, ok := e.aclByPtr[n.acl]
+	if !ok {
+		text := n.acl.String()
+		if ai, ok = e.aclByText[text]; !ok {
+			ai = uint32(len(e.w.ACLs))
+			e.w.ACLs = append(e.w.ACLs, text)
+			e.aclByText[text] = ai
+		}
+		e.aclByPtr[n.acl] = ai
+	}
+	ci, ok := e.classByPtr[n.class]
+	if !ok {
+		label, err := e.lat.Format(*n.class)
+		if err != nil {
+			return fmt.Errorf("names: wire-encode %s: %w", n.path, err)
+		}
+		if ci, ok = e.classByText[label]; !ok {
+			ci = uint32(len(e.w.Classes))
+			e.w.Classes = append(e.w.Classes, label)
+			e.classByText[label] = ci
+		}
+		e.classByPtr[n.class] = ci
+	}
+	e.w.Rows = append(e.w.Rows, RowWire{
+		Parent:     parent,
+		Name:       name,
+		Kind:       uint8(n.kind),
+		Multilevel: n.multilevel,
+		ACL:        ai,
+		Class:      ci,
+	})
+	return nil
+}
+
+// subtree emits the subtree rooted at n in pre-order: n as a row named
+// name under parent, then its descendants as children.
+func (e *wireEncoder) subtree(n *Node, parent int32, name string) error {
+	row := int32(len(e.w.Rows))
+	if err := e.row(n, parent, name); err != nil {
 		return err
 	}
-	*out = append(*out, w)
 	for _, cr := range n.children {
-		if err := upsertSubtree(cr.node, lat, out); err != nil {
+		if err := e.subtree(cr.node, row, cr.name()); err != nil {
 			return err
 		}
 	}
@@ -325,158 +230,308 @@ func upsertSubtree(n *Node, lat *lattice.Frozen, out *[]NodeWire) error {
 }
 
 // diffTree walks matched subtrees of the parent and successor epochs,
-// emitting upserts and deletes. Pointer-equal subtrees are pruned —
-// the epoch publisher shares every untouched subtree, so the walk
-// visits only the cloned spine plus the actual edits. A node's own
-// deletes follow its children's, in name order.
-func diffTree(prev, next *Node, lat *lattice.Frozen, d *EpochDelta) error {
+// emitting anchors and deletes in pre-order. Pointer-equal subtrees
+// are pruned — the epoch publisher shares every untouched subtree, so
+// the walk visits only the cloned spine plus the actual edits. A node
+// whose content changed becomes an anchor that keeps its children; a
+// new name becomes an anchor with its whole subtree; a vanished name
+// becomes a delete.
+func (e *wireEncoder) diffTree(prev, next *Node) error {
 	if prev == next {
 		return nil
 	}
 	if contentDiffers(prev, next) {
-		w, err := encodeNode(next, lat)
-		if err != nil {
+		if err := e.row(next, -1, next.path); err != nil {
 			return err
 		}
-		d.Upserts = append(d.Upserts, w)
 	}
 	var err error
-	var deletes []string
 	pairChildren(prev.children, next.children, func(pc, nc *Node) {
 		switch {
 		case err != nil:
 		case nc == nil:
-			deletes = append(deletes, Join(next.path, pc.Name()))
+			e.w.Deletes = append(e.w.Deletes, pc.path)
 		case pc == nil:
-			err = upsertSubtree(nc, lat, &d.Upserts)
+			err = e.subtree(nc, -1, nc.path)
 		default:
-			err = diffTree(pc, nc, lat, d)
+			err = e.diffTree(pc, nc)
 		}
 	})
-	d.Deletes = append(d.Deletes, deletes...)
 	return err
 }
 
-// DiffEpochs derives the wire delta that carries prev to next. It is
-// the encoding half of the replication contract: applying the decoded
-// delta to a faithful copy of prev yields a policy equal to next
-// (tree, lattice, registry, stack — payloads excepted), which
+// DiffEpochs derives the message that carries prev to next; a nil prev
+// is the empty epoch, so DiffEpochs(nil, ep) is ep's snapshot. It is
+// the encoding half of the replication contract: installing the
+// decoded message on a faithful copy of prev yields a policy equal to
+// next (tree, lattice, registry, stack — payloads excepted), which
 // FuzzEpochDeltaCodec proves by deep comparison. Both epochs must come
 // from the same server history (next derived from prev by
 // publications); diffing unrelated epochs fails on the append-only
 // shard checks.
-func DiffEpochs(prev, next *Epoch) (*EpochDelta, error) {
-	if next.version < prev.version {
-		return nil, fmt.Errorf("names: delta target v%d older than base v%d", next.version, prev.version)
+func DiffEpochs(prev, next *Epoch) (*EpochWire, error) {
+	w := &EpochWire{Version: next.version, Traversal: next.traversal}
+	var prevLevels, prevCategories []string
+	var prevReg *principal.Frozen
+	if prev == nil {
+		w.Stack = next.stack.Guards()
+		w.Rows = make([]RowWire, 0, next.Size())
+	} else {
+		if next.version < prev.version {
+			return nil, fmt.Errorf("names: delta target v%d older than base v%d", next.version, prev.version)
+		}
+		w.From = prev.version
+		prevLevels, prevCategories, prevReg = prev.lat.Levels(), prev.lat.Categories(), prev.reg
+		if !slices.Equal(prev.stack.Guards(), next.stack.Guards()) {
+			w.Stack = next.stack.Guards()
+		}
 	}
-	d := &EpochDelta{From: prev.version, Version: next.version, Traversal: next.traversal}
 	var err error
-	if d.Levels, err = appendSuffix("lattice level", prev.lat.Levels(), next.lat.Levels()); err != nil {
+	if w.Levels, err = appendSuffix("lattice level", prevLevels, next.lat.Levels()); err != nil {
 		return nil, err
 	}
-	if d.Categories, err = appendSuffix("lattice category", prev.lat.Categories(), next.lat.Categories()); err != nil {
+	if w.Categories, err = appendSuffix("lattice category", prevCategories, next.lat.Categories()); err != nil {
 		return nil, err
 	}
 	// A shared frozen registry means no principal or group moved.
-	if next.reg != nil && next.reg != prev.reg {
-		if d.Principals, d.Groups, err = registryDelta(prev.reg, next.reg, next.lat); err != nil {
+	if next.reg != nil && next.reg != prevReg {
+		if w.Principals, w.Groups, err = registryDelta(prevReg, next.reg, next.lat); err != nil {
 			return nil, err
 		}
 	}
-	if !sameStrings(prev.stack.Guards(), next.stack.Guards()) {
-		d.Stack = next.stack.Guards()
+	e := wireEncoder{
+		w:           w,
+		lat:         next.lat,
+		aclByPtr:    make(map[*acl.ACL]uint32),
+		aclByText:   make(map[string]uint32),
+		classByPtr:  make(map[*lattice.Class]uint32),
+		classByText: make(map[string]uint32),
 	}
-	if err := diffTree(prev.root, next.root, next.lat, d); err != nil {
+	if prev == nil {
+		err = e.subtree(next.root, -1, "/")
+	} else {
+		err = e.diffTree(prev.root, next.root)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	return w, nil
 }
 
-// lookupWire finds the node at path in a working (unpublished) tree,
-// or nil. Used by the patcher only; it assumes a validated path.
-func lookupWire(root *Node, path string) *Node {
-	if path == "/" {
-		return root
-	}
-	parts, err := SplitPath(path)
-	if err != nil {
+// ReplayRegistry replays w's registry part onto reg as one Apply: the
+// new principals in dense-ID order (so a replica's IDs equal the
+// primary's), the new groups, every membership removal, then every
+// grant, so a moved subgroup edge never trips the cycle check on a
+// half-moved edge set. A group reg does not have yet takes its list as
+// plain adds, which keeps a bootstrap one Apply of adds; only a group
+// reg has is diffed against its list. Classes parse against lat, each
+// distinct label once. The lattice must already hold w's levels and
+// categories.
+func ReplayRegistry(reg *principal.Registry, lat *lattice.Lattice, w *EpochWire) error {
+	if len(w.Principals) == 0 && len(w.Groups) == 0 {
 		return nil
 	}
-	cur := root
-	for _, p := range parts {
-		next := cur.child(p)
-		if next == nil {
-			return nil
+	f := reg.Freeze()
+	n := len(w.Principals) + len(w.Groups)
+	for _, gw := range w.Groups {
+		if !f.HasGroup(gw.Name) {
+			n += len(gw.Members)
 		}
-		cur = next
 	}
-	return cur
+	edits := make([]principal.Edit, 0, n)
+	classes := make(map[string]lattice.Class) // class values are immutable; principals share them
+	for _, pw := range w.Principals {
+		class, ok := classes[pw.Class]
+		if !ok {
+			var err error
+			if class, err = lat.ParseClass(pw.Class); err != nil {
+				return fmt.Errorf("names: replaying principal %s: %w", pw.Name, err)
+			}
+			classes[pw.Class] = class
+		}
+		edits = append(edits, principal.AddPrincipal(pw.Name, class))
+	}
+	var grants []principal.Edit // to groups reg has
+	for _, gw := range w.Groups {
+		if !f.HasGroup(gw.Name) {
+			edits = append(edits, principal.AddGroup(gw.Name))
+			continue
+		}
+		cur, _ := f.Members(gw.Name)
+		want := make(map[string]bool, len(gw.Members))
+		for _, m := range gw.Members {
+			want[m] = true
+		}
+		have := make(map[string]bool, len(cur))
+		for _, m := range cur {
+			have[m] = true
+			if !want[m] {
+				edits = append(edits, principal.RemoveMember(gw.Name, strings.TrimPrefix(m, "@")))
+			}
+		}
+		for _, m := range gw.Members {
+			if !have[m] {
+				grants = append(grants, principal.AddMember(gw.Name, strings.TrimPrefix(m, "@")))
+			}
+		}
+	}
+	edits = append(edits, grants...)
+	for _, gw := range w.Groups {
+		if !f.HasGroup(gw.Name) {
+			for _, m := range gw.Members {
+				edits = append(edits, principal.AddMember(gw.Name, strings.TrimPrefix(m, "@")))
+			}
+		}
+	}
+	_, err := reg.Apply(edits...)
+	return err
 }
 
-// buildSnapshotTree builds a full tree from a snapshot. Each table
-// entry is parsed and canonicalized once; rows attach to their parent
-// by index, with the in-place appendChild (legal because this build
-// allocated every node) and the path interned as parent path + "/" +
-// name. Nothing is trusted: a snapshot that is not exactly what
-// WireSnapshot would emit for some tree fails here, before anything is
-// published. The checks: every table entry is in canonical form,
-// distinct, and first used in table order; the root comes first and
-// only there; each row's parent is an earlier row on the path to the
-// row before it (so rows are in pre-order) and is not a leaf; names
-// are valid components in strictly increasing order among siblings;
-// kinds and indexes are in range.
-func buildSnapshotTree(w *EpochWire, lat *lattice.Frozen, in *interner, canon *aclCanon, classes *classCanon) (*Node, error) {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: snapshot %s", ErrBadPath, fmt.Sprintf(format, args...))
+// comparePaths orders canonical paths in tree pre-order: component by
+// component, in name order, with an ancestor before its descendants.
+func comparePaths(a, b string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			switch {
+			case a[i] == '/':
+				return -1
+			case b[i] == '/':
+				return 1
+			case a[i] < b[i]:
+				return -1
+			}
+			return 1
+		}
 	}
+	return len(a) - len(b)
+}
+
+// under reports whether path lies strictly below the node at dir.
+func under(path, dir string) bool {
+	return dir == "/" || len(path) > len(dir) && path[len(dir)] == '/' && strings.HasPrefix(path, dir)
+}
+
+// walkParts finds the node at the split path parts below root in a
+// working tree, or nil.
+func walkParts(root *Node, parts []string) *Node {
+	for _, p := range parts {
+		if root == nil {
+			return nil
+		}
+		root = root.child(p)
+	}
+	return root
+}
+
+// badMessage reports a message that is not what DiffEpochs emits.
+func badMessage(format string, args ...any) error {
+	return fmt.Errorf("%w: epoch message %s", ErrBadPath, fmt.Sprintf(format, args...))
+}
+
+// EpochTree is a message's nodes, built and checked against one
+// server's lattice and intern tables but not yet placed;
+// ApplyReplicated grafts it onto the current tree. Building takes no
+// server lock, so a replica builds the nodes while it replays the
+// registry.
+type EpochTree struct {
+	srv     *Server
+	from    uint64
+	deletes [][]string
+	anchors []anchorNode
+}
+
+// anchorNode is one anchor row's node, its split path, and whether
+// child rows hang below it.
+type anchorNode struct {
+	node  *Node
+	parts []string
+	rows  bool
+}
+
+// BuildEpoch builds w's nodes for a later ApplyReplicated on s. Each
+// table entry is parsed and canonicalized once; child rows attach to
+// their parent by index, with the in-place appendChild (legal because
+// this build allocated every node) and the path interned as parent
+// path + "/" + name. Nothing is trusted: a message that is not exactly
+// what DiffEpochs emits fails here or in the graft, before anything is
+// published. The checks here: every table entry is in canonical form,
+// distinct, and first used in table order; deletes and anchors are
+// valid paths in strictly increasing pre-order, no anchor is also
+// deleted, and a snapshot deletes nothing and has exactly one anchor,
+// the root, first; "/" is the only root; each child row's parent is an
+// earlier row on the path to the row before it within the same anchor
+// (so rows are in pre-order) and is not a leaf; names are valid
+// components in strictly increasing order among siblings; kinds and
+// indexes are in range.
+func (s *Server) BuildEpoch(w *EpochWire) (*EpochTree, error) {
+	lat, in := s.lat.Freeze(), &s.strings
 	acls := make([]*acl.ACL, len(w.ACLs))
 	seen := make(map[string]bool, len(w.ACLs)+len(w.Classes))
 	for i, text := range w.ACLs {
 		a, err := acl.Parse(text)
 		if err != nil {
-			return nil, fmt.Errorf("names: snapshot ACL %d: %w", i, err)
+			return nil, fmt.Errorf("names: epoch message ACL %d: %w", i, err)
 		}
 		if a.String() != text || seen[text] {
-			return nil, bad("ACL %d %q is not canonical or not distinct", i, text)
+			return nil, badMessage("ACL %d %q is not canonical or not distinct", i, text)
 		}
 		seen[text] = true
-		acls[i] = canon.canon(a)
+		acls[i] = s.acls.canon(a)
 	}
 	clear(seen)
 	cls := make([]*lattice.Class, len(w.Classes))
 	for i, label := range w.Classes {
 		c, err := lat.ParseClass(label)
 		if err != nil {
-			return nil, fmt.Errorf("names: snapshot class %d: %w", i, err)
+			return nil, fmt.Errorf("names: epoch message class %d: %w", i, err)
 		}
 		if again, err := lat.Format(c); err != nil || again != label || seen[label] {
-			return nil, bad("class %d %q is not canonical or not distinct", i, label)
+			return nil, badMessage("class %d %q is not canonical or not distinct", i, label)
 		}
 		seen[label] = true
-		cls[i] = classes.canon(c)
+		cls[i] = s.classes.canon(c)
 	}
-	if len(w.Rows) == 0 || w.Rows[0].Parent != -1 || w.Rows[0].Name != "" || Kind(w.Rows[0].Kind) != KindRoot {
-		return nil, bad("must begin with the root")
+	t := &EpochTree{srv: s, from: w.From, deletes: make([][]string, len(w.Deletes))}
+	if w.From == 0 {
+		if len(w.Deletes) > 0 {
+			return nil, badMessage("from version 0 deletes %s", w.Deletes[0])
+		}
+		if len(w.Rows) == 0 || w.Rows[0].Parent != -1 || w.Rows[0].Name != "/" {
+			return nil, badMessage("from version 0 must begin with the root")
+		}
+	}
+	for i, path := range w.Deletes {
+		parts, err := SplitPath(path)
+		if err != nil {
+			return nil, err
+		}
+		if len(parts) == 0 {
+			return nil, badMessage("deletes the root")
+		}
+		if i > 0 && comparePaths(w.Deletes[i-1], path) >= 0 {
+			return nil, badMessage("delete %s out of order", path)
+		}
+		t.deletes[i] = parts
 	}
 	in.reserve(len(w.Rows))
 	nodes := make([]*Node, len(w.Rows))
-	// open is the path from the root to the previous row, as row
-	// indexes: a pre-order row's parent is always on it.
+	// open is the path from the current anchor to the previous row, as
+	// row indexes: a pre-order child row's parent is always on it.
 	open := make([]int32, 0, 16)
 	var nextACL, nextClass uint32
 	for i, r := range w.Rows {
 		kind := Kind(r.Kind)
 		switch {
 		case r.Kind >= numKinds:
-			return nil, bad("row %d has unknown kind %d", i, r.Kind)
-		case i > 0 && kind == KindRoot:
-			return nil, bad("row %d is a second root", i)
+			return nil, badMessage("row %d has unknown kind %d", i, r.Kind)
 		case r.ACL > nextACL || r.ACL >= uint32(len(acls)):
-			return nil, bad("row %d ACL index %d out of order or range", i, r.ACL)
+			return nil, badMessage("row %d ACL index %d out of order or range", i, r.ACL)
 		case r.Class > nextClass || r.Class >= uint32(len(cls)):
-			return nil, bad("row %d class index %d out of order or range", i, r.Class)
+			return nil, badMessage("row %d class index %d out of order or range", i, r.Class)
 		case r.Multilevel && kind.Leaf():
-			return nil, bad("row %d is a multilevel leaf", i)
+			return nil, badMessage("row %d is a multilevel leaf", i)
+		case (kind == KindRoot) != (r.Parent == -1 && r.Name == "/"):
+			return nil, badMessage("row %d is a second root, or the root is not one", i)
 		}
 		if r.ACL == nextACL {
 			nextACL++
@@ -486,26 +541,41 @@ func buildSnapshotTree(w *EpochWire, lat *lattice.Frozen, in *interner, canon *a
 		}
 		n := &Node{kind: kind, multilevel: r.Multilevel, acl: acls[r.ACL], class: cls[r.Class]}
 		nodes[i] = n
-		if i == 0 {
-			n.path = in.intern("/")
-			open = append(open, 0)
+		if r.Parent == -1 {
+			parts, err := SplitPath(r.Name)
+			switch {
+			case w.From == 0 && i > 0:
+				return nil, badMessage("row %d anchors %s, but from version 0 the root is the only anchor", i, r.Name)
+			case err != nil:
+				return nil, err
+			case len(t.anchors) > 0 && comparePaths(t.anchors[len(t.anchors)-1].node.path, r.Name) >= 0:
+				return nil, badMessage("anchor %s out of order", r.Name)
+			}
+			if _, deleted := slices.BinarySearchFunc(w.Deletes, r.Name, comparePaths); deleted {
+				return nil, badMessage("anchor %s is also deleted", r.Name)
+			}
+			// The row's name may be a substring of a whole frame: the
+			// tree keeps its own copy.
+			n.path = in.intern(strings.Clone(r.Name))
+			t.anchors = append(t.anchors, anchorNode{node: n, parts: parts})
+			open = append(open[:0], int32(i))
 			continue
 		}
 		for len(open) > 0 && open[len(open)-1] > r.Parent {
 			open = open[:len(open)-1]
 		}
 		if len(open) == 0 || open[len(open)-1] != r.Parent {
-			return nil, bad("row %d parent %d is not an open ancestor", i, r.Parent)
+			return nil, badMessage("row %d parent %d is not an open ancestor", i, r.Parent)
 		}
 		parent := nodes[r.Parent]
 		if parent.kind.Leaf() {
-			return nil, bad("row %d parent %s is a leaf", i, parent.path)
+			return nil, badMessage("row %d parent %s is a leaf", i, parent.path)
 		}
 		if err := ValidComponent(r.Name); err != nil {
 			return nil, err
 		}
 		if k := len(parent.children); k > 0 && parent.children[k-1].name() >= r.Name {
-			return nil, bad("row %d name %q out of sibling order under %s", i, r.Name, parent.path)
+			return nil, badMessage("row %d name %q out of sibling order under %s", i, r.Name, parent.path)
 		}
 		if parent.path == "/" {
 			n.path = in.intern("/" + r.Name)
@@ -513,101 +583,87 @@ func buildSnapshotTree(w *EpochWire, lat *lattice.Frozen, in *interner, canon *a
 			n.path = in.intern(parent.path + "/" + r.Name)
 		}
 		appendChild(parent, n)
+		t.anchors[len(t.anchors)-1].rows = true
 		open = append(open, int32(i))
 	}
 	if nextACL != uint32(len(acls)) || nextClass != uint32(len(cls)) {
-		return nil, bad("tables list %d ACLs and %d classes, rows use %d and %d", len(acls), len(cls), nextACL, nextClass)
+		return nil, badMessage("tables list %d ACLs and %d classes, rows use %d and %d", len(acls), len(cls), nextACL, nextClass)
 	}
-	return nodes[0], nil
+	return t, nil
 }
 
-// patchWireTree applies a delta's deletes then upserts to root,
-// returning the successor root. Deletes remove whole subtrees (a
-// rename encodes as delete + re-upsert); an upsert of an existing path
-// replaces the node's content and keeps its children, an upsert of a
-// new path creates the node (its parent must already exist — deltas
-// list parents before children).
-func patchWireTree(root *Node, upserts []NodeWire, deletes []string, lat *lattice.Frozen, in *interner, canon *aclCanon, classes *classCanon) (*Node, error) {
-	for _, path := range deletes {
-		parts, err := SplitPath(path)
-		if err != nil {
-			return nil, err
-		}
-		if len(parts) == 0 {
-			return nil, ErrRoot
-		}
-		if lookupWire(root, path) == nil {
-			return nil, fmt.Errorf("%w: delta deletes unknown path %s", ErrNotFound, path)
+// graft applies the tree's deletes to base, then places each anchor
+// with rebind, and returns the successor root; from version 0 the base
+// is the empty tree. It never writes a node it did not build: an
+// anchor over an existing node is placed as a copy that takes over the
+// old node's children and payload, and no row of the message may hang
+// below such an anchor. The checks: each delete names a node; each
+// anchor's parent exists and is not a leaf; an anchor over an existing
+// node carries no child rows, changes the node's content, and is not a
+// leaf over children; an anchor that starts a new subtree has no later
+// anchor below it.
+func (t *EpochTree) graft(base *Node) (*Node, error) {
+	root := base
+	if t.from == 0 {
+		root = nil
+	}
+	for _, parts := range t.deletes {
+		if walkParts(root, parts) == nil {
+			return nil, fmt.Errorf("%w: delta deletes unknown path /%s", ErrNotFound, strings.Join(parts, "/"))
 		}
 		root = rebind(root, parts, nil)
 	}
-	for _, w := range upserts {
-		n, err := decodeNode(w, lat, in, canon, classes)
-		if err != nil {
-			return nil, err
+	var fresh string // the last anchor that started a new subtree
+	for _, a := range t.anchors {
+		n := a.node
+		if fresh != "" && under(n.path, fresh) {
+			return nil, badMessage("anchor %s lies below the new subtree %s", n.path, fresh)
 		}
-		if w.Path == "/" {
-			// Root content change: keep the children, swap the rest.
-			n.children = root.children
-			root = n
-			continue
-		}
-		if old := lookupWire(root, w.Path); old != nil {
-			if old.kind.Leaf() == n.kind.Leaf() && !n.kind.Leaf() {
-				n.children = old.children
+		old := root
+		if len(a.parts) > 0 {
+			parent := walkParts(root, a.parts[:len(a.parts)-1])
+			if parent == nil || parent.kind.Leaf() {
+				return nil, fmt.Errorf("%w: anchor %s has no parent", ErrNotFound, n.path)
 			}
-			// A replicated node keeps whatever payload the replica has
-			// locally bound (none, normally): payloads are data plane.
-			n.payload = old.payload
+			old = parent.child(a.parts[len(a.parts)-1])
 		}
-		parent := lookupWire(root, parentOf(w.Path))
-		if parent == nil || parent.kind.Leaf() {
-			return nil, fmt.Errorf("%w: delta upsert %s has no parent", ErrNotFound, w.Path)
+		if old == nil {
+			fresh = n.path
+		} else {
+			switch {
+			case a.rows:
+				return nil, badMessage("anchor %s replaces a node and carries rows", n.path)
+			case !contentDiffers(old, n):
+				return nil, badMessage("anchor %s changes nothing", n.path)
+			case n.kind.Leaf() && len(old.children) > 0:
+				return nil, badMessage("leaf anchor %s replaces a node with children", n.path)
+			}
+			c := *n
+			c.children, c.payload = old.children, old.payload
+			n = &c
 		}
-		parts, err := SplitPath(w.Path)
-		if err != nil {
-			return nil, err
+		if len(a.parts) == 0 {
+			root = n
+		} else {
+			root = rebind(root, a.parts, n)
 		}
-		root = rebind(root, parts, n)
 	}
 	return root, nil
 }
 
-// SnapshotTree is a snapshot's tree, built and checked against one
-// server's lattice and intern tables but not yet published;
-// ApplyReplicated installs it. Building takes no server lock, so a
-// replica builds the tree while it replays the registry.
-type SnapshotTree struct {
-	srv  *Server
-	root *Node
-}
-
-// BuildSnapshot builds w's tree for a later ApplyReplicated on s. It
-// fails unless w is exactly what WireSnapshot emits for some tree (see
-// buildSnapshotTree).
-func (s *Server) BuildSnapshot(w *EpochWire) (*SnapshotTree, error) {
-	root, err := buildSnapshotTree(w, s.lat.Freeze(), &s.strings, &s.acls, &s.classes)
-	if err != nil {
-		return nil, err
-	}
-	return &SnapshotTree{srv: s, root: root}, nil
-}
-
-// ReplicaApply is one replicated epoch installation: either a full
-// snapshot tree (Snapshot non-nil) or a tree patch, plus an optional stack
-// swap. PrimaryVersion stamps the journal record so lag is auditable;
-// Kind defaults to "replica" ("replica-stale" marks a fail-closed
-// installation). The lattice and registry shards are NOT part of this
-// call: the replica replays those through the ordinary Define/Add
-// entry points first (they are append-only, so the intermediate epochs
-// stay consistent), then installs the tree and stack atomically.
+// ReplicaApply is one replicated epoch installation: an optional
+// message tree to graft and an optional stack swap. PrimaryVersion
+// stamps the journal record so lag is auditable; Kind defaults to
+// "replica" ("replica-stale" marks a fail-closed installation). The
+// lattice and registry shards are NOT part of this call: the replica
+// replays those through the ordinary Define/Apply entry points first
+// (they are append-only, so the intermediate epochs stay consistent),
+// then installs the tree and stack atomically.
 type ReplicaApply struct {
 	PrimaryVersion uint64
 	Kind           string
 	Traversal      bool
-	Snapshot       *SnapshotTree
-	Upserts        []NodeWire
-	Deletes        []string
+	Tree           *EpochTree
 	Stack          *monitor.Stack
 }
 
@@ -621,26 +677,21 @@ func (s *Server) ApplyReplicated(app ReplicaApply) (uint64, error) {
 	if app.PrimaryVersion == 0 {
 		return 0, fmt.Errorf("names: replicated apply requires a primary version")
 	}
-	if app.Snapshot != nil && app.Snapshot.srv != s {
-		return 0, fmt.Errorf("names: snapshot tree was built for another server")
+	if app.Tree != nil && app.Tree.srv != s {
+		return 0, fmt.Errorf("names: epoch tree was built for another server")
 	}
-	lat := s.lat.Freeze()
 	kind := app.Kind
 	if kind == "" {
 		kind = "replica"
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	cur := s.epoch.Load()
-	root := cur.root
-	var err error
-	if app.Snapshot != nil {
-		root = app.Snapshot.root
-	} else if len(app.Upserts) > 0 || len(app.Deletes) > 0 {
-		root, err = patchWireTree(cur.root, app.Upserts, app.Deletes, lat, &s.strings, &s.acls, &s.classes)
-	}
-	if err != nil {
-		return 0, err
+	root := s.epoch.Load().root
+	if app.Tree != nil {
+		var err error
+		if root, err = app.Tree.graft(root); err != nil {
+			return 0, err
+		}
 	}
 	shards := shardNames
 	if app.Stack != nil {

@@ -1,9 +1,9 @@
 package names
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -15,10 +15,10 @@ import (
 
 // mirror is an in-process replica of a primary name server at the
 // names layer: it bootstraps from the primary's snapshot frames and
-// tracks the primary by replaying wire deltas, exactly as
-// internal/replica does over TCP (lattice and registry through the
-// ordinary append-only entry points, tree and traversal through
-// ApplyReplicated).
+// tracks the primary by replaying its delta frames, exactly as
+// internal/replica does over TCP (lattice entries through the ordinary
+// append-only entry points, the registry through ReplayRegistry, tree
+// and traversal through BuildEpoch and ApplyReplicated).
 type mirror struct {
 	lat *lattice.Lattice
 	reg *principal.Registry
@@ -27,51 +27,27 @@ type mirror struct {
 
 func newMirror(t testing.TB, primary *Server) *mirror {
 	t.Helper()
-	wire, err := DecodeSnapshot(frameSource(snapshotFrames(t, primary.Current())))
+	return mirrorFrom(t, snapshotFrames(t, primary.Current()))
+}
+
+// mirrorFrom bootstraps a mirror from a snapshot's frames.
+func mirrorFrom(t testing.TB, frames [][]byte) *mirror {
+	t.Helper()
+	wire, err := DecodeEpoch(frameSource(frames))
 	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
+		t.Fatalf("DecodeEpoch: %v", err)
 	}
 	lat, err := lattice.NewWithUniverse(wire.Levels, wire.Categories)
 	if err != nil {
 		t.Fatalf("mirror lattice: %v", err)
 	}
 	bot, _ := lat.Bottom()
-	srv := NewServer(lat, acl.New(acl.AllowEveryone(acl.List)), bot)
-	reg := principal.NewRegistry(lat)
-	for _, pw := range wire.Principals {
-		class, err := lat.ParseClass(pw.Class)
-		if err != nil {
-			t.Fatalf("mirror principal %s: %v", pw.Name, err)
-		}
-		if _, err := reg.Apply(principal.AddPrincipal(pw.Name, class)); err != nil {
-			t.Fatalf("mirror principal %s: %v", pw.Name, err)
-		}
+	m := &mirror{lat: lat, reg: principal.NewRegistry(lat), srv: NewServer(lat, acl.New(acl.AllowEveryone(acl.List)), bot)}
+	m.srv.AttachRegistry(m.reg)
+	if err := m.install(wire); err != nil {
+		t.Fatalf("mirror bootstrap: %v", err)
 	}
-	for _, gw := range wire.Groups {
-		if _, err := reg.Apply(principal.AddGroup(gw.Name)); err != nil {
-			t.Fatalf("mirror group %s: %v", gw.Name, err)
-		}
-	}
-	for _, gw := range wire.Groups {
-		for _, m := range gw.Members {
-			if _, err := reg.Apply(principal.AddMember(gw.Name, strings.TrimPrefix(m, "@"))); err != nil {
-				t.Fatalf("mirror member %s->%s: %v", m, gw.Name, err)
-			}
-		}
-	}
-	srv.AttachRegistry(reg)
-	tree, err := srv.BuildSnapshot(wire)
-	if err != nil {
-		t.Fatalf("mirror bootstrap build: %v", err)
-	}
-	if _, err := srv.ApplyReplicated(ReplicaApply{
-		PrimaryVersion: wire.Version,
-		Traversal:      wire.Traversal,
-		Snapshot:       tree,
-	}); err != nil {
-		t.Fatalf("mirror bootstrap apply: %v", err)
-	}
-	return &mirror{lat: lat, reg: reg, srv: srv}
+	return m
 }
 
 // snapshotFrames encodes ep's snapshot and returns its frames.
@@ -81,17 +57,10 @@ func snapshotFrames(t testing.TB, ep *Epoch) [][]byte {
 	if err != nil {
 		t.Fatalf("WireSnapshot: %v", err)
 	}
-	var frames [][]byte
-	if err := EncodeSnapshot(wire, func(f []byte) error {
-		frames = append(frames, f)
-		return nil
-	}); err != nil {
-		t.Fatalf("EncodeSnapshot: %v", err)
-	}
-	return frames
+	return encodeFrames(t, wire)
 }
 
-// frameSource feeds frames to DecodeSnapshot one line at a time, as a
+// frameSource feeds frames to DecodeEpoch one line at a time, as a
 // line scanner would, and reports a cut stream once they run out.
 func frameSource(frames [][]byte) func() (string, error) {
 	return func() (string, error) {
@@ -104,131 +73,61 @@ func frameSource(frames [][]byte) func() (string, error) {
 	}
 }
 
-// apply replays one delta after a JSON round-trip — the wire contract
-// under test is decode(encode(d)), not the in-memory struct.
-func (m *mirror) apply(t testing.TB, d *EpochDelta) error {
+// apply replays one delta after a round trip through its frames — the
+// wire contract under test is decode(encode(d)), not the in-memory
+// struct.
+func (m *mirror) apply(t testing.TB, d *EpochWire) error {
 	t.Helper()
-	body, err := json.Marshal(d)
+	dd, err := DecodeEpoch(frameSource(encodeFrames(t, d)))
 	if err != nil {
-		t.Fatalf("delta marshal: %v", err)
+		t.Fatalf("delta frames: %v", err)
 	}
-	var dd EpochDelta
-	if err := json.Unmarshal(body, &dd); err != nil {
-		t.Fatalf("delta unmarshal: %v", err)
-	}
-	for _, lv := range dd.Levels {
-		if _, err := m.lat.DefineLevel(lv); err != nil {
-			return err
-		}
-	}
-	for _, c := range dd.Categories {
-		if _, err := m.lat.DefineCategory(c); err != nil {
-			return err
-		}
-	}
-	// The registry part lands as one Apply in the replica's order: new
-	// principals, new groups, every removal, then every grant, so a
-	// subgroup edge to a group this delta adds, or a moved edge, never
-	// trips on a half-applied edge set.
-	var edits, grants []principal.Edit
-	for _, pw := range dd.Principals {
-		class, err := m.lat.ParseClass(pw.Class)
-		if err != nil {
-			return err
-		}
-		edits = append(edits, principal.AddPrincipal(pw.Name, class))
-	}
-	f := m.reg.Freeze()
-	for _, gw := range dd.Groups {
-		if !f.HasGroup(gw.Name) {
-			edits = append(edits, principal.AddGroup(gw.Name))
-		}
-		cur, _ := f.Members(gw.Name) // nil for a group this delta adds
-		want := make(map[string]bool, len(gw.Members))
-		for _, mem := range gw.Members {
-			want[mem] = true
-		}
-		have := make(map[string]bool, len(cur))
-		for _, mem := range cur {
-			have[mem] = true
-			if !want[mem] {
-				edits = append(edits, principal.RemoveMember(gw.Name, strings.TrimPrefix(mem, "@")))
+	return m.install(dd)
+}
+
+// install applies one decoded message in the replica's order.
+func (m *mirror) install(w *EpochWire) error {
+	if w.From > 0 {
+		for _, lv := range w.Levels {
+			if _, err := m.lat.DefineLevel(lv); err != nil {
+				return err
 			}
 		}
-		for _, mem := range gw.Members {
-			if !have[mem] {
-				grants = append(grants, principal.AddMember(gw.Name, strings.TrimPrefix(mem, "@")))
+		for _, c := range w.Categories {
+			if _, err := m.lat.DefineCategory(c); err != nil {
+				return err
 			}
 		}
 	}
-	if _, err := m.reg.Apply(append(edits, grants...)...); err != nil {
+	if err := ReplayRegistry(m.reg, m.lat, w); err != nil {
 		return err
 	}
-	_, err = m.srv.ApplyReplicated(ReplicaApply{
-		PrimaryVersion: dd.Version,
-		Traversal:      dd.Traversal,
-		Upserts:        dd.Upserts,
-		Deletes:        dd.Deletes,
-	})
+	tree, err := m.srv.BuildEpoch(w)
+	if err != nil {
+		return err
+	}
+	_, err = m.srv.ApplyReplicated(ReplicaApply{PrimaryVersion: w.Version, Traversal: w.Traversal, Tree: tree})
 	return err
 }
 
 // wireEquivalent deep-compares the protection state of two epochs:
 // traversal flag, lattice universe, registry contents, guard-stack
-// descriptor, and every node's wire form (path, kind, class, ACL,
+// descriptor, and every node's snapshot row (path, kind, class, ACL,
 // multilevel — payloads excluded by design). Returns "" when equal.
 func wireEquivalent(a, b *Epoch) string {
-	if a.TraversalChecks() != b.TraversalChecks() {
-		return fmt.Sprintf("traversal %v vs %v", a.TraversalChecks(), b.TraversalChecks())
-	}
-	if !sameStrings(a.Lattice().Levels(), b.Lattice().Levels()) {
-		return fmt.Sprintf("levels %v vs %v", a.Lattice().Levels(), b.Lattice().Levels())
-	}
-	if !sameStrings(a.Lattice().Categories(), b.Lattice().Categories()) {
-		return fmt.Sprintf("categories %v vs %v", a.Lattice().Categories(), b.Lattice().Categories())
-	}
-	if !sameStrings(a.Stack().Guards(), b.Stack().Guards()) {
-		return fmt.Sprintf("stack %v vs %v", a.Stack().Guards(), b.Stack().Guards())
-	}
-	ap, ag, aerr := registryDelta(nil, a.Registry(), a.Lattice())
-	bp, bg, berr := registryDelta(nil, b.Registry(), b.Lattice())
+	wa, aerr := a.WireSnapshot()
+	wb, berr := b.WireSnapshot()
 	if aerr != nil || berr != nil {
-		return fmt.Sprintf("registry encode: %v / %v", aerr, berr)
+		return fmt.Sprintf("snapshot encode: %v / %v", aerr, berr)
 	}
-	if fmt.Sprintf("%v", ap) != fmt.Sprintf("%v", bp) {
-		return fmt.Sprintf("principals %v vs %v", ap, bp)
-	}
-	if fmt.Sprintf("%v", ag) != fmt.Sprintf("%v", bg) {
-		return fmt.Sprintf("groups %v vs %v", ag, bg)
-	}
-	encode := func(ep *Epoch) ([]NodeWire, error) {
-		var out []NodeWire
-		var werr error
-		ep.Walk(func(path string, n *Node) {
-			if werr != nil {
-				return
+	wb.Version = wa.Version
+	if !reflect.DeepEqual(wa, wb) {
+		for i := 0; i < len(wa.Rows) && i < len(wb.Rows); i++ {
+			if wa.Rows[i] != wb.Rows[i] {
+				return fmt.Sprintf("row %d: %+v vs %+v", i, wa.Rows[i], wb.Rows[i])
 			}
-			w, err := encodeNode(n, ep.lat)
-			if err != nil {
-				werr = err
-				return
-			}
-			out = append(out, w)
-		})
-		return out, werr
-	}
-	an, aerr2 := encode(a)
-	bn, berr2 := encode(b)
-	if aerr2 != nil || berr2 != nil {
-		return fmt.Sprintf("tree encode: %v / %v", aerr2, berr2)
-	}
-	if len(an) != len(bn) {
-		return fmt.Sprintf("tree size %d vs %d", len(an), len(bn))
-	}
-	for i := range an {
-		if an[i] != bn[i] {
-			return fmt.Sprintf("node %d: %+v vs %+v", i, an[i], bn[i])
 		}
+		return fmt.Sprintf("snapshots differ:\n%+v\n%+v", wa, wb)
 	}
 	return ""
 }
@@ -332,7 +231,7 @@ func TestWireSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestWireDeltaSequence tracks the primary through one mutation of
-// every shard, applying the JSON-round-tripped delta after each and
+// every shard, applying the delta's frames after each and
 // asserting equivalence.
 func TestWireDeltaSequence(t *testing.T) {
 	f, reg := wirePrimary(t)
@@ -425,8 +324,9 @@ func TestRegistryDeltaCarriesWhatMoved(t *testing.T) {
 }
 
 // FuzzEpochDeltaCodec drives a random mutation script against a
-// primary, derives the delta for every transition, JSON round-trips
-// it, applies it to a mirror, and requires the mirror to equal the
+// primary, derives the delta for every transition, round-trips it
+// through its frames, applies it to a mirror through the production
+// registry replay, and requires the mirror to equal the
 // primary's successor epoch — the replication soundness claim,
 // fuzzed. Each script byte selects one mutation; payload bytes are
 // folded into names so scripts explore bind/delete collisions. The

@@ -33,21 +33,20 @@
 //	QUIT                     close the connection
 //
 // Protocol version 2 adds replication (BARRIER and REPLICAS require a
-// prior "HELLO 2", SUBSCRIBE a prior "HELLO 4"; HELLO itself is version
+// prior "HELLO 2", SUBSCRIBE a prior "HELLO 5"; HELLO itself is version
 // 1 so old servers answer it with a clean unknown-command error instead
 // of a hang):
 //
 //	HELLO <n>                negotiate: "OK proto <min(n, server)>", or a
 //	                         clean ERR when n is below the server's minimum
 //	SUBSCRIBE 0              become a replica (administrate on "/" required):
-//	                         "OK <peer>", "SNAP-SECRET <base64>", the
-//	                         snapshot frames ("SNAP-HEAD <json>", "SNAP
-//	                         <fields>"..., "SNAP-END", each at most 1 MiB;
-//	                         see names.EncodeSnapshot), then a stream of
-//	                         "DELTA <json>" / "PING <v>" lines (a delta
-//	                         over 1 MiB comes as "DELTA-PART <piece>"
-//	                         lines and a final "DELTA <piece>"); the
-//	                         client answers each with "ACK <version>"
+//	                         "OK <peer>", "SNAP-SECRET <base64>", then one
+//	                         epoch message per epoch, snapshot first: the
+//	                         frames "SNAP-HEAD <json>", "SNAP <fields>"...,
+//	                         "SNAP-END", each at most 1 MiB (see
+//	                         names.EncodeEpoch), with "PING <v>" lines
+//	                         between messages; the client answers each
+//	                         message and each PING with "ACK <version>"
 //	BARRIER <v> [timeoutms]  block until every connected replica acked
 //	                         epoch >= v (administrate on "/" required)
 //	REPLICAS                 per-peer replication status: "OK <k>" then k lines
@@ -672,7 +671,7 @@ func (s *session) stream(pub *replica.Publisher, peer *replica.Peer) {
 					s.conn.Close()
 					return
 				}
-				replica.WriteDelta(s.out, msg.Payload)
+				s.out.Write(msg.Payload)
 			case <-ticker.C:
 				s.reply("PING %d", s.srv.sys.Names().Version())
 			case <-quit:

@@ -98,8 +98,8 @@ func TestOldClientAgainstNewServer(t *testing.T) {
 	c.expectOK("AUTH %s", adminTok)
 	c.expectOK("LS /")
 	got := c.expectErr("SUBSCRIBE 0")
-	if !strings.Contains(got, "HELLO 4") {
-		t.Errorf("SUBSCRIBE without HELLO = %q, want a hint to send HELLO 4", got)
+	if !strings.Contains(got, "HELLO 5") {
+		t.Errorf("SUBSCRIBE without HELLO = %q, want a hint to send HELLO 5", got)
 	}
 	got = c.expectErr("BARRIER 1")
 	if !strings.Contains(got, "HELLO 2") {
@@ -152,25 +152,25 @@ func TestSubscribeGates(t *testing.T) {
 	c.expectOK("AUTH %s", adminTok)
 	c.expectErr("SUBSCRIBE 0")
 
-	// Authenticated on protocol 3, which bootstrapped from a JSON
-	// snapshot this server no longer sends.
-	c.expectOK("HELLO 3")
-	if got := c.expectErr("SUBSCRIBE 0"); !strings.Contains(got, "protocol >= 4") {
-		t.Errorf("protocol-3 SUBSCRIBE = %q, want a protocol >= 4 error", got)
+	// Authenticated on protocol 4, which took deltas as JSON lines this
+	// server no longer sends.
+	c.expectOK("HELLO 4")
+	if got := c.expectErr("SUBSCRIBE 0"); !strings.Contains(got, "protocol >= 5") {
+		t.Errorf("protocol-4 SUBSCRIBE = %q, want a protocol >= 5 error", got)
 	}
 	c.expectOK("WHOAMI")
 
-	// Protocol 4 but unauthenticated.
+	// Protocol 5 but unauthenticated.
 	c2 := dial(t, addr)
-	c2.expectOK("HELLO 4")
+	c2.expectOK("HELLO 5")
 	got := c2.expectErr("SUBSCRIBE 0")
 	if !strings.Contains(got, "authenticate") {
 		t.Errorf("unauthenticated SUBSCRIBE = %q", got)
 	}
 
-	// Authenticated, protocol 4, but no administrate on "/".
+	// Authenticated, protocol 5, but no administrate on "/".
 	c3 := dial(t, addr)
-	c3.expectOK("HELLO 4")
+	c3.expectOK("HELLO 5")
 	c3.expectOK("AUTH %s", eveTok)
 	got = c3.expectErr("SUBSCRIBE 0")
 	if !strings.Contains(got, "denied") {
@@ -187,7 +187,7 @@ func TestSubscribeGates(t *testing.T) {
 func TestSubscribeWithoutPublisher(t *testing.T) {
 	addr, aliceTok, _ := startServer(t)
 	c := dial(t, addr)
-	c.expectOK("HELLO 4")
+	c.expectOK("HELLO 5")
 	c.expectOK("AUTH %s", aliceTok)
 	for _, cmd := range []string{"SUBSCRIBE 0", "BARRIER 1", "REPLICAS"} {
 		got := c.expectErr(cmd)
@@ -275,7 +275,7 @@ func TestSnapshotFramesShared(t *testing.T) {
 	subscribe := func() (secret string, frames []string, bytes int) {
 		t.Helper()
 		c := dial(t, addr)
-		c.expectOK("HELLO 4")
+		c.expectOK("HELLO 5")
 		c.expectOK("AUTH %s", adminTok)
 		c.expectOK("SUBSCRIBE 0")
 		secret = c.readLine()

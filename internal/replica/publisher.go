@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -13,8 +12,8 @@ import (
 	"secext/internal/telemetry"
 )
 
-// Msg is one stream message queued for a peer: an encoded DELTA
-// payload and the primary epoch version it carries the peer to.
+// Msg is one stream message queued for a peer: a delta's frames, ready
+// to write, and the primary epoch version it carries the peer to.
 type Msg struct {
 	Version uint64
 	Payload []byte
@@ -211,7 +210,7 @@ func newSnapEncoding(ep *names.Epoch) *snapEncoding {
 func (e *snapEncoding) run(ep *names.Epoch) {
 	wire, err := ep.WireSnapshot()
 	if err == nil {
-		err = names.EncodeSnapshot(wire, func(f []byte) error {
+		err = names.EncodeEpoch(wire, func(f []byte) error {
 			e.mu.Lock()
 			e.frames = append(e.frames, f)
 			e.mu.Unlock()
@@ -326,25 +325,22 @@ func (p *Publisher) run() {
 		if !needed {
 			continue
 		}
+		// The delta is diffed and framed once for every peer. A delta
+		// that cannot be derived means the epoch pair does not obey the
+		// append-only shard contract: nothing sound can be streamed, so
+		// the peers that need it are dropped, and their replicas fail
+		// closed until they bootstrap from a snapshot.
+		var body []byte
 		d, err := names.DiffEpochs(t.prev, t.next)
-		if err != nil {
-			// A diff failure means the epoch pair does not obey the
-			// append-only shard contract — nothing sound can be
-			// streamed, so every affected peer is dropped to a fresh
-			// snapshot rather than silently skipped.
-			for _, peer := range peers {
-				p.drop(peer)
-			}
-			continue
+		if err == nil {
+			err = names.EncodeEpoch(d, func(f []byte) error {
+				body = append(body, f...)
+				return nil
+			})
 		}
-		body, err := json.Marshal(d)
-		if err != nil || len(body) > maxDelta {
-			// A delta that cannot be encoded, or is larger than a replica
-			// will join, cannot be streamed: its peers are dropped, and
-			// their replicas fail closed until they bootstrap from a
-			// snapshot.
+		if err != nil {
 			for _, peer := range peers {
-				if d.Version > peer.base {
+				if t.next.Version() > peer.base {
 					p.drop(peer)
 				}
 			}

@@ -9,13 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"encoding/json"
-
 	"secext/internal/core"
-	"secext/internal/lattice"
 	"secext/internal/monitor"
 	"secext/internal/names"
-	"secext/internal/principal"
 	"secext/internal/telemetry"
 )
 
@@ -141,9 +137,9 @@ func Connect(opts Options) (*Replica, error) {
 	if err != nil {
 		return fail(fmt.Errorf("replica: decoding token secret: %w", err))
 	}
-	wire, err := names.DecodeSnapshot(func() (string, error) { return readLine("snapshot") })
+	wire, err := names.DecodeEpoch(func() (string, error) { return readLine("snapshot") })
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("replica: decoding snapshot: %w", err))
 	}
 	conn.SetReadDeadline(time.Time{})
 	r := &Replica{
@@ -152,10 +148,19 @@ func Connect(opts Options) (*Replica, error) {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if err := r.bootstrap(wire, secret); err != nil {
+	if r.sys, err = core.NewSystem(core.Options{
+		Levels:     wire.Levels,
+		Categories: wire.Categories,
+		Telemetry:  opts.Telemetry,
+	}); err != nil {
+		return fail(fmt.Errorf("replica: building local system: %w", err))
+	}
+	if err := r.sys.Registry().SetTokenSecret(secret); err != nil {
 		return fail(err)
 	}
-	r.applied.Store(wire.Version)
+	if err := r.apply(wire); err != nil {
+		return fail(fmt.Errorf("replica: installing snapshot: %w", err))
+	}
 	r.lastHeard.Store(time.Now().UnixNano())
 	fmt.Fprintf(conn, "ACK %d\n", wire.Version)
 	go r.read(sc)
@@ -163,120 +168,46 @@ func Connect(opts Options) (*Replica, error) {
 	return r, nil
 }
 
-// bootstrap builds the local system from a snapshot: lattice universe,
-// token secret, principals (in dense-ID order, so local IDs equal the
-// primary's), groups, and finally the tree and guard stack in one
-// atomic publication.
-func (r *Replica) bootstrap(wire *names.EpochWire, secret []byte) error {
-	sys, err := core.NewSystem(core.Options{
-		Levels:     wire.Levels,
-		Categories: wire.Categories,
-		Telemetry:  r.opts.Telemetry,
-	})
-	if err != nil {
-		return fmt.Errorf("replica: building local system: %w", err)
-	}
-	if err := sys.Registry().SetTokenSecret(secret); err != nil {
-		return err
-	}
-	// One Registry.Apply replays the whole registry: principals first, in
-	// dense-ID order, so local IDs equal the primary's and the compiled
-	// bitsets the replica builds index identically; then groups, then
-	// memberships.
-	n := len(wire.Principals) + len(wire.Groups)
-	for _, gw := range wire.Groups {
-		n += len(gw.Members)
-	}
-	edits := make([]principal.Edit, 0, n)
-	classes := make(map[string]lattice.Class) // class values are immutable; principals share them
-	for _, pw := range wire.Principals {
-		class, ok := classes[pw.Class]
-		if !ok {
-			if class, err = sys.Lattice().ParseClass(pw.Class); err != nil {
-				return fmt.Errorf("replica: replaying principal %s: %w", pw.Name, err)
-			}
-			classes[pw.Class] = class
-		}
-		edits = append(edits, principal.AddPrincipal(pw.Name, class))
-	}
-	for _, gw := range wire.Groups {
-		edits = append(edits, principal.AddGroup(gw.Name))
-	}
-	for _, gw := range wire.Groups {
-		for _, m := range gw.Members {
-			edits = append(edits, principal.AddMember(gw.Name, strings.TrimPrefix(m, "@")))
-		}
-	}
-	stack, err := BuildStack(wire.Stack)
-	if err != nil {
-		return err
-	}
-	// The registry replay and the tree build are independent: run them
-	// side by side, then publish the tree once the registry has landed,
-	// so its one compile sees the whole registry.
-	replayed := make(chan error, 1)
-	go func() {
-		_, err := sys.Registry().Apply(edits...)
-		replayed <- err
-	}()
-	tree, err := sys.Names().BuildSnapshot(wire)
-	if rerr := <-replayed; rerr != nil {
-		return fmt.Errorf("replica: replaying registry: %w", rerr)
-	}
-	if err != nil {
-		return fmt.Errorf("replica: installing snapshot tree: %w", err)
-	}
-	r.mu.Lock()
-	r.liveStack = stack
-	r.mu.Unlock()
-	if _, err := sys.Names().ApplyReplicated(names.ReplicaApply{
-		PrimaryVersion: wire.Version,
-		Traversal:      wire.Traversal,
-		Snapshot:       tree,
-		Stack:          stack,
-	}); err != nil {
-		return fmt.Errorf("replica: installing snapshot tree: %w", err)
-	}
-	r.sys = sys
-	return nil
-}
-
-// read is the stream reader: join each delta from its DELTA-PART and
-// DELTA lines, apply it atomically, acknowledge it, answer PINGs. When
-// the stream ends the reader just exits — the watchdog then fails the replica closed once the staleness deadline
-// passes, which is the bounded-stale half of the consistency contract
-// (a freshly severed replica may keep granting until the deadline, and
-// never after).
+// read is the stream reader: decode each message from its frames,
+// apply it atomically, acknowledge it, answer PINGs. When the stream
+// fails the reader records why and hangs up, so the primary stops
+// waiting for acks from this replica; when the stream ends the reader
+// just exits. Either way the watchdog then fails the replica closed
+// once the staleness deadline passes, which is the bounded-stale half
+// of the consistency contract (a freshly severed replica may keep
+// granting until the deadline, and never after).
 func (r *Replica) read(sc *bufio.Scanner) {
 	defer close(r.done)
-	// body collects the pieces of the delta being received.
-	var body []byte
 	for sc.Scan() {
-		kind, payload, _ := strings.Cut(sc.Text(), " ")
+		line := sc.Text()
+		kind, payload, _ := strings.Cut(line, " ")
 		switch kind {
-		case "DELTA-PART", "DELTA":
-			if len(body)+len(payload) > maxDelta {
-				r.fail(fmt.Errorf("replica: delta exceeds %d bytes", maxDelta))
-				return
-			}
-			body = append(body, payload...)
-			r.heard()
-			if kind == "DELTA-PART" {
-				continue
-			}
-			var d names.EpochDelta
-			err := json.Unmarshal(body, &d)
-			body = nil
+		case "SNAP-HEAD":
+			first := true
+			w, err := names.DecodeEpoch(func() (string, error) {
+				r.heard()
+				if first {
+					first = false
+					return line, nil
+				}
+				if !sc.Scan() {
+					if err := sc.Err(); err != nil {
+						return "", err
+					}
+					return "", fmt.Errorf("connection closed mid-message")
+				}
+				return sc.Text(), nil
+			})
 			if err != nil {
-				r.fail(fmt.Errorf("replica: decoding delta: %w", err))
+				r.fail(fmt.Errorf("replica: decoding message: %w", err))
 				return
 			}
-			if err := r.applyDelta(&d); err != nil {
-				r.fail(fmt.Errorf("replica: applying delta v%d: %w", d.Version, err))
+			if err := r.apply(w); err != nil {
+				r.fail(fmt.Errorf("replica: applying v%d from v%d: %w", w.Version, w.From, err))
 				return
 			}
 			r.heard()
-			r.send("ACK %d", d.Version)
+			r.send("ACK %d", w.Version)
 		case "PING":
 			r.heard()
 			r.restoreIfStale()
@@ -294,91 +225,75 @@ func (r *Replica) read(sc *bufio.Scanner) {
 	}
 }
 
-// applyDelta replays one epoch delta. Order matters for safety: the
-// append-only shards (lattice, registry) replay first through the
-// ordinary entry points — each lands in a consistent local epoch, and
-// registry revocations take effect here, BEFORE the ack — then the
-// tree patch and any stack change land in one atomic publication
-// stamped with the primary version.
-func (r *Replica) applyDelta(d *names.EpochDelta) error {
+// apply installs one message, the bootstrap snapshot and every delta
+// alike, and only on the version this replica last applied (0 before
+// the bootstrap), so a gapped, repeated or reordered message fails
+// instead of patching the wrong base. Order matters for safety: the
+// lattice entries a delta adds come first, then the registry replay
+// (registry revocations take effect here, BEFORE the ack) runs beside
+// the build of the message's nodes, and the tree and any stack change
+// land in one atomic publication stamped with the primary version,
+// once the registry has landed, so its one compile sees the whole
+// registry.
+func (r *Replica) apply(w *names.EpochWire) error {
+	if applied := r.applied.Load(); w.From != applied {
+		return fmt.Errorf("message from v%d out of sequence: applied v%d", w.From, applied)
+	}
 	sys := r.sys
-	for _, lv := range d.Levels {
-		if _, err := sys.Lattice().DefineLevel(lv); err != nil {
-			return err
-		}
-	}
-	for _, c := range d.Categories {
-		if _, err := sys.Lattice().DefineCategory(c); err != nil {
-			return err
-		}
-	}
-	// The registry part of the delta is one Registry.Apply, landing in
-	// one local epoch before the ack: new principals, new groups, then
-	// every removal before any grant, so a moved subgroup edge never
-	// trips the cycle check on a half-moved edge set.
-	reg := sys.Registry()
-	var edits, grants []principal.Edit
-	for _, pw := range d.Principals {
-		class, err := sys.Lattice().ParseClass(pw.Class)
-		if err != nil {
-			return err
-		}
-		edits = append(edits, principal.AddPrincipal(pw.Name, class))
-	}
-	f := reg.Freeze()
-	for _, gw := range d.Groups {
-		if !f.HasGroup(gw.Name) {
-			edits = append(edits, principal.AddGroup(gw.Name))
-		}
-		cur, _ := f.Members(gw.Name) // nil for a group this delta adds
-		want := make(map[string]bool, len(gw.Members))
-		for _, m := range gw.Members {
-			want[m] = true
-		}
-		have := make(map[string]bool, len(cur))
-		for _, m := range cur {
-			have[m] = true
-			if !want[m] {
-				edits = append(edits, principal.RemoveMember(gw.Name, strings.TrimPrefix(m, "@")))
+	if w.From > 0 {
+		for _, lv := range w.Levels {
+			if _, err := sys.Lattice().DefineLevel(lv); err != nil {
+				return err
 			}
 		}
-		for _, m := range gw.Members {
-			if !have[m] {
-				grants = append(grants, principal.AddMember(gw.Name, strings.TrimPrefix(m, "@")))
+		for _, c := range w.Categories {
+			if _, err := sys.Lattice().DefineCategory(c); err != nil {
+				return err
 			}
 		}
-	}
-	if _, err := reg.Apply(append(edits, grants...)...); err != nil {
-		return err
 	}
 	var stack *monitor.Stack
-	if d.Stack != nil {
-		s, err := BuildStack(d.Stack)
+	if w.From == 0 || w.Stack != nil {
+		s, err := BuildStack(w.Stack)
 		if err != nil {
 			return err
 		}
 		stack = s
-		r.mu.Lock()
-		r.liveStack = s
-		r.mu.Unlock()
 	}
-	// Leaving staleness: the delta's publication must reinstall the
-	// live stack even when the primary's stack did not change.
-	if stack == nil && r.stale.Load() {
-		r.mu.Lock()
+	// A message with both registry changes and rows (a bootstrap,
+	// mostly) replays the one while it builds the other.
+	replayed := make(chan error, 1)
+	replay := func() { replayed <- names.ReplayRegistry(sys.Registry(), sys.Lattice(), w) }
+	if len(w.Rows) > 0 && len(w.Principals)+len(w.Groups) > 0 {
+		go replay()
+	} else {
+		replay()
+	}
+	tree, err := sys.Names().BuildEpoch(w)
+	if rerr := <-replayed; rerr != nil {
+		return fmt.Errorf("replaying registry: %w", rerr)
+	}
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	if stack != nil {
+		r.liveStack = stack
+	} else if r.stale.Load() {
+		// Leaving staleness: the publication must reinstall the live
+		// stack even when the primary's stack did not change.
 		stack = r.liveStack
-		r.mu.Unlock()
 	}
+	r.mu.Unlock()
 	if _, err := sys.Names().ApplyReplicated(names.ReplicaApply{
-		PrimaryVersion: d.Version,
-		Traversal:      d.Traversal,
-		Upserts:        d.Upserts,
-		Deletes:        d.Deletes,
+		PrimaryVersion: w.Version,
+		Traversal:      w.Traversal,
+		Tree:           tree,
 		Stack:          stack,
 	}); err != nil {
 		return err
 	}
-	r.applied.Store(d.Version)
+	r.applied.Store(w.Version)
 	r.stale.Store(false)
 	return nil
 }
@@ -457,11 +372,13 @@ func (r *Replica) send(format string, args ...any) {
 	r.mu.Unlock()
 }
 
-// fail records the stream error. The replica keeps serving under the
-// bounded-stale contract until the watchdog's deadline fails it
-// closed.
+// fail records the stream error and hangs up: the primary then drops
+// this peer, so its barriers stop waiting for acks that will never
+// come. The replica keeps serving under the bounded-stale contract
+// until the watchdog's deadline fails it closed.
 func (r *Replica) fail(err error) {
 	r.readErr.CompareAndSwap(nil, &err)
+	r.conn.Close()
 }
 
 // System returns the replica's local reference monitor: checks,

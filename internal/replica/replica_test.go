@@ -17,6 +17,7 @@ import (
 
 	"secext"
 	"secext/internal/lattice"
+	"secext/internal/monitor/quotaguard"
 	"secext/internal/names"
 	"secext/internal/principal"
 	"secext/internal/remote"
@@ -514,7 +515,7 @@ func handshake(conn net.Conn, sc *bufio.Scanner) {
 		cmd, _, _ := strings.Cut(sc.Text(), " ")
 		switch cmd {
 		case "HELLO":
-			fmt.Fprintf(conn, "OK proto 4\n")
+			fmt.Fprintf(conn, "OK proto 5\n")
 		default:
 			fmt.Fprintf(conn, "OK\n")
 		}
@@ -538,10 +539,10 @@ func TestConnectRejectsBrokenPrimaries(t *testing.T) {
 		{"old proto", func(conn net.Conn, sc *bufio.Scanner) {
 			fmt.Fprintf(conn, "OK secext ready\n")
 			if sc.Scan() {
-				fmt.Fprintf(conn, "OK proto 3\n")
+				fmt.Fprintf(conn, "OK proto 4\n")
 			}
 			sc.Scan()
-		}, "protocol >= 4"},
+		}, "protocol >= 5"},
 		{"not a snapshot", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
 			fmt.Fprintf(conn, "GARBAGE x\n")
@@ -551,7 +552,7 @@ func TestConnectRejectsBrokenPrimaries(t *testing.T) {
 			handshake(conn, sc)
 			fmt.Fprintf(conn, "SNAP-SECRET c2VjcmV0\nSNAP-HEAD {nope\n")
 			sc.Scan()
-		}, "decoding snapshot header"},
+		}, "decoding epoch header"},
 		{"empty snapshot", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
 			fmt.Fprintf(conn, "SNAP-SECRET c2VjcmV0\nSNAP-HEAD {}\n")
@@ -579,8 +580,9 @@ func TestConnectRejectsBrokenPrimaries(t *testing.T) {
 
 // realSnapshot captures a valid snapshot, SNAP-SECRET line and frames,
 // from a live publisher so the fake primary can replay it and then
-// misbehave mid-stream.
-func realSnapshot(t *testing.T, p *primary) []byte {
+// misbehave mid-stream. It returns the primary version the snapshot
+// carries.
+func realSnapshot(t *testing.T, p *primary) ([]byte, uint64) {
 	t.Helper()
 	peer, snap, err := p.pub.Subscribe("capture")
 	if err != nil {
@@ -591,47 +593,78 @@ func realSnapshot(t *testing.T, p *primary) []byte {
 	if _, err := snap.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), p.w.Sys.Names().Version()
+}
+
+// frames encodes one message as stream lines.
+func frames(t *testing.T, w *names.EpochWire) string {
+	t.Helper()
+	var b strings.Builder
+	if err := names.EncodeEpoch(w, func(f []byte) error {
+		b.Write(f)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// poisonedStream bootstraps a replica from a fake primary that replays
+// snap, then sends lines. It returns the replica and a channel that
+// receives once the replica has hung up.
+func poisonedStream(t *testing.T, snap []byte, lines string) (*replica.Replica, <-chan struct{}) {
+	t.Helper()
+	hungUp := make(chan struct{})
+	addr := fakePrimary(t, func(conn net.Conn, sc *bufio.Scanner) {
+		handshake(conn, sc)
+		conn.Write(snap)
+		sc.Scan() // the bootstrap ACK
+		// An unknown informational line is ignored...
+		fmt.Fprintf(conn, "NOTICE upgrade scheduled\n")
+		// ...then the poison.
+		fmt.Fprint(conn, lines)
+		for sc.Scan() { // drain until the replica hangs up
+		}
+		close(hungUp)
+	})
+	r, err := replica.Connect(replica.Options{Addr: addr, Token: "x", StaleAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r, hungUp
 }
 
 // TestStreamFailuresRecordErr: garbage or explicit errors on an
-// established stream end it with a recorded Err; the replica keeps
-// serving under the bounded-stale contract until its deadline.
+// established stream end it with a recorded Err, and the replica hangs
+// up at once; it keeps serving under the bounded-stale contract until
+// its deadline.
 func TestStreamFailuresRecordErr(t *testing.T) {
 	p := startPrimary(t, time.Hour)
-	snap := realSnapshot(t, p)
+	snap, v := realSnapshot(t, p)
 	cases := []struct {
-		name string
-		line string
-		want string
+		name  string
+		lines string
+		want  string
 	}{
-		{"delta not json", "DELTA {nope", "decoding delta"},
-		{"delta bad stack", `DELTA {"version":99,"stack":["quota"]}`, "applying delta"},
-		{"primary error", "ERR boom", "primary error: boom"},
+		{"delta not json", "SNAP-HEAD {nope\n", "decoding epoch header"},
+		{"delta cut short", "SNAP-HEAD " + fmt.Sprintf(`{"from":%d,"version":%d,"acls":1,"classes":0,"rows":0}`, v, v+1) + "\nSNAP-END\n", "expected a SNAP frame"},
+		{"delta bad stack", frames(t, &names.EpochWire{From: v, Version: v + 1, Stack: []string{"quota"}}), "applying v"},
+		{"primary error", "ERR boom\n", "primary error: boom"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			addr := fakePrimary(t, func(conn net.Conn, sc *bufio.Scanner) {
-				handshake(conn, sc)
-				conn.Write(snap)
-				sc.Scan() // the bootstrap ACK
-				// An unknown informational line is ignored...
-				fmt.Fprintf(conn, "NOTICE upgrade scheduled\n")
-				// ...then the poison line.
-				fmt.Fprintf(conn, "%s\n", tc.line)
-				for sc.Scan() { // drain until the replica hangs up
-				}
-			})
-			r, err := replica.Connect(replica.Options{Addr: addr, Token: "x", StaleAfter: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
+			r, hungUp := poisonedStream(t, snap, tc.lines)
 			waitFor(t, 5*time.Second, "stream error to be recorded", func() bool {
 				return r.Err() != nil
 			})
 			if !strings.Contains(r.Err().Error(), tc.want) {
 				t.Fatalf("Err = %v, want it to mention %q", r.Err(), tc.want)
+			}
+			select {
+			case <-hungUp:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the replica kept its failed stream open")
 			}
 			// Bounded-stale: the stream died, but the deadline has not
 			// passed — the replica still answers from its last epoch.
@@ -643,6 +676,69 @@ func TestStreamFailuresRecordErr(t *testing.T) {
 				t.Fatalf("replica stopped serving before its deadline: %v", err)
 			}
 		})
+	}
+}
+
+// TestOutOfSequenceDeltaFails: a delta applies only on the version the
+// replica last applied. A skipped version, a repeated one, and a delta
+// from a version the replica has not reached each fail the stream,
+// leave the replica at its last good version, and hang up.
+func TestOutOfSequenceDeltaFails(t *testing.T) {
+	p := startPrimary(t, time.Hour)
+	snap, v := realSnapshot(t, p)
+	msg := func(from, to uint64) string { return frames(t, &names.EpochWire{From: from, Version: to}) }
+	cases := []struct {
+		name    string
+		lines   string
+		applied uint64
+	}{
+		{"skipped version", msg(v, v+1) + msg(v+2, v+3), v + 1},
+		{"repeated version", msg(v, v+1) + msg(v, v+1), v + 1},
+		{"from ahead", msg(v+5, v+6), v},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, hungUp := poisonedStream(t, snap, tc.lines)
+			select {
+			case <-hungUp:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the replica kept an out-of-sequence stream open")
+			}
+			waitFor(t, 5*time.Second, "stream error to be recorded", func() bool { return r.Err() != nil })
+			if !strings.Contains(r.Err().Error(), "out of sequence") {
+				t.Fatalf("Err = %v, want an out-of-sequence error", r.Err())
+			}
+			if got := r.AppliedVersion(); got != tc.applied {
+				t.Fatalf("applied v%d, want v%d", got, tc.applied)
+			}
+		})
+	}
+}
+
+// TestFailedReplicaLeavesFleet: a replica that cannot apply a
+// publication — here a stack with the stateful quota guard, which does
+// not replicate — hangs up, so the primary drops its peer and the next
+// barrier returns at once instead of waiting out its timeout.
+func TestFailedReplicaLeavesFleet(t *testing.T) {
+	p := startPrimary(t, time.Hour)
+	r := p.connect(t, time.Hour)
+	remove := p.w.Sys.Names().Pipeline().Install(quotaguard.New("/fs"))
+	defer remove()
+	waitFor(t, 5*time.Second, "the replica to fail on the quota guard", func() bool { return r.Err() != nil })
+	if !strings.Contains(r.Err().Error(), "quota") {
+		t.Fatalf("Err = %v, want the unreplicable quota guard", r.Err())
+	}
+	v, err := p.w.Sys.Names().Apply(nil, lattice.Class{}, names.SetACL("/fs/f", secext.NewACL(secext.AllowEveryone(secext.List))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 5 * time.Second
+	start := time.Now()
+	if err := p.pub.Barrier(v, timeout); err != nil || time.Since(start) > timeout/5 {
+		t.Fatalf("barrier after the replica failed: %v after %s", err, time.Since(start))
+	}
+	if peers := p.pub.Stats().Peers; len(peers) != 0 {
+		t.Fatalf("the failed replica is still a peer: %+v", peers)
 	}
 }
 

@@ -123,7 +123,7 @@ func liveWire(t *testing.T, p *primary) (*names.EpochWire, []string) {
 func encodeLines(t *testing.T, w *names.EpochWire) []string {
 	t.Helper()
 	lines := []string{"SNAP-SECRET " + replica.EncodeSecret([]byte(strings.Repeat("s", 32))) + "\n"}
-	if err := names.EncodeSnapshot(w, func(f []byte) error {
+	if err := names.EncodeEpoch(w, func(f []byte) error {
 		lines = append(lines, string(f))
 		return nil
 	}); err != nil {
@@ -212,7 +212,7 @@ func TestSnapshotStreamFaults(t *testing.T) {
 		}(), "not in [0, 1]"},
 		{"forward parent", mutated(func(w *names.EpochWire) { w.Rows[last-1].Parent = int32(last) }), "not an open ancestor"},
 		{"parent out of range", mutated(func(w *names.EpochWire) { w.Rows[last].Parent = 1 << 30 }), "not an open ancestor"},
-		{"negative parent", mutated(func(w *names.EpochWire) { w.Rows[last].Parent = -1 }), "not an open ancestor"},
+		{"negative parent", mutated(func(w *names.EpochWire) { w.Rows[last].Parent = -1 }), "the root is the only anchor"},
 		{"leaf parent", mutated(func(w *names.EpochWire) { w.Rows[leafThenRow+1].Parent = int32(leafThenRow) }), "is a leaf"},
 		{"unsorted siblings", mutated(func(w *names.EpochWire) {
 			w.Rows[siblings].Name, w.Rows[siblings+1].Name = w.Rows[siblings+1].Name, w.Rows[siblings].Name
@@ -281,7 +281,7 @@ func TestSubscriberLeavesMidSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "HELLO 4\nAUTH %s\nSUBSCRIBE 0\n", p.replicatorTok)
+	fmt.Fprintf(conn, "HELLO 5\nAUTH %s\nSUBSCRIBE 0\n", p.replicatorTok)
 	for i := 0; i < 6; i++ { // greeting, three OKs, SNAP-SECRET, SNAP-HEAD
 		line, err := rd.ReadString('\n')
 		if err != nil {
@@ -312,9 +312,9 @@ func TestSubscriberLeavesMidSnapshot(t *testing.T) {
 	}
 }
 
-// TestLargeDeltaReachesReplica: a delta whose JSON does not fit one
-// protocol line (a 20k-node bind, several MiB) travels as DELTA-PART
-// lines and a DELTA line, and the replica joins and applies it.
+// TestLargeDeltaReachesReplica: a delta larger than a protocol line (a
+// 20k-node bind, several MiB) travels as several frames, each within
+// the line bound, and the replica applies it.
 func TestLargeDeltaReachesReplica(t *testing.T) {
 	p := startPrimary(t, time.Hour)
 	r := p.connect(t, time.Hour)
@@ -326,8 +326,9 @@ func TestLargeDeltaReachesReplica(t *testing.T) {
 	const n = 20_000
 	specs := []names.SubtreeSpec{{Path: "big", Kind: names.KindDirectory, ACL: open, Class: bottom}}
 	for i := 0; i < n; i++ {
-		specs = append(specs, names.SubtreeSpec{Path: fmt.Sprintf("big/%s%06d", strings.Repeat("n", 40), i), Kind: names.KindFile, ACL: open, Class: bottom})
+		specs = append(specs, names.SubtreeSpec{Path: fmt.Sprintf("big/%s%06d", strings.Repeat("n", 100), i), Kind: names.KindFile, ACL: open, Class: bottom})
 	}
+	prev := p.w.Sys.Names().Current()
 	_, v, err := p.w.Sys.Names().BindSubtreeUnchecked("/", specs)
 	if err != nil {
 		t.Fatal(err)
@@ -335,45 +336,33 @@ func TestLargeDeltaReachesReplica(t *testing.T) {
 	if err := p.pub.Barrier(v, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.pub.Stats(); st.Deltas != 1 || st.DeltaBytes <= 2*names.MaxFrame {
-		t.Fatalf("%d deltas of %d bytes, want one of several MiB", st.Deltas, st.DeltaBytes)
+	d, err := names.DiffEpochs(prev, p.w.Sys.Names().Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames, size int
+	if err := names.EncodeEpoch(d, func(f []byte) error {
+		if len(f) > names.MaxFrame {
+			t.Fatalf("frame %d of %d bytes exceeds the line bound", frames, len(f))
+		}
+		frames++
+		size += len(f)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.pub.Stats(); frames < 4 || st.Deltas != 1 || st.DeltaBytes != uint64(size) || size <= 2*names.MaxFrame {
+		t.Fatalf("%d deltas of %d bytes; the delta is %d frames of %d bytes, want one delta of several MiB in several frames",
+			st.Deltas, st.DeltaBytes, frames, size)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	last := fmt.Sprintf("/big/%s%06d", strings.Repeat("n", 40), n-1)
+	last := fmt.Sprintf("/big/%s%06d", strings.Repeat("n", 100), n-1)
 	if _, err := r.System().Names().Current().Lookup(last); err != nil {
 		t.Fatalf("replica lacks %s: %v", last, err)
 	}
 	if got, want := r.System().Names().Current().Size(), p.w.Sys.Names().Current().Size(); got != want {
 		t.Fatalf("replica has %d nodes, primary %d", got, want)
-	}
-}
-
-// TestWriteDeltaLines: WriteDelta keeps every line within the frame
-// bound, and the pieces join back to the delta.
-func TestWriteDeltaLines(t *testing.T) {
-	for _, size := range []int{0, 10, names.MaxFrame - len("DELTA \n"), names.MaxFrame - len("DELTA \n") + 1, 3*names.MaxFrame + 17} {
-		body := []byte(strings.Repeat("x", size))
-		var b strings.Builder
-		if err := replica.WriteDelta(&b, body); err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.SplitAfter(b.String(), "\n")
-		lines = lines[:len(lines)-1]
-		var joined strings.Builder
-		for i, l := range lines {
-			if len(l) > names.MaxFrame {
-				t.Fatalf("size %d: line %d of %d bytes", size, i, len(l))
-			}
-			kind, piece, _ := strings.Cut(strings.TrimSuffix(l, "\n"), " ")
-			if want := map[bool]string{true: "DELTA", false: "DELTA-PART"}[i == len(lines)-1]; kind != want {
-				t.Fatalf("size %d: line %d is %s, want %s", size, i, kind, want)
-			}
-			joined.WriteString(piece)
-		}
-		if joined.String() != string(body) {
-			t.Fatalf("size %d: pieces join to %d bytes", size, joined.Len())
-		}
 	}
 }
