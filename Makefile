@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke check cover bench-module bench-smoke bench bench-churn bench-resolve bench-explain bench-replica bench-load tables
+.PHONY: all build vet test race allocs fuzz-smoke check cover bench-module bench-smoke bench bench-churn bench-resolve bench-explain bench-replica bench-load tables
 
 all: check
 
@@ -25,6 +25,14 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4,8 ./internal/names/... ./internal/acl/... ./internal/idset/... ./internal/monitor/... ./internal/decision/... ./internal/lattice/... ./internal/principal/... ./internal/core/... ./internal/provenance/... ./internal/replica/... ./internal/telemetry/... ./internal/audit/... ./internal/remote/...
 
+# allocs runs the allocation pins without the race detector, whose
+# instrumentation changes allocation counts (the pins skip under -race,
+# so `race` alone never checks them): a repeated denied CheckData, an
+# audit Record of an allow or a denial, the name tree's iteration, and
+# the rest of the tests named *Alloc*.
+allocs:
+	$(GO) test -run Alloc ./internal/...
+
 # fuzz-smoke runs six fuzzers for a few seconds each: the concurrent
 # epoch transition fuzzer (consistency, compiled view against a full
 # compile), the delta codec fuzzer (a mirror bootstrapped from snapshot
@@ -48,11 +56,12 @@ fuzz-smoke:
 	$(GO) test ./internal/idset -run '^$$' -fuzz FuzzIDSet -fuzztime 10s
 
 # check is the full local gate: build, vet, the complete test suite
-# under the race detector, a short run of the epoch fuzzers, the nested
-# bench module (which compiles against this module's API, so an API
-# change that breaks it must fail here), and a benchmark smoke run so
-# the harness itself cannot bit-rot unnoticed.
-check: build vet race fuzz-smoke bench-module bench-smoke
+# under the race detector, the allocation pins without it, a short run
+# of the epoch fuzzers, the nested bench module (which compiles against
+# this module's API, so an API change that breaks it must fail here),
+# and a benchmark smoke run so the harness itself cannot bit-rot
+# unnoticed.
+check: build vet race allocs fuzz-smoke bench-module bench-smoke
 
 bench-module:
 	$(GO) -C bench vet ./...

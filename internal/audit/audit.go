@@ -112,6 +112,13 @@ type Event struct {
 	Op      string    // operation detail, e.g. requested modes
 	Allowed bool      // the decision
 	Reason  string    // why (which check failed, or "granted")
+	// Err, when set on a recorded event with no Reason, is the error the
+	// operation failed with. The log keeps the value and formats Reason
+	// from it only when the event is read (Recent, Select, ExportJSON,
+	// String), or at record time when a filter or sink needs the text,
+	// so a denial costs no formatting on the mediation path. Events read
+	// back carry the Reason and a nil Err.
+	Err error `json:"-"`
 	// Epoch is the policy-epoch version the decision was computed
 	// against (0 for events recorded before epoch plumbing, or for
 	// occurrences with no deciding epoch). It correlates the audit
@@ -120,8 +127,20 @@ type Event struct {
 	Epoch uint64 `json:",omitempty"`
 }
 
+// withReason returns e with Reason formatted from Err, if it has one.
+func (e Event) withReason() Event {
+	if e.Err != nil {
+		if e.Reason == "" {
+			e.Reason = e.Err.Error()
+		}
+		e.Err = nil
+	}
+	return e
+}
+
 // String renders the event in a single audit line.
 func (e Event) String() string {
+	e = e.withReason()
 	verdict := "DENY"
 	if e.Allowed {
 		verdict = "ALLOW"
@@ -281,7 +300,11 @@ func (l *Log) record(ev Event, decision bool) uint64 {
 	ev.Seq = l.seq.Add(1)
 	ev.Time = time.Now()
 
-	if f := l.filter.Load(); f != nil && !(*f)(ev) {
+	f, sinks := l.filter.Load(), l.sinks.Load()
+	if f != nil || sinks != nil && len(*sinks) > 0 {
+		ev = ev.withReason()
+	}
+	if f != nil && !(*f)(ev) {
 		return ev.Seq
 	}
 
@@ -304,7 +327,7 @@ func (l *Log) record(ev Event, decision bool) uint64 {
 	slot.ev = ev
 	slot.mu.Unlock()
 
-	if sinks := l.sinks.Load(); sinks != nil && len(*sinks) > 0 {
+	if sinks != nil && len(*sinks) > 0 {
 		line := ev.String()
 		l.sinkMu.Lock()
 		for _, w := range *sinks {
@@ -336,6 +359,9 @@ func (l *Log) Recent(n int) []Event {
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
 	if n > 0 && len(ordered) > n {
 		ordered = ordered[len(ordered)-n:]
+	}
+	for i := range ordered {
+		ordered[i] = ordered[i].withReason()
 	}
 	return ordered
 }

@@ -1,6 +1,8 @@
 package audit
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -247,12 +249,69 @@ func TestConcurrentRecord(t *testing.T) {
 }
 
 // Record copies the event into the ring: with no filter or sink it
-// leaves no garbage per mediation.
+// leaves no garbage per mediation, for an allow or for a denial that
+// carries its error.
 func TestRecordAllocatesNothing(t *testing.T) {
 	l := NewLog(16)
 	e := ev(KindData, "alice", "/fs/x", true)
 	if n := testing.AllocsPerRun(100, func() { l.Record(e) }); n != 0 {
 		t.Errorf("Record allocates %v times per call, want 0", n)
+	}
+	d := Event{Kind: KindData, Subject: "alice", Path: "/fs/x", Op: "write",
+		Err: errors.New("names: access denied: write on /fs/x (acl: modes not granted)")}
+	if n := testing.AllocsPerRun(100, func() { l.Record(d) }); n != 0 {
+		t.Errorf("Record of a denial allocates %v times per call, want 0", n)
+	}
+}
+
+// An event recorded with an error and no reason reads back with the
+// error's text as its Reason through every reader: Recent, Select,
+// ExportJSON, String, a sink and a filter.
+func TestErrReasonFormattedOnRead(t *testing.T) {
+	err := errors.New("names: access denied: read on /fs/x (mac: append would write down)")
+	d := Event{Kind: KindData, Subject: "bob", Path: "/fs/x", Op: "read", Err: err}
+	check := func(where string, e Event) {
+		t.Helper()
+		if e.Reason != err.Error() || e.Err != nil {
+			t.Errorf("%s: Reason %q, Err %v; want the error's text and no error", where, e.Reason, e.Err)
+		}
+	}
+
+	l := NewLog(4)
+	l.Record(d)
+	check("Recent", l.Recent(0)[0])
+	check("Select", l.Select(Query{DeniedOnly: true})[0])
+	var buf bytes.Buffer
+	if err := l.ExportJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, ierr := ImportJSON(&buf)
+	if ierr != nil || len(back) != 1 {
+		t.Fatalf("import: %v, %d events", ierr, len(back))
+	}
+	check("ExportJSON", back[0])
+	if s := d.String(); !strings.HasSuffix(s, ": DENY ("+err.Error()+")") {
+		t.Errorf("String = %q", s)
+	}
+
+	var sink strings.Builder
+	var filtered []Event
+	l2 := NewLog(4)
+	l2.AddSink(&sink)
+	l2.SetFilter(func(e Event) bool { filtered = append(filtered, e); return true })
+	l2.Record(d)
+	if len(filtered) != 1 {
+		t.Fatalf("filter saw %d events", len(filtered))
+	}
+	check("filter", filtered[0])
+	if !strings.HasSuffix(sink.String(), ": DENY ("+err.Error()+")\n") {
+		t.Errorf("sink line = %q", sink.String())
+	}
+
+	// A reason already set wins over the error.
+	d.Reason = "custom"
+	if s := d.String(); !strings.HasSuffix(s, "(custom)") {
+		t.Errorf("String with a reason = %q", s)
 	}
 }
 

@@ -55,26 +55,28 @@ func (s *System) record(kind audit.Kind, ctx *subject.Context, path, op string, 
 }
 
 // recordAt is record with the deciding policy-epoch version carried
-// into the audit event, for audit ↔ journal ↔ trace correlation.
+// into the audit event, for audit ↔ journal ↔ trace correlation. A
+// failure's error rides the event as is: the log formats the reason
+// only when the event is read.
 func (s *System) recordAt(kind audit.Kind, ctx *subject.Context, path, op string, epoch uint64, err error) uint64 {
 	s.tel.Mediation(int(kind), err == nil)
 	if !s.log.Enabled() {
 		return 0
 	}
-	reason := "granted"
-	if err != nil {
-		reason = err.Error()
-	}
-	return s.log.Record(audit.Event{
+	ev := audit.Event{
 		Kind:    kind,
 		Subject: ctx.SubjectName(),
 		Class:   ctx.ClassLabel(),
 		Path:    path,
 		Op:      op,
 		Allowed: err == nil,
-		Reason:  reason,
+		Err:     err,
 		Epoch:   epoch,
-	})
+	}
+	if err == nil {
+		ev.Reason = "granted"
+	}
+	return s.log.Record(ev)
 }
 
 // Call invokes the service at path on behalf of ctx: the first of the

@@ -12,7 +12,10 @@ import (
 
 // e17World is deepNameWorld with the decision cache optionally
 // disabled: a chain /n0/n1/.../leaf with listable interior nodes, a
-// registered principal, and audit off so rows price the check itself.
+// registered principal at "lo", and audit off so rows price the check
+// itself. Beside the leaf sit the denial targets: "hidden", a directory
+// nobody may list, with a child x, and "high", a file classed "hi"
+// that everyone may read.
 func e17World(depth int, disableCache bool) (*core.System, *subject.Context, string, error) {
 	sys, err := core.NewSystem(core.Options{
 		Levels: []string{"lo", "hi"}, DisableAudit: true,
@@ -21,7 +24,12 @@ func e17World(depth int, disableCache bool) (*core.System, *subject.Context, str
 	if err != nil {
 		return nil, nil, "", err
 	}
+	hi, err := sys.ParseClass("hi")
+	if err != nil {
+		return nil, nil, "", err
+	}
 	listable := acl.New(acl.AllowEveryone(acl.List))
+	readable := acl.New(acl.AllowEveryone(acl.Read))
 	path := ""
 	for i := 0; i < depth-1; i++ {
 		path += "/n" + strconv.Itoa(i)
@@ -29,18 +37,33 @@ func e17World(depth int, disableCache bool) (*core.System, *subject.Context, str
 			return nil, nil, "", err
 		}
 	}
-	leaf := path + "/leaf"
-	if _, err := sys.CreateNode(core.NodeSpec{
-		Path: leaf, Kind: names.KindFile,
-		ACL: acl.New(acl.AllowEveryone(acl.Read)),
-	}); err != nil {
-		return nil, nil, "", err
+	for _, spec := range []core.NodeSpec{
+		{Path: path + "/leaf", Kind: names.KindFile, ACL: readable},
+		{Path: path + "/hidden", Kind: names.KindDomain, ACL: acl.New()},
+		{Path: path + "/hidden/x", Kind: names.KindFile, ACL: readable},
+		{Path: path + "/high", Kind: names.KindFile, ACL: readable, Class: hi},
+	} {
+		if _, err := sys.CreateNode(spec); err != nil {
+			return nil, nil, "", err
+		}
 	}
 	if _, err := sys.AddPrincipal("p", "lo"); err != nil {
 		return nil, nil, "", err
 	}
 	ctx, err := sys.NewContext("p")
-	return sys, ctx, leaf, err
+	return sys, ctx, path + "/leaf", err
+}
+
+// e17Denials are the denials E17 prices, as (row label, path relative
+// to the leaf's directory, modes): a missing grant on the leaf, an
+// ancestor hidden by its ACL, and a MAC read up.
+var e17Denials = []struct {
+	label, rel string
+	modes      acl.Mode
+}{
+	{"missing grant", "leaf", acl.Write},
+	{"hidden ancestor", "hidden/x", acl.Read},
+	{"MAC flow", "high", acl.Read},
 }
 
 // E17 prices the uncached mediated check against the warm cache hit
@@ -59,6 +82,11 @@ func e17World(depth int, disableCache bool) (*core.System, *subject.Context, str
 //     probe, two bitset tests, one dominance lookup.
 //   - uncached/walk: cache disabled, compiled epochs off — the spine
 //     walk with per-level visibility checks and ACL entry iteration.
+//
+// and each of the three common denials (e17Denials), uncached, by the
+// compiled path and by the walk. A hidden ancestor costs the compiled
+// path one index probe per ancestor down to the one that hides, which
+// here is the deepest.
 //
 // The resolve-only rows isolate naming from verification: the compiled
 // index probe against the checked spine walk, without the guard stack.
@@ -133,6 +161,34 @@ func E17() Result {
 		if _, decided := ep.CompiledAllows(uctx.Principal(), uctx.Class(), uleaf, acl.Read); !decided {
 			res.Err = fmt.Errorf("E17: depth-%d compiled verdict undecided for %s", depth, uleaf)
 			return res
+		}
+
+		dir := uleaf[:len(uleaf)-len("leaf")]
+		for _, dn := range e17Denials {
+			target := dir + dn.rel
+			var walkErr error
+			deny := func(n int) {
+				for i := 0; i < n; i++ {
+					if _, err := uw.CheckData(uctx, target, dn.modes); !core.IsDenied(err) {
+						panic(fmt.Sprintf("E17: %s on %s: %v", dn.label, target, err))
+					}
+				}
+			}
+			compiled := measure(defaultMinDur, deny)
+			uw.Names().SetCompiledEpochs(false)
+			walk := measure(defaultMinDur, deny)
+			_, walkErr = uw.CheckData(uctx, target, dn.modes)
+			uw.Names().SetCompiledEpochs(true)
+			t.add(d, "uncached denial ("+dn.label+"), compiled", ns(compiled), ratio(compiled, warm))
+			t.add(d, "uncached denial ("+dn.label+"), spine walk", ns(walk), ratio(walk, warm))
+
+			// Sanity: the compiled path decided the denial, with the
+			// walk's text.
+			_, err, decided := uw.Names().Current().CompiledCheck(uctx.Principal(), uctx.Class(), target, dn.modes)
+			if !decided || err == nil || err.Error() != walkErr.Error() {
+				res.Err = fmt.Errorf("E17: depth-%d %s: compiled (%v, decided %v), walk %v", depth, dn.label, err, decided, walkErr)
+				return res
+			}
 		}
 	}
 

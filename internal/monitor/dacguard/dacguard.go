@@ -16,6 +16,11 @@ import (
 // name is the guard's identity in verdicts.
 const name = "dac"
 
+// WhyNotGranted is the reason Check denies a conjunctive request with.
+// The epoch's compiled read path reports the same constant, so a
+// compiled denial and the guard's cannot drift apart.
+const WhyNotGranted = "acl: modes not granted"
+
 // Guard evaluates the object's ACL against the requested modes. It is
 // stateless and safe for concurrent use.
 type Guard struct{}
@@ -52,7 +57,7 @@ func (*Guard) Check(r monitor.Request) monitor.Verdict {
 		return monitor.Allow()
 	}
 	if !r.Object.ACL.CheckIn(r.Subject, r.Modes, r.Members) {
-		return monitor.Deny(name, "acl: modes not granted")
+		return monitor.Deny(name, WhyNotGranted)
 	}
 	return monitor.Allow()
 }

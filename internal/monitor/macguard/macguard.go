@@ -14,6 +14,21 @@ import (
 // name is the guard's identity in verdicts.
 const name = "mac"
 
+// The reasons the flow rules deny an OpAccess/OpTraverse request with,
+// in the order flow tests them. The epoch's compiled read path and the
+// provenance engine report the same constants, so their text cannot
+// drift from the guard's.
+const (
+	WhyReadUp    = "mac: subject does not dominate object (no read up)"
+	WhyWriteDown = "mac: object does not dominate subject (no write down)"
+	WhyAppend    = "mac: append would write down"
+)
+
+const (
+	readGroup  = acl.Read | acl.List | acl.Execute | acl.Extend
+	writeGroup = acl.Write | acl.Delete | acl.Administrate
+)
+
 // Guard applies the Bell-LaPadula-style flow rules to the request. It
 // is stateless and safe for concurrent use.
 type Guard struct{}
@@ -86,40 +101,42 @@ func (*Guard) Check(r monitor.Request) monitor.Verdict {
 
 // flow maps requested DAC modes onto the lattice flow rules.
 func flow(subject, object lattice.Class, modes acl.Mode) monitor.Verdict {
-	const readGroup = acl.Read | acl.List | acl.Execute | acl.Extend
-	const writeGroup = acl.Write | acl.Delete | acl.Administrate
-	if modes&readGroup != 0 && !subject.CanRead(object) {
-		return monitor.Deny(name, "mac: subject does not dominate object (no read up)")
-	}
-	if modes&writeGroup != 0 && !subject.CanWrite(object) {
-		return monitor.Deny(name, "mac: object does not dominate subject (no write down)")
-	}
-	if modes&acl.WriteAppend != 0 && !subject.CanAppend(object) {
-		return monitor.Deny(name, "mac: append would write down")
+	if why := FlowDenial(subject, object, modes); why != "" {
+		return monitor.Deny(name, why)
 	}
 	return monitor.Allow()
 }
 
-// FlowAllows is the boolean form of the default-op flow decision: true
+// FlowDenial is the default-op flow decision as its denial reason: ""
 // exactly when Check on an OpAccess/OpTraverse request with these
-// classes and modes would allow. The epoch fast path uses it when one
-// of the classes is not interned in the compiled dominance table; the
-// denial reasons stay the walk path's business.
-func FlowAllows(subject, object lattice.Class, modes acl.Mode) bool {
-	return flow(subject, object, modes).Allow
+// classes and modes would allow, otherwise the reason Check denies
+// with. The epoch fast path uses it when one of the classes is not
+// interned in the compiled dominance table.
+func FlowDenial(subject, object lattice.Class, modes acl.Mode) string {
+	switch {
+	case modes&readGroup != 0 && !subject.CanRead(object):
+		return WhyReadUp
+	case modes&writeGroup != 0 && !subject.CanWrite(object):
+		return WhyWriteDown
+	case modes&acl.WriteAppend != 0 && !subject.CanAppend(object):
+		return WhyAppend
+	}
+	return ""
 }
 
-// FlowAllowsInterned is FlowAllows over a precomputed dominance table:
+// FlowDenialInterned is FlowDenial over a precomputed dominance table:
 // both classes are dense indices from d, so each direction of the flow
-// test is a single matrix word probe.
-func FlowAllowsInterned(d *lattice.Dominance, subj, obj int, modes acl.Mode) bool {
-	const readGroup = acl.Read | acl.List | acl.Execute | acl.Extend
-	const writeGroup = acl.Write | acl.Delete | acl.Administrate
+// test is a single matrix word probe. CanWrite and CanAppend are the
+// same *-property, so the write-down and append rules share one probe.
+func FlowDenialInterned(d *lattice.Dominance, subj, obj int, modes acl.Mode) string {
 	if modes&readGroup != 0 && !d.Dominates(subj, obj) {
-		return false
+		return WhyReadUp
 	}
 	if modes&(writeGroup|acl.WriteAppend) != 0 && !d.Dominates(obj, subj) {
-		return false
+		if modes&writeGroup != 0 {
+			return WhyWriteDown
+		}
+		return WhyAppend
 	}
-	return true
+	return ""
 }

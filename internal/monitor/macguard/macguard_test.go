@@ -122,9 +122,10 @@ func TestAdmit(t *testing.T) {
 	}
 }
 
-// TestFlowAllowsMatchesCheck cross-checks the boolean and interned
-// flow helpers against the guard's Check verdict for every class pair
-// and every mode subset of the default (OpAccess) rule.
+// TestFlowAllowsMatchesCheck cross-checks the flow helpers, on classes
+// and on interned indices, against the guard's Check verdict for every
+// class pair and every mode subset of the default (OpAccess) rule: the
+// same decision and, for a denial, the same reason text.
 func TestFlowAllowsMatchesCheck(t *testing.T) {
 	g := New()
 	lat, err := lattice.NewWithUniverse(
@@ -154,13 +155,13 @@ func TestFlowAllowsMatchesCheck(t *testing.T) {
 					Object: monitor.Object{Path: "/obj", Class: obj},
 					Modes:  modes, Op: monitor.OpAccess,
 				}
-				oracle := g.Check(rq).Allow
-				if got := FlowAllows(subj, obj, modes); got != oracle {
-					t.Fatalf("FlowAllows(%s, %s, %s) = %v, Check = %v",
+				oracle := g.Check(rq).Reason
+				if got := FlowDenial(subj, obj, modes); got != oracle {
+					t.Fatalf("FlowDenial(%s, %s, %s) = %q, Check = %q",
 						subj, obj, modes, got, oracle)
 				}
-				if got := FlowAllowsInterned(dom, i, j, modes); got != oracle {
-					t.Fatalf("FlowAllowsInterned(%s, %s, %s) = %v, Check = %v",
+				if got := FlowDenialInterned(dom, i, j, modes); got != oracle {
+					t.Fatalf("FlowDenialInterned(%s, %s, %s) = %q, Check = %q",
 						subj, obj, modes, got, oracle)
 				}
 			}

@@ -3,6 +3,7 @@ package names
 import (
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -38,15 +39,20 @@ import (
 //   - an interned-class dominance table (lattice.Dominance), so the
 //     MAC side is one bit-matrix probe per flow direction.
 //
-// The compiled fast path decides ALLOW only: any miss — unknown path,
-// unregistered subject, a failing probe, a non-default guard stack —
-// falls back to the spine walk, which produces byte-identical errors
-// and remains the oracle the compiled structures are tested against.
-// The security-critical direction is therefore structural: the fast
-// path can never allow what the walk denies unless the compiled
-// sets disagree with the ACL/lattice evaluation, which the oracle
-// fuzz (FuzzEpochTransitions) and the guard-level equivalence tests
-// exist to rule out.
+// The compiled fast path decides an allow and the three common
+// denials: a hidden ancestor (the visibility chain refuses), a missing
+// grant (the summary refuses) and a MAC flow failure (the dominance
+// table refuses). A denial carries the walk's DeniedError field for
+// field: the failing ancestor's path and Op "list", or the target's
+// path and the requested modes, with the guard's own reason constant
+// (dacguard.WhyNotGranted, macguard.Why*). Any miss — unknown path,
+// unregistered subject, a non-default guard stack, a visibility failure
+// no single ancestor explains — falls back to the spine walk, which
+// remains the oracle the compiled structures are tested against. The
+// obligation is two-way: the fast path never allows what the walk
+// denies, and never denies what the walk allows or with other text.
+// The oracle fuzz (FuzzEpochTransitions), the randomized oracle and the
+// sampled shadow monitor compare both directions, error text included.
 //
 // Builds are incremental and pay for what changed. A build starts from
 // the parent's index and copies only the trie nodes on the paths of the
@@ -657,53 +663,92 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	return b.build(prev.root, prevC), stats(compileIncremental, b)
 }
 
-// fastCheck answers CheckAccessAt's resolve+verify from the compiled
-// structures alone: index probe, visibility set tests, summary
-// probe, dominance probe. It decides ALLOW only — ok == false means
-// "take the walk", which re-derives denials and structural errors with
-// byte-identical error values.
-func (ep *Epoch) fastCheck(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, bool) {
+// fastCheck answers checkAccessIn from the compiled structures alone:
+// index probe, visibility set tests, summary probe, dominance probe.
+// decided == false means "take the walk"; when decided, (n, err) is the
+// walk's answer, a denial's DeniedError included. The checks run in the
+// walk's order: the traversal of every strict ancestor, then the
+// target's DAC, then its MAC flow.
+func (ep *Epoch) fastCheck(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (n *Node, err error, decided bool) {
 	c := ep.compiled
 	if c == nil || !c.fast || sub == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	x := c.index.Ref(path)
 	if x == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	e := x.centry
 	pid, ok := ep.subjectID(sub)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	sIdx, sOK := c.dom.Index(class)
-	if ep.traversal && e.hasVis {
-		if !e.visAllow.Has(pid) {
-			return nil, false
-		}
-		// A zero visClass (an unclassed or cross-lattice ancestor
-		// collapsed the Join) is never interned and CanRead of it is
-		// false for every subject, so both arms bail — matching the
-		// walk, which denies at such an ancestor.
-		if sOK && e.visIdx >= 0 {
-			if !c.dom.Dominates(sIdx, int(e.visIdx)) {
-				return nil, false
-			}
-		} else if !class.CanRead(e.visClass) {
-			return nil, false
-		}
+	if ep.traversal && e.hasVis && !c.visible(e, pid, class, sIdx, sOK) {
+		return c.hiddenAncestor(pid, class, sIdx, sOK, path)
 	}
 	if !c.sumOf(e).Grants(pid, modes) {
-		return nil, false
+		return nil, &DeniedError{Path: path, Op: modes.String(), Why: dacguard.WhyNotGranted}, true
 	}
+	if why := c.flowDenial(e, class, sIdx, sOK, modes); why != "" {
+		return nil, &DeniedError{Path: path, Op: modes.String(), Why: why}, true
+	}
+	return e.node, nil, true
+}
+
+// visible reports whether every traversal check above e passes for the
+// subject: its ID is in the chain's List set and its class dominates
+// the chain's Join.
+func (c *compiled) visible(e *centry, pid int, class lattice.Class, sIdx int, sOK bool) bool {
+	if !e.visAllow.Has(pid) {
+		return false
+	}
+	// A zero visClass (an unclassed or cross-lattice ancestor collapsed
+	// the Join) is never interned and CanRead of it is false for every
+	// subject, so both arms refuse — matching the walk, which denies at
+	// such an ancestor.
+	if sOK && e.visIdx >= 0 {
+		return c.dom.Dominates(sIdx, int(e.visIdx))
+	}
+	return class.CanRead(e.visClass)
+}
+
+// flowDenial is the MAC guard's flow decision on e's node, through the
+// dominance table when both classes are interned: "" for an allow, else
+// the guard's reason.
+func (c *compiled) flowDenial(e *centry, class lattice.Class, sIdx int, sOK bool, modes acl.Mode) string {
 	if sOK && e.objIdx >= 0 {
-		if !macguard.FlowAllowsInterned(c.dom, sIdx, int(e.objIdx), modes) {
-			return nil, false
-		}
-	} else if !macguard.FlowAllows(class, *e.node.class, modes) {
-		return nil, false
+		return macguard.FlowDenialInterned(c.dom, sIdx, int(e.objIdx), modes)
 	}
-	return e.node, true
+	return macguard.FlowDenial(class, *e.node.class, modes)
+}
+
+// hiddenAncestor finds the strict ancestor of path whose traversal check
+// denies, probing the index for each prefix from "/" downward and
+// judging each as the [dac, mac] stack does: its List grant, then MAC
+// read. The denial names the ancestor with Op "list", as the walk's
+// does. decided is false if a prefix is missing or every ancestor
+// passes, which leaves the answer to the walk.
+func (c *compiled) hiddenAncestor(pid int, class lattice.Class, sIdx int, sOK bool, path string) (n *Node, err error, decided bool) {
+	for i := 0; ; {
+		prefix := path[:max(i, 1)] // the root's path is "/"
+		x := c.index.Ref(prefix)
+		if x == nil {
+			return nil, nil, false
+		}
+		why := dacguard.WhyNotGranted
+		if c.sumOf(x.centry).Grants(pid, acl.List) {
+			why = c.flowDenial(x.centry, class, sIdx, sOK, acl.List)
+		}
+		if why != "" {
+			return nil, &DeniedError{Path: prefix, Op: acl.List.String(), Why: why}, true
+		}
+		j := strings.IndexByte(path[i+1:], '/')
+		if j < 0 {
+			return nil, nil, false
+		}
+		i += 1 + j
+	}
 }
 
 // subjectID returns sub's dense principal ID in this epoch's registry.
@@ -754,14 +799,11 @@ func (ep *Epoch) fastResolve(sub acl.Subject, class lattice.Class, path string, 
 		return e.node, true // the root: no traversal checks apply
 	}
 	pid, ok := ep.subjectID(sub)
-	if !ok || !e.visAllow.Has(pid) {
+	if !ok {
 		return nil, false
 	}
-	if sIdx, sOK := c.dom.Index(class); sOK && e.visIdx >= 0 {
-		if !c.dom.Dominates(sIdx, int(e.visIdx)) {
-			return nil, false
-		}
-	} else if !class.CanRead(e.visClass) {
+	sIdx, sOK := c.dom.Index(class)
+	if !c.visible(e, pid, class, sIdx, sOK) {
 		return nil, false
 	}
 	return e.node, true
@@ -785,13 +827,21 @@ func (ep *Epoch) CompiledResolve(path string) (*Node, bool) {
 	return x.node, true
 }
 
-// CompiledAllows runs the compiled fast check: decided is true only
-// for a full allow (resolution visibility, DAC summary, and MAC
-// dominance all pass); any other outcome reports decided == false and
-// the caller must take the walk. The oracle fuzz asserts decided
-// allows agree with the walk everywhere.
-func (ep *Epoch) CompiledAllows(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (n *Node, decided bool) {
+// CompiledCheck runs the compiled fast check. decided is true when the
+// compiled structures answered — an allow, a missing grant, a hidden
+// ancestor or a MAC flow failure — and then (n, err) is exactly the
+// walk's answer; otherwise the caller must take the walk.
+func (ep *Epoch) CompiledCheck(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (n *Node, err error, decided bool) {
 	return ep.fastCheck(sub, class, path, modes)
+}
+
+// CompiledAllows is CompiledCheck narrowed to allows: decided is true
+// only for a full allow (resolution visibility, DAC summary, and MAC
+// dominance all pass). The oracle fuzz asserts decided allows agree
+// with the walk everywhere.
+func (ep *Epoch) CompiledAllows(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (n *Node, decided bool) {
+	n, err, decided := ep.fastCheck(sub, class, path, modes)
+	return n, decided && err == nil
 }
 
 // CompiledGrants returns the compiled effective mode set of the named

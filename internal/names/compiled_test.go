@@ -28,15 +28,16 @@ func walkOnly(ep *Epoch) *Epoch {
 
 var equivModes = []acl.Mode{
 	acl.Read, acl.List, acl.Write, acl.Read | acl.Write,
-	acl.Extend, acl.AllModes,
+	acl.Extend, acl.WriteAppend, acl.AllModes,
 }
 
 // assertCompiledEquiv asserts the full compiled-vs-walk contract on one
 // pinned epoch: the index is exactly the tree (no missing, no stale
 // entries) and matches a full rebuild entry by entry, compiled summaries render the same effective mode sets as
-// ACL entry iteration, and the fast check never decides an allow the
-// walk denies — and, for registered subjects under the default stack,
-// decides every allow the walk grants.
+// ACL entry iteration, and every verdict the fast check decides is the
+// walk's, DeniedError included — and, for registered subjects under the
+// default stack, it decides every allow the walk grants and every
+// denial the walk renders on a bound path.
 func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []lattice.Class) {
 	t.Helper()
 	if !ep.Compiled() {
@@ -84,15 +85,25 @@ func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []
 						ep.Version(), p, sub.name, rn, rerr, wn, werr)
 				}
 				for _, modes := range equivModes {
-					fastN, decided := ep.CompiledAllows(sub, class, p, modes)
+					fastN, ferr, decided := ep.fastCheck(sub, class, p, modes)
 					wn, werr := checkAccessIn(shadow, sub, class, p, modes)
-					if decided && (werr != nil || wn != fastN) {
-						t.Errorf("v%d: FAST PATH ALLOWED WHAT WALK DENIES: %s %s %v (walk err %v)",
-							ep.Version(), sub.name, p, modes, werr)
+					if decided && (fastN != wn || !sameDecision(ferr, werr)) {
+						t.Errorf("v%d: FAST PATH DIVERGES FROM WALK: %s %s %v: compiled (%v, %v), walk (%v, %v)",
+							ep.Version(), sub.name, p, modes, fastN, ferr, wn, werr)
 					}
-					if !decided && werr == nil && registered && ep.compiled.fast {
-						t.Errorf("v%d: fast path undecided on a walk allow: %s %s %v",
-							ep.Version(), sub.name, p, modes)
+					if !decided && registered && ep.compiled.fast {
+						// On the default stack every walk denial of a bound
+						// path is a missing grant, a MAC flow failure or a
+						// hidden ancestor, all of which the compiled path
+						// decides.
+						var de *DeniedError
+						if werr == nil {
+							t.Errorf("v%d: fast path undecided on a walk allow: %s %s %v",
+								ep.Version(), sub.name, p, modes)
+						} else if errors.As(werr, &de) {
+							t.Errorf("v%d: fast path undecided on a walk denial: %s %s %v: %v",
+								ep.Version(), sub.name, p, modes, werr)
+						}
 					}
 					// The composed check must be identical either way.
 					cn, cerr := checkAccessIn(ep, sub, class, p, modes)
@@ -104,6 +115,18 @@ func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []
 			}
 		}
 	}
+}
+
+// sameDecision reports whether two check results are the same verdict
+// with the same error: equal DeniedError fields for two denials, equal
+// text otherwise.
+func sameDecision(a, b error) bool {
+	da, aok := a.(*DeniedError)
+	db, bok := b.(*DeniedError)
+	if aok || bok {
+		return aok && bok && *da == *db
+	}
+	return fmt.Sprint(a) == fmt.Sprint(b)
 }
 
 // compiledFixture is a server with registry, groups, and a small tree.
@@ -421,7 +444,10 @@ func TestCompiledNonDefaultStackFallsBack(t *testing.T) {
 // and summary-verdict ≡ entry-iteration. The registry ops cover every
 // path a scoped registry transition takes: member toggles, subgroup
 // edges (a full re-freeze), enrolling a principal registered earlier,
-// and an ACL naming a principal before it registers.
+// and an ACL naming a principal before it registers. Relabels put nodes
+// above and below the subjects' classes, so every denial the compiled
+// path decides (missing grant, MAC flow, hidden ancestor by ACL or by
+// class) arises.
 func TestCompiledRandomizedOracle(t *testing.T) {
 	cf := newCompiledFixture(t)
 	srv, classes := cf.srv, cf.classes()
@@ -433,7 +459,7 @@ func TestCompiledRandomizedOracle(t *testing.T) {
 	serial := 0
 	var added []string
 	for i := 0; i < 120; i++ {
-		switch rng.Intn(11) {
+		switch rng.Intn(12) {
 		case 0, 1:
 			parent := dirs[rng.Intn(len(dirs))]
 			serial++
@@ -494,6 +520,15 @@ func TestCompiledRandomizedOracle(t *testing.T) {
 				acl.Allow(fmt.Sprintf("u%d", len(added)), acl.List|acl.Read),
 				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.List),
 			))
+		case 11:
+			// Relabel a directory or a node under /svc: ancestors above a
+			// subject's class hide what lies below them, and targets on
+			// either side of it deny by MAC flow.
+			p := dirs[rng.Intn(len(dirs))]
+			if rng.Intn(2) == 0 {
+				p = fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))
+			}
+			srv.Apply(nil, lattice.Class{}, SetClass(p, classes[rng.Intn(len(classes))]))
 		}
 		assertMatchesFullRebuild(t, srv.Current())
 		if i%10 == 0 || i == 119 {

@@ -7,25 +7,28 @@ import (
 )
 
 // corruptSummary is the test hook for the shadow divergence monitor: it
-// replaces the compiled summary judging path with an
-// allow-everyone-everything summary, making the freeze-time bitsets
-// disagree with the authoritative ACL evaluation. Nothing in production
-// can do this — epochs are immutable after publish — which is exactly
-// why the monitor exists: to catch the compiler bug that would.
-func corruptSummary(t *testing.T, ep *Epoch, path string) {
+// replaces the compiled summary judging path with a's, making the
+// freeze-time bitsets disagree with the authoritative ACL evaluation
+// (every entry sharing path's ACL slot is judged by it too). Nothing in
+// production can do this — epochs are immutable after publish — which
+// is exactly why the monitor exists: to catch the compiler bug that
+// would.
+func corruptSummary(t *testing.T, ep *Epoch, path string, a *acl.ACL) {
 	t.Helper()
 	e, ok := ep.compiled.index.Get(path)
 	if !ok {
 		t.Fatalf("no compiled entry at %s", path)
 	}
-	ep.compiled.sums[e.slot] = acl.New(acl.AllowEveryone(acl.AllModes)).Compile(ep.reg)
+	ep.compiled.sums[e.slot] = a.Compile(ep.reg)
 }
 
 // TestShadowDivergenceDetectsCorruption is the monitor's acceptance
 // test: corrupt a compiled summary, route checks through the traced
 // (shadow-compared) path, and the divergence counter fires within the
-// sampling window — while the walk's denial is still what the caller
-// gets (fail closed).
+// sampling window — while the walk's verdict is still what the caller
+// gets. Both directions count: a corrupted allow of what the walk
+// denies (the caller still gets the denial, fail closed), and a
+// corrupted denial of what the walk allows.
 func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	cf := newCompiledFixture(t)
 	ep := cf.srv.Current()
@@ -37,8 +40,8 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	if _, err := checkAccessIn(walkOnly(ep), bob, cf.bot, path, acl.Read); err == nil {
 		t.Fatal("fixture grants bob read; the corruption would be invisible")
 	}
-	if _, decided := ep.CompiledAllows(bob, cf.bot, path, acl.Read); decided {
-		t.Fatal("honest compiled view already allows bob read")
+	if _, err, decided := ep.fastCheck(bob, cf.bot, path, acl.Read); !decided || err == nil {
+		t.Fatalf("honest compiled view: decided %v, err %v; want the walk's denial", decided, err)
 	}
 
 	// An honest shadow comparison counts the check, not a divergence.
@@ -54,8 +57,8 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 		t.Fatalf("divergence on an honest epoch: %d", dv)
 	}
 
-	corruptSummary(t, ep, path)
-	if _, decided := ep.fastCheck(bob, cf.bot, path, acl.Read); !decided {
+	corruptSummary(t, ep, path, acl.New(acl.AllowEveryone(acl.AllModes)))
+	if _, err, decided := ep.fastCheck(bob, cf.bot, path, acl.Read); !decided || err != nil {
 		t.Fatal("corruption did not flip the fast check; test is vacuous")
 	}
 
@@ -73,17 +76,33 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	if dv2 != 1 {
 		t.Fatalf("divergences = %d after corruption, want 1", dv2)
 	}
-}
 
-// TestShadowMonitorSkipsUncompiled: without a compiled view there is
-// nothing to compare, and the counters stay untouched.
-func TestShadowMonitorSkipsUncompiled(t *testing.T) {
-	f := newFixture(t)
-	f.mkTree(t)
-	if _, _, err := f.srv.CheckAccessTracedAt(subj("nobody"), f.bot, "/svc/fs/read", acl.Read, nil); err == nil {
-		t.Fatal("unexpected allow")
+	// The other direction: an empty summary makes the compiled path deny
+	// root, whom the walk allows. The caller gets the walk's allow.
+	root := subj("root")
+	corruptSummary(t, ep, path, acl.New())
+	if _, err, decided := ep.fastCheck(root, cf.bot, path, acl.Read); !decided || err == nil {
+		t.Fatalf("deny corruption did not flip the fast check (decided %v, err %v); test is vacuous", decided, err)
 	}
-	if st := f.srv.Stats(); st.ShadowChecks != 0 || st.Divergences != 0 {
-		t.Fatalf("counters (%d, %d) on an uncompiled server", st.ShadowChecks, st.Divergences)
+	if _, _, err := cf.srv.CheckAccessTracedAt(root, cf.bot, path, acl.Read, nil); err != nil {
+		t.Fatalf("divergence leaked: corrupted compiled denial was enforced: %v", err)
+	}
+	if dv3 := cf.srv.Stats().Divergences; dv3 != 2 {
+		t.Fatalf("divergences = %d after a corrupted denial, want 2", dv3)
+	}
+
+	// Both deny root a write at the top class, the walk for the MAC
+	// write-down and the compiled path for the emptied summary: a denial
+	// with other text is a divergence too.
+	_, ferr, _ := ep.fastCheck(root, cf.top, path, acl.Write)
+	_, werr := checkAccessIn(walkOnly(ep), root, cf.top, path, acl.Write)
+	if ferr == nil || werr == nil || ferr.Error() == werr.Error() {
+		t.Fatalf("compiled %v, walk %v; want two denials with different text", ferr, werr)
+	}
+	if _, _, err := cf.srv.CheckAccessTracedAt(root, cf.top, path, acl.Write, nil); err == nil || err.Error() != werr.Error() {
+		t.Fatalf("traced check returned %v, want the walk's %v", err, werr)
+	}
+	if dv4 := cf.srv.Stats().Divergences; dv4 != 3 {
+		t.Fatalf("divergences = %d after a denial with other text, want 3", dv4)
 	}
 }

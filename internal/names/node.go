@@ -20,6 +20,7 @@ package names
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"secext/internal/acl"
@@ -84,7 +85,19 @@ type DeniedError struct {
 }
 
 func (e *DeniedError) Error() string {
-	return fmt.Sprintf("names: access denied: %s on %s (%s)", e.Op, e.Path, e.Why)
+	return deniedPrefix + e.Op + " on " + e.Path + " (" + e.Why + ")"
+}
+
+// deniedPrefix opens every DeniedError's text.
+const deniedPrefix = "names: access denied: "
+
+// WriteText writes Error's text to w piece by piece, without building
+// the string: a server's reply writer takes it straight into its
+// buffer.
+func (e *DeniedError) WriteText(w io.StringWriter) {
+	for _, s := range [...]string{deniedPrefix, e.Op, " on ", e.Path, " (", e.Why, ")"} {
+		w.WriteString(s)
+	}
 }
 
 func (e *DeniedError) Unwrap() error { return ErrDenied }

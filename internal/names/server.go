@@ -581,10 +581,11 @@ func (s *Server) CheckAccessIn(ep *Epoch, sub acl.Subject, class lattice.Class, 
 // then verify the target. On a compiled epoch with the default stack
 // the whole decision — resolution visibility, DAC, MAC — is answered
 // from the freeze-time structures (one index probe plus a few bitset
-// tests); everything the fast path cannot prove allowed takes the walk.
+// tests), denials included; everything the fast path cannot decide
+// takes the walk.
 func checkAccessIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, error) {
-	if n, ok := ep.fastCheck(sub, class, path, modes); ok {
-		return n, nil
+	if n, err, ok := ep.fastCheck(sub, class, path, modes); ok {
+		return n, err
 	}
 	n, err := resolveIn(ep, sub, class, path, true)
 	if err != nil {
@@ -601,8 +602,10 @@ func checkAccessIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string,
 // each guard's verdict is visible individually. Because it runs only
 // for the 1/N of checks the telemetry sampler selects, it doubles as
 // the shadow divergence monitor: it takes the authoritative walk
-// unconditionally, then consults the compiled fast path and compares.
-// The walk's verdict is always the one returned.
+// unconditionally, then consults the compiled fast path and compares,
+// in both directions: a compiled verdict that differs from the walk's,
+// or a compiled denial whose text differs, is a divergence. The walk's
+// verdict is always the one returned.
 func (s *Server) checkAccessInTraced(ep *Epoch, sub acl.Subject, class lattice.Class, path string, modes acl.Mode, tr *telemetry.ActiveTrace) (*Node, error) {
 	start := time.Now()
 	n, err := resolveIn(ep, sub, class, path, true)
@@ -621,12 +624,12 @@ func (s *Server) checkAccessInTraced(ep *Epoch, sub acl.Subject, class lattice.C
 	}
 	if ep.compiled != nil && sub != nil {
 		s.shadowChecks.Add(1)
-		if _, allowed := ep.fastCheck(sub, class, path, modes); allowed && werr != nil {
-			// The compiled bitsets proved ALLOW while the walk denied:
-			// the freeze-time structures disagree with the authoritative
+		fn, ferr, decided := ep.fastCheck(sub, class, path, modes)
+		if decided && (verdictText(ferr) != verdictText(werr) || ferr == nil && fn != n) {
+			// The compiled structures disagree with the authoritative
 			// evaluation. Alarm, but enforce the walk's verdict.
 			s.divergences.Add(1)
-			tr.Span("shadow", "DIVERGENCE: compiled=allow walk=deny", 0)
+			tr.Span("shadow", "DIVERGENCE: compiled="+verdictText(ferr)+" walk="+verdictText(werr), 0)
 		} else {
 			tr.Span("shadow", "no divergence", 0)
 		}
@@ -635,6 +638,15 @@ func (s *Server) checkAccessInTraced(ep *Epoch, sub acl.Subject, class lattice.C
 		return nil, werr
 	}
 	return n, nil
+}
+
+// verdictText renders a check's outcome for the shadow compare: "allow",
+// or the error's text.
+func verdictText(err error) string {
+	if err == nil {
+		return "allow"
+	}
+	return err.Error()
 }
 
 // List returns the names bound under path, requiring list mode and MAC

@@ -38,7 +38,7 @@ func ExplainCheck(ep *names.Epoch, sub Subject, path string, modes acl.Mode) *Ex
 	// Route: would the compiled read side have decided this, or does
 	// the production path take the walk?
 	ex.Route = "walk"
-	if _, decided := ep.CompiledAllows(sub, class, path, modes); decided {
+	if _, _, decided := ep.CompiledCheck(sub, class, path, modes); decided {
 		ex.Route = "compiled"
 	}
 	members := ep.Membership()
@@ -167,8 +167,7 @@ func membershipChain(reg *principal.Frozen, subject, group string) []string {
 }
 
 // macReport replays the mandatory flow rules with both dominance
-// directions and both classes named. The rule strings match
-// macguard's denial reasons byte for byte.
+// directions and both classes named. The reason is macguard's own.
 func macReport(sc, oc lattice.Class, modes acl.Mode) *MACReport {
 	const readGroup = acl.Read | acl.List | acl.Execute | acl.Extend
 	const writeGroup = acl.Write | acl.Delete | acl.Administrate
@@ -180,16 +179,9 @@ func macReport(sc, oc lattice.Class, modes acl.Mode) *MACReport {
 		ReadModes:              modeStr(modes & readGroup),
 		WriteModes:             modeStr(modes & writeGroup),
 		AppendModes:            modeStr(modes & acl.WriteAppend),
-		Allow:                  macguard.FlowAllows(sc, oc, modes),
+		Reason:                 macguard.FlowDenial(sc, oc, modes),
 	}
-	switch {
-	case modes&readGroup != 0 && !sc.CanRead(oc):
-		m.Reason = "mac: subject does not dominate object (no read up)"
-	case modes&writeGroup != 0 && !sc.CanWrite(oc):
-		m.Reason = "mac: object does not dominate subject (no write down)"
-	case modes&acl.WriteAppend != 0 && !sc.CanAppend(oc):
-		m.Reason = "mac: append would write down"
-	}
+	m.Allow = m.Reason == ""
 	return m
 }
 

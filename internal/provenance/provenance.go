@@ -100,9 +100,10 @@ type Explanation struct {
 	Allowed      bool   `json:"allowed"`
 	Reason       string `json:"reason,omitempty"`
 	// Route says how the production read path would have answered:
-	// "compiled" when the freeze-time index + bitsets prove the allow,
-	// "walk" when the decision takes (or would fall back to) the tree
-	// walk — all denials take the walk, which derives the exact error.
+	// "compiled" when the freeze-time index + bitsets decide it (an
+	// allow, a missing grant, a hidden ancestor or a MAC flow failure,
+	// with the walk's exact error), "walk" when the decision takes (or
+	// would fall back to) the tree walk.
 	Route        string          `json:"route"`
 	Resolved     bool            `json:"resolved"` // path structurally bound
 	ResolveError string          `json:"resolve_error,omitempty"`

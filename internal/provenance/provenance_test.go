@@ -181,8 +181,8 @@ func TestExplainDeniedACL(t *testing.T) {
 	if ex.Allowed {
 		t.Fatal("bob read allowed")
 	}
-	if ex.Route != "walk" {
-		t.Errorf("route = %q; denials always take the walk", ex.Route)
+	if ex.Route != "compiled" {
+		t.Errorf("route = %q; the compiled path decides a missing grant", ex.Route)
 	}
 	if ex.ACL.Verdict {
 		t.Errorf("acl verdict allow for bob: %+v", ex.ACL)

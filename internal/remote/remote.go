@@ -72,6 +72,7 @@ import (
 	"secext/internal/acl"
 	"secext/internal/core"
 	"secext/internal/fsys"
+	"secext/internal/names"
 	"secext/internal/replica"
 	"secext/internal/services/netsvc"
 	"secext/internal/subject"
@@ -240,12 +241,26 @@ func (s *session) Read(p []byte) (int, error) {
 	return s.conn.Read(p)
 }
 
-// reply appends one reply line to the session's output buffer.
+// reply appends one reply line to the session's output buffer. A reply
+// with no arguments is a constant line and is copied without fmt.
 func (s *session) reply(format string, args ...any) {
+	if len(args) == 0 {
+		s.out.WriteString(format)
+		s.out.WriteByte('\n')
+		return
+	}
 	fmt.Fprintf(s.out, format+"\n", args...)
 }
 
+// fail replies with err: "ERR denied: <text>" for a denial, "ERR <text>"
+// otherwise. A check's own DeniedError is written field by field.
 func (s *session) fail(err error) {
+	if de, ok := err.(*names.DeniedError); ok {
+		s.out.WriteString("ERR denied: ")
+		de.WriteText(s.out)
+		s.out.WriteByte('\n')
+		return
+	}
 	if core.IsDenied(err) {
 		s.reply("ERR denied: %v", err)
 		return

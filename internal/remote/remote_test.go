@@ -500,7 +500,7 @@ func TestRemoteExplain(t *testing.T) {
 	body = eve.readBody(eve.expectOK("EXPLAIN /fs/secret read"))
 	for _, want := range []string{
 		"DENY eve read on /fs/secret",
-		"route walk", // denials always take the walk
+		"route compiled", // the compiled path decides a missing grant
 		"no entries matched the subject (fail-closed)",
 		"want read => DENY",
 		"<- decided here",
