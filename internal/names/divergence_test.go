@@ -106,3 +106,16 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 		t.Fatalf("divergences = %d after a denial with other text, want 3", dv4)
 	}
 }
+
+// TestShadowMonitorSkipsUncompiled: without a compiled view there is
+// nothing to compare, and the counters stay untouched.
+func TestShadowMonitorSkipsUncompiled(t *testing.T) {
+	f := newFixture(t)
+	f.mkTree(t)
+	if _, _, err := f.srv.CheckAccessTracedAt(subj("nobody"), f.bot, "/svc/fs/read", acl.Read, nil); err == nil {
+		t.Fatal("unexpected allow")
+	}
+	if st := f.srv.Stats(); st.ShadowChecks != 0 || st.Divergences != 0 {
+		t.Fatalf("counters (%d, %d) on an uncompiled server", st.ShadowChecks, st.Divergences)
+	}
+}
