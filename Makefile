@@ -232,11 +232,13 @@ bench-replica:
 # bench-load runs the E20 scale experiment at its full advertised size —
 # a 10^6-node tree under 10^5 principals — and writes BENCH_E20.json
 # (map-children baseline vs compact layout bytes/node, footprint
-# accounting, and open-loop zipf CHECK latency over loopback TCP).
-# Takes minutes and several GB of heap; the CI smoke runs the same code
-# at the small defaults via bench-smoke / `benchtab E20`.
+# accounting, warm check, leaf edits, new principals and one replica
+# bootstrap over loopback TCP). Remote CHECK serving is secbench's to
+# measure (bench/run.sh). Takes minutes and several GB of heap; the CI
+# smoke runs the same code at the small defaults via bench-smoke /
+# `benchtab E20`.
 bench-load:
-	SECEXT_E20_NODES=1000000 SECEXT_E20_PRINCIPALS=100000 SECEXT_E20_WINDOW_MS=2000 \
+	SECEXT_E20_NODES=1000000 SECEXT_E20_PRINCIPALS=100000 \
 		$(GO) run ./cmd/benchtab -json . E20
 
 # tables regenerates the EXPERIMENTS.md tables and writes structured

@@ -1098,26 +1098,20 @@ func BenchmarkE19RevocationBarrier(b *testing.B) {
 	}
 }
 
-// --- E20: million-object epochs (compact layout + secload traffic) ---
-
-// benchLoadPlan is the CI-sized slice of the E20 population: the same
-// shape bench-load runs at 10^6 nodes, small enough for a smoke
-// iteration.
-func benchLoadPlan(nodes, principals int) load.Plan {
-	cfg := load.Defaults()
-	cfg.Nodes = nodes
-	cfg.Principals = principals
-	cfg.Groups = 8
-	cfg.ACLPool = 64
-	return load.NewPlan(cfg)
-}
+// --- E20: million-object epochs (compact layout) ---
 
 // BenchmarkE20BulkBind prices building one whole load-plan tree through
 // the bulk bind path on a bare name server; per-op time divided by
 // TotalNodes is the amortized per-node cost the 10^6-node bench-load
-// build pays.
+// build pays. The plan is the E20 population's shape at a size small
+// enough for a smoke iteration.
 func BenchmarkE20BulkBind(b *testing.B) {
-	p := benchLoadPlan(4096, 256)
+	cfg := load.Defaults()
+	cfg.Nodes = 4096
+	cfg.Principals = 256
+	cfg.Groups = 8
+	cfg.ACLPool = 64
+	p := load.NewPlan(cfg)
 	lat, err := lattice.NewWithUniverse([]string{"lo", "hi"}, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -1135,52 +1129,4 @@ func BenchmarkE20BulkBind(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(p.TotalNodes), "nodes/op")
-}
-
-// BenchmarkE20ZipfCheck drives the secload traffic shape — a
-// zipf-picked leaf CHECK over the line protocol — through one
-// authenticated loopback connection against a populated world. One op
-// is one synchronous round trip, so ns/op here is closed-loop service
-// time; the open-loop percentiles live in the E20 table.
-func BenchmarkE20ZipfCheck(b *testing.B) {
-	w, err := secext.NewWorld(secext.WorldOptions{
-		Levels:       []string{"others", "organization", "local"},
-		Categories:   []string{"dept-1", "dept-2"},
-		DisableAudit: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := benchLoadPlan(2048, 128)
-	if _, err := load.Populate(w.Sys, p); err != nil {
-		b.Fatal(err)
-	}
-	tok, err := w.Sys.Registry().IssueToken(load.PrincipalName(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := remote.NewServer(w.Sys)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	defer l.Close()
-	defer srv.Close()
-	conn, err := load.Dial(l.Addr().String(), tok)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	pick := p.NewZipfPicker(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, err := conn.Check(p.LeafPath(pick()), "read")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok {
-			b.Fatal("zipf check denied")
-		}
-	}
 }

@@ -8,6 +8,7 @@
 //	secctl matrix -policy p.pol -modes read [-paths /a,/b]
 //	secctl tree   -policy p.pol
 //	secctl fmt    -policy p.pol
+//	secctl snapshot -policy p.pol
 //	secctl stats   -http 127.0.0.1:7778
 //	secctl trace   -http 127.0.0.1:7778 [-n 10] [-denied]
 //	secctl explain -http 127.0.0.1:7778 -as alice -path /fs/x -modes read
@@ -18,9 +19,10 @@
 // check prints ALLOW/DENY with the monitor's reason; matrix prints the
 // decision for every principal against the given (or all leaf) paths;
 // tree dumps the name space with per-node kind, class, and ACL; fmt
-// re-emits the policy in canonical form. stats, trace, explain, and
-// epochs talk to a running secextd's telemetry endpoint (-http on the
-// daemon): stats summarizes the live counters, trace prints recent
+// re-emits the policy in canonical form; snapshot builds the policy and
+// prints the live protection state it produces, as a policy document
+// Build can reconstruct. stats, trace, explain, and epochs talk to a
+// running secextd's telemetry endpoint (-http on the daemon): stats summarizes the live counters, trace prints recent
 // decision traces, explain prints the provenance verdict tree for one
 // decision (the exact ACL entry, guard, and MAC comparison that decided
 // it), and epochs prints the epoch-transition journal. replicas prints

@@ -11,8 +11,9 @@ import (
 // TestCatalogueConsistent keeps the experiment catalogue in step with
 // the files that name experiments: EXPERIMENTS.md has one section per
 // Runner and no section for an experiment that no longer runs, every
-// BENCH_<ID>.json at the repository root was written by a Runner, and
-// every benchtab invocation in the Makefile selects Runners only.
+// BENCH_<ID>.json at the repository root was written by a Runner,
+// every benchtab invocation in the Makefile selects Runners only, and
+// every command or example the prose tells a reader to run exists.
 func TestCatalogueConsistent(t *testing.T) {
 	const root = "../.."
 	known := map[string]bool{}
@@ -60,6 +61,27 @@ func TestCatalogueConsistent(t *testing.T) {
 		for _, id := range strings.Fields(m[1]) {
 			if !known[id] {
 				t.Errorf("Makefile runs benchtab %s, which names no Runner", id)
+			}
+		}
+	}
+
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		docs = append(docs, filepath.Join(root, name))
+	}
+	ref := regexp.MustCompile(`(?:go run \./(cmd)|\./(examples))/([A-Za-z0-9_-]+)`)
+	for _, f := range docs {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(text), -1) {
+			dir := filepath.Join(m[1]+m[2], m[3])
+			if fi, err := os.Stat(filepath.Join(root, dir)); err != nil || !fi.IsDir() {
+				t.Errorf("%s refers to ./%s, which is not a directory", filepath.Base(f), dir)
 			}
 		}
 	}

@@ -23,19 +23,15 @@ import (
 //
 //	SECEXT_E20_NODES       tree size (default 10 000)
 //	SECEXT_E20_PRINCIPALS  registry population (default 2 000)
-//	SECEXT_E20_WINDOW_MS   remote traffic window (default 300)
-func e20Scale() (nodes, principals int, window time.Duration) {
-	nodes, principals, window = 10_000, 2_000, 300*time.Millisecond
+func e20Scale() (nodes, principals int) {
+	nodes, principals = 10_000, 2_000
 	if v, err := strconv.Atoi(os.Getenv("SECEXT_E20_NODES")); err == nil && v > 0 {
 		nodes = v
 	}
 	if v, err := strconv.Atoi(os.Getenv("SECEXT_E20_PRINCIPALS")); err == nil && v > 0 {
 		principals = v
 	}
-	if v, err := strconv.Atoi(os.Getenv("SECEXT_E20_WINDOW_MS")); err == nil && v > 0 {
-		window = time.Duration(v) * time.Millisecond
-	}
-	return nodes, principals, window
+	return nodes, principals
 }
 
 // e20Plan derives the load plan for the configured scale. Groups and
@@ -59,8 +55,9 @@ func e20Plan(nodes, principals int) load.Plan {
 // E20 prices the compact epoch layout at scale: a synthetic tree of
 // SECEXT_E20_NODES nodes (10^6 for bench-load) under a population of
 // SECEXT_E20_PRINCIPALS principals, built through the bulk bind path,
-// then measured three ways and driven with zipf-distributed check
-// traffic over the real line protocol on loopback TCP.
+// then measured three ways, edited, and bootstrapped onto one replica
+// over loopback TCP. Remote CHECK serving is secbench's to price
+// (bench/: op_p50_us, op_p99_us, ops_s, pipe_ops_s).
 //
 // Columns:
 //
@@ -93,16 +90,12 @@ func e20Plan(nodes, principals int) load.Plan {
 //     replica (snapshot encode, frames, decode, tree build and compile),
 //     and the bytes both ends allocated meanwhile — they share the
 //     process, so the column counts the primary's encoding too.
-//   - remote p50/p95/p99: open-loop zipf CHECK traffic over loopback
-//     TCP, latencies measured from scheduled (not actual) send times,
-//     so server lag shows up as queueing delay instead of silently
-//     pacing the generator down. Single-vCPU caveat: generator and
-//     server share the host, so tail latencies include scheduler
-//     interference; treat the columns as an upper bound.
+//   - leaf edit p50 / p99 and new principal p50: the write side at
+//     this scale, as in E16.
 func E20() Result {
 	res := Result{ID: "E20",
-		Title: "Million-object epochs: compact layout footprint and zipf check traffic (loopback TCP)"}
-	nodes, principals, window := e20Scale()
+		Title: "Million-object epochs: compact layout footprint, edits and replica bootstrap"}
+	nodes, principals := e20Scale()
 	p := e20Plan(nodes, principals)
 
 	w, _, err := telWorld(telemetry.ModeOff, false)
@@ -216,8 +209,7 @@ func E20() Result {
 		return res
 	}
 
-	// One replica bootstrap, then remote zipf traffic, over the real
-	// line protocol on loopback.
+	// One replica bootstrap over the real line protocol on loopback.
 	rtok, err := addReplicator(w)
 	if err != nil {
 		res.Err = fmt.Errorf("E20: replicator: %w", err)
@@ -240,29 +232,12 @@ func E20() Result {
 		res.Err = fmt.Errorf("E20: replica bootstrap: %w", err)
 		return res
 	}
-	const conns = 4
-	tokens := make([]string, conns)
-	for i := range tokens {
-		tokens[i], err = w.Sys.Registry().IssueToken(load.PrincipalName(i % p.Principals))
-		if err != nil {
-			res.Err = fmt.Errorf("E20: token: %w", err)
-			return res
-		}
-	}
-	tr, err := load.DriveZipf(l.Addr().String(), tokens, p, 4000, window, conns)
-	if err != nil {
-		res.Err = fmt.Errorf("E20: traffic: %w", err)
-		return res
-	}
-	if tr.Errors > 0 {
-		res.Err = fmt.Errorf("E20: %d transport errors during traffic window", tr.Errors)
-	}
 
 	t := &table{header: []string{
 		"nodes", "principals", "build s", "pubs",
 		"map B/node", "slice B/node", "reduction",
 		"accounted B/node", "index B/node", "acl dedupe",
-		"warm check", "remote p50", "p95", "p99", "ops/s",
+		"warm check",
 		"leaf edit p50 / p99", "new principal p50",
 		"replica bootstrap s", "bootstrap alloc MB",
 	}}
@@ -278,10 +253,6 @@ func E20() Result {
 		fmt.Sprintf("%.0f", indexPer),
 		fmt.Sprintf("%.1fx", fp.ACLDedupRatio),
 		ns(warm),
-		ns(float64(tr.P50.Nanoseconds())),
-		ns(float64(tr.P95.Nanoseconds())),
-		ns(float64(tr.P99.Nanoseconds())),
-		fmt.Sprintf("%.0f", tr.Achieved),
 		fmt.Sprintf("%s / %s", ns(pct(edits, 0.5)), ns(pct(edits, 0.99))),
 		ns(pct(adds, 0.5)),
 		fmt.Sprintf("%.2f", boot.Seconds()),

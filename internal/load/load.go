@@ -1,16 +1,14 @@
-// Package load builds large synthetic name trees and drives zipf-
-// distributed check traffic against them. It is the machinery behind
-// the E20 scale experiment and the cmd/secload harness: both need the
-// same deterministic million-object tree (shape, ACL pool, principal
-// population), the same leaf-index→path mapping for zipf sampling, and
-// the same latency accounting, so the machinery lives here once.
+// Package load builds large synthetic name trees: a deterministic
+// million-object tree (shape, ACL pool, principal population), the
+// leaf-index→path mapping that workload generators sample, and the
+// GC-bracketed heap accounting that prices a layout. It is the
+// machinery behind the E20 scale experiment and the secbench workloads
+// (bench/), so both measure the same population.
 package load
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sort"
 	"time"
 
 	"secext/internal/acl"
@@ -231,45 +229,6 @@ func BuildTree(ns *names.Server, p Plan, class lattice.Class) error {
 		}
 	}
 	return flush()
-}
-
-// NewZipfPicker returns a deterministic zipf sampler over leaf indices.
-func (p Plan) NewZipfPicker(seed int64) func() int {
-	r := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(r, p.Zipf, 1, uint64(p.Leaves-1))
-	return func() int { return int(z.Uint64()) }
-}
-
-// Latencies accumulates samples and reports percentiles.
-type Latencies struct {
-	ds []time.Duration
-}
-
-// Add records one sample.
-func (l *Latencies) Add(d time.Duration) { l.ds = append(l.ds, d) }
-
-// Merge folds another recorder's samples in.
-func (l *Latencies) Merge(o *Latencies) { l.ds = append(l.ds, o.ds...) }
-
-// Count returns the number of samples.
-func (l *Latencies) Count() int { return len(l.ds) }
-
-// Percentile returns the p-th percentile (0 < p <= 100) over the
-// recorded samples, or 0 with no samples. Sorting happens per call;
-// call after the measurement window, not inside it.
-func (l *Latencies) Percentile(p float64) time.Duration {
-	if len(l.ds) == 0 {
-		return 0
-	}
-	sort.Slice(l.ds, func(i, j int) bool { return l.ds[i] < l.ds[j] })
-	i := int(p/100*float64(len(l.ds))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(l.ds) {
-		i = len(l.ds) - 1
-	}
-	return l.ds[i]
 }
 
 // HeapDelta runs build between two garbage-collected heap readings and

@@ -12,11 +12,11 @@ import (
 //
 // Loading a million-node tree through single-bind Applies costs one epoch
 // publication (spine clone, compile, atomic store, journal record) per
-// node. The secload harness and replica warm-starts need the tree, not
-// a million transitions, so BindSubtreeUnchecked builds an entire
-// detached subtree with in-place appends — legal because every node in
-// it is freshly allocated by this call — and splices it under the
-// parent with ONE publication.
+// node. The E20 and secbench populations need the tree, not a million
+// transitions, so BindSubtreeUnchecked builds an entire detached
+// subtree with in-place appends — legal because every node in it is
+// freshly allocated by this call — and splices it under the parent
+// with ONE publication.
 
 // SubtreeSpec describes one node of a bulk-bound subtree. Path is
 // slash-separated and relative to the bind parent ("a", "a/b", ...).

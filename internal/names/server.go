@@ -464,20 +464,11 @@ func resolveIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, che
 	return cur, nil
 }
 
-// ResolveIn walks to the node at path inside the pinned epoch,
-// enforcing visibility along the way. It is Resolve with the epoch
-// chosen by the caller: several ResolveIn calls against the same epoch
-// observe one consistent version of the policy regardless of concurrent
-// mutations.
-func (s *Server) ResolveIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string) (*Node, error) {
-	return resolveIn(ep, sub, class, path, true)
-}
-
 // Resolve walks to the node at path, enforcing visibility along the way.
 // The target node itself is not checked; callers apply the operation-
 // specific check via CheckAccessAt or a higher-level operation.
 func (s *Server) Resolve(sub acl.Subject, class lattice.Class, path string) (*Node, error) {
-	return s.ResolveIn(s.epoch.Load(), sub, class, path)
+	return resolveIn(s.epoch.Load(), sub, class, path, true)
 }
 
 // ResolveUnchecked walks to the node at path with no access checks.
