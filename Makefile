@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race allocs fuzz-smoke check cover bench-module bench-smoke bench bench-churn bench-resolve bench-explain bench-replica bench-load tables
+.PHONY: all build vet test race allocs fuzz-smoke check cover bench-module bench-smoke bench bench-churn bench-resolve bench-replica bench-load tables
 
 all: check
 
@@ -193,7 +193,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'E16' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E17' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'E18' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'E13' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E19' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E20' -benchtime 1x .
 
@@ -213,14 +213,6 @@ bench-churn:
 # warm cache hit, by path depth, plus the resolve-only split).
 bench-resolve:
 	$(GO) run ./cmd/benchtab -json . E17
-
-# bench-explain runs the E18 decision-provenance experiment alone and
-# writes BENCH_E18.json (warm and uncached check by telemetry mode with
-# the shadow divergence monitor riding the sampler), then asserts the
-# monitor keeps the sampled warm path inside the off mode's noise band.
-bench-explain:
-	$(GO) run ./cmd/benchtab -json . E18
-	$(GO) test -run 'TestE18SampledWithinNoise' ./internal/experiments/
 
 # bench-replica runs the E19 replica-fleet experiment alone and writes
 # BENCH_E19.json (aggregate replica mediation throughput at fleet sizes

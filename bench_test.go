@@ -31,13 +31,17 @@ import (
 	"secext/internal/subject"
 )
 
-// benchWorld builds a quiet world with one principal and one file.
-func benchWorld(b testing.TB) (*secext.World, *secext.Context) {
+// benchWorld builds a quiet world (audit off) with one principal and
+// one file, in a telemetry mode (secext.TelemetrySampled is the
+// default) and with the decision cache optionally disabled.
+func benchWorld(b testing.TB, mode secext.TelemetryMode, disableCache bool) (*secext.World, *secext.Context) {
 	b.Helper()
 	w, err := secext.NewWorld(secext.WorldOptions{
-		Levels:       []string{"others", "organization", "local"},
-		Categories:   []string{"dept-1", "dept-2"},
-		DisableAudit: true,
+		Levels:               []string{"others", "organization", "local"},
+		Categories:           []string{"dept-1", "dept-2"},
+		DisableAudit:         true,
+		DisableDecisionCache: disableCache,
+		Telemetry:            secext.TelemetryOptions{Mode: mode},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -59,7 +63,7 @@ func benchWorld(b testing.TB) (*secext.World, *secext.Context) {
 // --- E1: access-check latency by model ---
 
 func BenchmarkE1CheckLatencySecextFull(b *testing.B) {
-	w, ctx := benchWorld(b)
+	w, ctx := benchWorld(b, secext.TelemetrySampled, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
@@ -69,7 +73,7 @@ func BenchmarkE1CheckLatencySecextFull(b *testing.B) {
 }
 
 func BenchmarkE1CheckLatencySecextDACOnly(b *testing.B) {
-	_, ctx := benchWorld(b)
+	_, ctx := benchWorld(b, secext.TelemetrySampled, false)
 	a := acl.New(acl.Allow("alice", acl.Read|acl.Write), acl.AllowEveryone(acl.List))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,7 +84,7 @@ func BenchmarkE1CheckLatencySecextDACOnly(b *testing.B) {
 }
 
 func BenchmarkE1CheckLatencySecextMACOnly(b *testing.B) {
-	_, ctx := benchWorld(b)
+	_, ctx := benchWorld(b, secext.TelemetrySampled, false)
 	obj := ctx.Class()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -158,7 +162,7 @@ var parallelLevels = []int{1, 4, 16}
 func BenchmarkE1CheckParallel(b *testing.B) {
 	for _, g := range parallelLevels {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			w, ctx := benchWorld(b)
+			w, ctx := benchWorld(b, secext.TelemetrySampled, false)
 			if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
 				b.Fatal(err)
 			}
@@ -177,7 +181,7 @@ func BenchmarkE1CheckParallel(b *testing.B) {
 // TestCachedCheckZeroAllocs is the allocs-per-op guard the fast path is
 // held to: a warm mediated check (audit off) must not allocate.
 func TestCachedCheckZeroAllocs(t *testing.T) {
-	w, ctx := benchWorld(t)
+	w, ctx := benchWorld(t, secext.TelemetrySampled, false)
 	if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
 		t.Fatal(err)
 	}
@@ -239,59 +243,6 @@ func BenchmarkE3Lattice(b *testing.B) {
 		b.Run(fmt.Sprintf("cats=%d/join", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x.Join(y)
-			}
-		})
-	}
-}
-
-// --- E4: name resolution depth ---
-
-func deepNames(b *testing.B, depth int) (*core.System, *subject.Context, string) {
-	b.Helper()
-	sys, err := core.NewSystem(core.Options{Levels: []string{"lo"}, DisableAudit: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	listable := acl.New(acl.AllowEveryone(acl.List))
-	path := ""
-	for i := 0; i < depth-1; i++ {
-		path += "/n" + strconv.Itoa(i)
-		if _, err := sys.CreateNode(core.NodeSpec{Path: path, Kind: names.KindDomain, ACL: listable}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	leaf := path + "/leaf"
-	if _, err := sys.CreateNode(core.NodeSpec{
-		Path: leaf, Kind: names.KindFile, ACL: acl.New(acl.AllowEveryone(acl.Read)),
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sys.AddPrincipal("p", "lo"); err != nil {
-		b.Fatal(err)
-	}
-	ctx, err := sys.NewContext("p")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys, ctx, leaf
-}
-
-func BenchmarkE4Lookup(b *testing.B) {
-	for _, depth := range []int{2, 4, 8, 16, 32} {
-		sys, ctx, leaf := deepNames(b, depth)
-		b.Run(fmt.Sprintf("depth=%d/checked", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.CheckData(ctx, leaf, acl.Read); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		sys.Names().SetTraversalChecks(false)
-		b.Run(fmt.Sprintf("depth=%d/unchecked", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.CheckData(ctx, leaf, acl.Read); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}
@@ -488,36 +439,10 @@ func BenchmarkE7CallParallel(b *testing.B) {
 
 // --- E11: decision-cache contention ---
 
-// e11World builds the E11 fixture: a quiet world, one principal, one
-// file, optionally without the decision cache.
-func e11World(b testing.TB, disableCache bool) (*secext.World, *secext.Context) {
-	b.Helper()
-	w, err := secext.NewWorld(secext.WorldOptions{
-		Levels:               []string{"others", "organization", "local"},
-		Categories:           []string{"dept-1", "dept-2"},
-		DisableAudit:         true,
-		DisableDecisionCache: disableCache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := w.Sys.AddPrincipal("alice", "organization:{dept-1}"); err != nil {
-		b.Fatal(err)
-	}
-	ctx, err := w.Sys.NewContext("alice")
-	if err != nil {
-		b.Fatal(err)
-	}
-	open := secext.NewACL(secext.AllowEveryone(secext.Read | secext.Write))
-	if err := w.FS.Create(ctx, "/fs/f", open, ctx.Class()); err != nil {
-		b.Fatal(err)
-	}
-	return w, ctx
-}
-
 // BenchmarkE11Contention compares four 16-goroutine workloads:
 //
-//	uncached — decision cache off; every check takes the RWMutex walk
+//	uncached — decision cache off; every check resolves and verifies
+//	           lock-free against the pinned epoch
 //	cold     — cache on, but each worker invalidates before checking,
 //	           so every check misses, recomputes, and republishes
 //	warm     — steady state: every check is a lock-free hit
@@ -539,22 +464,22 @@ func BenchmarkE11Contention(b *testing.B) {
 		})
 	}
 	b.Run("uncached", func(b *testing.B) {
-		w, ctx := e11World(b, true)
+		w, ctx := benchWorld(b, secext.TelemetrySampled, true)
 		check(b, w, ctx, nil)
 	})
 	b.Run("cold", func(b *testing.B) {
-		w, ctx := e11World(b, false)
+		w, ctx := benchWorld(b, secext.TelemetrySampled, false)
 		check(b, w, ctx, w.Sys.Registry().Touch)
 	})
 	b.Run("warm", func(b *testing.B) {
-		w, ctx := e11World(b, false)
+		w, ctx := benchWorld(b, secext.TelemetrySampled, false)
 		if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
 			b.Fatal(err)
 		}
 		check(b, w, ctx, nil)
 	})
 	b.Run("storm", func(b *testing.B) {
-		w, ctx := e11World(b, false)
+		w, ctx := benchWorld(b, secext.TelemetrySampled, false)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -828,11 +753,12 @@ func BenchmarkS1OrgMatrix(b *testing.B) {
 
 // --- E17: compiled-epoch resolve (uncached check vs warm hit) ---
 
-// e17Names is deepNames with the decision cache disabled, so every
+// e17Names builds a chain /n0/n1/.../leaf with listable interior
+// nodes and one principal; with the decision cache disabled every
 // CheckData exercises the uncached path the compiled epoch accelerates.
-func e17Names(b testing.TB, depth int) (*core.System, *subject.Context, string) {
+func e17Names(b testing.TB, depth int, disableCache bool) (*core.System, *subject.Context, string) {
 	sys, err := core.NewSystem(core.Options{
-		Levels: []string{"lo"}, DisableAudit: true, DisableDecisionCache: true,
+		Levels: []string{"lo"}, DisableAudit: true, DisableDecisionCache: disableCache,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -866,7 +792,7 @@ func e17Names(b testing.TB, depth int) (*core.System, *subject.Context, string) 
 // the warm cached hit at the same depth for the band comparison.
 func BenchmarkE17Resolve(b *testing.B) {
 	for _, depth := range []int{2, 8, 32} {
-		sys, ctx, leaf := e17Names(b, depth)
+		sys, ctx, leaf := e17Names(b, depth, true)
 		b.Run(fmt.Sprintf("depth=%d/uncached-compiled", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.CheckData(ctx, leaf, acl.Read); err != nil {
@@ -884,7 +810,7 @@ func BenchmarkE17Resolve(b *testing.B) {
 		})
 		sys.Names().SetCompiledEpochs(true)
 
-		wsys, wctx, wleaf := deepNames(b, depth)
+		wsys, wctx, wleaf := e17Names(b, depth, false)
 		if _, err := wsys.CheckData(wctx, wleaf, acl.Read); err != nil {
 			b.Fatal(err)
 		}
@@ -901,7 +827,7 @@ func BenchmarkE17Resolve(b *testing.B) {
 // BenchmarkE17ResolveOnly isolates naming from verification at depth
 // 32: the compiled index probe vs the checked spine walk.
 func BenchmarkE17ResolveOnly(b *testing.B) {
-	sys, ctx, leaf := e17Names(b, 32)
+	sys, ctx, leaf := e17Names(b, 32, true)
 	ns := sys.Names()
 	b.Run("index-probe", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -920,43 +846,15 @@ func BenchmarkE17ResolveOnly(b *testing.B) {
 	})
 }
 
-// --- E18: shadow divergence monitor (decision provenance) ---
+// --- E13: telemetry modes and the shadow divergence monitor ---
 
-// e18World is benchWorld with a chosen telemetry mode and the decision
-// cache optionally disabled: the shadow monitor only runs on traced,
-// uncached checks, so the two knobs together select how often it fires.
-func e18World(b testing.TB, mode secext.TelemetryMode, disableCache bool) (*secext.World, *secext.Context) {
-	b.Helper()
-	w, err := secext.NewWorld(secext.WorldOptions{
-		Levels:               []string{"others", "organization", "local"},
-		Categories:           []string{"dept-1", "dept-2"},
-		DisableAudit:         true,
-		DisableDecisionCache: disableCache,
-		Telemetry:            secext.TelemetryOptions{Mode: mode},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := w.Sys.AddPrincipal("alice", "organization:{dept-1}"); err != nil {
-		b.Fatal(err)
-	}
-	ctx, err := w.Sys.NewContext("alice")
-	if err != nil {
-		b.Fatal(err)
-	}
-	open := secext.NewACL(secext.AllowEveryone(secext.Read | secext.Write))
-	if err := w.FS.Create(ctx, "/fs/f", open, ctx.Class()); err != nil {
-		b.Fatal(err)
-	}
-	return w, ctx
-}
-
-// BenchmarkE18Shadow is the benchmark form of E18's table: the warm
-// cached check and the uncached check, by telemetry mode. The claim is
-// that "sampled" warm hits match "off" — the shadow comparison hides
-// entirely behind the trace-selection branch — while "full/uncached"
-// prices the monitor's worst case (every check walks twice).
-func BenchmarkE18Shadow(b *testing.B) {
+// BenchmarkE13Telemetry is the benchmark form of E13's table: the
+// warm cached check and the uncached check, by telemetry mode. The
+// claim is that "sampled" warm hits match "off" — trace selection and
+// the shadow comparison behind it cost one branch — while
+// "full/uncached" prices the shadow monitor's worst case (every check
+// walks twice). An uncached run must end with no divergence.
+func BenchmarkE13Telemetry(b *testing.B) {
 	modes := []struct {
 		name string
 		mode secext.TelemetryMode
@@ -966,7 +864,7 @@ func BenchmarkE18Shadow(b *testing.B) {
 		{"full", secext.TelemetryFull},
 	}
 	for _, m := range modes {
-		w, ctx := e18World(b, m.mode, false)
+		w, ctx := benchWorld(b, m.mode, false)
 		if _, err := w.Sys.CheckData(ctx, "/fs/f", secext.Read); err != nil {
 			b.Fatal(err)
 		}
@@ -977,7 +875,7 @@ func BenchmarkE18Shadow(b *testing.B) {
 				}
 			}
 		})
-		uw, uctx := e18World(b, m.mode, true)
+		uw, uctx := benchWorld(b, m.mode, true)
 		b.Run(m.name+"/uncached", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := uw.Sys.CheckData(uctx, "/fs/f", secext.Read); err != nil {
@@ -997,7 +895,7 @@ func BenchmarkE18Shadow(b *testing.B) {
 // replicas over loopback TCP.
 func benchFleet(b *testing.B, n int) (*secext.World, *replica.Publisher, []*replica.Replica, []*secext.Context, func()) {
 	b.Helper()
-	w, ctx := benchWorld(b)
+	w, ctx := benchWorld(b, secext.TelemetrySampled, false)
 	if _, err := w.Sys.AddPrincipal("replicator", "others"); err != nil {
 		b.Fatal(err)
 	}

@@ -75,7 +75,7 @@ type Options struct {
 	Guards []monitor.Guard
 	// Telemetry configures the observability subsystem: mediation
 	// counters, sampled latency histograms, and decision traces. The
-	// zero value enables the default (metrics on, traces sampled 1/64);
+	// zero value enables the default (metrics on, traces sampled 1/256);
 	// Mode telemetry.ModeOff disables it entirely, leaving the mediation
 	// path exactly as it was before telemetry existed. Kinds is filled in
 	// by NewSystem.

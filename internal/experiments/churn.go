@@ -250,7 +250,7 @@ func E16() Result {
 // each, 40 for edges). Last, the registry grows to 10^5 principals in
 // one Apply and a new principal is priced there (median of 20).
 func e16AtScale(t *table) error {
-	w, _, err := telWorld(telemetry.ModeOff, false)
+	w, _, err := checkWorld(telemetry.ModeOff, false)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"secext"
+	"secext/internal/telemetry"
 )
 
 // measureParallel times fn with the iteration budget split across procs
@@ -35,32 +36,6 @@ func measureParallel(minDur time.Duration, procs int, fn func(n int)) float64 {
 		}
 		wg.Wait()
 	})
-}
-
-// checkWorld is benchWorld with the decision cache optionally disabled,
-// for cached-vs-uncached comparisons.
-func checkWorld(disableCache bool) (*secext.World, *secext.Context, error) {
-	w, err := secext.NewWorld(secext.WorldOptions{
-		Levels:               []string{"others", "organization", "local"},
-		Categories:           []string{"dept-1", "dept-2"},
-		DisableAudit:         true,
-		DisableDecisionCache: disableCache,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := w.Sys.AddPrincipal("alice", "organization:{dept-1}"); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := w.Sys.NewContext("alice")
-	if err != nil {
-		return nil, nil, err
-	}
-	open := secext.NewACL(secext.AllowEveryone(secext.Read | secext.Write | secext.WriteAppend))
-	if err := w.FS.Create(ctx, "/fs/f", open, ctx.Class()); err != nil {
-		return nil, nil, err
-	}
-	return w, ctx, nil
 }
 
 // E11 characterizes the decision-cache fast path under contention. Four
@@ -105,7 +80,7 @@ func E11() Result {
 	for _, procs := range []int{1, 4, 16} {
 		g := strconv.Itoa(procs)
 
-		uw, uctx, err := checkWorld(true)
+		uw, uctx, err := checkWorld(telemetry.ModeSampled, true)
 		if err != nil {
 			res.Err = err
 			return res
@@ -113,7 +88,7 @@ func E11() Result {
 		uncached := measureParallel(defaultMinDur, procs, check(uw, uctx))
 		t.add("uncached", g, ns(uncached), "1.0x")
 
-		cw, cctx, err := checkWorld(false)
+		cw, cctx, err := checkWorld(telemetry.ModeSampled, false)
 		if err != nil {
 			res.Err = err
 			return res

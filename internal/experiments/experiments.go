@@ -45,10 +45,10 @@ type Runner struct {
 func Runners() []Runner {
 	return []Runner{
 		{"S1", S1}, {"S2", S2}, {"S3", S3}, {"S4", S4},
-		{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5},
+		{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E5", E5},
 		{"E6", E6}, {"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10},
 		{"E11", E11}, {"E12", E12}, {"E13", E13}, {"E16", E16}, {"E17", E17},
-		{"E18", E18}, {"E19", E19}, {"E20", E20},
+		{"E19", E19}, {"E20", E20},
 		{"A1", A1}, {"A2", A2}, {"A3", A3},
 	}
 }

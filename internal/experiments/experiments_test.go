@@ -132,7 +132,7 @@ const noiseRounds = 5
 // mediation loop, primed so the decision cache holds the verdict.
 func warmCheck(t *testing.T, mode telemetry.Mode) func(n int) {
 	t.Helper()
-	w, ctx, err := telWorld(mode, false)
+	w, ctx, err := checkWorld(mode, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,29 +186,13 @@ func TestE13DefaultWithinNoise(t *testing.T) {
 	}
 }
 
-// TestE18SampledWithinNoise asserts PR 8's cost claim: with the shadow
-// divergence monitor riding the default sampler, the warm mediation
-// path stays close to telemetry-off — the monitor only runs on traced,
-// uncached checks, so an unsampled cache hit pays nothing new. The
-// bound mirrors TestE13DefaultWithinNoise's generous 2x for noisy CI;
-// the honest figure is the E18 table.
-func TestE18SampledWithinNoise(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiments skipped in -short mode")
-	}
-	off, def := bestInterleaved(warmCheck(t, telemetry.ModeOff), warmCheck(t, telemetry.ModeSampled))
-	if def > 2*off {
-		t.Errorf("sampled warm path %.1fns vs off %.1fns: shadow monitor broke the noise band", def, off)
-	}
-}
-
 // TestTimingExperimentsRun executes the timed experiments with the
 // default budget; in -short mode it is skipped to keep CI fast.
 func TestTimingExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiments skipped in -short mode")
 	}
-	for _, r := range []Result{E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), A1(), A2(), A3()} {
+	for _, r := range []Result{E1(), E2(), E3(), E5(), E6(), E7(), E8(), A1(), A2(), A3()} {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.ID, r.Err)
 		}

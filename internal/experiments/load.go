@@ -98,7 +98,7 @@ func E20() Result {
 	nodes, principals := e20Scale()
 	p := e20Plan(nodes, principals)
 
-	w, _, err := telWorld(telemetry.ModeOff, false)
+	w, _, err := checkWorld(telemetry.ModeOff, false)
 	if err != nil {
 		res.Err = fmt.Errorf("E20: world: %w", err)
 		return res

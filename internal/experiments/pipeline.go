@@ -8,6 +8,7 @@ import (
 	"secext/internal/monitor/auditguard"
 	"secext/internal/monitor/dacguard"
 	"secext/internal/monitor/macguard"
+	"secext/internal/telemetry"
 )
 
 // pipelineStacks are the guard stacks the depth experiments sweep: the
@@ -43,7 +44,7 @@ func E12() Result {
 	t := &table{header: []string{"guard stack", "depth", "uncached ns/op", "warm ns/op"}}
 
 	for _, st := range pipelineStacks() {
-		uw, uctx, err := checkWorld(true)
+		uw, uctx, err := checkWorld(telemetry.ModeSampled, true)
 		if err != nil {
 			res.Err = err
 			return res
@@ -57,7 +58,7 @@ func E12() Result {
 			}
 		})
 
-		cw, cctx, err := checkWorld(false)
+		cw, cctx, err := checkWorld(telemetry.ModeSampled, false)
 		if err != nil {
 			res.Err = err
 			return res

@@ -33,7 +33,7 @@ type replFleet struct {
 // bootstrapping from its own snapshot and catching up to the primary's
 // current epoch.
 func newReplFleet(n int) (*replFleet, error) {
-	w, ctx, err := telWorld(telemetry.ModeOff, false) // price mediation, not telemetry
+	w, ctx, err := checkWorld(telemetry.ModeOff, false) // price mediation, not telemetry
 	if err != nil {
 		return nil, err
 	}

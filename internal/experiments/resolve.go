@@ -10,12 +10,12 @@ import (
 	"secext/internal/subject"
 )
 
-// e17World is deepNameWorld with the decision cache optionally
-// disabled: a chain /n0/n1/.../leaf with listable interior nodes, a
-// registered principal at "lo", and audit off so rows price the check
-// itself. Beside the leaf sit the denial targets: "hidden", a directory
-// nobody may list, with a child x, and "high", a file classed "hi"
-// that everyone may read.
+// e17World builds a chain /n0/n1/.../leaf with listable interior
+// nodes, the decision cache optionally disabled, a registered principal
+// at "lo", and audit off so rows price the check itself. Beside the
+// leaf sit the denial targets: "hidden", a directory nobody may list,
+// with a child x, and "high", a file classed "hi" that everyone may
+// read.
 func e17World(depth int, disableCache bool) (*core.System, *subject.Context, string, error) {
 	sys, err := core.NewSystem(core.Options{
 		Levels: []string{"lo", "hi"}, DisableAudit: true,

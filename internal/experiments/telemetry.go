@@ -7,8 +7,11 @@ import (
 	"secext/internal/telemetry"
 )
 
-// telWorld is checkWorld with a telemetry mode, for the E13 ablation.
-func telWorld(mode telemetry.Mode, disableCache bool) (*secext.World, *secext.Context, error) {
+// checkWorld builds a quiet world (audit off) with one principal and
+// one readable file for check-latency experiments, in a telemetry mode
+// (telemetry.ModeSampled is the default) and with the decision cache
+// optionally disabled for cached-vs-uncached comparisons.
+func checkWorld(mode telemetry.Mode, disableCache bool) (*secext.World, *secext.Context, error) {
 	w, err := secext.NewWorld(secext.WorldOptions{
 		Levels:               []string{"others", "organization", "local"},
 		Categories:           []string{"dept-1", "dept-2"},
@@ -52,6 +55,14 @@ func telWorld(mode telemetry.Mode, disableCache bool) (*secext.World, *secext.Co
 // flag load, and read no clocks; only the 1-in-256 sampled requests pay
 // for timestamps and span recording.
 //
+// The shadow divergence monitor rides the same sampler: a sampled
+// uncached check also re-derives its verdict by the authoritative walk
+// and compares it with the compiled fast path, so the uncached column
+// of every row but off includes that comparison. After the
+// uncached loop, "shadow checks" and "divergences" read the monitor's
+// counters. Divergences must read 0 — a nonzero count on an honest
+// epoch is a compiler bug, and the run fails.
+//
 // Measurement design: single shots are hostage to frequency drift, so
 // each cell is the minimum over interleaved rounds (off, metrics,
 // sampled, full, repeat), and the "spread" column reports each mode's
@@ -63,6 +74,7 @@ func E13() Result {
 		Title: "Telemetry ablation: mediated check cost by recording mode (min over interleaved rounds)"}
 	t := &table{header: []string{
 		"telemetry", "warm ns/op", "vs off", "spread", "uncached ns/op", "vs off", "traces sampled",
+		"shadow checks", "divergences",
 	}}
 
 	modes := []telemetry.Mode{
@@ -71,12 +83,13 @@ func E13() Result {
 	type cell struct {
 		warm, warmMax, uncached float64
 		tel                     *telemetry.Telemetry
+		uncachedWorld           *secext.World
 	}
 	cells := make([]cell, len(modes))
 	warmChecks := make([]func(n int), len(modes))
 	uncachedChecks := make([]func(n int), len(modes))
 	for i, mode := range modes {
-		w, ctx, err := telWorld(mode, false)
+		w, ctx, err := checkWorld(mode, false)
 		if err != nil {
 			res.Err = err
 			return res
@@ -91,11 +104,12 @@ func E13() Result {
 		}
 		warmChecks[i](1) // publish the cached verdict, then measure hits
 
-		uw, uctx, err := telWorld(mode, true)
+		uw, uctx, err := checkWorld(mode, true)
 		if err != nil {
 			res.Err = err
 			return res
 		}
+		cells[i].uncachedWorld = uw
 		uncachedChecks[i] = func(n int) {
 			for j := 0; j < n; j++ {
 				if _, err := uw.Sys.CheckData(uctx, "/fs/f", secext.Read); err != nil {
@@ -103,6 +117,13 @@ func E13() Result {
 				}
 			}
 		}
+	}
+
+	// The monitor needs a compiled view to compare against; without one
+	// the shadow columns would count a no-op.
+	if !cells[len(modes)-1].uncachedWorld.Sys.Names().Current().Compiled() {
+		res.Err = fmt.Errorf("E13: epoch not compiled; shadow monitor has nothing to check")
+		return res
 	}
 
 	const rounds = 5
@@ -135,11 +156,17 @@ func E13() Result {
 		if snap := c.tel.Snapshot(); snap.Mode != "off" {
 			sampled = fmt.Sprintf("%d", snap.TracesSampled)
 		}
+		st := c.uncachedWorld.Sys.Names().Stats()
+		if st.Divergences != 0 {
+			res.Err = fmt.Errorf("E13: %d divergences on an honest epoch in mode %s",
+				st.Divergences, mode)
+			return res
+		}
 		t.add(mode.String(),
 			ns(c.warm), overhead(cells[0].warm, c.warm),
 			fmt.Sprintf("%.0f%%", (c.warmMax/c.warm-1)*100),
 			ns(c.uncached), overhead(cells[0].uncached, c.uncached),
-			sampled)
+			sampled, fmt.Sprintf("%d", st.ShadowChecks), fmt.Sprintf("%d", st.Divergences))
 	}
 
 	res.setTable(t)

@@ -16,21 +16,15 @@ import (
 	"secext/internal/dispatch"
 	"secext/internal/lattice"
 	"secext/internal/monitor"
-	"secext/internal/names"
 	"secext/internal/principal"
 	"secext/internal/subject"
+	"secext/internal/telemetry"
 )
-
-// benchWorld builds a quiet world (audit off) with one principal and
-// one readable file for check-latency experiments.
-func benchWorld() (*secext.World, *secext.Context, error) {
-	return checkWorld(false)
-}
 
 // E1 compares single access-check latency across the models.
 func E1() Result {
 	res := Result{ID: "E1", Title: "Access-check latency by model (audit off)"}
-	w, ctx, err := benchWorld()
+	w, ctx, err := checkWorld(telemetry.ModeSampled, false)
 	if err != nil {
 		res.Err = err
 		return res
@@ -50,7 +44,7 @@ func E1() Result {
 	// The same check swept over monitor pipeline depth (E12 has the
 	// full uncached/warm split; these rows anchor it in E1's table).
 	for _, st := range pipelineStacks() {
-		dw, dctx, err := benchWorld()
+		dw, dctx, err := checkWorld(telemetry.ModeSampled, false)
 		if err != nil {
 			res.Err = err
 			return res
@@ -207,69 +201,6 @@ func E3() Result {
 			}
 		})
 		t.add(strconv.Itoa(size), ns(md), ns(mj), ns(mm))
-	}
-	res.setTable(t)
-	return res
-}
-
-// deepNameWorld builds a chain /n1/n2/.../nDepth/leaf with listable
-// interior nodes.
-func deepNameWorld(depth int) (*core.System, *subject.Context, string, error) {
-	sys, err := core.NewSystem(core.Options{
-		Levels: []string{"lo", "hi"}, DisableAudit: true,
-	})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	listable := acl.New(acl.AllowEveryone(acl.List))
-	path := ""
-	for i := 0; i < depth-1; i++ {
-		path += "/n" + strconv.Itoa(i)
-		if _, err := sys.CreateNode(core.NodeSpec{Path: path, Kind: names.KindDomain, ACL: listable}); err != nil {
-			return nil, nil, "", err
-		}
-	}
-	leaf := path + "/leaf"
-	if _, err := sys.CreateNode(core.NodeSpec{
-		Path: leaf, Kind: names.KindFile,
-		ACL: acl.New(acl.AllowEveryone(acl.Read)),
-	}); err != nil {
-		return nil, nil, "", err
-	}
-	if _, err := sys.AddPrincipal("p", "lo"); err != nil {
-		return nil, nil, "", err
-	}
-	ctx, err := sys.NewContext("p")
-	return sys, ctx, leaf, err
-}
-
-// E4 scales name-resolution depth with per-level visibility checks on
-// and off.
-func E4() Result {
-	res := Result{ID: "E4", Title: "Name resolution vs path depth (per-level checks on/off)"}
-	t := &table{header: []string{"depth", "checked traversal", "unchecked traversal"}}
-	for _, depth := range []int{2, 4, 8, 16, 32} {
-		sys, ctx, leaf, err := deepNameWorld(depth)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		on := measure(defaultMinDur, func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := sys.CheckData(ctx, leaf, acl.Read); err != nil {
-					panic(err)
-				}
-			}
-		})
-		sys.Names().SetTraversalChecks(false)
-		off := measure(defaultMinDur, func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := sys.CheckData(ctx, leaf, acl.Read); err != nil {
-					panic(err)
-				}
-			}
-		})
-		t.add(strconv.Itoa(depth), ns(on), ns(off))
 	}
 	res.setTable(t)
 	return res

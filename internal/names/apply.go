@@ -163,7 +163,7 @@ func (s *Server) applyEdits(sub acl.Subject, class lattice.Class, edits []Edit) 
 			return 0, &EditError{Index: i, Edit: edits[i], Err: err}
 		}
 	}
-	return s.publishTreeLocked(root, ep.traversal), nil
+	return s.publishTreeLocked(root), nil
 }
 
 // edit checks one edit against ep (unless sub is nil) and returns the

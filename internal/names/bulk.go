@@ -118,5 +118,5 @@ func (s *Server) bindSubtree(parentPath string, specs []SubtreeSpec) (uint64, er
 	if err != nil {
 		return 0, err
 	}
-	return s.publishTreeLocked(rebind(ep.root, parts, work), ep.traversal), nil
+	return s.publishTreeLocked(rebind(ep.root, parts, work)), nil
 }

@@ -638,10 +638,10 @@ func (s *Server) compileEpoch(st *Epoch) (*compiled, compileStats) {
 	if st.root == prev.root && !b.regInvalid {
 		if b.compiles == 0 {
 			// Nothing the compiled structures depend on moved (a pure
-			// lattice/stack/traversal transition, or a registry
-			// transition no summary depends on). Reuse wholesale;
-			// only the fast flag can differ, and it is the one scalar
-			// field, so a shallow copy suffices.
+			// lattice/stack transition, or a registry transition no
+			// summary depends on). Reuse wholesale; only the fast flag
+			// can differ, and it is the one scalar field, so a shallow
+			// copy suffices.
 			c := prevC
 			if fast := fastStack(st.stack); fast != prevC.fast {
 				cp := *prevC
@@ -684,7 +684,7 @@ func (ep *Epoch) fastCheck(sub acl.Subject, class lattice.Class, path string, mo
 		return nil, nil, false
 	}
 	sIdx, sOK := c.dom.Index(class)
-	if ep.traversal && e.hasVis && !c.visible(e, pid, class, sIdx, sOK) {
+	if e.hasVis && !c.visible(e, pid, class, sIdx, sOK) {
 		return c.hiddenAncestor(pid, class, sIdx, sOK, path)
 	}
 	if !c.sumOf(e).Grants(pid, modes) {
@@ -781,7 +781,7 @@ func (ep *Epoch) fastResolve(sub acl.Subject, class lattice.Class, path string, 
 	if c == nil {
 		return nil, false
 	}
-	if !checked || !ep.traversal {
+	if !checked {
 		if x := c.index.Ref(path); x != nil {
 			return x.node, true
 		}

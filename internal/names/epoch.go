@@ -54,13 +54,9 @@ import (
 type Epoch struct {
 	root    *Node
 	version uint64
-	// traversal controls whether checked resolution performs per-level
-	// visibility checks. It lives in the epoch so toggling it publishes
-	// a new version and invalidates cached decisions.
-	traversal bool
-	lat       *lattice.Frozen
-	reg       *principal.Frozen // nil until a registry is attached
-	stack     *monitor.Stack
+	lat     *lattice.Frozen
+	reg     *principal.Frozen // nil until a registry is attached
+	stack   *monitor.Stack
 	// compiled is the epoch's freeze-time read-side compilation (path
 	// index, effective-ACL bitsets, dominance table; see compiled.go).
 	// It is nil on the scratch views Apply resolves later edits in
@@ -96,10 +92,6 @@ func (ep *Epoch) Registry() *principal.Frozen { return ep.reg }
 
 // Stack returns the guard stack pinned in this epoch.
 func (ep *Epoch) Stack() *monitor.Stack { return ep.stack }
-
-// TraversalChecks reports whether this epoch enforces per-component
-// visibility during resolution (list+MAC-read on every interior node).
-func (ep *Epoch) TraversalChecks() bool { return ep.traversal }
 
 // Membership returns the epoch's frozen membership relation for ACL
 // evaluation, or nil when no registry is attached. Explain hooks use

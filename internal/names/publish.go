@@ -113,13 +113,10 @@ func (s *Server) publishLocked(shards uint8, kind string, primaryVersion uint64,
 	return next.version
 }
 
-// publishTreeLocked publishes a name-tree transition (new root,
-// traversal flag). Caller holds writeMu.
-func (s *Server) publishTreeLocked(root *Node, traversal bool) uint64 {
-	return s.publishLocked(shardNames, "", 0, func(e *Epoch) {
-		e.root = root
-		e.traversal = traversal
-	})
+// publishTreeLocked publishes a name-tree transition (a new root).
+// Caller holds writeMu.
+func (s *Server) publishTreeLocked(root *Node) uint64 {
+	return s.publishLocked(shardNames, "", 0, func(e *Epoch) { e.root = root })
 }
 
 // publishLattice is the lattice's publish hook: it publishes f as the

@@ -177,13 +177,12 @@ func NewServer(lat *lattice.Lattice, rootACL *acl.ACL, rootClass lattice.Class) 
 	pipe := monitor.NewPipeline(dacguard.New(), macguard.New())
 	s.pipe.Store(pipe)
 	s.epoch.Store(&Epoch{
-		root:      root,
-		version:   1,
-		traversal: true,
-		lat:       lat.Freeze(),
-		stack:     pipe.Current(),
-		owned:     1,
-		fp:        &fpCell{},
+		root:    root,
+		version: 1,
+		lat:     lat.Freeze(),
+		stack:   pipe.Current(),
+		owned:   1,
+		fp:      &fpCell{},
 	})
 	lat.SetPublishHook(s.publishLattice)
 	pipe.SetChangeHook(func(st *monitor.Stack) { s.PublishStack(st) })
@@ -350,16 +349,6 @@ func (s *Server) SetDecisionCache(c *decision.Cache) { s.cache.Store(c) }
 // DecisionCache returns the installed decision cache (nil if none).
 func (s *Server) DecisionCache() *decision.Cache { return s.cache.Load() }
 
-// SetTraversalChecks toggles per-level visibility checks during path
-// resolution. Intended for experiments; production systems leave it on.
-// The toggle publishes a new epoch version, so cached verdicts computed
-// under the other policy are dead.
-func (s *Server) SetTraversalChecks(on bool) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.publishTreeLocked(s.epoch.Load().root, on)
-}
-
 // SetCompiledEpochs toggles freeze-time compilation of read-side
 // structures (path index, effective-ACL bitsets, dominance table; see
 // compiled.go). It is on by default; experiments turn it off to
@@ -370,8 +359,7 @@ func (s *Server) SetCompiledEpochs(on bool) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	s.compiledOff = !on
-	cur := s.epoch.Load()
-	s.publishTreeLocked(cur.root, cur.traversal)
+	s.publishTreeLocked(s.epoch.Load().root)
 }
 
 // describe builds the guard stack's view of node n at path. The node
@@ -406,7 +394,7 @@ func parentOf(path string) string {
 }
 
 // resolveIn walks the path inside the pinned epoch, applying traversal
-// checks to every interior node strictly above the target when enabled.
+// checks to every interior node strictly above the target when checked.
 // No lock is held at any point. The walk slices components out of path
 // in place instead of calling SplitPath, so resolution allocates
 // nothing on success; the per-level prefix handed to the guard stack is
@@ -434,7 +422,7 @@ func resolveIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, che
 		} else {
 			rest = ""
 		}
-		if checked && ep.traversal {
+		if checked {
 			// Visibility: walking through a node requires list on it
 			// and MAC read of it (§2.3: access control determines
 			// which names are visible). The node's path is the consumed

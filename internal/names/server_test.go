@@ -245,12 +245,6 @@ func TestTraversalVisibility(t *testing.T) {
 	if _, err := f.srv.Resolve(f.root, f.top, "/svc/fs/read"); err != nil {
 		t.Fatalf("root traversal: %v", err)
 	}
-	// With traversal checks off, mallory resolves (monitor may still
-	// check the target).
-	f.srv.SetTraversalChecks(false)
-	if _, err := f.srv.Resolve(mallory, f.top, "/svc/fs/read"); err != nil {
-		t.Fatalf("unchecked traversal: %v", err)
-	}
 }
 
 func TestTraversalMACVisibility(t *testing.T) {

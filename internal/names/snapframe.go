@@ -7,9 +7,9 @@ package names
 // bytes with its newline, so a receiver's scanner never needs a buffer
 // larger than the protocol's line bound:
 //
-//	SNAP-HEAD <json>   base and target versions, traversal flag, the
-//	                   lattice entries added, the guard stack (null:
-//	                   unchanged), and the length of every table
+//	SNAP-HEAD <json>   base and target versions, the lattice entries
+//	                   added, the guard stack (null: unchanged), and
+//	                   the length of every table
 //	SNAP <field>...    the tables, the deletes, then the rows, as one
 //	                   field stream cut into frames at field boundaries
 //	SNAP-END
@@ -54,7 +54,6 @@ const (
 type snapHeader struct {
 	From       uint64   `json:"from,omitempty"`
 	Version    uint64   `json:"version"`
-	Traversal  bool     `json:"traversal,omitempty"`
 	Levels     []string `json:"levels,omitempty"`
 	Categories []string `json:"categories,omitempty"`
 	Stack      []string `json:"stack"`
@@ -71,7 +70,7 @@ type snapHeader struct {
 // owns it: the encoder never touches a frame again.
 func EncodeEpoch(w *EpochWire, emit func(frame []byte) error) error {
 	head, err := json.Marshal(snapHeader{
-		From: w.From, Version: w.Version, Traversal: w.Traversal,
+		From: w.From, Version: w.Version,
 		Levels: w.Levels, Categories: w.Categories, Stack: w.Stack,
 		ACLs: len(w.ACLs), Classes: len(w.Classes), Principals: len(w.Principals),
 		Groups: len(w.Groups), Deletes: len(w.Deletes), Rows: len(w.Rows),
@@ -260,7 +259,7 @@ func DecodeEpoch(next func() (string, error)) (*EpochWire, error) {
 		return nil, fmt.Errorf("names: epoch header has a negative table length")
 	}
 	w := &EpochWire{
-		From: h.From, Version: h.Version, Traversal: h.Traversal,
+		From: h.From, Version: h.Version,
 		Levels: h.Levels, Categories: h.Categories, Stack: h.Stack,
 		ACLs:       make([]string, 0, prealloc(h.ACLs)),
 		Classes:    make([]string, 0, prealloc(h.Classes)),

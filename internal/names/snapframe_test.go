@@ -120,8 +120,8 @@ func TestSnapshotFramesRoundTrip(t *testing.T) {
 // it yields a tree that re-encodes to the frames the decoded message
 // encodes to: the snapshot of the new tree, or the diff from the base.
 // The registry, lattice and stack are replayed outside this path, so
-// the comparison covers the traversal flag, the ACL and class tables,
-// the deletes and every row.
+// the comparison covers the ACL and class tables, the deletes and every
+// row.
 func FuzzSnapshotStream(f *testing.F) {
 	fx, _ := wirePrimary(f)
 	base := fx.srv.Current()
@@ -147,7 +147,7 @@ func FuzzSnapshotStream(f *testing.F) {
 	})
 	delta(func() error { _, err := fx.srv.Apply(fx.root, fx.org, Unbind("/svc/home/f1")); return err })
 	delta(func() error { return fx.srv.SetACLUnchecked("/svc/home", acl.New(acl.Allow("alice", acl.List))) })
-	delta(func() error { fx.srv.SetTraversalChecks(true); return nil })
+	delta(func() error { fx.srv.PublishStack(fx.srv.Current().Stack()); return nil })
 	good := joinFrames(snapshotFrames(f, fx.srv.Current()))
 	f.Add(good)
 	f.Add(bytes.Replace(good, []byte(" 1 1 0 "), []byte(" 1 1 7 "), 1))
@@ -173,7 +173,7 @@ func FuzzSnapshotStream(f *testing.F) {
 		prev := srv.Current()
 		tree, err := srv.BuildEpoch(wire)
 		if err == nil {
-			_, err = srv.ApplyReplicated(ReplicaApply{PrimaryVersion: wire.Version, Traversal: wire.Traversal, Tree: tree})
+			_, err = srv.ApplyReplicated(ReplicaApply{PrimaryVersion: wire.Version, Tree: tree})
 		}
 		if err != nil {
 			if srv.Current() != prev {

@@ -79,7 +79,6 @@ type GroupWire struct {
 type EpochWire struct {
 	From       uint64          `json:"from"`
 	Version    uint64          `json:"version"`
-	Traversal  bool            `json:"traversal"`
 	Levels     []string        `json:"levels"`
 	Categories []string        `json:"categories"`
 	Stack      []string        `json:"stack"`
@@ -270,7 +269,7 @@ func (e *wireEncoder) diffTree(prev, next *Node) error {
 // publications); diffing unrelated epochs fails on the append-only
 // shard checks.
 func DiffEpochs(prev, next *Epoch) (*EpochWire, error) {
-	w := &EpochWire{Version: next.version, Traversal: next.traversal}
+	w := &EpochWire{Version: next.version}
 	var prevLevels, prevCategories []string
 	var prevReg *principal.Frozen
 	if prev == nil {
@@ -662,7 +661,6 @@ func (t *EpochTree) graft(base *Node) (*Node, error) {
 type ReplicaApply struct {
 	PrimaryVersion uint64
 	Kind           string
-	Traversal      bool
 	Tree           *EpochTree
 	Stack          *monitor.Stack
 }
@@ -699,7 +697,6 @@ func (s *Server) ApplyReplicated(app ReplicaApply) (uint64, error) {
 	}
 	return s.publishLocked(shards, kind, app.PrimaryVersion, func(e *Epoch) {
 		e.root = root
-		e.traversal = app.Traversal
 		if app.Stack != nil {
 			e.stack = app.Stack
 		}

@@ -168,7 +168,7 @@ func TestDiffEpochsRejectsUnrelated(t *testing.T) {
 	}
 	c := newFixture(t)
 	for c.srv.Version() < a.srv.Version() {
-		c.srv.SetTraversalChecks(!c.srv.Current().TraversalChecks())
+		c.srv.PublishStack(c.srv.Current().Stack())
 	}
 	if _, err := DiffEpochs(a.srv.Current(), c.srv.Current()); err == nil || !strings.Contains(err.Error(), "shrank") {
 		t.Fatalf("shrunk levels: %v", err)

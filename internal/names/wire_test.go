@@ -17,8 +17,8 @@ import (
 // names layer: it bootstraps from the primary's snapshot frames and
 // tracks the primary by replaying its delta frames, exactly as
 // internal/replica does over TCP (lattice entries through the ordinary
-// append-only entry points, the registry through ReplayRegistry, tree
-// and traversal through BuildEpoch and ApplyReplicated).
+// append-only entry points, the registry through ReplayRegistry, the
+// tree through BuildEpoch and ApplyReplicated).
 type mirror struct {
 	lat *lattice.Lattice
 	reg *principal.Registry
@@ -106,12 +106,12 @@ func (m *mirror) install(w *EpochWire) error {
 	if err != nil {
 		return err
 	}
-	_, err = m.srv.ApplyReplicated(ReplicaApply{PrimaryVersion: w.Version, Traversal: w.Traversal, Tree: tree})
+	_, err = m.srv.ApplyReplicated(ReplicaApply{PrimaryVersion: w.Version, Tree: tree})
 	return err
 }
 
 // wireEquivalent deep-compares the protection state of two epochs:
-// traversal flag, lattice universe, registry contents, guard-stack
+// lattice universe, registry contents, guard-stack
 // descriptor, and every node's snapshot row (path, kind, class, ACL,
 // multilevel — payloads excluded by design). Returns "" when equal.
 func wireEquivalent(a, b *Epoch) string {
@@ -279,7 +279,7 @@ func TestWireDeltaSequence(t *testing.T) {
 	})
 	step("member add", func() error { _, err := reg.Apply(principal.AddMember("eng", "carol")); return err })
 	step("member remove (revocation)", func() error { _, err := reg.Apply(principal.RemoveMember("eng", "alice")); return err })
-	step("traversal toggle", func() error { f.srv.SetTraversalChecks(true); return nil })
+	step("stack republish", func() error { f.srv.PublishStack(f.srv.Current().Stack()); return nil })
 	step("class change", func() error {
 		ultra := f.lat.MustClass("ultra", "dept-3")
 		return f.srv.SetClassUnchecked("/svc/home", ultra)
@@ -396,8 +396,8 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 					// is a no-op for the protection state; skip.
 					continue
 				}
-			case 7: // traversal toggle
-				fx.srv.SetTraversalChecks(i%2 == 0)
+			case 7: // stack-only publication (reuses the compiled view)
+				fx.srv.PublishStack(fx.srv.Current().Stack())
 			case 8: // subgroup edge eng ⊇ ops, toggled; creating ops is part of the first add
 				if members, _ := reg.Members("eng"); slices.Contains(members, "@ops") {
 					_, err = reg.Apply(principal.RemoveMember("eng", "ops"))
@@ -525,7 +525,6 @@ func TestJournalReplicationKinds(t *testing.T) {
 	if _, err := m.srv.ApplyReplicated(ReplicaApply{
 		PrimaryVersion: f.srv.Version(),
 		Kind:           "replica-stale",
-		Traversal:      m.srv.Current().TraversalChecks(),
 		Stack:          m.srv.Current().Stack(),
 	}); err != nil {
 		t.Fatal(err)

@@ -51,19 +51,13 @@ func ExplainCheck(ep *names.Epoch, sub Subject, path string, modes acl.Mode) *Ex
 		if err != nil {
 			break // unbound below here; the resolve section reports it
 		}
-		step := TraversalStep{Path: prefix, Class: n.Class().String()}
-		if !ep.TraversalChecks() {
-			step.Visible = true
-			step.Reason = "traversal checks disabled"
-		} else {
-			v := stack.Check(monitor.Request{
-				Subject: sub, Class: class, Object: object(n, prefix),
-				Modes: acl.List, Members: members, Op: monitor.OpTraverse,
-			})
-			step.Visible = v.Allow
-			step.Reason = v.Reason
-		}
-		ex.Traversal = append(ex.Traversal, step)
+		v := stack.Check(monitor.Request{
+			Subject: sub, Class: class, Object: object(n, prefix),
+			Modes: acl.List, Members: members, Op: monitor.OpTraverse,
+		})
+		ex.Traversal = append(ex.Traversal, TraversalStep{
+			Path: prefix, Class: n.Class().String(), Visible: v.Allow, Reason: v.Reason,
+		})
 	}
 	n, err := ep.Lookup(path)
 	if err != nil {

@@ -173,7 +173,7 @@ func TestPipelinedQuit(t *testing.T) {
 func TestPipelinedBarrierFlushes(t *testing.T) {
 	addr, adminTok, _, w, _ := startReplServer(t)
 	sub := dial(t, addr)
-	sub.expectOK("HELLO 5")
+	sub.expectOK("HELLO 6")
 	sub.expectOK("AUTH %s", adminTok)
 	sub.expectOK("SUBSCRIBE 0")
 	if kind, _, _ := strings.Cut(sub.readLine(), " "); kind != "SNAP-SECRET" {

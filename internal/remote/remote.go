@@ -33,7 +33,7 @@
 //	QUIT                     close the connection
 //
 // Protocol version 2 adds replication (BARRIER and REPLICAS require a
-// prior "HELLO 2", SUBSCRIBE a prior "HELLO 5"; HELLO itself is version
+// prior "HELLO 2", SUBSCRIBE a prior "HELLO 6"; HELLO itself is version
 // 1 so old servers answer it with a clean unknown-command error instead
 // of a hang):
 //

@@ -98,8 +98,8 @@ func TestOldClientAgainstNewServer(t *testing.T) {
 	c.expectOK("AUTH %s", adminTok)
 	c.expectOK("LS /")
 	got := c.expectErr("SUBSCRIBE 0")
-	if !strings.Contains(got, "HELLO 5") {
-		t.Errorf("SUBSCRIBE without HELLO = %q, want a hint to send HELLO 5", got)
+	if !strings.Contains(got, "HELLO 6") {
+		t.Errorf("SUBSCRIBE without HELLO = %q, want a hint to send HELLO 6", got)
 	}
 	got = c.expectErr("BARRIER 1")
 	if !strings.Contains(got, "HELLO 2") {
@@ -152,25 +152,28 @@ func TestSubscribeGates(t *testing.T) {
 	c.expectOK("AUTH %s", adminTok)
 	c.expectErr("SUBSCRIBE 0")
 
-	// Authenticated on protocol 4, which took deltas as JSON lines this
-	// server no longer sends.
-	c.expectOK("HELLO 4")
-	if got := c.expectErr("SUBSCRIBE 0"); !strings.Contains(got, "protocol >= 5") {
-		t.Errorf("protocol-4 SUBSCRIBE = %q, want a protocol >= 5 error", got)
+	// Authenticated on protocol 4, which took deltas as JSON lines, and
+	// on protocol 5, whose epoch headers carried a traversal flag (a
+	// version-5 replica would read its absence as checks off).
+	for _, old := range []int{4, 5} {
+		c.expectOK("HELLO %d", old)
+		if got := c.expectErr("SUBSCRIBE 0"); !strings.Contains(got, "protocol >= 6") {
+			t.Errorf("protocol-%d SUBSCRIBE = %q, want a protocol >= 6 error", old, got)
+		}
 	}
 	c.expectOK("WHOAMI")
 
-	// Protocol 5 but unauthenticated.
+	// Protocol 6 but unauthenticated.
 	c2 := dial(t, addr)
-	c2.expectOK("HELLO 5")
+	c2.expectOK("HELLO 6")
 	got := c2.expectErr("SUBSCRIBE 0")
 	if !strings.Contains(got, "authenticate") {
 		t.Errorf("unauthenticated SUBSCRIBE = %q", got)
 	}
 
-	// Authenticated, protocol 5, but no administrate on "/".
+	// Authenticated, protocol 6, but no administrate on "/".
 	c3 := dial(t, addr)
-	c3.expectOK("HELLO 5")
+	c3.expectOK("HELLO 6")
 	c3.expectOK("AUTH %s", eveTok)
 	got = c3.expectErr("SUBSCRIBE 0")
 	if !strings.Contains(got, "denied") {
@@ -187,7 +190,7 @@ func TestSubscribeGates(t *testing.T) {
 func TestSubscribeWithoutPublisher(t *testing.T) {
 	addr, aliceTok, _ := startServer(t)
 	c := dial(t, addr)
-	c.expectOK("HELLO 5")
+	c.expectOK("HELLO 6")
 	c.expectOK("AUTH %s", aliceTok)
 	for _, cmd := range []string{"SUBSCRIBE 0", "BARRIER 1", "REPLICAS"} {
 		got := c.expectErr(cmd)
@@ -275,7 +278,7 @@ func TestSnapshotFramesShared(t *testing.T) {
 	subscribe := func() (secret string, frames []string, bytes int) {
 		t.Helper()
 		c := dial(t, addr)
-		c.expectOK("HELLO 5")
+		c.expectOK("HELLO 6")
 		c.expectOK("AUTH %s", adminTok)
 		c.expectOK("SUBSCRIBE 0")
 		secret = c.readLine()

@@ -50,19 +50,22 @@ import (
 // Protocol versions. Version 1 is the pre-replication line protocol;
 // version 2 added HELLO/SUBSCRIBE/DELTA/ACK/BARRIER/REPLICAS; version 4
 // bootstrapped a subscriber from the streamed, table-shaped snapshot;
-// version 5 sends every delta in that same form. After "OK <peer>"
+// version 5 sent every delta in that same form; version 6 drops the
+// header's traversal flag, since per-level visibility checks always
+// run (a version-5 replica would read its absence as "off"). After
+// "OK <peer>"
 // comes one SNAP-SECRET line with the token secret, then the frames of
 // names.EncodeEpoch for the snapshot (the message from version 0), each
 // one line of at most names.MaxFrame bytes; after that, each delta
 // travels as the frames of the message from the version before. A
 // server negotiates min(client, ProtoVersion) and rejects clients below
 // MinProto with a clean error instead of a parse failure; SUBSCRIBE
-// needs SubscribeProto, so a subscriber from before version 5 gets a
-// clean ERR rather than a stream it cannot read.
+// needs SubscribeProto, so a subscriber from before version 6 gets a
+// clean ERR rather than a stream it would misread.
 const (
-	ProtoVersion   = 5
+	ProtoVersion   = 6
 	MinProto       = 1
-	SubscribeProto = 5
+	SubscribeProto = 6
 )
 
 // CompressSnapshot gzips a body and base64-encodes it. Kept for bench/

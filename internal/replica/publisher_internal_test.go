@@ -39,7 +39,7 @@ func TestSnapshotEncodingReleased(t *testing.T) {
 		t.Fatal("the encoding of the current epoch was released")
 	case <-time.After(50 * time.Millisecond):
 	}
-	sys.Names().SetTraversalChecks(!sys.Names().Current().TraversalChecks())
+	sys.Names().PublishStack(sys.Names().Current().Stack())
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

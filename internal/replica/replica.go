@@ -287,7 +287,6 @@ func (r *Replica) apply(w *names.EpochWire) error {
 	r.mu.Unlock()
 	if _, err := sys.Names().ApplyReplicated(names.ReplicaApply{
 		PrimaryVersion: w.Version,
-		Traversal:      w.Traversal,
 		Tree:           tree,
 		Stack:          stack,
 	}); err != nil {
@@ -325,12 +324,9 @@ func (r *Replica) watchdog() {
 			// applies after this flag observes it and reinstalls the
 			// live stack with its own later publication.
 			r.stale.Store(true)
-			cur := r.sys.Names().Current()
-			applied := r.applied.Load()
 			if _, err := r.sys.Names().ApplyReplicated(names.ReplicaApply{
-				PrimaryVersion: applied,
+				PrimaryVersion: r.applied.Load(),
 				Kind:           "replica-stale",
-				Traversal:      cur.TraversalChecks(),
 				Stack:          StaleStack(),
 			}); err != nil {
 				// Publishing a deny-all stack cannot structurally fail;
@@ -351,10 +347,8 @@ func (r *Replica) restoreIfStale() {
 	r.mu.Lock()
 	stack := r.liveStack
 	r.mu.Unlock()
-	cur := r.sys.Names().Current()
 	if _, err := r.sys.Names().ApplyReplicated(names.ReplicaApply{
 		PrimaryVersion: r.applied.Load(),
-		Traversal:      cur.TraversalChecks(),
 		Stack:          stack,
 	}); err == nil {
 		r.stale.Store(false)

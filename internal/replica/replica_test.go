@@ -515,7 +515,7 @@ func handshake(conn net.Conn, sc *bufio.Scanner) {
 		cmd, _, _ := strings.Cut(sc.Text(), " ")
 		switch cmd {
 		case "HELLO":
-			fmt.Fprintf(conn, "OK proto 5\n")
+			fmt.Fprintf(conn, "OK proto 6\n")
 		default:
 			fmt.Fprintf(conn, "OK\n")
 		}
@@ -539,10 +539,10 @@ func TestConnectRejectsBrokenPrimaries(t *testing.T) {
 		{"old proto", func(conn net.Conn, sc *bufio.Scanner) {
 			fmt.Fprintf(conn, "OK secext ready\n")
 			if sc.Scan() {
-				fmt.Fprintf(conn, "OK proto 4\n")
+				fmt.Fprintf(conn, "OK proto 5\n")
 			}
 			sc.Scan()
-		}, "protocol >= 5"},
+		}, "needs protocol >= 6"},
 		{"not a snapshot", func(conn net.Conn, sc *bufio.Scanner) {
 			handshake(conn, sc)
 			fmt.Fprintf(conn, "GARBAGE x\n")

@@ -281,7 +281,7 @@ func TestSubscriberLeavesMidSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "HELLO 5\nAUTH %s\nSUBSCRIBE 0\n", p.replicatorTok)
+	fmt.Fprintf(conn, "HELLO 6\nAUTH %s\nSUBSCRIBE 0\n", p.replicatorTok)
 	for i := 0; i < 6; i++ { // greeting, three OKs, SNAP-SECRET, SNAP-HEAD
 		line, err := rd.ReadString('\n')
 		if err != nil {
