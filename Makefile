@@ -33,7 +33,12 @@ race:
 allocs:
 	$(GO) test -run Alloc ./internal/...
 
-# fuzz-smoke runs six fuzzers for a few seconds each: the concurrent
+# fuzz-smoke runs seven fuzzers for a few seconds each: the
+# decision-surface fuzzer (every surface that computes a check — the
+# compiled path, the walk, the uncached and the cached and the traced
+# check, Explain, a delta-fed and a bootstrapped mirror, the baseline
+# adapter and a rule oracle — gives the walk's verdict and denial text
+# at every epoch of a random policy history), the concurrent
 # epoch transition fuzzer (consistency, compiled view against a full
 # compile), the delta codec fuzzer (a mirror bootstrapped from snapshot
 # frames and replaying delta frames equals the primary), the epoch
@@ -48,6 +53,7 @@ allocs:
 # operand returned by pointer).
 # Their seed corpora run in every `go test`; this explores beyond them.
 fuzz-smoke:
+	$(GO) test ./internal/names -run '^$$' -fuzz FuzzDecisionSurfaces -fuzztime 10s
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochTransitions -fuzztime 10s
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzEpochDeltaCodec -fuzztime 10s
 	$(GO) test ./internal/names -run '^$$' -fuzz FuzzSnapshotStream -fuzztime 10s
@@ -186,11 +192,13 @@ cover:
 		{ echo "coverage below floor"; exit 1; }
 
 # bench-smoke compiles and exercises the E1 benchmarks for a fixed tiny
-# iteration count, plus one iteration of the E16 churn family so the
-# write path cannot bit-rot unnoticed; it validates the harness, not
-# the numbers.
+# iteration count, plus one iteration of E10, E11 and the later
+# families (the E16 churn among them, so the write path cannot bit-rot
+# unnoticed); it validates the harness, not the numbers. The E1
+# pattern is anchored: a bare 'E1' would also match E10–E19.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'E1' -benchtime 100x .
+	$(GO) test -run '^$$' -bench '^BenchmarkE1Check' -benchtime 100x .
+	$(GO) test -run '^$$' -bench '^BenchmarkE1[01]' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E16' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E17' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E13' -benchtime 1x .

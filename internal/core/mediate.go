@@ -21,17 +21,11 @@ import (
 func (s *System) check(ctx *subject.Context, path string, modes acl.Mode, kind audit.Kind) (*names.Node, error) {
 	var tr *telemetry.ActiveTrace
 	if s.tel.Tracing() {
-		tr = s.tel.StartTrace(kind.String(), ctx.SubjectName(), path, modes.String())
+		if tr = s.tel.StartTrace(kind.String(), ctx.SubjectName(), path, modes.String()); tr != nil {
+			tr.SetClass(ctx.ClassLabel())
+		}
 	}
-	var n *names.Node
-	var epoch uint64
-	var err error
-	if tr == nil {
-		n, epoch, err = s.ns.CheckAccessAt(ctx, ctx.Class(), path, modes)
-	} else {
-		tr.SetClass(ctx.ClassLabel())
-		n, epoch, err = s.ns.CheckAccessTracedAt(ctx, ctx.Class(), path, modes, tr)
-	}
+	n, epoch, err := s.ns.CheckAccess(ctx, ctx.Class(), path, modes, tr)
 	seq := s.recordAt(kind, ctx, path, modes.String(), epoch, err)
 	if tr != nil {
 		reason := ""

@@ -94,7 +94,7 @@ var e17Denials = []struct {
 // The compiled check stays flat as depth grows only because the
 // traversal verdict is precomputed; the walk rows grow linearly. Both
 // produce identical decisions — the oracle for that equivalence is
-// TestCompiledRandomizedOracle and FuzzEpochTransitions, not this
+// FuzzDecisionSurfaces and FuzzEpochTransitions, not this
 // table.
 func E17() Result {
 	res := Result{ID: "E17", Title: "Compiled-epoch resolve: uncached check vs warm cache hit by depth"}

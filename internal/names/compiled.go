@@ -775,7 +775,8 @@ func (ep *Epoch) subjectID(sub acl.Subject) (int, bool) {
 
 // fastResolve answers resolveIn from the index: a bare probe for
 // unchecked resolution, the precomputed visibility chain for checked.
-// Like fastCheck it decides success only.
+// Unlike fastCheck it decides success only: a miss leaves the walk to
+// derive the exact error.
 func (ep *Epoch) fastResolve(sub acl.Subject, class lattice.Class, path string, checked bool) (*Node, bool) {
 	c := ep.compiled
 	if c == nil {
@@ -812,20 +813,6 @@ func (ep *Epoch) fastResolve(sub acl.Subject, class lattice.Class, path string, 
 // Compiled reports whether this epoch carries compiled read-side
 // structures (a registry is attached and compilation is enabled).
 func (ep *Epoch) Compiled() bool { return ep.compiled != nil }
-
-// CompiledResolve probes the epoch's path index with no checks. ok is
-// false when the epoch is not compiled or the path is unbound; tests
-// and experiments use it to compare the probe against the spine walk.
-func (ep *Epoch) CompiledResolve(path string) (*Node, bool) {
-	if ep.compiled == nil {
-		return nil, false
-	}
-	x := ep.compiled.index.Ref(path)
-	if x == nil {
-		return nil, false
-	}
-	return x.node, true
-}
 
 // CompiledCheck runs the compiled fast check. decided is true when the
 // compiled structures answered — an allow, a missing grant, a hidden

@@ -3,8 +3,6 @@ package names
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -16,42 +14,22 @@ import (
 	"secext/internal/subject"
 )
 
-// walkOnly returns a shadow of ep with the compiled view stripped, so
-// resolveIn/checkAccessIn against it exercise the spine walk alone.
-// The shadow shares every shard with ep, making it the oracle the
-// compiled answers must agree with.
-func walkOnly(ep *Epoch) *Epoch {
-	sh := *ep
-	sh.compiled = nil
-	return &sh
-}
-
-var equivModes = []acl.Mode{
-	acl.Read, acl.List, acl.Write, acl.Read | acl.Write,
-	acl.Extend, acl.WriteAppend, acl.AllModes,
-}
-
-// assertCompiledEquiv asserts the full compiled-vs-walk contract on one
-// pinned epoch: the index is exactly the tree (no missing, no stale
-// entries) and matches a full rebuild entry by entry, compiled summaries render the same effective mode sets as
-// ACL entry iteration, and every verdict the fast check decides is the
-// walk's, DeniedError included — and, for registered subjects under the
-// default stack, it decides every allow the walk grants and every
-// denial the walk renders on a bound path.
-func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []lattice.Class) {
+// assertCompiledStructure asserts the structural half of the compiled
+// contract on one pinned epoch: the index is exactly the tree (no
+// missing, no stale entries) and matches a full rebuild entry by entry,
+// and each named subject's compiled summaries render the same effective
+// mode sets as ACL entry iteration.
+func assertCompiledStructure(t testing.TB, ep *Epoch, subs []string) {
 	t.Helper()
 	if !ep.Compiled() {
 		t.Fatalf("epoch v%d not compiled", ep.Version())
 	}
-	shadow := walkOnly(ep)
-
 	// Index ≡ tree, both directions.
 	tree := make(map[string]*Node)
 	ep.Walk(func(p string, n *Node) { tree[p] = n })
 	for p, n := range tree {
-		got, ok := ep.CompiledResolve(p)
-		if !ok || got != n {
-			t.Errorf("v%d: index missing or wrong at %s (ok=%v)", ep.Version(), p, ok)
+		if x := ep.compiled.index.Ref(p); x == nil || x.node != n {
+			t.Errorf("v%d: index missing or wrong at %s", ep.Version(), p)
 		}
 	}
 	if ep.compiled.index.Len() != len(tree) {
@@ -64,69 +42,55 @@ func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []
 	}
 	// Entry by entry, the view equals a from-scratch compile.
 	assertMatchesFullRebuild(t, ep)
-
+	// Summary verdict ≡ ACL entry iteration, mode set for mode set.
 	for p, n := range tree {
-		for _, sub := range subs {
-			// Summary verdict ≡ ACL entry iteration, mode set for mode set.
-			if granted, ok := ep.CompiledGrants(p, sub.name); ok {
-				if oracle := n.acl.GrantedIn(sub, ep.members()); granted != oracle {
+		for _, name := range subs {
+			if granted, ok := ep.CompiledGrants(p, name); ok {
+				if oracle := n.acl.GrantedIn(subj(name), ep.members()); granted != oracle {
 					t.Errorf("v%d: %s on %s: summary grants %v, entry iteration %v",
-						ep.Version(), sub.name, p, granted, oracle)
-				}
-			}
-			_, registered := ep.Registry().PrincipalID(sub.name)
-			for _, class := range classes {
-				// Checked resolution through the compiled visibility chain
-				// must agree with the per-ancestor walk, errors included.
-				rn, rerr := resolveIn(ep, sub, class, p, true)
-				wn, werr := resolveIn(shadow, sub, class, p, true)
-				if rn != wn || fmt.Sprint(rerr) != fmt.Sprint(werr) {
-					t.Errorf("v%d: resolve %s as %s: fast (%v,%v) walk (%v,%v)",
-						ep.Version(), p, sub.name, rn, rerr, wn, werr)
-				}
-				for _, modes := range equivModes {
-					fastN, ferr, decided := ep.fastCheck(sub, class, p, modes)
-					wn, werr := checkAccessIn(shadow, sub, class, p, modes)
-					if decided && (fastN != wn || !sameDecision(ferr, werr)) {
-						t.Errorf("v%d: FAST PATH DIVERGES FROM WALK: %s %s %v: compiled (%v, %v), walk (%v, %v)",
-							ep.Version(), sub.name, p, modes, fastN, ferr, wn, werr)
-					}
-					if !decided && registered && ep.compiled.fast {
-						// On the default stack every walk denial of a bound
-						// path is a missing grant, a MAC flow failure or a
-						// hidden ancestor, all of which the compiled path
-						// decides.
-						var de *DeniedError
-						if werr == nil {
-							t.Errorf("v%d: fast path undecided on a walk allow: %s %s %v",
-								ep.Version(), sub.name, p, modes)
-						} else if errors.As(werr, &de) {
-							t.Errorf("v%d: fast path undecided on a walk denial: %s %s %v: %v",
-								ep.Version(), sub.name, p, modes, werr)
-						}
-					}
-					// The composed check must be identical either way.
-					cn, cerr := checkAccessIn(ep, sub, class, p, modes)
-					if cn != wn || fmt.Sprint(cerr) != fmt.Sprint(werr) {
-						t.Errorf("v%d: checkAccessIn diverged at %s as %s %v: (%v,%v) vs (%v,%v)",
-							ep.Version(), p, sub.name, modes, cn, cerr, wn, werr)
-					}
+						ep.Version(), name, p, granted, oracle)
 				}
 			}
 		}
 	}
 }
 
-// sameDecision reports whether two check results are the same verdict
-// with the same error: equal DeniedError fields for two denials, equal
-// text otherwise.
-func sameDecision(a, b error) bool {
-	da, aok := a.(*DeniedError)
-	db, bok := b.(*DeniedError)
-	if aok || bok {
-		return aok && bok && *da == *db
+// assertCompiledEquiv asserts the compiled-vs-walk contract on one
+// pinned epoch: the structure above, then, on every bound path for
+// every subject, class and queryModes set, checked resolution through
+// the compiled visibility chain, every verdict the fast check decides,
+// and the composed check each agree with the walk.
+func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []lattice.Class) {
+	t.Helper()
+	var names []string
+	for _, sub := range subs {
+		names = append(names, sub.name)
 	}
-	return fmt.Sprint(a) == fmt.Sprint(b)
+	assertCompiledStructure(t, ep, names)
+	shadow := walkOnly(ep)
+	ep.Walk(func(p string, _ *Node) {
+		for _, sub := range subs {
+			for _, class := range classes {
+				rn, rerr := resolveIn(ep, sub, class, p, true)
+				wn, werr := resolveIn(shadow, sub, class, p, true)
+				if rn != wn || !sameDecision(rerr, werr) {
+					t.Errorf("v%d: resolve %s as %s: fast (%v,%v) walk (%v,%v)",
+						ep.Version(), p, sub.name, rn, rerr, wn, werr)
+				}
+				for _, modes := range queryModes {
+					wn, werr := checkAccessIn(shadow, sub, class, p, modes, nil)
+					if fn, ferr, decided := ep.fastCheck(sub, class, p, modes); decided && (fn != wn || !sameDecision(ferr, werr)) {
+						t.Errorf("v%d: FAST PATH DIVERGES FROM WALK: %s %s %v: compiled (%v, %v), walk (%v, %v)",
+							ep.Version(), sub.name, p, modes, fn, ferr, wn, werr)
+					}
+					if cn, cerr := checkAccessIn(ep, sub, class, p, modes, nil); cn != wn || !sameDecision(cerr, werr) {
+						t.Errorf("v%d: checkAccessIn diverged at %s as %s %v: (%v,%v) vs (%v,%v)",
+							ep.Version(), p, sub.name, modes, cn, cerr, wn, werr)
+					}
+				}
+			}
+		}
+	})
 }
 
 // compiledFixture is a server with registry, groups, and a small tree.
@@ -188,7 +152,7 @@ func TestCompiledEpochLifecycle(t *testing.T) {
 	if f.srv.Current().Compiled() {
 		t.Fatal("compiled view survived SetCompiledEpochs(false)")
 	}
-	if _, _, err := f.srv.CheckAccessAt(f.root, f.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := f.srv.CheckAccess(f.root, f.bot, "/svc/fs/read", acl.Read, nil); err != nil {
 		t.Fatalf("walk check with compilation off: %v", err)
 	}
 	f.srv.SetCompiledEpochs(true)
@@ -198,7 +162,7 @@ func TestCompiledEpochLifecycle(t *testing.T) {
 	if got := f.srv.CompiledStats().Full; got != full0+1 {
 		t.Fatalf("full rebuilds = %d, want %d (re-enable forces one)", got, full0+1)
 	}
-	if _, _, err := f.srv.CheckAccessAt(f.root, f.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := f.srv.CheckAccess(f.root, f.bot, "/svc/fs/read", acl.Read, nil); err != nil {
 		t.Fatalf("fast check with compilation on: %v", err)
 	}
 }
@@ -275,10 +239,10 @@ func TestCompiledIndexTracksMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("subtree move")
-	if _, ok := srv.Current().CompiledResolve("/svc/dept/doc0"); ok {
+	if srv.Current().compiled.index.Ref("/svc/dept/doc0") != nil {
 		t.Fatal("stale index entry for pre-rename path")
 	}
-	if _, ok := srv.Current().CompiledResolve("/archive/dept-old/doc0"); !ok {
+	if srv.Current().compiled.index.Ref("/archive/dept-old/doc0") == nil {
 		t.Fatal("index missing relocated node")
 	}
 
@@ -338,7 +302,7 @@ func fullRebuild(ep *Epoch) *compiled {
 
 // assertMatchesFullRebuild checks ep's (incrementally built) compiled
 // view against a from-scratch compile of the same epoch.
-func assertMatchesFullRebuild(t *testing.T, ep *Epoch) {
+func assertMatchesFullRebuild(t testing.TB, ep *Epoch) {
 	t.Helper()
 	assertSameCompiled(t, ep, ep.compiled, fullRebuild(ep))
 }
@@ -348,7 +312,7 @@ func assertMatchesFullRebuild(t *testing.T, ep *Epoch) {
 // visibility chain, every principal's granted modes), and keep exact
 // slot books: one live slot per distinct ACL with refs equal to the
 // entries judged by it, so entries sharing an ACL share a summary.
-func assertSameCompiled(t *testing.T, ep *Epoch, ic, fc *compiled) {
+func assertSameCompiled(t testing.TB, ep *Epoch, ic, fc *compiled) {
 	t.Helper()
 	tree := make(map[string]*Node)
 	ep.Walk(func(p string, n *Node) { tree[p] = n })
@@ -425,127 +389,14 @@ func TestCompiledNonDefaultStackFallsBack(t *testing.T) {
 	if ep.compiled.fast {
 		t.Fatal("non-default stack marked fast")
 	}
-	if _, ok := ep.CompiledResolve("/svc/fs/read"); !ok {
+	if ep.compiled.index.Ref("/svc/fs/read") == nil {
 		t.Fatal("index lost under custom stack")
 	}
 	if _, decided := ep.CompiledAllows(subj("root"), cf.bot, "/svc/fs/read", acl.Read); decided {
 		t.Fatal("fast check decided under a custom stack")
 	}
-	if _, _, err := srv.CheckAccessAt(subj("root"), cf.bot, "/svc/fs/read", acl.Read); err != nil {
+	if _, _, err := srv.CheckAccess(subj("root"), cf.bot, "/svc/fs/read", acl.Read, nil); err != nil {
 		t.Fatalf("walk check under custom stack: %v", err)
-	}
-}
-
-// TestCompiledRandomizedOracle fuzzes a deterministic op sequence over
-// every mutation class and asserts the equivalence contract on every
-// published epoch along the way, plus pinned-epoch immutability at the
-// end. This is the op-sequence oracle for index-resolve ≡ walk-resolve
-// and summary-verdict ≡ entry-iteration. The registry ops cover every
-// path a scoped registry transition takes: member toggles, subgroup
-// edges (a full re-freeze), enrolling a principal registered earlier,
-// and an ACL naming a principal before it registers. Relabels put nodes
-// above and below the subjects' classes, so every denial the compiled
-// path decides (missing grant, MAC flow, hidden ancestor by ACL or by
-// class) arises.
-func TestCompiledRandomizedOracle(t *testing.T) {
-	cf := newCompiledFixture(t)
-	srv, classes := cf.srv, cf.classes()
-	rng := rand.New(rand.NewSource(7))
-	names := []string{"alice", "bob", "carol", "root"}
-	groups := []string{"ops", "eng"}
-	var pinned []*Epoch
-	dirs := []string{"/svc", "/svc/fs"}
-	serial := 0
-	var added []string
-	for i := 0; i < 120; i++ {
-		switch rng.Intn(12) {
-		case 0, 1:
-			parent := dirs[rng.Intn(len(dirs))]
-			serial++
-			name := fmt.Sprintf("r%d", serial)
-			a := acl.New(
-				acl.Allow(names[rng.Intn(len(names))], acl.Read|acl.Write),
-				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.Read|acl.List),
-			)
-			if rng.Intn(2) == 0 {
-				a.Add(acl.Deny(names[rng.Intn(len(names))], acl.Read))
-			}
-			kind, path := KindFile, parent+"/"+name
-			if rng.Intn(3) == 0 {
-				kind = KindDirectory
-			}
-			if _, err := srv.BindUnchecked(parent, BindSpec{Name: name, Kind: kind, ACL: a, Class: cf.bot}); err == nil && kind == KindDirectory {
-				dirs = append(dirs, path)
-			}
-		case 2:
-			srv.Apply(nil, lattice.Class{}, Unbind(fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))))
-		case 3:
-			p := dirs[rng.Intn(len(dirs))]
-			srv.SetACLUnchecked(p, acl.New(
-				acl.Allow("root", acl.AllModes),
-				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.List),
-				acl.AllowEveryone(acl.List),
-			))
-		case 4:
-			cf.reg.Apply(principal.AddMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))]))
-		case 5:
-			cf.reg.Apply(principal.RemoveMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))]))
-		case 6:
-			// Rename a random renameable node under /svc into /svc/fs.
-			old := fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))
-			srv.Apply(cf.root, cf.bot, Rename(old, "/svc/fs", fmt.Sprintf("mv%d", i)))
-		case 7:
-			name := fmt.Sprintf("u%d", len(added))
-			if _, err := cf.reg.Apply(principal.AddPrincipal(name, cf.bot)); err == nil {
-				added = append(added, name)
-				cf.subs = append(cf.subs, subj(name))
-			}
-		case 8:
-			// Subgroup edge eng ⊆ ops, toggled: a full re-freeze.
-			if members, _ := cf.reg.Members("ops"); slices.Contains(members, "@eng") {
-				cf.reg.Apply(principal.RemoveMember("ops", "eng"))
-			} else {
-				cf.reg.Apply(principal.AddMember("ops", "eng"))
-			}
-		case 9:
-			// Enrol a principal registered earlier in the run.
-			if len(added) > 0 {
-				cf.reg.Apply(principal.AddMember(groups[rng.Intn(len(groups))], added[rng.Intn(len(added))]))
-			}
-		case 10:
-			// An interior ACL naming the principal case 7 registers next.
-			srv.SetACLUnchecked(dirs[rng.Intn(len(dirs))], acl.New(
-				acl.Allow("root", acl.AllModes),
-				acl.Allow(fmt.Sprintf("u%d", len(added)), acl.List|acl.Read),
-				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.List),
-			))
-		case 11:
-			// Relabel a directory or a node under /svc: ancestors above a
-			// subject's class hide what lies below them, and targets on
-			// either side of it deny by MAC flow.
-			p := dirs[rng.Intn(len(dirs))]
-			if rng.Intn(2) == 0 {
-				p = fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))
-			}
-			srv.Apply(nil, lattice.Class{}, SetClass(p, classes[rng.Intn(len(classes))]))
-		}
-		assertMatchesFullRebuild(t, srv.Current())
-		if i%10 == 0 || i == 119 {
-			ep := srv.Current()
-			assertCompiledEquiv(t, ep, cf.subs, classes)
-			if t.Failed() {
-				t.Fatalf("after op %d", i)
-			}
-			pinned = append(pinned, ep)
-		}
-	}
-	// Pinned epochs are immutable: the contract still holds on each.
-	for _, ep := range pinned {
-		assertCompiledEquiv(t, ep, cf.subs, classes)
-	}
-	st := srv.CompiledStats()
-	if st.Incremental == 0 || st.Full == 0 {
-		t.Fatalf("expected both full and incremental builds: %+v", st)
 	}
 }
 
@@ -672,7 +523,7 @@ func TestSubjectIDConfirmsPrincipal(t *testing.T) {
 			}
 			_, got := cf.srv.CheckAccessIn(ep, sub, cf.bot, "/doc", acl.Read)
 			_, walk := cf.srv.CheckAccessIn(walkOnly(ep), sub, cf.bot, "/doc", acl.Read)
-			if fmt.Sprint(got) != fmt.Sprint(walk) {
+			if !sameDecision(got, walk) {
 				t.Errorf("%s subject %d: %v, walk %v", name, i, got, walk)
 			}
 			var de *DeniedError

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"secext/internal/acl"
+	"secext/internal/lattice"
+	"secext/internal/telemetry"
 )
 
 // corruptSummary is the test hook for the shadow divergence monitor: it
@@ -22,6 +24,17 @@ func corruptSummary(t *testing.T, ep *Epoch, path string, a *acl.ACL) {
 	ep.compiled.sums[e.slot] = a.Compile(ep.reg)
 }
 
+// tracedCheck runs srv's check as a request the telemetry sampler
+// selected: with a live trace, which routes it through the shadow
+// compare.
+func tracedCheck(srv *Server, sub acl.Subject, class lattice.Class, path string, modes acl.Mode) error {
+	tel := telemetry.New(telemetry.Options{Mode: telemetry.ModeFull, Kinds: []string{"data"}})
+	tr := tel.StartTrace("data", sub.SubjectName(), path, modes.String())
+	_, _, err := srv.CheckAccess(sub, class, path, modes, tr)
+	tr.Finish(0, err == nil, "")
+	return err
+}
+
 // TestShadowDivergenceDetectsCorruption is the monitor's acceptance
 // test: corrupt a compiled summary, route checks through the traced
 // (shadow-compared) path, and the divergence counter fires within the
@@ -37,7 +50,7 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 
 	// Sanity: the walk denies bob read (everyone holds list only), and
 	// the honest fast path agrees by not deciding.
-	if _, err := checkAccessIn(walkOnly(ep), bob, cf.bot, path, acl.Read); err == nil {
+	if _, err := checkAccessIn(walkOnly(ep), bob, cf.bot, path, acl.Read, nil); err == nil {
 		t.Fatal("fixture grants bob read; the corruption would be invisible")
 	}
 	if _, err, decided := ep.fastCheck(bob, cf.bot, path, acl.Read); !decided || err == nil {
@@ -45,7 +58,7 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	}
 
 	// An honest shadow comparison counts the check, not a divergence.
-	if _, _, err := cf.srv.CheckAccessTracedAt(bob, cf.bot, path, acl.Read, nil); err == nil {
+	if err := tracedCheck(cf.srv, bob, cf.bot, path, acl.Read); err == nil {
 		t.Fatal("traced check allowed bob read")
 	}
 	st := cf.srv.Stats()
@@ -65,7 +78,7 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	// The corrupted allow must surface as a divergence on the next
 	// shadowed check — and must NOT leak into the verdict.
 	carol := subj("carol") // distinct subject: the denial above is cached for bob
-	if _, _, err := cf.srv.CheckAccessTracedAt(carol, cf.bot, path, acl.Read, nil); err == nil {
+	if err := tracedCheck(cf.srv, carol, cf.bot, path, acl.Read); err == nil {
 		t.Fatal("divergence leaked: corrupted compiled allow was enforced")
 	}
 	st = cf.srv.Stats()
@@ -76,6 +89,14 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	if dv2 != 1 {
 		t.Fatalf("divergences = %d after corruption, want 1", dv2)
 	}
+	// A nil trace is the untraced path: the compiled answer is served
+	// (here, the corrupted allow) and the monitor does not run.
+	if _, _, err := cf.srv.CheckAccess(carol, cf.bot, path, acl.Read, nil); err != nil {
+		t.Fatalf("untraced check: %v; want the compiled path's answer", err)
+	}
+	if st := cf.srv.Stats(); st.ShadowChecks != sc2 || st.Divergences != dv2 {
+		t.Fatalf("an untraced check moved the monitor: %d checks, %d divergences", st.ShadowChecks, st.Divergences)
+	}
 
 	// The other direction: an empty summary makes the compiled path deny
 	// root, whom the walk allows. The caller gets the walk's allow.
@@ -84,7 +105,7 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	if _, err, decided := ep.fastCheck(root, cf.bot, path, acl.Read); !decided || err == nil {
 		t.Fatalf("deny corruption did not flip the fast check (decided %v, err %v); test is vacuous", decided, err)
 	}
-	if _, _, err := cf.srv.CheckAccessTracedAt(root, cf.bot, path, acl.Read, nil); err != nil {
+	if err := tracedCheck(cf.srv, root, cf.bot, path, acl.Read); err != nil {
 		t.Fatalf("divergence leaked: corrupted compiled denial was enforced: %v", err)
 	}
 	if dv3 := cf.srv.Stats().Divergences; dv3 != 2 {
@@ -95,11 +116,11 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 	// write-down and the compiled path for the emptied summary: a denial
 	// with other text is a divergence too.
 	_, ferr, _ := ep.fastCheck(root, cf.top, path, acl.Write)
-	_, werr := checkAccessIn(walkOnly(ep), root, cf.top, path, acl.Write)
+	_, werr := checkAccessIn(walkOnly(ep), root, cf.top, path, acl.Write, nil)
 	if ferr == nil || werr == nil || ferr.Error() == werr.Error() {
 		t.Fatalf("compiled %v, walk %v; want two denials with different text", ferr, werr)
 	}
-	if _, _, err := cf.srv.CheckAccessTracedAt(root, cf.top, path, acl.Write, nil); err == nil || err.Error() != werr.Error() {
+	if err := tracedCheck(cf.srv, root, cf.top, path, acl.Write); err == nil || err.Error() != werr.Error() {
 		t.Fatalf("traced check returned %v, want the walk's %v", err, werr)
 	}
 	if dv4 := cf.srv.Stats().Divergences; dv4 != 3 {
@@ -112,7 +133,7 @@ func TestShadowDivergenceDetectsCorruption(t *testing.T) {
 func TestShadowMonitorSkipsUncompiled(t *testing.T) {
 	f := newFixture(t)
 	f.mkTree(t)
-	if _, _, err := f.srv.CheckAccessTracedAt(subj("nobody"), f.bot, "/svc/fs/read", acl.Read, nil); err == nil {
+	if err := tracedCheck(f.srv, subj("nobody"), f.bot, "/svc/fs/read", acl.Read); err == nil {
 		t.Fatal("unexpected allow")
 	}
 	if st := f.srv.Stats(); st.ShadowChecks != 0 || st.Divergences != 0 {

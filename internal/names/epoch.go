@@ -112,7 +112,7 @@ func (ep *Epoch) Lookup(path string) (*Node, error) {
 // through it so the verdict it reports is the one mediation computes,
 // byte for byte.
 func (ep *Epoch) CheckIn(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, error) {
-	return checkAccessIn(ep, sub, class, path, modes)
+	return checkAccessIn(ep, sub, class, path, modes, nil)
 }
 
 // members returns the epoch's membership relation for ACL evaluation,

@@ -123,7 +123,7 @@ func TestEpochReadPathAcquiresNoMutex(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				// Cached fast path.
-				if _, _, err := f.srv.CheckAccessAt(alice, f.bot, "/svc/fs/read", acl.Read); err != nil {
+				if _, _, err := f.srv.CheckAccess(alice, f.bot, "/svc/fs/read", acl.Read, nil); err != nil {
 					t.Errorf("cached check: %v", err)
 					return
 				}
@@ -384,9 +384,7 @@ func FuzzEpochTransitions(f *testing.F) {
 		if diff := wireEquivalent(final, m.srv.Current()); diff != "" {
 			t.Errorf("mirror bootstrapped from the frames differs: %s", diff)
 		}
-		if diff := verdictsAgree(final, m.srv.Current()); diff != "" {
-			t.Errorf("mirror bootstrapped from the frames decides differently: %s", diff)
-		}
+		assertMirrorDecides(t, final, m)
 		// The closure the epoch carries, derived version by version,
 		// must agree with a naive walk of the direct-member lists for
 		// every principal × group pair.

@@ -52,7 +52,7 @@ func TestMultilevelBind(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0] != "f1" {
 		t.Errorf("List = %v, %v", got, err)
 	}
-	if _, _, err := f.srv.CheckAccessAt(subj("low"), f.bot, "/tmp/f1", acl.Read); !errors.Is(err, ErrDenied) {
+	if _, _, err := f.srv.CheckAccess(subj("low"), f.bot, "/tmp/f1", acl.Read, nil); !errors.Is(err, ErrDenied) {
 		t.Errorf("low read of high entry: got %v", err)
 	}
 }

@@ -31,7 +31,7 @@ var ErrNotEmpty = fmt.Errorf("names: node not empty")
 // Concurrency design (RCU over the WHOLE policy): the server publishes
 // an immutable Epoch — name tree, frozen lattice, frozen
 // principal/group registry, guard stack — through one atomic pointer.
-// Readers (Resolve, CheckAccessAt, List, GetACL, Walk) pin the current
+// Readers (Resolve, CheckAccess, List, GetACL, Walk) pin the current
 // Epoch with a single atomic load and run the entire decision against
 // it with zero locks; no mediation step ever consults mutable state.
 // Writers serialize on a writer-only mutex, derive a successor epoch
@@ -111,7 +111,7 @@ type Server struct {
 	compSummaryNs telemetry.Histogram
 	compVisNs     telemetry.Histogram
 
-	// cache, when set, memoizes CheckAccessAt verdicts keyed by
+	// cache, when set, memoizes CheckAccess verdicts keyed by
 	// (subject, class, path, modes) and stamped with the epoch version
 	// the verdict was computed against. A hit requires the stamp to
 	// equal the pinned epoch's version, so it is provably computed
@@ -140,12 +140,12 @@ type Server struct {
 
 	// Shadow divergence monitor: every traced check (the telemetry
 	// sampler picks 1/N of all checks) additionally consults the
-	// compiled fast path and compares its verdict against the
-	// authoritative walk. shadowChecks counts comparisons, divergences
+	// compiled fast path and compares its answer against the
+	// authoritative walk's. shadowChecks counts comparisons, divergences
 	// counts disagreements — a nonzero divergence count means the
-	// compiled bitsets allowed something the walk denied, which is a
-	// correctness alarm (the walk's verdict is always the one
-	// enforced).
+	// compiled structures allowed what the walk denied, denied what it
+	// allowed, or denied with other text, which is a correctness alarm
+	// (the walk's verdict is always the one enforced).
 	shadowChecks atomic.Uint64
 	divergences  atomic.Uint64
 
@@ -210,9 +210,10 @@ func (s *Server) Publishes() uint64 { return s.publishes.Load() }
 // version, the publication counters by the shard that drove them, the
 // publication latency, the compiled-epoch counters, the shadow
 // divergence monitor (a nonzero divergence count is a correctness
-// alarm: the compiled read side allowed something the walk denied, and
-// the walk's verdict was enforced), the journal's fill, and the current
-// epoch's footprint with the intern tables' counters.
+// alarm: the compiled read side disagreed with the walk, in either
+// direction or in the denial text, and the walk's verdict was
+// enforced), the journal's fill, and the current epoch's footprint
+// with the intern tables' counters.
 func (s *Server) Stats() telemetry.NamesStats {
 	fp := s.epoch.Load().Footprint()
 	s.strings.stats(&fp)
@@ -339,7 +340,7 @@ func (s *Server) admin(op, path string, err error) {
 }
 
 // SetDecisionCache installs (or, with nil, removes) the decision cache
-// consulted by CheckAccessAt. Call it during setup, before the server sees
+// consulted by CheckAccess. Call it during setup, before the server sees
 // concurrent traffic. Only the reference monitor should install a cache:
 // cached verdicts are keyed by subject *name*, which is sound only when
 // every subject name maps to one identity — core's registry guarantees
@@ -454,7 +455,7 @@ func resolveIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, che
 
 // Resolve walks to the node at path, enforcing visibility along the way.
 // The target node itself is not checked; callers apply the operation-
-// specific check via CheckAccessAt or a higher-level operation.
+// specific check via CheckAccess or a higher-level operation.
 func (s *Server) Resolve(sub acl.Subject, class lattice.Class, path string) (*Node, error) {
 	return resolveIn(s.epoch.Load(), sub, class, path, true)
 }
@@ -466,7 +467,7 @@ func (s *Server) ResolveUnchecked(path string) (*Node, error) {
 	return n, err
 }
 
-// CheckAccessAt resolves path and verifies that the subject holds the
+// CheckAccess resolves path and verifies that the subject holds the
 // requested modes on the target under the guard stack. It returns the
 // node on success and the deciding epoch's version either way, so
 // callers (the reference monitor's audit path) can stamp the decision
@@ -484,68 +485,55 @@ func (s *Server) ResolveUnchecked(path string) (*Node, error) {
 // stamped with the pinned epoch's version, so a mutation of ANY policy
 // shard racing with the check leaves the entry unreachable the moment
 // it lands.
-func (s *Server) CheckAccessAt(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, uint64, error) {
+//
+// tr is the request's trace, nil when the telemetry sampler did not
+// select it. A traced check records the pinned epoch version, the
+// cache probe, the resolution and each guard's verdict as spans, and
+// doubles as the shadow divergence monitor (see shadowCompare); it
+// returns the walk's decision, which the untraced path must equal.
+func (s *Server) CheckAccess(sub acl.Subject, class lattice.Class, path string, modes acl.Mode, tr *telemetry.ActiveTrace) (*Node, uint64, error) {
 	ep := s.epoch.Load()
+	if tr != nil {
+		tr.EpochVersion(ep.version)
+	}
 	cache := s.cache.Load()
-	if cache == nil || !ep.stack.Cacheable() {
-		n, err := checkAccessIn(ep, sub, class, path, modes)
-		return n, ep.version, err
-	}
-	name := sub.SubjectName()
-	if node, err, ok := cache.Lookup(ep.version, name, class, path, modes); ok {
-		if err != nil {
-			return nil, ep.version, err
+	cached := cache != nil && ep.stack.Cacheable()
+	var name string
+	if cached {
+		name = sub.SubjectName()
+		var start time.Time
+		if tr != nil {
+			start = time.Now()
 		}
-		return node.(*Node), ep.version, nil
+		node, err, ok := cache.Lookup(ep.version, name, class, path, modes)
+		if tr != nil {
+			tr.CacheProbe(ok, ep.version, time.Since(start))
+		}
+		if ok {
+			if err != nil {
+				return nil, ep.version, err
+			}
+			return node.(*Node), ep.version, nil
+		}
+	} else if cache != nil {
+		tr.Span("cache-skip", "stateful guard", 0)
 	}
-	n, err := checkAccessIn(ep, sub, class, path, modes)
+	n, err := checkAccessIn(ep, sub, class, path, modes, tr)
+	if tr != nil {
+		s.shadowCompare(ep, sub, class, path, modes, n, err, tr)
+	}
 	// Cache grants and access denials only. Structural errors
 	// (ErrNotFound, ErrBadPath) are cheap to recompute and their error
 	// values carry no security weight worth pinning.
-	if err == nil {
-		cache.StoreAt(ep.version, name, class, path, modes, n, nil)
-	} else if errors.Is(err, ErrDenied) {
-		cache.StoreAt(ep.version, name, class, path, modes, nil, err)
+	if cached && (err == nil || errors.Is(err, ErrDenied)) {
+		cache.StoreAt(ep.version, name, class, path, modes, n, err)
 	}
 	return n, ep.version, err
 }
 
-// CheckAccessTracedAt is CheckAccessAt with stage-by-stage
-// observability: the pinned epoch version, the decision-cache probe,
-// the path resolution, and each guard's verdict land as spans on tr. It
-// is invoked only for requests the telemetry sampler selected, so the
-// extra clock reads never touch the common path; the decision returned
-// is identical to CheckAccessAt's.
-func (s *Server) CheckAccessTracedAt(sub acl.Subject, class lattice.Class, path string, modes acl.Mode, tr *telemetry.ActiveTrace) (*Node, uint64, error) {
-	ep := s.epoch.Load()
-	tr.EpochVersion(ep.version)
-	cache := s.cache.Load()
-	if cache == nil {
-		n, err := s.checkAccessInTraced(ep, sub, class, path, modes, tr)
-		return n, ep.version, err
-	}
-	if !ep.stack.Cacheable() {
-		tr.Span("cache-skip", "stateful guard", 0)
-		n, err := s.checkAccessInTraced(ep, sub, class, path, modes, tr)
-		return n, ep.version, err
-	}
-	name := sub.SubjectName()
-	start := time.Now()
-	node, err, ok := cache.Lookup(ep.version, name, class, path, modes)
-	tr.CacheProbe(ok, ep.version, time.Since(start))
-	if ok {
-		if err != nil {
-			return nil, ep.version, err
-		}
-		return node.(*Node), ep.version, nil
-	}
-	n, err := s.checkAccessInTraced(ep, sub, class, path, modes, tr)
-	if err == nil {
-		cache.StoreAt(ep.version, name, class, path, modes, n, nil)
-	} else if errors.Is(err, ErrDenied) {
-		cache.StoreAt(ep.version, name, class, path, modes, nil, err)
-	}
-	return n, ep.version, err
+// CheckAccessAt is CheckAccess untraced, kept for bench/.
+func (s *Server) CheckAccessAt(sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, uint64, error) {
+	return s.CheckAccess(sub, class, path, modes, nil)
 }
 
 // CheckAccessIn is the uncached full check pinned to a caller-chosen
@@ -553,70 +541,70 @@ func (s *Server) CheckAccessTracedAt(sub acl.Subject, class lattice.Class, path 
 // stack. Tests and experiments use it to prove a decision was computed
 // against one specific published version.
 func (s *Server) CheckAccessIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, error) {
-	return checkAccessIn(ep, sub, class, path, modes)
+	return checkAccessIn(ep, sub, class, path, modes, nil)
 }
 
 // checkAccessIn is the uncached check: resolve inside the pinned epoch,
-// then verify the target. On a compiled epoch with the default stack
-// the whole decision — resolution visibility, DAC, MAC — is answered
-// from the freeze-time structures (one index probe plus a few bitset
-// tests), denials included; everything the fast path cannot decide
-// takes the walk.
-func checkAccessIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, modes acl.Mode) (*Node, error) {
-	if n, err, ok := ep.fastCheck(sub, class, path, modes); ok {
-		return n, err
+// then verify the target. Untraced (tr == nil), on a compiled epoch
+// with the default stack the whole decision — resolution visibility,
+// DAC, MAC — is answered from the freeze-time structures (one index
+// probe plus a few bitset tests), denials included; everything the fast
+// path cannot decide takes the walk. Traced, it takes the walk
+// unconditionally, recording the resolve duration as a span and each
+// guard's verdict individually, so the shadow compare has an
+// authoritative answer to hold the compiled one against.
+func checkAccessIn(ep *Epoch, sub acl.Subject, class lattice.Class, path string, modes acl.Mode, tr *telemetry.ActiveTrace) (*Node, error) {
+	var start time.Time
+	if tr == nil {
+		if n, err, ok := ep.fastCheck(sub, class, path, modes); ok {
+			return n, err
+		}
+	} else {
+		start = time.Now()
 	}
 	n, err := resolveIn(ep, sub, class, path, true)
+	if tr != nil {
+		tr.Span("resolve", "", time.Since(start))
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNode(ep, n, path, sub, class, modes, monitor.OpAccess); err != nil {
-		return nil, err
+	req := monitor.Request{
+		Subject: sub, Class: class, Object: describe(n, path), Modes: modes,
+		Members: ep.members(), Op: monitor.OpAccess,
+	}
+	var v monitor.Verdict
+	if tr == nil {
+		v = ep.stack.Check(req)
+	} else {
+		v = ep.stack.CheckTraced(req, tr)
+	}
+	if !v.Allow {
+		return nil, &DeniedError{Path: path, Op: modes.String(), Why: v.Reason}
 	}
 	return n, nil
 }
 
-// checkAccessInTraced mirrors checkAccessIn, recording the resolve
-// duration as a span and running the guard stack through CheckTraced so
-// each guard's verdict is visible individually. Because it runs only
-// for the 1/N of checks the telemetry sampler selects, it doubles as
-// the shadow divergence monitor: it takes the authoritative walk
-// unconditionally, then consults the compiled fast path and compares,
-// in both directions: a compiled verdict that differs from the walk's,
-// or a compiled denial whose text differs, is a divergence. The walk's
-// verdict is always the one returned.
-func (s *Server) checkAccessInTraced(ep *Epoch, sub acl.Subject, class lattice.Class, path string, modes acl.Mode, tr *telemetry.ActiveTrace) (*Node, error) {
-	start := time.Now()
-	n, err := resolveIn(ep, sub, class, path, true)
-	tr.Span("resolve", "", time.Since(start))
-	var werr error
-	if err != nil {
-		werr = err
+// shadowCompare is the shadow divergence monitor. It runs on traced
+// checks only — the 1/N the telemetry sampler selects — after the walk
+// has decided (n, werr): it consults the compiled fast path and
+// compares, in both directions: a compiled verdict that differs from
+// the walk's, or a compiled denial whose text differs, is a divergence.
+// The walk's verdict is always the one returned.
+func (s *Server) shadowCompare(ep *Epoch, sub acl.Subject, class lattice.Class, path string, modes acl.Mode, n *Node, werr error, tr *telemetry.ActiveTrace) {
+	if ep.compiled == nil || sub == nil {
+		return
+	}
+	s.shadowChecks.Add(1)
+	fn, ferr, decided := ep.fastCheck(sub, class, path, modes)
+	if decided && (verdictText(ferr) != verdictText(werr) || ferr == nil && fn != n) {
+		// The compiled structures disagree with the authoritative
+		// evaluation. Alarm, but enforce the walk's verdict.
+		s.divergences.Add(1)
+		tr.Span("shadow", "DIVERGENCE: compiled="+verdictText(ferr)+" walk="+verdictText(werr), 0)
 	} else {
-		v := ep.stack.CheckTraced(monitor.Request{
-			Subject: sub, Class: class, Object: describe(n, path), Modes: modes,
-			Members: ep.members(), Op: monitor.OpAccess,
-		}, tr)
-		if !v.Allow {
-			werr = &DeniedError{Path: path, Op: modes.String(), Why: v.Reason}
-		}
+		tr.Span("shadow", "no divergence", 0)
 	}
-	if ep.compiled != nil && sub != nil {
-		s.shadowChecks.Add(1)
-		fn, ferr, decided := ep.fastCheck(sub, class, path, modes)
-		if decided && (verdictText(ferr) != verdictText(werr) || ferr == nil && fn != n) {
-			// The compiled structures disagree with the authoritative
-			// evaluation. Alarm, but enforce the walk's verdict.
-			s.divergences.Add(1)
-			tr.Span("shadow", "DIVERGENCE: compiled="+verdictText(ferr)+" walk="+verdictText(werr), 0)
-		} else {
-			tr.Span("shadow", "no divergence", 0)
-		}
-	}
-	if werr != nil {
-		return nil, werr
-	}
-	return n, nil
 }
 
 // verdictText renders a check's outcome for the shadow compare: "allow",

@@ -132,50 +132,6 @@ func wireEquivalent(a, b *Epoch) string {
 	return ""
 }
 
-// verdictsAgree compares mediated verdicts, denial text included,
-// between the two epochs for every principal on every leaf path (on
-// at most ~256 leaves, evenly spread, in a larger tree) — on a compiled
-// epoch this runs the locally rebuilt summaries, so agreement here is
-// the "compiled read side rebuilt at apply time matches the primary's"
-// claim.
-func verdictsAgree(a, b *Epoch) string {
-	if a.Registry() == nil || b.Registry() == nil {
-		return ""
-	}
-	var leaves []string
-	a.Walk(func(path string, n *Node) {
-		if n.Kind().Leaf() {
-			leaves = append(leaves, path)
-		}
-	})
-	stride := max(1, len(leaves)/256)
-	for _, name := range a.Registry().Principals() {
-		// Classes are lattice-scoped (cross-lattice comparisons are
-		// always false), so each side checks with the class its own
-		// registry assigned — exactly what a live replica does.
-		pa, err := a.Registry().Principal(name)
-		if err != nil {
-			return err.Error()
-		}
-		pb, err := b.Registry().Principal(name)
-		if err != nil {
-			return fmt.Sprintf("mirror missing principal %s: %v", name, err)
-		}
-		for i := 0; i < len(leaves); i += stride {
-			path := leaves[i]
-			for _, mode := range []acl.Mode{acl.Read, acl.Write, acl.Administrate} {
-				_, aerr := a.CheckIn(subj(name), pa.Class(), path, mode)
-				_, berr := b.CheckIn(subj(name), pb.Class(), path, mode)
-				if fmt.Sprint(aerr) != fmt.Sprint(berr) {
-					return fmt.Sprintf("%s %s on %s: primary err=%v, mirror err=%v",
-						name, mode, path, aerr, berr)
-				}
-			}
-		}
-	}
-	return ""
-}
-
 // wirePrimary builds a primary with tree, registry, groups, and a
 // multilevel directory — every wire feature in one fixture.
 func wirePrimary(t testing.TB) (*fixture, *principal.Registry) {
@@ -225,9 +181,7 @@ func TestWireSnapshotRoundTrip(t *testing.T) {
 	if pe.Compiled() != me.Compiled() {
 		t.Fatalf("compiled: primary %v, mirror %v", pe.Compiled(), me.Compiled())
 	}
-	if diff := verdictsAgree(pe, me); diff != "" {
-		t.Fatalf("verdicts diverge after snapshot: %s", diff)
-	}
+	assertMirrorDecides(t, pe, m)
 }
 
 // TestWireDeltaSequence tracks the primary through one mutation of
@@ -254,9 +208,7 @@ func TestWireDeltaSequence(t *testing.T) {
 		if diff := wireEquivalent(next, m.srv.Current()); diff != "" {
 			t.Fatalf("%s: not equivalent: %s", what, diff)
 		}
-		if diff := verdictsAgree(next, m.srv.Current()); diff != "" {
-			t.Fatalf("%s: verdicts diverge: %s", what, diff)
-		}
+		assertMirrorDecides(t, next, m)
 		prev = next
 	}
 
@@ -447,9 +399,7 @@ func FuzzEpochDeltaCodec(f *testing.F) {
 			}
 			prev = next
 		}
-		if diff := verdictsAgree(prev, m.srv.Current()); diff != "" {
-			t.Fatalf("final verdicts diverge: %s", diff)
-		}
+		assertMirrorDecides(t, prev, m)
 	})
 }
 

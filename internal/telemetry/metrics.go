@@ -147,8 +147,8 @@ type NamesStats struct {
 	CompiledStats
 	// Shadow divergence monitor: traced checks routed through both the
 	// compiled fast path and the authoritative walk, and how many of
-	// those comparisons disagreed (compiled=allow, walk=deny). A
-	// nonzero divergence count is a correctness alarm.
+	// those comparisons disagreed (in either direction, or in the
+	// denial text). A nonzero divergence count is a correctness alarm.
 	ShadowChecks uint64 `json:"shadow_checks"`
 	Divergences  uint64 `json:"compiled_divergences"`
 	// JournalRecords is the number of epoch-transition records the
