@@ -3,6 +3,8 @@ package names
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -59,12 +61,16 @@ func assertCompiledStructure(t testing.TB, ep *Epoch, subs []string) {
 // pinned epoch: the structure above, then, on every bound path for
 // every subject, class and queryModes set, checked resolution through
 // the compiled visibility chain, every verdict the fast check decides,
-// and the composed check each agree with the walk.
+// and the composed check each agree with the walk; for registered
+// subjects under the default stack the fast check decides every allow
+// the walk grants and every denial it renders.
 func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []lattice.Class) {
 	t.Helper()
 	var names []string
+	registered := make(map[string]bool)
 	for _, sub := range subs {
 		names = append(names, sub.name)
+		_, registered[sub.name] = ep.Registry().PrincipalID(sub.name)
 	}
 	assertCompiledStructure(t, ep, names)
 	shadow := walkOnly(ep)
@@ -79,9 +85,24 @@ func assertCompiledEquiv(t *testing.T, ep *Epoch, subs []fakeSubject, classes []
 				}
 				for _, modes := range queryModes {
 					wn, werr := checkAccessIn(shadow, sub, class, p, modes, nil)
-					if fn, ferr, decided := ep.fastCheck(sub, class, p, modes); decided && (fn != wn || !sameDecision(ferr, werr)) {
+					fn, ferr, decided := ep.fastCheck(sub, class, p, modes)
+					if decided && (fn != wn || !sameDecision(ferr, werr)) {
 						t.Errorf("v%d: FAST PATH DIVERGES FROM WALK: %s %s %v: compiled (%v, %v), walk (%v, %v)",
 							ep.Version(), sub.name, p, modes, fn, ferr, wn, werr)
+					}
+					if !decided && registered[sub.name] && ep.compiled.fast {
+						// On the default stack every walk denial of a bound
+						// path is a missing grant, a MAC flow failure or a
+						// hidden ancestor, all of which the compiled path
+						// decides.
+						var de *DeniedError
+						if werr == nil {
+							t.Errorf("v%d: fast path undecided on a walk allow: %s %s %v",
+								ep.Version(), sub.name, p, modes)
+						} else if errors.As(werr, &de) {
+							t.Errorf("v%d: fast path undecided on a walk denial: %s %s %v: %v",
+								ep.Version(), sub.name, p, modes, werr)
+						}
 					}
 					if cn, cerr := checkAccessIn(ep, sub, class, p, modes, nil); cn != wn || !sameDecision(cerr, werr) {
 						t.Errorf("v%d: checkAccessIn diverged at %s as %s %v: (%v,%v) vs (%v,%v)",
@@ -397,6 +418,119 @@ func TestCompiledNonDefaultStackFallsBack(t *testing.T) {
 	}
 	if _, _, err := srv.CheckAccess(subj("root"), cf.bot, "/svc/fs/read", acl.Read, nil); err != nil {
 		t.Fatalf("walk check under custom stack: %v", err)
+	}
+}
+
+// TestCompiledRandomizedOracle fuzzes a deterministic op sequence over
+// every mutation class and asserts the equivalence contract on every
+// published epoch along the way, plus pinned-epoch immutability at the
+// end. This is the op-sequence oracle for index-resolve ≡ walk-resolve
+// and summary-verdict ≡ entry-iteration. The registry ops cover every
+// path a scoped registry transition takes: member toggles, subgroup
+// edges (a full re-freeze), enrolling a principal registered earlier,
+// and an ACL naming a principal before it registers. Relabels put nodes
+// above and below the subjects' classes, so every denial the compiled
+// path decides (missing grant, MAC flow, hidden ancestor by ACL or by
+// class) arises.
+func TestCompiledRandomizedOracle(t *testing.T) {
+	cf := newCompiledFixture(t)
+	srv, classes := cf.srv, cf.classes()
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"alice", "bob", "carol", "root"}
+	groups := []string{"ops", "eng"}
+	var pinned []*Epoch
+	dirs := []string{"/svc", "/svc/fs"}
+	serial := 0
+	var added []string
+	for i := 0; i < 120; i++ {
+		switch rng.Intn(12) {
+		case 0, 1:
+			parent := dirs[rng.Intn(len(dirs))]
+			serial++
+			name := fmt.Sprintf("r%d", serial)
+			a := acl.New(
+				acl.Allow(names[rng.Intn(len(names))], acl.Read|acl.Write),
+				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.Read|acl.List),
+			)
+			if rng.Intn(2) == 0 {
+				a.Add(acl.Deny(names[rng.Intn(len(names))], acl.Read))
+			}
+			kind, path := KindFile, parent+"/"+name
+			if rng.Intn(3) == 0 {
+				kind = KindDirectory
+			}
+			if _, err := srv.BindUnchecked(parent, BindSpec{Name: name, Kind: kind, ACL: a, Class: cf.bot}); err == nil && kind == KindDirectory {
+				dirs = append(dirs, path)
+			}
+		case 2:
+			srv.Apply(nil, lattice.Class{}, Unbind(fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))))
+		case 3:
+			p := dirs[rng.Intn(len(dirs))]
+			srv.SetACLUnchecked(p, acl.New(
+				acl.Allow("root", acl.AllModes),
+				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.List),
+				acl.AllowEveryone(acl.List),
+			))
+		case 4:
+			cf.reg.Apply(principal.AddMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))]))
+		case 5:
+			cf.reg.Apply(principal.RemoveMember(groups[rng.Intn(len(groups))], names[rng.Intn(len(names))]))
+		case 6:
+			// Rename a random renameable node under /svc into /svc/fs.
+			old := fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))
+			srv.Apply(cf.root, cf.bot, Rename(old, "/svc/fs", fmt.Sprintf("mv%d", i)))
+		case 7:
+			name := fmt.Sprintf("u%d", len(added))
+			if _, err := cf.reg.Apply(principal.AddPrincipal(name, cf.bot)); err == nil {
+				added = append(added, name)
+				cf.subs = append(cf.subs, subj(name))
+			}
+		case 8:
+			// Subgroup edge eng ⊆ ops, toggled: a full re-freeze.
+			if members, _ := cf.reg.Members("ops"); slices.Contains(members, "@eng") {
+				cf.reg.Apply(principal.RemoveMember("ops", "eng"))
+			} else {
+				cf.reg.Apply(principal.AddMember("ops", "eng"))
+			}
+		case 9:
+			// Enrol a principal registered earlier in the run.
+			if len(added) > 0 {
+				cf.reg.Apply(principal.AddMember(groups[rng.Intn(len(groups))], added[rng.Intn(len(added))]))
+			}
+		case 10:
+			// An interior ACL naming the principal case 7 registers next.
+			srv.SetACLUnchecked(dirs[rng.Intn(len(dirs))], acl.New(
+				acl.Allow("root", acl.AllModes),
+				acl.Allow(fmt.Sprintf("u%d", len(added)), acl.List|acl.Read),
+				acl.AllowGroup(groups[rng.Intn(len(groups))], acl.List),
+			))
+		case 11:
+			// Relabel a directory or a node under /svc: ancestors above a
+			// subject's class hide what lies below them, and targets on
+			// either side of it deny by MAC flow.
+			p := dirs[rng.Intn(len(dirs))]
+			if rng.Intn(2) == 0 {
+				p = fmt.Sprintf("/svc/r%d", rng.Intn(serial+1))
+			}
+			srv.Apply(nil, lattice.Class{}, SetClass(p, classes[rng.Intn(len(classes))]))
+		}
+		assertMatchesFullRebuild(t, srv.Current())
+		if i%10 == 0 || i == 119 {
+			ep := srv.Current()
+			assertCompiledEquiv(t, ep, cf.subs, classes)
+			if t.Failed() {
+				t.Fatalf("after op %d", i)
+			}
+			pinned = append(pinned, ep)
+		}
+	}
+	// Pinned epochs are immutable: the contract still holds on each.
+	for _, ep := range pinned {
+		assertCompiledEquiv(t, ep, cf.subs, classes)
+	}
+	st := srv.CompiledStats()
+	if st.Incremental == 0 || st.Full == 0 {
+		t.Fatalf("expected both full and incremental builds: %+v", st)
 	}
 }
 

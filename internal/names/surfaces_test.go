@@ -3,6 +3,7 @@ package names_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -651,4 +652,91 @@ func oracleMAC(subject, object lattice.Class, modes acl.Mode) bool {
 		return false
 	}
 	return true
+}
+
+// randomACL builds an ACL with random allow/deny entries over the given
+// principals plus occasional everyone entries.
+func randomACL(rng *rand.Rand, principals []string) *acl.ACL {
+	var entries []acl.Entry
+	n := rng.Intn(4)
+	for i := 0; i < n; i++ {
+		modes := acl.Mode(rng.Intn(int(acl.AllModes))) + 1
+		switch rng.Intn(4) {
+		case 0:
+			entries = append(entries, acl.AllowEveryone(modes))
+		case 1:
+			entries = append(entries, acl.Deny(principals[rng.Intn(len(principals))], modes))
+		default:
+			entries = append(entries, acl.Allow(principals[rng.Intn(len(principals))], modes))
+		}
+	}
+	// Bias toward listable containers so traversal sometimes succeeds.
+	if rng.Intn(2) == 0 {
+		entries = append(entries, acl.AllowEveryone(acl.List))
+	}
+	return acl.New(entries...)
+}
+
+// TestCheckAccessMatchesPreRefactorOracle: on randomized two-level
+// trees of random ACLs and classes, the server's check must agree with
+// oracleCheck, the decision procedure written from the rules alone.
+func TestCheckAccessMatchesPreRefactorOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	lat, err := lattice.NewWithUniverse([]string{"l0", "l1", "l2"}, []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bottom, err := lat.Bottom()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classPool := []lattice.Class{
+		bottom,
+		lat.MustClass("l0", "a"),
+		lat.MustClass("l1"),
+		lat.MustClass("l1", "a", "b"),
+		lat.MustClass("l2", "b"),
+		lat.MustClass("l2", "a", "b"),
+	}
+	principals := []string{"p0", "p1", "p2"}
+
+	for round := 0; round < 20; round++ {
+		srv := names.NewServer(lat, randomACL(rng, principals), bottom)
+		// Random two-level tree, built unchecked.
+		var leaves []string
+		for d := 0; d < 3; d++ {
+			dir := fmt.Sprintf("/d%d", d)
+			if _, err := srv.BindUnchecked("/", names.BindSpec{
+				Name: fmt.Sprintf("d%d", d), Kind: names.KindDirectory,
+				ACL: randomACL(rng, principals), Class: classPool[rng.Intn(len(classPool))],
+			}); err != nil {
+				t.Fatal(err)
+			}
+			leaves = append(leaves, dir)
+			for f := 0; f < 3; f++ {
+				if _, err := srv.BindUnchecked(dir, names.BindSpec{
+					Name: fmt.Sprintf("f%d", f), Kind: names.KindFile,
+					ACL: randomACL(rng, principals), Class: classPool[rng.Intn(len(classPool))],
+				}); err != nil {
+					t.Fatal(err)
+				}
+				leaves = append(leaves, fmt.Sprintf("%s/f%d", dir, f))
+			}
+		}
+
+		ep := srv.Current()
+		for q := 0; q < 400; q++ {
+			sub := ghost{name: principals[rng.Intn(len(principals))]}
+			class := classPool[rng.Intn(len(classPool))]
+			path := leaves[rng.Intn(len(leaves))]
+			modes := acl.Mode(rng.Intn(int(acl.AllModes))) + 1
+
+			want := oracleCheck(ep, sub, class, path, modes)
+			_, _, err := srv.CheckAccess(sub, class, path, modes, nil)
+			if got := err == nil; got != want {
+				t.Fatalf("round %d: CheckAccess(%s, %s, %s, %s) = %v (err=%v); oracle says %v",
+					round, sub.name, class, path, modes, got, err, want)
+			}
+		}
+	}
 }
